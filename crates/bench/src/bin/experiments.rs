@@ -57,9 +57,7 @@
 //! inconsistent segment flags are all rejected up front (exit 1) before
 //! any experiment runs.
 
-use evanesco_bench::experiments::{
-    anatomy, campaign, chaos, fleet, hostperf, report, scheduler, tracing,
-};
+use evanesco_bench::experiments::{anatomy, campaign, chaos, fleet, report, scheduler, tracing};
 use evanesco_bench::{is_experiment_name, run_experiment, Scale, EXPERIMENT_NAMES};
 use evanesco_ssd::{read_checkpoint, write_checkpoint, CheckpointError};
 use std::path::PathBuf;
@@ -85,7 +83,6 @@ fn main() {
     let mut scale_name = "full".to_string();
     let mut names: Vec<String> = Vec::new();
     let mut seg = SegmentMode::default();
-    let mut reps: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -129,10 +126,6 @@ fn main() {
             "--scenario" => {
                 seg.scenario = Some(args.next().expect("--scenario needs a name"));
             }
-            "--reps" => {
-                let v = args.next().expect("--reps needs a value");
-                reps = Some(v.parse().expect("--reps needs an integer"));
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: experiments [--quick|--smoke|--scale NAME] [--seed N] <name>...|all"
@@ -143,8 +136,6 @@ fn main() {
                      scheduler (BENCH_scheduler.json), trace (TRACE_scheduler.json), \
                      report (BENCH_report.json), campaign (BENCH_campaign.json; fails \
                      when a checkpoint-chained run diverges from its uninterrupted twin), \
-                     hostperf (BENCH_hostperf.json; wall-clock throughput, fails under \
-                     the machine-normalized speedup-vs-seed gate; [--reps N]), \
                      chaos (BENCH_chaos.json; corruption storm matrix, fails on any \
                      silent wrong-data event or broken accounting identity), \
                      fleet (BENCH_fleet.json; multi-tenant noisy-neighbor matrix, fails \
@@ -244,33 +235,6 @@ fn main() {
                 for v in &violations {
                     eprintln!("report gate FAILED: {v}");
                 }
-                gate_failed = true;
-            }
-        } else if name == "hostperf" {
-            let reps = reps.unwrap_or(if scale_name == "smoke" { 3 } else { 2 });
-            let bundle = hostperf::run(&scale, &scale_name, reps);
-            println!("{}", bundle.render());
-            let mut violations = Vec::new();
-            // Compare against the checked-in baseline *before* overwriting
-            // it (runner-independent: the check is on the speedup ratio).
-            match std::fs::read_to_string("BENCH_hostperf.json") {
-                Ok(baseline) => violations.extend(bundle.drift_against(&baseline)),
-                Err(_) => println!("no BENCH_hostperf.json baseline found; drift gate skipped"),
-            }
-            std::fs::write("BENCH_hostperf.json", bundle.to_json())
-                .expect("write BENCH_hostperf.json");
-            println!("wrote BENCH_hostperf.json");
-            if !bundle.gate_passes() {
-                eprintln!(
-                    "hostperf gate FAILED: qd{} speedup-vs-seed {:.2}x < {:.1}x",
-                    hostperf::GATE_QD,
-                    bundle.gate_speedup(),
-                    hostperf::GATE_MIN_SPEEDUP,
-                );
-                gate_failed = true;
-            }
-            for v in &violations {
-                eprintln!("hostperf gate FAILED: {v}");
                 gate_failed = true;
             }
         } else if name == "chaos" {

@@ -27,11 +27,13 @@ use crate::scale::Scale;
 use evanesco_core::bap::BapConfig;
 use evanesco_core::pap::PapConfig;
 use evanesco_ftl::config::FaultConfig;
+use evanesco_ftl::observer::NullObserver;
 use evanesco_ftl::SanitizePolicy;
 use evanesco_nand::timing::Nanos;
 use evanesco_ssd::Emulator;
 use evanesco_workloads::generate::generate;
-use evanesco_workloads::trace::{Trace, TraceOp};
+use evanesco_workloads::replay::apply;
+use evanesco_workloads::trace::Trace;
 use evanesco_workloads::WorkloadSpec;
 use std::fmt::Write as _;
 
@@ -126,20 +128,6 @@ pub fn build_trace(scale: &Scale, logical_pages: u64) -> Trace {
     )
 }
 
-fn apply(ssd: &mut Emulator, op: &TraceOp) {
-    match *op {
-        TraceOp::Write { lpa, npages, secure, .. } => {
-            let _ = ssd.write(lpa, npages, secure);
-        }
-        TraceOp::Read { lpa, npages } => {
-            let _ = ssd.read(lpa, npages);
-        }
-        TraceOp::Trim { lpa, npages, .. } => {
-            ssd.trim(lpa, npages);
-        }
-    }
-}
-
 /// The measured-phase op range of segment `k` of `segments`.
 fn bounds(total: usize, segments: usize, k: usize) -> (usize, usize) {
     (total * k / segments, total * (k + 1) / segments)
@@ -159,14 +147,14 @@ pub fn run_segment(
 ) {
     if k == 0 {
         for op in &trace.prefill {
-            apply(ssd, op);
+            apply(ssd, &mut NullObserver, op);
         }
     } else {
         ssd.age_flags(scenario.rest_days);
     }
     let (lo, hi) = bounds(trace.ops.len(), segments, k);
     for op in &trace.ops[lo..hi] {
-        apply(ssd, op);
+        apply(ssd, &mut NullObserver, op);
     }
     ssd.sample_timeseries_now();
 }

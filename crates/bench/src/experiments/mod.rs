@@ -10,7 +10,6 @@ pub mod campaign;
 pub mod chaos;
 pub mod dse;
 pub mod fleet;
-pub mod hostperf;
 pub mod latency;
 pub mod reliability;
 pub mod report;

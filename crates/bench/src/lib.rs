@@ -62,7 +62,6 @@ pub fn run_experiment(name: &str, scale: &Scale) -> String {
         "trace" => experiments::tracing::trace(scale, "custom"),
         "report" => experiments::report::report(scale, "custom"),
         "campaign" => experiments::campaign::campaign(scale, "custom"),
-        "hostperf" => experiments::hostperf::hostperf(scale, "custom"),
         "chaos" => experiments::chaos::chaos(scale, "custom"),
         "fleet" => experiments::fleet::fleet(scale, "custom"),
         "anatomy" => experiments::anatomy::anatomy(scale, "custom"),
@@ -77,7 +76,7 @@ pub fn is_experiment_name(name: &str) -> bool {
 }
 
 /// All experiment names accepted by [`run_experiment`], in report order.
-pub const EXPERIMENT_NAMES: [&str; 29] = [
+pub const EXPERIMENT_NAMES: [&str; 28] = [
     "table2",
     "fig2",
     "table1",
@@ -103,7 +102,6 @@ pub const EXPERIMENT_NAMES: [&str; 29] = [
     "trace",
     "report",
     "campaign",
-    "hostperf",
     "chaos",
     "fleet",
     "anatomy",

@@ -158,8 +158,7 @@ impl FtlStats {
         }
     }
 
-    /// Inverse of [`FtlStats::encode_snapshot`]. Version-1 checkpoints
-    /// predate the metadata-guard counters; those decode as zero.
+    /// Inverse of [`FtlStats::encode_snapshot`].
     ///
     /// # Errors
     ///
@@ -167,7 +166,6 @@ impl FtlStats {
     pub fn decode_snapshot(
         d: &mut evanesco_nand::snapshot::Dec<'_>,
     ) -> Result<Self, evanesco_nand::snapshot::SnapshotError> {
-        let v2 = d.version() >= 2;
         Ok(FtlStats {
             host_write_pages: d.u64()?,
             host_read_pages: d.u64()?,
@@ -193,14 +191,14 @@ impl FtlStats {
             retired_blocks: d.u64()?,
             reliability_relocations: d.u64()?,
             writes_rejected_readonly: d.u64()?,
-            meta_corruptions_injected: if v2 { d.u64()? } else { 0 },
-            meta_corruptions_detected: if v2 { d.u64()? } else { 0 },
-            meta_repairs_from_oob: if v2 { d.u64()? } else { 0 },
-            meta_repairs_rederived: if v2 { d.u64()? } else { 0 },
-            meta_unrecoverable: if v2 { d.u64()? } else { 0 },
-            audit_scrub_blocks: if v2 { d.u64()? } else { 0 },
-            audit_divergences: if v2 { d.u64()? } else { 0 },
-            meta_resurrections_pruned: if v2 { d.u64()? } else { 0 },
+            meta_corruptions_injected: d.u64()?,
+            meta_corruptions_detected: d.u64()?,
+            meta_repairs_from_oob: d.u64()?,
+            meta_repairs_rederived: d.u64()?,
+            meta_unrecoverable: d.u64()?,
+            audit_scrub_blocks: d.u64()?,
+            audit_divergences: d.u64()?,
+            meta_resurrections_pruned: d.u64()?,
         })
     }
 
@@ -305,7 +303,7 @@ mod tests {
     }
 
     #[test]
-    fn guard_counters_roundtrip_and_default_to_zero_for_v1() {
+    fn guard_counters_roundtrip_and_are_required() {
         use evanesco_nand::snapshot::{Dec, Enc};
         let s = FtlStats {
             host_write_pages: 9,
@@ -321,10 +319,9 @@ mod tests {
         let bytes = e.into_bytes();
         let restored = FtlStats::decode_snapshot(&mut Dec::new(&bytes)).unwrap();
         assert_eq!(restored, s);
-        // A v1 stream carries only the first 24 counters.
+        // A stream cut after the first 24 counters (the retired v1 layout)
+        // is truncated, not zero-filled.
         let mut d = Dec::new(&bytes[..24 * 8]);
-        // Dec::new assumes the current version; simulate v1 via the header
-        // path in integration tests — here just check the length math.
-        assert!(FtlStats::decode_snapshot(&mut d).is_err(), "v2 decode needs all 31 counters");
+        assert!(FtlStats::decode_snapshot(&mut d).is_err(), "decode needs all 32 counters");
     }
 }

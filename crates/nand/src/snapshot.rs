@@ -32,11 +32,9 @@ pub const MAGIC: &[u8; 8] = b"EVSCCKP1";
 /// * **2** — the top-level checkpoint is framed into CRC-guarded sections
 ///   (`[id:u8][len:u64][crc32:u32][payload]`, see [`Enc::section`]), so a
 ///   corrupted region is pinned to a named section and can be salvaged
-///   instead of poisoning the whole blob. Version-1 blobs still decode.
+///   instead of poisoning the whole blob. Version-1 blobs are rejected
+///   as unsupported: nothing outside this repository ever wrote one.
 pub const VERSION: u32 = 2;
-
-/// Oldest snapshot format version this build still decodes.
-pub const MIN_VERSION: u32 = 1;
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding
 /// each framed checkpoint section. Detects every single-byte corruption
@@ -222,37 +220,27 @@ impl Enc {
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
-    version: u32,
 }
 
 impl<'a> Dec<'a> {
-    /// A decoder that first checks the magic + version header. Any version
-    /// in `MIN_VERSION..=VERSION` is accepted; component decoders branch on
-    /// [`Dec::version`] where layouts differ.
+    /// A decoder that first checks the magic + version header. Only the
+    /// current [`VERSION`] is accepted.
     pub fn with_header(buf: &'a [u8]) -> Result<Self, SnapshotError> {
-        let mut d = Dec { buf, pos: 0, version: VERSION };
+        let mut d = Dec::new(buf);
         let magic = d.take(MAGIC.len())?;
         if magic != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
         let version = d.u32()?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion { found: version, supported: VERSION });
         }
-        d.version = version;
         Ok(d)
     }
 
-    /// A headerless decoder (for nested component sections). Assumes the
-    /// current format version.
+    /// A headerless decoder (for nested component sections).
     pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0, version: VERSION }
-    }
-
-    /// The format version accepted by [`Dec::with_header`] (or [`VERSION`]
-    /// for a headerless decoder).
-    pub fn version(&self) -> u32 {
-        self.version
+        Dec { buf, pos: 0 }
     }
 
     /// Current read offset.
@@ -394,7 +382,7 @@ impl<'a> Dec<'a> {
         let crc = self.u32()?;
         let payload = self.take(len)?;
         let ok = crc32(payload) == crc;
-        Ok((Dec { buf: payload, pos: 0, version: self.version }, ok))
+        Ok((Dec::new(payload), ok))
     }
 
     /// Reads one section frame and enforces its checksum: the strict
@@ -452,12 +440,13 @@ mod tests {
         let bytes = Enc::with_header().into_bytes();
         Dec::with_header(&bytes).unwrap();
         assert_eq!(Dec::with_header(b"NOTACKPT0000").unwrap_err(), SnapshotError::BadMagic);
-        let mut bad = bytes.clone();
-        bad[8] = 0xFF; // version -> huge
-        assert!(matches!(
-            Dec::with_header(&bad).unwrap_err(),
-            SnapshotError::UnsupportedVersion { .. }
-        ));
+        // A future version, the retired format 1, and zero are all refused.
+        for version in [0xFFu32, 1, 0] {
+            let mut bad = bytes.clone();
+            bad[8..12].copy_from_slice(&version.to_le_bytes());
+            let want = SnapshotError::UnsupportedVersion { found: version, supported: VERSION };
+            assert_eq!(Dec::with_header(&bad).unwrap_err(), want);
+        }
         assert!(matches!(
             Dec::with_header(&bytes[..5]).unwrap_err(),
             SnapshotError::Truncated { .. }
@@ -499,21 +488,6 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-    }
-
-    #[test]
-    fn header_accepts_the_previous_version() {
-        let bytes = Enc::with_header().into_bytes();
-        let mut old = bytes.clone();
-        old[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(Dec::with_header(&old).unwrap().version(), 1);
-        assert_eq!(Dec::with_header(&bytes).unwrap().version(), VERSION);
-        let mut zero = bytes;
-        zero[8..12].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            Dec::with_header(&zero).unwrap_err(),
-            SnapshotError::UnsupportedVersion { found: 0, .. }
-        ));
     }
 
     #[test]

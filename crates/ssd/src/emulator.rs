@@ -19,6 +19,7 @@ use evanesco_core::threat::Attacker;
 use evanesco_ftl::ftl::Ftl;
 use evanesco_ftl::observer::{FtlObserver, NullObserver, Tee};
 use evanesco_ftl::{Lpa, RecoveryReport, SanitizePolicy};
+use evanesco_nand::chip::PageData;
 use evanesco_nand::timing::Nanos;
 use std::collections::HashSet;
 
@@ -51,17 +52,24 @@ pub struct Emulator {
     /// Per-request latency-anatomy recorder
     /// ([`Emulator::enable_anatomy`]); fed from each finished trace.
     anatomy: Option<AnatomyRecorder>,
-    /// Context the scheduled dispatcher stashes for the next
-    /// `trace_finish`: the watchdog penalty window (absolute) and the
-    /// request's submission-order index. Cleared after each record.
-    anatomy_retry: Option<(Nanos, Nanos)>,
-    anatomy_req_idx: Option<usize>,
     /// Windowed telemetry ring ([`Emulator::enable_timeseries`]).
     timeseries: Option<TimeSeries>,
     /// Deadline watchdog on the scheduled path
     /// ([`Emulator::enable_watchdog`]). Like tracing, never checkpointed:
     /// re-enable after restore.
     watchdog: Option<Watchdog>,
+}
+
+/// The page contents one request moves across [`Emulator::execute`].
+enum Payload<'a> {
+    /// A write whose page `i` carries only the content tag `base + i`.
+    Tags(u64),
+    /// A one-page write with explicit contents (the host file system).
+    Page(PageData),
+    /// A read: the sink is handed what each page returned, in LPA order.
+    Read(&'a mut dyn FnMut(Option<PageData>)),
+    /// A trim moves no data.
+    None,
 }
 
 impl Emulator {
@@ -84,8 +92,6 @@ impl Emulator {
             trace: None,
             trace_spare: Vec::new(),
             anatomy: None,
-            anatomy_retry: None,
-            anatomy_req_idx: None,
             timeseries: None,
             watchdog: None,
             cfg,
@@ -288,6 +294,8 @@ impl Emulator {
     }
 
     /// Finishes the open trace bracket for one host request, if tracing.
+    /// `retry` is the watchdog penalty window (absolute) and `req_idx` the
+    /// request's submission-order index, both for the anatomy row.
     #[allow(clippy::too_many_arguments)]
     fn trace_finish(
         &mut self,
@@ -298,6 +306,8 @@ impl Emulator {
         submit: Nanos,
         earliest: Nanos,
         end: Nanos,
+        retry: Option<(Nanos, Nanos)>,
+        req_idx: Option<usize>,
     ) {
         if let Some(tr) = self.trace.as_mut() {
             let events = self.ex.take_trace_events_into(std::mem::take(&mut self.trace_spare));
@@ -306,14 +316,12 @@ impl Emulator {
             if !events.is_empty() || end > submit {
                 let t = tr.record(kind, lpa, npages, acked, submit, earliest, end, events);
                 if let Some(a) = self.anatomy.as_mut() {
-                    a.record(t, self.anatomy_retry, self.anatomy_req_idx);
+                    a.record(t, retry, req_idx);
                 }
             } else {
                 self.trace_spare = events;
             }
         }
-        self.anatomy_retry = None;
-        self.anatomy_req_idx = None;
     }
 
     /// Discards device events that accrued outside any request bracket
@@ -356,7 +364,8 @@ impl Emulator {
         let end = self.ex.simulated_time();
         let scan_time = end.saturating_sub(before);
         self.recovery.absorb(&report, scan_time);
-        self.trace_finish(ReqKind::Recovery, 0, report.scanned_pages, true, before, before, end);
+        let scanned = report.scanned_pages;
+        self.trace_finish(ReqKind::Recovery, 0, scanned, true, before, before, end, None, None);
         report
     }
 
@@ -402,12 +411,141 @@ impl Emulator {
         // so the next pre-op check does not misread it as corruption.
         self.ftl.guard_reseal();
         let end = self.ex.simulated_time();
-        self.trace_finish(ReqKind::Maintenance, 0, 0, true, before, before, end);
+        self.trace_finish(ReqKind::Maintenance, 0, 0, true, before, before, end, None, None);
         self.poll_timeseries();
+    }
+
+    /// Panics with the typed [`crate::sched::SubmitError`] on a range that
+    /// wraps or ends beyond the logical capacity. Every host entry point
+    /// checks before any side effect, tag allocation included.
+    fn check_range(&self, who: impl std::fmt::Display, lpa: Lpa, npages: u64) {
+        if let Err(e) = crate::sched::check_lpa_range(lpa, npages, self.ftl.logical_pages()) {
+            panic!("{who} rejected: {e}");
+        }
+    }
+
+    /// Executes one host request: the one bracket every host path runs
+    /// through (DESIGN.md §8).
+    ///
+    /// `window` is the only timing input. `None` sets no dispatch floor:
+    /// the request spans two horizon readings and its commands may
+    /// backfill chips idle below the horizon (the serialized API). `Some`
+    /// — the scheduler's dispatch of this `op` — floors every reservation
+    /// at its earliest legal start plus any watchdog backoff.
+    ///
+    /// Returns whether the request was acknowledged (`None`: the watchdog
+    /// failed it before it reached the FTL) and its completion time.
+    // Inlined so each caller's constant op kind and window fold the matches
+    // away (outlined, `table2_policies/host_pages_per_s` loses ~5 %).
+    #[inline(always)]
+    fn execute<O: FtlObserver>(
+        &mut self,
+        obs: &mut O,
+        op: HostOp,
+        payload: Payload<'_>,
+        window: Option<&Dispatch>,
+    ) -> (Option<bool>, Nanos) {
+        use evanesco_ftl::executor::NandExecutor;
+        // Watchdog verdict first (keyed on the submission index, so it is
+        // queue-depth-invariant): a wedged request is aborted at its class
+        // deadline and retried after backoff — the penalty delays its
+        // start — or, past the retry budget, failed.
+        let verdict = match (self.watchdog.as_mut(), window) {
+            (Some(wd), Some(w)) => wd.judge(w.idx, &op),
+            _ => Verdict::Clean,
+        };
+        let (penalty, served) = match verdict {
+            Verdict::Clean => (Nanos::ZERO, true),
+            Verdict::Retried { penalty } => (penalty, true),
+            Verdict::Failed { penalty } => (penalty, false),
+        };
+        if served {
+            self.chaos_preop(obs);
+        }
+        self.trace_discard_leftovers();
+        let now = self.ex.simulated_time();
+        let (submit, earliest) = window.map_or((now, now), |w| (w.submit, w.earliest));
+        let start = earliest + penalty;
+        let (lpa, npages) = op.lpa_range();
+        let (mut acked, mut done) = (false, start);
+        if served {
+            if window.is_some() {
+                self.ex.begin_dispatch(start);
+            }
+            self.ex.begin_commit();
+            // Each arm yields whether the FTL accepted the request and what
+            // a write's first page leaves in the tag map.
+            let tee = &mut Tee(self.gauges.as_mut(), &mut *obs);
+            let (accepted, first) = match (op, payload) {
+                (HostOp::Write { secure, .. }, Payload::Tags(base)) => {
+                    let mut accepted = true;
+                    for i in 0..npages {
+                        accepted &= self.ftl.write(&mut self.ex, tee, lpa + i, secure, base + i);
+                    }
+                    (accepted, Some((base, secure)))
+                }
+                (HostOp::Write { secure, npages: 1, .. }, Payload::Page(data)) => {
+                    let first = Some((data.tag(), secure));
+                    (self.ftl.write_data(&mut self.ex, tee, lpa, secure, data), first)
+                }
+                (HostOp::Read { .. }, Payload::Read(sink)) => {
+                    (0..npages).for_each(|i| sink(self.ftl.read(&mut self.ex, lpa + i)));
+                    (true, None)
+                }
+                (HostOp::Trim { .. }, Payload::None) => {
+                    let lpas: Vec<Lpa> = (lpa..lpa + npages).collect();
+                    self.ftl.trim(&mut self.ex, tee, &lpas);
+                    (true, None)
+                }
+                _ => unreachable!("{op:?} carries the wrong payload"),
+            };
+            // A write the degraded-mode gate rejected is never acked.
+            acked = accepted && self.ex.commit_clean();
+            if acked {
+                // Bookkeeping follows the ack: an unacknowledged request
+                // never supersedes the previous version from the host's
+                // point of view.
+                self.host_ops += npages;
+                if self.cfg.track_tags && !matches!(op, HostOp::Read { .. }) {
+                    for l in lpa..lpa + npages {
+                        let new = first.map(|(tag, secure)| (tag + (l - lpa), secure));
+                        let slot = &mut self.tag_of[l as usize];
+                        if let Some((old, was_secure)) = std::mem::replace(slot, new) {
+                            if self.cfg.stale_audit {
+                                self.stale.push((l, old, was_secure));
+                            }
+                        }
+                    }
+                }
+            }
+            done = if window.is_some() { self.ex.end_dispatch() } else { self.ex.simulated_time() };
+        }
+        // Service latency, acked or not: completion minus the earliest legal
+        // start (queueing behind one's own dependencies excluded).
+        let (kind, hist) = match op {
+            HostOp::Write { .. } => (ReqKind::Write, &mut self.write_latency),
+            HostOp::Read { .. } => (ReqKind::Read, &mut self.read_latency),
+            HostOp::Trim { .. } => (ReqKind::Trim, &mut self.trim_latency),
+        };
+        hist.record(done.saturating_sub(earliest));
+        // The anatomy charges the backoff window to retry interference.
+        let retry = (start > earliest).then_some((earliest, start));
+        let idx = window.map(|w| w.idx);
+        self.trace_finish(kind, lpa, npages, acked, submit, earliest, done, retry, idx);
+        self.poll_timeseries();
+        if served {
+            self.chaos_postop();
+        }
+        (served.then_some(acked), done)
     }
 
     /// Writes `npages` consecutive logical pages starting at `lpa`.
     /// Returns the content tags assigned to the written pages.
+    ///
+    /// # Panics
+    ///
+    /// Like every host entry point, panics with the typed
+    /// [`crate::sched::SubmitError`] on an out-of-range request.
     pub fn write(&mut self, lpa: Lpa, npages: u64, secure: bool) -> Vec<u64> {
         self.write_with(&mut NullObserver, lpa, npages, secure)
     }
@@ -441,158 +579,72 @@ impl Emulator {
         npages: u64,
         secure: bool,
     ) -> Vec<(u64, bool)> {
-        let mut tags = Vec::with_capacity(npages as usize);
-        for i in 0..npages {
-            let l = lpa + i;
-            let tag = self.next_tag;
-            self.next_tag += 1;
-            if self.ex.powered_off() {
-                tags.push((tag, false));
-                continue;
-            }
-            self.chaos_preop(obs);
-            self.trace_discard_leftovers();
-            self.ex.begin_commit();
-            let before = self.ex.simulated_time();
-            let accepted = self.ftl.write(
-                &mut self.ex,
-                &mut Tee(self.gauges.as_mut(), &mut *obs),
-                l,
-                secure,
-                tag,
-            );
-            // A write the degraded-mode gate rejected is never acked.
-            let acked = accepted && self.ex.commit_clean();
-            if acked {
-                // Tag bookkeeping follows the ack: an unacknowledged write
-                // never supersedes the previous version from the host's
-                // point of view.
-                if self.cfg.track_tags && self.cfg.stale_audit {
-                    if let Some((old, was_secure)) = self.tag_of[l as usize].replace((tag, secure))
-                    {
-                        self.stale.push((l, old, was_secure));
-                    }
-                } else if self.cfg.track_tags {
-                    self.tag_of[l as usize] = Some((tag, secure));
-                }
-                self.write_latency.record(self.ex.simulated_time().saturating_sub(before));
-                self.host_ops += 1;
-            }
-            let end = self.ex.simulated_time();
-            self.trace_finish(ReqKind::Write, l, 1, acked, before, before, end);
-            self.poll_timeseries();
-            self.chaos_postop();
-            tags.push((tag, acked));
-        }
-        tags
+        self.check_range("write", lpa, npages);
+        let base = self.next_tag;
+        self.next_tag += npages;
+        self.write_each(obs, lpa, secure, (base..base + npages).map(|t| (t, Payload::Tags(t))))
     }
 
     /// Writes explicit page payloads to `npages = pages.len()` consecutive
     /// logical pages (the byte-carrying path used by the host file system).
     /// Returns the content tags.
-    pub fn write_pages(
+    pub fn write_pages(&mut self, lpa: Lpa, pages: Vec<PageData>, secure: bool) -> Vec<u64> {
+        self.check_range("write_pages", lpa, pages.len() as u64);
+        let pages = pages.into_iter().map(|d| (d.tag(), Payload::Page(d)));
+        let tracked = self.write_each(&mut NullObserver, lpa, secure, pages);
+        tracked.into_iter().map(|(t, _)| t).collect()
+    }
+
+    /// The serialized write loop: one request per page, yielding its tag
+    /// and ack. A dark device rejects the page before the bracket.
+    fn write_each<O: FtlObserver>(
         &mut self,
+        obs: &mut O,
         lpa: Lpa,
-        pages: Vec<evanesco_nand::chip::PageData>,
         secure: bool,
-    ) -> Vec<u64> {
-        let mut tags = Vec::with_capacity(pages.len());
-        for (i, data) in pages.into_iter().enumerate() {
-            let l = lpa + i as u64;
-            let tag = data.tag();
-            if self.ex.powered_off() {
-                tags.push(tag);
-                continue;
-            }
-            self.chaos_preop(&mut NullObserver);
-            self.trace_discard_leftovers();
-            self.ex.begin_commit();
-            let before = self.ex.simulated_time();
-            let accepted = self.ftl.write_data(
-                &mut self.ex,
-                &mut Tee(self.gauges.as_mut(), NullObserver),
-                l,
-                secure,
-                data,
-            );
-            let acked = accepted && self.ex.commit_clean();
-            if acked {
-                if self.cfg.track_tags && self.cfg.stale_audit {
-                    if let Some((old, was_secure)) = self.tag_of[l as usize].replace((tag, secure))
-                    {
-                        self.stale.push((l, old, was_secure));
-                    }
-                } else if self.cfg.track_tags {
-                    self.tag_of[l as usize] = Some((tag, secure));
-                }
-                self.write_latency.record(self.ex.simulated_time().saturating_sub(before));
-                self.host_ops += 1;
-            }
-            let end = self.ex.simulated_time();
-            self.trace_finish(ReqKind::Write, l, 1, acked, before, before, end);
-            self.poll_timeseries();
-            self.chaos_postop();
-            tags.push(tag);
-        }
-        tags
+        pages: impl Iterator<Item = (u64, Payload<'static>)>,
+    ) -> Vec<(u64, bool)> {
+        pages
+            .zip(lpa..)
+            .map(|((tag, payload), lpa)| {
+                let op = HostOp::Write { lpa, npages: 1, secure };
+                let acked =
+                    !self.ex.powered_off() && self.execute(obs, op, payload, None).0 == Some(true);
+                (tag, acked)
+            })
+            .collect()
     }
 
     /// Reads full page contents (payload included where stored).
-    pub fn read_pages(
-        &mut self,
-        lpa: Lpa,
-        npages: u64,
-    ) -> Vec<Option<evanesco_nand::chip::PageData>> {
-        (0..npages)
-            .map(|i| {
-                if self.ex.powered_off() {
-                    return None;
-                }
-                self.chaos_preop(&mut NullObserver);
-                self.trace_discard_leftovers();
-                let before = self.ex.simulated_time();
-                let d = self.ftl.read(&mut self.ex, lpa + i);
-                self.note_sync_read(lpa + i, before, d.is_some());
-                self.chaos_postop();
-                d
-            })
-            .collect()
+    pub fn read_pages(&mut self, lpa: Lpa, npages: u64) -> Vec<Option<PageData>> {
+        self.read_each(lpa, npages, |page| page)
     }
 
     /// Reads `npages` consecutive logical pages; returns the tags of the
     /// pages that were mapped and readable.
     pub fn read(&mut self, lpa: Lpa, npages: u64) -> Vec<Option<u64>> {
-        let mut out = Vec::with_capacity(npages as usize);
-        for i in 0..npages {
-            if self.ex.powered_off() {
-                out.push(None);
-                continue;
-            }
-            self.chaos_preop(&mut NullObserver);
-            self.trace_discard_leftovers();
-            let before = self.ex.simulated_time();
-            let d = self.ftl.read(&mut self.ex, lpa + i);
-            self.note_sync_read(lpa + i, before, d.is_some());
-            self.chaos_postop();
-            out.push(d.map(|d| d.tag()));
-        }
-        out
+        self.read_each(lpa, npages, |page| page.map(|d| d.tag()))
     }
 
-    /// Books one serialized-path read: host-op count, the read latency
-    /// histogram, and the trace bracket.
-    ///
-    /// The serialized paths time by horizon delta, so a read that
-    /// backfills an idle chip *below* the device horizon records a
-    /// (truthful) zero — the device added no time the host had to wait
-    /// past. The scheduled path ([`Emulator::run_scheduled`]) records the
-    /// full per-request service latency instead.
-    fn note_sync_read(&mut self, lpa: Lpa, before: Nanos, _mapped: bool) {
-        self.host_ops += 1;
-        let end = self.ex.simulated_time();
-        self.read_latency.record(end.saturating_sub(before));
-        self.trace_finish(ReqKind::Read, lpa, 1, true, before, before, end);
-        self.poll_timeseries();
+    /// The serialized read loop: one request per page, `view`ing what it
+    /// returned. A dark device serves nothing.
+    fn read_each<T>(
+        &mut self,
+        lpa: Lpa,
+        npages: u64,
+        view: impl Fn(Option<PageData>) -> T,
+    ) -> Vec<T> {
+        self.check_range("read", lpa, npages);
+        let mut out = Vec::with_capacity(npages as usize);
+        for lpa in lpa..lpa + npages {
+            if self.ex.powered_off() {
+                out.push(view(None));
+                continue;
+            }
+            let op = HostOp::Read { lpa, npages: 1 };
+            self.execute(&mut NullObserver, op, Payload::Read(&mut |p| out.push(view(p))), None);
+        }
+        out
     }
 
     /// Trims (deletes) `npages` consecutive logical pages.
@@ -606,34 +658,9 @@ impl Emulator {
     /// before any power cut). An unacknowledged trim may have sanitized
     /// some of the range and not the rest; the host must re-issue it.
     pub fn trim_with<O: FtlObserver>(&mut self, obs: &mut O, lpa: Lpa, npages: u64) -> bool {
-        if self.ex.powered_off() {
-            return false;
-        }
-        self.chaos_preop(obs);
-        let lpas: Vec<Lpa> = (lpa..lpa + npages).collect();
-        self.trace_discard_leftovers();
-        self.ex.begin_commit();
-        let before = self.ex.simulated_time();
-        self.ftl.trim(&mut self.ex, &mut Tee(self.gauges.as_mut(), &mut *obs), &lpas);
-        let acked = self.ex.commit_clean();
-        if acked {
-            if self.cfg.track_tags {
-                for &l in &lpas {
-                    if let Some((old, was_secure)) = self.tag_of[l as usize].take() {
-                        if self.cfg.stale_audit {
-                            self.stale.push((l, old, was_secure));
-                        }
-                    }
-                }
-            }
-            self.trim_latency.record(self.ex.simulated_time().saturating_sub(before));
-            self.host_ops += npages;
-        }
-        let end = self.ex.simulated_time();
-        self.trace_finish(ReqKind::Trim, lpa, npages, acked, before, before, end);
-        self.poll_timeseries();
-        self.chaos_postop();
-        acked
+        self.check_range("trim", lpa, npages);
+        !self.ex.powered_off()
+            && self.execute(obs, HostOp::Trim { lpa, npages }, Payload::None, None).0 == Some(true)
     }
 
     /// Runs a request trace through the out-of-order multi-queue scheduler
@@ -644,8 +671,11 @@ impl Emulator {
     /// common logical page never reorder. Host-visible results are
     /// therefore **byte-identical at every queue depth** (write tags are
     /// assigned in submission order, before dispatch); only the timing
-    /// changes. `qd == 1` reproduces the serialized host paths exactly:
-    /// request *n + 1* starts only after request *n* completes.
+    /// changes. The serialized host API ([`Emulator::write`] and friends)
+    /// returns the same results again but **not** the timing of `qd == 1`,
+    /// where request *n + 1* starts only after request *n* completes: it
+    /// sets no dispatch floor, so later requests backfill chips idle below
+    /// the device horizon and a trace never takes longer than at `qd == 1`.
     ///
     /// Each request is one commit window: it is acknowledged only if every
     /// command it issued survived any power cut intact.
@@ -701,17 +731,11 @@ impl Emulator {
         qd: usize,
     ) -> SchedRun {
         let start = self.ex.simulated_time();
-        let logical_pages = self.cfg.ftl.logical_pages();
-        // Reject malformed ranges before any side effect (tag allocation
-        // included): a wrapped `[lpa, lpa+n)` would compare as disjoint
-        // from everything it overlaps.
         for (i, op) in ops.iter().enumerate() {
             let (lpa, n) = op.lpa_range();
-            if let Err(e) = crate::sched::check_lpa_range(lpa, n, logical_pages) {
-                panic!("run_scheduled: request {i} rejected: {e}");
-            }
+            self.check_range(format_args!("run_scheduled: request {i}"), lpa, n);
         }
-        let mut sched = Scheduler::new(qd, logical_pages);
+        let mut sched = Scheduler::new(qd, self.ftl.logical_pages());
         // Write tags are assigned in submission order, before any dispatch
         // decision, so the tags a request returns cannot depend on the
         // queue depth.
@@ -756,8 +780,25 @@ impl Emulator {
                 break;
             };
             host_pages += d.op.npages();
-            let (res, done) = self.dispatch_scheduled(obs, &d, tag_base[d.idx], &mut sched);
-            results[d.idx] = Some(res);
+            let base = tag_base[d.idx];
+            let reads = if let HostOp::Read { npages, .. } = d.op { npages as usize } else { 0 };
+            let mut got = Vec::with_capacity(reads);
+            let mut sink = |p: Option<PageData>| got.push(p.map(|d| d.tag()));
+            let payload = match d.op {
+                HostOp::Write { .. } => Payload::Tags(base),
+                HostOp::Read { .. } => Payload::Read(&mut sink),
+                HostOp::Trim { .. } => Payload::None,
+            };
+            let (acked, done) = self.execute(obs, d.op, payload, Some(&d));
+            sched.complete(done);
+            results[d.idx] = Some(match (acked, d.op) {
+                (None, _) => OpResult::TimedOut,
+                (Some(acked), HostOp::Write { npages, .. }) => {
+                    OpResult::Write((base..base + npages).collect(), acked)
+                }
+                (Some(_), HostOp::Read { .. }) => OpResult::Read(got),
+                (Some(acked), HostOp::Trim { .. }) => OpResult::Trim(acked),
+            });
             completions[d.idx] = done;
             submits[d.idx] = d.submit;
         }
@@ -770,147 +811,6 @@ impl Emulator {
             requests: ops.len() as u64,
             max_outstanding: sched.max_outstanding(),
         }
-    }
-
-    /// Executes one dispatched request inside a dispatch window and
-    /// reports its completion to the scoreboard. Returns the result and
-    /// the absolute completion time.
-    fn dispatch_scheduled<O: FtlObserver>(
-        &mut self,
-        obs: &mut O,
-        d: &Dispatch,
-        tag_base: u64,
-        sched: &mut Scheduler,
-    ) -> (OpResult, Nanos) {
-        use evanesco_ftl::executor::NandExecutor;
-        // Watchdog verdict first (keyed on the submission index, so it is
-        // queue-depth-invariant): a wedged request is aborted at its class
-        // deadline and retried after backoff — the penalty delays its
-        // earliest legal start — or, past the retry budget, failed without
-        // ever reaching the FTL.
-        let earliest =
-            match self.watchdog.as_mut().map_or(Verdict::Clean, |w| w.judge(d.idx, &d.op)) {
-                Verdict::Clean => d.earliest,
-                Verdict::Retried { penalty } => d.earliest + penalty,
-                Verdict::Failed { penalty } => {
-                    let done = d.earliest + penalty;
-                    self.anatomy_retry = Some((d.earliest, done));
-                    self.anatomy_req_idx = Some(d.idx);
-                    let (lpa, npages) = d.op.lpa_range();
-                    let kind = match d.op {
-                        HostOp::Write { .. } => {
-                            self.write_latency.record(penalty);
-                            ReqKind::Write
-                        }
-                        HostOp::Read { .. } => {
-                            self.read_latency.record(penalty);
-                            ReqKind::Read
-                        }
-                        HostOp::Trim { .. } => {
-                            self.trim_latency.record(penalty);
-                            ReqKind::Trim
-                        }
-                    };
-                    self.trace_discard_leftovers();
-                    self.trace_finish(kind, lpa, npages, false, d.submit, d.earliest, done);
-                    self.poll_timeseries();
-                    sched.complete(done);
-                    return (OpResult::TimedOut, done);
-                }
-            };
-        self.chaos_preop(obs);
-        self.trace_discard_leftovers();
-        if earliest > d.earliest {
-            // Watchdog backoff pushed the start: the anatomy charges the
-            // penalty window to retry interference.
-            self.anatomy_retry = Some((d.earliest, earliest));
-        }
-        self.anatomy_req_idx = Some(d.idx);
-        self.ex.begin_dispatch(earliest);
-        self.ex.begin_commit();
-        let mut acked_for_trace = true;
-        let res = match d.op {
-            HostOp::Write { lpa, npages, secure } => {
-                let tags: Vec<u64> = (0..npages).map(|i| tag_base + i).collect();
-                let mut accepted = true;
-                for (i, &tag) in tags.iter().enumerate() {
-                    accepted &= self.ftl.write(
-                        &mut self.ex,
-                        &mut Tee(self.gauges.as_mut(), &mut *obs),
-                        lpa + i as u64,
-                        secure,
-                        tag,
-                    );
-                }
-                let acked = accepted && self.ex.commit_clean();
-                if acked {
-                    if self.cfg.track_tags {
-                        for (i, &tag) in tags.iter().enumerate() {
-                            let l = (lpa + i as u64) as usize;
-                            if let Some((old, was_secure)) = self.tag_of[l].replace((tag, secure)) {
-                                if self.cfg.stale_audit {
-                                    self.stale.push((lpa + i as u64, old, was_secure));
-                                }
-                            }
-                        }
-                    }
-                    self.host_ops += npages;
-                }
-                acked_for_trace = acked;
-                OpResult::Write(tags, acked)
-            }
-            HostOp::Read { lpa, npages } => {
-                let got: Vec<Option<u64>> = (0..npages)
-                    .map(|i| self.ftl.read(&mut self.ex, lpa + i).map(|p| p.tag()))
-                    .collect();
-                if self.ex.commit_clean() {
-                    self.host_ops += npages;
-                }
-                OpResult::Read(got)
-            }
-            HostOp::Trim { lpa, npages } => {
-                let lpas: Vec<Lpa> = (lpa..lpa + npages).collect();
-                self.ftl.trim(&mut self.ex, &mut Tee(self.gauges.as_mut(), &mut *obs), &lpas);
-                let acked = self.ex.commit_clean();
-                if acked {
-                    if self.cfg.track_tags {
-                        for &l in &lpas {
-                            if let Some((old, was_secure)) = self.tag_of[l as usize].take() {
-                                if self.cfg.stale_audit {
-                                    self.stale.push((l, old, was_secure));
-                                }
-                            }
-                        }
-                    }
-                    self.host_ops += npages;
-                }
-                acked_for_trace = acked;
-                OpResult::Trim(acked)
-            }
-        };
-        let done = self.ex.end_dispatch();
-        // Service latency: completion minus the earliest legal start
-        // (queueing behind one's own dependencies excluded).
-        let service = done.saturating_sub(d.earliest);
-        let (kind, lpa, npages) = match d.op {
-            HostOp::Write { lpa, npages, .. } => {
-                self.write_latency.record(service);
-                (ReqKind::Write, lpa, npages)
-            }
-            HostOp::Trim { lpa, npages } => {
-                self.trim_latency.record(service);
-                (ReqKind::Trim, lpa, npages)
-            }
-            HostOp::Read { lpa, npages } => {
-                self.read_latency.record(service);
-                (ReqKind::Read, lpa, npages)
-            }
-        };
-        self.trace_finish(kind, lpa, npages, acked_for_trace, d.submit, d.earliest, done);
-        self.poll_timeseries();
-        self.chaos_postop();
-        sched.complete(done);
-        (res, done)
     }
 
     /// Selection hint for the scheduler: when could this request's device
@@ -1171,8 +1071,7 @@ impl Emulator {
     /// Reconstructs an emulator from bytes written by
     /// [`Emulator::save_checkpoint`]: builds a fresh device from the
     /// embedded configuration and policy, then overlays every piece of
-    /// dynamic state. Both format versions decode: v1 (the unframed
-    /// legacy layout) and v2 (CRC-guarded sections, checksums enforced).
+    /// dynamic state, enforcing every section checksum.
     ///
     /// # Errors
     ///
@@ -1186,11 +1085,6 @@ impl Emulator {
         use crate::checkpoint::section;
         use evanesco_nand::snapshot::Dec;
         let mut d = Dec::with_header(bytes)?;
-        if d.version() < 2 {
-            let em = Self::restore_v1(&mut d)?;
-            d.finish()?;
-            return Ok(em);
-        }
         let mut s = d.section(section::CONFIG, "config")?;
         let cfg = crate::checkpoint::decode_config(&mut s)?;
         s.finish()?;
@@ -1217,53 +1111,6 @@ impl Emulator {
         Ok(em)
     }
 
-    /// The v1 (pre-section) checkpoint layout, kept decodable so archived
-    /// fixtures and old campaign segments still restore.
-    fn restore_v1(
-        d: &mut evanesco_nand::snapshot::Dec<'_>,
-    ) -> Result<Emulator, evanesco_nand::snapshot::SnapshotError> {
-        let cfg = crate::checkpoint::decode_config(d)?;
-        let policy = crate::checkpoint::decode_policy(d)?;
-        let mut em = Emulator::new(cfg, policy);
-        d.expect_tag(0x50, "emulator")?;
-        em.ftl.decode_state(d)?;
-        em.ex.decode_state(d)?;
-        // v1 stored the host fields inline, without the leading 0x50 the
-        // framed HOST section carries — splice the tag check out by
-        // decoding the fields directly.
-        let n_tags = d.usize()?;
-        if n_tags != em.tag_of.len() {
-            return Err(evanesco_nand::snapshot::SnapshotError::Mismatch(format!(
-                "checkpoint tracks {n_tags} logical tags, configuration implies {}",
-                em.tag_of.len()
-            )));
-        }
-        for slot in em.tag_of.iter_mut() {
-            *slot = d.opt(|d| {
-                let tag = d.u64()?;
-                let secure = d.bool()?;
-                Ok((tag, secure))
-            })?;
-        }
-        let n_stale = d.usize()?;
-        em.stale = Vec::with_capacity(n_stale.min(1 << 20));
-        for _ in 0..n_stale {
-            let l = d.u64()?;
-            let tag = d.u64()?;
-            let secure = d.bool()?;
-            em.stale.push((l, tag, secure));
-        }
-        em.next_tag = d.u64()?;
-        em.host_ops = d.u64()?;
-        em.read_latency = LatencyHistogram::decode_snapshot(d)?;
-        em.write_latency = LatencyHistogram::decode_snapshot(d)?;
-        em.trim_latency = LatencyHistogram::decode_snapshot(d)?;
-        em.recovery = RecoveryTotals::decode_snapshot(d)?;
-        em.gauges = d.opt(LiveGauges::decode_state)?;
-        em.timeseries = d.opt(TimeSeries::decode_state)?;
-        Ok(em)
-    }
-
     /// Restores a v2 checkpoint, salvaging what a strict restore would
     /// reject: a section whose CRC (or decode) fails is rebuilt from
     /// ground truth where one exists, or dropped where the state is
@@ -1286,9 +1133,6 @@ impl Emulator {
     ///   totals restart from zero.
     /// * `gauges` / `timeseries` — dropped (observational).
     ///
-    /// v1 checkpoints have no per-section checksums; they restore
-    /// strictly with an empty report.
-    ///
     /// # Errors
     ///
     /// Fails on header damage, frame-level damage (a section length
@@ -1300,11 +1144,6 @@ impl Emulator {
         use crate::checkpoint::{section, SalvageReport};
         use evanesco_nand::snapshot::Dec;
         let mut d = Dec::with_header(bytes)?;
-        if d.version() < 2 {
-            let em = Self::restore_v1(&mut d)?;
-            d.finish()?;
-            return Ok((em, SalvageReport::default()));
-        }
         let mut report = SalvageReport::default();
         let mut s = d.section(section::CONFIG, "config")?;
         let cfg = crate::checkpoint::decode_config(&mut s)?;

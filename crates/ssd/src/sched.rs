@@ -1,10 +1,10 @@
 //! Out-of-order multi-queue host I/O scheduling (the NCQ model).
 //!
-//! The serialized host paths ([`crate::emulator::Emulator::write`] and
-//! friends) model queue depth 1: request *n + 1* reaches the device only
-//! after request *n* completes, so chips idle whenever the host thinks.
-//! Real hosts keep a bounded number of tagged requests outstanding and let
-//! the device complete them out of order. This module reproduces that:
+//! The serialized host API ([`crate::emulator::Emulator::write`] and
+//! friends) hands the device one request at a time with no notion of a
+//! queue or a submission clock. Real hosts keep a bounded number of tagged
+//! requests outstanding and let the device complete them out of order.
+//! This module reproduces that:
 //!
 //! * at most `qd` requests are **outstanding** (submitted but not
 //!   completed) at any simulated instant — the closed-loop NCQ contract;

@@ -75,7 +75,9 @@ pub fn replay_with<O: ReplayObserver>(ssd: &mut Emulator, trace: &Trace, obs: &m
     ssd.result().since(&baseline)
 }
 
-fn apply<O: ReplayObserver>(ssd: &mut Emulator, obs: &mut O, op: &TraceOp) {
+/// Applies one trace operation through the serialized host API, telling
+/// `obs` the file-level context first.
+pub fn apply<O: ReplayObserver>(ssd: &mut Emulator, obs: &mut O, op: &TraceOp) {
     match *op {
         TraceOp::Write { file, lpa, npages, secure, overwrite } => {
             obs.before_write(file, lpa, npages, overwrite);

@@ -27,6 +27,7 @@ use evanesco::nand::timing::Nanos;
 use evanesco::ssd::{Emulator, HostOp, OpResult, SsdConfig};
 use evanesco::workloads::generate::generate;
 use evanesco::workloads::ledger::ExposureLedger;
+use evanesco::workloads::replay::apply;
 use evanesco::workloads::trace::TraceOp;
 use evanesco::workloads::WorkloadSpec;
 use proptest::prelude::*;
@@ -148,14 +149,14 @@ proptest! {
         let mut a = device(cfg, policy);
         let mut a_lg = ExposureLedger::new();
         for op in &stream {
-            apply_with_ledger(&mut a, &mut a_lg, op);
+            apply(&mut a, &mut a_lg, op);
         }
 
         // Resumed arm: both the device and the ledger travel as bytes.
         let mut em = device(cfg, policy);
         let mut lg = ExposureLedger::new();
         for op in &stream[..cut] {
-            apply_with_ledger(&mut em, &mut lg, op);
+            apply(&mut em, &mut lg, op);
         }
         let dev_bytes = em.save_checkpoint();
         let mut enc = Enc::new();
@@ -167,7 +168,7 @@ proptest! {
         let mut lg = ExposureLedger::decode_state(&mut dec).expect("ledger restore");
         dec.finish().expect("no trailing ledger bytes");
         for op in &stream[cut..] {
-            apply_with_ledger(&mut em, &mut lg, op);
+            apply(&mut em, &mut lg, op);
         }
 
         prop_assert_eq!(
@@ -179,31 +180,12 @@ proptest! {
     }
 }
 
-fn apply_with_ledger(ssd: &mut Emulator, lg: &mut ExposureLedger, op: &TraceOp) {
-    match *op {
-        TraceOp::Write { file, lpa, npages, secure, overwrite } => {
-            lg.before_write(file, lpa, npages, overwrite);
-            ssd.write_with(lg, lpa, npages, secure);
-        }
-        TraceOp::Read { lpa, npages } => {
-            ssd.read(lpa, npages);
-        }
-        TraceOp::Trim { file, lpa, npages } => {
-            lg.before_trim(file, lpa, npages);
-            ssd.trim_with(lg, lpa, npages);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Golden format: the checked-in fixtures pin the on-disk byte layouts.
-// `checkpoint_v2.ckpt` is the current CRC-framed format and must
-// round-trip byte-identically; `checkpoint_v1.ckpt` is the frozen
-// format-1 blob (no section frames) and must keep *decoding* via the
-// legacy path forever, but re-encodes as format 2.
+// Golden format: the checked-in fixture pins the on-disk byte layout
+// (`checkpoint_v2.ckpt`, the current CRC-framed format) and must
+// round-trip byte-identically.
 // ---------------------------------------------------------------------------
 
-const GOLDEN_V1: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/checkpoint_v1.ckpt");
 const GOLDEN_V2: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/checkpoint_v2.ckpt");
 
 /// The fixed script behind the golden fixture. Deterministic: the same
@@ -253,21 +235,6 @@ fn golden_fixture_round_trips_byte_identically() {
     assert!(restored.result().host_ops > 0, "the fixture device did real work");
 }
 
-/// Format-1 blobs written before the CRC-framed layout keep decoding via
-/// the legacy path, land in exactly the state the uninterrupted device
-/// would be in, and re-encode as (stable) format 2.
-#[test]
-fn legacy_v1_fixture_still_decodes_into_the_same_device() {
-    let fixture = std::fs::read(GOLDEN_V1).expect("checked-in v1 fixture exists");
-    let restored = Emulator::restore_checkpoint(&fixture).expect("v1 fixture restores");
-    assert_eq!(
-        restored.save_checkpoint(),
-        golden_device().save_checkpoint(),
-        "a restored v1 device must re-encode exactly like the uninterrupted one"
-    );
-    assert!(restored.result().host_ops > 0, "the fixture device did real work");
-}
-
 /// A device restored from the golden fixture serves reads out of its
 /// rebuilt payload pool and keeps operating: write/read/trim after
 /// restore behave exactly as on the never-checkpointed device. This is
@@ -300,22 +267,28 @@ fn restored_golden_device_serves_reads_and_keeps_working() {
     );
 }
 
-/// A checkpoint from a future (unknown) format version is rejected with
-/// a typed, descriptive error — not a panic, not garbage state.
+/// A checkpoint from a future (unknown) format version — or from the
+/// retired format 1 — is rejected with a typed, descriptive error: not a
+/// panic, not garbage state.
 #[test]
 fn unknown_version_fails_with_a_clear_error() {
     let mut bytes = std::fs::read(GOLDEN_V2).expect("checked-in fixture exists");
-    // Layout: 8-byte magic, then the little-endian u32 format version.
-    bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-    match Emulator::restore_checkpoint(&bytes) {
-        Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, u32::MAX);
-            assert!(supported >= 1);
+    for version in [u32::MAX, 1, 0] {
+        // Layout: 8-byte magic, then the little-endian u32 format version.
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        for restored in [
+            Emulator::restore_checkpoint(&bytes),
+            Emulator::restore_checkpoint_salvaging(&bytes).map(|(em, _)| em),
+        ] {
+            match restored {
+                Err(e @ SnapshotError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!((found, supported), (version, 2));
+                    assert!(e.to_string().contains("version"), "error must name the problem: {e}");
+                }
+                other => panic!("want UnsupportedVersion for {version}, got {other:?}"),
+            }
         }
-        other => panic!("want UnsupportedVersion, got {other:?}"),
     }
-    let msg = Emulator::restore_checkpoint(&bytes).unwrap_err().to_string();
-    assert!(msg.contains("version"), "error must name the problem: {msg}");
 }
 
 /// Truncation at *any* byte boundary fails gracefully with a typed

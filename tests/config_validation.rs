@@ -243,21 +243,19 @@ fn emulator_construction_validates_config() {
 fn experiment_registry_accepts_every_gate_subcommand() {
     // The binary rejects unknown names (exit 1) by consulting this
     // registry before running anything; every gate-bearing subcommand
-    // must therefore be listed, hostperf included.
-    for name in
-        ["scheduler", "trace", "report", "campaign", "hostperf", "chaos", "fleet", "anatomy"]
-    {
+    // must therefore be listed.
+    for name in ["scheduler", "trace", "report", "campaign", "chaos", "fleet", "anatomy"] {
         assert!(
             evanesco_bench::is_experiment_name(name),
             "gate subcommand '{name}' missing from EXPERIMENT_NAMES"
         );
     }
-    assert!(!evanesco_bench::is_experiment_name("hostpref"), "typos must be rejected up front");
-    assert!(!evanesco_bench::is_experiment_name("--reps"), "flags are not experiment names");
+    assert!(!evanesco_bench::is_experiment_name("schedular"), "typos must be rejected up front");
+    assert!(!evanesco_bench::is_experiment_name("--seed"), "flags are not experiment names");
 }
 
 #[test]
 #[should_panic(expected = "unknown experiment")]
 fn run_experiment_panics_on_unknown_name_with_the_known_list() {
-    let _ = evanesco_bench::run_experiment("hostpref", &evanesco_bench::Scale::smoke());
+    let _ = evanesco_bench::run_experiment("schedular", &evanesco_bench::Scale::smoke());
 }

@@ -25,6 +25,7 @@ use evanesco::nand::snapshot::Enc;
 use evanesco::ssd::{Emulator, HostOp, SsdConfig};
 use evanesco::workloads::generate::generate;
 use evanesco::workloads::ledger::ExposureLedger;
+use evanesco::workloads::replay::{apply, ReplayObserver};
 use evanesco::workloads::trace::TraceOp;
 use evanesco::workloads::WorkloadSpec;
 use proptest::prelude::*;
@@ -58,6 +59,9 @@ fn observables(ssd: &Emulator) -> (String, String, Vec<u8>) {
 /// Captures the full event stream the FTL dispatches, verbatim.
 #[derive(Default)]
 struct Recorder(Vec<ObserverEvent>);
+
+/// File-level replay markers are not FTL events: ignored.
+impl ReplayObserver for Recorder {}
 
 impl FtlObserver for Recorder {
     fn on_program(
@@ -183,21 +187,7 @@ proptest! {
         let mut per_op: Vec<Vec<ObserverEvent>> = Vec::new();
         for op in &stream {
             let mut rec = Recorder::default();
-            match **op {
-                TraceOp::Write { file, lpa, npages, secure, overwrite } => {
-                    direct.before_write(file, lpa, npages, overwrite);
-                    let mut tee = Tee(&mut direct, &mut rec);
-                    ssd.write_with(&mut tee, lpa, npages, secure);
-                }
-                TraceOp::Read { lpa, npages } => {
-                    ssd.read(lpa, npages);
-                }
-                TraceOp::Trim { file, lpa, npages } => {
-                    direct.before_trim(file, lpa, npages);
-                    let mut tee = Tee(&mut direct, &mut rec);
-                    ssd.trim_with(&mut tee, lpa, npages);
-                }
-            }
+            apply(&mut ssd, &mut Tee(&mut direct, &mut rec), op);
             per_op.push(rec.0);
         }
 

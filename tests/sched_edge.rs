@@ -1,9 +1,11 @@
 //! Property tests for the scheduler's address-space edge: requests near
 //! `u64::MAX`, zero-page requests, and out-of-bounds submissions must
 //! produce typed errors or clean acceptance — never a panic, never an
-//! overflow wrap, and never scheduler side effects on rejection.
+//! overflow wrap, and never scheduler side effects on rejection. The
+//! serialized `Emulator` entry points apply the same check.
 
-use evanesco::ssd::{check_lpa_range, HostOp, Scheduler, SubmitError};
+use evanesco::ftl::SanitizePolicy;
+use evanesco::ssd::{check_lpa_range, Emulator, HostOp, Scheduler, SsdConfig, SubmitError};
 use proptest::prelude::*;
 
 fn op_of_kind(kind: u8, lpa: u64, npages: u64) -> HostOp {
@@ -86,7 +88,6 @@ proptest! {
 /// The emulator-facing check agrees with the scheduler's at every edge.
 #[test]
 fn config_and_scheduler_range_checks_agree() {
-    use evanesco::ssd::SsdConfig;
     let cfg = SsdConfig::tiny_for_tests();
     let lp = cfg.ftl.logical_pages();
     for (lpa, npages) in
@@ -97,5 +98,37 @@ fn config_and_scheduler_range_checks_agree() {
             check_lpa_range(lpa, npages, lp).is_ok(),
             "divergence at lpa={lpa} npages={npages}"
         );
+    }
+}
+
+/// The serialized entry points apply the same check before any side
+/// effect (`trim(u64::MAX - 1, 5)` used to wrap to an empty range and be
+/// acked in release builds): the panic carries the typed error's text and
+/// the device — tag counter included — is untouched. In-bounds zero-page
+/// requests are no-ops.
+#[test]
+fn serialized_entry_points_reject_malformed_ranges_before_any_side_effect() {
+    let cfg = SsdConfig::tiny_for_tests();
+    let lp = cfg.ftl.logical_pages();
+    let calls: [fn(&mut Emulator, u64, u64); 3] = [
+        |ssd, lpa, n| drop(ssd.write(lpa, n, true)),
+        |ssd, lpa, n| drop(ssd.read(lpa, n)),
+        |ssd, lpa, n| ssd.trim(lpa, n),
+    ];
+    for call in calls {
+        let mut ssd = Emulator::new(cfg, SanitizePolicy::evanesco());
+        ssd.write(0, 4, true);
+        let before = ssd.save_checkpoint();
+        for (lpa, npages) in [(u64::MAX - 1, 5), (lp - 1, 2), (lp + 1, 0)] {
+            let attempt = std::panic::AssertUnwindSafe(|| call(&mut ssd, lpa, npages));
+            let panic = std::panic::catch_unwind(attempt).expect_err("must be rejected");
+            let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+            let typed = check_lpa_range(lpa, npages, lp).unwrap_err().to_string();
+            assert!(msg.contains(&typed), "({lpa}, {npages}): '{msg}' lacks '{typed}'");
+            assert_eq!(ssd.save_checkpoint(), before, "({lpa}, {npages}) left a side effect");
+        }
+        call(&mut ssd, 0, 0);
+        call(&mut ssd, lp, 0);
+        assert_eq!(ssd.result().host_ops, 4, "zero-page requests count nothing");
     }
 }

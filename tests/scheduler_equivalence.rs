@@ -8,14 +8,17 @@
 //!
 //! * **byte identity** — a random mixed trace produces identical
 //!   per-request results, an identical final device image, and identical
-//!   sanitization outcomes at queue depths 1, 8 and 32, with and without
-//!   lock coalescing;
+//!   sanitization outcomes at queue depths 1, 8 and 32 and through the
+//!   serialized API (never slower than queue depth 1: it sets no dispatch
+//!   floor), with and without lock coalescing;
 //! * **same-LPA ordering** — reads racing overwrites of one hot page at
 //!   depth 32 always observe the most recently submitted write (RAW), and
 //!   never a later one (WAR/WAW), even with unrelated traffic saturating
 //!   the queue.
 
+use evanesco::ftl::observer::NullObserver;
 use evanesco::ftl::SanitizePolicy;
+use evanesco::nand::timing::Nanos;
 use evanesco::ssd::{Emulator, HostOp, OpResult, SsdConfig};
 use proptest::prelude::*;
 
@@ -33,19 +36,41 @@ fn sched_op(logical: u64) -> impl Strategy<Value = HostOp> {
     ]
 }
 
-/// Runs the trace at one queue depth on a fresh device and returns
-/// everything the host can observe.
-fn observe(cfg: SsdConfig, ops: &[HostOp], qd: usize) -> (Vec<OpResult>, Vec<Option<u64>>, bool) {
+/// Everything the host can observe: per-request results, the final
+/// device image, and whether every superseded secured version is gone.
+type Observed = (Vec<OpResult>, Vec<Option<u64>>, bool);
+
+/// Runs the trace on a fresh device — through the scheduler at queue
+/// depth `qd`, or request by request through the serialized API for
+/// `None` — and returns what the host observed and the simulated time.
+fn observe(cfg: SsdConfig, ops: &[HostOp], qd: Option<usize>) -> (Observed, Nanos) {
     let mut ssd = Emulator::new(cfg, SanitizePolicy::evanesco());
-    let run = ssd.run_scheduled(ops, qd);
-    assert!(run.max_outstanding <= qd, "queue depth {qd} violated");
+    let results = if let Some(qd) = qd {
+        let run = ssd.run_scheduled(ops, qd);
+        assert!(run.max_outstanding <= qd, "queue depth {qd} violated");
+        run.results
+    } else {
+        let serve = |op: &HostOp| match *op {
+            HostOp::Write { lpa, npages, secure } => {
+                let tracked = ssd.write_tracked(lpa, npages, secure);
+                let acked = tracked.iter().all(|&(_, acked)| acked);
+                OpResult::Write(tracked.into_iter().map(|(tag, _)| tag).collect(), acked)
+            }
+            HostOp::Read { lpa, npages } => OpResult::Read(ssd.read(lpa, npages)),
+            HostOp::Trim { lpa, npages } => {
+                OpResult::Trim(ssd.trim_with(&mut NullObserver, lpa, npages))
+            }
+        };
+        ops.iter().map(serve).collect()
+    };
+    let sim_time = ssd.result().sim_time;
     // Settle deferred sanitization locks before the attacker looks.
     ssd.flush_coalesced_locks();
     ssd.ftl().check_invariants();
     let logical = ssd.logical_pages();
     let image = (0..logical).map(|l| ssd.read(l, 1)[0]).collect();
     let sanitized = ssd.verify_sanitized(0, logical);
-    (run.results, image, sanitized)
+    ((results, image, sanitized), sim_time)
 }
 
 proptest! {
@@ -62,15 +87,23 @@ proptest! {
             cfg.ftl.lock_coalescing = true;
             cfg.ftl.coalesce_window = 32;
         }
-        let baseline = observe(cfg, &ops, 1);
+        let (baseline, qd1_time) = observe(cfg, &ops, Some(1));
         prop_assert!(baseline.2, "secured overwrites must be sanitized at qd 1");
         for qd in [8usize, 32] {
-            let got = observe(cfg, &ops, qd);
+            let (got, _) = observe(cfg, &ops, Some(qd));
             prop_assert_eq!(
                 &got, &baseline,
-                "qd {} diverged from the serialized baseline (coalesce={})", qd, coalesce
+                "qd {} diverged from the qd-1 baseline (coalesce={})", qd, coalesce
             );
         }
+        // The serialized API returns the same results again, but not qd 1's
+        // timing: with no dispatch floor its requests backfill idle chips.
+        let (got, serialized_time) = observe(cfg, &ops, None);
+        prop_assert_eq!(&got, &baseline, "serialized API diverged (coalesce={})", coalesce);
+        prop_assert!(
+            serialized_time <= qd1_time,
+            "serialized {:?} slower than qd 1 {:?}", serialized_time, qd1_time
+        );
     }
 }
 
