@@ -1,16 +1,14 @@
 //! Microbenchmarks of the Evanesco lock mechanism: `pLock`/`bLock`
-//! execution, lock-gated reads, the majority decoder and the pAP flag
-//! device model.
+//! execution, lock-gated reads, the majority decoder and the physical
+//! flag simulation (program = two stores, decode = k keyed cell draws).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evanesco_core::chip::EvanescoChip;
+use evanesco_core::device_flags::FlagDeviceSim;
 use evanesco_core::majority::majority;
-use evanesco_core::pap::{PapConfig, PapFlag};
 use evanesco_nand::chip::PageData;
 use evanesco_nand::geometry::{BlockId, Geometry, Ppa};
 use evanesco_nand::timing::Nanos;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::hint::black_box;
 
 fn bench_locks(c: &mut Criterion) {
@@ -52,14 +50,25 @@ fn bench_locks(c: &mut Criterion) {
         b.iter(|| black_box(majority(black_box(&bits))));
     });
 
-    g.bench_function("pap_flag_program_and_age", |b| {
-        let mut rng = StdRng::seed_from_u64(1);
-        let cfg = PapConfig::paper();
+    g.bench_function("flag_sim_program_page_flag", |b| {
+        let mut sim = FlagDeviceSim::paper(1, geom.blocks, ppb);
+        let mut i = 0u32;
         b.iter(|| {
-            let mut flag = PapFlag::erased(cfg.k);
-            flag.program(&mut rng, cfg.point);
-            flag.age(&mut rng, 365.0);
-            black_box(flag.read_disabled())
+            sim.program_page_flag(Ppa::new(0, i % ppb));
+            i = i.wrapping_add(1);
+        });
+    });
+
+    g.bench_function("flag_sim_page_reads_locked_aged", |b| {
+        let mut sim = FlagDeviceSim::paper(1, geom.blocks, ppb);
+        for p in 0..ppb {
+            sim.program_page_flag(Ppa::new(0, p));
+        }
+        sim.age(365.0).unwrap();
+        let mut i = 0u32;
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            black_box(sim.page_reads_locked(Ppa::new(0, i % ppb)))
         });
     });
     g.finish();

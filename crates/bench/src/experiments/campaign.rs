@@ -150,7 +150,8 @@ pub fn run_segment(
             apply(ssd, &mut NullObserver, op);
         }
     } else {
-        ssd.age_flags(scenario.rest_days);
+        ssd.age_flags(scenario.rest_days)
+            .expect("every scenario in the grid rests a finite, non-negative span");
     }
     let (lo, hi) = bounds(trace.ops.len(), segments, k);
     for op in &trace.ops[lo..hi] {

@@ -37,7 +37,7 @@ fn leak_fraction(pap: PapConfig, bap: BapConfig, age_days: f64, seed: u64) -> f6
             chip.b_lock(evanesco_nand::geometry::BlockId(b)).unwrap();
         }
     }
-    chip.age_flags(age_days);
+    chip.age_flags(age_days).expect("the table's ages are finite and non-negative");
     let attacker = Attacker::new();
     let recovered = attacker.recoverable_tags(&mut chip);
     recovered.iter().filter(|t| tags.contains(t)).count() as f64 / tags.len() as f64

@@ -20,7 +20,7 @@
 //! selected parameters.
 
 use crate::bap::BapConfig;
-use crate::error::EvanescoError;
+use crate::error::{EvanescoError, InvalidRetention};
 use crate::fault::{FaultConfig, FaultModel, FaultStats, OpStatus, ReadReliability};
 use crate::pap::PapConfig;
 use evanesco_nand::chip::{Chip, PageContent, PageData};
@@ -224,9 +224,15 @@ impl EvanescoChip {
     /// Applies `days` of retention to the physical flags (device mode
     /// only; a no-op in behavioral mode, where the DSE-validated
     /// parameters guarantee error-free flags for the rated lifetime).
-    pub fn age_flags(&mut self, days: f64) {
-        if let Some(sim) = &mut self.device_flags {
-            sim.age(days);
+    ///
+    /// # Errors
+    ///
+    /// Rejects a negative or non-finite span in either mode, leaving every
+    /// flag as it was.
+    pub fn age_flags(&mut self, days: f64) -> Result<(), InvalidRetention> {
+        match &mut self.device_flags {
+            Some(sim) => sim.age(days),
+            None => InvalidRetention::check(days).map(drop),
         }
     }
 
@@ -1091,7 +1097,7 @@ mod tests {
         c.p_lock(Ppa::new(0, 1)).unwrap();
         assert_eq!(c.read(Ppa::new(0, 1)).unwrap().result, ReadResult::Locked);
         assert!(c.read(Ppa::new(0, 0)).unwrap().result.data().is_some());
-        c.age_flags(5.0 * 365.0);
+        c.age_flags(5.0 * 365.0).unwrap();
         assert_eq!(c.read(Ppa::new(0, 1)).unwrap().result, ReadResult::Locked);
         assert_eq!(c.flag_leaks(), (0, 0));
         c.erase(BlockId(0), Nanos::ZERO).unwrap();
@@ -1113,7 +1119,7 @@ mod tests {
         for p in 0..n {
             c.p_lock(Ppa::new(0, p)).unwrap();
         }
-        c.age_flags(5.0 * 365.0);
+        c.age_flags(5.0 * 365.0).unwrap();
         let (page_leaks, _) = c.flag_leaks();
         assert!(page_leaks > 5, "weak flags should leak: {page_leaks}/{n}");
         // And the leak is exploitable: some locked page reads data again.
@@ -1138,7 +1144,7 @@ mod tests {
         let _ = live.p_lock(Ppa::new(0, 2));
         let _ = live.b_lock(BlockId(2));
         live.mark_bad_block(BlockId(5)).unwrap();
-        live.age_flags(30.0);
+        live.age_flags(30.0).unwrap();
 
         let mut e = Enc::new();
         live.encode_state(&mut e);

@@ -53,4 +53,4 @@ pub mod majority;
 pub mod pap;
 pub mod threat;
 
-pub use error::EvanescoError;
+pub use error::{EvanescoError, InvalidRetention};

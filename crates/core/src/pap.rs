@@ -13,8 +13,8 @@
 use crate::calibration::{
     plock_flag_decay, plock_flag_margin, plock_flag_success, DesignPoint, PLOCK_FLAG_SIGMA,
 };
-use evanesco_nand::math::{prob_above, sample_normal};
-use rand::Rng;
+use crate::chip::unit_draw;
+use evanesco_nand::math::prob_above;
 
 /// Configuration of the pAP flag mechanism.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,87 +43,51 @@ impl Default for PapConfig {
 /// read reference.
 pub const ERASED_CELL_VTH: f64 = -2.0;
 
-/// One-shot programs a group of flag cells in place at the given design
-/// point. Each cell independently either programs (lands at
-/// `margin ± sigma` above the read reference) or fails to program (stays
-/// erased) with the calibrated per-cell success probability.
-pub fn program_cells<R: Rng + ?Sized>(rng: &mut R, point: DesignPoint, cells: &mut [f64]) {
-    let success = plock_flag_success(point);
-    let margin = plock_flag_margin(point);
-    for c in cells {
-        if rng.gen::<f64>() < success {
-            *c = sample_normal(rng, margin, PLOCK_FLAG_SIGMA);
-        }
+/// Relative sigma of a cell's detrapping rate around the mean decay.
+const DETRAP_SIGMA: f64 = 0.15;
+
+/// [`cell_vth`] with the three calibrated constants a flag's cells share
+/// already looked up. The `b` coordinate of [`unit_draw`] picks the draw:
+/// 0 = programmed?, 1 and 2 = the Box–Muller radius and angle.
+fn keyed_vth(seed: u64, nonce: u64, cell: usize, success: f64, margin: f64, decay: f64) -> f64 {
+    let cell = cell as u64;
+    if unit_draw(seed, nonce, 0, cell) >= success {
+        return ERASED_CELL_VTH;
     }
+    // Sampling (0, 1] avoids ln(0).
+    let r = (-2.0 * (1.0 - unit_draw(seed, nonce, 1, cell)).ln()).sqrt();
+    let (sin, cos) = (2.0 * std::f64::consts::PI * unit_draw(seed, nonce, 2, cell)).sin_cos();
+    margin + PLOCK_FLAG_SIGMA * r * cos - (decay * (1.0 + DETRAP_SIGMA * r * sin)).max(0.0)
 }
 
-/// Applies `days` of retention to a group of flag cells: programmed cells
-/// lose charge and drift toward the read reference.
-pub fn age_cells<R: Rng + ?Sized>(rng: &mut R, days: f64, cells: &mut [f64]) {
-    let decay = plock_flag_decay(days);
-    for c in cells {
-        if *c > -1.0 {
-            // Per-cell detrapping variation around the mean decay.
-            *c -= sample_normal(rng, decay, decay * 0.15).max(0.0);
-        }
-    }
+/// Vth (relative to the SLC flag read reference, so `> 0` reads as
+/// programmed) of cell `cell` of the flag a chip keyed by `seed` programmed
+/// as its `nonce`-th `pLock` at `point`, `age_days` after that program.
+///
+/// A pure function: a cell either failed to program (stays at
+/// [`ERASED_CELL_VTH`], per-cell probability `1 - plock_flag_success`) or
+/// landed at `margin + sigma * z0` and has since lost
+/// `max(0, plock_flag_decay(age) * (1 + 0.15 * z1))`, with `(z0, z1)` a
+/// standard-normal pair fixed by `(seed, nonce, cell)`. Nothing is stored
+/// per cell and no draw depends on any other flag, so the value is the same
+/// whenever and however often it is computed, and the voltage at age
+/// `a + b` does not depend on how the rest was sliced.
+pub fn cell_vth(seed: u64, point: DesignPoint, nonce: u64, cell: usize, age_days: f64) -> f64 {
+    let (success, margin) = (plock_flag_success(point), plock_flag_margin(point));
+    keyed_vth(seed, nonce, cell, success, margin, plock_flag_decay(age_days))
 }
 
-/// Decodes a group of flag cells through the majority circuit: `true` =
-/// disabled (page locked).
-pub fn cells_read_disabled(cells: &[f64]) -> bool {
-    crate::majority::majority_count(cells.iter().filter(|&&v| v > 0.0).count(), cells.len())
-}
-
-/// Device-level simulation of one pAP flag: the Vth of its `k` flag cells,
-/// relative to the SLC flag read reference (so `vth > 0` reads as
-/// programmed/disabled).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PapFlag {
-    cells: Vec<f64>,
-}
-
-impl PapFlag {
-    /// A fresh (erased) flag: all cells far below the read reference, so the
-    /// flag reads *enabled*.
-    pub fn erased(k: usize) -> Self {
-        PapFlag { cells: vec![ERASED_CELL_VTH; k] }
-    }
-
-    /// One-shot programs the flag at the given design point (see
-    /// [`program_cells`]).
-    pub fn program<R: Rng + ?Sized>(&mut self, rng: &mut R, point: DesignPoint) {
-        program_cells(rng, point, &mut self.cells);
-    }
-
-    /// Applies `days` of retention: programmed cells lose charge and drift
-    /// toward the read reference (see [`age_cells`]).
-    pub fn age<R: Rng + ?Sized>(&mut self, rng: &mut R, days: f64) {
-        age_cells(rng, days, &mut self.cells);
-    }
-
-    /// Reads the flag through the majority circuit: `true` = disabled
-    /// (page locked).
-    pub fn read_disabled(&self) -> bool {
-        cells_read_disabled(&self.cells)
-    }
-
-    /// Number of cells currently reading as programmed.
-    pub fn programmed_cells(&self) -> usize {
-        self.cells.iter().filter(|&&v| v > 0.0).count()
-    }
-
-    /// Raw per-cell Vth values (relative to the read reference), for
-    /// checkpoint serialization.
-    pub fn cells(&self) -> &[f64] {
-        &self.cells
-    }
-
-    /// Rebuilds a flag from raw cell Vth values captured by
-    /// [`PapFlag::cells`].
-    pub fn from_cells(cells: Vec<f64>) -> Self {
-        PapFlag { cells }
-    }
+/// Decodes the `config.k` cells of flag `nonce` at `age_days` through the
+/// majority circuit: `true` = disabled (page locked). See [`cell_vth`].
+pub fn cells_read_disabled(seed: u64, config: PapConfig, nonce: u64, age_days: f64) -> bool {
+    let (success, margin) = (plock_flag_success(config.point), plock_flag_margin(config.point));
+    let decay = plock_flag_decay(age_days);
+    // The vote is decided at the `k/2 + 1`-th programmed cell; stop there.
+    let programmed = (0..config.k)
+        .filter(|&c| keyed_vth(seed, nonce, c, success, margin, decay) > 0.0)
+        .take(config.k / 2 + 1)
+        .count();
+    crate::majority::majority_count(programmed, config.k)
 }
 
 /// Probability that a single programmed flag cell has flipped back to the
@@ -171,24 +135,15 @@ fn binomial_pmf(n: usize, x: usize, p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    const FIVE_YEARS: f64 = 5.0 * 365.0;
 
     #[test]
-    fn erased_flag_reads_enabled() {
-        let flag = PapFlag::erased(9);
-        assert!(!flag.read_disabled());
-        assert_eq!(flag.programmed_cells(), 0);
-    }
-
-    #[test]
-    fn paper_point_programs_reliably() {
-        let mut rng = StdRng::seed_from_u64(21);
+    fn paper_point_programs_reliably_and_survives_five_years() {
         let cfg = PapConfig::paper();
-        for _ in 0..500 {
-            let mut flag = PapFlag::erased(cfg.k);
-            flag.program(&mut rng, cfg.point);
-            assert!(flag.read_disabled(), "flag failed to lock at the paper point");
+        for nonce in 0..500 {
+            assert!(cells_read_disabled(21, cfg, nonce, 0.0), "flag {nonce} failed to lock");
+            assert!(cells_read_disabled(21, cfg, nonce, FIVE_YEARS), "flag {nonce} lost the lock");
         }
     }
 
@@ -196,31 +151,31 @@ mod tests {
     fn weak_point_often_fails_to_program() {
         // (Vp1, 100µs): only 47.3% of cells program; the majority of 9 often
         // does not reach 5 programmed cells.
-        let mut rng = StdRng::seed_from_u64(22);
-        let point = DesignPoint::new(1, 100);
-        let mut failures = 0;
+        let cfg = PapConfig { k: 9, point: DesignPoint::new(1, 100) };
         let trials = 500;
-        for _ in 0..trials {
-            let mut flag = PapFlag::erased(9);
-            flag.program(&mut rng, point);
-            if !flag.read_disabled() {
-                failures += 1;
-            }
-        }
+        let failures = (0..trials).filter(|&n| !cells_read_disabled(22, cfg, n, 0.0)).count();
         let frac = failures as f64 / trials as f64;
         assert!(frac > 0.3, "weak corner failure fraction {frac} too low");
     }
 
     #[test]
-    fn paper_point_survives_five_years() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let cfg = PapConfig::paper();
-        for _ in 0..300 {
-            let mut flag = PapFlag::erased(cfg.k);
-            flag.program(&mut rng, cfg.point);
-            flag.age(&mut rng, 5.0 * 365.0);
-            assert!(flag.read_disabled(), "paper point lost the lock after 5 years");
+    fn a_cell_is_a_pure_function_that_only_loses_charge() {
+        let point = DesignPoint::new(2, 200);
+        for nonce in 0..200 {
+            for cell in 0..9 {
+                let fresh = cell_vth(5, point, nonce, cell, 0.0);
+                assert_eq!(fresh.to_bits(), cell_vth(5, point, nonce, cell, 0.0).to_bits());
+                let mut prev = fresh;
+                for days in [1.0, 30.0, 365.0, FIVE_YEARS] {
+                    let v = cell_vth(5, point, nonce, cell, days);
+                    assert!(v <= prev, "cell ({nonce}, {cell}) gained charge at {days} days");
+                    prev = v;
+                }
+            }
         }
+        // Different keys are different cells.
+        assert_ne!(cell_vth(5, point, 0, 0, 0.0), cell_vth(6, point, 0, 0, 0.0));
+        assert_ne!(cell_vth(5, point, 0, 0, 0.0), cell_vth(5, point, 1, 0, 0.0));
     }
 
     #[test]
@@ -263,29 +218,5 @@ mod tests {
     fn binomial_pmf_sums_to_one() {
         let total: f64 = (0..=9).map(|x| binomial_pmf(9, x, 0.3)).sum();
         assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mc_agrees_with_analytic_flip_prob() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let point = DesignPoint::new(2, 200);
-        let days = 5.0 * 365.0;
-        let trials = 4000;
-        let mut flipped = 0usize;
-        let mut programmed = 0usize;
-        for _ in 0..trials {
-            let mut flag = PapFlag::erased(1);
-            flag.program(&mut rng, point);
-            if flag.programmed_cells() == 1 {
-                programmed += 1;
-                flag.age(&mut rng, days);
-                if flag.programmed_cells() == 0 {
-                    flipped += 1;
-                }
-            }
-        }
-        let mc = flipped as f64 / programmed as f64;
-        let analytic = cell_flip_prob(point, days);
-        assert!((mc - analytic).abs() < 0.05, "mc {mc} vs analytic {analytic}");
     }
 }

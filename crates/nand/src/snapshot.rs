@@ -32,9 +32,15 @@ pub const MAGIC: &[u8; 8] = b"EVSCCKP1";
 /// * **2** — the top-level checkpoint is framed into CRC-guarded sections
 ///   (`[id:u8][len:u64][crc32:u32][payload]`, see [`Enc::section`]), so a
 ///   corrupted region is pinned to a named section and can be salvaged
-///   instead of poisoning the whole blob. Version-1 blobs are rejected
-///   as unsupported: nothing outside this repository ever wrote one.
-pub const VERSION: u32 = 2;
+///   instead of poisoning the whole blob.
+/// * **3** — the flag-device section (`0x21`) carries `(nonce, born_day)`
+///   per programmed flag plus the stream key and next nonce, instead of
+///   an RNG position and `k` cell voltages per flag (physics stream v2:
+///   voltages are derived at sense time).
+///
+/// Only the current version decodes; older blobs are rejected as
+/// unsupported: nothing outside this repository ever wrote one.
+pub const VERSION: u32 = 3;
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding
 /// each framed checkpoint section. Detects every single-byte corruption
@@ -440,8 +446,9 @@ mod tests {
         let bytes = Enc::with_header().into_bytes();
         Dec::with_header(&bytes).unwrap();
         assert_eq!(Dec::with_header(b"NOTACKPT0000").unwrap_err(), SnapshotError::BadMagic);
-        // A future version, the retired format 1, and zero are all refused.
-        for version in [0xFFu32, 1, 0] {
+        // A future version, the retired formats 1 and 2, and zero are all
+        // refused.
+        for version in [0xFFu32, 2, 1, 0] {
             let mut bad = bytes.clone();
             bad[8..12].copy_from_slice(&version.to_le_bytes());
             let want = SnapshotError::UnsupportedVersion { found: version, supported: VERSION };

@@ -844,10 +844,13 @@ impl Emulator {
     }
 
     /// Ages every chip's physical flags by `days` (device mode only).
-    pub fn age_flags(&mut self, days: f64) {
-        for chip in self.ex.chips_mut() {
-            chip.age_flags(days);
-        }
+    ///
+    /// # Errors
+    ///
+    /// Rejects a negative or non-finite span before any chip has aged.
+    pub fn age_flags(&mut self, days: f64) -> Result<(), evanesco_core::InvalidRetention> {
+        let days = evanesco_core::InvalidRetention::check(days)?;
+        self.ex.chips_mut().iter_mut().try_for_each(|chip| chip.age_flags(days))
     }
 
     /// Per-block erase-count statistics across the device: `(min, max,

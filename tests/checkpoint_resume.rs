@@ -2,7 +2,7 @@
 //! suite.
 //!
 //! [`Emulator::save_checkpoint`] serializes the *complete* device state —
-//! NAND cells, flag intent, physical flag voltages, wear counters, FTL
+//! NAND cells, flag intent, physical flag births and nonces, wear counters, FTL
 //! tables, coalesce queue, grown-bad blocks, busy timelines, the
 //! simulated clock, fault-model draw ordinals, RNG stream positions,
 //! latency histograms, gauges and the telemetry ring — into one
@@ -20,7 +20,10 @@
 //!   honest, and damaged checkpoints (unknown version, truncation) fail
 //!   with typed errors — never a panic.
 
+use evanesco::core::bap::BapConfig;
+use evanesco::core::calibration::DesignPoint;
 use evanesco::core::fault::FaultConfig;
+use evanesco::core::pap::PapConfig;
 use evanesco::ftl::SanitizePolicy;
 use evanesco::nand::snapshot::{Dec, Enc, SnapshotError};
 use evanesco::nand::timing::Nanos;
@@ -31,6 +34,11 @@ use evanesco::workloads::replay::apply;
 use evanesco::workloads::trace::TraceOp;
 use evanesco::workloads::WorkloadSpec;
 use proptest::prelude::*;
+
+/// Rejected design corners: Figure 9(d)'s (vi) leaks pages within years,
+/// Figure 12(b)'s (Vb5, 300 µs) reopens blocks within days.
+const WEAK_PAP: PapConfig = PapConfig { k: 9, point: DesignPoint { v_index: 2, t_us: 200 } };
+const WEAK_BAP: BapConfig = BapConfig { point: DesignPoint { v_index: 5, t_us: 300 } };
 
 fn policies() -> [SanitizePolicy; 5] {
     [
@@ -84,6 +92,8 @@ proptest! {
         severity in 0.0f64..0.5,
         fault_seed in any::<u64>(),
         cut_frac in 0.0f64..1.0,
+        flags in 0usize..3,
+        rest_half_days in 0u32..400,
     ) {
         let mut cfg = SsdConfig::tiny_for_tests();
         if severity >= 0.05 {
@@ -92,31 +102,48 @@ proptest! {
         let policy = policies()[policy_i];
         let batches: Vec<&[HostOp]> = ops.chunks(8).collect();
         let cut = ((batches.len() as f64) * cut_frac) as usize;
+        // Behavioral flags, the paper's physical flags, or a physical corner
+        // weak enough that decodes actually flip while the device rests.
+        let flagged_device = |cfg, policy| {
+            let mut ssd = device(cfg, policy);
+            match flags {
+                0 => {}
+                1 => ssd.enable_device_flags(PapConfig::paper(), BapConfig::paper(), fault_seed),
+                _ => ssd.enable_device_flags(WEAK_PAP, WEAK_BAP, fault_seed),
+            }
+            ssd
+        };
+        let rest = f64::from(rest_half_days);
 
-        // Control arm: never stops.
-        let mut a = device(cfg, policy);
+        // Control arm: never stops, and rests once after every batch.
+        let mut a = flagged_device(cfg, policy);
         let mut a_results: Vec<Vec<OpResult>> = Vec::new();
         for b in &batches {
             a_results.push(a.run_scheduled(b, qd).results);
+            a.age_flags(2.0 * rest).unwrap();
         }
 
-        // Resumed arm: same batches, but the process "dies" after batch
-        // `cut` — only the checkpoint bytes survive.
-        let mut em = device(cfg, policy);
+        // Resumed arm: same batches with every rest taken in two halves,
+        // and the process "dies" after batch `cut` — only the checkpoint
+        // bytes survive.
+        let mut em = flagged_device(cfg, policy);
         let mut b_results: Vec<Vec<OpResult>> = Vec::new();
-        for b in &batches[..cut] {
+        let mut run = |em: &mut Emulator, b: &[HostOp]| {
             b_results.push(em.run_scheduled(b, qd).results);
-        }
+            em.age_flags(rest).unwrap();
+            em.age_flags(rest).unwrap();
+        };
+        batches[..cut].iter().for_each(|b| run(&mut em, b));
         let bytes = em.save_checkpoint();
         drop(em);
         let mut em = Emulator::restore_checkpoint(&bytes)
             .expect("a checkpoint this test just wrote must restore");
-        for b in &batches[cut..] {
-            b_results.push(em.run_scheduled(b, qd).results);
-        }
+        batches[cut..].iter().for_each(|b| run(&mut em, b));
 
         prop_assert_eq!(&a_results, &b_results, "per-op results diverged after resume");
         prop_assert_eq!(observables(&a), observables(&em));
+        // What the flags decode to, as a raw-chip attacker experiences it.
+        prop_assert_eq!(a.attacker_recoverable_tags(), em.attacker_recoverable_tags());
     }
 
     /// The same oracle at file level: a workload trace with the live
@@ -182,18 +209,28 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Golden format: the checked-in fixture pins the on-disk byte layout
-// (`checkpoint_v2.ckpt`, the current CRC-framed format) and must
-// round-trip byte-identically.
+// (`checkpoint_v3.ckpt`, the current format) and must round-trip
+// byte-identically.
 // ---------------------------------------------------------------------------
 
-const GOLDEN_V2: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/checkpoint_v2.ckpt");
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/checkpoint_v3.ckpt");
 
 /// The fixed script behind the golden fixture. Deterministic: the same
-/// library version always produces the same bytes.
+/// library version always produces the same bytes. Physical flags are on,
+/// one whole block per chip is deleted at once (a `bLock` each) and the
+/// device rests once mid-script, so the flag-device sections carry SSLs
+/// and page flags born on two different days.
 fn golden_device() -> Emulator {
     let mut ssd = device(SsdConfig::tiny_for_tests(), SanitizePolicy::evanesco());
+    ssd.enable_device_flags(PapConfig::paper(), BapConfig::paper(), 0xF1A6);
+    let block_per_chip = 2 * u64::from(ssd.config().ftl.geometry.pages_per_block());
+    let _ = ssd.write(400, block_per_chip, true);
+    ssd.trim(400, block_per_chip);
     let mut x = 0xE5CAu64;
-    for _ in 0..60 {
+    for i in 0..60 {
+        if i == 40 {
+            ssd.age_flags(30.0).unwrap();
+        }
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let lpa = x % 300;
         match x % 7 {
@@ -210,20 +247,20 @@ fn golden_device() -> Emulator {
     ssd
 }
 
-/// Regenerates the format-2 fixture. Run after an *intentional, reviewed*
+/// Regenerates the fixture. Run after an *intentional, reviewed*
 /// format change (bump the checkpoint version first):
 /// `cargo test --release --test checkpoint_resume regen -- --ignored`
 #[test]
 #[ignore = "writes the golden fixture; run only on a reviewed format change"]
 fn regen_golden_fixture() {
-    std::fs::write(GOLDEN_V2, golden_device().save_checkpoint()).expect("write fixture");
+    std::fs::write(GOLDEN, golden_device().save_checkpoint()).expect("write fixture");
 }
 
-/// The current encoder still produces the checked-in format-2 bytes, and
+/// The current encoder still produces the checked-in bytes, and
 /// the decoder round-trips them into a device that re-encodes identically.
 #[test]
 fn golden_fixture_round_trips_byte_identically() {
-    let fixture = std::fs::read(GOLDEN_V2).expect("checked-in fixture exists");
+    let fixture = std::fs::read(GOLDEN).expect("checked-in fixture exists");
     assert_eq!(
         golden_device().save_checkpoint(),
         fixture,
@@ -242,7 +279,7 @@ fn golden_fixture_round_trips_byte_identically() {
 /// store and dense ledger decode into *working* state.
 #[test]
 fn restored_golden_device_serves_reads_and_keeps_working() {
-    let fixture = std::fs::read(GOLDEN_V2).expect("checked-in fixture exists");
+    let fixture = std::fs::read(GOLDEN).expect("checked-in fixture exists");
     let mut restored = Emulator::restore_checkpoint(&fixture).expect("fixture restores");
     let mut fresh = golden_device();
     // Same follow-on script on both; every op result must match.
@@ -268,12 +305,12 @@ fn restored_golden_device_serves_reads_and_keeps_working() {
 }
 
 /// A checkpoint from a future (unknown) format version — or from the
-/// retired format 1 — is rejected with a typed, descriptive error: not a
+/// retired formats 1 and 2 — is rejected with a typed, descriptive error: not a
 /// panic, not garbage state.
 #[test]
 fn unknown_version_fails_with_a_clear_error() {
-    let mut bytes = std::fs::read(GOLDEN_V2).expect("checked-in fixture exists");
-    for version in [u32::MAX, 1, 0] {
+    let mut bytes = std::fs::read(GOLDEN).expect("checked-in fixture exists");
+    for version in [u32::MAX, 2, 1, 0] {
         // Layout: 8-byte magic, then the little-endian u32 format version.
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         for restored in [
@@ -282,7 +319,7 @@ fn unknown_version_fails_with_a_clear_error() {
         ] {
             match restored {
                 Err(e @ SnapshotError::UnsupportedVersion { found, supported }) => {
-                    assert_eq!((found, supported), (version, 2));
+                    assert_eq!((found, supported), (version, 3));
                     assert!(e.to_string().contains("version"), "error must name the problem: {e}");
                 }
                 other => panic!("want UnsupportedVersion for {version}, got {other:?}"),
@@ -295,7 +332,7 @@ fn unknown_version_fails_with_a_clear_error() {
 /// error; a wrong magic is its own error.
 #[test]
 fn truncated_or_mislabeled_checkpoints_fail_without_panicking() {
-    let bytes = std::fs::read(GOLDEN_V2).expect("checked-in fixture exists");
+    let bytes = std::fs::read(GOLDEN).expect("checked-in fixture exists");
     for len in [0, 4, 11, 12, 100, bytes.len() / 2, bytes.len() - 1] {
         let err = Emulator::restore_checkpoint(&bytes[..len])
             .err()

@@ -3,7 +3,7 @@
 //! reject its violation with a descriptive panic, and the shipped presets
 //! must all pass.
 
-use evanesco::ftl::FtlConfig;
+use evanesco::ftl::{FtlConfig, SanitizePolicy};
 use evanesco::ssd::SsdConfig;
 
 fn tiny_ftl() -> FtlConfig {
@@ -230,9 +230,28 @@ fn emulator_construction_validates_config() {
     let result = std::panic::catch_unwind(|| {
         let mut cfg = SsdConfig::tiny_for_tests();
         cfg.channels = 5;
-        evanesco::ssd::Emulator::new(cfg, evanesco::ftl::SanitizePolicy::evanesco())
+        evanesco::ssd::Emulator::new(cfg, SanitizePolicy::evanesco())
     });
     assert!(result.is_err(), "Emulator must reject an inconsistent topology");
+}
+
+#[test]
+fn age_flags_rejects_poisoned_retention_spans_in_both_flag_modes() {
+    use evanesco::core::{bap::BapConfig, pap::PapConfig, InvalidRetention};
+    let mut ssd =
+        evanesco::ssd::Emulator::new(SsdConfig::tiny_for_tests(), SanitizePolicy::evanesco());
+    for physical in [false, true] {
+        if physical {
+            ssd.enable_device_flags(PapConfig::paper(), BapConfig::paper(), 1);
+        }
+        for bad in [-2.0, -f64::MIN_POSITIVE, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err: InvalidRetention = ssd.age_flags(bad).expect_err("poisoned span accepted");
+            assert!(err.days.is_nan() == bad.is_nan() && (bad.is_nan() || err.days == bad));
+            assert!(err.to_string().contains("finite and non-negative"), "{err}");
+        }
+        ssd.age_flags(0.0).expect("zero days is a valid rest");
+        ssd.age_flags(1825.0).expect("five years is a valid rest");
+    }
 }
 
 // ---------------------------------------------------------------------------
