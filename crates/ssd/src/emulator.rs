@@ -49,6 +49,10 @@ pub struct Emulator {
     /// Recycled drain buffer for the executor's trace events: unrecorded
     /// drains hand their allocation back instead of dropping it.
     trace_spare: Vec<TraceEvent>,
+    /// Recycled LPA list for the trim arm of [`Emulator::execute`]: like
+    /// the FTL's own trim worklists, the bracket allocates nothing per
+    /// request.
+    trim_scratch: Vec<Lpa>,
     /// Per-request latency-anatomy recorder
     /// ([`Emulator::enable_anatomy`]); fed from each finished trace.
     anatomy: Option<AnatomyRecorder>,
@@ -91,6 +95,7 @@ impl Emulator {
             gauges: None,
             trace: None,
             trace_spare: Vec::new(),
+            trim_scratch: Vec::new(),
             anatomy: None,
             timeseries: None,
             watchdog: None,
@@ -493,8 +498,11 @@ impl Emulator {
                     (true, None)
                 }
                 (HostOp::Trim { .. }, Payload::None) => {
-                    let lpas: Vec<Lpa> = (lpa..lpa + npages).collect();
+                    let mut lpas = std::mem::take(&mut self.trim_scratch);
+                    lpas.clear();
+                    lpas.extend(lpa..lpa + npages);
                     self.ftl.trim(&mut self.ex, tee, &lpas);
+                    self.trim_scratch = lpas;
                     (true, None)
                 }
                 _ => unreachable!("{op:?} carries the wrong payload"),
@@ -751,6 +759,12 @@ impl Emulator {
         let mut submits = vec![Nanos::ZERO; ops.len()];
         let mut host_pages = 0u64;
         let mut next = 0usize;
+        let n_chips = self.cfg.n_chips();
+        let mut free_at: Vec<Nanos> = Vec::with_capacity(n_chips);
+        // A read's hint token is the set of chips holding its mapped pages,
+        // one bit per chip. A device too wide for the mask keeps no token
+        // and hints its reads afresh each pass.
+        let wide = n_chips > u64::BITS as usize;
         loop {
             while next < ops.len() {
                 let arrival = arrivals.map_or(Nanos::ZERO, |a| a[next]);
@@ -762,23 +776,34 @@ impl Emulator {
                 }
                 next += 1;
             }
-            // The write hint (allocation-frontier chip occupancy) is the
-            // same for every queued write — the FTL does not move between
-            // candidates — so compute it at most once per selection pass.
-            let write_hint = std::cell::Cell::new(None);
-            let Some(d) = sched.take_dispatch(|op| match *op {
-                HostOp::Write { .. } => match write_hint.get() {
-                    Some(h) => h,
-                    None => {
-                        let h = self.ex.chip_free_at(self.ftl.peek_alloc_chip());
-                        write_hint.set(Some(h));
-                        h
+            // One pass reads each chip's busy-until once and no L2P entry:
+            // a read's chip set is resolved when the read first becomes
+            // eligible and kept on its queue entry (`sched`'s cost model
+            // states why that is sound), and every queued write shares the
+            // allocation frontier's chip — the FTL does not move between
+            // candidates.
+            free_at.clear();
+            free_at.extend((0..n_chips).map(|c| self.ex.chip_free_at(c)));
+            let write_hint = free_at[self.ftl.peek_alloc_chip()];
+            let picked = sched.take_dispatch_cached(
+                |op| match *op {
+                    HostOp::Read { lpa, npages } if !wide => {
+                        self.mapped_chips(lpa, npages).fold(0, |set, chip| set | 1 << chip)
                     }
+                    _ => 0,
                 },
-                _ => self.chip_hint(op),
-            }) else {
-                break;
-            };
+                |op, chips| {
+                    let hint = match *op {
+                        HostOp::Write { .. } => write_hint,
+                        HostOp::Read { .. } if wide => self.chip_hint(op),
+                        HostOp::Read { .. } => latest_free(chips, &free_at),
+                        HostOp::Trim { .. } => Nanos::ZERO,
+                    };
+                    debug_assert_eq!(hint, self.chip_hint(op), "stale hint cache for {op:?}");
+                    hint
+                },
+            );
+            let Some(d) = picked else { break };
             host_pages += d.op.npages();
             let base = tag_base[d.idx];
             let reads = if let HostOp::Read { npages, .. } = d.op { npages as usize } else { 0 };
@@ -789,8 +814,14 @@ impl Emulator {
                 HostOp::Read { .. } => Payload::Read(&mut sink),
                 HostOp::Trim { .. } => Payload::None,
             };
+            let epoch = self.chaos_epoch();
             let (acked, done) = self.execute(obs, d.op, payload, Some(&d));
             sched.complete(done);
+            if self.chaos_epoch() != epoch {
+                // The guard injected or repaired a corruption inside the
+                // bracket: L2P entries changed under queued reads.
+                sched.drop_hint_cache();
+            }
             results[d.idx] = Some(match (acked, d.op) {
                 (None, _) => OpResult::TimedOut,
                 (Some(acked), HostOp::Write { npages, .. }) => {
@@ -813,20 +844,38 @@ impl Emulator {
         }
     }
 
-    /// Selection hint for the scheduler: when could this request's device
-    /// work plausibly start, given current chip occupancy? Writes go to
-    /// the allocation frontier's chip; reads to the chips holding their
-    /// mapped pages.
+    /// Counts the chaos guard's L2P rewrites (corruptions injected plus
+    /// repairs run): when it moves across a request, cached read chip sets
+    /// may be stale. Constant with the guard off.
+    fn chaos_epoch(&self) -> u64 {
+        if !self.ftl.guard_enabled() {
+            return 0;
+        }
+        let s = self.ftl.stats();
+        s.meta_corruptions_injected + s.meta_corruptions_detected + s.audit_divergences
+    }
+
+    /// Selection hint for the scheduler, from scratch: when could this
+    /// request's device work plausibly start, given current chip
+    /// occupancy? Writes go to the allocation frontier's chip; reads to
+    /// the chips holding their mapped pages. The scheduled path computes
+    /// the same value from cached chip sets and checks itself against this
+    /// one under debug assertions.
     fn chip_hint(&self, op: &HostOp) -> Nanos {
         match *op {
             HostOp::Write { .. } => self.ex.chip_free_at(self.ftl.peek_alloc_chip()),
-            HostOp::Read { lpa, npages } => (0..npages)
-                .filter_map(|i| self.ftl.mapped(lpa + i))
-                .map(|p| self.ex.chip_free_at(p.chip))
+            HostOp::Read { lpa, npages } => self
+                .mapped_chips(lpa, npages)
+                .map(|chip| self.ex.chip_free_at(chip))
                 .max()
                 .unwrap_or(Nanos::ZERO),
             HostOp::Trim { .. } => Nanos::ZERO,
         }
+    }
+
+    /// The chip of every mapped page in `[lpa, lpa + npages)`, from the L2P.
+    fn mapped_chips(&self, lpa: Lpa, npages: u64) -> impl Iterator<Item = usize> + '_ {
+        (0..npages).filter_map(move |i| self.ftl.mapped(lpa + i)).map(|p| p.chip)
     }
 
     /// Switches every chip to device-mode flags (physical pAP/bAP cells;
@@ -1235,6 +1284,17 @@ impl Emulator {
     }
 }
 
+/// The latest busy-until among the chips in `set` (bit `c` is chip `c`);
+/// zero for the empty set, like a read of unmapped pages.
+fn latest_free(mut set: u64, free_at: &[Nanos]) -> Nanos {
+    let mut latest = Nanos::ZERO;
+    while set != 0 {
+        latest = latest.max(free_at[set.trailing_zeros() as usize]);
+        set &= set - 1;
+    }
+    latest
+}
+
 /// Decodes an optional-state section payload: `Some(decoded)` when the
 /// CRC held and the payload parsed cleanly, `None` otherwise.
 fn decode_section_opt<T>(
@@ -1413,6 +1473,22 @@ mod tests {
         for qd in [2, 8, 32] {
             assert_eq!(run(qd), base, "qd {qd} changed host-visible results");
         }
+    }
+
+    #[test]
+    fn devices_wider_than_the_chip_mask_schedule_identically() {
+        // 66 chips do not fit the 64-bit read chip set: reads fall back to
+        // a fresh hint per pass (and `1 << chip` must never be evaluated).
+        let mut cfg = SsdConfig::tiny_for_tests();
+        cfg.channels = 66;
+        cfg.ftl.n_chips = 66;
+        let ops = mixed_trace(300, 200, 0x51DE);
+        let run = |qd: usize| {
+            let mut s = Emulator::new(cfg, SanitizePolicy::evanesco());
+            s.write(0, 200, false);
+            (s.run_scheduled(&ops, qd).results, s.read(0, 200))
+        };
+        assert_eq!(run(32), run(1), "qd 32 changed host-visible results");
     }
 
     #[test]

@@ -23,6 +23,39 @@
 //! The scheduler itself is a pure scoreboard over completion times and
 //! LPA ranges; [`crate::emulator::Emulator::run_scheduled`] drives it
 //! against the FTL and the timed device array.
+//!
+//! # Cost model
+//!
+//! The scoreboard is incremental; nothing is recomputed per dispatch.
+//!
+//! * **Submit is O(qd).** One walk of the window counts the new request's
+//!   *blockers* (earlier, still-queued requests with an overlapping LPA
+//!   range) and one slice scan seeds its dependency time.
+//! * **Complete is O(qd).** One walk of the window advances dependency
+//!   times and releases one blocker from every overlapping request.
+//! * **Dispatch is O(qd) with O(1) work per candidate.** A request is
+//!   eligible iff its blocker count is zero; an eligible candidate costs
+//!   one hint evaluation and two `max`es. No range is compared and — on
+//!   the emulator's path — **no L2P entry is read** during a pass: the
+//!   driver resolves a request's *hint token* (the emulator: the set of
+//!   chips holding a read's mapped pages) once, when the request is first
+//!   evaluated as eligible, and the scoreboard keeps it on the entry
+//!   ([`Scheduler::take_dispatch_cached`]).
+//!
+//! The token cache rests on two invariants, both owned by the driver:
+//!
+//! 1. **Per-LPA ordering.** While a request is queued and eligible, no
+//!    overlapping request is dispatched (later ones are blocked by it;
+//!    earlier ones have already completed), so no host write or trim can
+//!    remap its pages.
+//! 2. **Intra-chip relocation.** Whatever the FTL moves behind the host's
+//!    back (GC, scrub sibling moves, bad-block evacuation) is re-allocated
+//!    on the *same chip*, so a mapped page's chip — all the token records —
+//!    is stable even when its physical address is not.
+//!
+//! The one path that breaks them is the chaos guard, which injects and
+//! repairs L2P corruption between requests; the driver answers with
+//! [`Scheduler::drop_hint_cache`].
 
 use evanesco_ftl::Lpa;
 use evanesco_nand::timing::Nanos;
@@ -77,9 +110,10 @@ impl std::error::Error for SubmitError {}
 /// `logical_pages` logical pages, returning the (checked) exclusive upper
 /// bound.
 ///
-/// Zero-page requests are legal no-ops: they overlap nothing and must
-/// never panic, but their start still has to lie inside the address
-/// space.
+/// Zero-page requests are legal no-ops: they overlap nothing — an empty
+/// range never blocks another request and is never blocked, even when its
+/// start lies strictly inside that request's range — and must never
+/// panic, but their start still has to lie inside the address space.
 ///
 /// # Errors
 ///
@@ -140,8 +174,17 @@ impl HostOp {
     fn overlaps(&self, other: &HostOp) -> bool {
         let (a, an) = self.lpa_range();
         let (b, bn) = other.lpa_range();
-        a < b + bn && b < a + an
+        ranges_overlap((a, a + an), (b, b + bn))
     }
+}
+
+/// The one overlap predicate of the scoreboard: do the half-open LPA
+/// ranges `[a.0, a.1)` and `[b.0, b.1)` share a page? Symmetric, and false
+/// whenever either range is empty — a zero-page request never blocks and
+/// is never blocked, wherever its start lies. Submission (blocker count)
+/// and completion (blocker release) must agree on it exactly.
+fn ranges_overlap(a: (Lpa, Lpa), b: (Lpa, Lpa)) -> bool {
+    a.0.max(b.0) < a.1.min(b.1)
 }
 
 /// The host-visible outcome of one scheduled request.
@@ -185,7 +228,7 @@ struct Queued {
     /// When the request's NCQ slot became available (the closed-loop
     /// submission time).
     submit: Nanos,
-    /// Cached LPA range `[lo, hi)` (dispatch-selection hot loop).
+    /// Cached LPA range `[lo, hi)` (the submit and complete walks).
     lo: Lpa,
     hi: Lpa,
     /// Completion time of the latest dispatched request overlapping this
@@ -193,6 +236,20 @@ struct Queued {
     /// by [`Scheduler::complete`], so dispatch selection reads it instead
     /// of rescanning the table per candidate per call.
     dep: Nanos,
+    /// Earlier-submitted requests with an overlapping range that are still
+    /// queued (or mid-dispatch): counted once at submission, released one
+    /// by one as they [`Scheduler::complete`]. Zero means eligible.
+    blockers: usize,
+    /// The driver's hint token, resolved when the request was first
+    /// evaluated as eligible (`None`: not yet, or dropped by
+    /// [`Scheduler::drop_hint_cache`]).
+    token: Option<u64>,
+}
+
+impl Queued {
+    fn range(&self) -> (Lpa, Lpa) {
+        (self.lo, self.hi)
+    }
 }
 
 /// Closed-loop out-of-order request scoreboard.
@@ -215,12 +272,9 @@ pub struct Scheduler {
     /// Requests address a bounded logical space, so this stays small and
     /// turns the per-page dependency check into a contiguous slice scan.
     last_done: Vec<Nanos>,
-    /// Recycled scratch of LPA ranges for [`Scheduler::take_dispatch`]'s
-    /// bypass check (avoids one heap allocation per dispatched request).
-    blocked_scratch: Vec<(Lpa, Lpa)>,
-    /// The request handed out by [`Scheduler::take_dispatch`] and not yet
-    /// [`Scheduler::complete`]d.
-    dispatched: Option<Queued>,
+    /// LPA range of the request handed out by [`Scheduler::take_dispatch`]
+    /// and not yet [`Scheduler::complete`]d.
+    dispatched: Option<(Lpa, Lpa)>,
     /// Monotone submission clock (a slot freed in the past cannot admit a
     /// request before one admitted earlier).
     submit_clock: Nanos,
@@ -250,7 +304,6 @@ impl Scheduler {
             window: VecDeque::new(),
             inflight: Vec::new(),
             last_done: Vec::new(),
-            blocked_scratch: Vec::new(),
             dispatched: None,
             submit_clock: Nanos::ZERO,
             submitted: 0,
@@ -318,6 +371,12 @@ impl Scheduler {
             self.submit_clock = self.submit_clock.max(freed);
         }
         self.submit_clock = self.submit_clock.max(arrival);
+        // Everything still in the window was submitted earlier. A request
+        // mid-dispatch counts too: its `complete` releases every
+        // overlapping entry it finds, this one included.
+        let blocks = |range| ranges_overlap(range, (lpa, hi));
+        let blockers = self.window.iter().filter(|e| blocks(e.range())).count()
+            + usize::from(self.dispatched.is_some_and(blocks));
         self.window.push_back(Queued {
             idx,
             op,
@@ -325,6 +384,8 @@ impl Scheduler {
             lo: lpa,
             hi,
             dep: self.deps_of(lpa, hi),
+            blockers,
+            token: None,
         });
         self.submitted += 1;
         self.max_outstanding = self.max_outstanding.max(self.outstanding());
@@ -346,27 +407,56 @@ impl Scheduler {
     ///
     /// Panics if the previous dispatch was not [`Scheduler::complete`]d.
     pub fn take_dispatch<F: Fn(&HostOp) -> Nanos>(&mut self, chip_hint: F) -> Option<Dispatch> {
+        self.take_dispatch_cached(|_| 0, |op, _| chip_hint(op))
+    }
+
+    /// [`Scheduler::take_dispatch`] for a driver whose hint splits into a
+    /// slow part that is stable while a request waits and a fast part that
+    /// is not. `resolve` computes the request's *token* once, the first
+    /// time the request is evaluated as eligible; `hint` then scores the
+    /// request from its token on every pass. (The emulator's token is the
+    /// set of chips a read's pages live on; its per-pass part is those
+    /// chips' busy-until times.) The token must stay valid while the
+    /// request is queued and eligible — see the module's cost model for
+    /// the invariants that buys it, and [`Scheduler::drop_hint_cache`] for
+    /// when they break.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the previous dispatch was not [`Scheduler::complete`]d.
+    pub fn take_dispatch_cached(
+        &mut self,
+        mut resolve: impl FnMut(&HostOp) -> u64,
+        mut hint: impl FnMut(&HostOp, u64) -> Nanos,
+    ) -> Option<Dispatch> {
         assert!(self.dispatched.is_none(), "previous dispatch not completed");
         let mut best: Option<(usize, Nanos, Nanos)> = None; // (pos, score, earliest)
-        let mut blocked = std::mem::take(&mut self.blocked_scratch);
-        blocked.clear();
-        for (pos, q) in self.window.iter().enumerate() {
-            let eligible = !blocked.iter().any(|&(lo, hi)| q.lo < hi && lo < q.hi);
-            blocked.push((q.lo, q.hi));
-            if !eligible {
+        for (pos, q) in self.window.iter_mut().enumerate() {
+            if q.blockers != 0 {
                 continue;
             }
+            let token = *q.token.get_or_insert_with(|| resolve(&q.op));
             let earliest = q.submit.max(q.dep);
-            let score = earliest.max(chip_hint(&q.op));
+            let score = earliest.max(hint(&q.op, token));
             if best.is_none_or(|(_, s, _)| score < s) {
                 best = Some((pos, score, earliest));
             }
         }
-        self.blocked_scratch = blocked;
         let (pos, _, earliest) = best?;
         let q = self.window.remove(pos).expect("selected position exists");
-        self.dispatched = Some(q);
+        self.dispatched = Some(q.range());
         Some(Dispatch { idx: q.idx, op: q.op, submit: q.submit, earliest })
+    }
+
+    /// Forgets every queued request's hint token, so the next pass
+    /// resolves them afresh. The driver calls it whenever something other
+    /// than a dispatched request may have changed what `resolve` would
+    /// return (the emulator: a chaos-guard injection or repair rewrote L2P
+    /// entries behind the queue's back).
+    pub fn drop_hint_cache(&mut self) {
+        for q in &mut self.window {
+            q.token = None;
+        }
     }
 
     /// Records the completion time of the request returned by the last
@@ -377,21 +467,26 @@ impl Scheduler {
     ///
     /// Panics when no dispatch is pending.
     pub fn complete(&mut self, done: Nanos) {
-        let q = self.dispatched.take().expect("no dispatch pending");
-        // `q.lo`/`q.hi` were range-checked at submission, so the casts and
-        // slice bounds below cannot wrap.
-        let end = q.hi as usize;
+        let (lo, hi) = self.dispatched.take().expect("no dispatch pending");
+        // The range was checked at submission, so the casts and slice
+        // bounds below cannot wrap.
+        let end = hi as usize;
         if self.last_done.len() < end {
             self.last_done.resize(end, Nanos::ZERO);
         }
-        for e in &mut self.last_done[q.lo as usize..end] {
+        for e in &mut self.last_done[lo as usize..end] {
             *e = (*e).max(done);
         }
         // Advance the cached dependency time of every queued request the
-        // completed one overlaps (the window is at most `qd` entries).
+        // completed one overlaps, and release it as their blocker (the
+        // window is at most `qd` entries). The completed request was
+        // eligible, so everything it overlaps was submitted after it and
+        // counted it.
         for w in &mut self.window {
-            if w.lo < q.hi && q.lo < w.hi {
+            if ranges_overlap(w.range(), (lo, hi)) {
                 w.dep = w.dep.max(done);
+                debug_assert!(w.blockers > 0, "request {} never counted its blocker", w.idx);
+                w.blockers -= 1;
             }
         }
         self.inflight.push(done);
@@ -594,6 +689,70 @@ mod tests {
     }
 
     #[test]
+    fn empty_range_inside_a_queued_request_neither_blocks_nor_waits() {
+        // `w(5, 0)` starts strictly inside `w(3, 5)`, where an interval test
+        // that forgets emptiness (`a.lo < b.hi && b.lo < a.hi`) sees an
+        // overlap.
+        let mut s = Scheduler::new(4, 100);
+        assert!(s.try_submit(0, w(3, 5)).unwrap());
+        assert!(s.try_submit(1, w(5, 0)).unwrap());
+        assert!(s.try_submit(2, w(4, 2)).unwrap());
+        let late = |op: &HostOp| if op.npages() == 0 { Nanos::ZERO } else { Nanos::from_micros(9) };
+        let d = s.take_dispatch(late).unwrap();
+        assert_eq!(d.idx, 1, "the empty request bypasses the write it sits inside");
+        s.complete(Nanos::from_micros(50));
+        let d = s.take_dispatch(late).unwrap();
+        assert_eq!((d.idx, d.earliest), (0, Nanos::ZERO), "and delayed nothing");
+        s.complete(Nanos::from_micros(700));
+        let d = s.take_dispatch(late).unwrap();
+        assert_eq!((d.idx, d.earliest), (2, Nanos::from_micros(700)), "real overlaps still order");
+        s.complete(Nanos::from_micros(1400));
+        assert_eq!(s.drain(), Nanos::from_micros(1400));
+    }
+
+    #[test]
+    fn submission_between_take_and_complete_counts_the_dispatched_request() {
+        let mut s = Scheduler::new(4, 100);
+        assert!(s.try_submit(0, w(3, 2)).unwrap());
+        assert_eq!(s.take_dispatch(|_| Nanos::ZERO).unwrap().idx, 0);
+        assert!(s.try_submit(1, w(4, 1)).unwrap(), "overlaps the request mid-dispatch");
+        s.complete(Nanos::from_micros(700));
+        let d = s.take_dispatch(|_| Nanos::ZERO).unwrap();
+        assert_eq!((d.idx, d.earliest), (1, Nanos::from_micros(700)));
+        s.complete(Nanos::from_micros(800));
+    }
+
+    #[test]
+    fn hint_tokens_resolve_once_until_dropped() {
+        let mut s = Scheduler::new(4, 100);
+        for i in 0..3 {
+            assert!(s.try_submit(i, w(10 * i as u64, 1)).unwrap());
+        }
+        let resolved = std::cell::Cell::new(0);
+        let pass = |s: &mut Scheduler| {
+            let d = s.take_dispatch_cached(
+                |op| {
+                    resolved.set(resolved.get() + 1);
+                    op.lpa_range().0
+                },
+                |op, token| {
+                    assert_eq!(token, op.lpa_range().0, "each entry keeps its own token");
+                    Nanos::ZERO
+                },
+            );
+            s.complete(Nanos::from_micros(1));
+            d.unwrap().idx
+        };
+        assert_eq!(pass(&mut s), 0);
+        assert_eq!(resolved.get(), 3, "every eligible entry resolved on the first pass");
+        assert_eq!(pass(&mut s), 1);
+        assert_eq!(resolved.get(), 3, "and never again while it waits");
+        s.drop_hint_cache();
+        assert_eq!(pass(&mut s), 2);
+        assert_eq!(resolved.get(), 4, "until the driver drops the cache");
+    }
+
+    #[test]
     fn arrival_floor_delays_submission_but_stays_monotone() {
         let mut s = Scheduler::new(2, 100);
         assert!(s.try_submit_at(0, w(0, 1), Nanos::from_micros(500)).unwrap());
@@ -613,5 +772,6 @@ mod tests {
         assert!(!w(0, 4).overlaps(&w(4, 1)));
         assert!(w(10, 1).overlaps(&HostOp::Trim { lpa: 8, npages: 3 }));
         assert!(!w(10, 1).overlaps(&HostOp::Read { lpa: 11, npages: 2 }));
+        assert!(!w(3, 5).overlaps(&w(5, 0)) && !w(5, 0).overlaps(&w(3, 5)), "empty: no pages");
     }
 }

@@ -1,6 +1,6 @@
 //! Metadata-integrity armor, property-tested.
 //!
-//! Three families of properties back the chaos gate's hand-built matrix
+//! Four families of properties back the chaos gate's hand-built matrix
 //! (`experiments chaos`) with randomized coverage:
 //!
 //! * **Checkpoint armor** — flipping *any single byte* of a valid
@@ -14,6 +14,11 @@
 //!   model expects (repair-before-serve), and the accounting identity
 //!   `injected == detected == from_oob + rederived + unrecoverable`
 //!   holds after the final settle.
+//! * **Hint-cache armor** — at queue depth 32 the scheduler caches the
+//!   chip set of every queued read; a corruption (and its repair) that
+//!   rewrites the mapping of a read *while it waits, eligible,* must
+//!   drop those sets, or selection would score reads from chips their
+//!   pages no longer (or not yet again) map to.
 //! * **Watchdog armor** — at any stall rate and queue depth the
 //!   scoreboard reconciles (`stalls == aborts == retries + failures`)
 //!   and every budget-exhausted request surfaces as a typed
@@ -180,4 +185,67 @@ proptest! {
             "typed TimedOut results must match deadline failures: {:?}", stats
         );
     }
+}
+
+/// Hint-cache armor. A cyclic sweep of one-page reads over 32 hot LPAs
+/// keeps the depth-32 window holding one eligible read of *every* hot
+/// LPA, so any L2P corruption landing on a hot LPA rewrites the mapping
+/// of a queued, eligible read — and its repair rewrites it back. Mapped
+/// hot LPAs get unmapped (the read then looks free and dispatches at
+/// once); unmapped ones get mapped to a random chip (the read then waits
+/// through the repair). The emulator checks each cached hint against a
+/// fresh L2P lookup under debug assertions (on in this profile), so a
+/// cache that outlived either rewrite panics here; the results must
+/// match the shadow.
+#[test]
+fn guard_repair_under_a_queued_read_drops_the_cached_chip_sets() {
+    const REQUESTS: usize = 1500;
+    const MAPPED: u64 = 100;
+    let chaos = CorruptionConfig::storm(0.5, 0xC0FFEE);
+    let hot = |i: usize| 5 * (i % 32) as u64; // 0, 5, .., 155: 20 mapped, 12 not
+    let device = || {
+        let mut ssd = Emulator::new(SsdConfig::tiny_for_tests(), SanitizePolicy::evanesco());
+        let shadow: Vec<u64> = ssd.write(0, MAPPED, true);
+        ssd.enable_chaos(chaos);
+        (ssd, shadow)
+    };
+
+    // Injection is keyed on the op-boundary ordinal alone, so a serialized
+    // replay sees the very corruptions the scheduled run will: count the
+    // boundaries that leave a hot LPA's mapping rewritten, each way, while
+    // the window is full.
+    let (mut ssd, shadow) = device();
+    let (mut unmapped, mut conjured) = (0, 0);
+    for i in 0..REQUESTS - 32 {
+        assert_eq!(
+            ssd.read(hot(i), 1),
+            [shadow.get(hot(i) as usize).copied()],
+            "repair-before-serve"
+        );
+        for lpa in (0..32).map(hot) {
+            match ssd.ftl().mapped(lpa) {
+                None if lpa < MAPPED => unmapped += 1,
+                Some(_) if lpa >= MAPPED => conjured += 1,
+                _ => {}
+            }
+        }
+    }
+    assert!(unmapped > 0 && conjured > 0, "the storm missed the hot set: {unmapped}/{conjured}");
+
+    let (mut ssd, shadow) = device();
+    let ops: Vec<HostOp> = (0..REQUESTS).map(|i| HostOp::Read { lpa: hot(i), npages: 1 }).collect();
+    let run = ssd.run_scheduled(&ops, 32);
+    assert_eq!(run.max_outstanding, 32);
+    for (i, result) in run.results.iter().enumerate() {
+        assert_eq!(
+            *result,
+            OpResult::Read(vec![shadow.get(hot(i) as usize).copied()]),
+            "request {i} diverged from the shadow"
+        );
+    }
+    ssd.chaos_finalize();
+    ssd.ftl().check_invariants();
+    let stats = ssd.ftl().stats();
+    assert!(stats.meta_repairs_from_oob > 0, "no L2P repair ran: {stats:?}");
+    assert!(stats.meta_accounting_balanced(), "identity broken: {stats:?}");
 }

@@ -82,8 +82,80 @@ fn run_model_check(policy: SanitizePolicy, ops: &[HostOp]) {
     }
 }
 
+/// Replays `ops` over a two-thirds-full device and checks, after every
+/// host op, that every LPA *outside* the op's range still lives on the
+/// chip it lived on before: whatever the FTL moves behind the host's back
+/// (GC, scrub sibling moves, erSSD's block evacuation, deferred locks) is
+/// re-allocated on the same chip. The scheduler's cached read hints
+/// (`evanesco::ssd::sched`, cost model) rest on exactly this. Returns the
+/// pages the FTL relocated, so callers can tell the property was not
+/// vacuous.
+fn relocation_stays_on_chip(policy: SanitizePolicy, coalesce: bool, ops: &[HostOp]) -> u64 {
+    let mut cfg = SsdConfig::tiny_for_tests();
+    cfg.ftl.lock_coalescing = coalesce;
+    cfg.ftl.coalesce_window = 16;
+    let mut ssd = Emulator::new(cfg, policy);
+    let logical = ssd.logical_pages();
+    for lpa in (0..logical * 2 / 3).step_by(4) {
+        ssd.write(lpa, 4, lpa % 8 == 0);
+    }
+    let chips = |ssd: &Emulator| -> Vec<Option<usize>> {
+        (0..logical).map(|l| ssd.ftl().mapped(l).map(|p| p.chip)).collect()
+    };
+    for op in ops {
+        let before = chips(&ssd);
+        let (lpa, n) = match *op {
+            HostOp::Write { lpa, n, secure } => {
+                let lpa = lpa % (logical - n);
+                ssd.write(lpa, n, secure);
+                (lpa, n)
+            }
+            HostOp::Trim { lpa, n } => {
+                let lpa = lpa % (logical - n);
+                ssd.trim(lpa, n);
+                (lpa, n)
+            }
+            HostOp::Read { lpa, n } => {
+                let lpa = lpa % (logical - n);
+                ssd.read(lpa, n);
+                (lpa, 0) // a read remaps nothing, its own range included
+            }
+        };
+        let after = chips(&ssd);
+        for l in (0..logical).filter(|l| !(lpa..lpa + n).contains(l)) {
+            assert_eq!(
+                after[l as usize], before[l as usize],
+                "{policy} (coalesce={coalesce}): {op:?} moved bystander LPA {l} across chips"
+            );
+        }
+    }
+    ssd.ftl().stats().copied_pages
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn relocation_never_moves_a_page_to_another_chip(
+        ops in proptest::collection::vec(host_op(2 * 16 * 24), 1..120),
+        seed in any::<u64>(),
+    ) {
+        // Random ops wander over the whole device; the seeded hot-set
+        // churn behind them overwrites far beyond capacity, so GC runs
+        // with live pages to move under every policy.
+        let mut ops = ops;
+        let mut x = seed | 1;
+        for _ in 0..200 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ops.push(HostOp::Write { lpa: (x >> 32) % 96, n: 1 + (x % 4), secure: x % 3 != 0 });
+        }
+        for policy in policies() {
+            for coalesce in [false, true] {
+                let relocated = relocation_stays_on_chip(policy, coalesce, &ops);
+                prop_assert!(relocated > 0, "{policy} (coalesce={coalesce}): nothing was relocated");
+            }
+        }
+    }
 
     #[test]
     fn random_host_sequences_preserve_semantics(

@@ -14,12 +14,15 @@
 //! * **same-LPA ordering** — reads racing overwrites of one hot page at
 //!   depth 32 always observe the most recently submitted write (RAW), and
 //!   never a later one (WAR/WAW), even with unrelated traffic saturating
-//!   the queue.
+//!   the queue;
+//! * **selection identity** — the incremental scoreboard (blocker counts,
+//!   cached hint tokens) hands out exactly the dispatch sequence of the
+//!   rescan-everything rule it replaced, kept here as a naive reference.
 
 use evanesco::ftl::observer::NullObserver;
 use evanesco::ftl::SanitizePolicy;
 use evanesco::nand::timing::Nanos;
-use evanesco::ssd::{Emulator, HostOp, OpResult, SsdConfig};
+use evanesco::ssd::{Emulator, HostOp, OpResult, Scheduler, SsdConfig};
 use proptest::prelude::*;
 
 /// Raw op parameters; clamped against the device's logical space once,
@@ -174,5 +177,159 @@ fn deeper_queues_are_no_slower_at_every_step() {
             assert_eq!(run.results, prev_results, "qd {qd} changed results");
         }
         prev = Some((qd, run.sim_time, run.results));
+    }
+}
+
+/// The selection rule the scoreboard must reproduce, as naively as it can
+/// be written: nothing is cached, every pass rescans the queue for
+/// eligibility and every candidate rescans the per-page completion table.
+struct ReferenceScoreboard {
+    qd: usize,
+    /// `(idx, op, submit)` in submission order.
+    queue: Vec<(usize, HostOp, Nanos)>,
+    inflight: Vec<Nanos>,
+    /// Completion time of the latest dispatched request touching each page.
+    last_done: Vec<Nanos>,
+    clock: Nanos,
+    max_outstanding: usize,
+}
+
+fn pages(op: &HostOp) -> std::ops::Range<usize> {
+    let (lpa, n) = op.lpa_range();
+    lpa as usize..(lpa + n) as usize
+}
+
+impl ReferenceScoreboard {
+    fn try_submit_at(&mut self, idx: usize, op: HostOp, arrival: Nanos) -> bool {
+        if self.queue.len() + self.inflight.len() >= self.qd {
+            // `min_by_key` keeps the first minimum, like the scoreboard.
+            let Some(oldest) = (0..self.inflight.len()).min_by_key(|&i| self.inflight[i]) else {
+                return false;
+            };
+            self.clock = self.clock.max(self.inflight.swap_remove(oldest));
+        }
+        self.clock = self.clock.max(arrival);
+        self.queue.push((idx, op, self.clock));
+        self.max_outstanding = self.max_outstanding.max(self.queue.len() + self.inflight.len());
+        true
+    }
+
+    /// `score = max(submit, dep, hint)`; the first minimum among the
+    /// requests sharing no page with an earlier queued one wins.
+    fn take_dispatch(&mut self, hint: impl Fn(&HostOp) -> Nanos) -> Option<(usize, Nanos, Nanos)> {
+        let mut best: Option<(usize, Nanos, Nanos)> = None; // (pos, score, earliest)
+        for (pos, (_, op, submit)) in self.queue.iter().enumerate() {
+            let shares_a_page = |(_, earlier, _): &(usize, HostOp, Nanos)| {
+                pages(earlier).any(|l| pages(op).contains(&l))
+            };
+            if self.queue[..pos].iter().any(shares_a_page) {
+                continue;
+            }
+            let dep = self.last_done[pages(op)].iter().copied().max().unwrap_or(Nanos::ZERO);
+            let earliest = (*submit).max(dep);
+            let score = earliest.max(hint(op));
+            if best.is_none_or(|(_, s, _)| score < s) {
+                best = Some((pos, score, earliest));
+            }
+        }
+        let (pos, _, earliest) = best?;
+        let (idx, _, submit) = self.queue[pos];
+        Some((idx, submit, earliest))
+    }
+
+    fn complete(&mut self, idx: usize, done: Nanos) {
+        let pos = self.queue.iter().position(|&(i, _, _)| i == idx).expect("dispatched is queued");
+        let (_, op, _) = self.queue.remove(pos);
+        for e in &mut self.last_done[pages(&op)] {
+            *e = (*e).max(done);
+        }
+        self.inflight.push(done);
+    }
+
+    fn drain(&self) -> Nanos {
+        self.inflight.iter().copied().max().unwrap_or(self.clock)
+    }
+}
+
+/// SplitMix64 finalizer: the per-pass hint, service time and arrival are
+/// all `mix(salt, something)`.
+fn mix(a: u64, b: u64) -> u64 {
+    let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Overlap-heavy ops over a 48-page space: adjacent, nested, identical
+/// and zero-length ranges all turn up within a few dozen draws.
+fn crowded_op() -> impl Strategy<Value = HostOp> {
+    (0u64..=42, 0u64..=5, 0u8..4).prop_map(|(lpa, npages, kind)| match kind {
+        0 => HostOp::Write { lpa, npages, secure: true },
+        1 => HostOp::Write { lpa, npages, secure: false },
+        2 => HostOp::Read { lpa, npages },
+        _ => HostOp::Trim { lpa, npages },
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The scoreboard's only licence to be incremental: it picks what the
+    /// reference rule picks, at every step, whatever the hints say.
+    #[test]
+    fn incremental_scoreboard_matches_the_reference_rule(
+        ops in proptest::collection::vec(crowded_op(), 1..160),
+        qd_pick in 0usize..4,
+        salt in any::<u64>(),
+    ) {
+        const LOGICAL: u64 = 48;
+        let qd = [1usize, 2, 8, 32][qd_pick];
+        let mut sched = Scheduler::new(qd, LOGICAL);
+        let mut reference = ReferenceScoreboard {
+            qd,
+            queue: Vec::new(),
+            inflight: Vec::new(),
+            last_done: vec![Nanos::ZERO; LOGICAL as usize],
+            clock: Nanos::ZERO,
+            max_outstanding: 0,
+        };
+        // The slow half of the hint is a pure function of the request, so
+        // the scoreboard may cache it per entry; the per-pass half is not.
+        let token = |op: &HostOp| mix(salt, op.lpa_range().0 * 8 + op.lpa_range().1);
+        let (mut next, mut pass) = (0usize, 0u64);
+        loop {
+            // Bursts of random size leave the window part-full at random.
+            for _ in 0..1 + mix(salt, pass) as usize % qd {
+                if next == ops.len() {
+                    break;
+                }
+                // Arrival floors land in the past as often as the future.
+                let arrival = Nanos(mix(salt ^ 1, next as u64) % (1 + 200_000 * next as u64));
+                let admitted = sched.try_submit_at(next, ops[next], arrival).expect("in range");
+                prop_assert_eq!(admitted, reference.try_submit_at(next, ops[next], arrival));
+                if !admitted {
+                    break;
+                }
+                next += 1;
+            }
+            pass += 1;
+            // Coarse hints tie often, so first-minimum order is on trial too.
+            let hint = |token: u64| Nanos(mix(token, pass) % 6 * 20_000);
+            let got = sched
+                .take_dispatch_cached(token, |_, token| hint(token))
+                .map(|d| (d.idx, d.submit, d.earliest));
+            let want = reference.take_dispatch(|op| hint(token(op)));
+            prop_assert_eq!(got, want, "pass {} at qd {}", pass, qd);
+            let Some((idx, _, earliest)) = got else { break };
+            let done = earliest + Nanos(mix(salt ^ 2, pass) % 900_000);
+            sched.complete(done);
+            reference.complete(idx, done);
+            if mix(salt ^ 3, pass).is_multiple_of(16) {
+                sched.drop_hint_cache();
+            }
+        }
+        prop_assert_eq!(next, ops.len(), "the queue only empties when the trace has");
+        prop_assert_eq!(sched.max_outstanding(), reference.max_outstanding);
+        prop_assert_eq!(sched.drain(), reference.drain());
     }
 }
