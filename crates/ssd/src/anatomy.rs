@@ -80,7 +80,8 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// All stages, in export order.
+    /// All stages, in export order (which is declaration order, so a
+    /// stage's discriminant is its index).
     pub const ALL: [Stage; 8] = [
         Stage::QosWait,
         Stage::QueueWait,
@@ -111,17 +112,17 @@ impl Stage {
 
     /// Index into `[_; Stage::COUNT]` arrays.
     pub fn idx(self) -> usize {
-        Stage::ALL.iter().position(|&s| s == self).expect("stage listed in ALL")
+        self as usize
     }
 }
 
-/// All request kinds, in export order (the trace module defines the type
-/// but not an index; the anatomy aggregates need one).
+/// All request kinds, in export order (which is [`ReqKind`]'s declaration
+/// order, so a kind's discriminant is its index).
 pub const REQ_KINDS: [ReqKind; 5] =
     [ReqKind::Write, ReqKind::Read, ReqKind::Trim, ReqKind::Recovery, ReqKind::Maintenance];
 
 fn kind_idx(kind: ReqKind) -> usize {
-    REQ_KINDS.iter().position(|&k| k == kind).expect("kind listed in REQ_KINDS")
+    kind as usize
 }
 
 /// The interference stage a command of `kind` issued under `cause`
@@ -273,6 +274,10 @@ struct OccSlot {
 /// Per-resource occupancy ring bound. Old intervals are only consulted
 /// by waits that overlap them, so a bounded recent window suffices;
 /// overflow is counted in [`AnatomyRecorder::occupancy_dropped`].
+///
+/// Each ring is sorted and disjoint: a serial resource never starts a
+/// reservation before its previous one ended, and traces arrive in
+/// dispatch order. Blame resolution binary-searches on that.
 const OCC_CAP: usize = 4096;
 
 /// Bounded per-request latency-anatomy recorder.
@@ -377,6 +382,10 @@ impl AnatomyRecorder {
     /// Ingests one finished trace. `retry` is the watchdog penalty
     /// window (absolute), if the request was aborted and backed off;
     /// `req_idx` joins the row to a scheduled-run op index.
+    ///
+    /// Traces must arrive in dispatch order, so that each resource's
+    /// interference commands arrive in time order (the emulator's do:
+    /// its resources are serial); debug builds assert it.
     pub fn record(
         &mut self,
         t: &RequestTrace,
@@ -397,7 +406,9 @@ impl AnatomyRecorder {
                     // Watchdog penalty first: the backoff window is retry
                     // interference wherever it lands in the timeline.
                     let (rs, re) = match retry {
-                        Some((rs, re)) => (rs.max(seg.start), re.min(seg.end)),
+                        Some((rs, re)) => {
+                            (rs.clamp(seg.start, seg.end), re.clamp(seg.start, seg.end))
+                        }
                         None => (seg.start, seg.start),
                     };
                     if re > rs {
@@ -415,19 +426,13 @@ impl AnatomyRecorder {
                     // The un-penalized remainder: queue wait stays queue
                     // wait; service-window waits go to the occupancy
                     // blame pass.
-                    for (a, b) in [(seg.start, rs.max(seg.start)), (re.max(seg.start), seg.end)] {
+                    for (a, b) in [(seg.start, rs), (re.max(rs), seg.end)] {
                         if b <= a {
                             continue;
                         }
-                        if base == Stage::QueueWait {
-                            stages[base.idx()] += b - a;
-                        } else {
-                            stages[base.idx()] += b - a;
-                            waits.push(PendingWait {
-                                start: a,
-                                end: b,
-                                resource: next_own_resource(t, b),
-                            });
+                        stages[base.idx()] += b - a;
+                        if base == Stage::DispatchStall {
+                            waits.push(PendingWait { start: a, end: b, resource: None });
                         }
                     }
                 }
@@ -458,11 +463,35 @@ impl AnatomyRecorder {
                 }
             }
         }
+        // Each wait's blocking resource is where the request's next own
+        // command ran: the earliest-starting event at or after the wait's
+        // end, first in issue order on a tie. Waits are in timeline order,
+        // so an event is a candidate for the last wait ending at or before
+        // its start, and a wait without one inherits from the wait after
+        // it. Trailing waits with no later command keep `None`.
+        let mut next_start = vec![Nanos(u64::MAX); waits.len()];
+        for e in &t.events {
+            let k = waits.partition_point(|w| w.end <= e.start);
+            if k > 0 && e.start < next_start[k - 1] {
+                next_start[k - 1] = e.start;
+                waits[k - 1].resource = Some(e.resource);
+            }
+        }
+        for k in (1..waits.len()).rev() {
+            if waits[k - 1].resource.is_none() {
+                waits[k - 1].resource = waits[k].resource;
+            }
+        }
         // Every interference-class command this request issued joins the
         // occupancy timeline, so neighbors' waits can be blamed on it.
         for e in &t.events {
             if let Some(stage) = interference_of(e.kind, e.cause) {
                 let ring = self.occupancy.entry(e.resource).or_default();
+                debug_assert!(
+                    ring.back().is_none_or(|last| last.end <= e.start),
+                    "occupancy of {:?} must arrive in time order",
+                    e.resource
+                );
                 if ring.len() == OCC_CAP {
                     ring.pop_front();
                     self.occ_dropped += 1;
@@ -512,12 +541,12 @@ impl AnatomyRecorder {
         for w in &waits {
             let Some(res) = w.resource else { continue };
             let Some(ring) = self.occupancy.get(&res) else { continue };
-            for slot in ring {
+            // The ring is sorted and disjoint: the overlapping slots are
+            // the run from the first one ending after the wait's start.
+            let first = ring.partition_point(|slot| slot.end <= w.start);
+            for slot in ring.range(first..).take_while(|slot| slot.start < w.end) {
                 let a = slot.start.max(w.start);
                 let b = slot.end.min(w.end);
-                if b <= a {
-                    continue;
-                }
                 // Reclassify: the blocking resource was held by an
                 // interference-class command for [a, b). Occupancy
                 // intervals on a serial resource are disjoint, so the
@@ -552,23 +581,20 @@ impl AnatomyRecorder {
             self.totals[k][s.idx()] += row.stages[s.idx()];
             self.hists[k][s.idx()].record(row.stages[s.idx()]);
         }
-        // Top-K insert: (e2e desc, trace id asc).
-        self.top.push(row.clone());
-        self.top.sort_by_key(|r| (std::cmp::Reverse(r.e2e()), r.trace_id));
-        self.top.truncate(self.top_k);
+        // Top-K insert, (e2e desc, trace id asc): only a row that beats
+        // the current K-th is cloned in, at its sorted position.
+        let key = |r: &RequestAnatomy| (std::cmp::Reverse(r.e2e()), r.trace_id);
+        if self.top.len() < self.top_k || self.top.last().is_some_and(|kth| key(&row) < key(kth)) {
+            self.top.truncate(self.top_k - 1);
+            let at = self.top.partition_point(|r| key(r) <= key(&row));
+            self.top.insert(at, row.clone());
+        }
         if self.resolved.len() == self.capacity {
             self.resolved.pop_front();
             self.dropped += 1;
         }
         self.resolved.push_back(row);
     }
-}
-
-/// The resource of the request's next own command starting at or after
-/// `at` — the resource the request was actually blocked on during a wait
-/// ending at `at`. `None` when no own command follows (trailing wait).
-fn next_own_resource(t: &RequestTrace, at: Nanos) -> Option<ResourceId> {
-    t.events.iter().filter(|e| e.start >= at).min_by_key(|e| e.start).map(|e| e.resource)
 }
 
 #[cfg(test)]
@@ -582,6 +608,20 @@ mod tests {
 
     fn tiling_holds(r: &RequestAnatomy) {
         assert_eq!(r.stage_sum(), r.e2e(), "stages must tile e2e exactly: {r:?}");
+    }
+
+    #[test]
+    fn stage_discriminants_are_their_export_indices() {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i, "{stage:?} is out of export order");
+        }
+    }
+
+    #[test]
+    fn req_kind_discriminants_are_their_export_indices() {
+        for (i, kind) in REQ_KINDS.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?} is out of export order");
+        }
     }
 
     #[test]

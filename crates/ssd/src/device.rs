@@ -166,8 +166,10 @@ impl TimedExecutor {
 
     /// Allocation-free drain: `into` (a recycled buffer) is cleared and
     /// swapped in as the new accumulation buffer; the drained events come
-    /// back in the old one. Neither side reallocates, so per-request
-    /// draining reuses the same two buffers for the whole run.
+    /// back in the old one. Neither side reallocates as long as the caller
+    /// passes the drained buffer back in at the next drain (the emulator
+    /// copies what it keeps), so per-request draining reuses the same two
+    /// buffers for the whole run.
     pub fn take_trace_events_into(&mut self, mut into: Vec<TraceEvent>) -> Vec<TraceEvent> {
         into.clear();
         std::mem::replace(&mut self.trace_events, into)

@@ -46,8 +46,9 @@ pub struct Emulator {
     gauges: Option<LiveGauges>,
     /// Per-request span recorder ([`Emulator::enable_tracing`]).
     trace: Option<TraceRecorder>,
-    /// Recycled drain buffer for the executor's trace events: unrecorded
-    /// drains hand their allocation back instead of dropping it.
+    /// Recycled drain buffer for the executor's trace events: it and the
+    /// executor's accumulation buffer swap at every bracket (see
+    /// [`TimedExecutor::take_trace_events_into`]).
     trace_spare: Vec<TraceEvent>,
     /// Recycled LPA list for the trim arm of [`Emulator::execute`]: like
     /// the FTL's own trim worklists, the bracket allocates nothing per
@@ -319,13 +320,14 @@ impl Emulator {
             // Zero-work brackets (e.g. a maintenance flush with nothing
             // queued) are not worth a ring slot.
             if !events.is_empty() || end > submit {
-                let t = tr.record(kind, lpa, npages, acked, submit, earliest, end, events);
+                // The ring gets an exact-sized copy; the drain buffer, grown
+                // to the largest request so far, goes back into rotation.
+                let t = tr.record(kind, lpa, npages, acked, submit, earliest, end, events.clone());
                 if let Some(a) = self.anatomy.as_mut() {
                     a.record(t, retry, req_idx);
                 }
-            } else {
-                self.trace_spare = events;
             }
+            self.trace_spare = events;
         }
     }
 

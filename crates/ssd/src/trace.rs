@@ -16,7 +16,7 @@
 use crate::jsonlite::{escape, Json};
 use evanesco_ftl::{Lpa, OpCause};
 use evanesco_nand::timing::Nanos;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// What a traced interval was spent on. Doubles as the segment class of
 /// the derived per-request timeline.
@@ -65,7 +65,8 @@ impl SpanKind {
     /// All kinds, in segmentation-priority order (lowest first): when
     /// intervals overlap on different resources, the derived segment takes
     /// the highest-priority class covering the instant (array operations
-    /// dominate transfers, which dominate waiting).
+    /// dominate transfers, which dominate waiting). Declaration order is
+    /// this order, so a kind's discriminant is its priority.
     pub const ALL: [SpanKind; 10] = [
         SpanKind::QueueWait,
         SpanKind::Wait,
@@ -80,7 +81,7 @@ impl SpanKind {
     ];
 
     fn priority(self) -> usize {
-        SpanKind::ALL.iter().position(|&k| k == self).unwrap()
+        self as usize
     }
 }
 
@@ -231,6 +232,8 @@ pub struct TraceRecorder {
     /// Total segment time per kind across all recorded traces (indexed by
     /// [`SpanKind::priority`] order).
     span_totals: [Nanos; SpanKind::ALL.len()],
+    /// The segmenter's buffers, recycled across requests.
+    sweep: Sweep,
 }
 
 impl TraceRecorder {
@@ -248,6 +251,7 @@ impl TraceRecorder {
             recorded: 0,
             dropped: 0,
             span_totals: [Nanos::ZERO; SpanKind::ALL.len()],
+            sweep: Sweep::default(),
         }
     }
 
@@ -304,7 +308,8 @@ impl TraceRecorder {
             earliest = earliest.min(e.start);
             end = end.max(e.end);
         }
-        let segments = segment(submit, earliest, end, &events);
+        // Exact-sized copy: the ring keeps no growth slack per trace.
+        let segments = self.sweep.run(submit, earliest, end, &events).to_vec();
         for s in &segments {
             self.span_totals[s.kind.priority()] += s.dur();
         }
@@ -432,45 +437,103 @@ fn meta_str(pid: u64, tid: Option<u64>, name: &str, value: &str) -> String {
 /// Partitions `[submit, end)` into classified segments: `[submit,
 /// earliest)` is queue wait; each slice of `[earliest, end)` takes the
 /// highest-priority event kind covering it, or `Wait` when no resource
-/// was working for the request. Adjacent same-kind slices merge.
-fn segment(submit: Nanos, earliest: Nanos, end: Nanos, events: &[TraceEvent]) -> Vec<Segment> {
-    let mut out: Vec<Segment> = Vec::new();
-    let mut push = |kind: SpanKind, cause: OpCause, start: Nanos, stop: Nanos| {
+/// was working for the request. On a kind tie the host-caused command
+/// wins (time under the request's own command is service, not
+/// interference, even if background work overlaps), then the later
+/// event in issue order. Adjacent slices of equal kind and cause merge.
+///
+/// One sweep over the sorted event bounds, O(E log E) for E events.
+/// Events may be empty, inverted or outside the window (they cover
+/// nothing there).
+///
+/// # Panics
+///
+/// Panics if `end < earliest`.
+pub fn segment(submit: Nanos, earliest: Nanos, end: Nanos, events: &[TraceEvent]) -> Vec<Segment> {
+    let mut sweep = Sweep::default();
+    sweep.run(submit, earliest, end, events);
+    sweep.out
+}
+
+/// The sweep's working buffers.
+#[derive(Debug, Clone, Default)]
+struct Sweep {
+    /// Slice boundaries: every event bound clamped into the window.
+    bounds: Vec<Nanos>,
+    /// Event indices in start order (admission order).
+    by_start: Vec<u32>,
+    /// Admitted events keyed `(priority, host-caused, index)`, packed
+    /// into one word, index lowest. Expiry is lazy: an ended event
+    /// stays until it surfaces at the top.
+    covering: BinaryHeap<u64>,
+    out: Vec<Segment>,
+}
+
+impl Sweep {
+    fn push(&mut self, kind: SpanKind, cause: OpCause, start: Nanos, stop: Nanos) {
         if stop <= start {
             return;
         }
-        if let Some(last) = out.last_mut() {
+        if let Some(last) = self.out.last_mut() {
             if last.kind == kind && last.cause == cause && last.end == start {
                 last.end = stop;
                 return;
             }
         }
-        out.push(Segment { kind, cause, start, end: stop });
-    };
-    push(SpanKind::QueueWait, OpCause::Host, submit, earliest);
-    let mut bounds: Vec<Nanos> = Vec::with_capacity(events.len() * 2 + 2);
-    bounds.push(earliest);
-    bounds.push(end);
-    for e in events {
-        bounds.push(e.start.clamp(earliest, end));
-        bounds.push(e.end.clamp(earliest, end));
+        self.out.push(Segment { kind, cause, start, end: stop });
     }
-    bounds.sort_unstable();
-    bounds.dedup();
-    for w in bounds.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        // Highest-priority covering event wins the slice; on a kind tie the
-        // host-caused command wins (time under the request's own command is
-        // service, not interference, even if background work overlaps).
-        let (kind, cause) = events
-            .iter()
-            .filter(|e| e.start <= a && e.end >= b)
-            .map(|e| (e.kind, e.cause))
-            .max_by_key(|&(k, c)| (k.priority(), c == OpCause::Host))
-            .unwrap_or((SpanKind::Wait, OpCause::Host));
-        push(kind, cause, a, b);
+
+    fn run(
+        &mut self,
+        submit: Nanos,
+        earliest: Nanos,
+        end: Nanos,
+        events: &[TraceEvent],
+    ) -> &[Segment] {
+        assert!(u32::try_from(events.len()).is_ok(), "heap keys carry 32-bit event indices");
+        self.out.clear();
+        self.bounds.clear();
+        self.by_start.clear();
+        self.covering.clear();
+        self.push(SpanKind::QueueWait, OpCause::Host, submit, earliest);
+        self.bounds.extend([earliest, end]);
+        for (i, e) in events.iter().enumerate() {
+            if e.end > e.start {
+                self.bounds.extend([e.start.clamp(earliest, end), e.end.clamp(earliest, end)]);
+                self.by_start.push(i as u32);
+            }
+        }
+        self.bounds.sort_unstable();
+        self.bounds.dedup();
+        self.by_start.sort_unstable_by_key(|&i| events[i as usize].start);
+        let mut admitted = 0;
+        for w in 1..self.bounds.len() {
+            let (a, b) = (self.bounds[w - 1], self.bounds[w]);
+            // An event covers the slice when its raw bounds contain it.
+            // Slices only move right, so one that ended short of this
+            // slice's end covers no later slice either.
+            while let Some(&i) = self.by_start.get(admitted) {
+                let e = &events[i as usize];
+                if e.start > a {
+                    break;
+                }
+                let host = u64::from(e.cause == OpCause::Host);
+                self.covering.push((e.kind.priority() as u64) << 33 | host << 32 | u64::from(i));
+                admitted += 1;
+            }
+            // The low word of a key is the event's index.
+            while self.covering.peek().is_some_and(|&k| events[k as u32 as usize].end < b) {
+                self.covering.pop();
+            }
+            let (kind, cause) =
+                self.covering.peek().map_or((SpanKind::Wait, OpCause::Host), |&k| {
+                    let e = &events[k as u32 as usize];
+                    (e.kind, e.cause)
+                });
+            self.push(kind, cause, a, b);
+        }
+        &self.out
     }
-    out
 }
 
 /// Validates a chrome trace export against the checked-in schema (see
@@ -724,6 +787,13 @@ mod tests {
         let json = rec.to_chrome_json();
         assert!(json.contains("\"cause\":\"gc\""));
         assert!(json.contains("\"cause\":\"sanitize\""));
+    }
+
+    #[test]
+    fn span_kind_discriminants_are_their_priorities() {
+        for (i, kind) in SpanKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?} is out of priority order");
+        }
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //! * **gauges** — a sanitizing policy holds live T_insecure at zero
 //!   while the no-sanitization baseline accrues it;
 //! * **stale audit log** — gated by config, compactable, and still
-//!   sufficient for `verify_sanitized`.
+//!   sufficient for `verify_sanitized`;
+//! * **segmenter** — the sweep-line `trace::segment` returns exactly what
+//!   the quadratic rule it replaced returns, on arbitrary event sets.
 
-use evanesco::ftl::SanitizePolicy;
-use evanesco::ssd::trace::ResourceId;
+use evanesco::ftl::{OpCause, SanitizePolicy};
+use evanesco::nand::timing::Nanos;
+use evanesco::ssd::trace::{segment, ResourceId, Segment, SpanKind, TraceEvent};
 use evanesco::ssd::{validate_chrome_trace, Emulator, HostOp, SsdConfig};
+use proptest::prelude::*;
 use std::collections::HashMap;
 
 const SCHEMA: &str = include_str!("data/trace_schema.json");
@@ -223,6 +227,122 @@ fn verify_without_audit_log_panics() {
     let mut ssd = Emulator::new(cfg, SanitizePolicy::evanesco());
     ssd.write(0, 4, true);
     ssd.verify_sanitized(0, 4);
+}
+
+/// The segmentation rule as first written, kept as the reference: for
+/// each elementary interval between sorted bounds, filter every event for
+/// the ones whose raw bounds cover it and keep the *last* maximal one by
+/// (kind priority, host-caused). O(E²) — a request carrying a GC victim
+/// copy made tracing cost 15× the bare run.
+fn quadratic_segment(
+    submit: Nanos,
+    earliest: Nanos,
+    end: Nanos,
+    events: &[TraceEvent],
+) -> Vec<Segment> {
+    let priority = |k: SpanKind| SpanKind::ALL.iter().position(|&x| x == k).unwrap();
+    let mut out: Vec<Segment> = Vec::new();
+    let mut push = |kind: SpanKind, cause: OpCause, start: Nanos, stop: Nanos| {
+        if stop <= start {
+            return;
+        }
+        if let Some(last) = out.last_mut() {
+            if last.kind == kind && last.cause == cause && last.end == start {
+                last.end = stop;
+                return;
+            }
+        }
+        out.push(Segment { kind, cause, start, end: stop });
+    };
+    push(SpanKind::QueueWait, OpCause::Host, submit, earliest);
+    let mut bounds = vec![earliest, end];
+    for e in events {
+        bounds.push(e.start.clamp(earliest, end));
+        bounds.push(e.end.clamp(earliest, end));
+    }
+    bounds.sort_unstable();
+    bounds.dedup();
+    for w in bounds.windows(2) {
+        let (a, b) = (w[0], w[1]);
+        let (kind, cause) = events
+            .iter()
+            .filter(|e| e.start <= a && e.end >= b)
+            .map(|e| (e.kind, e.cause))
+            .max_by_key(|&(k, c)| (priority(k), c == OpCause::Host))
+            .unwrap_or((SpanKind::Wait, OpCause::Host));
+        push(kind, cause, a, b);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Differential test of the sweep against the quadratic reference.
+    /// Times fall on a coarse grid so bounds coincide constantly: events
+    /// ending exactly where a slice ends, equal starts, and same-kind
+    /// overlaps under different non-host causes (where only the issue
+    /// order decides). Events may be empty, inverted, straddle either end
+    /// of the window or lie wholly outside it, and `earliest` may precede
+    /// `submit`.
+    #[test]
+    fn sweep_segmenter_matches_the_quadratic_reference(
+        n in 0usize..1500,
+        seed in 0u64..u64::MAX,
+        grid in prop_oneof![Just(1u64), Just(7u64), Just(100u64)],
+        kinds in 1usize..=10,
+    ) {
+        let mut x = seed | 1;
+        let mut step = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x >> 32
+        };
+        const CAUSES: [OpCause; 4] = [OpCause::Host, OpCause::Gc, OpCause::Sanitize, OpCause::Retry];
+        // The window sits inside a span three times as long, so about a
+        // third of the events start before it and a third end after it.
+        let span = 3 + (n as u64 + step() % 64) * (1 + step() % 4);
+        let earliest = Nanos(grid * (span / 3));
+        let end = Nanos(grid * (span / 3 + step() % (span / 3 + 1)));
+        let submit = Nanos(grid * (step() % (span / 2 + 1)));
+        let events: Vec<TraceEvent> = (0..n)
+            .map(|_| {
+                let start = grid * (step() % span);
+                let len = match step() % 8 {
+                    0 => 0,
+                    1 => grid * (step() % span),
+                    _ => grid * (1 + step() % 6),
+                };
+                // One in sixteen is inverted (ends before it starts).
+                let (start, stop) =
+                    if step() % 16 == 0 { (start + len, start) } else { (start, start + len) };
+                TraceEvent {
+                    kind: SpanKind::ALL[(step() as usize) % kinds],
+                    cause: CAUSES[(step() % 4) as usize],
+                    resource: if step() % 2 == 0 {
+                        ResourceId::Chip((step() % 8) as usize)
+                    } else {
+                        ResourceId::Channel((step() % 2) as usize)
+                    },
+                    start: Nanos(start),
+                    end: Nanos(stop),
+                }
+            })
+            .collect();
+        let got = segment(submit, earliest, end, &events);
+        prop_assert_eq!(&got, &quadratic_segment(submit, earliest, end, &events));
+        // And it is a timeline: contiguous from the earlier of submit and
+        // earliest to end, no empty or unmerged slices.
+        let mut cursor = submit.min(earliest);
+        for (i, s) in got.iter().enumerate() {
+            prop_assert_eq!(s.start, cursor);
+            prop_assert!(s.end > s.start);
+            prop_assert!(i == 0 || (got[i - 1].kind, got[i - 1].cause) != (s.kind, s.cause));
+            cursor = s.end;
+        }
+        prop_assert_eq!(cursor, end.max(submit.min(earliest)));
+    }
 }
 
 mod eviction {
