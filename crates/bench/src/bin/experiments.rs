@@ -4,12 +4,15 @@
 //! experiments [--quick|--smoke|--scale NAME] [--seed N] <name>... | all
 //! ```
 //!
-//! Names: table1 table2 fig2 fig4 fig6 fig9 fig10 fig11 fig12 fig14a
-//! fig14b fig14c headline overhead ablation-k ablation-blocktrig
-//! ablation-lazy scheduler. Default scale is `full` (use `--release`!).
+//! Names: table2 fig2 table1 fig4 fig6 fig9 fig10 fig11 fig12 overhead
+//! fig14a fig14b fig14c headline breakdown delete-latency ablation-k
+//! ablation-blocktrig ablation-lazy ablation-gc security-flagaging
+//! scheduler trace report campaign chaos fleet anatomy
+//! (`evanesco_bench::EXPERIMENT_NAMES`). Default scale is `full` (use
+//! `--release`!).
 //!
-//! Four names carry regression gates (and fail the process with exit 1
-//! when breached):
+//! The last seven carry regression gates (and fail the process with exit
+//! 1 when breached):
 //!
 //! * `scheduler` — writes `BENCH_scheduler.json` and fails when the
 //!   queue-depth-8 speedup over the serialized baseline falls under the

@@ -23,7 +23,8 @@
 //! | §5.5 overhead | [`experiments::background::overhead`] |
 //!
 //! Run everything with `cargo run --release -p evanesco-bench --bin
-//! experiments -- all`. Criterion micro-benchmarks live under `benches/`.
+//! experiments -- all`. Host wall-clock is measured by the repo benchmark
+//! (`BENCHMARK.json`, `benchmark/`), not here.
 
 pub mod experiments;
 pub mod scale;

@@ -1,0 +1,298 @@
+//! Checkpoint codec: every dynamic table of the FTL to and from the
+//! snapshot stream, byte for byte (format 3, section 0x30).
+
+use super::*;
+use evanesco_nand::snapshot::{Dec, Enc, SnapshotError};
+
+/// Wire codes: an enum value travels as its index in its table, so the
+/// tables are checkpoint format — append to them, never reorder.
+const PAGE_STATUS: [PageStatus; 4] =
+    [PageStatus::Free, PageStatus::Valid, PageStatus::Secured, PageStatus::Invalid];
+const BLOCK_STATE: [BlockState; 5] = [
+    BlockState::Free,
+    BlockState::Open,
+    BlockState::Full,
+    BlockState::Reclaimable,
+    BlockState::Retired,
+];
+const DEGRADED_MODE: [DegradedMode; 3] =
+    [DegradedMode::Normal, DegradedMode::SpareLow, DegradedMode::ReadOnly];
+
+fn encode_code<T: PartialEq>(e: &mut Enc, table: &[T], v: T) {
+    e.u8(table.iter().position(|x| *x == v).expect("every variant is in its table") as u8);
+}
+
+/// A length-prefixed list of block ids.
+fn encode_u32s<'a>(e: &mut Enc, ids: impl ExactSizeIterator<Item = &'a u32>) {
+    e.usize(ids.len());
+    ids.for_each(|&b| e.u32(b));
+}
+
+fn decode_code<T: Copy>(d: &mut Dec<'_>, table: &[T], what: &str) -> Result<T, SnapshotError> {
+    let code = d.u8()?;
+    table
+        .get(usize::from(code))
+        .copied()
+        .ok_or_else(|| SnapshotError::Corrupt(format!("unknown {what} {code:#04x}")))
+}
+
+impl Ftl {
+    /// Serializes every dynamic table of the FTL — the L2P map, per-chip
+    /// page/block state (including the GC victim index and free/reclaimable
+    /// queue *orders*, which affect future victim and allocation choices),
+    /// the write frontier, counters, sequence number, coalescing queue, and
+    /// degraded mode — into a checkpoint stream.
+    ///
+    /// The decision log is observational only and not checkpointed.
+    pub fn encode_state(&self, e: &mut Enc) {
+        e.tag(0x30);
+        e.usize(self.l2p.len());
+        for slot in &self.l2p {
+            e.opt(slot, encode_gppa);
+        }
+        e.usize(self.chips.len());
+        for c in &self.chips {
+            e.usize(c.p2l.len());
+            for slot in &c.p2l {
+                e.opt(slot, |e, lpa| e.u64(*lpa));
+            }
+            for &s in &c.status {
+                encode_code(e, &PAGE_STATUS, s);
+            }
+            e.usize(c.blocks.len());
+            for b in &c.blocks {
+                encode_code(e, &BLOCK_STATE, b.state);
+                e.u32(b.live);
+                e.u32(b.invalid);
+                e.u32(b.written);
+                e.u64(b.closed_at);
+            }
+            encode_u32s(e, c.free.iter());
+            encode_u32s(e, c.reclaimable.iter());
+            e.opt(&c.active, |e, a| {
+                e.u32(a.id);
+                e.u32(a.next_page);
+            });
+            let mut gc: Vec<u32> = c.gc_in_progress.iter().copied().collect();
+            gc.sort_unstable();
+            encode_u32s(e, gc.iter());
+            // Victim index verbatim: bucket order breaks cost-benefit GC
+            // ties, so it must survive exactly (never rebuilt sorted).
+            e.usize(c.victims.buckets.len());
+            for bucket in &c.victims.buckets {
+                encode_u32s(e, bucket.iter());
+            }
+            e.usize(c.victims.pos.len());
+            for p in &c.victims.pos {
+                e.opt(p, |e, &(live, slot)| {
+                    e.u32(live);
+                    e.u32(slot);
+                });
+            }
+            e.u32(c.victims.min_live);
+            e.u64(c.live_total);
+            e.u64(c.invalid_total);
+            e.u32(c.retired);
+        }
+        e.usize(self.chip_order.len());
+        for &c in &self.chip_order {
+            e.usize(c);
+        }
+        e.usize(self.next_chip);
+        self.stats.encode_snapshot(e);
+        e.u64(self.seq);
+        e.usize(self.pending_locks.len());
+        for entry in self.pending_locks.iter() {
+            e.usize(entry.chip);
+            e.u32(entry.block);
+            e.usize(entry.pages.len());
+            for p in &entry.pages {
+                encode_gppa(e, p);
+            }
+            e.u64(entry.since);
+        }
+        encode_code(e, &DEGRADED_MODE, self.mode);
+    }
+
+    /// Restores state written by [`Ftl::encode_state`] into an FTL built
+    /// with the same configuration and policy.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncation, structural corruption, or table dimensions
+    /// that do not match this FTL's geometry.
+    pub fn decode_state(&mut self, d: &mut Dec<'_>) -> Result<(), SnapshotError> {
+        d.expect_tag(0x30, "ftl")?;
+        dimension(d, self.l2p.len(), "L2P size")?;
+        for slot in &mut self.l2p {
+            *slot = d.opt(decode_gppa)?;
+        }
+        dimension(d, self.chips.len(), "chip count")?;
+        for c in &mut self.chips {
+            dimension(d, c.p2l.len(), "chip page count")?;
+            for slot in &mut c.p2l {
+                *slot = d.opt(|d| d.u64())?;
+            }
+            for s in &mut c.status {
+                *s = decode_code(d, &PAGE_STATUS, "page status")?;
+            }
+            dimension(d, c.blocks.len(), "block count")?;
+            for b in &mut c.blocks {
+                b.state = decode_code(d, &BLOCK_STATE, "block state")?;
+                b.live = d.u32()?;
+                b.invalid = d.u32()?;
+                b.written = d.u32()?;
+                b.closed_at = d.u64()?;
+            }
+            c.free.clear();
+            for _ in 0..d.usize()? {
+                c.free.push_back(d.u32()?);
+            }
+            c.reclaimable.clear();
+            for _ in 0..d.usize()? {
+                c.reclaimable.push_back(d.u32()?);
+            }
+            c.active = d.opt(|d| Ok(ActiveBlock { id: d.u32()?, next_page: d.u32()? }))?;
+            c.gc_in_progress.clear();
+            for _ in 0..d.usize()? {
+                c.gc_in_progress.insert(d.u32()?);
+            }
+            dimension(d, c.victims.buckets.len(), "victim bucket count")?;
+            for bucket in &mut c.victims.buckets {
+                bucket.clear();
+                for _ in 0..d.usize()? {
+                    bucket.push(d.u32()?);
+                }
+            }
+            dimension(d, c.victims.pos.len(), "victim position count")?;
+            for p in &mut c.victims.pos {
+                *p = d.opt(|d| Ok((d.u32()?, d.u32()?)))?;
+            }
+            c.victims.min_live = d.u32()?;
+            c.live_total = d.u64()?;
+            c.invalid_total = d.u64()?;
+            c.retired = d.u32()?;
+        }
+        dimension(d, self.chip_order.len(), "chip-order length")?;
+        for c in &mut self.chip_order {
+            *c = d.usize()?;
+        }
+        self.next_chip = d.usize()?;
+        self.stats = FtlStats::decode_snapshot(d)?;
+        self.seq = d.u64()?;
+        self.pending_locks.clear();
+        for _ in 0..d.usize()? {
+            let chip = d.usize()?;
+            let block = d.u32()?;
+            let n = d.usize()?;
+            // Cap the pre-allocation: a corrupted length prefix must surface
+            // as a decode error downstream, not an OOM abort here.
+            let mut pages = Vec::with_capacity(n.min(1 << 16));
+            for _ in 0..n {
+                pages.push(decode_gppa(d)?);
+            }
+            let since = d.u64()?;
+            if chip >= self.chips.len() || block >= self.cfg.geometry.blocks {
+                return Err(SnapshotError::Corrupt(format!(
+                    "coalesce entry out of range: chip {chip}, block {block}"
+                )));
+            }
+            self.pending_locks.enqueue(chip, block, &pages, since);
+        }
+        self.mode = decode_code(d, &DEGRADED_MODE, "degraded mode")?;
+        Ok(())
+    }
+}
+
+/// Reads a table dimension and checks it against this FTL's.
+fn dimension(d: &mut Dec<'_>, want: usize, what: &str) -> Result<(), SnapshotError> {
+    let got = d.usize()?;
+    if got == want {
+        return Ok(());
+    }
+    Err(SnapshotError::Mismatch(format!(
+        "{what} {got} does not match the configured device ({want})"
+    )))
+}
+
+fn encode_gppa(e: &mut Enc, at: &GlobalPpa) {
+    e.usize(at.chip);
+    e.u32(at.ppa.block.0);
+    e.u32(at.ppa.page.0);
+}
+
+fn decode_gppa(d: &mut Dec<'_>) -> Result<GlobalPpa, SnapshotError> {
+    let chip = d.usize()?;
+    let block = d.u32()?;
+    let page = d.u32()?;
+    Ok(GlobalPpa { chip, ppa: Ppa { block: BlockId(block), page: PageId(page) } })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testutil::*;
+    use super::*;
+
+    #[test]
+    fn snapshot_roundtrip_resumes_ftl_exactly() {
+        use evanesco_nand::snapshot::{Dec, Enc};
+        let cfg = FtlConfig::tiny_for_tests();
+        let (mut ftl, mut ex) = setup_with(cfg, SanitizePolicy::evanesco());
+        // Drive enough traffic to populate GC structures and the queues.
+        let logical = cfg.logical_pages();
+        for round in 0..6u64 {
+            for lpa in 0..logical / 2 {
+                ftl.write(&mut ex, &mut NullObserver, lpa, lpa % 3 == 0, round * 1000 + lpa);
+            }
+            ftl.trim(
+                &mut ex,
+                &mut NullObserver,
+                &(0..logical / 8).map(|i| i * 4).collect::<Vec<_>>(),
+            );
+        }
+        ftl.check_invariants();
+
+        let mut e = Enc::new();
+        ftl.encode_state(&mut e);
+        let bytes = e.into_bytes();
+        let mut restored = Ftl::new(cfg, SanitizePolicy::evanesco());
+        restored.decode_state(&mut Dec::new(&bytes)).unwrap();
+        let mut d = Dec::new(&bytes);
+        restored.check_invariants();
+        // decode_state consumed its own stream exactly.
+        Ftl::new(cfg, SanitizePolicy::evanesco()).decode_state(&mut d).unwrap();
+        d.finish().unwrap();
+
+        assert_eq!(restored.stats(), ftl.stats());
+        assert_eq!(restored.degraded(), ftl.degraded());
+        // Continue both in lockstep against identical executors.
+        let mut ex2 = ex.clone();
+        for lpa in 0..logical / 2 {
+            ftl.write(&mut ex, &mut NullObserver, lpa, lpa % 2 == 0, 9000 + lpa);
+            restored.write(&mut ex2, &mut NullObserver, lpa, lpa % 2 == 0, 9000 + lpa);
+        }
+        assert_eq!(restored.stats(), ftl.stats());
+        for lpa in 0..logical {
+            assert_eq!(restored.mapped(lpa), ftl.mapped(lpa), "mapping diverged at lpa {lpa}");
+        }
+        let mut ea = Enc::new();
+        let mut eb = Enc::new();
+        ftl.encode_state(&mut ea);
+        restored.encode_state(&mut eb);
+        assert_eq!(ea.into_bytes(), eb.into_bytes(), "post-resume state diverged");
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_geometry_mismatch() {
+        use evanesco_nand::snapshot::{Dec, Enc, SnapshotError};
+        let cfg = FtlConfig::tiny_for_tests();
+        let ftl = Ftl::new(cfg, SanitizePolicy::evanesco());
+        let mut e = Enc::new();
+        ftl.encode_state(&mut e);
+        let bytes = e.into_bytes();
+        let other = FtlConfig { n_chips: 1, ..cfg };
+        let mut wrong = Ftl::new(other, SanitizePolicy::evanesco());
+        let err = wrong.decode_state(&mut Dec::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Mismatch(_)), "{err}");
+    }
+}

@@ -227,26 +227,17 @@ impl Ftl {
         let needs_oob = mismatch(CorruptTarget::L2pMap)
             || mismatch(CorruptTarget::CoalesceQueue)
             || mismatch(CorruptTarget::BadBlockTable);
-        // recover() settles `pending` itself; clear it first so this
-        // detection is not double-counted by guard_after_recover.
-        self.guard.as_mut().expect("guard armed").pending = false;
         if needs_oob {
-            // Authoritative tables: rebuild everything from on-flash OOB
-            // through the power-up recovery scan, then prune the mappings
-            // the scan resurrected from insecurely trimmed (still
-            // readable) flash — the sealed tombstone filter is the trim
-            // truth flash cannot carry.
-            let tombstones =
-                std::mem::take(&mut self.guard.as_mut().expect("guard armed").unmapped);
-            let _ = self.recover(ex, obs);
+            // Authoritative tables: rebuild everything from on-flash OOB.
+            self.guard_rebuild_from_flash(ex, obs);
             self.stats.meta_repairs_from_oob += 1;
-            self.guard_prune_resurrections(ex, obs, &tombstones);
         } else {
             // Derived structures: re-derive from the RAM status table.
+            self.guard.as_mut().expect("guard armed").pending = false;
             self.rederive_counters_and_victims();
             self.stats.meta_repairs_rederived += 1;
         }
-        if !self.invariants_ok() {
+        if self.first_violation().is_some() {
             // Never serve from a table that failed its check: degrade to
             // read-only through the existing watermark machinery.
             self.stats.meta_unrecoverable += 1;
@@ -255,46 +246,39 @@ impl Ftl {
         self.guard_reseal();
     }
 
-    /// Re-invalidates every mapping the recovery scan resurrected from
-    /// insecurely trimmed flash: a page whose sealed truth (`tombstones`,
-    /// captured at the last reseal) was *deliberately unmapped* but that
-    /// the OOB rebuild re-mapped. Between reseal and repair the only
-    /// mutation was the injected corruption, so the filter is exact. The
-    /// re-invalidation replays the host's original delete (trim cause:
-    /// synchronous locks if a secured page ever got here), so the repair
-    /// stays semantically invisible to the host.
-    fn guard_prune_resurrections<E: NandExecutor, O: FtlObserver>(
+    /// Rebuilds every table through the power-up recovery scan, then
+    /// re-invalidates every mapping the scan resurrected from insecurely
+    /// trimmed (still readable) flash: a page whose sealed truth (the
+    /// tombstone filter captured at the last reseal — the trim truth flash
+    /// cannot carry) was *deliberately unmapped* but that the OOB rebuild
+    /// re-mapped. Between reseal and repair the only mutation was the
+    /// injected corruption, so the filter is exact. The re-invalidation
+    /// replays the host's original delete (trim cause: synchronous locks if
+    /// a secured page ever got here), so the repair stays semantically
+    /// invisible to the host.
+    fn guard_rebuild_from_flash<E: NandExecutor, O: FtlObserver>(
         &mut self,
         ex: &mut E,
         obs: &mut O,
-        tombstones: &[u64],
     ) {
-        let mut resurrected: Vec<Lpa> = Vec::new();
-        for (i, slot) in self.l2p.iter().enumerate() {
-            if slot.is_some() && tombstones.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1) {
-                resurrected.push(i as Lpa);
-            }
-        }
+        let g = self.guard.as_mut().expect("guard armed");
+        // recover() settles `pending` itself; clear it first so this
+        // detection is not double-counted by guard_after_recover.
+        g.pending = false;
+        let tombstones = std::mem::take(&mut g.unmapped);
+        let _ = self.recover(ex, obs);
+        let resurrected: Vec<Lpa> = (0..self.l2p.len())
+            .filter(|&i| {
+                self.l2p[i].is_some()
+                    && tombstones.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+            })
+            .map(|i| i as Lpa)
+            .collect();
         if resurrected.is_empty() {
             return;
         }
         self.stats.meta_resurrections_pruned += resurrected.len() as u64;
-        // Same block-grouped unmap-then-invalidate walk as `Ftl::trim`.
-        let mut group: Vec<GlobalPpa> = Vec::new();
-        while let Some(at0) = resurrected.iter().find_map(|&l| self.l2p[l as usize]) {
-            let key = (at0.chip, at0.ppa.block.0);
-            group.clear();
-            resurrected.retain(|&l| match self.l2p[l as usize] {
-                Some(at) if (at.chip, at.ppa.block.0) == key => {
-                    group.push(at);
-                    self.l2p[l as usize] = None;
-                    false
-                }
-                Some(_) => true,
-                None => false,
-            });
-            self.invalidate_block_group(ex, key.0, key.1, &group, InvalidateCause::Trim);
-        }
+        self.unmap_and_invalidate(ex, resurrected.into_iter());
         self.events.drain_into(obs);
     }
 
@@ -307,12 +291,7 @@ impl Ftl {
             let mut live_total = 0u64;
             let mut invalid_total = 0u64;
             for b in 0..n_blocks as usize {
-                let base = b * ppb as usize;
-                let live =
-                    (0..ppb as usize).filter(|&i| c.status[base + i].is_live()).count() as u32;
-                let invalid = (0..ppb as usize)
-                    .filter(|&i| c.status[base + i] == PageStatus::Invalid)
-                    .count() as u32;
+                let (live, invalid) = c.scan_block(b, ppb);
                 c.blocks[b].live = live;
                 c.blocks[b].invalid = invalid;
                 live_total += u64::from(live);
@@ -329,69 +308,6 @@ impl Ftl {
                 }
             }
         }
-    }
-
-    /// Non-panicking consistency check (the repair-verification twin of
-    /// [`Ftl::check_invariants`]), hardened against out-of-range addresses
-    /// a corrupted L2P entry could carry.
-    fn invariants_ok(&self) -> bool {
-        let ppb = self.cfg.geometry.pages_per_block();
-        let n_blocks = self.cfg.geometry.blocks;
-        let mut mapped = 0u64;
-        for (lpa, at) in self.l2p.iter().enumerate() {
-            if let Some(at) = at {
-                if at.chip >= self.chips.len() || at.ppa.block.0 >= n_blocks || at.ppa.page.0 >= ppb
-                {
-                    return false;
-                }
-                let idx = self.flat(at.ppa);
-                if self.chips[at.chip].p2l[idx] != Some(lpa as Lpa) {
-                    return false;
-                }
-                if !self.chips[at.chip].status[idx].is_live() {
-                    return false;
-                }
-                mapped += 1;
-            }
-        }
-        if mapped != self.live_pages() {
-            return false;
-        }
-        for c in &self.chips {
-            let mut live_sum = 0u64;
-            let mut invalid_sum = 0u64;
-            for (bi, b) in c.blocks.iter().enumerate() {
-                let base = bi * ppb as usize;
-                let live =
-                    (0..ppb as usize).filter(|&i| c.status[base + i].is_live()).count() as u32;
-                let invalid = (0..ppb as usize)
-                    .filter(|&i| c.status[base + i] == PageStatus::Invalid)
-                    .count() as u32;
-                if live != b.live || invalid != b.invalid {
-                    return false;
-                }
-                live_sum += u64::from(live);
-                invalid_sum += u64::from(invalid);
-                let indexed = c.victims.contains(bi as u32);
-                if indexed != (b.state == BlockState::Full) {
-                    return false;
-                }
-                if indexed {
-                    match c.victims.pos[bi] {
-                        Some((bucket, _)) if bucket == b.live => {}
-                        _ => return false,
-                    }
-                }
-            }
-            if live_sum != c.live_total || invalid_sum != c.invalid_total {
-                return false;
-            }
-            let retired = c.blocks.iter().filter(|b| b.state == BlockState::Retired).count() as u32;
-            if retired != c.retired {
-                return false;
-            }
-        }
-        true
     }
 
     // -----------------------------------------------------------------
@@ -413,11 +329,7 @@ impl Ftl {
         self.stats.audit_scrub_blocks += 1;
         if self.audit_block_diverges(ex, chip, block) {
             self.stats.audit_divergences += 1;
-            let g = self.guard.as_mut().expect("guard armed");
-            g.pending = false;
-            let tombstones = std::mem::take(&mut g.unmapped);
-            let _ = self.recover(ex, obs);
-            self.guard_prune_resurrections(ex, obs, &tombstones);
+            self.guard_rebuild_from_flash(ex, obs);
             self.guard_reseal();
         }
     }
@@ -660,11 +572,8 @@ fn seal_index(t: CorruptTarget) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testutil::*;
     use super::*;
-    use crate::config::FtlConfig;
-    use crate::executor::MemExecutor;
-    use crate::observer::NullObserver;
-    use crate::policy::SanitizePolicy;
 
     fn drive(ftl: &mut Ftl, ex: &mut MemExecutor, rounds: u64) {
         let logical = ftl.config().logical_pages();
@@ -690,9 +599,7 @@ mod tests {
 
     #[test]
     fn guarded_storm_accounts_every_injection() {
-        let cfg = FtlConfig::tiny_for_tests();
-        let mut ftl = Ftl::new(cfg, SanitizePolicy::evanesco());
-        let mut ex = MemExecutor::new(cfg.geometry, cfg.n_chips);
+        let (mut ftl, mut ex) = setup(SanitizePolicy::evanesco());
         ftl.enable_guard(CorruptionConfig::storm(0.3, 99));
         drive(&mut ftl, &mut ex, 300);
         ftl.guard_finalize(&mut ex, &mut NullObserver);
@@ -740,8 +647,7 @@ mod tests {
         // host sequences see identical injections and identical repairs.
         let cfg = FtlConfig::tiny_for_tests();
         let mk = || {
-            let mut ftl = Ftl::new(cfg, SanitizePolicy::evanesco());
-            let mut ex = MemExecutor::new(cfg.geometry, cfg.n_chips);
+            let (mut ftl, mut ex) = setup_with(cfg, SanitizePolicy::evanesco());
             ftl.enable_guard(CorruptionConfig::storm(0.25, 7));
             drive(&mut ftl, &mut ex, 250);
             ftl.guard_finalize(&mut ex, &mut NullObserver);
@@ -766,9 +672,7 @@ mod tests {
 
     #[test]
     fn forced_unrecoverable_degrades_to_read_only_and_stays_accounted() {
-        let cfg = FtlConfig::tiny_for_tests();
-        let mut ftl = Ftl::new(cfg, SanitizePolicy::evanesco());
-        let mut ex = MemExecutor::new(cfg.geometry, cfg.n_chips);
+        let (mut ftl, mut ex) = setup(SanitizePolicy::evanesco());
         ftl.enable_guard(CorruptionConfig::none());
         ftl.guard_preop(&mut ex, &mut NullObserver);
         ftl.write(&mut ex, &mut NullObserver, 0, true, 1);
@@ -787,9 +691,7 @@ mod tests {
         // An insecure trim leaves the page readable with valid OOB — the
         // recovery scan would happily re-map it. The guard's tombstone
         // filter must prune that resurrection after an OOB repair.
-        let cfg = FtlConfig::tiny_for_tests();
-        let mut ftl = Ftl::new(cfg, SanitizePolicy::evanesco());
-        let mut ex = MemExecutor::new(cfg.geometry, cfg.n_chips);
+        let (mut ftl, mut ex) = setup(SanitizePolicy::evanesco());
         ftl.enable_guard(CorruptionConfig::none());
         for (lpa, secure, tag) in [(1, true, 0xA1u64), (3, false, 0xB3)] {
             ftl.guard_preop(&mut ex, &mut NullObserver);
@@ -817,9 +719,7 @@ mod tests {
     fn storm_never_leaks_a_secured_delete() {
         use evanesco_core::threat::Attacker;
         // Corruption + repair must never unwind an acked sanitization.
-        let cfg = FtlConfig::tiny_for_tests();
-        let mut ftl = Ftl::new(cfg, SanitizePolicy::evanesco());
-        let mut ex = MemExecutor::new(cfg.geometry, cfg.n_chips);
+        let (mut ftl, mut ex) = setup(SanitizePolicy::evanesco());
         ftl.enable_guard(CorruptionConfig::storm(0.5, 3));
         let tags: Vec<u64> = (0..8).map(|i| 0xDEAD_0000 + i).collect();
         for (i, &t) in tags.iter().enumerate() {

@@ -24,6 +24,17 @@ pub enum SanitizePolicy {
 }
 
 impl SanitizePolicy {
+    /// Every evaluated variant: baseline, `secSSD`, `secSSD_nobLock`,
+    /// `erSSD`, `scrSSD`. The policy-matrix suites iterate this, so a new
+    /// backend listed here joins all of them.
+    pub const ALL: [SanitizePolicy; 5] = [
+        SanitizePolicy::None,
+        SanitizePolicy::Evanesco { use_block: true },
+        SanitizePolicy::Evanesco { use_block: false },
+        SanitizePolicy::EraseBased,
+        SanitizePolicy::Scrub,
+    ];
+
     /// The insecure baseline.
     pub fn none() -> Self {
         SanitizePolicy::None

@@ -1,92 +1,116 @@
 //! FTL operation counters and derived metrics (WAF, lock mix).
 
-/// Cumulative FTL statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FtlStats {
+/// Declares [`FtlStats`] from one list of counters, so the struct, its
+/// array view and the checkpoint wire order cannot drift apart: a counter's
+/// position in this list *is* its position in every checkpoint.
+macro_rules! ftl_stats {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Cumulative FTL statistics.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct FtlStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl FtlStats {
+            /// Number of counters.
+            const N: usize = [$(stringify!($name)),*].len();
+
+            fn as_array(&self) -> [u64; Self::N] {
+                [$(self.$name),*]
+            }
+
+            fn from_array([$($name),*]: [u64; Self::N]) -> Self {
+                FtlStats { $($name),* }
+            }
+        }
+    };
+}
+
+ftl_stats! {
     /// Host-initiated page writes.
-    pub host_write_pages: u64,
+    host_write_pages,
     /// Host-initiated page reads.
-    pub host_read_pages: u64,
+    host_read_pages,
     /// Host-initiated trimmed pages.
-    pub host_trim_pages: u64,
+    host_trim_pages,
     /// NAND page programs (host + relocation).
-    pub nand_programs: u64,
+    nand_programs,
     /// NAND page reads (host + relocation).
-    pub nand_reads: u64,
+    nand_reads,
     /// NAND block erases.
-    pub nand_erases: u64,
+    nand_erases,
     /// Pages copied by GC or sanitization-forced relocation.
-    pub copied_pages: u64,
+    copied_pages,
     /// GC invocations.
-    pub gc_invocations: u64,
+    gc_invocations,
     /// `pLock` commands issued.
-    pub plocks: u64,
+    plocks,
     /// `bLock` commands issued.
-    pub blocks_locked: u64,
+    blocks_locked,
     /// Wordline scrubs performed (scrSSD).
-    pub scrubs: u64,
+    scrubs,
     /// Immediate block erases forced by sanitization (erSSD).
-    pub sanitize_erases: u64,
+    sanitize_erases,
     /// Deferred `pLock`s retired *without* a per-page command: their block
     /// was promoted to one `bLock`, or physically erased while they were
     /// queued (lock coalescing, paper §4.3's lock-queue merge).
-    pub coalesced_plocks: u64,
+    coalesced_plocks,
     /// Deferred `pLock`s that aged out of the coalescing window and were
     /// issued individually after all.
-    pub coalesce_flushed_plocks: u64,
+    coalesce_flushed_plocks,
     /// Reliability manager — `pLock` verify failures answered with a
     /// backed-off retry.
-    pub plock_retries: u64,
+    plock_retries,
     /// `pLock` retry budgets exhausted, escalating the page's block to a
     /// block-level sanitize (relocate + `bLock`/erase).
-    pub plock_escalations: u64,
+    plock_escalations,
     /// `pLock` retry budgets exhausted inside a block-level fallback,
     /// answered with an in-place scrub (the infallible terminal rung).
-    pub lock_scrub_fallbacks: u64,
+    lock_scrub_fallbacks,
     /// `bLock` verify failures answered with a backed-off retry.
-    pub block_lock_retries: u64,
+    block_lock_retries,
     /// `bLock` retry budgets exhausted, falling back to per-page locks or
     /// an immediate erase.
-    pub block_lock_fallbacks: u64,
+    block_lock_fallbacks,
     /// Program-status failures remapped to a fresh page (the consumed slot
     /// is marked invalid-suspect and scrubbed if it held secure data).
-    pub program_fail_remaps: u64,
+    program_fail_remaps,
     /// Erase-status failures answered with a retry.
-    pub erase_retries: u64,
+    erase_retries,
     /// Blocks retired as grown-bad after exhausting the erase retry budget.
-    pub retired_blocks: u64,
+    retired_blocks,
     /// Live pages relocated because their block was escalated to a
     /// block-level sanitize (subset of `copied_pages`).
-    pub reliability_relocations: u64,
+    reliability_relocations,
     /// Host writes rejected because the drive is in read-only degraded
     /// mode (spare-block reserve exhausted).
-    pub writes_rejected_readonly: u64,
+    writes_rejected_readonly,
     /// Metadata guard — corruptions injected into FTL RAM structures by
     /// the chaos injector (zero outside chaos runs).
-    pub meta_corruptions_injected: u64,
+    meta_corruptions_injected,
     /// Metadata guard — corruptions detected by the shadow checksums or
     /// the OOB audit scrubber before any host op was served from the
     /// damaged table.
-    pub meta_corruptions_detected: u64,
+    meta_corruptions_detected,
     /// Metadata guard — detected corruptions repaired by rebuilding the
     /// structure from on-flash OOB ground truth (full recovery scan).
-    pub meta_repairs_from_oob: u64,
+    meta_repairs_from_oob,
     /// Metadata guard — detected corruptions repaired by re-deriving the
     /// structure (counters, victim index) from the in-RAM map.
-    pub meta_repairs_rederived: u64,
+    meta_repairs_rederived,
     /// Metadata guard — repairs that failed post-verification; the drive
     /// degraded to read-only instead of serving from the bad table.
-    pub meta_unrecoverable: u64,
+    meta_unrecoverable,
     /// Audit scrubber — blocks cross-checked against on-flash OOB.
-    pub audit_scrub_blocks: u64,
+    audit_scrub_blocks,
     /// Audit scrubber — RAM-vs-OOB divergences found (subset of
     /// `meta_corruptions_detected`).
-    pub audit_divergences: u64,
+    audit_divergences,
     /// Metadata guard — logical pages a repair's recovery scan re-mapped
     /// from stale-but-readable flash (insecurely trimmed data has no
     /// on-flash tombstone) and the guard's trim filter re-invalidated
     /// before any host op could read the resurrected mapping.
-    pub meta_resurrections_pruned: u64,
+    meta_resurrections_pruned,
 }
 
 impl FtlStats {
@@ -111,44 +135,8 @@ impl FtlStats {
     /// since an earlier snapshot (used to exclude the prefill phase from
     /// measured metrics).
     pub fn since(&self, earlier: &FtlStats) -> FtlStats {
-        FtlStats {
-            host_write_pages: self.host_write_pages - earlier.host_write_pages,
-            host_read_pages: self.host_read_pages - earlier.host_read_pages,
-            host_trim_pages: self.host_trim_pages - earlier.host_trim_pages,
-            nand_programs: self.nand_programs - earlier.nand_programs,
-            nand_reads: self.nand_reads - earlier.nand_reads,
-            nand_erases: self.nand_erases - earlier.nand_erases,
-            copied_pages: self.copied_pages - earlier.copied_pages,
-            gc_invocations: self.gc_invocations - earlier.gc_invocations,
-            plocks: self.plocks - earlier.plocks,
-            blocks_locked: self.blocks_locked - earlier.blocks_locked,
-            scrubs: self.scrubs - earlier.scrubs,
-            sanitize_erases: self.sanitize_erases - earlier.sanitize_erases,
-            coalesced_plocks: self.coalesced_plocks - earlier.coalesced_plocks,
-            coalesce_flushed_plocks: self.coalesce_flushed_plocks - earlier.coalesce_flushed_plocks,
-            plock_retries: self.plock_retries - earlier.plock_retries,
-            plock_escalations: self.plock_escalations - earlier.plock_escalations,
-            lock_scrub_fallbacks: self.lock_scrub_fallbacks - earlier.lock_scrub_fallbacks,
-            block_lock_retries: self.block_lock_retries - earlier.block_lock_retries,
-            block_lock_fallbacks: self.block_lock_fallbacks - earlier.block_lock_fallbacks,
-            program_fail_remaps: self.program_fail_remaps - earlier.program_fail_remaps,
-            erase_retries: self.erase_retries - earlier.erase_retries,
-            retired_blocks: self.retired_blocks - earlier.retired_blocks,
-            reliability_relocations: self.reliability_relocations - earlier.reliability_relocations,
-            writes_rejected_readonly: self.writes_rejected_readonly
-                - earlier.writes_rejected_readonly,
-            meta_corruptions_injected: self.meta_corruptions_injected
-                - earlier.meta_corruptions_injected,
-            meta_corruptions_detected: self.meta_corruptions_detected
-                - earlier.meta_corruptions_detected,
-            meta_repairs_from_oob: self.meta_repairs_from_oob - earlier.meta_repairs_from_oob,
-            meta_repairs_rederived: self.meta_repairs_rederived - earlier.meta_repairs_rederived,
-            meta_unrecoverable: self.meta_unrecoverable - earlier.meta_unrecoverable,
-            audit_scrub_blocks: self.audit_scrub_blocks - earlier.audit_scrub_blocks,
-            audit_divergences: self.audit_divergences - earlier.audit_divergences,
-            meta_resurrections_pruned: self.meta_resurrections_pruned
-                - earlier.meta_resurrections_pruned,
-        }
+        let (now, then) = (self.as_array(), earlier.as_array());
+        Self::from_array(std::array::from_fn(|i| now[i] - then[i]))
     }
 
     /// Serializes every counter into a checkpoint stream.
@@ -166,77 +154,11 @@ impl FtlStats {
     pub fn decode_snapshot(
         d: &mut evanesco_nand::snapshot::Dec<'_>,
     ) -> Result<Self, evanesco_nand::snapshot::SnapshotError> {
-        Ok(FtlStats {
-            host_write_pages: d.u64()?,
-            host_read_pages: d.u64()?,
-            host_trim_pages: d.u64()?,
-            nand_programs: d.u64()?,
-            nand_reads: d.u64()?,
-            nand_erases: d.u64()?,
-            copied_pages: d.u64()?,
-            gc_invocations: d.u64()?,
-            plocks: d.u64()?,
-            blocks_locked: d.u64()?,
-            scrubs: d.u64()?,
-            sanitize_erases: d.u64()?,
-            coalesced_plocks: d.u64()?,
-            coalesce_flushed_plocks: d.u64()?,
-            plock_retries: d.u64()?,
-            plock_escalations: d.u64()?,
-            lock_scrub_fallbacks: d.u64()?,
-            block_lock_retries: d.u64()?,
-            block_lock_fallbacks: d.u64()?,
-            program_fail_remaps: d.u64()?,
-            erase_retries: d.u64()?,
-            retired_blocks: d.u64()?,
-            reliability_relocations: d.u64()?,
-            writes_rejected_readonly: d.u64()?,
-            meta_corruptions_injected: d.u64()?,
-            meta_corruptions_detected: d.u64()?,
-            meta_repairs_from_oob: d.u64()?,
-            meta_repairs_rederived: d.u64()?,
-            meta_unrecoverable: d.u64()?,
-            audit_scrub_blocks: d.u64()?,
-            audit_divergences: d.u64()?,
-            meta_resurrections_pruned: d.u64()?,
-        })
-    }
-
-    fn as_array(&self) -> [u64; 32] {
-        [
-            self.host_write_pages,
-            self.host_read_pages,
-            self.host_trim_pages,
-            self.nand_programs,
-            self.nand_reads,
-            self.nand_erases,
-            self.copied_pages,
-            self.gc_invocations,
-            self.plocks,
-            self.blocks_locked,
-            self.scrubs,
-            self.sanitize_erases,
-            self.coalesced_plocks,
-            self.coalesce_flushed_plocks,
-            self.plock_retries,
-            self.plock_escalations,
-            self.lock_scrub_fallbacks,
-            self.block_lock_retries,
-            self.block_lock_fallbacks,
-            self.program_fail_remaps,
-            self.erase_retries,
-            self.retired_blocks,
-            self.reliability_relocations,
-            self.writes_rejected_readonly,
-            self.meta_corruptions_injected,
-            self.meta_corruptions_detected,
-            self.meta_repairs_from_oob,
-            self.meta_repairs_rederived,
-            self.meta_unrecoverable,
-            self.audit_scrub_blocks,
-            self.audit_divergences,
-            self.meta_resurrections_pruned,
-        ]
+        let mut counters = [0u64; Self::N];
+        for v in &mut counters {
+            *v = d.u64()?;
+        }
+        Ok(Self::from_array(counters))
     }
 
     /// The metadata-integrity accounting identity: every injected

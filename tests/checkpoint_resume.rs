@@ -40,16 +40,6 @@ use proptest::prelude::*;
 const WEAK_PAP: PapConfig = PapConfig { k: 9, point: DesignPoint { v_index: 2, t_us: 200 } };
 const WEAK_BAP: BapConfig = BapConfig { point: DesignPoint { v_index: 5, t_us: 300 } };
 
-fn policies() -> [SanitizePolicy; 5] {
-    [
-        SanitizePolicy::none(),
-        SanitizePolicy::evanesco(),
-        SanitizePolicy::evanesco_no_block(),
-        SanitizePolicy::erase_based(),
-        SanitizePolicy::scrub(),
-    ]
-}
-
 /// A telemetry-enabled device under test (the checkpoint must carry the
 /// gauges and the windowed ring too, not just the simulation core).
 fn device(cfg: SsdConfig, policy: SanitizePolicy) -> Emulator {
@@ -99,7 +89,7 @@ proptest! {
         if severity >= 0.05 {
             cfg.ftl.faults = FaultConfig::storm(severity, fault_seed);
         }
-        let policy = policies()[policy_i];
+        let policy = SanitizePolicy::ALL[policy_i];
         let batches: Vec<&[HostOp]> = ops.chunks(8).collect();
         let cut = ((batches.len() as f64) * cut_frac) as usize;
         // Behavioral flags, the paper's physical flags, or a physical corner
@@ -166,7 +156,7 @@ proptest! {
         let mut cfg = SsdConfig::tiny_for_tests();
         cfg.track_tags = false;
         cfg.stale_audit = false;
-        let policy = policies()[policy_i];
+        let policy = SanitizePolicy::ALL[policy_i];
         let logical = Emulator::new(cfg, policy).logical_pages();
         let trace = generate(&specs[spec_i], logical, 250, seed);
         let stream: Vec<&TraceOp> = trace.prefill.iter().chain(&trace.ops).collect();

@@ -50,16 +50,6 @@ fn host_op(logical: u64) -> impl Strategy<Value = HostOp> {
     ]
 }
 
-fn policies() -> [SanitizePolicy; 5] {
-    [
-        SanitizePolicy::none(),
-        SanitizePolicy::evanesco(),
-        SanitizePolicy::evanesco_no_block(),
-        SanitizePolicy::erase_based(),
-        SanitizePolicy::scrub(),
-    ]
-}
-
 fn issue(ssd: &mut Emulator, logical: u64, op: &HostOp) {
     match *op {
         HostOp::Write { lpa, n, secure } => {
@@ -286,7 +276,7 @@ proptest! {
         ops in proptest::collection::vec(host_op(2 * 16 * 24), 1..40),
         cut_frac in 0.02f64..0.98
     ) {
-        for policy in policies() {
+        for policy in SanitizePolicy::ALL {
             run_crash_check(policy, &ops, cut_frac);
         }
     }
@@ -307,7 +297,7 @@ proptest! {
         resume_frac in 0.0f64..1.0,
     ) {
         let k = (((ops.len() as f64) * resume_frac) as usize).min(ops.len() - 1);
-        for policy in policies() {
+        for policy in SanitizePolicy::ALL {
             run_crash_check_at(policy, &ops, cut_frac, Some(k));
         }
     }

@@ -30,16 +30,6 @@ use evanesco::workloads::trace::TraceOp;
 use evanesco::workloads::WorkloadSpec;
 use proptest::prelude::*;
 
-fn policies() -> [SanitizePolicy; 5] {
-    [
-        SanitizePolicy::none(),
-        SanitizePolicy::evanesco(),
-        SanitizePolicy::evanesco_no_block(),
-        SanitizePolicy::erase_based(),
-        SanitizePolicy::scrub(),
-    ]
-}
-
 fn sched_op(logical: u64) -> impl Strategy<Value = HostOp> {
     let max_run = 6u64;
     prop_oneof![
@@ -128,7 +118,7 @@ proptest! {
         if severity >= 0.05 {
             cfg.ftl.faults = FaultConfig::storm(severity, fault_seed);
         }
-        let policy = policies()[policy_i];
+        let policy = SanitizePolicy::ALL[policy_i];
 
         let mut bare = Emulator::new(cfg, policy);
         let bare_run = bare.run_scheduled(&ops, qd);
@@ -175,7 +165,7 @@ proptest! {
         if severity >= 0.05 {
             cfg.ftl.faults = FaultConfig::storm(severity, fault_seed);
         }
-        let policy = policies()[policy_i];
+        let policy = SanitizePolicy::ALL[policy_i];
         let logical = Emulator::new(cfg, policy).logical_pages();
         let trace = generate(&specs[spec_i], logical, 250, seed);
         let stream: Vec<&TraceOp> = trace.prefill.iter().chain(&trace.ops).collect();

@@ -24,16 +24,6 @@ fn host_op(logical: u64) -> impl Strategy<Value = HostOp> {
     ]
 }
 
-fn policies() -> [SanitizePolicy; 5] {
-    [
-        SanitizePolicy::none(),
-        SanitizePolicy::evanesco(),
-        SanitizePolicy::evanesco_no_block(),
-        SanitizePolicy::erase_based(),
-        SanitizePolicy::scrub(),
-    ]
-}
-
 fn run_model_check(policy: SanitizePolicy, ops: &[HostOp]) {
     let cfg = SsdConfig::tiny_for_tests();
     let mut ssd = Emulator::new(cfg, policy);
@@ -149,7 +139,7 @@ proptest! {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             ops.push(HostOp::Write { lpa: (x >> 32) % 96, n: 1 + (x % 4), secure: x % 3 != 0 });
         }
-        for policy in policies() {
+        for policy in SanitizePolicy::ALL {
             for coalesce in [false, true] {
                 let relocated = relocation_stays_on_chip(policy, coalesce, &ops);
                 prop_assert!(relocated > 0, "{policy} (coalesce={coalesce}): nothing was relocated");
@@ -161,7 +151,7 @@ proptest! {
     fn random_host_sequences_preserve_semantics(
         ops in proptest::collection::vec(host_op(2 * 16 * 24), 1..120)
     ) {
-        for policy in policies() {
+        for policy in SanitizePolicy::ALL {
             run_model_check(policy, &ops);
         }
     }

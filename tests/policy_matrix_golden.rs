@@ -32,19 +32,8 @@ const OPS: u64 = 1400;
 /// Request indices at which a power cut is armed.
 const CUTS: [u64; 3] = [400, 700, 1000];
 
-fn policies() -> [SanitizePolicy; 5] {
-    [
-        SanitizePolicy::none(),
-        SanitizePolicy::evanesco(),
-        SanitizePolicy::evanesco_no_block(),
-        SanitizePolicy::erase_based(),
-        SanitizePolicy::scrub(),
-    ]
-}
-
-/// `(label, lock_coalescing, coalesce_window)`; `None` keeps the default.
-const COALESCING: [(&str, bool, Option<u64>); 3] =
-    [("off", false, None), ("on", true, None), ("w16", true, Some(16))];
+/// `(label, coalesce_window)`; `None` leaves lock coalescing off.
+const COALESCING: [(&str, Option<u64>); 3] = [("off", None), ("on", Some(64)), ("w16", Some(16))];
 
 /// Lock failures frequent enough to exhaust both retry budgets (and the
 /// per-page budget inside a demoted `bLock`), program and erase failures
@@ -112,7 +101,7 @@ fn step(ssd: &mut Emulator, shadow: &mut Shadow, rng: &mut Lcg, span: u64, trim:
         0..=11 => {
             let n = 1 + rng.next() % 4;
             let lpa = rng.next() % (hot - n);
-            let secure = rng.next() % 8 != 0;
+            let secure = !rng.next().is_multiple_of(8);
             let tracked = ssd.write_tracked(lpa, n, secure);
             shadow.write(lpa, tracked, secure);
         }
@@ -120,7 +109,7 @@ fn step(ssd: &mut Emulator, shadow: &mut Shadow, rng: &mut Lcg, span: u64, trim:
         12..=14 => {
             let n = 1 + rng.next() % 8;
             let lpa = rng.next() % (span - n);
-            let secure = rng.next() % 4 != 0;
+            let secure = !rng.next().is_multiple_of(4);
             let tracked = ssd.write_tracked(lpa, n, secure);
             shadow.write(lpa, tracked, secure);
         }
@@ -142,14 +131,12 @@ fn step(ssd: &mut Emulator, shadow: &mut Shadow, rng: &mut Lcg, span: u64, trim:
 /// Runs one matrix cell and returns `(digest, FtlStats, recovery lock retries)`.
 fn run_cell(
     policy: SanitizePolicy,
-    coalescing: (bool, Option<u64>),
+    window: Option<u64>,
     faults: FaultConfig,
 ) -> (u64, FtlStats, u64) {
     let mut cfg = SsdConfig::tiny_for_tests();
-    cfg.ftl.lock_coalescing = coalescing.0;
-    if let Some(w) = coalescing.1 {
-        cfg.ftl.coalesce_window = w;
-    }
+    cfg.ftl.lock_coalescing = window.is_some();
+    cfg.ftl.coalesce_window = window.unwrap_or(cfg.ftl.coalesce_window);
     cfg.ftl.faults = faults;
     // Recovery seals the open block and re-derives the reclaimable list
     // from flash; a two-block reserve can come back from the cut empty.
@@ -170,11 +157,11 @@ fn run_cell(
     }
 
     // Trimmed data that is insecure (or any, under the baseline) has no
-    // on-flash tombstone and resurrects across the cut, so until the device
-    // has recovered for the last time trims stay small and inside the hot quarter, where the
-    // next overwrite outranks the resurrected version: a 32-block device
-    // that comes back with every reclaimable block live again has nothing
-    // to collect into.
+    // on-flash tombstone and resurrects across a cut, so until the last
+    // recovery trims stay small and inside the hot quarter, where the next
+    // overwrite outranks the resurrected version: a 32-block device that
+    // comes back with every reclaimable block live again has nothing to
+    // collect into.
     let mut trim = (span / 4, 4);
     for i in 0..OPS {
         if CUTS.contains(&i) {
@@ -221,12 +208,12 @@ fn run_cell(
 fn run_matrix() -> String {
     let mut out = String::new();
     let mut rungs = [0u64; 9];
-    for policy in policies() {
-        for (clabel, on, window) in COALESCING {
+    for policy in SanitizePolicy::ALL {
+        for (clabel, window) in COALESCING {
             for (flabel, faults) in [("none", FaultConfig::none()), ("storm", storm())] {
                 // Shown only when the cell fails: names the one that panicked.
                 eprintln!("cell {policy} {clabel} {flabel}");
-                let (digest, s, recovery_retries) = run_cell(policy, (on, window), faults);
+                let (digest, s, recovery_retries) = run_cell(policy, window, faults);
                 writeln!(out, "{policy} {clabel} {flabel} {digest:016x}").unwrap();
                 assert!(s.copied_pages > 0, "{policy} {clabel} {flabel}: no relocation pressure");
                 if flabel == "storm" {
