@@ -4,66 +4,53 @@
 //! physical addresses — an invalidation or erase does not say whose data
 //! it touched. [`TenantAttribution`] closes that gap: it learns ownership
 //! at program time (the logical address *is* available there, and the
-//! namespace map makes `lpa / window` the owning tenant), remembers it
-//! per physical page, and routes every later invalidate to the owner's
-//! private [`LiveGauges`]. Erases and host ticks broadcast: each gauge
-//! set removes only pages it tracks, and logical time is device-wide.
+//! namespace map makes `lpa / window` the owning tenant) and writes it
+//! into the page's cell of one [`ExposureTable`] with a set of counters
+//! per tenant — the N-owner form of the table [`evanesco_ssd::LiveGauges`]
+//! runs with one. Every later invalidate is charged to the owner the cell
+//! names, an erase settles every tenant in one pass over the block's
+//! cells, and logical time is one device-wide tick.
 //!
 //! The result: per-tenant VAF and T_insecure on a shared device — a
 //! noisy neighbor's pile of unsanitized stale versions lands on *its*
 //! gauges, not its victims'.
 
 use evanesco_ftl::observer::{FtlObserver, InvalidateCause};
-use evanesco_ftl::{GlobalPpa, Lpa};
-use evanesco_ssd::{GaugeSnapshot, LiveGauges};
-use std::collections::HashMap;
+use evanesco_ftl::{FtlConfig, GlobalPpa, Lpa};
+use evanesco_ssd::{ExposureTable, GaugeSnapshot};
 
-/// Routes [`FtlObserver`] events to per-tenant [`LiveGauges`] using the
-/// fleet's namespace map (`tenant = lpa / window`).
+/// Routes [`FtlObserver`] events to per-tenant exposure counters using
+/// the fleet's namespace map (`tenant = lpa / window`).
 #[derive(Debug)]
 pub struct TenantAttribution {
     window: u64,
-    gauges: Vec<LiveGauges>,
-    /// `(chip, block)` → page → owning tenant, learned at program time.
-    /// Holds only pages some gauge set still tracks (secured and not yet
-    /// sanitized/erased), so it is bounded by physical capacity.
-    owner: HashMap<(usize, u32), HashMap<u32, usize>>,
+    table: ExposureTable,
 }
 
 impl TenantAttribution {
-    /// Attribution for `tenants` namespaces of `window` pages each.
+    /// Attribution for `tenants` namespaces of `window` pages each on the
+    /// device `cfg` describes.
     ///
     /// # Panics
     ///
-    /// Panics on zero tenants or a zero window.
-    pub fn new(tenants: usize, window: u64) -> Self {
+    /// Panics on zero tenants, more than [`ExposureTable::MAX_OWNERS`], or
+    /// a zero window.
+    pub fn new(cfg: &FtlConfig, tenants: usize, window: u64) -> Self {
         assert!(tenants >= 1, "attribution needs at least one tenant");
         assert!(window >= 1, "namespace windows cannot be empty");
-        TenantAttribution {
-            window,
-            gauges: vec![LiveGauges::new(); tenants],
-            owner: HashMap::new(),
-        }
+        TenantAttribution { window, table: ExposureTable::new(cfg, tenants) }
     }
 
     /// Point-in-time snapshot of every tenant's gauges, tenant order.
     pub fn snapshots(&self) -> Vec<GaugeSnapshot> {
-        self.gauges.iter().map(|g| g.snapshot()).collect()
-    }
-
-    /// One tenant's gauges (for tests and scrapes).
-    pub fn tenant(&self, t: usize) -> &LiveGauges {
-        &self.gauges[t]
+        (0..self.table.owners()).map(|t| self.table.snapshot(t)).collect()
     }
 }
 
 impl FtlObserver for TenantAttribution {
-    fn on_program(&mut self, lpa: Lpa, at: GlobalPpa, relocation: bool, secure: bool) {
-        let tenant = ((lpa / self.window) as usize).min(self.gauges.len() - 1);
-        if secure {
-            self.owner.entry((at.chip, at.ppa.block.0)).or_default().insert(at.ppa.page.0, tenant);
-        }
-        self.gauges[tenant].on_program(lpa, at, relocation, secure);
+    fn on_program(&mut self, lpa: Lpa, at: GlobalPpa, _relocation: bool, secure: bool) {
+        let tenant = ((lpa / self.window) as usize).min(self.table.owners() - 1);
+        self.table.program(tenant, at, secure);
     }
 
     fn on_invalidate(
@@ -71,36 +58,19 @@ impl FtlObserver for TenantAttribution {
         at: GlobalPpa,
         secure: bool,
         sanitized: bool,
-        cause: InvalidateCause,
+        _cause: InvalidateCause,
     ) {
-        let key = (at.chip, at.ppa.block.0);
-        let Some(block) = self.owner.get_mut(&key) else { return };
-        let Some(&tenant) = block.get(&at.ppa.page.0) else { return };
-        if sanitized {
-            // The gauges drop a sanitized page immediately; mirror that
-            // so the owner map stays bounded by what the gauges track.
-            block.remove(&at.ppa.page.0);
-            if block.is_empty() {
-                self.owner.remove(&key);
-            }
-        }
-        self.gauges[tenant].on_invalidate(at, secure, sanitized, cause);
+        self.table.invalidate(at, secure, sanitized);
     }
 
     fn on_erase(&mut self, chip: usize, block: evanesco_nand::geometry::BlockId) {
-        self.owner.remove(&(chip, block.0));
-        // Broadcast: each gauge set removes only pages it tracks.
-        for g in &mut self.gauges {
-            g.on_erase(chip, block);
-        }
+        self.table.erase(chip, block.0);
     }
 
     fn on_host_tick(&mut self) {
         // Logical time (accepted host page writes) is device-wide; every
         // tenant's T_insecure is measured on the shared clock.
-        for g in &mut self.gauges {
-            g.on_host_tick();
-        }
+        self.table.host_tick();
     }
 }
 
@@ -113,10 +83,14 @@ mod tests {
         GlobalPpa::new(chip, Ppa::new(block, page))
     }
 
+    fn attribution(tenants: usize, window: u64) -> TenantAttribution {
+        TenantAttribution::new(&FtlConfig::tiny_for_tests(), tenants, window)
+    }
+
     #[test]
     fn programs_and_invalidates_land_on_the_owning_tenant() {
         // Two tenants, 100-page windows: lpa 5 → tenant 0, lpa 105 → 1.
-        let mut a = TenantAttribution::new(2, 100);
+        let mut a = attribution(2, 100);
         a.on_program(5, at(0, 0, 0), false, true);
         a.on_program(105, at(0, 0, 1), false, true);
         a.on_invalidate(at(0, 0, 1), true, false, InvalidateCause::HostUpdate);
@@ -128,8 +102,15 @@ mod tests {
     }
 
     #[test]
-    fn erases_broadcast_but_only_touch_tracked_pages() {
-        let mut a = TenantAttribution::new(2, 100);
+    fn remainder_pages_past_the_last_window_belong_to_the_last_tenant() {
+        let mut a = attribution(2, 100);
+        a.on_program(250, at(0, 0, 0), false, true);
+        assert_eq!(a.snapshots()[1].valid_secured, 1);
+    }
+
+    #[test]
+    fn an_erase_settles_every_tenant_with_pages_in_the_block() {
+        let mut a = attribution(2, 100);
         a.on_program(0, at(0, 3, 0), false, true);
         a.on_program(150, at(0, 3, 1), false, true);
         a.on_invalidate(at(0, 3, 0), true, false, InvalidateCause::Trim);
@@ -139,21 +120,27 @@ mod tests {
         assert_eq!(s[0].invalid_secured, 0);
         assert_eq!(s[1].valid_secured, 0, "tenant 1's live page was destroyed by the erase");
         assert_eq!(s[1].exposed_then_erased, 0);
-        assert!(a.owner.is_empty(), "erase clears the ownership map");
+        // The cells are free again: a new owner starts clean.
+        a.on_program(120, at(0, 3, 0), false, true);
+        a.on_invalidate(at(0, 3, 0), true, true, InvalidateCause::HostUpdate);
+        let s = a.snapshots();
+        assert_eq!((s[0].sanitized_immediately, s[1].sanitized_immediately), (0, 1));
     }
 
     #[test]
-    fn sanitized_invalidations_release_their_owner_entry() {
-        let mut a = TenantAttribution::new(2, 100);
+    fn sanitized_invalidations_release_their_page() {
+        let mut a = attribution(2, 100);
         a.on_program(7, at(1, 0, 0), false, true);
         a.on_invalidate(at(1, 0, 0), true, true, InvalidateCause::HostUpdate);
-        assert!(a.owner.is_empty());
-        assert_eq!(a.snapshots()[0].sanitized_immediately, 1);
+        a.on_invalidate(at(1, 0, 0), true, false, InvalidateCause::HostUpdate);
+        let s = a.snapshots();
+        assert_eq!(s[0].sanitized_immediately, 1);
+        assert_eq!(s[0].invalid_secured, 0, "a sanitized page cannot be exposed afterwards");
     }
 
     #[test]
     fn ticks_advance_every_tenant_clock() {
-        let mut a = TenantAttribution::new(3, 10);
+        let mut a = attribution(3, 10);
         for _ in 0..5 {
             a.on_host_tick();
         }

@@ -2,7 +2,7 @@
 
 use crate::qos::{QosMode, TenantQos};
 use evanesco_ftl::SanitizePolicy;
-use evanesco_ssd::SsdConfig;
+use evanesco_ssd::{ExposureTable, SsdConfig};
 use evanesco_workloads::TrafficConfig;
 
 /// The whole fleet: identical devices, a tenant set shared by every
@@ -89,8 +89,9 @@ impl FleetConfig {
     ///
     /// # Panics
     ///
-    /// Panics on an empty fleet, zero shards or queue depth, a QoS table
-    /// that does not match the tenant list, or namespace windows the
+    /// Panics on an empty fleet, zero shards or queue depth, more tenants
+    /// than the exposure table can name, a QoS table that does not match
+    /// the tenant list, or namespace windows the
     /// device's logical space cannot hold (including the degenerate case
     /// where a window cannot fit the largest request — delegated to the
     /// traffic generator's own check via [`SsdConfig::check_lpa_range`]).
@@ -118,6 +119,13 @@ impl FleetConfig {
              {max_req}-page request ({} tenants over {} logical pages)",
             self.tenant_count(),
             self.ssd.ftl.logical_pages(),
+        );
+        assert!(
+            self.tenant_count() <= ExposureTable::MAX_OWNERS,
+            "FleetConfig: at most {} tenants per device (the exposure table names a page's \
+             owner in six bits), got {}",
+            ExposureTable::MAX_OWNERS,
+            self.tenant_count(),
         );
         // The last namespace's top page must be host-addressable: the
         // rebased range check is exactly the one the scheduler applies at
@@ -160,6 +168,15 @@ mod tests {
         let n = (lp / 8) as usize;
         cfg.traffic = TrafficConfig::noisy_neighbor(n, 100, 1);
         cfg.qos = vec![TenantQos::unlimited(); n + 1];
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 tenants per device")]
+    fn more_tenants_than_a_page_cell_can_name_is_rejected() {
+        let mut cfg = FleetConfig::noisy_neighbor_demo(1, 2, 100, 1);
+        cfg.traffic = TrafficConfig::balanced(65, 100, 1);
+        cfg.qos = vec![TenantQos::unlimited(); 65];
         cfg.validate();
     }
 }

@@ -22,7 +22,7 @@ use crate::qos::admission_order;
 use evanesco_nand::timing::Nanos;
 use evanesco_ssd::metrics::LatencyHistogram;
 use evanesco_ssd::{Emulator, GaugeSnapshot, HostOp, OpResult, Stage};
-use evanesco_workloads::{generate_fleet, TenantOp};
+use evanesco_workloads::{generate_device, TenantOp};
 
 /// One tenant's share of one device's run.
 #[derive(Debug, Clone)]
@@ -199,7 +199,7 @@ pub fn run_device(cfg: &FleetConfig, device: usize, trace: &[TenantOp]) -> Devic
         // Sized to the op count: nothing drops, every request keeps a row.
         ssd.enable_anatomy(ops.len().max(1), 16);
     }
-    let mut attr = TenantAttribution::new(cfg.tenant_count(), window);
+    let mut attr = TenantAttribution::new(&cfg.ssd.ftl, cfg.tenant_count(), window);
     let run = ssd.run_scheduled_open_loop(&mut attr, &ops, &arrivals, cfg.qd);
     let trace_dropped = ssd.trace().map_or(0, |t| t.dropped());
     let anatomy = ssd.take_anatomy();
@@ -282,35 +282,38 @@ pub fn run_device(cfg: &FleetConfig, device: usize, trace: &[TenantOp]) -> Devic
 }
 
 /// Runs the whole fleet, sharding devices over `cfg.shards` OS threads
-/// (`device % shards`), and aggregates per-tenant statistics.
+/// (`device % shards`; the calling thread is shard 0), and aggregates
+/// per-tenant statistics. Each shard generates a device's stream when it
+/// gets to that device, so at most `shards` traces are alive at once and
+/// no generation runs before the threads start.
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration (see [`FleetConfig::validate`]) or
-/// if a shard thread panics.
+/// Panics on the caller's thread on an invalid configuration (see
+/// [`FleetConfig::validate`] and
+/// [`evanesco_workloads::TrafficConfig::validate`]), or if a shard thread
+/// panics.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     cfg.validate();
-    let traces = generate_fleet(&cfg.traffic, cfg.devices, cfg.namespace_window());
-    let mut per_shard: Vec<Vec<DeviceResult>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.shards)
-            .map(|shard| {
-                let traces = &traces;
-                s.spawn(move || {
-                    (shard..cfg.devices)
-                        .step_by(cfg.shards)
-                        .map(|d| run_device(cfg, d, &traces[d]))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("shard thread panicked")).collect()
+    let window = cfg.namespace_window();
+    cfg.traffic.validate(window);
+    let run_shard = |shard: usize| -> Vec<DeviceResult> {
+        (shard..cfg.devices)
+            .step_by(cfg.shards)
+            .map(|d| run_device(cfg, d, &generate_device(&cfg.traffic, window, d)))
+            .collect()
+    };
+    // Shard 0 runs on the calling thread, which would otherwise only wait.
+    let mut devices: Vec<DeviceResult> = std::thread::scope(|s| {
+        let handles: Vec<_> =
+            (1..cfg.shards).map(|shard| s.spawn(move || run_shard(shard))).collect();
+        let mut all = run_shard(0);
+        for h in handles {
+            all.extend(h.join().expect("shard thread panicked"));
+        }
+        all
     });
-
-    // Reassemble device order — shard boundaries must leave no trace.
-    let mut devices: Vec<DeviceResult> = Vec::with_capacity(cfg.devices);
-    for shard in &mut per_shard {
-        devices.append(shard);
-    }
+    // Device order — shard boundaries must leave no trace.
     devices.sort_by_key(|d| d.device);
 
     let mut tenants: Vec<TenantFleetStats> = cfg

@@ -5,9 +5,13 @@
 //!   (thread interleaving leaves no trace);
 //! * reruns are byte-identical;
 //! * queue depth changes timing only — host-visible results (tags,
-//!   read values, acks) are invariant.
+//!   read values, acks) are invariant;
+//! * a shard generating its own devices' traffic sees exactly the
+//!   streams `generate_fleet` would have handed it.
 
 use evanesco_fleet::{run_fleet, FleetConfig, QosMode, TenantQos};
+use evanesco_ftl::SanitizePolicy;
+use evanesco_workloads::{generate_device, generate_fleet, TrafficConfig};
 use proptest::prelude::*;
 
 fn fleet(devices: usize, shards: usize, qd: usize, mode: QosMode, seed: u64) -> FleetConfig {
@@ -35,6 +39,46 @@ fn shard_count_leaves_no_trace_in_any_device() {
             }
         }
     }
+}
+
+#[test]
+fn shard_count_leaves_no_trace_in_any_tenants_exposure_gauges() {
+    // Without sanitization exposure is non-zero, so the per-tenant
+    // attribution has something to get wrong; with Evanesco it must stay
+    // at zero on every shard split.
+    for policy in [SanitizePolicy::none(), SanitizePolicy::evanesco()] {
+        let with = |shards| {
+            let mut cfg = fleet(5, shards, 8, QosMode::Shaped, 31);
+            cfg.policy = policy;
+            run_fleet(&cfg)
+        };
+        let base = with(1);
+        let exposed: u64 = base.tenants.iter().map(|t| t.max_invalid).sum();
+        assert_eq!(exposed > 0, policy == SanitizePolicy::none(), "{policy:?}: {exposed} exposed");
+        for shards in [2, 4] {
+            let sharded = with(shards);
+            for (a, b) in base.devices.iter().zip(&sharded.devices) {
+                assert_eq!(a.digest, b.digest, "device {} @ {shards} shards", a.device);
+                for (t, (x, y)) in a.tenants.iter().zip(&b.tenants).enumerate() {
+                    assert_eq!(
+                        x.gauges, y.gauges,
+                        "{policy:?}: device {} tenant {t} @ {shards} shards",
+                        a.device
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "arrival rate must be positive")]
+fn invalid_traffic_panics_on_the_callers_thread_with_the_generators_message() {
+    // Not as "shard thread panicked": the shards generate the traffic
+    // now, but the configuration is still checked before they start.
+    let mut cfg = fleet(2, 2, 8, QosMode::Fifo, 1);
+    cfg.traffic.base_rate_per_sec = 0.0;
+    run_fleet(&cfg);
 }
 
 #[test]
@@ -68,6 +112,26 @@ fn queue_depth_changes_timing_but_not_host_visible_results() {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// One device's stream does not depend on being generated alone or
+    /// as part of a fleet of any size.
+    #[test]
+    fn a_device_generates_the_stream_the_fleet_would_hand_it(
+        seed in any::<u64>(),
+        devices in 1usize..=5,
+        storm in any::<bool>(),
+    ) {
+        let traffic = if storm {
+            TrafficConfig::sanitize_storm(3, 300, seed)
+        } else {
+            TrafficConfig::balanced(4, 300, seed)
+        };
+        let window = 1 << 10;
+        let all = generate_fleet(&traffic, devices, window);
+        for (d, stream) in all.iter().enumerate() {
+            prop_assert_eq!(&generate_device(&traffic, window, d), stream, "device {}", d);
+        }
+    }
 
     /// Randomized determinism sweep: any (seed, shard split, qd pair,
     /// mode) upholds both invariances on a small fleet.

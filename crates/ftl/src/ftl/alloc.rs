@@ -117,7 +117,9 @@ impl Ftl {
                 }
                 id
             } else {
-                panic!("chip {chip} has no block to open: over-provisioning misconfigured");
+                // Every candidate was retired; the caller's loop falls
+                // through to an emergency GC pass (or its own assert).
+                return;
             };
             let cs = &mut self.chips[chip];
             cs.set_block_state(id, BlockState::Open);
@@ -203,6 +205,57 @@ mod tests {
         ftl.trim(&mut ex, &mut NullObserver, &lpas);
         assert_eq!(ftl.stats().nand_erases, 0, "erase must be lazy");
         assert_eq!(ftl.invalid_pages(), 2 * ppb);
+    }
+
+    #[test]
+    fn retiring_the_last_candidate_during_its_lazy_erase_falls_back_to_gc() {
+        // Block 0 exhausts its erase budget (two attempts); block 1's
+        // first erase succeeds. The hazard stream is a pure function of
+        // (seed, block, attempt), so the seed can be searched for.
+        let faulty = |seed| FaultConfig { erase_fail: 0.5, seed, ..FaultConfig::none() };
+        let seed = (0..)
+            .find(|&seed| {
+                let mut m = evanesco_core::fault::FaultModel::new(faulty(seed), 0);
+                m.erase_fails(0) && m.erase_fails(0) && !m.erase_fails(1)
+            })
+            .unwrap();
+        let (mut ftl, mut ex) = setup_faulty(SanitizePolicy::none(), faulty(seed));
+        // Keep one block available, not two: the reclaimable queue then
+        // holds a single candidate when the free list runs dry.
+        ftl.cfg.gc_free_threshold = 1;
+        let ppb = ftl.cfg.geometry.pages_per_block() as u64;
+        let logical = ftl.logical_pages();
+        let two_blocks: Vec<Lpa> = (0..2 * ppb).collect();
+        let mut tag = 0;
+        let mut write = |ftl: &mut Ftl, ex: &mut MemExecutor, l: Lpa| {
+            tag += 1;
+            assert!(ftl.write(ex, &mut NullObserver, l, false, tag));
+        };
+        // Fill the logical space, then kill blocks 0 and 1 outright and
+        // keep rewriting their pages until all 16 blocks have been opened.
+        for l in 0..logical {
+            write(&mut ftl, &mut ex, l);
+        }
+        for _ in 0..2 {
+            ftl.trim(&mut ex, &mut NullObserver, &two_blocks);
+            for &l in &two_blocks {
+                write(&mut ftl, &mut ex, l);
+            }
+        }
+        // The 17th open found the free list empty, popped block 0 — the
+        // only reclaimable block — and lost it to its lazy erase. It used
+        // to panic "no block to open"; now GC reclaims block 1 instead.
+        let s = ftl.stats();
+        assert_eq!((s.retired_blocks, s.erase_retries, s.nand_erases), (1, 1, 3), "{s:?}");
+        assert_eq!(ftl.retired_block_count(), 1);
+        assert!(
+            two_blocks.iter().any(|&l| ftl.mapped(l).unwrap().ppa.block.0 == 1),
+            "block 1 is the new write frontier"
+        );
+        for l in 0..logical {
+            assert!(ftl.read(&mut ex, l).is_some(), "lpa {l} lost");
+        }
+        ftl.check_invariants();
     }
 
     #[test]

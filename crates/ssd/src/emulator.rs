@@ -174,7 +174,7 @@ impl Emulator {
     /// chaining at construction.
     pub fn enable_gauges(&mut self) -> &mut Self {
         if self.gauges.is_none() {
-            self.gauges = Some(LiveGauges::new());
+            self.gauges = Some(LiveGauges::new(&self.cfg.ftl));
         }
         self
     }
@@ -1156,7 +1156,7 @@ impl Emulator {
         em.decode_host_state(&mut s)?;
         s.finish()?;
         let mut s = d.section(section::GAUGES, "gauges")?;
-        em.gauges = s.opt(LiveGauges::decode_state)?;
+        em.gauges = s.opt(|d| LiveGauges::decode_state(&cfg.ftl, d))?;
         s.finish()?;
         let mut s = d.section(section::TIMESERIES, "timeseries")?;
         em.timeseries = s.opt(TimeSeries::decode_state)?;
@@ -1245,7 +1245,7 @@ impl Emulator {
         }
 
         let (mut s, crc_ok) = d.section_frame(section::GAUGES, "gauges")?;
-        match decode_section_opt(crc_ok, &mut s, LiveGauges::decode_state) {
+        match decode_section_opt(crc_ok, &mut s, |d| LiveGauges::decode_state(&cfg.ftl, d)) {
             Some(g) => em.gauges = g,
             None => {
                 em.gauges = None;

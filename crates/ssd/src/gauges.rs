@@ -20,8 +20,7 @@
 //! the paper's headline claim, now observable while a run executes.
 
 use evanesco_ftl::observer::{FtlObserver, InvalidateCause};
-use evanesco_ftl::{GlobalPpa, Lpa};
-use std::collections::HashMap;
+use evanesco_ftl::{FtlConfig, GlobalPpa, Lpa};
 
 /// A point-in-time view of the gauges (what the exposition renders).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -59,10 +58,10 @@ impl GaugeSnapshot {
     }
 }
 
-/// Incremental device-wide VAF / T_insecure gauges.
+/// One owner's exposure counters (everything a [`GaugeSnapshot`] reports
+/// except the shared logical clock).
 #[derive(Debug, Clone, Default)]
-pub struct LiveGauges {
-    tick: u64,
+struct Exposure {
     valid: u64,
     invalid: u64,
     max_valid: u64,
@@ -71,28 +70,26 @@ pub struct LiveGauges {
     insecure_since: Option<u64>,
     sanitized_immediately: u64,
     exposed_then_erased: u64,
-    /// `(chip, block)` → page → live? — only secured pages are tracked,
-    /// and sanitized pages leave immediately, so this holds exactly the
-    /// valid + exposed secured population (bounded by physical capacity).
-    phys: HashMap<(usize, u32), HashMap<u32, bool>>,
 }
 
-impl LiveGauges {
-    /// Fresh gauges at tick zero.
-    pub fn new() -> Self {
-        Self::default()
+impl Exposure {
+    fn note_change(&mut self, tick: u64) {
+        self.max_valid = self.max_valid.max(self.valid);
+        self.max_invalid = self.max_invalid.max(self.invalid);
+        match (self.invalid > 0, self.insecure_since) {
+            (true, None) => self.insecure_since = Some(tick),
+            (false, Some(since)) => {
+                self.insecure_ticks += tick - since;
+                self.insecure_since = None;
+            }
+            _ => {}
+        }
     }
 
-    /// Current logical time (accepted host page writes).
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// Point-in-time snapshot (open insecure interval folded in).
-    pub fn snapshot(&self) -> GaugeSnapshot {
-        let open = self.insecure_since.map_or(0, |since| self.tick - since);
+    fn snapshot(&self, tick: u64) -> GaugeSnapshot {
+        let open = self.insecure_since.map_or(0, |since| tick - since);
         GaugeSnapshot {
-            tick: self.tick,
+            tick,
             valid_secured: self.valid,
             invalid_secured: self.invalid,
             max_valid: self.max_valid,
@@ -107,114 +104,332 @@ impl LiveGauges {
             },
         }
     }
+}
+
+/// Page-cell state, the low two bits of a cell; the owner sits above.
+const STATE: u8 = 0b11;
+const UNTRACKED: u8 = 0;
+const LIVE: u8 = 1;
+const EXPOSED: u8 = 2;
+
+/// Per-block record of an [`ExposureTable`].
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockRec {
+    /// A secured page was programmed here since the last erase. Stays set
+    /// when every such page has been sanitized away (`tracked == 0`): the
+    /// checkpoint stream lists such a block with zero pages, so the table
+    /// has to remember it.
+    present: bool,
+    /// Cells of this block that are not `UNTRACKED`.
+    tracked: u32,
+}
+
+/// Dense exposure table: one byte per physical page (untracked / live /
+/// exposed plus the owning tenant) and one [`BlockRec`] per block, sized
+/// from the device's [`FtlConfig`], with one set of counters per owner on
+/// a shared logical clock. Every [`FtlObserver`] event is a few indexed
+/// loads and stores — nothing is hashed, nothing allocated after
+/// construction. Only secured pages are tracked and sanitized pages leave
+/// immediately, so the tracked cells are exactly the valid + exposed
+/// secured population.
+///
+/// [`LiveGauges`] is the one-owner case; the fleet's per-tenant
+/// attribution is the N-owner case.
+#[derive(Debug, Clone)]
+pub struct ExposureTable {
+    n_chips: usize,
+    blocks_per_chip: u32,
+    pages_per_block: u32,
+    tick: u64,
+    owners: Vec<Exposure>,
+    /// `(chip, block, page)` order: `state | owner << 2`.
+    cells: Vec<u8>,
+    /// `(chip, block)` order.
+    blocks: Vec<BlockRec>,
+}
+
+impl ExposureTable {
+    /// Most owners a page cell can name.
+    pub const MAX_OWNERS: usize = 1 << 6;
+
+    /// An empty table over `cfg`'s physical pages at tick zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= owners <= MAX_OWNERS`.
+    pub fn new(cfg: &FtlConfig, owners: usize) -> Self {
+        assert!(
+            (1..=Self::MAX_OWNERS).contains(&owners),
+            "exposure table holds 1..={} owners, got {owners}",
+            Self::MAX_OWNERS
+        );
+        let blocks = cfg.n_chips * cfg.geometry.blocks as usize;
+        let pages_per_block = cfg.geometry.pages_per_block();
+        ExposureTable {
+            n_chips: cfg.n_chips,
+            blocks_per_chip: cfg.geometry.blocks,
+            pages_per_block,
+            tick: 0,
+            owners: vec![Exposure::default(); owners],
+            cells: vec![UNTRACKED; blocks * pages_per_block as usize],
+            blocks: vec![BlockRec::default(); blocks],
+        }
+    }
+
+    /// Number of owners.
+    pub fn owners(&self) -> usize {
+        self.owners.len()
+    }
+
+    /// Point-in-time snapshot of one owner (open insecure interval folded
+    /// in).
+    pub fn snapshot(&self, owner: usize) -> GaugeSnapshot {
+        self.owners[owner].snapshot(self.tick)
+    }
+
+    /// Block index of `(chip, block)`; out-of-device addresses are an FTL
+    /// bug, so they panic rather than alias a neighbor's cells.
+    fn block_index(&self, chip: usize, block: u32) -> usize {
+        assert!(
+            chip < self.n_chips && block < self.blocks_per_chip,
+            "chip {chip} block {block} outside the gauged device"
+        );
+        chip * self.blocks_per_chip as usize + block as usize
+    }
+
+    /// `(block index, cell index)` of a page.
+    fn locate(&self, at: GlobalPpa) -> (usize, usize) {
+        let b = self.block_index(at.chip, at.ppa.block.0);
+        assert!(at.ppa.page.0 < self.pages_per_block, "{at} outside the gauged device");
+        (b, b * self.pages_per_block as usize + at.ppa.page.0 as usize)
+    }
+
+    /// `owner` programmed a page at `at`.
+    pub fn program(&mut self, owner: usize, at: GlobalPpa, secure: bool) {
+        if !secure {
+            return;
+        }
+        let (b, i) = self.locate(at);
+        let prev = self.cells[i];
+        match prev & STATE {
+            // Normal case: a fresh page in an erased block.
+            UNTRACKED => self.blocks[b].tracked += 1,
+            // Defensive: a re-program over a tracked page (e.g. a recovery
+            // rewrite after a lost erase event) hands it to the new
+            // owner, never double-counts.
+            state => {
+                let was = &mut self.owners[(prev >> 2) as usize];
+                if state == LIVE {
+                    was.valid -= 1;
+                } else {
+                    was.invalid = was.invalid.saturating_sub(1);
+                }
+                was.note_change(self.tick);
+            }
+        }
+        self.blocks[b].present = true;
+        self.cells[i] = LIVE | (owner as u8) << 2;
+        let now = &mut self.owners[owner];
+        now.valid += 1;
+        now.note_change(self.tick);
+    }
+
+    /// The page at `at` was invalidated; charged to whoever programmed it.
+    pub fn invalidate(&mut self, at: GlobalPpa, secure: bool, sanitized: bool) {
+        if !secure {
+            return;
+        }
+        let (b, i) = self.locate(at);
+        let cell = self.cells[i];
+        if cell == UNTRACKED {
+            return;
+        }
+        let o = &mut self.owners[(cell >> 2) as usize];
+        if cell & STATE == LIVE {
+            o.valid -= 1;
+        }
+        if sanitized {
+            self.cells[i] = UNTRACKED;
+            self.blocks[b].tracked -= 1;
+            o.sanitized_immediately += 1;
+        } else {
+            self.cells[i] = (cell & !STATE) | EXPOSED;
+            o.invalid += 1;
+        }
+        o.note_change(self.tick);
+    }
+
+    /// A block was erased: one pass over its cells settles every owner.
+    pub fn erase(&mut self, chip: usize, block: u32) {
+        let b = self.block_index(chip, block);
+        let rec = std::mem::take(&mut self.blocks[b]);
+        if !rec.present {
+            return;
+        }
+        if rec.tracked > 0 {
+            let ppb = self.pages_per_block as usize;
+            for cell in &mut self.cells[b * ppb..(b + 1) * ppb] {
+                let o = &mut self.owners[(*cell >> 2) as usize];
+                match *cell & STATE {
+                    UNTRACKED => continue,
+                    LIVE => o.valid = o.valid.saturating_sub(1),
+                    _ => {
+                        o.invalid = o.invalid.saturating_sub(1);
+                        o.exposed_then_erased += 1;
+                    }
+                }
+                *cell = UNTRACKED;
+            }
+        }
+        for o in &mut self.owners {
+            o.note_change(self.tick);
+        }
+    }
+
+    /// One host logical-time tick, shared by every owner.
+    pub fn host_tick(&mut self) {
+        self.tick += 1;
+    }
+}
+
+/// Incremental device-wide VAF / T_insecure gauges: the one-owner
+/// [`ExposureTable`], plus its checkpoint encoding.
+#[derive(Debug, Clone)]
+pub struct LiveGauges {
+    table: ExposureTable,
+}
+
+impl LiveGauges {
+    /// Fresh gauges at tick zero over `cfg`'s physical pages.
+    pub fn new(cfg: &FtlConfig) -> Self {
+        LiveGauges { table: ExposureTable::new(cfg, 1) }
+    }
+
+    /// Current logical time (accepted host page writes).
+    pub fn tick(&self) -> u64 {
+        self.table.tick
+    }
+
+    /// Point-in-time snapshot (open insecure interval folded in).
+    pub fn snapshot(&self) -> GaugeSnapshot {
+        self.table.snapshot(0)
+    }
 
     /// Serializes the gauges — counters, the open insecure interval, and
-    /// the tracked secured-page population (sorted, for a canonical byte
-    /// stream) — into a checkpoint stream.
+    /// the tracked secured-page population in `(chip, block, page)` order
+    /// (table order, so the byte stream is canonical) — into a checkpoint
+    /// stream. A `present` block is listed even when it tracks no page.
     pub fn encode_state(&self, e: &mut evanesco_nand::snapshot::Enc) {
+        let t = &self.table;
+        let o = &t.owners[0];
         e.tag(0x40);
-        e.u64(self.tick);
-        e.u64(self.valid);
-        e.u64(self.invalid);
-        e.u64(self.max_valid);
-        e.u64(self.max_invalid);
-        e.u64(self.insecure_ticks);
-        e.opt(&self.insecure_since, |e, &t| e.u64(t));
-        e.u64(self.sanitized_immediately);
-        e.u64(self.exposed_then_erased);
-        let mut blocks: Vec<_> = self.phys.keys().copied().collect();
-        blocks.sort_unstable();
-        e.usize(blocks.len());
-        for key in blocks {
-            e.usize(key.0);
-            e.u32(key.1);
-            let pages = &self.phys[&key];
-            let mut ids: Vec<_> = pages.keys().copied().collect();
-            ids.sort_unstable();
-            e.usize(ids.len());
-            for p in ids {
-                e.u32(p);
-                e.bool(pages[&p]);
+        e.u64(t.tick);
+        e.u64(o.valid);
+        e.u64(o.invalid);
+        e.u64(o.max_valid);
+        e.u64(o.max_invalid);
+        e.u64(o.insecure_ticks);
+        e.opt(&o.insecure_since, |e, &t| e.u64(t));
+        e.u64(o.sanitized_immediately);
+        e.u64(o.exposed_then_erased);
+        e.usize(t.blocks.iter().filter(|b| b.present).count());
+        let ppb = t.pages_per_block as usize;
+        for (b, rec) in t.blocks.iter().enumerate().filter(|(_, rec)| rec.present) {
+            e.usize(b / t.blocks_per_chip as usize);
+            e.u32((b % t.blocks_per_chip as usize) as u32);
+            e.usize(rec.tracked as usize);
+            for (p, &cell) in t.cells[b * ppb..(b + 1) * ppb].iter().enumerate() {
+                if cell != UNTRACKED {
+                    e.u32(p as u32);
+                    e.bool(cell & STATE == LIVE);
+                }
             }
         }
     }
 
-    /// Reconstructs gauges from a stream written by
-    /// [`LiveGauges::encode_state`].
+    /// Reconstructs gauges for the device `cfg` describes from a stream
+    /// written by [`LiveGauges::encode_state`].
     ///
     /// # Errors
     ///
-    /// Fails on truncation or structural corruption.
+    /// Fails on truncation or structural corruption, and — the table is
+    /// sized by `cfg`, never by the stream — on a block or page outside
+    /// the device, a block or page listed twice, or counters that
+    /// disagree with the listed pages.
     pub fn decode_state(
+        cfg: &FtlConfig,
         d: &mut evanesco_nand::snapshot::Dec<'_>,
     ) -> Result<Self, evanesco_nand::snapshot::SnapshotError> {
+        let corrupt = |what: String| {
+            evanesco_nand::snapshot::SnapshotError::Corrupt(format!("live-gauges: {what}"))
+        };
         d.expect_tag(0x40, "live-gauges")?;
-        let tick = d.u64()?;
-        let valid = d.u64()?;
-        let invalid = d.u64()?;
-        let max_valid = d.u64()?;
-        let max_invalid = d.u64()?;
-        let insecure_ticks = d.u64()?;
-        let insecure_since = d.opt(|d| d.u64())?;
-        let sanitized_immediately = d.u64()?;
-        let exposed_then_erased = d.u64()?;
-        let mut phys = HashMap::new();
-        for _ in 0..d.usize()? {
-            let key = (d.usize()?, d.u32()?);
-            let mut pages = HashMap::new();
-            for _ in 0..d.usize()? {
-                let p = d.u32()?;
-                pages.insert(p, d.bool()?);
-            }
-            phys.insert(key, pages);
+        let mut t = ExposureTable::new(cfg, 1);
+        t.tick = d.u64()?;
+        let o = &mut t.owners[0];
+        o.valid = d.u64()?;
+        o.invalid = d.u64()?;
+        o.max_valid = d.u64()?;
+        o.max_invalid = d.u64()?;
+        o.insecure_ticks = d.u64()?;
+        o.insecure_since = d.opt(|d| d.u64())?;
+        o.sanitized_immediately = d.u64()?;
+        o.exposed_then_erased = d.u64()?;
+        let (mut live, mut exposed) = (0u64, 0u64);
+        let (n_blocks, ppb) = (d.usize()?, t.pages_per_block);
+        if n_blocks > t.blocks.len() {
+            return Err(corrupt(format!("{n_blocks} blocks listed of {}", t.blocks.len())));
         }
-        Ok(LiveGauges {
-            tick,
-            valid,
-            invalid,
-            max_valid,
-            max_invalid,
-            insecure_ticks,
-            insecure_since,
-            sanitized_immediately,
-            exposed_then_erased,
-            phys,
-        })
-    }
-
-    fn note_change(&mut self) {
-        self.max_valid = self.max_valid.max(self.valid);
-        self.max_invalid = self.max_invalid.max(self.invalid);
-        match (self.invalid > 0, self.insecure_since) {
-            (true, None) => self.insecure_since = Some(self.tick),
-            (false, Some(since)) => {
-                self.insecure_ticks += self.tick - since;
-                self.insecure_since = None;
+        for _ in 0..n_blocks {
+            let (chip, block) = (d.usize()?, d.u32()?);
+            if chip >= t.n_chips || block >= t.blocks_per_chip {
+                return Err(corrupt(format!("chip {chip} block {block} outside the device")));
             }
-            _ => {}
+            let b = t.block_index(chip, block);
+            if t.blocks[b].present {
+                return Err(corrupt(format!("chip {chip} block {block} listed twice")));
+            }
+            let n_pages = d.usize()?;
+            if n_pages > ppb as usize {
+                return Err(corrupt(format!(
+                    "chip {chip} block {block} lists {n_pages} pages of {ppb}"
+                )));
+            }
+            t.blocks[b] = BlockRec { present: true, tracked: n_pages as u32 };
+            for _ in 0..n_pages {
+                let (page, is_live) = (d.u32()?, d.bool()?);
+                if page >= ppb {
+                    return Err(corrupt(format!(
+                        "chip {chip} block {block} page {page} outside the device"
+                    )));
+                }
+                let cell = &mut t.cells[b * ppb as usize + page as usize];
+                if *cell != UNTRACKED {
+                    return Err(corrupt(format!(
+                        "chip {chip} block {block} page {page} listed twice"
+                    )));
+                }
+                *cell = if is_live { LIVE } else { EXPOSED };
+                *(if is_live { &mut live } else { &mut exposed }) += 1;
+            }
         }
+        // Every live page is counted valid exactly once; an exposed page
+        // at least once (`invalid` also keeps pages sanitized later).
+        let o = &t.owners[0];
+        if o.valid != live || o.invalid < exposed {
+            return Err(corrupt(format!(
+                "counters ({} valid, {} invalid) disagree with the listed pages ({live} live, \
+                 {exposed} exposed)",
+                o.valid, o.invalid
+            )));
+        }
+        Ok(LiveGauges { table: t })
     }
 }
 
 impl FtlObserver for LiveGauges {
     fn on_program(&mut self, _lpa: Lpa, at: GlobalPpa, _relocation: bool, secure: bool) {
-        if !secure {
-            return;
-        }
-        let prev =
-            self.phys.entry((at.chip, at.ppa.block.0)).or_default().insert(at.ppa.page.0, true);
-        match prev {
-            // Normal case: a fresh page in an erased block.
-            None => self.valid += 1,
-            // Defensive: a re-program over a tracked exposed page (e.g. a
-            // recovery rewrite) flips it back to valid, never double-counts.
-            Some(false) => {
-                self.valid += 1;
-                self.invalid = self.invalid.saturating_sub(1);
-            }
-            Some(true) => {}
-        }
-        self.note_change();
+        self.table.program(0, at, secure);
     }
 
     fn on_invalidate(
@@ -224,40 +439,15 @@ impl FtlObserver for LiveGauges {
         sanitized: bool,
         _cause: InvalidateCause,
     ) {
-        if !secure {
-            return;
-        }
-        let key = (at.chip, at.ppa.block.0);
-        let Some(block) = self.phys.get_mut(&key) else { return };
-        let Some(live) = block.get_mut(&at.ppa.page.0) else { return };
-        if *live {
-            *live = false;
-            self.valid -= 1;
-        }
-        if sanitized {
-            block.remove(&at.ppa.page.0);
-            self.sanitized_immediately += 1;
-        } else {
-            self.invalid += 1;
-        }
-        self.note_change();
+        self.table.invalidate(at, secure, sanitized);
     }
 
     fn on_erase(&mut self, chip: usize, block: evanesco_nand::geometry::BlockId) {
-        let Some(entries) = self.phys.remove(&(chip, block.0)) else { return };
-        for live in entries.into_values() {
-            if live {
-                self.valid = self.valid.saturating_sub(1);
-            } else {
-                self.invalid = self.invalid.saturating_sub(1);
-                self.exposed_then_erased += 1;
-            }
-        }
-        self.note_change();
+        self.table.erase(chip, block.0);
     }
 
     fn on_host_tick(&mut self) {
-        self.tick += 1;
+        self.table.host_tick();
     }
 }
 
@@ -265,14 +455,21 @@ impl FtlObserver for LiveGauges {
 mod tests {
     use super::*;
     use evanesco_nand::geometry::{BlockId, Ppa};
+    use evanesco_nand::snapshot::{Dec, Enc, SnapshotError};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn at(chip: usize, block: u32, page: u32) -> GlobalPpa {
         GlobalPpa::new(chip, Ppa::new(block, page))
     }
 
+    fn gauges() -> LiveGauges {
+        LiveGauges::new(&FtlConfig::tiny_for_tests())
+    }
+
     #[test]
     fn sanitized_invalidations_keep_tinsec_zero() {
-        let mut g = LiveGauges::new();
+        let mut g = gauges();
         g.on_host_tick();
         g.on_program(0, at(0, 0, 0), false, true);
         g.on_host_tick();
@@ -292,7 +489,7 @@ mod tests {
 
     #[test]
     fn unsanitized_invalidations_accrue_insecure_time() {
-        let mut g = LiveGauges::new();
+        let mut g = gauges();
         g.on_program(0, at(0, 0, 0), false, true);
         for _ in 0..10 {
             g.on_host_tick();
@@ -314,7 +511,7 @@ mod tests {
 
     #[test]
     fn insecure_writes_are_invisible() {
-        let mut g = LiveGauges::new();
+        let mut g = gauges();
         g.on_program(0, at(0, 0, 0), false, false);
         g.on_invalidate(at(0, 0, 0), false, false, InvalidateCause::HostUpdate);
         g.on_host_tick();
@@ -325,7 +522,7 @@ mod tests {
 
     #[test]
     fn vaf_tracks_peaks() {
-        let mut g = LiveGauges::new();
+        let mut g = gauges();
         // Two generations of two secured pages, never sanitized.
         for p in 0..2 {
             g.on_program(p as u64, at(0, 0, p), false, true);
@@ -338,5 +535,518 @@ mod tests {
         assert_eq!(s.max_valid, 2);
         assert_eq!(s.max_invalid, 2);
         assert!((s.vaf - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn each_owner_is_charged_its_own_pages_on_one_clock() {
+        let mut t = ExposureTable::new(&FtlConfig::tiny_for_tests(), 2);
+        t.program(0, at(0, 3, 0), true);
+        t.program(1, at(0, 3, 1), true);
+        t.host_tick();
+        t.invalidate(at(0, 3, 0), true, false);
+        t.host_tick();
+        t.erase(0, 3);
+        let (a, b) = (t.snapshot(0), t.snapshot(1));
+        assert_eq!((a.tick, b.tick), (2, 2));
+        assert_eq!((a.exposed_then_erased, a.insecure_ticks, a.invalid_secured), (1, 1, 0));
+        assert_eq!((b.exposed_then_erased, b.insecure_ticks, b.valid_secured), (0, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the gauged device")]
+    fn an_address_outside_the_device_is_a_bug_not_a_neighbors_cell() {
+        let cfg = FtlConfig::tiny_for_tests();
+        gauges().on_program(0, at(0, 0, cfg.geometry.pages_per_block()), false, true);
+    }
+
+    // ---- The hash-map gauges this table replaced, kept as the ----
+    // ---- differential reference (PR 14 / PR 16 style).         ----
+
+    #[derive(Debug, Clone, Default)]
+    struct RefGauges {
+        tick: u64,
+        valid: u64,
+        invalid: u64,
+        max_valid: u64,
+        max_invalid: u64,
+        insecure_ticks: u64,
+        insecure_since: Option<u64>,
+        sanitized_immediately: u64,
+        exposed_then_erased: u64,
+        /// `(chip, block)` → page → live?
+        phys: HashMap<(usize, u32), HashMap<u32, bool>>,
+    }
+
+    impl RefGauges {
+        fn snapshot(&self) -> GaugeSnapshot {
+            let open = self.insecure_since.map_or(0, |since| self.tick - since);
+            GaugeSnapshot {
+                tick: self.tick,
+                valid_secured: self.valid,
+                invalid_secured: self.invalid,
+                max_valid: self.max_valid,
+                max_invalid: self.max_invalid,
+                insecure_ticks: self.insecure_ticks + open,
+                sanitized_immediately: self.sanitized_immediately,
+                exposed_then_erased: self.exposed_then_erased,
+                vaf: if self.max_valid == 0 {
+                    0.0
+                } else {
+                    self.max_invalid as f64 / self.max_valid as f64
+                },
+            }
+        }
+
+        fn encode_state(&self, e: &mut Enc) {
+            e.tag(0x40);
+            e.u64(self.tick);
+            e.u64(self.valid);
+            e.u64(self.invalid);
+            e.u64(self.max_valid);
+            e.u64(self.max_invalid);
+            e.u64(self.insecure_ticks);
+            e.opt(&self.insecure_since, |e, &t| e.u64(t));
+            e.u64(self.sanitized_immediately);
+            e.u64(self.exposed_then_erased);
+            let mut blocks: Vec<_> = self.phys.keys().copied().collect();
+            blocks.sort_unstable();
+            e.usize(blocks.len());
+            for key in blocks {
+                e.usize(key.0);
+                e.u32(key.1);
+                let pages = &self.phys[&key];
+                let mut ids: Vec<_> = pages.keys().copied().collect();
+                ids.sort_unstable();
+                e.usize(ids.len());
+                for p in ids {
+                    e.u32(p);
+                    e.bool(pages[&p]);
+                }
+            }
+        }
+
+        fn note_change(&mut self) {
+            self.max_valid = self.max_valid.max(self.valid);
+            self.max_invalid = self.max_invalid.max(self.invalid);
+            match (self.invalid > 0, self.insecure_since) {
+                (true, None) => self.insecure_since = Some(self.tick),
+                (false, Some(since)) => {
+                    self.insecure_ticks += self.tick - since;
+                    self.insecure_since = None;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    impl FtlObserver for RefGauges {
+        fn on_program(&mut self, _lpa: Lpa, at: GlobalPpa, _relocation: bool, secure: bool) {
+            if !secure {
+                return;
+            }
+            let prev =
+                self.phys.entry((at.chip, at.ppa.block.0)).or_default().insert(at.ppa.page.0, true);
+            match prev {
+                None => self.valid += 1,
+                Some(false) => {
+                    self.valid += 1;
+                    self.invalid = self.invalid.saturating_sub(1);
+                }
+                Some(true) => {}
+            }
+            self.note_change();
+        }
+
+        fn on_invalidate(
+            &mut self,
+            at: GlobalPpa,
+            secure: bool,
+            sanitized: bool,
+            _cause: InvalidateCause,
+        ) {
+            if !secure {
+                return;
+            }
+            let key = (at.chip, at.ppa.block.0);
+            let Some(block) = self.phys.get_mut(&key) else { return };
+            let Some(live) = block.get_mut(&at.ppa.page.0) else { return };
+            if *live {
+                *live = false;
+                self.valid -= 1;
+            }
+            if sanitized {
+                block.remove(&at.ppa.page.0);
+                self.sanitized_immediately += 1;
+            } else {
+                self.invalid += 1;
+            }
+            self.note_change();
+        }
+
+        fn on_erase(&mut self, chip: usize, block: BlockId) {
+            let Some(entries) = self.phys.remove(&(chip, block.0)) else { return };
+            for live in entries.into_values() {
+                if live {
+                    self.valid = self.valid.saturating_sub(1);
+                } else {
+                    self.invalid = self.invalid.saturating_sub(1);
+                    self.exposed_then_erased += 1;
+                }
+            }
+            self.note_change();
+        }
+
+        fn on_host_tick(&mut self) {
+            self.tick += 1;
+        }
+    }
+
+    /// The fleet's old per-tenant attribution: an ownership map learned at
+    /// program time routing to N private gauge sets, erases and ticks
+    /// broadcast.
+    struct RefAttribution {
+        window: u64,
+        gauges: Vec<RefGauges>,
+        owner: HashMap<(usize, u32), HashMap<u32, usize>>,
+    }
+
+    impl FtlObserver for RefAttribution {
+        fn on_program(&mut self, lpa: Lpa, at: GlobalPpa, relocation: bool, secure: bool) {
+            let tenant = ((lpa / self.window) as usize).min(self.gauges.len() - 1);
+            if secure {
+                self.owner
+                    .entry((at.chip, at.ppa.block.0))
+                    .or_default()
+                    .insert(at.ppa.page.0, tenant);
+            }
+            self.gauges[tenant].on_program(lpa, at, relocation, secure);
+        }
+
+        fn on_invalidate(
+            &mut self,
+            at: GlobalPpa,
+            secure: bool,
+            sanitized: bool,
+            cause: InvalidateCause,
+        ) {
+            let key = (at.chip, at.ppa.block.0);
+            let Some(block) = self.owner.get_mut(&key) else { return };
+            let Some(&tenant) = block.get(&at.ppa.page.0) else { return };
+            if sanitized {
+                block.remove(&at.ppa.page.0);
+                if block.is_empty() {
+                    self.owner.remove(&key);
+                }
+            }
+            self.gauges[tenant].on_invalidate(at, secure, sanitized, cause);
+        }
+
+        fn on_erase(&mut self, chip: usize, block: BlockId) {
+            self.owner.remove(&(chip, block.0));
+            for g in &mut self.gauges {
+                g.on_erase(chip, block);
+            }
+        }
+
+        fn on_host_tick(&mut self) {
+            for g in &mut self.gauges {
+                g.on_host_tick();
+            }
+        }
+    }
+
+    /// A device small enough that random events collide: 2 chips × 3
+    /// blocks × 6 pages.
+    fn small_cfg() -> FtlConfig {
+        let mut cfg = FtlConfig::tiny_for_tests();
+        cfg.geometry.blocks = 3;
+        cfg.geometry.wordlines_per_block = 2;
+        cfg
+    }
+
+    const WINDOW: u64 = 100;
+
+    /// What the FTL did to a physical page since its block's last erase.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Page {
+        Erased,
+        Live { lpa: Lpa, secure: bool },
+        Dead { secure: bool },
+    }
+
+    /// The dense implementations and their hash-map references, fed the
+    /// same events and compared after each one.
+    struct Pair {
+        table: ExposureTable,
+        attr: RefAttribution,
+        gauges: LiveGauges,
+        reference: RefGauges,
+    }
+
+    impl Pair {
+        fn new(cfg: &FtlConfig, owners: usize) -> Self {
+            Pair {
+                table: ExposureTable::new(cfg, owners),
+                attr: RefAttribution {
+                    window: WINDOW,
+                    gauges: vec![RefGauges::default(); owners],
+                    owner: HashMap::new(),
+                },
+                gauges: LiveGauges::new(cfg),
+                reference: RefGauges::default(),
+            }
+        }
+
+        fn program(&mut self, lpa: Lpa, at: GlobalPpa, relocation: bool, secure: bool) {
+            self.table.program((lpa / WINDOW) as usize, at, secure);
+            self.attr.on_program(lpa, at, relocation, secure);
+            self.gauges.on_program(lpa, at, relocation, secure);
+            self.reference.on_program(lpa, at, relocation, secure);
+        }
+
+        fn invalidate(&mut self, at: GlobalPpa, secure: bool, sanitized: bool) {
+            let cause = InvalidateCause::HostUpdate;
+            self.table.invalidate(at, secure, sanitized);
+            self.attr.on_invalidate(at, secure, sanitized, cause);
+            self.gauges.on_invalidate(at, secure, sanitized, cause);
+            self.reference.on_invalidate(at, secure, sanitized, cause);
+        }
+
+        fn erase(&mut self, chip: usize, block: u32) {
+            self.table.erase(chip, block);
+            self.attr.on_erase(chip, BlockId(block));
+            self.gauges.on_erase(chip, BlockId(block));
+            self.reference.on_erase(chip, BlockId(block));
+        }
+
+        fn tick(&mut self) {
+            self.table.host_tick();
+            self.attr.on_host_tick();
+            self.gauges.on_host_tick();
+            self.reference.on_host_tick();
+        }
+
+        fn bytes(&self) -> (Vec<u8>, Vec<u8>) {
+            let (mut dense, mut hashed) = (Enc::new(), Enc::new());
+            self.gauges.encode_state(&mut dense);
+            self.reference.encode_state(&mut hashed);
+            (dense.into_bytes(), hashed.into_bytes())
+        }
+
+        fn check(&self, step: usize) -> Result<(), TestCaseError> {
+            for (o, r) in self.attr.gauges.iter().enumerate() {
+                prop_assert_eq!(self.table.snapshot(o), r.snapshot(), "owner {} @ {}", o, step);
+            }
+            prop_assert_eq!(self.gauges.snapshot(), self.reference.snapshot(), "@ {}", step);
+            let (dense, hashed) = self.bytes();
+            prop_assert_eq!(dense, hashed, "encode_state bytes @ {}", step);
+            Ok(())
+        }
+    }
+
+    /// First page at or after `start` (wrapping) that satisfies `want`.
+    fn pick(pages: &[Page], start: usize, want: impl Fn(Page) -> bool) -> Option<usize> {
+        (0..pages.len()).map(|k| (start + k) % pages.len()).find(|&i| want(pages[i]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Valid FTL event streams — program only an erased page,
+        /// invalidate a live or an already-dead page (sanitized or not),
+        /// relocate, erase, tick — leave the dense table and the hash-map
+        /// references with equal snapshots and equal checkpoint bytes
+        /// after every event, and the bytes survive decode → encode.
+        #[test]
+        fn dense_table_matches_the_hash_map_gauges(
+            owners in 1usize..=5,
+            cmds in proptest::collection::vec((0u8..12, 0usize..1000, 0u64..WINDOW, 0u8..4), 1..160),
+        ) {
+            let cfg = small_cfg();
+            let ppb = cfg.geometry.pages_per_block() as usize;
+            let per_chip = cfg.geometry.blocks as usize * ppb;
+            let addr = |i: usize| at(i / per_chip, (i % per_chip / ppb) as u32, (i % ppb) as u32);
+            let mut pages = vec![Page::Erased; cfg.n_chips * per_chip];
+            let mut pair = Pair::new(&cfg, owners);
+            for (step, &(kind, sel, off, flags)) in cmds.iter().enumerate() {
+                let start = sel % pages.len();
+                match kind {
+                    // Host write: three in four secured.
+                    0..=3 => {
+                        let Some(i) = pick(&pages, start, |p| p == Page::Erased) else { continue };
+                        let (lpa, secure) = ((sel % owners) as u64 * WINDOW + off, flags != 0);
+                        pair.tick();
+                        pair.program(lpa, addr(i), false, secure);
+                        pages[i] = Page::Live { lpa, secure };
+                    }
+                    // Invalidate a live page, or a dead one again.
+                    4..=6 => {
+                        let live_only = flags & 2 == 0;
+                        let want = |p| match p {
+                            Page::Live { .. } => true,
+                            Page::Dead { .. } => !live_only,
+                            Page::Erased => false,
+                        };
+                        let Some(i) = pick(&pages, start, want) else { continue };
+                        let (Page::Live { secure, .. } | Page::Dead { secure }) = pages[i] else {
+                            unreachable!()
+                        };
+                        pair.invalidate(addr(i), secure, flags & 1 == 1);
+                        pages[i] = Page::Dead { secure };
+                    }
+                    // GC copy: re-program on an erased page, retire the old.
+                    7..=8 => {
+                        let live = |p| matches!(p, Page::Live { .. });
+                        let Some(old) = pick(&pages, start, live) else { continue };
+                        let Some(new) = pick(&pages, old, |p| p == Page::Erased) else { continue };
+                        let Page::Live { lpa, secure } = pages[old] else { unreachable!() };
+                        pair.program(lpa, addr(new), true, secure);
+                        pages[new] = pages[old];
+                        pair.invalidate(addr(old), secure, flags & 1 == 1);
+                        pages[old] = Page::Dead { secure };
+                    }
+                    9 => {
+                        let b = start / ppb;
+                        pair.erase(b / cfg.geometry.blocks as usize, (b % cfg.geometry.blocks as usize) as u32);
+                        pages[b * ppb..(b + 1) * ppb].fill(Page::Erased);
+                    }
+                    _ => pair.tick(),
+                }
+                pair.check(step)?;
+            }
+            let (bytes, _) = pair.bytes();
+            let back = LiveGauges::decode_state(&cfg, &mut Dec::new(&bytes)).unwrap();
+            let mut again = Enc::new();
+            back.encode_state(&mut again);
+            prop_assert_eq!(again.into_bytes(), bytes);
+            prop_assert_eq!(back.snapshot(), pair.gauges.snapshot());
+        }
+    }
+
+    /// The trap in the byte stream: a block whose secured pages were all
+    /// sanitized keeps a zero-page entry until it is erased.
+    #[test]
+    fn an_all_sanitized_block_stays_in_the_stream_until_erased() {
+        let cfg = small_cfg();
+        let mut pair = Pair::new(&cfg, 1);
+        pair.program(1, at(1, 2, 0), false, true);
+        pair.program(2, at(1, 2, 4), false, true);
+        pair.invalidate(at(1, 2, 0), true, true);
+        pair.invalidate(at(1, 2, 4), true, true);
+        let (dense, hashed) = pair.bytes();
+        assert_eq!(dense, hashed);
+        let mut empty = Enc::new();
+        LiveGauges::new(&cfg).encode_state(&mut empty);
+        assert!(dense.len() > empty.into_bytes().len(), "the empty block is listed");
+        let back = LiveGauges::decode_state(&cfg, &mut Dec::new(&dense)).unwrap();
+        let mut again = Enc::new();
+        back.encode_state(&mut again);
+        assert_eq!(again.into_bytes(), dense, "and survives a round trip");
+        pair.erase(1, 2);
+        let (dense, hashed) = pair.bytes();
+        assert_eq!(dense, hashed);
+    }
+
+    // ---- Hostile checkpoint input ----
+
+    /// `(chip, block, [(page, live)])` as the stream lists it.
+    type ListedBlock<'a> = (usize, u32, &'a [(u32, bool)]);
+
+    /// A gauge stream with the given counters and block entries,
+    /// well-formed as far as the framing goes.
+    fn stream(valid: u64, invalid: u64, blocks: &[ListedBlock<'_>]) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.tag(0x40);
+        for v in [9, valid, invalid, valid, invalid, 0] {
+            e.u64(v);
+        }
+        e.opt(&(invalid > 0).then_some(3u64), |e, &t| e.u64(t));
+        e.u64(0);
+        e.u64(0);
+        e.usize(blocks.len());
+        for &(chip, block, pages) in blocks {
+            e.usize(chip);
+            e.u32(block);
+            e.usize(pages.len());
+            for &(p, live) in pages {
+                e.u32(p);
+                e.bool(live);
+            }
+        }
+        e.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<LiveGauges, SnapshotError> {
+        let mut d = Dec::new(bytes);
+        let g = LiveGauges::decode_state(&small_cfg(), &mut d)?;
+        d.finish()?;
+        Ok(g)
+    }
+
+    fn corrupt(bytes: &[u8], needle: &str) {
+        match decode(bytes) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected Corrupt(.. {needle} ..), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_well_formed_stream_decodes_and_every_truncation_is_typed() {
+        let good = stream(2, 1, &[(0, 1, &[(0, true), (5, false)]), (1, 2, &[(3, true)])]);
+        let g = decode(&good).unwrap();
+        assert_eq!((g.snapshot().valid_secured, g.snapshot().invalid_secured), (2, 1));
+        for cut in 0..good.len() {
+            assert!(
+                matches!(decode(&good[..cut]), Err(SnapshotError::Truncated { .. })),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn addresses_outside_the_configured_device_are_rejected() {
+        // small_cfg: chips 0..2, blocks 0..3, pages 0..6.
+        corrupt(&stream(1, 0, &[(2, 0, &[(0, true)])]), "outside the device");
+        corrupt(&stream(1, 0, &[(usize::MAX, 0, &[(0, true)])]), "outside the device");
+        corrupt(&stream(1, 0, &[(0, 3, &[(0, true)])]), "outside the device");
+        corrupt(&stream(1, 0, &[(0, 0, &[(6, true)])]), "outside the device");
+        corrupt(&stream(1, 0, &[(0, 0, &[(u32::MAX, true)])]), "outside the device");
+    }
+
+    #[test]
+    fn duplicates_are_rejected() {
+        corrupt(&stream(2, 0, &[(0, 0, &[(1, true), (1, true)])]), "page 1 listed twice");
+        corrupt(
+            &stream(2, 0, &[(1, 1, &[(0, true)]), (1, 1, &[(2, true)])]),
+            "block 1 listed twice",
+        );
+    }
+
+    #[test]
+    fn counts_that_disagree_with_the_entries_are_rejected_without_allocating() {
+        // Block and page counts far beyond the device: refused before any
+        // entry is read, not looped over or allocated for.
+        let mut e = Enc::new();
+        e.tag(0x40);
+        for _ in 0..6 {
+            e.u64(0);
+        }
+        e.opt(&None::<u64>, |e, &t| e.u64(t));
+        e.u64(0);
+        e.u64(0);
+        let header = e.into_bytes();
+        let mut many_blocks = Enc::new();
+        many_blocks.usize(usize::MAX);
+        corrupt(&[header.clone(), many_blocks.into_bytes()].concat(), "blocks listed of");
+        let mut many_pages = Enc::new();
+        many_pages.usize(1);
+        many_pages.usize(0);
+        many_pages.u32(0);
+        many_pages.usize(usize::MAX);
+        corrupt(&[header, many_pages.into_bytes()].concat(), "lists");
+        // Counters that the listed pages contradict.
+        corrupt(&stream(5, 0, &[(0, 0, &[(0, true)])]), "disagree");
+        corrupt(&stream(0, 0, &[(0, 0, &[(0, true)])]), "disagree");
+        corrupt(&stream(1, 0, &[(0, 0, &[(0, true), (1, false)])]), "disagree");
     }
 }

@@ -49,6 +49,6 @@ pub mod vertrace;
 
 pub use ledger::{CauseCounts, ClassExposure, ExposureHistogram, ExposureLedger, LedgerReport};
 pub use spec::WorkloadSpec;
-pub use tenants::{generate_fleet, TenantOp, TenantProfile, TrafficConfig};
+pub use tenants::{generate_device, generate_fleet, TenantOp, TenantProfile, TrafficConfig};
 pub use trace::{FileId, Trace, TraceOp};
 pub use vertrace::{VerTrace, VerTraceReport};

@@ -178,47 +178,76 @@ pub struct TenantOp {
     pub op: HostOp,
 }
 
+impl TrafficConfig {
+    /// Checks that streams can be generated into `window_pages`-page
+    /// namespaces.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty tenant list, a non-positive base rate, a diurnal
+    /// amplitude outside `[0, 1)`, or a window too small for the largest
+    /// request.
+    pub fn validate(&self, window_pages: u64) {
+        assert!(!self.tenants.is_empty(), "fleet traffic needs at least one tenant");
+        assert!(self.base_rate_per_sec > 0.0, "arrival rate must be positive");
+        assert!(
+            (0.0..1.0).contains(&self.diurnal_amplitude),
+            "diurnal amplitude must be in [0, 1), got {}",
+            self.diurnal_amplitude
+        );
+        let max_req = self.tenants.iter().map(|t| t.req_pages.1).max().unwrap();
+        assert!(
+            window_pages >= max_req,
+            "namespace window of {window_pages} pages cannot hold a {max_req}-page request"
+        );
+    }
+
+    /// Zipf × offered-share tenant weights, folded into a CDF.
+    fn tenant_cdf(&self) -> Vec<f64> {
+        let weights: Vec<f64> = self
+            .tenants
+            .iter()
+            .enumerate()
+            .map(|(rank, t)| t.offered_share / ((rank + 1) as f64).powf(self.zipf_s))
+            .collect();
+        let total: f64 = weights.iter().sum();
+        weights
+            .iter()
+            .scan(0.0, |acc, w| {
+                *acc += w / total;
+                Some(*acc)
+            })
+            .collect()
+    }
+}
+
 /// Generates per-device open-loop request streams: `devices` traces of
 /// [`TrafficConfig::requests_per_device`] requests each, every request
 /// confined to `[0, window_pages)` within its tenant's namespace.
 ///
 /// # Panics
 ///
-/// Panics on an empty tenant list, a non-positive base rate, or a window
-/// too small for the largest request.
+/// Panics on a configuration [`TrafficConfig::validate`] rejects.
 pub fn generate_fleet(
     cfg: &TrafficConfig,
     devices: usize,
     window_pages: u64,
 ) -> Vec<Vec<TenantOp>> {
-    assert!(!cfg.tenants.is_empty(), "fleet traffic needs at least one tenant");
-    assert!(cfg.base_rate_per_sec > 0.0, "arrival rate must be positive");
-    assert!(
-        (0.0..1.0).contains(&cfg.diurnal_amplitude),
-        "diurnal amplitude must be in [0, 1), got {}",
-        cfg.diurnal_amplitude
-    );
-    let max_req = cfg.tenants.iter().map(|t| t.req_pages.1).max().unwrap();
-    assert!(
-        window_pages >= max_req,
-        "namespace window of {window_pages} pages cannot hold a {max_req}-page request"
-    );
-    // Zipf × offered-share tenant weights, folded into a CDF once.
-    let weights: Vec<f64> = cfg
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(rank, t)| t.offered_share / ((rank + 1) as f64).powf(cfg.zipf_s))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let cdf: Vec<f64> = weights
-        .iter()
-        .scan(0.0, |acc, w| {
-            *acc += w / total;
-            Some(*acc)
-        })
-        .collect();
+    cfg.validate(window_pages);
+    let cdf = cfg.tenant_cdf();
     (0..devices).map(|d| device_stream(cfg, &cdf, window_pages, d)).collect()
+}
+
+/// Generates one device's stream — `generate_fleet(cfg, n, window_pages)[device]`
+/// for any `n > device` — so a fleet shard can produce each of its
+/// devices' traffic when it gets to it.
+///
+/// # Panics
+///
+/// Panics on a configuration [`TrafficConfig::validate`] rejects.
+pub fn generate_device(cfg: &TrafficConfig, window_pages: u64, device: usize) -> Vec<TenantOp> {
+    cfg.validate(window_pages);
+    device_stream(cfg, &cfg.tenant_cdf(), window_pages, device)
 }
 
 fn device_stream(
