@@ -207,7 +207,7 @@ pub fn run(scale: &Scale, scale_name: &str) -> AnatomyBench {
             cell.e2e_ns += row.e2e().0;
         }
         if qd == 8 {
-            top = an.top().iter().take(TOP_K).map(top_row).collect();
+            top = an.top().take(TOP_K).map(top_row).collect();
         }
         qd_cells.push(cell);
     }
@@ -242,12 +242,12 @@ pub fn run(scale: &Scale, scale_name: &str) -> AnatomyBench {
     }
 }
 
-fn top_row(row: &evanesco_ssd::RequestAnatomy) -> TopRow {
+fn top_row(row: evanesco_ssd::RequestAnatomy<'_>) -> TopRow {
     let dominant = Stage::ALL
         .into_iter()
         .max_by_key(|&s| (row.stage(s), s.idx()))
         .expect("Stage::ALL is non-empty");
-    let mut links: Vec<_> = row.chain.iter().collect();
+    let mut links: Vec<_> = row.chain().collect();
     links.sort_by_key(|l| std::cmp::Reverse(l.dur()));
     let chain = links
         .iter()

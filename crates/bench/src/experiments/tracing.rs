@@ -200,7 +200,7 @@ mod tests {
         assert!(r.latency.read.max().0 > 0, "read latency is nonzero");
         // The span invariant holds for every retained trace.
         for t in r.recorder.traces() {
-            let sum: u64 = t.segments.iter().map(|s| s.dur().0).sum();
+            let sum: u64 = t.segments().map(|s| s.dur().0).sum();
             assert_eq!(sum, t.e2e().0, "segments must tile request {}", t.id);
         }
         // Under the evanesco policy secured deletes sanitize immediately.

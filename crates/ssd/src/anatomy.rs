@@ -33,24 +33,25 @@
 //!   backoff map to queue wait and retry interference respectively (the
 //!   emulator passes the watchdog's penalty window alongside the trace).
 //!
-//! Blame needs hindsight: the command that blocked a fast request may
-//! belong to a slower neighbor whose trace finishes later. Rows are
-//! therefore held *pending* and resolved either when the bounded pending
-//! window overflows or at [`AnatomyRecorder::finalize`], which every
-//! reader (metrics export, experiment gates) calls first. Resolution
-//! folds each row into per-kind/per-stage totals and histograms, a
-//! deterministic top-K slowest digest carrying the full causal chain,
-//! and the bounded resolved ring.
+//! Blame needs no hindsight: a row is resolved the moment its trace is
+//! recorded. Traces arrive in dispatch order and every resource is
+//! serial, so a command that overlaps one of a request's waits on
+//! resource R was reserved before that request's own next command on R —
+//! by a request dispatched earlier, whose trace (and occupancy) is
+//! already in. Resolution folds each row into per-kind/per-stage totals
+//! and histograms, a deterministic top-K slowest digest carrying the full
+//! causal chain, and the bounded row ring; nothing waits for a
+//! `finalize`, so what a reader sees never depends on the ring's size.
 //!
 //! The whole layer is observational: it reads finished traces and never
 //! touches the simulated device, so enabling it cannot change results —
 //! the `anatomy` experiment gate proves byte-identity.
 
+use crate::arena::{Arena, PackedNanos, Span};
 use crate::metrics::LatencyHistogram;
 use crate::trace::{ReqKind, RequestTrace, ResourceId, SpanKind};
 use evanesco_ftl::{Lpa, OpCause};
 use evanesco_nand::timing::Nanos;
-use std::collections::{BTreeMap, VecDeque};
 
 /// One stage of the end-to-end latency decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -184,13 +185,54 @@ impl ChainLink {
     }
 }
 
+/// A [`ChainLink`] as the recorder stores it: 24 bytes (40 unpacked).
+#[derive(Debug, Clone, Copy)]
+struct PackedLink {
+    start: PackedNanos,
+    end: PackedNanos,
+    stage: Stage,
+    kind: SpanKind,
+    cause: OpCause,
+    own: bool,
+    /// [`ResourceId::dense`] plus one; zero for `None`.
+    resource: u32,
+}
+
+impl PackedLink {
+    fn pack(l: &ChainLink) -> Self {
+        PackedLink {
+            start: l.start.into(),
+            end: l.end.into(),
+            stage: l.stage,
+            kind: l.kind,
+            cause: l.cause,
+            own: l.own,
+            resource: l.resource.map_or(0, |r| u32::from(r.dense()) + 1),
+        }
+    }
+
+    fn unpack(&self) -> ChainLink {
+        ChainLink {
+            stage: self.stage,
+            kind: self.kind,
+            cause: self.cause,
+            resource: self.resource.checked_sub(1).map(|d| ResourceId::from_dense(d as u16)),
+            start: self.start.into(),
+            end: self.end.into(),
+            own: self.own,
+        }
+    }
+}
+
 /// Bound on the causal chain kept per request (longest-blame links win).
 const CHAIN_CAP: usize = 64;
 
-/// The resolved anatomy of one traced request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestAnatomy {
-    /// The trace id ([`RequestTrace::id`]) this row was derived from.
+/// The fixed-size part of one request's resolved anatomy; its causal
+/// chain is reached through the [`RequestAnatomy`] view.
+#[derive(Debug, Clone, Copy)]
+pub struct AnatomyRow {
+    /// The trace id ([`crate::trace::TraceHead::id`]) this row was
+    /// derived from.
     pub trace_id: u64,
     /// Submission-order index on the scheduled path (joins the row to
     /// the op list / tenant); `None` for serialized-path and
@@ -208,14 +250,12 @@ pub struct RequestAnatomy {
     pub submit: Nanos,
     /// Completion time.
     pub end: Nanos,
-    /// Per-stage durations. Sums to exactly [`RequestAnatomy::e2e`].
+    /// Per-stage durations. Sums to exactly [`AnatomyRow::e2e`].
     pub stages: [Nanos; Stage::COUNT],
-    /// Causal chain: every interference interval, blamer named, in
-    /// timeline order (bounded at `CHAIN_CAP` — longest links kept).
-    pub chain: Vec<ChainLink>,
+    chain: Span,
 }
 
-impl RequestAnatomy {
+impl AnatomyRow {
     /// End-to-end latency (device clock: slot acquisition to
     /// completion).
     pub fn e2e(&self) -> Nanos {
@@ -228,7 +268,7 @@ impl RequestAnatomy {
     }
 
     /// Sum of all stage durations — the tiling identity says this is
-    /// exactly [`RequestAnatomy::e2e`].
+    /// exactly [`AnatomyRow::e2e`].
     pub fn stage_sum(&self) -> Nanos {
         self.stages.iter().fold(Nanos::ZERO, |a, &b| a + b)
     }
@@ -241,11 +281,33 @@ impl RequestAnatomy {
     }
 }
 
-/// An unresolved wait interval: blamed lazily once the occupancy
-/// timeline has caught up (the blocking command may belong to a trace
-/// recorded later).
+/// The resolved anatomy of one traced request, borrowed from the
+/// recorder: the [`AnatomyRow`] fields (by deref) plus its causal chain.
 #[derive(Debug, Clone, Copy)]
-struct PendingWait {
+pub struct RequestAnatomy<'a> {
+    row: &'a AnatomyRow,
+    chain: &'a [PackedLink],
+}
+
+impl std::ops::Deref for RequestAnatomy<'_> {
+    type Target = AnatomyRow;
+
+    fn deref(&self) -> &AnatomyRow {
+        self.row
+    }
+}
+
+impl<'a> RequestAnatomy<'a> {
+    /// Causal chain: every interference interval, blamer named, in
+    /// timeline order (bounded at `CHAIN_CAP` — longest links kept).
+    pub fn chain(&self) -> impl ExactSizeIterator<Item = ChainLink> + Clone + 'a {
+        self.chain.iter().map(PackedLink::unpack)
+    }
+}
+
+/// A service-window wait awaiting blame.
+#[derive(Debug, Clone, Copy)]
+struct Wait {
     start: Nanos,
     end: Nanos,
     /// The blocking resource: where the request's next own command ran.
@@ -254,31 +316,38 @@ struct PendingWait {
     resource: Option<ResourceId>,
 }
 
-#[derive(Debug, Clone)]
-struct Pending {
-    row: RequestAnatomy,
-    waits: Vec<PendingWait>,
-}
-
 /// One interval of the per-resource occupancy timeline (interference
 /// commands only — host service never blames a wait).
 #[derive(Debug, Clone, Copy)]
 struct OccSlot {
-    start: Nanos,
-    end: Nanos,
+    start: PackedNanos,
+    end: PackedNanos,
     stage: Stage,
     kind: SpanKind,
     cause: OpCause,
 }
 
-/// Per-resource occupancy ring bound. Old intervals are only consulted
-/// by waits that overlap them, so a bounded recent window suffices;
-/// overflow is counted in [`AnatomyRecorder::occupancy_dropped`].
+/// Per-resource occupancy bound. A wait only consults the intervals that
+/// overlap it, all reserved while its request was in flight, so a bounded
+/// recent window suffices; overflow is counted in
+/// [`AnatomyRecorder::occupancy_dropped`].
 ///
-/// Each ring is sorted and disjoint: a serial resource never starts a
+/// Each timeline is sorted and disjoint: a serial resource never starts a
 /// reservation before its previous one ended, and traces arrive in
 /// dispatch order. Blame resolution binary-searches on that.
 const OCC_CAP: usize = 4096;
+
+/// Chunk sizes of the recorder's arenas, in elements.
+const ROW_CHUNK: usize = 1024;
+const CHAIN_CHUNK: usize = 4096;
+const OCC_CHUNK: usize = 1024;
+
+/// A top-K digest entry: it outlives the row ring, so it owns its chain.
+#[derive(Debug, Clone)]
+struct TopRow {
+    row: AnatomyRow,
+    chain: Vec<PackedLink>,
+}
 
 /// Bounded per-request latency-anatomy recorder.
 ///
@@ -289,24 +358,29 @@ const OCC_CAP: usize = 4096;
 pub struct AnatomyRecorder {
     capacity: usize,
     top_k: usize,
-    pending: VecDeque<Pending>,
-    resolved: VecDeque<RequestAnatomy>,
-    occupancy: BTreeMap<ResourceId, VecDeque<OccSlot>>,
-    occ_dropped: u64,
-    recorded: u64,
-    dropped: u64,
+    rows: Arena<AnatomyRow>,
+    chains: Arena<PackedLink>,
+    /// Occupancy timelines, indexed by [`ResourceId::dense`].
+    occupancy: Vec<Arena<OccSlot>>,
     /// Total stage time per request kind, across every recorded row.
     totals: [[Nanos; Stage::COUNT]; REQ_KINDS.len()],
     /// Per-kind/per-stage duration histograms (one sample per request).
     hists: [[LatencyHistogram; Stage::COUNT]; REQ_KINDS.len()],
     /// Deterministic top-K slowest rows: ordered by (e2e desc, trace id
     /// asc), ring eviction notwithstanding.
-    top: Vec<RequestAnatomy>,
+    top: Vec<TopRow>,
+    /// Per-request working buffers, recycled: the chain being built, the
+    /// waits awaiting blame with each one's best next-command start, and
+    /// the link ranking of an over-long chain.
+    chain: Vec<ChainLink>,
+    waits: Vec<Wait>,
+    next_start: Vec<Nanos>,
+    longest: Vec<u32>,
 }
 
 impl AnatomyRecorder {
-    /// A recorder retaining at most `capacity` resolved rows and a
-    /// top-`top_k` slowest digest.
+    /// A recorder retaining at most `capacity` rows and a top-`top_k`
+    /// slowest digest.
     ///
     /// # Panics
     ///
@@ -316,15 +390,16 @@ impl AnatomyRecorder {
         AnatomyRecorder {
             capacity,
             top_k,
-            pending: VecDeque::new(),
-            resolved: VecDeque::with_capacity(capacity.min(4096)),
-            occupancy: BTreeMap::new(),
-            occ_dropped: 0,
-            recorded: 0,
-            dropped: 0,
+            rows: Arena::new(ROW_CHUNK),
+            chains: Arena::new(CHAIN_CHUNK),
+            occupancy: Vec::new(),
             totals: [[Nanos::ZERO; Stage::COUNT]; REQ_KINDS.len()],
             hists: [[LatencyHistogram::new(); Stage::COUNT]; REQ_KINDS.len()],
             top: Vec::new(),
+            chain: Vec::new(),
+            waits: Vec::new(),
+            next_start: Vec::new(),
+            longest: Vec::new(),
         }
     }
 
@@ -335,67 +410,67 @@ impl AnatomyRecorder {
 
     /// Rows recorded over the recorder's lifetime.
     pub fn recorded(&self) -> u64 {
-        self.recorded
+        self.rows.pushed()
     }
 
-    /// Rows evicted from the resolved ring (aggregates and the top-K
-    /// digest still cover them).
+    /// Rows evicted from the ring (aggregates and the top-K digest still
+    /// cover them).
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.rows.released()
     }
 
-    /// Occupancy intervals evicted from a full per-resource window —
-    /// wait blame may be undercounted (never overcounted) when nonzero.
+    /// Occupancy intervals evicted from a full per-resource window. A
+    /// wait reaching further back than the last `OCC_CAP` interference
+    /// commands on its blocking resource would be under-blamed (never
+    /// over-blamed); no request in flight waits that long.
     pub fn occupancy_dropped(&self) -> u64 {
-        self.occ_dropped
+        self.occupancy.iter().map(Arena::released).sum()
     }
 
     /// Total stage time for `kind` requests in `stage`, across every
-    /// *resolved* row (call [`AnatomyRecorder::finalize`] first to
-    /// settle the pending window).
+    /// recorded row.
     pub fn stage_total(&self, kind: ReqKind, stage: Stage) -> Nanos {
         self.totals[kind_idx(kind)][stage.idx()]
     }
 
-    /// Per-request duration histogram for `kind` × `stage` (resolved
-    /// rows).
+    /// Per-request duration histogram for `kind` × `stage`.
     pub fn stage_hist(&self, kind: ReqKind, stage: Stage) -> &LatencyHistogram {
         &self.hists[kind_idx(kind)][stage.idx()]
     }
 
-    /// The retained resolved rows, oldest first.
-    pub fn rows(&self) -> impl Iterator<Item = &RequestAnatomy> {
-        self.resolved.iter()
+    /// The retained rows, oldest first.
+    pub fn rows(&self) -> impl Iterator<Item = RequestAnatomy<'_>> + Clone {
+        self.rows.iter().map(|row| RequestAnatomy { row, chain: self.chains.slice(row.chain) })
     }
 
-    /// The top-K slowest resolved rows, slowest first (ties broken by
-    /// trace id ascending — fully deterministic).
-    pub fn top(&self) -> &[RequestAnatomy] {
-        &self.top
+    /// The top-K slowest rows, slowest first (ties broken by trace id
+    /// ascending — fully deterministic).
+    pub fn top(&self) -> impl ExactSizeIterator<Item = RequestAnatomy<'_>> + Clone {
+        self.top.iter().map(|t| RequestAnatomy { row: &t.row, chain: &t.chain })
     }
 
-    /// Rows recorded but not yet blame-resolved.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Ingests one finished trace. `retry` is the watchdog penalty
-    /// window (absolute), if the request was aborted and backed off;
-    /// `req_idx` joins the row to a scheduled-run op index.
+    /// Ingests one finished trace and resolves its row on the spot.
+    /// `retry` is the watchdog penalty window (absolute), if the request
+    /// was aborted and backed off; `req_idx` joins the row to a
+    /// scheduled-run op index.
     ///
     /// Traces must arrive in dispatch order, so that each resource's
     /// interference commands arrive in time order (the emulator's do:
-    /// its resources are serial); debug builds assert it.
+    /// its resources are serial); debug builds assert it. The same order
+    /// is what makes hindsight unnecessary: a command that overlaps one
+    /// of this request's waits on resource R was reserved before the
+    /// request's own next command on R, hence by a request dispatched
+    /// earlier, whose trace is already in.
     pub fn record(
         &mut self,
-        t: &RequestTrace,
+        t: RequestTrace<'_>,
         retry: Option<(Nanos, Nanos)>,
         req_idx: Option<usize>,
     ) {
         let mut stages = [Nanos::ZERO; Stage::COUNT];
-        let mut chain: Vec<ChainLink> = Vec::new();
-        let mut waits: Vec<PendingWait> = Vec::new();
-        for seg in &t.segments {
+        self.chain.clear();
+        self.waits.clear();
+        for seg in t.segments() {
             match seg.kind {
                 SpanKind::QueueWait | SpanKind::Wait => {
                     let base = if seg.kind == SpanKind::QueueWait {
@@ -413,7 +488,7 @@ impl AnatomyRecorder {
                     };
                     if re > rs {
                         stages[Stage::RetryInterference.idx()] += re - rs;
-                        chain.push(ChainLink {
+                        self.chain.push(ChainLink {
                             stage: Stage::RetryInterference,
                             kind: seg.kind,
                             cause: OpCause::Retry,
@@ -432,7 +507,7 @@ impl AnatomyRecorder {
                         }
                         stages[base.idx()] += b - a;
                         if base == Stage::DispatchStall {
-                            waits.push(PendingWait { start: a, end: b, resource: None });
+                            self.waits.push(Wait { start: a, end: b, resource: None });
                         }
                     }
                 }
@@ -441,7 +516,7 @@ impl AnatomyRecorder {
                     match interference_of(kind, seg.cause) {
                         Some(stage) => {
                             stages[stage.idx()] += seg.dur();
-                            chain.push(ChainLink {
+                            self.chain.push(ChainLink {
                                 stage,
                                 kind,
                                 cause: seg.cause,
@@ -469,11 +544,13 @@ impl AnatomyRecorder {
         // so an event is a candidate for the last wait ending at or before
         // its start, and a wait without one inherits from the wait after
         // it. Trailing waits with no later command keep `None`.
-        let mut next_start = vec![Nanos(u64::MAX); waits.len()];
-        for e in &t.events {
+        let waits = &mut self.waits;
+        self.next_start.clear();
+        self.next_start.resize(waits.len(), Nanos(u64::MAX));
+        for e in t.events() {
             let k = waits.partition_point(|w| w.end <= e.start);
-            if k > 0 && e.start < next_start[k - 1] {
-                next_start[k - 1] = e.start;
+            if k > 0 && e.start < self.next_start[k - 1] {
+                self.next_start[k - 1] = e.start;
                 waits[k - 1].resource = Some(e.resource);
             }
         }
@@ -482,80 +559,24 @@ impl AnatomyRecorder {
                 waits[k - 1].resource = waits[k].resource;
             }
         }
-        // Every interference-class command this request issued joins the
-        // occupancy timeline, so neighbors' waits can be blamed on it.
-        for e in &t.events {
-            if let Some(stage) = interference_of(e.kind, e.cause) {
-                let ring = self.occupancy.entry(e.resource).or_default();
-                debug_assert!(
-                    ring.back().is_none_or(|last| last.end <= e.start),
-                    "occupancy of {:?} must arrive in time order",
-                    e.resource
-                );
-                if ring.len() == OCC_CAP {
-                    ring.pop_front();
-                    self.occ_dropped += 1;
-                }
-                ring.push_back(OccSlot {
-                    start: e.start,
-                    end: e.end,
-                    stage,
-                    kind: e.kind,
-                    cause: e.cause,
-                });
-            }
-        }
-        let row = RequestAnatomy {
-            trace_id: t.id,
-            req_idx,
-            kind: t.kind,
-            lpa: t.lpa,
-            npages: t.npages,
-            acked: t.acked,
-            submit: t.submit,
-            end: t.end,
-            stages,
-            chain,
-        };
-        self.recorded += 1;
-        self.pending.push_back(Pending { row, waits });
-        // Bound the pending window: the oldest row resolves against the
-        // occupancy seen so far (its blockers completed long ago).
-        if self.pending.len() > self.capacity {
-            let p = self.pending.pop_front().expect("pending nonempty");
-            self.resolve_one(p);
-        }
-    }
-
-    /// Resolves every pending row against the full occupancy timeline
-    /// and folds it into the aggregates. Call before reading totals,
-    /// histograms, rows, or the top-K digest. Idempotent.
-    pub fn finalize(&mut self) {
-        while let Some(p) = self.pending.pop_front() {
-            self.resolve_one(p);
-        }
-    }
-
-    fn resolve_one(&mut self, p: Pending) {
-        let Pending { mut row, waits } = p;
-        for w in &waits {
+        // Blame: reclassify the part of each wait during which an
+        // interference-class command held the blocking resource. The
+        // timeline is sorted and disjoint: the overlapping slots are the
+        // run from the first one ending after the wait's start, and their
+        // total never exceeds the wait.
+        for w in waits.iter() {
             let Some(res) = w.resource else { continue };
-            let Some(ring) = self.occupancy.get(&res) else { continue };
-            // The ring is sorted and disjoint: the overlapping slots are
-            // the run from the first one ending after the wait's start.
-            let first = ring.partition_point(|slot| slot.end <= w.start);
-            for slot in ring.range(first..).take_while(|slot| slot.start < w.end) {
-                let a = slot.start.max(w.start);
-                let b = slot.end.min(w.end);
-                // Reclassify: the blocking resource was held by an
-                // interference-class command for [a, b). Occupancy
-                // intervals on a serial resource are disjoint, so the
-                // reclassified total never exceeds the wait.
+            let Some(timeline) = self.occupancy.get(usize::from(res.dense())) else { continue };
+            let overlapping = timeline
+                .skip_partitioned(|slot| Nanos::from(slot.end) <= w.start)
+                .take_while(|slot| Nanos::from(slot.start) < w.end);
+            for slot in overlapping {
+                let a = Nanos::from(slot.start).max(w.start);
+                let b = Nanos::from(slot.end).min(w.end);
                 let dur = b - a;
-                row.stages[Stage::DispatchStall.idx()] =
-                    row.stages[Stage::DispatchStall.idx()] - dur;
-                row.stages[slot.stage.idx()] += dur;
-                row.chain.push(ChainLink {
+                stages[Stage::DispatchStall.idx()] = stages[Stage::DispatchStall.idx()] - dur;
+                stages[slot.stage.idx()] += dur;
+                self.chain.push(ChainLink {
                     stage: slot.stage,
                     kind: slot.kind,
                     cause: slot.cause,
@@ -566,35 +587,92 @@ impl AnatomyRecorder {
                 });
             }
         }
+        // Every interference-class command this request issued joins the
+        // occupancy timeline, so later requests' waits can be blamed on
+        // it (none of them overlaps a wait of its own request).
+        for e in t.events() {
+            if let Some(stage) = interference_of(e.kind, e.cause) {
+                let dense = usize::from(e.resource.dense());
+                if dense >= self.occupancy.len() {
+                    self.occupancy.resize_with(dense + 1, || Arena::new(OCC_CHUNK));
+                }
+                let timeline = &mut self.occupancy[dense];
+                debug_assert!(
+                    timeline.last().is_none_or(|last| Nanos::from(last.end) <= e.start),
+                    "occupancy of {:?} must arrive in time order",
+                    e.resource
+                );
+                if timeline.len() == OCC_CAP {
+                    timeline.release_front(1);
+                }
+                timeline.push(OccSlot {
+                    start: e.start.into(),
+                    end: e.end.into(),
+                    stage,
+                    kind: e.kind,
+                    cause: e.cause,
+                });
+            }
+        }
         // Deterministic chain order and bound: timeline order, longest
-        // links retained when over the cap.
-        row.chain.sort_by_key(|l| (l.start, l.end, l.stage.idx()));
-        if row.chain.len() > CHAIN_CAP {
-            let mut by_dur: Vec<usize> = (0..row.chain.len()).collect();
-            by_dur.sort_by_key(|&i| (std::cmp::Reverse(row.chain[i].dur()), i));
-            by_dur.truncate(CHAIN_CAP);
-            by_dur.sort_unstable();
-            row.chain = by_dur.into_iter().map(|i| row.chain[i]).collect();
+        // links retained when over the cap. Links are disjoint intervals,
+        // own before blamed in the build order, so this unstable sort on a
+        // total key is the stable sort on (start, end, stage).
+        self.chain.sort_unstable_by_key(|l| (l.start, l.end, l.stage.idx(), !l.own));
+        if self.chain.len() > CHAIN_CAP {
+            let chain = &mut self.chain;
+            self.longest.clear();
+            self.longest.extend(0..chain.len() as u32);
+            self.longest.sort_unstable_by_key(|&i| (std::cmp::Reverse(chain[i as usize].dur()), i));
+            self.longest.truncate(CHAIN_CAP);
+            self.longest.sort_unstable();
+            // Ascending distinct indices: slot k is filled from i >= k.
+            for (k, &i) in self.longest.iter().enumerate() {
+                chain[k] = chain[i as usize];
+            }
+            chain.truncate(CHAIN_CAP);
         }
-        let k = kind_idx(row.kind);
+        let k = kind_idx(t.kind);
         for s in Stage::ALL {
-            self.totals[k][s.idx()] += row.stages[s.idx()];
-            self.hists[k][s.idx()].record(row.stages[s.idx()]);
+            self.totals[k][s.idx()] += stages[s.idx()];
+            self.hists[k][s.idx()].record(stages[s.idx()]);
         }
+        if self.rows.len() == self.capacity {
+            let oldest = *self.rows.iter().next().expect("a full ring has an oldest row");
+            self.chains.release_front(oldest.chain.len());
+            self.rows.release_front(1);
+        }
+        let row = AnatomyRow {
+            trace_id: t.id,
+            req_idx,
+            kind: t.kind,
+            lpa: t.lpa,
+            npages: t.npages,
+            acked: t.acked,
+            submit: t.submit,
+            end: t.end,
+            stages,
+            chain: self.chains.push_iter(self.chain.len(), self.chain.iter().map(PackedLink::pack)),
+        };
+        self.rows.push(row);
         // Top-K insert, (e2e desc, trace id asc): only a row that beats
-        // the current K-th is cloned in, at its sorted position.
-        let key = |r: &RequestAnatomy| (std::cmp::Reverse(r.e2e()), r.trace_id);
-        if self.top.len() < self.top_k || self.top.last().is_some_and(|kth| key(&row) < key(kth)) {
-            self.top.truncate(self.top_k - 1);
-            let at = self.top.partition_point(|r| key(r) <= key(&row));
-            self.top.insert(at, row.clone());
+        // the current K-th is copied in, at its sorted position, into the
+        // chain buffer of the entry it displaces.
+        let key = |r: &AnatomyRow| (std::cmp::Reverse(r.e2e()), r.trace_id);
+        let full = self.top.len() == self.top_k;
+        if !full || self.top.last().is_some_and(|kth| key(&row) < key(&kth.row)) {
+            let displaced = if full { self.top.pop() } else { None };
+            let mut chain = displaced.map(|kth| kth.chain).unwrap_or_default();
+            chain.clear();
+            chain.extend(self.chain.iter().map(PackedLink::pack));
+            let at = self.top.partition_point(|r| key(&r.row) <= key(&row));
+            self.top.insert(at, TopRow { row, chain });
         }
-        if self.resolved.len() == self.capacity {
-            self.resolved.pop_front();
-            self.dropped += 1;
-        }
-        self.resolved.push_back(row);
     }
+
+    /// Nothing to do: every row is resolved as it is recorded. The repo
+    /// benchmark ends its observed runs with this call.
+    pub fn finalize(&mut self) {}
 }
 
 #[cfg(test)]
@@ -606,8 +684,28 @@ mod tests {
         TraceEvent { kind, cause, resource: res, start: Nanos(start), end: Nanos(end) }
     }
 
-    fn tiling_holds(r: &RequestAnatomy) {
+    fn tiling_holds(r: &AnatomyRow) {
         assert_eq!(r.stage_sum(), r.e2e(), "stages must tile e2e exactly: {r:?}");
+    }
+
+    #[test]
+    fn the_recorder_stores_packed_forms() {
+        assert_eq!(std::mem::size_of::<ChainLink>(), 40);
+        assert_eq!(std::mem::size_of::<PackedLink>(), 24);
+        assert_eq!(std::mem::size_of::<OccSlot>(), 20);
+        assert_eq!(std::mem::size_of::<AnatomyRow>(), 136);
+        let link = ChainLink {
+            stage: Stage::GcInterference,
+            kind: SpanKind::Erase,
+            cause: OpCause::Gc,
+            resource: Some(ResourceId::Channel((1 << 15) - 1)),
+            start: Nanos(u64::MAX - 7),
+            end: Nanos(u64::MAX),
+            own: false,
+        };
+        assert_eq!(PackedLink::pack(&link).unpack(), link);
+        let own = ChainLink { resource: None, own: true, ..link };
+        assert_eq!(PackedLink::pack(&own).unpack(), own);
     }
 
     #[test]
@@ -635,7 +733,7 @@ mod tests {
             Nanos(0),
             Nanos(100),
             Nanos(1000),
-            vec![
+            &[
                 ev(SpanKind::Xfer, OpCause::Host, ResourceId::Channel(0), 100, 140),
                 ev(SpanKind::Read, OpCause::Gc, ResourceId::Chip(0), 140, 240),
                 ev(SpanKind::Program, OpCause::Host, ResourceId::Chip(0), 240, 540),
@@ -645,9 +743,8 @@ mod tests {
         );
         let mut a = AnatomyRecorder::new(8, 4);
         a.record(t, None, Some(3));
-        a.finalize();
         let r = a.rows().next().expect("one row");
-        tiling_holds(r);
+        tiling_holds(&r);
         assert_eq!(r.req_idx, Some(3));
         assert_eq!(r.stage(Stage::QueueWait), Nanos(100));
         assert_eq!(r.stage(Stage::Xfer), Nanos(40));
@@ -658,51 +755,49 @@ mod tests {
         // Trailing wait [700, 1000): no own command after it.
         assert_eq!(r.stage(Stage::DispatchStall), Nanos(300));
         // Chain names the self-inflicted interference.
-        assert!(r.chain.iter().any(|l| l.stage == Stage::SanitizeInterference && l.own));
+        assert!(r.chain().any(|l| l.stage == Stage::SanitizeInterference && l.own));
     }
 
     #[test]
     fn waits_are_blamed_on_what_occupied_the_blocking_resource() {
         let mut tr = TraceRecorder::new(8);
-        // The victim waits [0, 500) then reads on chip 0.
-        let victim = tr
-            .record(
-                ReqKind::Read,
-                9,
-                1,
-                true,
-                Nanos(0),
-                Nanos(0),
-                Nanos(600),
-                vec![ev(SpanKind::Read, OpCause::Host, ResourceId::Chip(0), 500, 600)],
-            )
-            .clone();
-        // The neighbor's bLock held chip 0 for [100, 400) — recorded
-        // *after* the victim (out-of-order completion).
-        let neighbor = tr
-            .record(
-                ReqKind::Trim,
-                7,
-                1,
-                true,
-                Nanos(0),
-                Nanos(0),
-                Nanos(400),
-                vec![ev(SpanKind::BLock, OpCause::Sanitize, ResourceId::Chip(0), 100, 400)],
-            )
-            .clone();
         let mut a = AnatomyRecorder::new(8, 4);
-        a.record(&victim, None, None);
-        a.record(&neighbor, None, None);
-        a.finalize();
-        let rows: Vec<&RequestAnatomy> = a.rows().collect();
-        let v = rows.iter().find(|r| r.trace_id == victim.id).expect("victim row");
-        tiling_holds(v);
+        // The neighbor's bLock held chip 0 for [100, 400). It reserved the
+        // chip before the victim's read did, so it was dispatched — and is
+        // recorded — first.
+        let neighbor = tr.record(
+            ReqKind::Trim,
+            7,
+            1,
+            true,
+            Nanos(0),
+            Nanos(0),
+            Nanos(400),
+            &[ev(SpanKind::BLock, OpCause::Sanitize, ResourceId::Chip(0), 100, 400)],
+        );
+        a.record(neighbor, None, None);
+        // The victim waits [0, 500) then reads on chip 0.
+        let victim = tr.record(
+            ReqKind::Read,
+            9,
+            1,
+            true,
+            Nanos(0),
+            Nanos(0),
+            Nanos(600),
+            &[ev(SpanKind::Read, OpCause::Host, ResourceId::Chip(0), 500, 600)],
+        );
+        let victim_id = victim.id;
+        a.record(victim, None, None);
+        // Resolved on the spot: no finalize.
+        let v = a.rows().find(|r| r.trace_id == victim_id).expect("victim row");
+        tiling_holds(&v);
         // 300 ns of the victim's 500 ns wait is the neighbor's lock.
         assert_eq!(v.stage(Stage::SanitizeInterference), Nanos(300));
         assert_eq!(v.stage(Stage::DispatchStall), Nanos(200));
         assert_eq!(v.stage(Stage::ChipService), Nanos(100));
-        let link = v.chain.iter().find(|l| !l.own).expect("cross-request blame link");
+        assert_eq!(a.stage_total(ReqKind::Read, Stage::SanitizeInterference), Nanos(300));
+        let link = v.chain().find(|l| !l.own).expect("cross-request blame link");
         assert_eq!(link.kind, SpanKind::BLock);
         assert_eq!(link.resource, Some(ResourceId::Chip(0)));
         assert_eq!((link.start, link.end), (Nanos(100), Nanos(400)));
@@ -721,13 +816,12 @@ mod tests {
             Nanos(0),
             Nanos(400),
             Nanos(500),
-            vec![ev(SpanKind::Read, OpCause::Host, ResourceId::Chip(0), 400, 500)],
+            &[ev(SpanKind::Read, OpCause::Host, ResourceId::Chip(0), 400, 500)],
         );
         let mut a = AnatomyRecorder::new(8, 4);
         a.record(t, Some((Nanos(100), Nanos(400))), None);
-        a.finalize();
         let r = a.rows().next().expect("one row");
-        tiling_holds(r);
+        tiling_holds(&r);
         assert_eq!(r.stage(Stage::QueueWait), Nanos(100));
         assert_eq!(r.stage(Stage::RetryInterference), Nanos(300));
         assert_eq!(r.stage(Stage::ChipService), Nanos(100));
@@ -738,27 +832,18 @@ mod tests {
         let mut tr = TraceRecorder::new(64);
         let mut a = AnatomyRecorder::new(2, 3);
         for i in 0..10u64 {
-            let t = tr
-                .record(
-                    ReqKind::Write,
-                    i,
-                    1,
-                    true,
-                    Nanos(0),
-                    Nanos(0),
-                    Nanos(100 * (i + 1)),
-                    vec![ev(
-                        SpanKind::Program,
-                        OpCause::Host,
-                        ResourceId::Chip(0),
-                        0,
-                        100 * (i + 1),
-                    )],
-                )
-                .clone();
-            a.record(&t, None, None);
+            let t = tr.record(
+                ReqKind::Write,
+                i,
+                1,
+                true,
+                Nanos(0),
+                Nanos(0),
+                Nanos(100 * (i + 1)),
+                &[ev(SpanKind::Program, OpCause::Host, ResourceId::Chip(0), 0, 100 * (i + 1))],
+            );
+            a.record(t, None, None);
         }
-        a.finalize();
         assert_eq!(a.recorded(), 10);
         assert_eq!(a.dropped(), 8);
         assert_eq!(a.rows().count(), 2);
@@ -767,7 +852,7 @@ mod tests {
         assert_eq!(a.stage_total(ReqKind::Write, Stage::ChipService), Nanos(sum));
         assert_eq!(a.stage_hist(ReqKind::Write, Stage::ChipService).count(), 10);
         // Top-K: the three slowest, slowest first, despite eviction.
-        let tops: Vec<u64> = a.top().iter().map(|r| r.e2e().0).collect();
+        let tops: Vec<u64> = a.top().map(|r| r.e2e().0).collect();
         assert_eq!(tops, vec![1000, 900, 800]);
     }
 
@@ -776,13 +861,34 @@ mod tests {
         let mut tr = TraceRecorder::new(8);
         let mut a = AnatomyRecorder::new(8, 2);
         for _ in 0..4 {
-            let t = tr
-                .record(ReqKind::Read, 0, 1, true, Nanos(0), Nanos(0), Nanos(500), vec![])
-                .clone();
-            a.record(&t, None, None);
+            let t = tr.record(ReqKind::Read, 0, 1, true, Nanos(0), Nanos(0), Nanos(500), &[]);
+            a.record(t, None, None);
         }
-        a.finalize();
-        let ids: Vec<u64> = a.top().iter().map(|r| r.trace_id).collect();
+        let ids: Vec<u64> = a.top().map(|r| r.trace_id).collect();
         assert_eq!(ids, vec![0, 1], "equal e2e: earliest trace ids win");
+    }
+
+    #[test]
+    fn a_displaced_top_row_hands_its_chain_buffer_on() {
+        let mut tr = TraceRecorder::new(8);
+        let mut a = AnatomyRecorder::new(8, 1);
+        for (i, locks) in [(0u64, 3u64), (1, 1), (2, 2)] {
+            // Each request is slower than the last and carries its own
+            // number of lock links.
+            let submit = 10_000 * i;
+            let events: Vec<TraceEvent> = (0..locks)
+                .map(|k| {
+                    let at = submit + 100 * k;
+                    ev(SpanKind::PLock, OpCause::Sanitize, ResourceId::Chip(1), at, at + 50)
+                })
+                .collect();
+            let end = Nanos(submit + 1000 * (i + 1));
+            let t =
+                tr.record(ReqKind::Trim, i, 1, true, Nanos(submit), Nanos(submit), end, &events);
+            a.record(t, None, None);
+            let top = a.top().next().expect("top-1");
+            assert_eq!(top.trace_id, i);
+            assert_eq!(top.chain().len() as u64, locks, "the recycled buffer holds only its chain");
+        }
     }
 }

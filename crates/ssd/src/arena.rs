@@ -1,0 +1,383 @@
+//! The chunked FIFO arena under every observer ring: trace headers,
+//! packed events and segments, anatomy rows, causal chains and the
+//! per-resource occupancy timelines.
+//!
+//! Records are appended at the tail and released at the head, oldest
+//! first. Storage is a queue of fixed-capacity chunks: a record is one
+//! contiguous slice that never straddles a chunk (a record that does not
+//! fit the tail's remainder opens the next chunk; one larger than a chunk
+//! gets a chunk of exactly its size), so readers see plain slices and a
+//! [`Span`] stays valid until its record is released. Growth allocates
+//! one chunk — nothing is doubled or copied — releasing frees whole
+//! chunks, one emptied chunk is kept to be refilled, and dropping the
+//! arena frees one block per chunk however many records it holds.
+//!
+//! Every arena keeps the ring contract in elements:
+//! `pushed() == len() + released()`.
+
+use evanesco_nand::timing::Nanos;
+use std::collections::VecDeque;
+
+/// A [`Nanos`] as two 32-bit halves: a packed record holding times this
+/// way aligns to 4 bytes, not 8, and sheds the padding (an event is 20
+/// bytes instead of 24, a segment 12 instead of 16).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PackedNanos([u32; 2]);
+
+impl From<Nanos> for PackedNanos {
+    fn from(t: Nanos) -> Self {
+        PackedNanos([t.0 as u32, (t.0 >> 32) as u32])
+    }
+}
+
+impl From<PackedNanos> for Nanos {
+    fn from(t: PackedNanos) -> Self {
+        Nanos(u64::from(t.0[1]) << 32 | u64::from(t.0[0]))
+    }
+}
+
+/// Handle to one record of an [`Arena`]: `len` elements at offset `off`
+/// of the `chunk`-th chunk the arena ever opened (modulo 2³²: ordinals
+/// are only ever compared with the oldest open chunk's, by wrapping
+/// subtraction).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    chunk: u32,
+    off: u32,
+    len: u32,
+}
+
+impl Span {
+    /// Elements in the record.
+    pub(crate) fn len(self) -> usize {
+        self.len as usize
+    }
+}
+
+/// Append-only, release-from-the-front storage in fixed chunks.
+#[derive(Debug)]
+pub(crate) struct Arena<T> {
+    chunk_len: usize,
+    /// Open chunks, oldest first; a chunk's `len` is what was appended to
+    /// it, its capacity never changes.
+    chunks: VecDeque<Vec<T>>,
+    /// Ordinal of `chunks[0]` among all chunks ever opened, modulo 2³².
+    first_chunk: u32,
+    /// Offset in `chunks[0]` of the oldest retained element.
+    head: usize,
+    /// One emptied standard-size chunk, refilled before allocating.
+    spare: Option<Vec<T>>,
+    pushed: u64,
+    released: u64,
+}
+
+impl<T: Copy> Arena<T> {
+    /// An empty arena of `chunk_len`-element chunks; allocates on first use.
+    pub(crate) fn new(chunk_len: usize) -> Self {
+        assert!(chunk_len > 0, "arena chunks hold at least one element");
+        Arena {
+            chunk_len,
+            chunks: VecDeque::new(),
+            first_chunk: 0,
+            head: 0,
+            spare: None,
+            pushed: 0,
+            released: 0,
+        }
+    }
+
+    /// Elements appended over the arena's lifetime.
+    pub(crate) fn pushed(&self) -> u64 {
+        self.pushed
+    }
+
+    /// Elements released from the front.
+    pub(crate) fn released(&self) -> u64 {
+        self.released
+    }
+
+    /// Elements retained.
+    pub(crate) fn len(&self) -> usize {
+        (self.pushed - self.released) as usize
+    }
+
+    /// Appends one record of exactly `n` elements drawn from `items`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` yields fewer than `n` elements or `n` exceeds
+    /// `u32::MAX`.
+    pub(crate) fn push_iter(&mut self, n: usize, items: impl Iterator<Item = T>) -> Span {
+        let len = u32::try_from(n).expect("an arena record holds at most u32::MAX elements");
+        if n == 0 {
+            // Nothing to store, nowhere to point: never opens a chunk.
+            return Span { chunk: 0, off: 0, len: 0 };
+        }
+        let room = self.chunks.back().map_or(0, |tail| tail.capacity() - tail.len());
+        if n > room {
+            let chunk = match self.spare.take() {
+                Some(spare) if n <= spare.capacity() => spare,
+                spare => {
+                    self.spare = spare;
+                    Vec::with_capacity(n.max(self.chunk_len))
+                }
+            };
+            self.chunks.push_back(chunk);
+        }
+        let chunk = self.first_chunk.wrapping_add(self.chunks.len() as u32 - 1);
+        let tail = self.chunks.back_mut().expect("a tail chunk with room was ensured");
+        let off = tail.len();
+        tail.extend(items.take(n));
+        assert_eq!(tail.len() - off, n, "arena record came up short");
+        self.pushed += n as u64;
+        Span { chunk, off: off as u32, len }
+    }
+
+    /// Appends a one-element record.
+    pub(crate) fn push(&mut self, item: T) -> Span {
+        self.push_iter(1, std::iter::once(item))
+    }
+
+    /// The record behind `span`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record was released.
+    pub(crate) fn slice(&self, span: Span) -> &[T] {
+        if span.len == 0 {
+            return &[];
+        }
+        let chunk = self
+            .chunks
+            .get(span.chunk.wrapping_sub(self.first_chunk) as usize)
+            .expect("arena span outlived its record");
+        &chunk[span.off as usize..][..span.len as usize]
+    }
+
+    /// Releases the `n` oldest elements, freeing every chunk they empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` elements are retained.
+    pub(crate) fn release_front(&mut self, n: usize) {
+        assert!(n <= self.len(), "releasing {n} of {} retained elements", self.len());
+        self.released += n as u64;
+        let mut left = n;
+        while let Some(front_len) = self.chunks.front().map(Vec::len) {
+            let take = left.min(front_len - self.head);
+            self.head += take;
+            left -= take;
+            if self.head < front_len {
+                return;
+            }
+            // The front chunk is used up: the tail is refilled in place,
+            // any other is retired.
+            self.head = 0;
+            if self.chunks.len() == 1 {
+                self.chunks[0].clear();
+                return;
+            }
+            let mut emptied = self.chunks.pop_front().expect("checked non-empty");
+            self.first_chunk = self.first_chunk.wrapping_add(1);
+            if self.spare.is_none() && emptied.capacity() == self.chunk_len {
+                emptied.clear();
+                self.spare = Some(emptied);
+            }
+        }
+    }
+
+    /// The retained elements as slices, oldest first (one per chunk).
+    pub(crate) fn slices(&self) -> impl Iterator<Item = &[T]> + Clone {
+        self.chunks.iter().enumerate().map(|(i, c)| if i == 0 { &c[self.head..] } else { &c[..] })
+    }
+
+    /// The retained elements, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + Clone {
+        self.slices().flatten()
+    }
+
+    /// The newest retained element.
+    pub(crate) fn last(&self) -> Option<&T> {
+        self.chunks.back().and_then(|tail| tail.last())
+    }
+
+    /// The retained elements from the first one `pred` rejects, given
+    /// that `pred` holds for a prefix of them and for nothing after it
+    /// (the arena-wide `partition_point`, then the tail from there).
+    pub(crate) fn skip_partitioned(&self, pred: impl Fn(&T) -> bool) -> impl Iterator<Item = &T> {
+        let mut slices = self.slices();
+        let mut first: &[T] = &[];
+        for s in slices.by_ref() {
+            if s.last().is_some_and(|last| !pred(last)) {
+                first = &s[s.partition_point(&pred)..];
+                break;
+            }
+        }
+        first.iter().chain(slices.flatten())
+    }
+}
+
+impl<T: Copy> Clone for Arena<T> {
+    /// Chunk for chunk, keeping each chunk's capacity so the clone's tail
+    /// has the same room and spans mean the same records.
+    fn clone(&self) -> Self {
+        let chunks = self.chunks.iter().map(|c| {
+            let mut copy = Vec::with_capacity(c.capacity());
+            copy.extend_from_slice(c);
+            copy
+        });
+        Arena { chunks: chunks.collect(), spare: None, ..*self }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pushes `sizes` as records of consecutive integers and returns each
+    /// record's span and expected contents.
+    fn fill(arena: &mut Arena<u32>, sizes: &[usize], next: &mut u32) -> Vec<(Span, Vec<u32>)> {
+        sizes
+            .iter()
+            .map(|&n| {
+                let want: Vec<u32> = (*next..*next + n as u32).collect();
+                *next += n as u32;
+                (arena.push_iter(n, want.iter().copied()), want)
+            })
+            .collect()
+    }
+
+    fn contract(arena: &Arena<u32>) {
+        assert_eq!(arena.pushed(), arena.len() as u64 + arena.released());
+        assert_eq!(arena.iter().count(), arena.len());
+    }
+
+    #[test]
+    fn records_are_contiguous_and_read_back_across_chunks() {
+        let mut arena = Arena::new(4);
+        let mut next = 0;
+        // 3 fits; 2 does not fit the remaining 1 and opens a chunk; 9 is
+        // larger than a chunk; 0 stores nothing; 4 fills a chunk exactly.
+        let records = fill(&mut arena, &[3, 2, 9, 0, 4, 1], &mut next);
+        for (span, want) in &records {
+            assert_eq!(arena.slice(*span), want.as_slice());
+        }
+        let all: Vec<u32> = arena.iter().copied().collect();
+        assert_eq!(all, (0..next).collect::<Vec<_>>(), "skipped room holds no elements");
+        assert_eq!(arena.last(), Some(&(next - 1)));
+        contract(&arena);
+    }
+
+    #[test]
+    fn releasing_frees_every_emptied_chunk_at_once() {
+        let mut arena = Arena::new(4);
+        let mut next = 0;
+        let records = fill(&mut arena, &[4, 4, 4, 4, 2], &mut next);
+        assert_eq!(arena.chunks.len(), 5);
+        // Ten elements: two whole chunks and half of the third.
+        arena.release_front(10);
+        assert_eq!(arena.chunks.len(), 3);
+        assert!(arena.spare.is_some(), "one emptied chunk is kept");
+        assert_eq!(arena.iter().copied().collect::<Vec<_>>(), (10..next).collect::<Vec<_>>());
+        assert_eq!(arena.slice(records[4].0), &[16, 17]);
+        contract(&arena);
+        // The rest, exactly: the tail is emptied in place and refilled.
+        arena.release_front(arena.len());
+        assert_eq!(arena.len(), 0);
+        assert_eq!(arena.chunks.len(), 1);
+        let again = fill(&mut arena, &[3], &mut next);
+        assert_eq!(arena.chunks.len(), 1, "the emptied tail is reused");
+        assert_eq!(arena.slice(again[0].0), again[0].1.as_slice());
+        contract(&arena);
+    }
+
+    #[test]
+    fn the_spare_chunk_is_refilled_before_allocating() {
+        let mut arena = Arena::new(4);
+        let mut next = 0;
+        fill(&mut arena, &[4, 4], &mut next);
+        arena.release_front(4);
+        let spare = arena.spare.as_ref().expect("spare kept").as_ptr();
+        fill(&mut arena, &[4], &mut next);
+        assert!(arena.spare.is_none());
+        assert_eq!(arena.chunks.back().unwrap().as_ptr(), spare, "the new tail is the old front");
+        // An oversized chunk is not kept as a spare: it would never fit.
+        fill(&mut arena, &[9], &mut next);
+        arena.release_front(arena.len() - 1);
+        assert!(arena.spare.as_ref().is_some_and(|s| s.capacity() == 4));
+        contract(&arena);
+    }
+
+    #[test]
+    #[should_panic(expected = "releasing 3 of 2 retained elements")]
+    fn over_release_is_refused() {
+        let mut arena = Arena::new(4);
+        arena.push(1u32);
+        arena.push(2);
+        arena.release_front(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "arena span outlived its record")]
+    fn a_released_chunk_cannot_be_read_through_a_stale_span() {
+        let mut arena = Arena::new(2);
+        let old = arena.push_iter(2, [1u32, 2].into_iter());
+        arena.push_iter(2, [3, 4].into_iter());
+        arena.release_front(2);
+        // Ordinal 0 is gone; wrapping subtraction lands far out of range.
+        arena.slice(old);
+    }
+
+    #[test]
+    fn chunk_ordinals_wrap_without_losing_records() {
+        let mut arena = Arena::new(2);
+        arena.first_chunk = u32::MAX - 1;
+        let mut next = 0;
+        let records = fill(&mut arena, &[2, 2, 2, 2], &mut next);
+        for (span, want) in &records {
+            assert_eq!(arena.slice(*span), want.as_slice());
+        }
+        arena.release_front(5);
+        assert_eq!(arena.slice(records[3].0), &[6, 7]);
+        contract(&arena);
+    }
+
+    #[test]
+    fn skip_partitioned_is_the_arena_wide_partition_point() {
+        let mut arena = Arena::new(4);
+        for x in 0..19u32 {
+            arena.push(2 * x);
+        }
+        arena.release_front(3);
+        let retained: Vec<u32> = arena.iter().copied().collect();
+        for bound in 0..40 {
+            let got: Vec<u32> = arena.skip_partitioned(|&x| x < bound).copied().collect();
+            let want: Vec<u32> = retained.iter().copied().filter(|&x| x >= bound).collect();
+            assert_eq!(got, want, "bound {bound}");
+        }
+        let empty = Arena::<u32>::new(4);
+        assert_eq!(empty.skip_partitioned(|_| true).count(), 0);
+    }
+
+    #[test]
+    fn a_clone_means_the_same_records_and_keeps_its_room() {
+        let mut arena = Arena::new(8);
+        let mut next = 0;
+        let records = fill(&mut arena, &[3, 2], &mut next);
+        let mut copy = arena.clone();
+        for (span, want) in &records {
+            assert_eq!(copy.slice(*span), want.as_slice());
+        }
+        let more = fill(&mut copy, &[3], &mut next);
+        assert_eq!(copy.chunks.len(), 1, "the clone's tail had the original's room");
+        assert_eq!(copy.slice(more[0].0), more[0].1.as_slice());
+        assert_eq!(arena.len(), 5, "the original is untouched");
+    }
+
+    #[test]
+    fn packed_nanos_round_trips() {
+        for t in [0, 1, u64::from(u32::MAX), u64::from(u32::MAX) + 1, u64::MAX - 1, u64::MAX] {
+            assert_eq!(Nanos::from(PackedNanos::from(Nanos(t))), Nanos(t));
+        }
+    }
+}

@@ -101,7 +101,7 @@ pub struct TimedExecutor {
     /// gate bounds).
     trace_on: bool,
     /// Resource intervals reserved since the last
-    /// [`TimedExecutor::take_trace_events`] drain.
+    /// [`TimedExecutor::discard_trace_events`].
     trace_events: Vec<TraceEvent>,
     /// FTL cause scopes currently open ([`NandExecutor::push_cause`]);
     /// the innermost one stamps every traced reservation. Purely
@@ -158,25 +158,15 @@ impl TimedExecutor {
         self.trace_on
     }
 
-    /// Drains the events reserved since the last drain (the emulator
-    /// calls this at each host-request boundary).
-    pub fn take_trace_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.trace_events)
-    }
-
-    /// Allocation-free drain: `into` (a recycled buffer) is cleared and
-    /// swapped in as the new accumulation buffer; the drained events come
-    /// back in the old one. Neither side reallocates as long as the caller
-    /// passes the drained buffer back in at the next drain (the emulator
-    /// copies what it keeps), so per-request draining reuses the same two
-    /// buffers for the whole run.
-    pub fn take_trace_events_into(&mut self, mut into: Vec<TraceEvent>) -> Vec<TraceEvent> {
-        into.clear();
-        std::mem::replace(&mut self.trace_events, into)
+    /// The events reserved since the last discard, in issue order (the
+    /// emulator reads them at each host-request boundary).
+    pub fn trace_events(&self) -> &[TraceEvent] {
+        &self.trace_events
     }
 
     /// Discards the accumulated events in place, keeping the buffer's
-    /// capacity (the between-requests leftover drain).
+    /// capacity: after a request was recorded, and for the leftovers that
+    /// accrue between requests.
     pub fn discard_trace_events(&mut self) {
         self.trace_events.clear();
     }

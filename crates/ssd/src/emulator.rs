@@ -12,7 +12,7 @@ use crate::gauges::LiveGauges;
 use crate::metrics::{LatencyBreakdown, LatencyHistogram, RecoveryTotals, RunResult};
 use crate::sched::{Dispatch, HostOp, OpResult, SchedRun, Scheduler};
 use crate::timeseries::TimeSeries;
-use crate::trace::{ReqKind, TraceEvent, TraceRecorder};
+use crate::trace::{ReqKind, TraceRecorder};
 use crate::watchdog::{DeadlineConfig, Verdict, Watchdog, WatchdogStats};
 use evanesco_core::fault::{CorruptionConfig, CorruptionStats};
 use evanesco_core::threat::Attacker;
@@ -46,10 +46,6 @@ pub struct Emulator {
     gauges: Option<LiveGauges>,
     /// Per-request span recorder ([`Emulator::enable_tracing`]).
     trace: Option<TraceRecorder>,
-    /// Recycled drain buffer for the executor's trace events: it and the
-    /// executor's accumulation buffer swap at every bracket (see
-    /// [`TimedExecutor::take_trace_events_into`]).
-    trace_spare: Vec<TraceEvent>,
     /// Recycled LPA list for the trim arm of [`Emulator::execute`]: like
     /// the FTL's own trim worklists, the bracket allocates nothing per
     /// request.
@@ -95,7 +91,6 @@ impl Emulator {
             recovery: RecoveryTotals::default(),
             gauges: None,
             trace: None,
-            trace_spare: Vec::new(),
             trim_scratch: Vec::new(),
             anatomy: None,
             timeseries: None,
@@ -218,30 +213,21 @@ impl Emulator {
         self
     }
 
-    /// The anatomy recorder, if enabled. Call
-    /// [`Emulator::finalize_anatomy`] first when reading aggregates at
-    /// end of run.
+    /// The anatomy recorder, if enabled. Its aggregates are always
+    /// current: rows are resolved as they are recorded.
     pub fn anatomy(&self) -> Option<&AnatomyRecorder> {
         self.anatomy.as_ref()
     }
 
-    /// Resolves all pending blame in the anatomy recorder (see
-    /// [`AnatomyRecorder::finalize`]). Idempotent; no-op when anatomy is
-    /// off.
-    pub fn finalize_anatomy(&mut self) {
-        if let Some(a) = self.anatomy.as_mut() {
-            a.finalize();
-        }
-    }
+    /// Nothing to do (see [`AnatomyRecorder::finalize`]): there is no
+    /// pending blame to resolve. The repo benchmark ends its observed
+    /// runs with this call.
+    pub fn finalize_anatomy(&mut self) {}
 
-    /// Detaches and returns the anatomy recorder (finalized), leaving
-    /// tracing in its current state.
+    /// Detaches and returns the anatomy recorder, leaving tracing in its
+    /// current state.
     pub fn take_anatomy(&mut self) -> Option<AnatomyRecorder> {
-        let mut a = self.anatomy.take();
-        if let Some(a) = a.as_mut() {
-            a.finalize();
-        }
-        a
+        self.anatomy.take()
     }
 
     /// Enables windowed telemetry: every `interval` of simulated time a
@@ -316,18 +302,18 @@ impl Emulator {
         req_idx: Option<usize>,
     ) {
         if let Some(tr) = self.trace.as_mut() {
-            let events = self.ex.take_trace_events_into(std::mem::take(&mut self.trace_spare));
+            let events = self.ex.trace_events();
             // Zero-work brackets (e.g. a maintenance flush with nothing
             // queued) are not worth a ring slot.
             if !events.is_empty() || end > submit {
-                // The ring gets an exact-sized copy; the drain buffer, grown
-                // to the largest request so far, goes back into rotation.
-                let t = tr.record(kind, lpa, npages, acked, submit, earliest, end, events.clone());
+                // The ring packs its own copy straight out of the
+                // executor's buffer, which is then emptied in place.
+                let t = tr.record(kind, lpa, npages, acked, submit, earliest, end, events);
                 if let Some(a) = self.anatomy.as_mut() {
                     a.record(t, retry, req_idx);
                 }
             }
-            self.trace_spare = events;
+            self.ex.discard_trace_events();
         }
     }
 

@@ -32,6 +32,7 @@
 //! ```
 
 pub mod anatomy;
+mod arena;
 pub mod checkpoint;
 pub mod config;
 pub mod device;

@@ -283,24 +283,24 @@ pub fn render(em: &Emulator) -> String {
         counter(
             &mut out,
             "evanesco_anatomy_recorded_total",
-            "Anatomy rows recorded (pending rows included).",
+            "Anatomy rows recorded.",
             a.recorded(),
         );
         counter(
             &mut out,
             "evanesco_anatomy_dropped_total",
-            "Anatomy rows evicted from the resolved ring.",
+            "Anatomy rows evicted from the ring.",
             a.dropped(),
         );
         counter(
             &mut out,
             "evanesco_anatomy_occupancy_dropped_total",
-            "Occupancy intervals evicted before blame resolution.",
+            "Occupancy intervals evicted from a full per-resource window.",
             a.occupancy_dropped(),
         );
         let mut stages = LabeledFamily::new(
             "evanesco_anatomy_stage_ns_total",
-            "Exact per-stage latency decomposition across resolved rows \
+            "Exact per-stage latency decomposition across recorded rows \
              (stage sums tile end-to-end latency).",
             "counter",
         );

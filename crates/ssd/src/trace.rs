@@ -13,10 +13,11 @@
 //! durations sum to exactly the recorded end-to-end latency — the
 //! invariant the trace test suite checks on every traced request.
 
+use crate::arena::{Arena, PackedNanos, Span};
 use crate::jsonlite::{escape, Json};
 use evanesco_ftl::{Lpa, OpCause};
 use evanesco_nand::timing::Nanos;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// What a traced interval was spent on. Doubles as the segment class of
 /// the derived per-request timeline.
@@ -103,6 +104,34 @@ impl ResourceId {
         }
     }
 
+    /// Dense small-integer form, chips even and channels odd: the ring's
+    /// packed resource field and the anatomy's occupancy index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chip or channel index needs more than 15 bits.
+    pub(crate) fn dense(self) -> u16 {
+        let (index, channel) = match self {
+            ResourceId::Chip(i) => (i, 0),
+            ResourceId::Channel(c) => (c, 1),
+        };
+        assert!(
+            index < 1 << 15,
+            "{} is beyond the 15-bit resource index the trace ring packs",
+            self.name()
+        );
+        (index as u16) << 1 | channel
+    }
+
+    pub(crate) fn from_dense(dense: u16) -> Self {
+        let index = usize::from(dense >> 1);
+        if dense & 1 == 0 {
+            ResourceId::Chip(index)
+        } else {
+            ResourceId::Channel(index)
+        }
+    }
+
     /// Thread id in the chrome trace (chips low, channels offset high).
     fn tid(self) -> u64 {
         match self {
@@ -178,9 +207,65 @@ impl Segment {
     }
 }
 
-/// The full record of one traced host request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestTrace {
+/// A [`TraceEvent`] as the ring stores it: 20 bytes (40 unpacked), the
+/// resource in its dense form.
+#[derive(Debug, Clone, Copy)]
+struct PackedEvent {
+    start: PackedNanos,
+    end: PackedNanos,
+    kind: SpanKind,
+    cause: OpCause,
+    resource: u16,
+}
+
+impl PackedEvent {
+    fn pack(e: &TraceEvent) -> Self {
+        PackedEvent {
+            start: e.start.into(),
+            end: e.end.into(),
+            kind: e.kind,
+            cause: e.cause,
+            resource: e.resource.dense(),
+        }
+    }
+
+    fn unpack(&self) -> TraceEvent {
+        TraceEvent {
+            kind: self.kind,
+            cause: self.cause,
+            resource: ResourceId::from_dense(self.resource),
+            start: self.start.into(),
+            end: self.end.into(),
+        }
+    }
+}
+
+/// A [`Segment`] as the ring stores it: 12 bytes (24 unpacked).
+/// Segments tile the request's window, so a segment starts where the
+/// previous one ended (the first at the window's start).
+#[derive(Debug, Clone, Copy)]
+struct PackedSegment {
+    end: PackedNanos,
+    kind: SpanKind,
+    cause: OpCause,
+}
+
+/// Unpacks a tiling run of segments whose first one starts at `start`.
+fn unpack_segments(
+    mut start: Nanos,
+    packed: &[PackedSegment],
+) -> impl ExactSizeIterator<Item = Segment> + Clone + '_ {
+    packed.iter().map(move |s| {
+        let seg = Segment { kind: s.kind, cause: s.cause, start, end: s.end.into() };
+        start = seg.end;
+        seg
+    })
+}
+
+/// The fixed-size record of one traced host request; its events and
+/// segments are reached through the [`RequestTrace`] view.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceHead {
     /// Monotone trace id (submission order of traced requests).
     pub id: u64,
     /// Request class.
@@ -197,14 +282,11 @@ pub struct RequestTrace {
     pub earliest: Nanos,
     /// Completion of its last device command.
     pub end: Nanos,
-    /// Raw resource intervals, in issue order.
-    pub events: Vec<TraceEvent>,
-    /// Derived timeline: tiles `[submit, end)` exactly, so segment
-    /// durations sum to the end-to-end latency.
-    pub segments: Vec<Segment>,
+    events: Span,
+    segments: Span,
 }
 
-impl RequestTrace {
+impl TraceHead {
     /// End-to-end latency: queue wait included.
     pub fn e2e(&self) -> Nanos {
         self.end - self.submit
@@ -217,18 +299,56 @@ impl RequestTrace {
     }
 }
 
+/// One retained trace, borrowed from the ring: the [`TraceHead`] fields
+/// (by deref) plus its events and derived segments, unpacked on the fly.
+#[derive(Debug, Clone, Copy)]
+pub struct RequestTrace<'a> {
+    head: &'a TraceHead,
+    events: &'a [PackedEvent],
+    segments: &'a [PackedSegment],
+}
+
+impl std::ops::Deref for RequestTrace<'_> {
+    type Target = TraceHead;
+
+    fn deref(&self) -> &TraceHead {
+        self.head
+    }
+}
+
+impl<'a> RequestTrace<'a> {
+    /// Raw resource intervals, in issue order (empty ones dropped).
+    pub fn events(&self) -> impl ExactSizeIterator<Item = TraceEvent> + Clone + 'a {
+        self.events.iter().map(PackedEvent::unpack)
+    }
+
+    /// Derived timeline: tiles `[submit, end)` exactly, so segment
+    /// durations sum to the end-to-end latency.
+    pub fn segments(&self) -> impl ExactSizeIterator<Item = Segment> + Clone + 'a {
+        unpack_segments(self.head.submit, self.segments)
+    }
+}
+
+/// Chunk sizes of the ring's three arenas, in elements (80, 160 and
+/// 96 KiB): large enough that a chunk outlives hundreds of requests.
+const HEAD_CHUNK: usize = 1024;
+const EVENT_CHUNK: usize = 8192;
+const SEGMENT_CHUNK: usize = 8192;
+
 /// Bounded ring of finished request traces plus running aggregates.
 ///
 /// The ring holds the most recent `capacity` traces; older ones are
 /// evicted (counted in [`TraceRecorder::dropped`]) while the per-kind
 /// span-time aggregates keep accumulating for every trace ever recorded.
+/// Storage is three [`Arena`]s — headers, packed events, packed segments
+/// — so recording allocates once per chunk, not per request, and evicting
+/// the oldest trace releases its share of each.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     capacity: usize,
-    ring: VecDeque<RequestTrace>,
-    next_id: u64,
-    recorded: u64,
-    dropped: u64,
+    heads: Arena<TraceHead>,
+    events: Arena<PackedEvent>,
+    segments: Arena<PackedSegment>,
     /// Total segment time per kind across all recorded traces (indexed by
     /// [`SpanKind::priority`] order).
     span_totals: [Nanos; SpanKind::ALL.len()],
@@ -246,10 +366,9 @@ impl TraceRecorder {
         assert!(capacity > 0, "trace ring capacity must be positive");
         TraceRecorder {
             capacity,
-            ring: VecDeque::with_capacity(capacity.min(4096)),
-            next_id: 0,
-            recorded: 0,
-            dropped: 0,
+            heads: Arena::new(HEAD_CHUNK),
+            events: Arena::new(EVENT_CHUNK),
+            segments: Arena::new(SEGMENT_CHUNK),
             span_totals: [Nanos::ZERO; SpanKind::ALL.len()],
             sweep: Sweep::default(),
         }
@@ -262,17 +381,25 @@ impl TraceRecorder {
 
     /// Traces recorded over the recorder's lifetime.
     pub fn recorded(&self) -> u64 {
-        self.recorded
+        self.heads.pushed()
     }
 
     /// Traces evicted from the ring (recorded minus retained).
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.heads.released()
+    }
+
+    fn view<'a>(&'a self, head: &'a TraceHead) -> RequestTrace<'a> {
+        RequestTrace {
+            head,
+            events: self.events.slice(head.events),
+            segments: self.segments.slice(head.segments),
+        }
     }
 
     /// The retained traces, oldest first.
-    pub fn traces(&self) -> impl Iterator<Item = &RequestTrace> {
-        self.ring.iter()
+    pub fn traces(&self) -> impl Iterator<Item = RequestTrace<'_>> + Clone {
+        self.heads.iter().map(|head| self.view(head))
     }
 
     /// Total derived-segment time spent in `kind` across every recorded
@@ -282,11 +409,16 @@ impl TraceRecorder {
     }
 
     /// Records one finished request. `events` are the resource intervals
-    /// the request generated; bounds are normalized so that
-    /// `submit <= earliest <= end` and every event fits inside
-    /// `[submit, end)` (the serialized host paths can backfill idle
-    /// resources *before* the request's nominal submission horizon — the
-    /// window is widened to cover them).
+    /// the request generated (read in place — the caller keeps its
+    /// buffer); bounds are normalized so that `submit <= earliest <= end`
+    /// and every event fits inside `[submit, end)` (the serialized host
+    /// paths can backfill idle resources *before* the request's nominal
+    /// submission horizon — the window is widened to cover them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event's resource index is beyond the ring's packed
+    /// 15-bit field.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -297,24 +429,31 @@ impl TraceRecorder {
         submit: Nanos,
         earliest: Nanos,
         end: Nanos,
-        mut events: Vec<TraceEvent>,
-    ) -> &RequestTrace {
-        events.retain(|e| e.end > e.start);
+        events: &[TraceEvent],
+    ) -> RequestTrace<'_> {
+        let live = || events.iter().filter(|e| e.end > e.start);
         let mut earliest = earliest.max(submit);
         let mut submit = submit;
         let mut end = end.max(earliest);
-        for e in &events {
+        let mut n_live = 0;
+        for e in live() {
+            n_live += 1;
             submit = submit.min(e.start);
             earliest = earliest.min(e.start);
             end = end.max(e.end);
         }
-        // Exact-sized copy: the ring keeps no growth slack per trace.
-        let segments = self.sweep.run(submit, earliest, end, &events).to_vec();
-        for s in &segments {
+        if self.heads.len() == self.capacity {
+            let oldest = *self.heads.iter().next().expect("a full ring has an oldest trace");
+            self.events.release_front(oldest.events.len());
+            self.segments.release_front(oldest.segments.len());
+            self.heads.release_front(1);
+        }
+        let segments = self.sweep.run(submit, earliest, end, events);
+        for s in unpack_segments(submit, segments) {
             self.span_totals[s.kind.priority()] += s.dur();
         }
-        let trace = RequestTrace {
-            id: self.next_id,
+        let head = TraceHead {
+            id: self.heads.pushed(),
             kind,
             lpa,
             npages,
@@ -322,17 +461,11 @@ impl TraceRecorder {
             submit,
             earliest,
             end,
-            events,
-            segments,
+            events: self.events.push_iter(n_live, live().map(PackedEvent::pack)),
+            segments: self.segments.push_iter(segments.len(), segments.iter().copied()),
         };
-        self.next_id += 1;
-        self.recorded += 1;
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(trace);
-        self.ring.back().expect("just pushed")
+        let at = self.heads.push(head);
+        self.view(&self.heads.slice(at)[0])
     }
 
     /// Exports the retained traces as chrome://tracing trace-event JSON
@@ -355,11 +488,11 @@ impl TraceRecorder {
         push(meta_str(0, None, "process_name", "device"), &mut out);
         push(meta_str(1, None, "process_name", "host requests"), &mut out);
         let resources: BTreeSet<ResourceId> =
-            self.ring.iter().flat_map(|t| t.events.iter().map(|e| e.resource)).collect();
+            self.traces().flat_map(|t| t.events().map(|e| e.resource)).collect();
         for r in &resources {
             push(meta_str(0, Some(r.tid()), "thread_name", &r.name()), &mut out);
         }
-        for t in &self.ring {
+        for t in self.traces() {
             push(meta_str(1, Some(t.id), "thread_name", &format!("req {}", t.id)), &mut out);
             push(
                 format!(
@@ -377,7 +510,7 @@ impl TraceRecorder {
                 ),
                 &mut out,
             );
-            for s in &t.segments {
+            for s in t.segments() {
                 push(
                     format!(
                         "{{\"name\":\"{}\",\"cat\":\"segment\",\"ph\":\"X\",\"ts\":{},\
@@ -391,7 +524,7 @@ impl TraceRecorder {
                     &mut out,
                 );
             }
-            for e in &t.events {
+            for e in t.events() {
                 push(
                     format!(
                         "{{\"name\":\"{}\",\"cat\":\"device\",\"ph\":\"X\",\"ts\":{},\
@@ -442,95 +575,99 @@ fn meta_str(pid: u64, tid: Option<u64>, name: &str, value: &str) -> String {
 /// interference, even if background work overlaps), then the later
 /// event in issue order. Adjacent slices of equal kind and cause merge.
 ///
-/// One sweep over the sorted event bounds, O(E log E) for E events.
-/// Events may be empty, inverted or outside the window (they cover
-/// nothing there).
+/// One sweep, O(E log E) for E events. Events may be empty, inverted or
+/// outside the window (they cover nothing there).
 ///
 /// # Panics
 ///
 /// Panics if `end < earliest`.
 pub fn segment(submit: Nanos, earliest: Nanos, end: Nanos, events: &[TraceEvent]) -> Vec<Segment> {
     let mut sweep = Sweep::default();
-    sweep.run(submit, earliest, end, events);
-    sweep.out
+    unpack_segments(submit.min(earliest), sweep.run(submit, earliest, end, events)).collect()
 }
 
 /// The sweep's working buffers.
 #[derive(Debug, Clone, Default)]
 struct Sweep {
-    /// Slice boundaries: every event bound clamped into the window.
-    bounds: Vec<Nanos>,
     /// Event indices in start order (admission order).
     by_start: Vec<u32>,
     /// Admitted events keyed `(priority, host-caused, index)`, packed
     /// into one word, index lowest. Expiry is lazy: an ended event
     /// stays until it surfaces at the top.
     covering: BinaryHeap<u64>,
-    out: Vec<Segment>,
+    out: Vec<PackedSegment>,
 }
 
 impl Sweep {
-    fn push(&mut self, kind: SpanKind, cause: OpCause, start: Nanos, stop: Nanos) {
-        if stop <= start {
-            return;
+    /// Extends the timeline to `stop` with a slice of `kind` and `cause`.
+    fn push(&mut self, kind: SpanKind, cause: OpCause, stop: Nanos) {
+        match self.out.last_mut() {
+            Some(last) if last.kind == kind && last.cause == cause => last.end = stop.into(),
+            _ => self.out.push(PackedSegment { end: stop.into(), kind, cause }),
         }
-        if let Some(last) = self.out.last_mut() {
-            if last.kind == kind && last.cause == cause && last.end == start {
-                last.end = stop;
-                return;
-            }
-        }
-        self.out.push(Segment { kind, cause, start, end: stop });
     }
 
+    /// The winner of a slice only changes where the covering event of
+    /// highest key ends or where another event is admitted, so the sweep
+    /// hops between those instants: nothing but the admission order is
+    /// sorted, and that only when the events did not arrive in it. Each
+    /// hop admits or expires at least one event — at most 2E + 1 hops of
+    /// O(log E) heap work.
     fn run(
         &mut self,
         submit: Nanos,
         earliest: Nanos,
         end: Nanos,
         events: &[TraceEvent],
-    ) -> &[Segment] {
+    ) -> &[PackedSegment] {
+        assert!(end >= earliest, "the service window ends before it starts");
         assert!(u32::try_from(events.len()).is_ok(), "heap keys carry 32-bit event indices");
         self.out.clear();
-        self.bounds.clear();
         self.by_start.clear();
         self.covering.clear();
-        self.push(SpanKind::QueueWait, OpCause::Host, submit, earliest);
-        self.bounds.extend([earliest, end]);
+        if earliest > submit {
+            self.push(SpanKind::QueueWait, OpCause::Host, earliest);
+        }
+        let mut in_order = true;
+        let mut latest = Nanos::ZERO;
         for (i, e) in events.iter().enumerate() {
             if e.end > e.start {
-                self.bounds.extend([e.start.clamp(earliest, end), e.end.clamp(earliest, end)]);
+                in_order &= e.start >= latest;
+                latest = e.start;
                 self.by_start.push(i as u32);
             }
         }
-        self.bounds.sort_unstable();
-        self.bounds.dedup();
-        self.by_start.sort_unstable_by_key(|&i| events[i as usize].start);
+        if !in_order {
+            self.by_start.sort_unstable_by_key(|&i| events[i as usize].start);
+        }
         let mut admitted = 0;
-        for w in 1..self.bounds.len() {
-            let (a, b) = (self.bounds[w - 1], self.bounds[w]);
-            // An event covers the slice when its raw bounds contain it.
-            // Slices only move right, so one that ended short of this
-            // slice's end covers no later slice either.
+        let mut at = earliest;
+        while at < end {
             while let Some(&i) = self.by_start.get(admitted) {
                 let e = &events[i as usize];
-                if e.start > a {
+                if e.start > at {
                     break;
                 }
                 let host = u64::from(e.cause == OpCause::Host);
                 self.covering.push((e.kind.priority() as u64) << 33 | host << 32 | u64::from(i));
                 admitted += 1;
             }
-            // The low word of a key is the event's index.
-            while self.covering.peek().is_some_and(|&k| events[k as u32 as usize].end < b) {
+            // The low word of a key is the event's index. Slices only
+            // move right, so an event that ended covers no later one.
+            while self.covering.peek().is_some_and(|&k| events[k as u32 as usize].end <= at) {
                 self.covering.pop();
             }
-            let (kind, cause) =
-                self.covering.peek().map_or((SpanKind::Wait, OpCause::Host), |&k| {
+            let next_start =
+                self.by_start.get(admitted).map_or(end, |&i| events[i as usize].start.min(end));
+            let (kind, cause, stop) = match self.covering.peek() {
+                Some(&k) => {
                     let e = &events[k as u32 as usize];
-                    (e.kind, e.cause)
-                });
-            self.push(kind, cause, a, b);
+                    (e.kind, e.cause, e.end.min(next_start))
+                }
+                None => (SpanKind::Wait, OpCause::Host, next_start),
+            };
+            self.push(kind, cause, stop);
+            at = stop;
         }
         &self.out
     }
@@ -650,23 +787,24 @@ mod tests {
             ev(SpanKind::Read, ResourceId::Chip(1), 120, 180),
         ];
         let mut rec = TraceRecorder::new(8);
-        let t = rec.record(ReqKind::Write, 7, 1, true, Nanos(40), Nanos(100), Nanos(900), events);
+        let t = rec.record(ReqKind::Write, 7, 1, true, Nanos(40), Nanos(100), Nanos(900), &events);
         assert_eq!(t.e2e(), Nanos(860));
         assert_eq!(t.service(), Nanos(800));
         // The segments partition [submit, end) with no gaps or overlaps.
+        let segments: Vec<Segment> = t.segments().collect();
         let mut cursor = t.submit;
-        for s in &t.segments {
+        for s in &segments {
             assert_eq!(s.start, cursor, "gap before {s:?}");
             assert!(s.end > s.start);
             cursor = s.end;
         }
         assert_eq!(cursor, t.end);
-        let total: u64 = t.segments.iter().map(|s| s.dur().0).sum();
+        let total: u64 = t.segments().map(|s| s.dur().0).sum();
         assert_eq!(Nanos(total), t.e2e());
         // Classes: queue wait, transfer, then array work (read overlaps are
         // absorbed by priority), then the trailing wait.
         assert_eq!(
-            t.segments[0],
+            segments[0],
             Segment {
                 kind: SpanKind::QueueWait,
                 cause: OpCause::Host,
@@ -674,9 +812,9 @@ mod tests {
                 end: Nanos(100)
             }
         );
-        assert_eq!(t.segments[1].kind, SpanKind::Xfer);
-        assert!(t.segments.iter().any(|s| s.kind == SpanKind::Program));
-        assert_eq!(t.segments.last().unwrap().kind, SpanKind::Wait);
+        assert_eq!(segments[1].kind, SpanKind::Xfer);
+        assert!(segments.iter().any(|s| s.kind == SpanKind::Program));
+        assert_eq!(segments.last().unwrap().kind, SpanKind::Wait);
         assert_eq!(rec.span_total(SpanKind::QueueWait), Nanos(60));
     }
 
@@ -686,10 +824,10 @@ mod tests {
         // its event starts before the nominal submit time.
         let events = vec![ev(SpanKind::Read, ResourceId::Chip(0), 500, 600)];
         let mut rec = TraceRecorder::new(2);
-        let t = rec.record(ReqKind::Read, 0, 1, true, Nanos(800), Nanos(800), Nanos(800), events);
+        let t = rec.record(ReqKind::Read, 0, 1, true, Nanos(800), Nanos(800), Nanos(800), &events);
         assert_eq!(t.submit, Nanos(500));
         assert_eq!(t.end, Nanos(800));
-        let total: u64 = t.segments.iter().map(|s| s.dur().0).sum();
+        let total: u64 = t.segments().map(|s| s.dur().0).sum();
         assert_eq!(Nanos(total), t.e2e());
     }
 
@@ -697,7 +835,7 @@ mod tests {
     fn ring_evicts_oldest_and_counts_drops() {
         let mut rec = TraceRecorder::new(2);
         for i in 0..5u64 {
-            rec.record(ReqKind::Write, i, 1, true, Nanos(0), Nanos(0), Nanos(10), vec![]);
+            rec.record(ReqKind::Write, i, 1, true, Nanos(0), Nanos(0), Nanos(10), &[]);
         }
         assert_eq!(rec.recorded(), 5);
         assert_eq!(rec.dropped(), 3);
@@ -716,7 +854,7 @@ mod tests {
             Nanos(0),
             Nanos(50),
             Nanos(1000),
-            vec![
+            &[
                 ev(SpanKind::Xfer, ResourceId::Channel(1), 50, 90),
                 ev(SpanKind::Program, ResourceId::Chip(3), 90, 790),
             ],
@@ -773,14 +911,14 @@ mod tests {
             ev_caused(SpanKind::PLock, OpCause::Sanitize, ResourceId::Chip(0), 400, 500),
         ];
         let mut rec = TraceRecorder::new(4);
-        let t = rec.record(ReqKind::Trim, 0, 1, true, Nanos(100), Nanos(100), Nanos(500), events);
+        let t = rec.record(ReqKind::Trim, 0, 1, true, Nanos(100), Nanos(100), Nanos(500), &events);
         let expect = [
             (SpanKind::Program, OpCause::Gc, 100, 200),
             (SpanKind::Program, OpCause::Host, 200, 400),
             (SpanKind::PLock, OpCause::Sanitize, 400, 500),
         ];
-        assert_eq!(t.segments.len(), expect.len());
-        for (s, &(kind, cause, a, b)) in t.segments.iter().zip(expect.iter()) {
+        assert_eq!(t.segments().len(), expect.len());
+        for (s, &(kind, cause, a, b)) in t.segments().zip(expect.iter()) {
             assert_eq!((s.kind, s.cause, s.start, s.end), (kind, cause, Nanos(a), Nanos(b)));
         }
         // Same kind, different causes: slices must not merge.
@@ -794,6 +932,15 @@ mod tests {
         for (i, kind) in SpanKind::ALL.into_iter().enumerate() {
             assert_eq!(kind as usize, i, "{kind:?} is out of priority order");
         }
+    }
+
+    #[test]
+    fn the_ring_stores_packed_forms() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
+        assert_eq!(std::mem::size_of::<PackedEvent>(), 20);
+        assert_eq!(std::mem::size_of::<Segment>(), 24);
+        assert_eq!(std::mem::size_of::<PackedSegment>(), 12);
+        assert_eq!(std::mem::size_of::<TraceHead>(), 80);
     }
 
     #[test]

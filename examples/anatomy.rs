@@ -90,7 +90,7 @@ fn main() {
             row.stage(dominant).0 as f64 / 1e3,
             row.interference().0 as f64 / 1e3,
         );
-        for link in &row.chain {
+        for link in row.chain() {
             println!(
                 "      [{:>9}..{:>9}] {:>7.1} us  {} <- {} ({}{})",
                 link.start.0,

@@ -109,7 +109,7 @@ fn main() {
     // Gates 1 and 3: schema-valid export, segments tile every request.
     let recorder = traced.take_trace().expect("tracing was enabled");
     for t in recorder.traces() {
-        let sum: u64 = t.segments.iter().map(|s| s.dur().0).sum();
+        let sum: u64 = t.segments().map(|s| s.dur().0).sum();
         if sum != t.e2e().0 {
             eprintln!("FAIL: request {} spans sum {} != e2e {}", t.id, sum, t.e2e().0);
             failed = true;

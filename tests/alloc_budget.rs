@@ -1,0 +1,169 @@
+//! Allocation budget of being observed.
+//!
+//! The trace ring and the latency anatomy store everything in chunked
+//! arenas and recycle their working buffers, so a traced + anatomized run
+//! allocates per *chunk*, not per request, and dropping the recorders
+//! frees a block per chunk. A counting global allocator pins both: the
+//! observed run may allocate (and its drop may free) no more than the
+//! same run unobserved plus two blocks per arena chunk its volume fills.
+//! The `Vec`-per-trace ring and the pending-window anatomy spent 21 889
+//! extra allocations on these 5 000 requests and freed 17 061 blocks on
+//! drop; the arenas spend 79 and free 88.
+//!
+//! Counts are per thread and the run is deterministic, so this gates.
+
+use evanesco::ftl::SanitizePolicy;
+use evanesco::ssd::{Emulator, HostOp, SsdConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // Const-initialized and without a destructor: reading them inside the
+    // allocator never allocates or runs after thread teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` with its arguments unchanged,
+// so `System`'s contract is this allocator's; the counters are plain
+// thread-local cells touched before the forwarded call.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A growth in place of an alloc + free pair: counted as both.
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        FREES.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`, and the caller upholds `realloc`'s
+        // size contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+fn frees() -> u64 {
+    FREES.with(Cell::get)
+}
+
+/// A deterministic mixed workload: secure and insecure writes, reads and
+/// trims over the whole logical range.
+fn mixed_ops(logical: u64, n: usize, seed: u64) -> Vec<HostOp> {
+    let mut x = seed | 1;
+    let mut step = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x >> 33
+    };
+    (0..n)
+        .map(|_| {
+            let npages = 1 + step() % 6;
+            let lpa = step() % (logical - npages);
+            match step() % 10 {
+                0..=4 => HostOp::Write { lpa, npages, secure: step() % 3 != 0 },
+                5..=7 => HostOp::Read { lpa, npages },
+                _ => HostOp::Trim { lpa, npages },
+            }
+        })
+        .collect()
+}
+
+const REQUESTS: usize = 5_000;
+
+/// What one run cost the allocator, and what the observers recorded.
+struct Cost {
+    /// Allocations during the measured requests (warm-up excluded).
+    run_allocs: u64,
+    /// Blocks freed by dropping the emulator.
+    drop_frees: u64,
+    /// Arena chunks the recorded volume fills, restating the recorders'
+    /// chunk sizes (1 024 headers, rows and occupancy slots; 8 192 events
+    /// and segments; 4 096 chain links) plus one open chunk per arena.
+    chunks: u64,
+}
+
+fn run(observed: bool) -> Cost {
+    let cfg = SsdConfig::tiny_for_tests();
+    let logical = cfg.ftl.logical_pages();
+    let warm_up = mixed_ops(logical, 500, 0xC0FFEE);
+    let ops = mixed_ops(logical, REQUESTS, 0xA110C);
+    let mut ssd = Emulator::new(cfg, SanitizePolicy::evanesco());
+    if observed {
+        ssd.enable_anatomy(warm_up.len() + ops.len(), 8);
+    }
+    // The warm-up grows every recycled buffer and opens the first chunks.
+    ssd.run_scheduled(&warm_up, 8);
+    let before = allocs();
+    ssd.run_scheduled(&ops, 8);
+    let run_allocs = allocs() - before;
+
+    let mut chunks = 0;
+    if let (Some(tr), Some(an)) = (ssd.trace(), ssd.anatomy()) {
+        assert_eq!(tr.dropped() + an.dropped(), 0, "rings sized to the run");
+        assert!(tr.recorded() as usize > REQUESTS * 3 / 4, "most requests leave a trace");
+        let (mut events, mut segments, mut locks) = (0u64, 0u64, 0u64);
+        let mut resources = std::collections::BTreeSet::new();
+        for t in tr.traces() {
+            events += t.events().len() as u64;
+            segments += t.segments().len() as u64;
+            for e in t.events() {
+                resources.insert(e.resource);
+                locks +=
+                    u64::from(evanesco::ssd::anatomy::interference_of(e.kind, e.cause).is_some());
+            }
+        }
+        let links: u64 = an.rows().map(|r| r.chain().len() as u64).sum();
+        let arenas = 5 + resources.len() as u64;
+        chunks = 2 * tr.recorded() / 1024
+            + (events + segments) / 8192
+            + links / 4096
+            + locks / 1024
+            + arenas;
+    }
+    let before = frees();
+    drop(ssd);
+    Cost { run_allocs, drop_frees: frees() - before, chunks }
+}
+
+#[test]
+fn being_observed_allocates_per_chunk_not_per_request() {
+    let bare = run(false);
+    let observed = run(true);
+    assert!(observed.chunks > 10, "the run must fill several chunks");
+    let budget = 2 * observed.chunks;
+    let extra_allocs = observed.run_allocs.saturating_sub(bare.run_allocs);
+    let extra_frees = observed.drop_frees.saturating_sub(bare.drop_frees);
+    println!(
+        "bare: {} allocations; observed: +{extra_allocs} during the run, +{extra_frees} blocks \
+         freed on drop; {} chunks, budget {budget}",
+        bare.run_allocs, observed.chunks
+    );
+    assert!(
+        extra_allocs <= budget,
+        "tracing + anatomy allocated {extra_allocs} times over {REQUESTS} requests \
+         (budget {budget} = 2 per arena chunk): an observer path allocates per request again"
+    );
+    assert!(
+        extra_frees <= budget,
+        "dropping the recorders freed {extra_frees} blocks (budget {budget}): \
+         the rings hold per-request allocations again"
+    );
+}

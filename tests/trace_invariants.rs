@@ -15,12 +15,19 @@
 //! * **stale audit log** — gated by config, compactable, and still
 //!   sufficient for `verify_sanitized`;
 //! * **segmenter** — the sweep-line `trace::segment` returns exactly what
-//!   the quadratic rule it replaced returns, on arbitrary event sets.
+//!   the quadratic rule and the sorted-bounds sweep it replaced return, on
+//!   arbitrary event sets;
+//! * **arena ring** — the chunked-arena `TraceRecorder` reads back, counts
+//!   and exports exactly what the `Vec`-per-trace ring it replaced did,
+//!   through ring wrap, oversized requests and multi-chunk eviction.
+
+mod reference;
 
 use evanesco::ftl::{OpCause, SanitizePolicy};
 use evanesco::nand::timing::Nanos;
-use evanesco::ssd::trace::{segment, ResourceId, Segment, SpanKind, TraceEvent};
-use evanesco::ssd::{validate_chrome_trace, Emulator, HostOp, SsdConfig};
+use evanesco::ssd::anatomy::REQ_KINDS as KINDS;
+use evanesco::ssd::trace::{segment, ReqKind, ResourceId, Segment, SpanKind, TraceEvent};
+use evanesco::ssd::{validate_chrome_trace, Emulator, HostOp, SsdConfig, TraceRecorder};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -66,7 +73,7 @@ fn spans_sum_to_e2e_at_every_queue_depth() {
         let rec = ssd.trace().expect("tracing enabled");
         assert!(rec.recorded() > 0, "qd {qd}: nothing traced");
         for t in rec.traces() {
-            let sum: u64 = t.segments.iter().map(|s| s.dur().0).sum();
+            let sum: u64 = t.segments().map(|s| s.dur().0).sum();
             assert_eq!(
                 sum,
                 t.e2e().0,
@@ -76,7 +83,7 @@ fn spans_sum_to_e2e_at_every_queue_depth() {
             );
             // Segments are contiguous and ordered, starting at submit.
             let mut cursor = t.submit;
-            for s in &t.segments {
+            for s in t.segments() {
                 assert_eq!(s.start, cursor, "qd {qd}: gap or overlap in request {}", t.id);
                 assert!(s.end > s.start, "qd {qd}: empty segment in request {}", t.id);
                 cursor = s.end;
@@ -92,7 +99,7 @@ fn device_events_never_overlap_on_a_serial_resource() {
     let rec = ssd.trace().expect("tracing enabled");
     let mut by_resource: HashMap<ResourceId, Vec<(u64, u64)>> = HashMap::new();
     for t in rec.traces() {
-        for e in &t.events {
+        for e in t.events() {
             by_resource.entry(e.resource).or_default().push((e.start.0, e.end.0));
         }
     }
@@ -275,16 +282,65 @@ fn quadratic_segment(
     out
 }
 
+/// An arbitrary request for the differential tests: `(submit, earliest,
+/// end, events)`. Times fall on a coarse grid so bounds coincide
+/// constantly: events ending exactly where a slice ends, equal starts,
+/// and same-kind overlaps under different non-host causes (where only
+/// the issue order decides). Events may be empty, inverted, straddle
+/// either end of the window or lie wholly outside it, and `earliest` may
+/// precede `submit`.
+fn arbitrary_request(
+    n: usize,
+    seed: u64,
+    grid: u64,
+    kinds: usize,
+) -> (Nanos, Nanos, Nanos, Vec<TraceEvent>) {
+    let mut x = seed | 1;
+    let mut step = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x >> 32
+    };
+    const CAUSES: [OpCause; 4] = [OpCause::Host, OpCause::Gc, OpCause::Sanitize, OpCause::Retry];
+    // The window sits inside a span three times as long, so about a
+    // third of the events start before it and a third end after it.
+    let span = 3 + (n as u64 + step() % 64) * (1 + step() % 4);
+    let earliest = Nanos(grid * (span / 3));
+    let end = Nanos(grid * (span / 3 + step() % (span / 3 + 1)));
+    let submit = Nanos(grid * (step() % (span / 2 + 1)));
+    let events = (0..n)
+        .map(|_| {
+            let start = grid * (step() % span);
+            let len = match step() % 8 {
+                0 => 0,
+                1 => grid * (step() % span),
+                _ => grid * (1 + step() % 6),
+            };
+            // One in sixteen is inverted (ends before it starts).
+            let (start, stop) =
+                if step() % 16 == 0 { (start + len, start) } else { (start, start + len) };
+            TraceEvent {
+                kind: SpanKind::ALL[(step() as usize) % kinds],
+                cause: CAUSES[(step() % 4) as usize],
+                resource: if step() % 2 == 0 {
+                    ResourceId::Chip((step() % 8) as usize)
+                } else {
+                    ResourceId::Channel((step() % 2) as usize)
+                },
+                start: Nanos(start),
+                end: Nanos(stop),
+            }
+        })
+        .collect();
+    (submit, earliest, end, events)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// Differential test of the sweep against the quadratic reference.
-    /// Times fall on a coarse grid so bounds coincide constantly: events
-    /// ending exactly where a slice ends, equal starts, and same-kind
-    /// overlaps under different non-host causes (where only the issue
-    /// order decides). Events may be empty, inverted, straddle either end
-    /// of the window or lie wholly outside it, and `earliest` may precede
-    /// `submit`.
+    /// Differential test of the sweep against the quadratic reference and
+    /// the sorted-bounds sweep.
     #[test]
     fn sweep_segmenter_matches_the_quadratic_reference(
         n in 0usize..1500,
@@ -292,46 +348,10 @@ proptest! {
         grid in prop_oneof![Just(1u64), Just(7u64), Just(100u64)],
         kinds in 1usize..=10,
     ) {
-        let mut x = seed | 1;
-        let mut step = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x >> 32
-        };
-        const CAUSES: [OpCause; 4] = [OpCause::Host, OpCause::Gc, OpCause::Sanitize, OpCause::Retry];
-        // The window sits inside a span three times as long, so about a
-        // third of the events start before it and a third end after it.
-        let span = 3 + (n as u64 + step() % 64) * (1 + step() % 4);
-        let earliest = Nanos(grid * (span / 3));
-        let end = Nanos(grid * (span / 3 + step() % (span / 3 + 1)));
-        let submit = Nanos(grid * (step() % (span / 2 + 1)));
-        let events: Vec<TraceEvent> = (0..n)
-            .map(|_| {
-                let start = grid * (step() % span);
-                let len = match step() % 8 {
-                    0 => 0,
-                    1 => grid * (step() % span),
-                    _ => grid * (1 + step() % 6),
-                };
-                // One in sixteen is inverted (ends before it starts).
-                let (start, stop) =
-                    if step() % 16 == 0 { (start + len, start) } else { (start, start + len) };
-                TraceEvent {
-                    kind: SpanKind::ALL[(step() as usize) % kinds],
-                    cause: CAUSES[(step() % 4) as usize],
-                    resource: if step() % 2 == 0 {
-                        ResourceId::Chip((step() % 8) as usize)
-                    } else {
-                        ResourceId::Channel((step() % 2) as usize)
-                    },
-                    start: Nanos(start),
-                    end: Nanos(stop),
-                }
-            })
-            .collect();
+        let (submit, earliest, end, events) = arbitrary_request(n, seed, grid, kinds);
         let got = segment(submit, earliest, end, &events);
         prop_assert_eq!(&got, &quadratic_segment(submit, earliest, end, &events));
+        prop_assert_eq!(&got, &reference::sorted_bounds_segment(submit, earliest, end, &events));
         // And it is a timeline: contiguous from the earlier of submit and
         // earliest to end, no empty or unmerged slices.
         let mut cursor = submit.min(earliest);
@@ -343,6 +363,122 @@ proptest! {
         }
         prop_assert_eq!(cursor, end.max(submit.min(earliest)));
     }
+
+    /// Differential test of the arena ring against the `Vec`-per-trace
+    /// ring: the same arbitrary requests (sizes from empty to a few
+    /// hundred events) through both, at ring capacities from 1 up, for
+    /// three capacities' worth of traffic.
+    #[test]
+    fn arena_ring_matches_the_vec_per_trace_ring(
+        capacity in 1usize..9,
+        seed in 0u64..u64::MAX,
+        grid in prop_oneof![Just(1u64), Just(7u64), Just(100u64)],
+        kinds in 1usize..=10,
+    ) {
+        let mut ring = TraceRecorder::new(capacity);
+        let mut old = reference::RefTraceRecorder::new(capacity);
+        for i in 0..3 * capacity as u64 + 1 {
+            let salt = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let n = [0, 1, 7, 40, 300][(salt % 5) as usize];
+            let (submit, earliest, end, events) = arbitrary_request(n, salt, grid, kinds);
+            let kind = KINDS[(salt >> 8) as usize % KINDS.len()];
+            let (lpa, npages, acked) = (salt >> 16 & 0xFFFF, 1 + (salt >> 32 & 7), salt >> 40 & 1 == 0);
+            let want = old.record(kind, lpa, npages, acked, submit, earliest, end, events.clone());
+            let got = ring.record(kind, lpa, npages, acked, submit, earliest, end, &events);
+            prop_assert_eq!(&reference::RefTrace::of(got), want, "the view record returns");
+        }
+        reference::assert_same_ring(&ring, &old);
+    }
+}
+
+/// A request of `n` back-to-back events starting at `at`, alternating
+/// two chips, with a wait gap after every third.
+fn plain_request(n: usize, at: u64) -> (Nanos, Vec<TraceEvent>) {
+    let mut cursor = at;
+    let events = (0..n)
+        .map(|i| {
+            let start = cursor + if i % 3 == 2 { 15 } else { 0 };
+            cursor = start + 20 + (i as u64 % 7);
+            TraceEvent {
+                kind: if i % 4 == 0 { SpanKind::PLock } else { SpanKind::Program },
+                cause: if i % 4 == 0 { OpCause::Sanitize } else { OpCause::Host },
+                resource: ResourceId::Chip(i % 2),
+                start: Nanos(start),
+                end: Nanos(cursor),
+            }
+        })
+        .collect();
+    (Nanos(cursor), events)
+}
+
+/// Ring edge cases against the reference ring: capacity 1 and 2, requests
+/// larger than an arena chunk (8 192 events) between small and empty
+/// ones, and evictions that release several chunks at once — for three
+/// capacities' worth of traffic, checking the whole ring after every
+/// record.
+#[test]
+fn mixed_size_traces_read_back_exactly_through_ring_wrap() {
+    // Events per request: a 20 000-event request is a chunk of its own;
+    // the 5 000s pack one to a chunk, so evicting past the 20 000 and its
+    // neighbors retires several chunks in one step.
+    const SIZES: [usize; 12] = [3, 0, 20_000, 1, 5_000, 5_000, 5_000, 0, 9_000, 2, 12, 8_192];
+    for capacity in [1usize, 2, 5] {
+        let mut ring = TraceRecorder::new(capacity);
+        let mut old = reference::RefTraceRecorder::new(capacity);
+        let mut at = 0u64;
+        for i in 0..3 * capacity.max(SIZES.len() / 3 + 1) {
+            let (end, events) = plain_request(SIZES[i % SIZES.len()], at);
+            let submit = Nanos(at);
+            old.record(KINDS[i % 5], i as u64, 1, true, submit, submit, end, events.clone());
+            ring.record(KINDS[i % 5], i as u64, 1, true, submit, submit, end, &events);
+            reference::assert_same_ring(&ring, &old);
+            at = end.0 + 100;
+        }
+        assert!(ring.dropped() >= 2 * capacity as u64, "capacity {capacity}: the ring must wrap");
+    }
+}
+
+/// The ring packs a resource into 16 bits; an index that does not fit is
+/// refused by name, never truncated onto another chip.
+#[test]
+#[should_panic(expected = "chip 32768 is beyond the 15-bit resource index")]
+fn a_resource_index_beyond_the_packed_field_is_rejected() {
+    let event = TraceEvent {
+        kind: SpanKind::Read,
+        cause: OpCause::Host,
+        resource: ResourceId::Chip(1 << 15),
+        start: Nanos(0),
+        end: Nanos(10),
+    };
+    TraceRecorder::new(4).record(
+        ReqKind::Read,
+        0,
+        1,
+        true,
+        Nanos(0),
+        Nanos(0),
+        Nanos(10),
+        &[event],
+    );
+}
+
+/// The widest index that fits round-trips, chips and channels apart.
+#[test]
+fn the_widest_packed_resource_indices_round_trip() {
+    let top = (1 << 15) - 1;
+    let events: Vec<TraceEvent> = [ResourceId::Chip(top), ResourceId::Channel(top)]
+        .into_iter()
+        .map(|resource| TraceEvent {
+            kind: SpanKind::Xfer,
+            cause: OpCause::Host,
+            resource,
+            start: Nanos(0),
+            end: Nanos(10),
+        })
+        .collect();
+    let mut ring = TraceRecorder::new(1);
+    let t = ring.record(ReqKind::Read, 0, 1, true, Nanos(0), Nanos(0), Nanos(10), &events);
+    assert_eq!(t.events().collect::<Vec<_>>(), events);
 }
 
 mod eviction {
@@ -422,9 +558,9 @@ mod eviction {
                     submit,
                     Nanos(submit.0 + step() % 50),
                     end,
-                    events,
+                    &events,
                 );
-                for s in &trace.segments {
+                for s in trace.segments() {
                     *expect.entry(s.kind).or_insert(Nanos::ZERO) += s.dur();
                 }
             }
