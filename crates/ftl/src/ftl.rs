@@ -84,11 +84,12 @@ pub struct Ftl {
     /// Bounded "explain why" log of policy decisions (disabled by default;
     /// see [`Ftl::enable_decision_log`]). Purely observational.
     decisions: DecisionLog,
-    /// Recycled buffers for the host data plane (always empty between
+    /// Recycled buffers for the host data plane and GC (always empty between
     /// operations; never checkpointed — a restored FTL starts them fresh).
     secured_scratch: Vec<GlobalPpa>,
     trim_pending_scratch: Vec<Lpa>,
     trim_group_scratch: Vec<GlobalPpa>,
+    gc_scratch: Vec<GlobalPpa>,
     /// Buffered observer events: internal paths record here and the public
     /// entry points drain to the caller's observer once per host operation,
     /// preserving event order exactly. Always empty between operations.
@@ -122,6 +123,7 @@ impl Ftl {
             secured_scratch: Vec::new(),
             trim_pending_scratch: Vec::new(),
             trim_group_scratch: Vec::new(),
+            gc_scratch: Vec::new(),
             events: EventBatch::new(),
             guard: None,
             cfg,
@@ -241,6 +243,7 @@ impl Ftl {
             return false;
         }
         self.stats.host_write_pages += 1;
+        self.events.arm(obs.listening());
         self.events.host_tick();
         if self.cfg.lock_coalescing {
             self.flush_aged_locks(ex);
@@ -279,6 +282,7 @@ impl Ftl {
     /// `bLock` opportunity (paper §6).
     pub fn trim<E: NandExecutor, O: FtlObserver>(&mut self, ex: &mut E, obs: &mut O, lpas: &[Lpa]) {
         self.stats.host_trim_pages += lpas.len() as u64;
+        self.events.arm(obs.listening());
         let logical = self.l2p.len();
         self.unmap_and_invalidate(ex, lpas.iter().copied().filter(|&l| (l as usize) < logical));
         self.events.drain_into(obs);
@@ -321,6 +325,7 @@ mod testutil {
 mod tests {
     use super::testutil::*;
     use super::*;
+    use crate::observer::{Recorder, Tee};
 
     #[test]
     fn write_read_roundtrip() {
@@ -384,5 +389,43 @@ mod tests {
         assert_eq!(ftl.mapped(0), None);
         assert_eq!(ftl.stats().plocks, 1);
         ftl.check_invariants();
+    }
+
+    /// Overwrite and trim churn deep enough for GC, with coalescing, a
+    /// flush and a recovery scan: every entry point that drains events.
+    fn churn<O: FtlObserver>(obs: &mut O) -> (FtlStats, usize) {
+        let cfg =
+            FtlConfig { lock_coalescing: true, coalesce_window: 8, ..FtlConfig::tiny_for_tests() };
+        let (mut ftl, mut ex) = setup_with(cfg, SanitizePolicy::evanesco());
+        let logical = ftl.logical_pages();
+        for i in 0..4 * logical {
+            let lpa = i * 7 % logical;
+            ftl.write(&mut ex, obs, lpa, i % 3 != 0, i);
+            if i % 5 == 0 {
+                ftl.trim(&mut ex, obs, &[(lpa + 3) % logical, (lpa + 4) % logical]);
+            }
+        }
+        ftl.flush_coalesced(&mut ex, obs);
+        ftl.recover(&mut ex, obs);
+        ftl.check_invariants();
+        assert!(ftl.stats().gc_invocations > 0 && ftl.stats().nand_erases > 0);
+        (ftl.stats(), ftl.events.capacity())
+    }
+
+    #[test]
+    fn events_are_buffered_only_for_an_observer_that_listens() {
+        let mut direct = Recorder::default();
+        let (stats, _) = churn(&mut direct);
+        assert!(direct.0.len() > 1000, "the churn produces every kind of event");
+
+        // Behind `Option` and `Tee` a listener sees the identical sequence.
+        let mut wrapped = Recorder::default();
+        assert_eq!(churn(&mut Tee(None::<Recorder>, Some(&mut wrapped))).0, stats);
+        assert!(wrapped == direct, "a wrapped observer lost or reordered events");
+
+        // Nobody listening: the same run, and the batch never held an event.
+        for cap in [churn(&mut NullObserver), churn(&mut Tee(None::<Recorder>, NullObserver))] {
+            assert_eq!(cap, (stats, 0));
+        }
     }
 }

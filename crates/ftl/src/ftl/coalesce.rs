@@ -189,6 +189,7 @@ impl Ftl {
     /// Drains the whole coalescing queue (quiesce: end of run, or before a
     /// planned shutdown). Afterwards no deferred lock is outstanding.
     pub fn flush_coalesced<E: NandExecutor, O: FtlObserver>(&mut self, ex: &mut E, obs: &mut O) {
+        self.events.arm(obs.listening());
         while let Some(entry) = self.pending_locks.pop_front() {
             self.settle_deferred(ex, entry);
         }

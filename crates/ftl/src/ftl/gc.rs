@@ -140,11 +140,16 @@ impl Ftl {
             }
             f.stats.gc_invocations += 1;
             f.chips[chip].gc_in_progress.insert(victim);
-            let secured_olds = f.relocate_live_pages(ex, chip, victim);
+            // A recycled buffer: one GC pass per few host requests would
+            // otherwise allocate (and regrow) a vector each.
+            let mut secured_olds = std::mem::take(&mut f.gc_scratch);
+            f.relocate_live_pages(ex, chip, victim, &mut secured_olds);
             f.chips[chip].gc_in_progress.remove(&victim);
 
             // Paper Fig. 13: "GC done" -> lock manager.
-            f.sanitize_gc_victim(ex, chip, victim, secured_olds);
+            f.sanitize_gc_victim(ex, chip, victim, &mut secured_olds);
+            secured_olds.clear();
+            f.gc_scratch = secured_olds;
 
             // Reclamation: lazy by default (erase deferred to reuse); eager
             // under the ablation flag; already done when erSSD erased the
@@ -165,22 +170,22 @@ impl Ftl {
     }
 
     /// Copies every live page out of `block` (within the same chip),
-    /// remapping and invalidating the old slots. Returns the old addresses
-    /// that were secured; sanitizing them is the caller's decision.
+    /// remapping and invalidating the old slots. Appends the old addresses
+    /// that were secured to `secured_olds`; sanitizing them is the caller's
+    /// decision.
     pub(super) fn relocate_live_pages<E: NandExecutor>(
         &mut self,
         ex: &mut E,
         chip: usize,
         block: u32,
-    ) -> Vec<GlobalPpa> {
-        let mut secured_olds = Vec::new();
+        secured_olds: &mut Vec<GlobalPpa>,
+    ) {
         for p in 0..self.cfg.geometry.pages_per_block() {
             let old = GlobalPpa::new(chip, Ppa { block: BlockId(block), page: PageId(p) });
             if self.relocate_page(ex, old, false) == Some(true) {
                 secured_olds.push(old);
             }
         }
-        secured_olds
     }
 
     /// Moves the page at `old`, if live, to a fresh page of the same chip

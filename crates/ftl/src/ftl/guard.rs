@@ -267,6 +267,7 @@ impl Ftl {
         g.pending = false;
         let tombstones = std::mem::take(&mut g.unmapped);
         let _ = self.recover(ex, obs);
+        self.events.arm(obs.listening());
         let resurrected: Vec<Lpa> = (0..self.l2p.len())
             .filter(|&i| {
                 self.l2p[i].is_some()

@@ -20,6 +20,7 @@ impl Ftl {
         let mut report = RecoveryReport::default();
         let ppb = self.cfg.geometry.pages_per_block();
         let n_blocks = self.cfg.geometry.blocks;
+        self.events.arm(obs.listening());
 
         // Phase 0: forget everything RAM held. The on-flash truth wins.
         self.l2p.fill(None);

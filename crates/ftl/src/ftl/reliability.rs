@@ -158,7 +158,7 @@ impl Ftl {
                 return;
             }
             let before = self.stats.copied_pages;
-            let _ = self.relocate_live_pages(ex, chip, block);
+            self.relocate_live_pages(ex, chip, block, &mut Vec::new());
             self.stats.reliability_relocations += self.stats.copied_pages - before;
         }
         if !self.block_meta(chip, block).holds_data() {

@@ -68,7 +68,7 @@ impl Ftl {
         ex: &mut E,
         chip: usize,
         block: u32,
-        mut secured_olds: Vec<GlobalPpa>,
+        secured_olds: &mut Vec<GlobalPpa>,
     ) {
         self.scoped(ex, OpCause::Sanitize, |f, ex| match f.policy {
             SanitizePolicy::None => {}
@@ -76,9 +76,9 @@ impl Ftl {
                 // The victim is fully dead now; any locks still queued for
                 // it coalesce into this one settlement.
                 debug_assert!(f.block_meta(chip, block).fully_dead(), "GC victim still live");
-                let queued = f.merge_queued(chip, block, &mut secured_olds);
+                let queued = f.merge_queued(chip, block, secured_olds);
                 let promote = f.promotes_to_block(use_block, chip, block, secured_olds.len());
-                f.settle_locks(ex, chip, block, &secured_olds, queued, promote);
+                f.settle_locks(ex, chip, block, secured_olds, queued, promote);
             }
             SanitizePolicy::EraseBased => {
                 if !secured_olds.is_empty() {
@@ -87,7 +87,7 @@ impl Ftl {
                 }
             }
             SanitizePolicy::Scrub => {
-                for &old in &secured_olds {
+                for &old in secured_olds.iter() {
                     ex.scrub(old);
                     f.stats.scrubs += 1;
                 }
@@ -246,7 +246,7 @@ impl Ftl {
         if !self.block_meta(chip, block).holds_data() {
             return;
         }
-        let _ = self.relocate_live_pages(ex, chip, block);
+        self.relocate_live_pages(ex, chip, block, &mut Vec::new());
         self.sanitize_erase(ex, chip, block);
     }
 

@@ -63,13 +63,23 @@ pub trait FtlObserver {
     fn on_host_tick(&mut self) {}
     /// A power-up recovery scan finished (see [`crate::recovery`]).
     fn on_recovery(&mut self, _report: &crate::recovery::RecoveryReport) {}
+    /// Whether any event reaches a body that does something. An observer
+    /// that answers `false` promises every callback is a no-op, which lets
+    /// the FTL skip buffering events for it (see [`EventBatch::arm`]).
+    fn listening(&self) -> bool {
+        true
+    }
 }
 
 /// The no-op observer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 
-impl FtlObserver for NullObserver {}
+impl FtlObserver for NullObserver {
+    fn listening(&self) -> bool {
+        false
+    }
+}
 
 /// One recorded page-lifecycle event — the batched form of the
 /// [`FtlObserver`] callbacks (minus `on_recovery`, whose report is built
@@ -116,15 +126,34 @@ pub enum ObserverEvent {
 /// need no observer type parameter at all. Draining preserves recording
 /// order exactly, so a batched observer sees the same call sequence a
 /// per-event observer did.
+///
+/// A batch nobody will drain into anything buffers nothing: each public
+/// FTL entry point [`EventBatch::arm`]s it from its observer's
+/// [`FtlObserver::listening`], and the record methods are no-ops while it
+/// is muted. Draining re-arms it, so an entry point that forgets to arm
+/// costs time, never events.
 #[derive(Debug, Clone, Default)]
 pub struct EventBatch {
     events: Vec<ObserverEvent>,
+    muted: bool,
 }
 
 impl EventBatch {
-    /// Creates an empty batch.
+    /// Creates an empty, armed batch.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Buffers events from here to the next [`EventBatch::drain_into`] only
+    /// if `listening` (what the observer that drain will feed answered).
+    pub fn arm(&mut self, listening: bool) {
+        debug_assert!(self.events.is_empty(), "armed mid-operation");
+        self.muted = !listening;
+    }
+
+    /// Events the buffer has room for without growing (0: never used).
+    pub fn capacity(&self) -> usize {
+        self.events.capacity()
     }
 
     /// Number of buffered events.
@@ -140,7 +169,9 @@ impl EventBatch {
     /// Records a program event.
     #[inline]
     pub fn program(&mut self, lpa: Lpa, at: GlobalPpa, relocation: bool, secure: bool) {
-        self.events.push(ObserverEvent::Program { lpa, at, relocation, secure });
+        if !self.muted {
+            self.events.push(ObserverEvent::Program { lpa, at, relocation, secure });
+        }
     }
 
     /// Records an invalidate event.
@@ -152,24 +183,31 @@ impl EventBatch {
         sanitized: bool,
         cause: InvalidateCause,
     ) {
-        self.events.push(ObserverEvent::Invalidate { at, secure, sanitized, cause });
+        if !self.muted {
+            self.events.push(ObserverEvent::Invalidate { at, secure, sanitized, cause });
+        }
     }
 
     /// Records an erase event.
     #[inline]
     pub fn erase(&mut self, chip: usize, block: BlockId) {
-        self.events.push(ObserverEvent::Erase { chip, block });
+        if !self.muted {
+            self.events.push(ObserverEvent::Erase { chip, block });
+        }
     }
 
     /// Records a host logical-time tick.
     #[inline]
     pub fn host_tick(&mut self) {
-        self.events.push(ObserverEvent::HostTick);
+        if !self.muted {
+            self.events.push(ObserverEvent::HostTick);
+        }
     }
 
-    /// Replays every buffered event into `obs` in recording order and
-    /// clears the batch (capacity is retained for reuse).
+    /// Replays every buffered event into `obs` in recording order, clears
+    /// the batch (capacity is retained for reuse) and re-arms it.
     pub fn drain_into<O: FtlObserver + ?Sized>(&mut self, obs: &mut O) {
+        self.muted = false;
         for ev in self.events.drain(..) {
             match ev {
                 ObserverEvent::Program { lpa, at, relocation, secure } => {
@@ -207,6 +245,9 @@ impl<O: FtlObserver + ?Sized> FtlObserver for &mut O {
     fn on_recovery(&mut self, report: &crate::recovery::RecoveryReport) {
         (**self).on_recovery(report);
     }
+    fn listening(&self) -> bool {
+        (**self).listening()
+    }
 }
 
 /// `Some(observer)` forwards, `None` drops every event — the shape of an
@@ -243,6 +284,9 @@ impl<O: FtlObserver> FtlObserver for Option<O> {
             o.on_recovery(report);
         }
     }
+    fn listening(&self) -> bool {
+        self.as_ref().is_some_and(O::listening)
+    }
 }
 
 /// Broadcasts every event to two observers (attach built-in telemetry
@@ -276,6 +320,36 @@ impl<A: FtlObserver, B: FtlObserver> FtlObserver for Tee<A, B> {
     fn on_recovery(&mut self, report: &crate::recovery::RecoveryReport) {
         self.0.on_recovery(report);
         self.1.on_recovery(report);
+    }
+    fn listening(&self) -> bool {
+        self.0.listening() || self.1.listening()
+    }
+}
+
+/// Test observer: every page-lifecycle callback it gets, in order.
+#[cfg(test)]
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Recorder(pub(crate) Vec<ObserverEvent>);
+
+#[cfg(test)]
+impl FtlObserver for Recorder {
+    fn on_program(&mut self, lpa: Lpa, at: GlobalPpa, relocation: bool, secure: bool) {
+        self.0.push(ObserverEvent::Program { lpa, at, relocation, secure });
+    }
+    fn on_invalidate(
+        &mut self,
+        at: GlobalPpa,
+        secure: bool,
+        sanitized: bool,
+        cause: InvalidateCause,
+    ) {
+        self.0.push(ObserverEvent::Invalidate { at, secure, sanitized, cause });
+    }
+    fn on_erase(&mut self, chip: usize, block: BlockId) {
+        self.0.push(ObserverEvent::Erase { chip, block });
+    }
+    fn on_host_tick(&mut self) {
+        self.0.push(ObserverEvent::HostTick);
     }
 }
 
@@ -336,30 +410,6 @@ mod tests {
         }
         assert_eq!(a.invalidates, 1);
         assert_eq!(c.invalidates, 1);
-    }
-
-    #[derive(Default)]
-    struct Recorder(Vec<ObserverEvent>);
-
-    impl FtlObserver for Recorder {
-        fn on_program(&mut self, lpa: Lpa, at: GlobalPpa, relocation: bool, secure: bool) {
-            self.0.push(ObserverEvent::Program { lpa, at, relocation, secure });
-        }
-        fn on_invalidate(
-            &mut self,
-            at: GlobalPpa,
-            secure: bool,
-            sanitized: bool,
-            cause: InvalidateCause,
-        ) {
-            self.0.push(ObserverEvent::Invalidate { at, secure, sanitized, cause });
-        }
-        fn on_erase(&mut self, chip: usize, block: BlockId) {
-            self.0.push(ObserverEvent::Erase { chip, block });
-        }
-        fn on_host_tick(&mut self) {
-            self.0.push(ObserverEvent::HostTick);
-        }
     }
 
     #[test]

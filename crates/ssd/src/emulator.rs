@@ -751,7 +751,7 @@ impl Emulator {
         let mut free_at: Vec<Nanos> = Vec::with_capacity(n_chips);
         // A read's hint token is the set of chips holding its mapped pages,
         // one bit per chip. A device too wide for the mask keeps no token
-        // and hints its reads afresh each pass.
+        // and hints every request afresh each pass.
         let wide = n_chips > u64::BITS as usize;
         loop {
             while next < ops.len() {
@@ -764,34 +764,30 @@ impl Emulator {
                 }
                 next += 1;
             }
-            // One pass reads each chip's busy-until once and no L2P entry:
-            // a read's chip set is resolved when the read first becomes
-            // eligible and kept on its queue entry (`sched`'s cost model
-            // states why that is sound), and every queued write shares the
-            // allocation frontier's chip — the FTL does not move between
-            // candidates.
-            free_at.clear();
-            free_at.extend((0..n_chips).map(|c| self.ex.chip_free_at(c)));
-            let write_hint = free_at[self.ftl.peek_alloc_chip()];
-            let picked = sched.take_dispatch_cached(
-                |op| match *op {
-                    HostOp::Read { lpa, npages } if !wide => {
-                        self.mapped_chips(lpa, npages).fold(0, |set, chip| set | 1 << chip)
-                    }
-                    _ => 0,
-                },
-                |op, chips| {
-                    let hint = match *op {
-                        HostOp::Write { .. } => write_hint,
-                        HostOp::Read { .. } if wide => self.chip_hint(op),
-                        HostOp::Read { .. } => latest_free(chips, &free_at),
-                        HostOp::Trim { .. } => Nanos::ZERO,
-                    };
-                    debug_assert_eq!(hint, self.chip_hint(op), "stale hint cache for {op:?}");
-                    hint
-                },
-            );
+            // One pass reads each chip's busy-until once and no L2P entry: a
+            // read's chip set is resolved when it first becomes eligible and
+            // its score maintained from then on (`sched`'s cost model says
+            // why that is sound); queued writes all wait on the frontier's.
+            let picked = if wide {
+                sched.take_dispatch(|op| self.chip_hint(op))
+            } else {
+                free_at.clear();
+                free_at.extend((0..n_chips).map(|c| self.ex.chip_free_at(c)));
+                sched.take_dispatch_chips(&free_at, self.ftl.peek_alloc_chip(), |op| {
+                    let (lpa, npages) = op.lpa_range();
+                    self.mapped_chips(lpa, npages).fold(0, |set, chip| set | 1 << chip)
+                })
+            };
             let Some(d) = picked else { break };
+            if cfg!(debug_assertions) && !wide {
+                // Every score the scoreboard maintains, against one derived
+                // from the L2P and the chips now; the winner has left it.
+                let best = d.earliest.max(self.chip_hint(&d.op));
+                for (op, earliest, score) in sched.scored() {
+                    assert_eq!(score, earliest.max(self.chip_hint(&op)), "stale score: {op:?}");
+                    assert!(best <= score, "{:?} dispatched past {op:?}", d.op);
+                }
+            }
             host_pages += d.op.npages();
             let base = tag_base[d.idx];
             let reads = if let HostOp::Read { npages, .. } = d.op { npages as usize } else { 0 };
@@ -846,9 +842,9 @@ impl Emulator {
     /// Selection hint for the scheduler, from scratch: when could this
     /// request's device work plausibly start, given current chip
     /// occupancy? Writes go to the allocation frontier's chip; reads to
-    /// the chips holding their mapped pages. The scheduled path computes
-    /// the same value from cached chip sets and checks itself against this
-    /// one under debug assertions.
+    /// the chips holding their mapped pages. The scheduled path maintains
+    /// the same value from cached chip sets and checks every score against
+    /// this one under debug assertions.
     fn chip_hint(&self, op: &HostOp) -> Nanos {
         match *op {
             HostOp::Write { .. } => self.ex.chip_free_at(self.ftl.peek_alloc_chip()),
@@ -1270,17 +1266,6 @@ impl Emulator {
         *self = Emulator::restore_checkpoint(bytes)?;
         Ok(())
     }
-}
-
-/// The latest busy-until among the chips in `set` (bit `c` is chip `c`);
-/// zero for the empty set, like a read of unmapped pages.
-fn latest_free(mut set: u64, free_at: &[Nanos]) -> Nanos {
-    let mut latest = Nanos::ZERO;
-    while set != 0 {
-        latest = latest.max(free_at[set.trailing_zeros() as usize]);
-        set &= set - 1;
-    }
-    latest
 }
 
 /// Decodes an optional-state section payload: `Some(decoded)` when the

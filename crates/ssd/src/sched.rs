@@ -26,40 +26,52 @@
 //!
 //! # Cost model
 //!
-//! The scoreboard is incremental; nothing is recomputed per dispatch.
+//! The window is `qd` fixed **slots in struct-of-arrays** — `lo`/`hi` (a
+//! free slot holds the empty range `[0, 0)`), `blockers`, `earliest`, `seq`,
+//! `score` (free, blocked or unscored: `u64::MAX`), `token`, the cold
+//! `(idx, op, submit)` triple, a free-slot list — beside bitsets of slots.
+//! Nothing is shifted or allocated per request.
 //!
-//! * **Submit is O(qd).** One walk of the window counts the new request's
-//!   *blockers* (earlier, still-queued requests with an overlapping LPA
-//!   range) and one slice scan seeds its dependency time.
-//! * **Complete is O(qd).** One walk of the window advances dependency
-//!   times and releases one blocker from every overlapping request.
-//! * **Dispatch is O(qd) with O(1) work per candidate.** A request is
-//!   eligible iff its blocker count is zero; an eligible candidate costs
-//!   one hint evaluation and two `max`es. No range is compared and — on
-//!   the emulator's path — **no L2P entry is read** during a pass: the
-//!   driver resolves a request's *hint token* (the emulator: the set of
-//!   chips holding a read's mapped pages) once, when the request is first
-//!   evaluated as eligible, and the scoreboard keeps it on the entry
-//!   ([`Scheduler::take_dispatch_cached`]).
+//! * **Submit and complete are one pass over `lo`/`hi`.** Submit counts the
+//!   new request's *blockers* (earlier, still-queued requests sharing a
+//!   page; an empty range shares none, so free slots need no test) and
+//!   seeds `earliest = max(submit, dependencies)` from the per-LPA table;
+//!   complete raises `earliest` and releases one blocker in every
+//!   overlapping slot — and skips the pass while nothing is blocked. A
+//!   request is eligible iff its count is zero.
+//! * **Dispatch is a min over the dense `score` array**, ties to `seq`. On
+//!   the chip-aware path ([`Scheduler::take_dispatch_chips`]) scores are
+//!   *maintained*: a read is scored from scratch once, when it first
+//!   becomes eligible — which is also when the driver resolves its *token*,
+//!   the set of chips holding its mapped pages — and joins its chips'
+//!   waiter sets; from then on only a chip whose busy-until **moved since
+//!   the last pass** touches its waiters (`score = max(score, free_at[c])`).
+//!   Queued writes all wait on the allocation frontier's chip and are
+//!   rescored as a class. No L2P entry is read during a pass. The
+//!   closure-hinted [`Scheduler::take_dispatch`] scores every eligible slot
+//!   afresh (devices wider than the 64-bit token, direct timing).
 //!
-//! The token cache rests on two invariants, both owned by the driver:
+//! A maintained score rests on three invariants:
 //!
-//! 1. **Per-LPA ordering.** While a request is queued and eligible, no
-//!    overlapping request is dispatched (later ones are blocked by it;
-//!    earlier ones have already completed), so no host write or trim can
-//!    remap its pages.
-//! 2. **Intra-chip relocation.** Whatever the FTL moves behind the host's
-//!    back (GC, scrub sibling moves, bad-block evacuation) is re-allocated
-//!    on the *same chip*, so a mapped page's chip — all the token records —
-//!    is stable even when its physical address is not.
-//!
-//! The one path that breaks them is the chaos guard, which injects and
-//! repairs L2P corruption between requests; the driver answers with
-//! [`Scheduler::drop_hint_cache`].
+//! 1. **Busy-until is monotone**, so raising a waiter by the chips that
+//!    moved equals rescoring it. Not trusted silently: a chip that reads
+//!    *lower* than last pass rescans its waiters from all their chips.
+//! 2. **`earliest` is fixed once eligible**: everything `complete` overlaps
+//!    counted the completed request, so it is still blocked.
+//! 3. **The token stays valid while its request waits**; the driver owns
+//!    this one. *Per-LPA ordering*: while a request is queued and eligible,
+//!    no overlapping request is dispatched (later ones are blocked by it;
+//!    earlier ones have completed), so no host write or trim remaps its
+//!    pages. *Intra-chip relocation*: whatever the FTL moves behind the
+//!    host's back (GC, scrub sibling moves, bad-block evacuation) is
+//!    re-allocated on the *same chip*, so a mapped page's chip — all the
+//!    token records — is stable even when its physical address is not.
+//!    The one path that breaks it is the chaos guard, which injects and
+//!    repairs L2P corruption between requests; the driver answers with
+//!    [`Scheduler::drop_hint_cache`].
 
 use evanesco_ftl::Lpa;
 use evanesco_nand::timing::Nanos;
-use std::collections::VecDeque;
 
 /// Why a request was rejected at submission.
 ///
@@ -169,13 +181,6 @@ impl HostOp {
     pub fn npages(&self) -> u64 {
         self.lpa_range().1
     }
-
-    #[cfg(test)]
-    fn overlaps(&self, other: &HostOp) -> bool {
-        let (a, an) = self.lpa_range();
-        let (b, bn) = other.lpa_range();
-        ranges_overlap((a, a + an), (b, b + bn))
-    }
 }
 
 /// The one overlap predicate of the scoreboard: do the half-open LPA
@@ -221,35 +226,34 @@ pub struct Dispatch {
     pub earliest: Nanos,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Queued {
-    idx: usize,
-    op: HostOp,
-    /// When the request's NCQ slot became available (the closed-loop
-    /// submission time).
-    submit: Nanos,
-    /// Cached LPA range `[lo, hi)` (the submit and complete walks).
-    lo: Lpa,
-    hi: Lpa,
-    /// Completion time of the latest dispatched request overlapping this
-    /// one — seeded from the dependency table at submission and advanced
-    /// by [`Scheduler::complete`], so dispatch selection reads it instead
-    /// of rescanning the table per candidate per call.
-    dep: Nanos,
-    /// Earlier-submitted requests with an overlapping range that are still
-    /// queued (or mid-dispatch): counted once at submission, released one
-    /// by one as they [`Scheduler::complete`]. Zero means eligible.
-    blockers: usize,
-    /// The driver's hint token, resolved when the request was first
-    /// evaluated as eligible (`None`: not yet, or dropped by
-    /// [`Scheduler::drop_hint_cache`]).
-    token: Option<u64>,
+/// Score of a slot no dispatch pass may pick: free, blocked or unscored.
+const UNSCORED: Nanos = Nanos(u64::MAX);
+
+/// Blocker count of a free slot: never zero, so never eligible (an empty
+/// range overlaps nothing, so [`Scheduler::complete`] never decrements it).
+const FREE: u32 = u32::MAX;
+
+/// The members of one word of a bitset whose bit 0 stands for `base`: the
+/// chips of a token, or 64 slots of a slot set.
+fn members(base: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+        word &= word - 1;
+        Some(base + bit)
+    })
 }
 
-impl Queued {
-    fn range(&self) -> (Lpa, Lpa) {
-        (self.lo, self.hi)
-    }
+/// Dispatch order as one integer: lowest score first, ties to submission
+/// order. Scores tie often (every read waiting on one busy chip), so the
+/// tie-break rides in the key instead of in a branch that mispredicts.
+fn dispatch_key(score: Nanos, seq: u64) -> u128 {
+    u128::from(score.0) << 64 | u128::from(seq)
+}
+
+/// The latest busy-until among the chips in `token`; zero for the empty
+/// set, like a read of unmapped pages.
+fn latest_free(token: u64, free_at: &[Nanos]) -> Nanos {
+    members(0, token).map(|c| free_at[c]).max().unwrap_or(Nanos::ZERO)
 }
 
 /// Closed-loop out-of-order request scoreboard.
@@ -263,7 +267,36 @@ pub struct Scheduler {
     /// Logical capacity in pages; every submitted range must end at or
     /// below it (also bounds the dense `last_done` table).
     logical_pages: u64,
-    window: VecDeque<Queued>,
+    /// The window, one entry per slot in each array (see the module's cost
+    /// model): the LPA range `[lo, hi)`; …
+    lo: Vec<Lpa>,
+    hi: Vec<Lpa>,
+    /// … the earlier-submitted requests with an overlapping range that are
+    /// still queued (or mid-dispatch), counted at submission and released
+    /// one by one as they [`Scheduler::complete`] (zero means eligible; a
+    /// free slot holds [`FREE`]), and how many slots have any; …
+    blockers: Vec<u32>,
+    blocked: usize,
+    /// … the submission time joined with the completion of every dispatched
+    /// request overlapping this one: seeded from `last_done` at submission
+    /// and advanced by [`Scheduler::complete`]; …
+    earliest: Vec<Nanos>,
+    /// … submission order (the tie-break), the maintained score, the hint
+    /// token (zero unless the slot is in its chips' `waiters`) and what
+    /// [`Dispatch`] hands back: `(idx, op, submit)`.
+    seq: Vec<u64>,
+    score: Vec<Nanos>,
+    token: Vec<u64>,
+    req: Vec<(usize, HostOp, Nanos)>,
+    free: Vec<usize>,
+    /// Slot sets of `qd.div_ceil(64)` words each: the eligible requests no
+    /// chip-aware pass has scored yet, the scored writes, and — per chip,
+    /// sized by the first such pass — the scored reads waiting on it,
+    /// beside its busy-until as the last pass read it.
+    fresh: Vec<u64>,
+    frontier: Vec<u64>,
+    waiters: Vec<u64>,
+    last_free: Vec<Nanos>,
     /// Completion times of dispatched-but-still-outstanding requests.
     inflight: Vec<Nanos>,
     /// Completion time of the latest dispatched request touching each LPA,
@@ -301,7 +334,20 @@ impl Scheduler {
         Scheduler {
             qd,
             logical_pages,
-            window: VecDeque::new(),
+            lo: vec![0; qd],
+            hi: vec![0; qd],
+            blockers: vec![FREE; qd],
+            blocked: 0,
+            earliest: vec![Nanos::ZERO; qd],
+            seq: vec![0; qd],
+            score: vec![UNSCORED; qd],
+            token: vec![0; qd],
+            req: vec![(0, HostOp::Trim { lpa: 0, npages: 0 }, Nanos::ZERO); qd],
+            free: (0..qd).rev().collect(),
+            fresh: vec![0; qd.div_ceil(64)],
+            frontier: vec![0; qd.div_ceil(64)],
+            waiters: Vec::new(),
+            last_free: Vec::new(),
             inflight: Vec::new(),
             last_done: Vec::new(),
             dispatched: None,
@@ -318,7 +364,7 @@ impl Scheduler {
 
     /// Requests currently outstanding (queued, mid-dispatch, or in flight).
     pub fn outstanding(&self) -> usize {
-        self.window.len() + self.inflight.len() + usize::from(self.dispatched.is_some())
+        self.qd - self.free.len() + self.inflight.len() + usize::from(self.dispatched.is_some())
     }
 
     /// Largest number of requests that were ever outstanding at once.
@@ -371,22 +417,20 @@ impl Scheduler {
             self.submit_clock = self.submit_clock.max(freed);
         }
         self.submit_clock = self.submit_clock.max(arrival);
-        // Everything still in the window was submitted earlier. A request
+        // Everything still in a slot was submitted earlier. A request
         // mid-dispatch counts too: its `complete` releases every
-        // overlapping entry it finds, this one included.
+        // overlapping slot it finds, this one included.
         let blocks = |range| ranges_overlap(range, (lpa, hi));
-        let blockers = self.window.iter().filter(|e| blocks(e.range())).count()
-            + usize::from(self.dispatched.is_some_and(blocks));
-        self.window.push_back(Queued {
-            idx,
-            op,
-            submit: self.submit_clock,
-            lo: lpa,
-            hi,
-            dep: self.deps_of(lpa, hi),
-            blockers,
-            token: None,
-        });
+        let mut blockers = u32::from(self.dispatched.is_some_and(blocks));
+        for (&l, &h) in self.lo.iter().zip(&self.hi) {
+            blockers += u32::from(blocks((l, h)));
+        }
+        let i = self.free.pop().expect("fewer than qd outstanding leaves a free slot");
+        (self.lo[i], self.hi[i], self.blockers[i]) = (lpa, hi, blockers);
+        self.earliest[i] = self.submit_clock.max(self.deps_of(lpa, hi));
+        (self.seq[i], self.req[i]) = (self.submitted, (idx, op, self.submit_clock));
+        self.fresh[i / 64] |= u64::from(blockers == 0) << (i % 64);
+        self.blocked += usize::from(blockers != 0);
         self.submitted += 1;
         self.max_outstanding = self.max_outstanding.max(self.outstanding());
         Ok(true)
@@ -401,62 +445,148 @@ impl Scheduler {
     /// inviolable. Among eligible requests the scheduler picks the one
     /// that can *execute* soonest, using `chip_hint` (e.g. the busy-until
     /// of the chip a read targets) to prefer requests aimed at idle
-    /// hardware; ties go to submission order.
+    /// hardware; ties go to submission order. The generic path: every
+    /// eligible request is scored afresh, whatever the hint is made of.
     ///
     /// # Panics
     ///
     /// Panics if the previous dispatch was not [`Scheduler::complete`]d.
     pub fn take_dispatch<F: Fn(&HostOp) -> Nanos>(&mut self, chip_hint: F) -> Option<Dispatch> {
-        self.take_dispatch_cached(|_| 0, |op, _| chip_hint(op))
+        assert!(self.dispatched.is_none(), "previous dispatch not completed");
+        let (mut best, mut low) = (None, u128::MAX);
+        for i in (0..self.qd).filter(|&i| self.blockers[i] == 0) {
+            let score = self.earliest[i].max(chip_hint(&self.req[i].1));
+            let key = dispatch_key(score, self.seq[i]);
+            (best, low) = if key < low || best.is_none() { (Some(i), key) } else { (best, low) };
+        }
+        best.map(|i| self.take(i))
     }
 
-    /// [`Scheduler::take_dispatch`] for a driver whose hint splits into a
-    /// slow part that is stable while a request waits and a fast part that
-    /// is not. `resolve` computes the request's *token* once, the first
-    /// time the request is evaluated as eligible; `hint` then scores the
-    /// request from its token on every pass. (The emulator's token is the
-    /// set of chips a read's pages live on; its per-pass part is those
-    /// chips' busy-until times.) The token must stay valid while the
-    /// request is queued and eligible — see the module's cost model for
-    /// the invariants that buys it, and [`Scheduler::drop_hint_cache`] for
-    /// when they break.
+    /// [`Scheduler::take_dispatch`] for a driver whose hint is the
+    /// busy-until of chips: a read waits on the chips in its *token*
+    /// (bit `c` is chip `c`), a write on `write_chip` (the allocation
+    /// frontier), a trim on none, and `free_at[c]` is chip `c`'s busy-until
+    /// now. `resolve` computes a read's token once, the first time the read
+    /// is seen eligible; from then on its score is maintained, not
+    /// recomputed — see the module's cost model for the invariants that
+    /// buys it, and [`Scheduler::drop_hint_cache`] for when they break.
     ///
     /// # Panics
     ///
-    /// Panics if the previous dispatch was not [`Scheduler::complete`]d.
-    pub fn take_dispatch_cached(
+    /// Panics if the previous dispatch was not [`Scheduler::complete`]d,
+    /// and — naming the request's index — on a token bit or a `write_chip`
+    /// at or beyond `free_at.len()`.
+    pub fn take_dispatch_chips(
         &mut self,
+        free_at: &[Nanos],
+        write_chip: usize,
         mut resolve: impl FnMut(&HostOp) -> u64,
-        mut hint: impl FnMut(&HostOp, u64) -> Nanos,
     ) -> Option<Dispatch> {
         assert!(self.dispatched.is_none(), "previous dispatch not completed");
-        let mut best: Option<(usize, Nanos, Nanos)> = None; // (pos, score, earliest)
-        for (pos, q) in self.window.iter_mut().enumerate() {
-            if q.blockers != 0 {
+        let (words, n_chips) = (self.fresh.len(), free_at.len());
+        if self.last_free.len() != n_chips {
+            self.last_free = vec![Nanos::ZERO; n_chips];
+            self.waiters = vec![0; n_chips * words];
+            self.drop_hint_cache();
+        }
+        for (c, (&now, last)) in free_at.iter().zip(&mut self.last_free).enumerate() {
+            if now == *last {
                 continue;
             }
-            let token = *q.token.get_or_insert_with(|| resolve(&q.op));
-            let earliest = q.submit.max(q.dep);
-            let score = earliest.max(hint(&q.op, token));
-            if best.is_none_or(|(_, s, _)| score < s) {
-                best = Some((pos, score, earliest));
+            // Monotone busy-until makes the raise exact; a chip that went
+            // backwards rescans its waiters from all their chips instead.
+            let regressed = now < std::mem::replace(last, now);
+            for (w, &word) in self.waiters[c * words..][..words].iter().enumerate() {
+                for i in members(w * 64, word) {
+                    self.score[i] = if regressed {
+                        self.earliest[i].max(latest_free(self.token[i], free_at))
+                    } else {
+                        self.score[i].max(now)
+                    };
+                }
             }
         }
-        let (pos, _, earliest) = best?;
-        let q = self.window.remove(pos).expect("selected position exists");
-        self.dispatched = Some(q.range());
-        Some(Dispatch { idx: q.idx, op: q.op, submit: q.submit, earliest })
+        for w in 0..words {
+            for i in members(w * 64, std::mem::take(&mut self.fresh[w])) {
+                let (idx, op, _) = self.req[i];
+                self.score[i] = self.earliest[i];
+                match op {
+                    HostOp::Trim { .. } => {}
+                    HostOp::Write { .. } => self.frontier[w] |= 1 << (i % 64),
+                    HostOp::Read { .. } => {
+                        let token = resolve(&op);
+                        assert!(
+                            n_chips >= 64 || token >> n_chips == 0,
+                            "request {idx}: hint token {token:#x} names a chip beyond the {n_chips} given"
+                        );
+                        self.token[i] = token;
+                        self.score[i] = self.earliest[i].max(latest_free(token, free_at));
+                        self.flip_waiter(i);
+                    }
+                }
+            }
+            for i in members(w * 64, self.frontier[w]) {
+                let idx = self.req[i].0;
+                let frontier = free_at.get(write_chip).unwrap_or_else(|| {
+                    panic!("request {idx}: write chip {write_chip} is beyond the {n_chips} given")
+                });
+                self.score[i] = self.earliest[i].max(*frontier);
+            }
+        }
+        let (mut best, mut low) = (0, u128::MAX);
+        for (i, (&score, &seq)) in self.score.iter().zip(&self.seq).enumerate() {
+            let key = dispatch_key(score, seq);
+            (best, low) = if key < low { (i, key) } else { (best, low) };
+        }
+        if self.score[best] == UNSCORED {
+            // Nothing is eligible — or every eligible request has the one
+            // score that ties with the free and blocked slots.
+            best = (0..self.qd).filter(|&i| self.blockers[i] == 0).min_by_key(|&i| self.seq[i])?;
+        }
+        Some(self.take(best))
     }
 
-    /// Forgets every queued request's hint token, so the next pass
-    /// resolves them afresh. The driver calls it whenever something other
-    /// than a dispatched request may have changed what `resolve` would
-    /// return (the emulator: a chaos-guard injection or repair rewrote L2P
-    /// entries behind the queue's back).
-    pub fn drop_hint_cache(&mut self) {
-        for q in &mut self.window {
-            q.token = None;
+    /// Flips slot `i`'s membership in the waiter set of every chip in its
+    /// token (joining when scored, leaving when taken).
+    fn flip_waiter(&mut self, i: usize) {
+        for c in members(0, self.token[i]) {
+            self.waiters[c * self.fresh.len() + i / 64] ^= 1 << (i % 64);
         }
+    }
+
+    /// Empties slot `i` into the pending dispatch.
+    fn take(&mut self, i: usize) -> Dispatch {
+        self.flip_waiter(i);
+        self.fresh[i / 64] &= !(1 << (i % 64));
+        self.frontier[i / 64] &= !(1 << (i % 64));
+        let (idx, op, submit) = self.req[i];
+        self.dispatched = Some((self.lo[i], self.hi[i]));
+        (self.lo[i], self.hi[i], self.blockers[i]) = (0, 0, FREE);
+        (self.score[i], self.token[i]) = (UNSCORED, 0);
+        self.free.push(i);
+        Dispatch { idx, op, submit, earliest: self.earliest[i] }
+    }
+
+    /// Forgets every queued request's hint token and score, so the next
+    /// chip-aware pass resolves them afresh. The driver calls it whenever
+    /// something other than a dispatched request may have changed what
+    /// `resolve` would return (the emulator: a chaos-guard injection or
+    /// repair rewrote L2P entries behind the queue's back).
+    pub fn drop_hint_cache(&mut self) {
+        self.waiters.fill(0);
+        self.frontier.fill(0);
+        self.token.fill(0);
+        self.score.fill(UNSCORED);
+        for (i, &blockers) in self.blockers.iter().enumerate() {
+            self.fresh[i / 64] |= u64::from(blockers == 0) << (i % 64);
+        }
+    }
+
+    /// Every eligible request a chip-aware pass has scored, as `(op,
+    /// earliest, maintained score)` — for the driver's debug cross-check.
+    pub fn scored(&self) -> impl Iterator<Item = (HostOp, Nanos, Nanos)> + '_ {
+        let scored = (0..self.qd).filter(|&i| self.score[i] != UNSCORED);
+        scored.map(|i| (self.req[i].1, self.earliest[i], self.score[i]))
     }
 
     /// Records the completion time of the request returned by the last
@@ -477,16 +607,19 @@ impl Scheduler {
         for e in &mut self.last_done[lo as usize..end] {
             *e = (*e).max(done);
         }
-        // Advance the cached dependency time of every queued request the
-        // completed one overlaps, and release it as their blocker (the
-        // window is at most `qd` entries). The completed request was
-        // eligible, so everything it overlaps was submitted after it and
-        // counted it.
-        for w in &mut self.window {
-            if ranges_overlap(w.range(), (lo, hi)) {
-                w.dep = w.dep.max(done);
-                debug_assert!(w.blockers > 0, "request {} never counted its blocker", w.idx);
-                w.blockers -= 1;
+        // Advance the dependency time of every queued request the completed
+        // one overlaps, and release it as their blocker. The completed
+        // request was eligible, so everything it overlaps was submitted
+        // after it and counted it — and is therefore still unscored.
+        for i in 0..if self.blocked == 0 { 0 } else { self.qd } {
+            if ranges_overlap((self.lo[i], self.hi[i]), (lo, hi)) {
+                self.earliest[i] = self.earliest[i].max(done);
+                debug_assert!(self.blockers[i] > 0, "request {} uncounted", self.req[i].0);
+                self.blockers[i] -= 1;
+                if self.blockers[i] == 0 {
+                    self.fresh[i / 64] |= 1 << (i % 64);
+                    self.blocked -= 1;
+                }
             }
         }
         self.inflight.push(done);
@@ -503,7 +636,7 @@ impl Scheduler {
     /// Simulated completion time of the whole run: the latest in-flight
     /// completion (call after the queue drains).
     pub fn drain(&self) -> Nanos {
-        assert!(self.window.is_empty() && self.dispatched.is_none(), "queue not drained");
+        assert!(self.free.len() == self.qd && self.dispatched.is_none(), "queue not drained");
         self.inflight.iter().copied().max().unwrap_or(self.submit_clock)
     }
 }
@@ -722,34 +855,97 @@ mod tests {
         s.complete(Nanos::from_micros(800));
     }
 
+    fn r(lpa: Lpa) -> HostOp {
+        HostOp::Read { lpa, npages: 1 }
+    }
+
     #[test]
     fn hint_tokens_resolve_once_until_dropped() {
         let mut s = Scheduler::new(4, 100);
         for i in 0..3 {
-            assert!(s.try_submit(i, w(10 * i as u64, 1)).unwrap());
+            assert!(s.try_submit(i, r(10 * i as u64)).unwrap());
         }
-        let resolved = std::cell::Cell::new(0);
-        let pass = |s: &mut Scheduler| {
-            let d = s.take_dispatch_cached(
-                |op| {
-                    resolved.set(resolved.get() + 1);
-                    op.lpa_range().0
-                },
-                |op, token| {
-                    assert_eq!(token, op.lpa_range().0, "each entry keeps its own token");
-                    Nanos::ZERO
-                },
-            );
+        let mut resolved = 0;
+        let mut pass = |s: &mut Scheduler| {
+            // Each read waits on the chip its LPA names: 0, 1 and 2, ever busier.
+            let free_at = [1, 2, 3, 4].map(Nanos::from_micros);
+            let d = s.take_dispatch_chips(&free_at, 3, |op| {
+                resolved += 1;
+                1 << (op.lpa_range().0 / 10)
+            });
             s.complete(Nanos::from_micros(1));
-            d.unwrap().idx
+            (d.unwrap().idx, resolved)
         };
-        assert_eq!(pass(&mut s), 0);
-        assert_eq!(resolved.get(), 3, "every eligible entry resolved on the first pass");
-        assert_eq!(pass(&mut s), 1);
-        assert_eq!(resolved.get(), 3, "and never again while it waits");
+        assert_eq!(pass(&mut s), (0, 3), "every eligible read resolved on the first pass");
+        assert_eq!(pass(&mut s), (1, 3), "and never again while it waits");
         s.drop_hint_cache();
-        assert_eq!(pass(&mut s), 2);
-        assert_eq!(resolved.get(), 4, "until the driver drops the cache");
+        assert_eq!(pass(&mut s), (2, 4), "until the driver drops the cache");
+    }
+
+    #[test]
+    fn writes_wait_on_the_frontier_reads_on_their_chips_trims_on_nothing() {
+        let mut s = Scheduler::new(4, 100);
+        assert!(s.try_submit(0, w(0, 1)).unwrap());
+        assert!(s.try_submit(1, r(10)).unwrap());
+        assert!(s.try_submit(2, HostOp::Trim { lpa: 20, npages: 1 }).unwrap());
+        let mut free_at = [9, 5, 7].map(Nanos::from_micros);
+        let pass = |s: &mut Scheduler, free_at: &[Nanos], write_chip| {
+            let d = s.take_dispatch_chips(free_at, write_chip, |_| 0b110).unwrap();
+            s.complete(Nanos::from_micros(1));
+            d.idx
+        };
+        assert_eq!(pass(&mut s, &free_at, 0), 2, "the trim scores zero");
+        assert!(s.try_submit(3, w(30, 1)).unwrap());
+        // The frontier moves to an idle chip: both writes now beat the read,
+        // in submission order, although the older one sits in a later slot.
+        free_at[1] = Nanos::from_micros(6);
+        assert_eq!(pass(&mut s, &free_at, 1), 0);
+        assert_eq!(pass(&mut s, &free_at, 0), 1, "the read's later chip: 7 us against 9");
+        assert_eq!(pass(&mut s, &free_at, 0), 3);
+    }
+
+    #[test]
+    fn a_chip_that_reads_lower_than_last_pass_rescans_its_waiters() {
+        let mut s = Scheduler::new(4, 100);
+        assert!(s.try_submit(0, r(0)).unwrap()); // chips 0 and 1
+        assert!(s.try_submit(1, r(10)).unwrap()); // chip 2
+        assert!(s.try_submit(2, r(20)).unwrap()); // chip 2
+        let tokens = |op: &HostOp| [0b011, 0b100, 0b100][(op.lpa_range().0 / 10) as usize];
+        let us = |t: [u64; 3]| t.map(Nanos::from_micros);
+        assert_eq!(s.take_dispatch_chips(&us([8, 3, 5]), 0, tokens).unwrap().idx, 1);
+        s.complete(Nanos::from_micros(1));
+        let scores = |s: &Scheduler| s.scored().map(|(_, _, score)| score.0).collect::<Vec<_>>();
+        assert_eq!(scores(&s), [8_000, 5_000]);
+        // Chip 0 goes backwards: request 0 falls to its other chip's time,
+        // which a `max` alone could never reach, and now wins.
+        assert_eq!(s.take_dispatch_chips(&us([2, 3, 5]), 0, tokens).unwrap().idx, 0);
+        assert_eq!(scores(&s), [5_000]);
+    }
+
+    #[test]
+    #[should_panic(expected = "request 7: hint token 0x10 names a chip beyond the 4 given")]
+    fn a_token_naming_a_chip_out_of_range_panics_with_the_request_index() {
+        let mut s = Scheduler::new(2, 100);
+        assert!(s.try_submit(7, r(0)).unwrap());
+        s.take_dispatch_chips(&[Nanos::ZERO; 4], 0, |_| 1 << 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "request 9: write chip 4 is beyond the 4 given")]
+    fn a_write_chip_out_of_range_panics_with_the_request_index() {
+        let mut s = Scheduler::new(2, 100);
+        assert!(s.try_submit(9, w(0, 1)).unwrap());
+        s.take_dispatch_chips(&[Nanos::ZERO; 4], 4, |_| 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "previous dispatch not completed")]
+    fn a_second_dispatch_before_complete_panics_on_either_path() {
+        let mut s = Scheduler::new(2, 100);
+        assert!(s.try_submit(0, w(0, 1)).unwrap());
+        assert!(s.try_submit(1, w(1, 1)).unwrap());
+        s.take_dispatch(|_| Nanos::ZERO).unwrap();
+        s.take_dispatch_chips(&[Nanos::ZERO], 0, |_| 0);
     }
 
     #[test]
@@ -768,10 +964,14 @@ mod tests {
 
     #[test]
     fn overlap_is_range_intersection() {
-        assert!(w(0, 4).overlaps(&w(3, 1)));
-        assert!(!w(0, 4).overlaps(&w(4, 1)));
-        assert!(w(10, 1).overlaps(&HostOp::Trim { lpa: 8, npages: 3 }));
-        assert!(!w(10, 1).overlaps(&HostOp::Read { lpa: 11, npages: 2 }));
-        assert!(!w(3, 5).overlaps(&w(5, 0)) && !w(5, 0).overlaps(&w(3, 5)), "empty: no pages");
+        let overlaps = |a: HostOp, b: HostOp| {
+            let ((a, an), (b, bn)) = (a.lpa_range(), b.lpa_range());
+            ranges_overlap((a, a + an), (b, b + bn))
+        };
+        assert!(overlaps(w(0, 4), w(3, 1)));
+        assert!(!overlaps(w(0, 4), w(4, 1)));
+        assert!(overlaps(w(10, 1), HostOp::Trim { lpa: 8, npages: 3 }));
+        assert!(!overlaps(w(10, 1), HostOp::Read { lpa: 11, npages: 2 }));
+        assert!(!overlaps(w(3, 5), w(5, 0)) && !overlaps(w(5, 0), w(3, 5)), "empty: no pages");
     }
 }

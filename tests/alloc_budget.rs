@@ -10,6 +10,8 @@
 //! extra allocations on these 5 000 requests and freed 17 061 blocks on
 //! drop; the arenas spend 79 and free 88.
 //!
+//! The bare run has a budget of its own: its result vectors and a constant.
+//!
 //! Counts are per thread and the run is deterministic, so this gates.
 
 use evanesco::ftl::SanitizePolicy;
@@ -100,7 +102,7 @@ struct Cost {
     chunks: u64,
 }
 
-fn run(observed: bool) -> Cost {
+fn run(observed: bool, qd: usize) -> Cost {
     let cfg = SsdConfig::tiny_for_tests();
     let logical = cfg.ftl.logical_pages();
     let warm_up = mixed_ops(logical, 500, 0xC0FFEE);
@@ -110,9 +112,9 @@ fn run(observed: bool) -> Cost {
         ssd.enable_anatomy(warm_up.len() + ops.len(), 8);
     }
     // The warm-up grows every recycled buffer and opens the first chunks.
-    ssd.run_scheduled(&warm_up, 8);
+    ssd.run_scheduled(&warm_up, qd);
     let before = allocs();
-    ssd.run_scheduled(&ops, 8);
+    ssd.run_scheduled(&ops, qd);
     let run_allocs = allocs() - before;
 
     let mut chunks = 0;
@@ -145,8 +147,8 @@ fn run(observed: bool) -> Cost {
 
 #[test]
 fn being_observed_allocates_per_chunk_not_per_request() {
-    let bare = run(false);
-    let observed = run(true);
+    let bare = run(false, 8);
+    let observed = run(true, 8);
     assert!(observed.chunks > 10, "the run must fill several chunks");
     let budget = 2 * observed.chunks;
     let extra_allocs = observed.run_allocs.saturating_sub(bare.run_allocs);
@@ -166,4 +168,31 @@ fn being_observed_allocates_per_chunk_not_per_request() {
         "dropping the recorders freed {extra_frees} blocks (budget {budget}): \
          the rings hold per-request allocations again"
     );
+}
+
+/// The bare run's own budget: the vector each non-empty write or read hands
+/// back through `SchedRun::results`, and nothing else that scales with the
+/// request count — not in the scoreboard (fixed slots), not in the driver
+/// loop, not in GC (its buffers are recycled). What remains is the run's
+/// fixed tables (13 scoreboard arrays, 5 per-request columns) and the
+/// doubling growth of a few logs: 47 and 49 blocks here, well inside "a
+/// block per request plus 32" since the 999 trims return nothing. Before
+/// the slots and the recycled GC buffer the same runs allocated 5 172 and
+/// 5 089.
+#[test]
+fn a_bare_scheduled_run_allocates_its_results_and_a_constant() {
+    let cfg = SsdConfig::tiny_for_tests();
+    let ops = mixed_ops(cfg.ftl.logical_pages(), REQUESTS, 0xA110C);
+    let returned = ops.iter().filter(|op| !matches!(op, HostOp::Trim { .. })).count() as u64;
+    for qd in [8, 32] {
+        let allocs = run(false, qd).run_allocs;
+        println!(
+            "qd {qd}: {allocs} allocations, {returned} of {REQUESTS} requests return a vector"
+        );
+        assert!(
+            allocs <= returned + 64,
+            "qd {qd}: {allocs} allocations for {returned} result vectors: the scoreboard or the \
+             driver loop allocates per request again"
+        );
+    }
 }

@@ -16,8 +16,9 @@
 //!   never a later one (WAR/WAW), even with unrelated traffic saturating
 //!   the queue;
 //! * **selection identity** — the incremental scoreboard (blocker counts,
-//!   cached hint tokens) hands out exactly the dispatch sequence of the
-//!   rescan-everything rule it replaced, kept here as a naive reference.
+//!   cached hint tokens, per-chip maintained scores) hands out exactly the
+//!   dispatch sequence of the rescan-everything rule it replaced, kept
+//!   here as a naive reference, on both of its dispatch entry points.
 
 use evanesco::ftl::observer::NullObserver;
 use evanesco::ftl::SanitizePolicy;
@@ -271,19 +272,40 @@ fn crowded_op() -> impl Strategy<Value = HostOp> {
     })
 }
 
+/// The chips a read's pages live on, as the driver would resolve them: a
+/// pure function of the request, up to 64 chips wide.
+fn chip_set(salt: u64, op: &HostOp, n_chips: usize) -> u64 {
+    pages(op).fold(0, |set, l| set | 1 << (mix(salt ^ 4, l as u64) % n_chips as u64))
+}
+
+/// The chips a request waits for and then holds: a read's own, the
+/// allocation frontier's for a write, none for a trim.
+fn waits_on(salt: u64, op: &HostOp, n_chips: usize, write_chip: usize) -> u64 {
+    match op {
+        HostOp::Read { .. } => chip_set(salt, op, n_chips),
+        HostOp::Write { .. } => 1 << write_chip,
+        HostOp::Trim { .. } => 0,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// The scoreboard's only licence to be incremental: it picks what the
-    /// reference rule picks, at every step, whatever the hints say.
+    /// reference rule picks, at every step, whatever the hints say — on the
+    /// closure-hinted path, which scores every candidate afresh, and on the
+    /// chip-aware one, which maintains scores across passes while the
+    /// reference scores every request from scratch at every step.
     #[test]
     fn incremental_scoreboard_matches_the_reference_rule(
         ops in proptest::collection::vec(crowded_op(), 1..160),
-        qd_pick in 0usize..4,
+        qd_pick in 0usize..5,
+        n_chips in 1usize..=64,
+        chip_aware in any::<bool>(),
         salt in any::<u64>(),
     ) {
         const LOGICAL: u64 = 48;
-        let qd = [1usize, 2, 8, 32][qd_pick];
+        let qd = [1usize, 2, 8, 32, 130][qd_pick];
         let mut sched = Scheduler::new(qd, LOGICAL);
         let mut reference = ReferenceScoreboard {
             qd,
@@ -293,9 +315,7 @@ proptest! {
             clock: Nanos::ZERO,
             max_outstanding: 0,
         };
-        // The slow half of the hint is a pure function of the request, so
-        // the scoreboard may cache it per entry; the per-pass half is not.
-        let token = |op: &HostOp| mix(salt, op.lpa_range().0 * 8 + op.lpa_range().1);
+        let mut free_at = vec![Nanos::ZERO; n_chips];
         let (mut next, mut pass) = (0usize, 0u64);
         loop {
             // Bursts of random size leave the window part-full at random.
@@ -313,15 +333,47 @@ proptest! {
                 next += 1;
             }
             pass += 1;
-            // Coarse hints tie often, so first-minimum order is on trial too.
-            let hint = |token: u64| Nanos(mix(token, pass) % 6 * 20_000);
-            let got = sched
-                .take_dispatch_cached(token, |_, token| hint(token))
-                .map(|d| (d.idx, d.submit, d.earliest));
-            let want = reference.take_dispatch(|op| hint(token(op)));
-            prop_assert_eq!(got, want, "pass {} at qd {}", pass, qd);
+            let write_chip = mix(salt ^ 7, pass / 3) as usize % n_chips;
+            // From scratch: the latest busy-until among the chips it waits on.
+            let chip_hint = |op: &HostOp, free_at: &[Nanos]| {
+                let chips = waits_on(salt, op, n_chips, write_chip);
+                let busy = free_at.iter().enumerate().filter(|(c, _)| chips >> c & 1 == 1);
+                busy.map(|(_, &t)| t).max().unwrap_or(Nanos::ZERO)
+            };
+            let (got, want) = if chip_aware {
+                // A few chips get busier each pass, in coarse steps so scores
+                // tie often; the frontier wanders; nothing ever goes back.
+                for (c, t) in free_at.iter_mut().enumerate() {
+                    if mix(salt ^ 5, pass * 64 + c as u64).is_multiple_of(3) {
+                        *t += Nanos(mix(salt ^ 6, pass * 64 + c as u64) % 4 * 30_000);
+                    }
+                }
+                let resolve = |op: &HostOp| chip_set(salt, op, n_chips);
+                (
+                    sched.take_dispatch_chips(&free_at, write_chip, resolve),
+                    reference.take_dispatch(|op| chip_hint(op, &free_at)),
+                )
+            } else {
+                // Coarse hints tie often, so first-minimum order is on trial too.
+                let hint = |op: &HostOp| {
+                    let token = mix(salt, op.lpa_range().0 * 8 + op.lpa_range().1);
+                    Nanos(mix(token, pass) % 6 * 20_000)
+                };
+                (sched.take_dispatch(hint), reference.take_dispatch(hint))
+            };
+            let got = got.map(|d| (d.idx, d.submit, d.earliest));
+            prop_assert_eq!(got, want, "pass {} at qd {}, chip-aware {}", pass, qd, chip_aware);
             let Some((idx, _, earliest)) = got else { break };
-            let done = earliest + Nanos(mix(salt ^ 2, pass) % 900_000);
+            // The request holds its chips until it is done, so busy-until
+            // times keep pace with the dependency times they compete with.
+            let held = waits_on(salt, &ops[idx], n_chips, write_chip);
+            let done =
+                earliest.max(chip_hint(&ops[idx], &free_at)) + Nanos(mix(salt ^ 2, pass) % 900_000);
+            for (c, t) in free_at.iter_mut().enumerate() {
+                if held >> c & 1 == 1 {
+                    *t = (*t).max(done);
+                }
+            }
             sched.complete(done);
             reference.complete(idx, done);
             if mix(salt ^ 3, pass).is_multiple_of(16) {
