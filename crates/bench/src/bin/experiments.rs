@@ -4,6 +4,11 @@
 //! experiments [--quick|--smoke|--scale NAME] [--seed N] <name>... | all
 //! ```
 //!
+//! Scales: `paper` (428 blocks per chip — the paper's device; practical
+//! for `fig14a fig14b fig14c headline breakdown`), `full` (48, the
+//! default), `quick` (12), `smoke` (miniature blocks). Each experiment's
+//! wall time is printed to stderr.
+//!
 //! Names: table2 fig2 table1 fig4 fig6 fig9 fig10 fig11 fig12 overhead
 //! fig14a fig14b fig14c headline breakdown delete-latency ablation-k
 //! ablation-blocktrig ablation-lazy ablation-gc security-flagaging
@@ -98,12 +103,13 @@ fn main() {
                 scale_name = "smoke".to_string();
             }
             "--scale" => {
-                let v = args.next().expect("--scale needs a value (full|quick|smoke)");
+                let v = args.next().expect("--scale needs a value (paper|full|quick|smoke)");
                 scale = match v.as_str() {
+                    "paper" => Scale::paper(),
                     "full" => Scale::full(),
                     "quick" => Scale::quick(),
                     "smoke" => Scale::smoke(),
-                    other => panic!("unknown scale '{other}' (full|quick|smoke)"),
+                    other => panic!("unknown scale '{other}' (paper|full|quick|smoke)"),
                 };
                 scale_name = v;
             }
@@ -134,6 +140,12 @@ fn main() {
                     "usage: experiments [--quick|--smoke|--scale NAME] [--seed N] <name>...|all"
                 );
                 eprintln!("names: {}", EXPERIMENT_NAMES.join(" "));
+                eprintln!(
+                    "scales: paper (428 blocks per chip, the paper's device; practical for \
+                     fig14a fig14b fig14c headline breakdown), full (48, the default), \
+                     quick (12), smoke (miniature blocks); each experiment's wall time \
+                     goes to stderr"
+                );
                 eprintln!(
                     "gate-bearing (write an artifact and exit 1 on regression): \
                      scheduler (BENCH_scheduler.json), trace (TRACE_scheduler.json), \
@@ -198,6 +210,7 @@ fn main() {
     }
     let mut gate_failed = false;
     for name in names {
+        let started = std::time::Instant::now();
         if name == "scheduler" {
             let report = scheduler::run(&scale, &scale_name);
             println!("{}", report.render());
@@ -282,6 +295,8 @@ fn main() {
             println!("{}", run_experiment(&name, &scale));
         }
         println!();
+        // stderr, so that stdout still diffs against full_experiments.txt.
+        eprintln!("[{name}: {:.1} s]", started.elapsed().as_secs_f64());
     }
     if gate_failed {
         std::process::exit(1);

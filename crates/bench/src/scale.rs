@@ -33,6 +33,13 @@ pub struct Scale {
 }
 
 impl Scale {
+    /// Paper scale: the paper's geometry outright (428 blocks per chip,
+    /// [`SsdConfig::paper`]) with 2× capacity written. Only the system-level
+    /// experiments are practical at it (see EXPERIMENTS.md).
+    pub fn paper() -> Self {
+        Scale { blocks_per_chip: 428, ..Self::full() }
+    }
+
     /// Full scale: paper block shape, 2× capacity written, 300 wordlines
     /// per condition. Minutes of runtime in release mode.
     pub fn full() -> Self {
@@ -122,6 +129,13 @@ mod tests {
         let cfg = Scale::full().ssd_config();
         assert_eq!(cfg.ftl.geometry.pages_per_block(), 576);
         assert_eq!(cfg.n_chips(), 8);
+    }
+
+    #[test]
+    fn paper_scale_is_the_paper_device() {
+        let s = Scale::paper();
+        assert_eq!(s.ssd_config(), SsdConfig::paper());
+        assert_eq!(s.main_write_pages(1000), 2000);
     }
 
     #[test]

@@ -277,14 +277,14 @@ impl Ftl {
             return;
         }
         let siblings = self.cfg.geometry.wordline_siblings(target.ppa.page);
-        for &page in &siblings {
+        for page in siblings.clone() {
             self.relocate_page(ex, GlobalPpa::new(chip, Ppa { block, page }), true);
         }
 
         // Destroy the wordline: the target, the siblings' old slots, and any
         // never-written slots (which become unusable).
         let mut last_destroyed = 0;
-        for &page in &siblings {
+        for page in siblings {
             let at = GlobalPpa::new(chip, Ppa { block, page });
             let idx = self.flat(at.ppa);
             if self.chips[chip].status[idx] == PageStatus::Free {

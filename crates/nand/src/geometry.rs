@@ -178,11 +178,12 @@ impl Geometry {
         PageId(wl.0 * bits + ty.index_in(self.tech) as u32)
     }
 
-    /// All page indices that share a wordline with `page` (including itself).
-    pub fn wordline_siblings(&self, page: PageId) -> Vec<PageId> {
+    /// All page indices that share a wordline with `page` (including
+    /// itself), in page order.
+    pub fn wordline_siblings(&self, page: PageId) -> impl Iterator<Item = PageId> + Clone {
         let (wl, _) = self.page_to_wordline(page);
         let bits = self.tech.bits_per_cell() as u32;
-        (0..bits).map(|i| PageId(wl.0 * bits + i)).collect()
+        (wl.0 * bits..(wl.0 + 1) * bits).map(PageId)
     }
 
     /// Whether a physical page address is valid for this geometry.
@@ -265,7 +266,7 @@ mod tests {
     #[test]
     fn wordline_siblings_share_wordline() {
         let g = Geometry::paper_tlc();
-        let sib = g.wordline_siblings(PageId(10));
+        let sib: Vec<PageId> = g.wordline_siblings(PageId(10)).collect();
         assert_eq!(sib, vec![PageId(9), PageId(10), PageId(11)]);
         for s in sib {
             assert_eq!(g.page_to_wordline(s).0, g.page_to_wordline(PageId(10)).0);

@@ -7,7 +7,7 @@
 //! reads at the workload's read:write ratio and keeping utilization around
 //! the target with watermark-driven deletions.
 
-use crate::fs::FileModel;
+use crate::fs::{FileInfo, FileModel};
 use crate::spec::WorkloadSpec;
 use crate::trace::{Trace, TraceOp};
 use evanesco_ftl::Lpa;
@@ -38,17 +38,15 @@ pub fn generate(
     let mut trace = Trace { name: spec.name.to_string(), ..Default::default() };
 
     // ---- Prefill to target utilization with file creations.
-    let mut prefill_ops = Vec::new();
     while fs.utilization() < spec.target_utilization {
         let size = sample_range(&mut rng, spec.file_pages).min(fs.free_pages()).max(1);
         if fs.free_pages() == 0 {
             break;
         }
         let secure = rng.gen::<f64>() < spec.secure_fraction;
-        let id = fs.create(size, secure).expect("space checked");
-        emit_write(&mut prefill_ops, &fs, id, false);
+        let f = fs.create(size, secure).expect("space checked");
+        emit_runs(&mut trace.prefill, f.id, &f.lpas, f.secure, false);
     }
-    trace.prefill = prefill_ops;
 
     // ---- Measured phase.
     let mut written = 0u64;
@@ -63,8 +61,8 @@ pub fn generate(
         );
         // Watermark deletions keep utilization near target.
         while fs.utilization() > spec.target_utilization + HIGH_WATERMARK_SLACK {
-            let Some(id) = fs.random_file(&mut rng) else { break };
-            emit_delete(&mut trace.ops, &mut fs, id);
+            let Some(pos) = fs.random_file(&mut rng) else { break };
+            emit_delete(&mut trace.ops, &mut fs, pos);
         }
         let ev = pick_event(&mut rng, spec);
         let pages = match ev {
@@ -72,35 +70,35 @@ pub fn generate(
                 let size = sample_range(&mut rng, spec.file_pages);
                 if fs.free_pages() < size {
                     // Make room first.
-                    if let Some(id) = fs.random_file(&mut rng) {
-                        emit_delete(&mut trace.ops, &mut fs, id);
+                    if let Some(pos) = fs.random_file(&mut rng) {
+                        emit_delete(&mut trace.ops, &mut fs, pos);
                     }
                     continue;
                 }
                 let secure = rng.gen::<f64>() < spec.secure_fraction;
-                let id = fs.create(size, secure).expect("space checked");
-                emit_write(&mut trace.ops, &fs, id, false)
+                let f = fs.create(size, secure).expect("space checked");
+                emit_runs(&mut trace.ops, f.id, &f.lpas, f.secure, false)
             }
             Event::Append => {
-                let Some(id) = fs.random_file(&mut rng) else { continue };
+                let Some(pos) = fs.random_file(&mut rng) else { continue };
                 let n = sample_range(&mut rng, spec.write_pages);
                 if fs.free_pages() < n {
                     continue;
                 }
-                let secure = fs.file(id).expect("live").secure;
-                let new = fs.append(id, n).expect("space checked");
-                emit_runs(&mut trace.ops, id, &new, secure, false)
+                let &FileInfo { id, secure, .. } = fs.file(pos);
+                let new = fs.append(pos, n).expect("space checked");
+                emit_runs(&mut trace.ops, id, new, secure, false)
             }
             Event::Overwrite => {
-                let Some(id) = fs.random_file(&mut rng) else { continue };
+                let Some(pos) = fs.random_file(&mut rng) else { continue };
                 let n = sample_range(&mut rng, spec.write_pages);
-                let Some(pages) = fs.overwrite_range(&mut rng, id, n) else { continue };
-                let secure = fs.file(id).expect("live").secure;
-                emit_runs(&mut trace.ops, id, &pages, secure, true)
+                let Some(pages) = fs.overwrite_range(&mut rng, pos, n) else { continue };
+                let f = fs.file(pos);
+                emit_runs(&mut trace.ops, f.id, pages, f.secure, true)
             }
             Event::Delete => {
-                let Some(id) = fs.random_file(&mut rng) else { continue };
-                emit_delete(&mut trace.ops, &mut fs, id);
+                let Some(pos) = fs.random_file(&mut rng) else { continue };
+                emit_delete(&mut trace.ops, &mut fs, pos);
                 0
             }
         };
@@ -109,21 +107,19 @@ pub fn generate(
         // Interleave reads by volume ratio.
         read_credit += pages as f64 * spec.reads_per_write;
         while read_credit >= 1.0 {
-            let Some(id) = fs.random_file(&mut read_rng) else { break };
-            let f = fs.file(id).expect("live");
+            let Some(pos) = fs.random_file(&mut read_rng) else { break };
+            let lpas = &fs.file(pos).lpas;
             // Cap the burst at the outstanding credit: otherwise a single
             // large-file read (Mobile reads up to 512 pages against a 0.02
             // ratio) overshoots the requested read volume by orders of
             // magnitude.
             let n = sample_range(&mut read_rng, spec.write_pages)
                 .min(read_credit.ceil() as u64)
-                .min(f.lpas.len() as u64)
+                .min(lpas.len() as u64)
                 .max(1);
-            let start = read_rng.gen_range(0..f.lpas.len() - (n as usize - 1));
-            let lpas = &f.lpas[start..start + n as usize];
-            for (lpa, len) in FileModel::contiguous_runs(lpas) {
-                trace.ops.push(TraceOp::Read { lpa, npages: len });
-            }
+            let start = read_rng.gen_range(0..lpas.len() - (n as usize - 1));
+            let runs = FileModel::contiguous_runs(&lpas[start..start + n as usize]);
+            trace.ops.extend(runs.map(|(lpa, npages)| TraceOp::Read { lpa, npages }));
             read_credit -= n as f64;
         }
     }
@@ -158,12 +154,6 @@ fn sample_range(rng: &mut StdRng, (lo, hi): (u64, u64)) -> u64 {
     rng.gen_range(lo..=hi)
 }
 
-/// Emits the full current content of a (new) file as write runs.
-fn emit_write(ops: &mut Vec<TraceOp>, fs: &FileModel, id: u32, overwrite: bool) -> u64 {
-    let f = fs.file(id).expect("live file");
-    emit_runs(ops, id, &f.lpas.clone(), f.secure, overwrite)
-}
-
 fn emit_runs(
     ops: &mut Vec<TraceOp>,
     file: u32,
@@ -171,17 +161,15 @@ fn emit_runs(
     secure: bool,
     overwrite: bool,
 ) -> u64 {
-    for (lpa, npages) in FileModel::contiguous_runs(lpas) {
-        ops.push(TraceOp::Write { file, lpa, npages, secure, overwrite });
-    }
+    let runs = FileModel::contiguous_runs(lpas);
+    ops.extend(runs.map(|(lpa, npages)| TraceOp::Write { file, lpa, npages, secure, overwrite }));
     lpas.len() as u64
 }
 
-fn emit_delete(ops: &mut Vec<TraceOp>, fs: &mut FileModel, id: u32) {
-    let lpas = fs.delete(id).expect("live file");
-    for (lpa, npages) in FileModel::contiguous_runs(&lpas) {
-        ops.push(TraceOp::Trim { file: id, lpa, npages });
-    }
+fn emit_delete(ops: &mut Vec<TraceOp>, fs: &mut FileModel, pos: usize) {
+    let f = fs.delete(pos);
+    let runs = FileModel::contiguous_runs(&f.lpas);
+    ops.extend(runs.map(|(lpa, npages)| TraceOp::Trim { file: f.id, lpa, npages }));
 }
 
 #[cfg(test)]
@@ -289,5 +277,45 @@ mod tests {
                 assert!(!secure);
             }
         }
+    }
+
+    /// Logical pages of the paper's 8-chip, 576-page-block, 12.5 %
+    /// over-provisioned device at `blocks` blocks per chip.
+    fn paper_logical_pages(blocks: u64) -> u64 {
+        blocks * 576 * 8 * 7 / 8
+    }
+
+    /// Best-of-three wall time per emitted op for MailServer — the spec with
+    /// the most live files — at the paper's ratios (75 % prefill, 2 ×
+    /// logical written).
+    fn mail_server_ns_per_op(blocks: u64) -> f64 {
+        let logical = paper_logical_pages(blocks);
+        (0..3)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                let t = generate(&WorkloadSpec::mail_server(), logical, 2 * logical, 42);
+                t0.elapsed().as_secs_f64() * 1e9 / (t.prefill.len() + t.ops.len()) as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    #[test]
+    fn generation_cost_per_op_does_not_grow_with_the_device() {
+        let (small, large) = (mail_server_ns_per_op(12), mail_server_ns_per_op(128));
+        println!("MailServer ns/op: {small:.0} at 12 blocks per chip, {large:.0} at 128");
+        // A per-delete scan of the live files reads ≈ 9× here; what is left
+        // is the working set leaving the cache.
+        assert!(large < 2.5 * small, "ns/op grew {small:.0} -> {large:.0} from 12 to 128 blocks");
+    }
+
+    #[test]
+    #[ignore = "paper geometry: 9.4 M ops, release only (CI runs it with --release -- --ignored)"]
+    fn paper_geometry_mail_server_generates_in_seconds() {
+        let logical = paper_logical_pages(428);
+        let t0 = std::time::Instant::now();
+        let t = generate(&WorkloadSpec::mail_server(), logical, 2 * logical, 42);
+        let wall = t0.elapsed().as_secs_f64();
+        assert!(t.main_write_pages() >= 2 * logical);
+        assert!(wall < 5.0, "MailServer at 428 blocks per chip took {wall:.1} s");
     }
 }
