@@ -23,9 +23,10 @@ use crate::bap::BapConfig;
 use crate::error::{EvanescoError, InvalidRetention};
 use crate::fault::{FaultConfig, FaultModel, FaultStats, OpStatus, ReadReliability};
 use crate::pap::PapConfig;
-use evanesco_nand::chip::{Chip, PageContent, PageData};
-use evanesco_nand::geometry::{BlockId, Geometry, Ppa};
+use evanesco_nand::chip::{Chip, PageContent, PageData, PageOob};
+use evanesco_nand::geometry::{BlockId, Geometry, PageLayout, Ppa};
 use evanesco_nand::timing::{Nanos, TimingSpec};
+use evanesco_nand::NandError;
 
 /// Fraction of `tBERS` after which an interrupted erase has wiped the
 /// pAP/bAP flag cells. Flags are programmed at low voltage (shallow charge),
@@ -40,7 +41,8 @@ pub const TORN_ERASE_FLAG_WIPE_FRACTION: f64 = 0.15;
 const SSL_CELLS: u32 = 4;
 
 /// Decoded state of one lock-flag group (the k pAP cells of a page, or the
-/// SSL cells of a block).
+/// SSL cells of a block). One byte (the `bool` rides in the discriminant's
+/// niche), so a chip's flag table is a dense byte column.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FlagState {
     /// No lock command ever touched these cells.
@@ -61,6 +63,7 @@ pub enum FlagState {
 
 impl FlagState {
     /// What the access-control circuit decodes right now.
+    #[inline]
     pub fn reads_locked(self) -> bool {
         matches!(self, FlagState::Locked | FlagState::Torn { reads_locked: true })
     }
@@ -129,10 +132,12 @@ pub struct LockStats {
 #[derive(Debug, Clone)]
 pub struct EvanescoChip {
     inner: Chip,
-    /// pAP flag state per page, indexed `[block][page]`. In behavioral mode
-    /// this is the truth; in device mode it records the FTL's *intent*
-    /// while the physical cells decide actual gating.
-    pap_locked: Vec<Vec<FlagState>>,
+    /// Flat addressing of `pap_locked` (the same as the inner chip's store).
+    layout: PageLayout,
+    /// pAP flag state per page, one byte each, indexed through `layout`.
+    /// In behavioral mode this is the truth; in device mode it records the
+    /// FTL's *intent* while the physical cells decide actual gating.
+    pap_locked: Vec<FlagState>,
     /// bAP flag state per block (intent in device mode).
     bap_locked: Vec<FlagState>,
     pap_config: PapConfig,
@@ -167,11 +172,12 @@ impl EvanescoChip {
 
     /// Creates a chip with explicit timing.
     pub fn with_timing(geom: Geometry, timing: TimingSpec) -> Self {
-        let pages = geom.pages_per_block() as usize;
+        let layout = geom.layout();
         EvanescoChip {
             inner: Chip::with_timing(geom, timing),
-            pap_locked: vec![vec![FlagState::Clean; pages]; geom.blocks as usize],
-            bap_locked: vec![FlagState::Clean; geom.blocks as usize],
+            layout,
+            pap_locked: vec![FlagState::Clean; layout.pages()],
+            bap_locked: vec![FlagState::Clean; layout.blocks()],
             pap_config: PapConfig::paper(),
             bap_config: BapConfig::paper(),
             lock_stats: LockStats::default(),
@@ -282,9 +288,12 @@ impl EvanescoChip {
     pub fn encode_state(&self, e: &mut evanesco_nand::snapshot::Enc) {
         e.tag(0x22);
         self.inner.encode_state(e);
-        e.usize(self.pap_locked.len());
-        for block in &self.pap_locked {
-            e.usize(block.len());
+        // The stream keeps the per-block shape the table had when it was
+        // nested.
+        let ppb = self.layout.pages_per_block() as usize;
+        e.usize(self.layout.blocks());
+        for block in self.pap_locked.chunks_exact(ppb) {
+            e.usize(ppb);
             for &f in block {
                 e.u8(encode_flag_state(f));
             }
@@ -337,28 +346,27 @@ impl EvanescoChip {
             )));
         }
         self.inner = inner;
-        let n_blocks = d.usize()?;
-        let mut pap_locked = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            let n_pages = d.usize()?;
-            let mut pages = Vec::with_capacity(n_pages);
-            for _ in 0..n_pages {
-                pages.push(decode_flag_state(d)?);
+        // Counts are checked against the configured device before anything
+        // is read under them, so the tables are filled in place.
+        let dims = |ok: bool| {
+            ok.then_some(()).ok_or_else(|| {
+                SnapshotError::Mismatch(
+                    "flag table dimensions do not match the configured device".into(),
+                )
+            })
+        };
+        let ppb = self.layout.pages_per_block() as usize;
+        dims(d.usize()? == self.layout.blocks())?;
+        for block in self.pap_locked.chunks_exact_mut(ppb) {
+            dims(d.usize()? == ppb)?;
+            for f in block {
+                *f = decode_flag_state(d)?;
             }
-            pap_locked.push(pages);
         }
-        let n_bap = d.usize()?;
-        let mut bap_locked = Vec::with_capacity(n_bap);
-        for _ in 0..n_bap {
-            bap_locked.push(decode_flag_state(d)?);
+        dims(d.usize()? == self.bap_locked.len())?;
+        for f in &mut self.bap_locked {
+            *f = decode_flag_state(d)?;
         }
-        if pap_locked.len() != self.pap_locked.len() || bap_locked.len() != self.bap_locked.len() {
-            return Err(SnapshotError::Mismatch(
-                "flag table dimensions do not match the configured device".into(),
-            ));
-        }
-        self.pap_locked = pap_locked;
-        self.bap_locked = bap_locked;
         let k = d.usize()?;
         self.pap_config = PapConfig { k, point: DesignPoint::new(d.u8()?, d.u32()?) };
         self.bap_config = BapConfig { point: DesignPoint::new(d.u8()?, d.u32()?) };
@@ -385,29 +393,43 @@ impl EvanescoChip {
         Ok(())
     }
 
-    fn check_block(&self, block: BlockId) -> Result<(), EvanescoError> {
-        if block.0 < self.geometry().blocks {
-            Ok(())
-        } else {
-            Err(EvanescoError::BadBlock { block })
-        }
+    /// Per-block table index of `block`.
+    #[inline]
+    fn check_block(&self, block: BlockId) -> Result<usize, EvanescoError> {
+        self.layout.block(block).map_err(|_| EvanescoError::BadBlock { block })
     }
 
     /// Whether a page is individually locked (pAP disabled). In device
     /// mode this decodes the physical flag cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the address, if `ppa` is out of range.
     pub fn is_page_locked(&self, ppa: Ppa) -> bool {
+        self.page_locked_at(ppa, self.layout.expect_page(ppa))
+    }
+
+    /// [`EvanescoChip::is_page_locked`] of a page whose flat index is known.
+    #[inline]
+    fn page_locked_at(&self, ppa: Ppa, i: usize) -> bool {
         match &self.device_flags {
             Some(sim) => sim.page_reads_locked(ppa),
-            None => self.pap_locked[ppa.block.0 as usize][ppa.page.0 as usize].reads_locked(),
+            None => self.pap_locked[i].reads_locked(),
         }
     }
 
     /// Whether a whole block is locked (bAP disabled). In device mode this
     /// senses the physical SSL.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the block, if it is out of range.
+    #[inline]
     pub fn is_block_locked(&self, block: BlockId) -> bool {
+        let b = self.layout.expect_block(block);
         match &self.device_flags {
             Some(sim) => sim.block_reads_locked(block),
-            None => self.bap_locked[block.0 as usize].reads_locked(),
+            None => self.bap_locked[b].reads_locked(),
         }
     }
 
@@ -416,20 +438,70 @@ impl EvanescoChip {
     /// scan uses to find locks that were lost mid-flight. In device mode
     /// it reports the recorded intent (the physical sim keeps only the
     /// decoded value).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the address, if `ppa` is out of range.
     pub fn page_flag_state(&self, ppa: Ppa) -> FlagState {
-        self.pap_locked[ppa.block.0 as usize][ppa.page.0 as usize]
+        self.pap_locked[self.layout.expect_page(ppa)]
     }
 
     /// Margin-read probe of a block's SSL cells (see
     /// [`EvanescoChip::page_flag_state`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the block, if it is out of range.
     pub fn block_flag_state(&self, block: BlockId) -> FlagState {
-        self.bap_locked[block.0 as usize]
+        self.bap_locked[self.layout.expect_block(block)]
     }
 
     /// Whether a read of this page would be blocked (bAP checked first,
     /// then pAP — Figure 7b).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the address, if `ppa` is out of range.
     pub fn is_access_blocked(&self, ppa: Ppa) -> bool {
-        self.is_block_locked(ppa.block) || self.is_page_locked(ppa)
+        self.blocked_at(ppa, self.layout.expect_page(ppa))
+    }
+
+    /// The read gate over a page whose flat index is known: bAP, then pAP.
+    #[inline]
+    fn blocked_at(&self, ppa: Ppa, i: usize) -> bool {
+        self.is_block_locked(ppa.block) || self.page_locked_at(ppa, i)
+    }
+
+    /// The one gated read (Figure 7). The array is sensed (address check,
+    /// read counted), then bAP and pAP are tested; only an exposed page is
+    /// handed to `view`, so a locked read builds nothing — `None` is the
+    /// all-zero output. The read-retry ladder runs only when ECC decodes a
+    /// cleanly programmed page: locked, erased and torn reads never
+    /// declare UNC. Terminal UNC is recovered by soft-decision decoding
+    /// (the host still gets the data), counted as a reliability event.
+    ///
+    /// Every read of this chip is this function with one of the inner
+    /// chip's `*_at` views: [`EvanescoChip::read`] for whoever wants the
+    /// whole interface content, [`EvanescoChip::read_data`] and
+    /// [`EvanescoChip::read_oob`] for the executors.
+    #[inline]
+    fn sense_and_gate<R>(
+        &mut self,
+        ppa: Ppa,
+        view: impl FnOnce(&Chip, usize) -> R,
+    ) -> Result<Option<R>, NandError> {
+        let i = self.inner.sense(ppa)?;
+        if self.blocked_at(ppa, i) {
+            self.last_read_retries = 0;
+            return Ok(None);
+        }
+        let rel = if self.inner.holds_data_at(i) {
+            self.fault.read_outcome(ppa.block.0, ppa.page.0)
+        } else {
+            ReadReliability::default()
+        };
+        self.last_read_retries = rel.retries;
+        Ok(Some(view(&self.inner, i)))
     }
 
     /// Gated page read (Figure 7): returns all-zero for locked pages.
@@ -438,23 +510,36 @@ impl EvanescoChip {
     ///
     /// Propagates address errors from the underlying chip.
     pub fn read(&mut self, ppa: Ppa) -> Result<SecureReadOutput, EvanescoError> {
-        let out = self.inner.read(ppa)?;
-        let result = if self.is_access_blocked(ppa) {
-            ReadResult::Locked
-        } else {
-            ReadResult::Content(out.content)
+        let result = match self.sense_and_gate(ppa, Chip::content_at)? {
+            None => ReadResult::Locked,
+            Some(content) => ReadResult::Content(content),
         };
-        // Read-retry ladder: only a data read runs ECC decode; locked and
-        // erased/torn reads never declare UNC. Terminal UNC is recovered by
-        // soft-decision decoding (the host still gets the data), counted as
-        // a reliability event.
-        let rel = if matches!(&result, ReadResult::Content(PageContent::Data(_))) {
-            self.fault.read_outcome(ppa.block.0, ppa.page.0)
-        } else {
-            ReadReliability::default()
-        };
-        self.last_read_retries = rel.retries;
-        Ok(SecureReadOutput { result, latency: out.latency })
+        Ok(SecureReadOutput { result, latency: self.timing().t_read })
+    }
+
+    /// Gated data read, as a controller serves it: the page's data when it
+    /// is cleanly programmed and exposed, `None` for a locked, erased,
+    /// destroyed or torn page. Same operation as [`EvanescoChip::read`]
+    /// (same counters, same retry ladder) without the interface wrapping.
+    ///
+    /// # Errors
+    ///
+    /// Propagates address errors from the underlying chip.
+    #[inline]
+    pub fn read_data(&mut self, ppa: Ppa) -> Result<Option<PageData>, EvanescoError> {
+        Ok(self.sense_and_gate(ppa, Chip::data_at)?.flatten())
+    }
+
+    /// Gated spare-area read, as a recovery scan issues it: the OOB
+    /// metadata of an exposed page whose data decodes (a torn-but-readable
+    /// page included).
+    ///
+    /// # Errors
+    ///
+    /// Propagates address errors from the underlying chip.
+    #[inline]
+    pub fn read_oob(&mut self, ppa: Ppa) -> Result<Option<PageOob>, EvanescoError> {
+        Ok(self.sense_and_gate(ppa, Chip::oob_at)?.flatten())
     }
 
     /// Programs a page (passes through to the underlying chip; programming
@@ -468,6 +553,7 @@ impl EvanescoChip {
     /// # Errors
     ///
     /// Propagates the underlying chip's program-rule violations.
+    #[inline]
     pub fn program(&mut self, ppa: Ppa, data: PageData) -> Result<Nanos, EvanescoError> {
         if self.fault.program_fails(ppa.block.0, ppa.page.0) {
             self.inner.interrupt_program(ppa, data, 0.8)?;
@@ -494,14 +580,14 @@ impl EvanescoChip {
         if !self.inner.page_is_written(ppa)? {
             return Err(EvanescoError::LockOnUnwrittenPage { ppa });
         }
+        let i = self.layout.page(ppa)?;
         if self.fault.plock_fails(ppa.block.0, ppa.page.0) {
-            self.pap_locked[ppa.block.0 as usize][ppa.page.0 as usize] =
-                FlagState::Torn { reads_locked: false };
+            self.pap_locked[i] = FlagState::Torn { reads_locked: false };
             self.lock_stats.plocks += 1;
             self.status = OpStatus::Failed;
             return Ok(self.timing().t_plock);
         }
-        self.pap_locked[ppa.block.0 as usize][ppa.page.0 as usize] = FlagState::Locked;
+        self.pap_locked[i] = FlagState::Locked;
         if let Some(sim) = &mut self.device_flags {
             sim.program_page_flag(ppa);
         }
@@ -517,14 +603,14 @@ impl EvanescoChip {
     ///
     /// Returns [`EvanescoError::BadBlock`] for an out-of-range block.
     pub fn b_lock(&mut self, block: BlockId) -> Result<Nanos, EvanescoError> {
-        self.check_block(block)?;
+        let b = self.check_block(block)?;
         if self.fault.block_lock_fails(block.0) {
-            self.bap_locked[block.0 as usize] = FlagState::Torn { reads_locked: false };
+            self.bap_locked[b] = FlagState::Torn { reads_locked: false };
             self.lock_stats.blocks += 1;
             self.status = OpStatus::Failed;
             return Ok(self.timing().t_block);
         }
-        self.bap_locked[block.0 as usize] = FlagState::Locked;
+        self.bap_locked[b] = FlagState::Locked;
         if let Some(sim) = &mut self.device_flags {
             sim.program_block_flag(block);
         }
@@ -553,16 +639,14 @@ impl EvanescoChip {
     ///
     /// Propagates address errors from the underlying chip.
     pub fn erase(&mut self, block: BlockId, now: Nanos) -> Result<Nanos, EvanescoError> {
-        self.check_block(block)?;
+        let b = self.check_block(block)?;
         if self.fault.erase_fails(block.0) {
             self.status = OpStatus::Failed;
             return Ok(self.timing().t_bers);
         }
         let lat = self.inner.erase(block, now)?;
-        for f in &mut self.pap_locked[block.0 as usize] {
-            *f = FlagState::Clean;
-        }
-        self.bap_locked[block.0 as usize] = FlagState::Clean;
+        self.pap_locked[self.layout.block_pages(block)?].fill(FlagState::Clean);
+        self.bap_locked[b] = FlagState::Clean;
         if let Some(sim) = &mut self.device_flags {
             sim.erase_block(block);
         }
@@ -580,15 +664,19 @@ impl EvanescoChip {
     ///
     /// Returns [`EvanescoError::BadBlock`] for an out-of-range block.
     pub fn mark_bad_block(&mut self, block: BlockId) -> Result<Nanos, EvanescoError> {
-        self.check_block(block)?;
-        self.bad_mark[block.0 as usize] = true;
+        let b = self.check_block(block)?;
+        self.bad_mark[b] = true;
         self.status = OpStatus::Ok;
         Ok(self.timing().t_prog)
     }
 
     /// Whether the block carries the grown-bad retirement mark.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the block, if it is out of range.
     pub fn is_marked_bad(&self, block: BlockId) -> bool {
-        self.bad_mark[block.0 as usize]
+        self.bad_mark[self.layout.expect_block(block)]
     }
 
     /// Models a `pLock` interrupted after `fraction` of `tpLock`: each of
@@ -609,7 +697,7 @@ impl EvanescoChip {
         if !self.inner.page_is_written(ppa)? {
             return Err(EvanescoError::LockOnUnwrittenPage { ppa });
         }
-        let slot = &mut self.pap_locked[ppa.block.0 as usize][ppa.page.0 as usize];
+        let slot = &mut self.pap_locked[self.layout.page(ppa)?];
         if *slot == FlagState::Locked {
             return Ok(()); // re-lock of completed cells: nothing to degrade
         }
@@ -642,8 +730,8 @@ impl EvanescoChip {
         fraction: f64,
         salt: u64,
     ) -> Result<(), EvanescoError> {
-        self.check_block(block)?;
-        let slot = &mut self.bap_locked[block.0 as usize];
+        let b = self.check_block(block)?;
+        let slot = &mut self.bap_locked[b];
         if *slot == FlagState::Locked {
             return Ok(());
         }
@@ -677,12 +765,12 @@ impl EvanescoChip {
         fraction: f64,
         salt: u64,
     ) -> Result<(), EvanescoError> {
-        self.check_block(block)?;
+        let bi = self.check_block(block)?;
         self.inner.interrupt_erase(block, fraction)?;
         let progress = fraction / TORN_ERASE_FLAG_WIPE_FRACTION;
         let k = self.pap_config.k;
-        let bi = block.0 as usize;
-        for (page, slot) in self.pap_locked[bi].iter_mut().enumerate() {
+        let pages = self.layout.block_pages(block)?;
+        for (page, slot) in self.pap_locked[pages].iter_mut().enumerate() {
             if *slot == FlagState::Clean {
                 continue;
             }
@@ -785,11 +873,17 @@ impl EvanescoChip {
     }
 
     /// Erase count of a block.
+    ///
+    /// # Panics
+    ///
+    /// Like the two probes below, panics, naming the block, if it is out
+    /// of range.
     pub fn erase_count(&self, block: BlockId) -> u64 {
         self.inner.erase_count(block)
     }
 
     /// Time of the last erase of `block`, if it was ever erased.
+    #[inline]
     pub fn last_erase_at(&self, block: BlockId) -> Option<Nanos> {
         self.inner.last_erase_at(block)
     }
@@ -852,6 +946,91 @@ mod tests {
     fn fill(chip: &mut EvanescoChip, block: u32, pages: u32) {
         for p in 0..pages {
             chip.program(Ppa::new(block, p), PageData::tagged(1000 + p as u64)).unwrap();
+        }
+    }
+
+    #[test]
+    fn flag_state_is_one_byte() {
+        assert_eq!(std::mem::size_of::<FlagState>(), 1, "the pAP table is a byte column");
+    }
+
+    #[test]
+    fn flat_flag_indices_do_not_alias_the_next_block() {
+        let mut c = chip();
+        let ppb = c.geometry().pages_per_block();
+        fill(&mut c, 1, 1);
+        c.p_lock(Ppa::new(1, 0)).unwrap();
+        // Block 0 "page ppb" is block 1 page 0's cell in the flat table: it
+        // must be refused, not answered `Locked`.
+        let past = Ppa::new(0, ppb);
+        let bad = || EvanescoError::Nand(NandError::BadAddress { ppa: past });
+        assert_eq!(c.read(past), Err(bad()));
+        assert_eq!(c.read_data(past), Err(bad()));
+        assert_eq!(c.read_oob(past), Err(bad()));
+        assert_eq!(c.p_lock(past), Err(bad()));
+        assert_eq!(c.interrupt_p_lock(past, 0.5, 1), Err(bad()));
+        assert_eq!(c.page_is_written(past), Err(bad()));
+        for probe in [
+            |c: &EvanescoChip, p: Ppa| {
+                c.page_flag_state(p);
+            },
+            |c: &EvanescoChip, p: Ppa| {
+                c.is_page_locked(p);
+            },
+            |c: &EvanescoChip, p: Ppa| {
+                c.is_access_blocked(p);
+            },
+        ] {
+            let refused = std::panic::catch_unwind(|| probe(&c, past)).unwrap_err();
+            let msg = refused.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(msg, "address out of range: PB#0x0000:pg72");
+        }
+        assert_eq!(c.page_flag_state(Ppa::new(0, ppb - 1)), FlagState::Clean);
+        assert_eq!(c.page_flag_state(Ppa::new(1, 0)), FlagState::Locked);
+    }
+
+    #[test]
+    fn block_probes_name_the_block_they_refuse() {
+        let c = chip();
+        for probe in [
+            |c: &EvanescoChip, b: BlockId| {
+                c.block_flag_state(b);
+            },
+            |c: &EvanescoChip, b: BlockId| {
+                c.is_block_locked(b);
+            },
+            |c: &EvanescoChip, b: BlockId| {
+                c.is_marked_bad(b);
+            },
+            |c: &EvanescoChip, b: BlockId| {
+                c.erase_count(b);
+            },
+            |c: &EvanescoChip, b: BlockId| {
+                c.last_erase_at(b);
+            },
+            |c: &EvanescoChip, b: BlockId| {
+                c.next_program_index(b);
+            },
+        ] {
+            let refused = std::panic::catch_unwind(|| probe(&c, BlockId(64))).unwrap_err();
+            let msg = refused.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(msg, "block out of range: PB#0x0040");
+        }
+    }
+
+    #[test]
+    fn locked_reads_count_and_cost_like_any_read() {
+        let mut c = chip();
+        c.program(Ppa::new(0, 0), PageData::with_payload(b"secret")).unwrap();
+        c.program(Ppa::new(1, 0), PageData::with_payload(b"secret")).unwrap();
+        c.p_lock(Ppa::new(0, 0)).unwrap();
+        c.b_lock(BlockId(1)).unwrap();
+        for (n, ppa) in [Ppa::new(0, 0), Ppa::new(1, 0)].into_iter().enumerate() {
+            let out = c.read(ppa).unwrap();
+            assert_eq!(out.result, ReadResult::Locked);
+            assert_eq!(out.latency, c.timing().t_read, "a locked read still senses the array");
+            assert_eq!(c.read_data(ppa), Ok(None));
+            assert_eq!(c.nand_stats().reads, 2 * (n as u64 + 1));
         }
     }
 

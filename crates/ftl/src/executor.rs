@@ -7,10 +7,10 @@
 //! emulator add timing without touching FTL logic.
 
 use crate::addr::GlobalPpa;
-use evanesco_core::chip::{EvanescoChip, FlagState, ReadResult};
+use evanesco_core::chip::{EvanescoChip, FlagState};
 use evanesco_core::fault::FaultConfig;
 pub use evanesco_core::fault::OpStatus;
-use evanesco_nand::chip::{PageContent, PageData, PageOob};
+use evanesco_nand::chip::{PageData, PageOob};
 use evanesco_nand::geometry::{BlockId, Geometry, Ppa};
 use evanesco_nand::timing::Nanos;
 
@@ -159,7 +159,7 @@ pub fn probe_page_on(chip: &mut EvanescoChip, ppa: Ppa) -> PageProbe {
     let torn = chip.page_is_torn(ppa).expect("probe in range");
     let lock = chip.page_flag_state(ppa);
     let oob = if written && !chip.is_access_blocked(ppa) {
-        chip.read(ppa).expect("probe in range").result.data().and_then(|d| d.oob())
+        chip.read_oob(ppa).expect("probe in range")
     } else {
         None
     };
@@ -247,12 +247,7 @@ impl MemExecutor {
 impl NandExecutor for MemExecutor {
     fn read(&mut self, at: GlobalPpa) -> Option<PageData> {
         self.tick();
-        let out = self.chips[at.chip].read(at.ppa).expect("FTL issues in-range reads");
-        match out.result {
-            ReadResult::Locked => None,
-            ReadResult::Content(PageContent::Data(d)) => Some(d),
-            ReadResult::Content(_) => None,
-        }
+        self.chips[at.chip].read_data(at.ppa).expect("FTL issues in-range reads")
     }
 
     fn program(&mut self, at: GlobalPpa, data: PageData) -> OpStatus {

@@ -14,7 +14,7 @@
 //! * erase works at block granularity only.
 
 use crate::error::NandError;
-use crate::geometry::{BlockId, Geometry, Ppa};
+use crate::geometry::{BlockId, Geometry, PageLayout, Ppa};
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use crate::timing::{Nanos, TimingSpec};
 
@@ -37,6 +37,9 @@ pub const TORN_SCRUB_DESTROY_FRACTION: f64 = 0.5;
 /// what a power-up recovery scan reads to rebuild the mapping tables: the
 /// logical address, the security requirement of the content, and a
 /// monotonically-increasing write sequence number that orders versions.
+///
+/// This is the *interface* form. Inside [`PageData`] and the chip's page
+/// records the same three values travel as whole words ([`PackedOob`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageOob {
     /// Logical page address the content belongs to.
@@ -47,6 +50,58 @@ pub struct PageOob {
     pub seq: u64,
 }
 
+/// Meta-word bit: the writer stamped OOB metadata.
+const META_OOB: u64 = 1;
+/// Meta-word bit: the stamped content is secure.
+const META_SECURE: u64 = 1 << 1;
+/// Meta-word bit (page records only): a byte payload sits in the pool, its
+/// index in the word's high half.
+const META_PAYLOAD: u64 = 1 << 2;
+const META_POOL_SHIFT: u32 = 32;
+
+/// [`PageOob`] as three aligned words and nothing else.
+///
+/// The hot records of the NAND data path ([`PageData`], `PageSlot`) are
+/// copied once per simulated page operation. A `bool` or an `Option`
+/// discriminant in the middle of such a record leaves padding bytes, the
+/// compiler copies around them with narrower, overlapping moves, and the
+/// next full-width load of the same bytes cannot be store-to-load
+/// forwarded: it waits for the stores to retire (12 % of a Figure-14
+/// replay sat on one such pair). So flags live in a whole `meta` word —
+/// keep every field of these records a `u64`. The `padding_free` test
+/// below pins it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+struct PackedOob {
+    lpa: u64,
+    seq: u64,
+    /// [`META_OOB`] | [`META_SECURE`]; zero (with `lpa` and `seq`) when no
+    /// OOB was stamped, so derived equality is equality of the views.
+    meta: u64,
+}
+
+impl PackedOob {
+    const NONE: PackedOob = PackedOob { lpa: 0, seq: 0, meta: 0 };
+
+    #[inline]
+    fn pack(oob: PageOob) -> Self {
+        PackedOob {
+            lpa: oob.lpa,
+            seq: oob.seq,
+            meta: META_OOB | if oob.secure { META_SECURE } else { 0 },
+        }
+    }
+
+    #[inline]
+    fn unpack(self) -> Option<PageOob> {
+        (self.meta & META_OOB != 0).then_some(PageOob {
+            lpa: self.lpa,
+            secure: self.meta & META_SECURE != 0,
+            seq: self.seq,
+        })
+    }
+}
+
 /// The payload stored in one page.
 ///
 /// For system-level simulations carrying full 16-KiB buffers around would
@@ -54,17 +109,29 @@ pub struct PageOob {
 /// **content tag** (think: hash of the real data, as the paper's VerTrace
 /// uses MD5 digests) plus an optional real byte payload for tests and
 /// examples that want to read data back.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
+#[repr(C)]
 pub struct PageData {
     tag: u64,
+    oob: PackedOob,
     payload: Option<Box<[u8]>>,
-    oob: Option<PageOob>,
+}
+
+impl std::fmt::Debug for PageData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PageData")
+            .field("tag", &self.tag)
+            .field("payload", &self.payload)
+            .field("oob", &self.oob())
+            .finish()
+    }
 }
 
 impl PageData {
     /// A page identified only by a content tag.
+    #[inline]
     pub fn tagged(tag: u64) -> Self {
-        PageData { tag, payload: None, oob: None }
+        PageData { tag, oob: PackedOob::NONE, payload: None }
     }
 
     /// A page with a real byte payload (tag is a cheap FNV-1a of the bytes).
@@ -74,18 +141,20 @@ impl PageData {
             tag ^= b as u64;
             tag = tag.wrapping_mul(0x100_0000_01b3);
         }
-        PageData { tag, payload: Some(bytes.into()), oob: None }
+        PageData { tag, oob: PackedOob::NONE, payload: Some(bytes.into()) }
     }
 
     /// Attaches (or replaces) OOB metadata; the FTL stamps every program
     /// with this so a recovery scan can rebuild its tables.
     #[must_use]
+    #[inline]
     pub fn with_oob(mut self, oob: PageOob) -> Self {
-        self.oob = Some(oob);
+        self.oob = PackedOob::pack(oob);
         self
     }
 
     /// The content tag.
+    #[inline]
     pub fn tag(&self) -> u64 {
         self.tag
     }
@@ -96,8 +165,9 @@ impl PageData {
     }
 
     /// The OOB metadata, if the writer stamped any.
+    #[inline]
     pub fn oob(&self) -> Option<PageOob> {
-        self.oob
+        self.oob.unpack()
     }
 }
 
@@ -150,8 +220,10 @@ impl ReadOutput {
     }
 }
 
-/// Lifecycle state of a page slot.
+/// Lifecycle state of a page slot: one byte in the chip's state column,
+/// the only place a slot's state is kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum SlotState {
     Erased,
     Programmed,
@@ -165,29 +237,58 @@ enum SlotState {
     TornGarbage,
 }
 
-/// Dense per-page slot: fixed-size and `Copy`, no heap pointers. A byte
-/// payload (only tests and examples store one; system-level runs use
-/// content tags) lives in the chip-level [`PayloadPool`] and is referenced
-/// by index, so a block erase recycles buffers instead of freeing them.
+impl SlotState {
+    /// Whether the slot's page record is live (it is stale otherwise: an
+    /// erase or a destroy only rewrites the state byte).
+    #[inline]
+    fn holds_record(self) -> bool {
+        matches!(self, SlotState::Programmed | SlotState::TornReadable | SlotState::TornGarbage)
+    }
+}
+
+/// Dense per-page record: four aligned words, `Copy`, no heap pointers,
+/// meaningful only while the slot's state byte
+/// [holds a record](SlotState::holds_record). A byte payload (only tests
+/// and examples store one; system-level runs use content tags) lives in
+/// the chip-level [`PayloadPool`] and is referenced by index, so a block
+/// erase recycles buffers instead of freeing them. Aligned to its size so
+/// a record never straddles a cache line; see [`PackedOob`] for why every
+/// field is a whole word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(32))]
 struct PageSlot {
-    state: SlotState,
     tag: u64,
-    payload: Option<u32>,
-    oob: Option<PageOob>,
+    lpa: u64,
+    seq: u64,
+    /// [`META_OOB`] | [`META_SECURE`] | [`META_PAYLOAD`] | pool index.
+    meta: u64,
 }
 
 impl PageSlot {
-    const ERASED: PageSlot =
-        PageSlot { state: SlotState::Erased, tag: 0, payload: None, oob: None };
+    const BLANK: PageSlot = PageSlot { tag: 0, lpa: 0, seq: 0, meta: 0 };
+
+    #[inline]
+    fn payload(&self) -> Option<u32> {
+        (self.meta & META_PAYLOAD != 0).then_some((self.meta >> META_POOL_SHIFT) as u32)
+    }
+
+    #[inline]
+    fn oob(&self) -> PackedOob {
+        PackedOob { lpa: self.lpa, seq: self.seq, meta: self.meta & (META_OOB | META_SECURE) }
+    }
 }
+
+/// One recyclable payload buffer. (The pool is a slab of these, off the
+/// per-op path: the page store itself holds no nested table, which CI
+/// greps for.)
+type PayloadBuf = Vec<u8>;
 
 /// Chip-level arena for page byte payloads. Buffers are never freed while
 /// the chip lives: releasing a slot pushes its index on the free list, and
 /// the next store reuses the allocation (clear + extend keeps capacity).
 #[derive(Debug, Clone, Default)]
 struct PayloadPool {
-    bufs: Vec<Vec<u8>>,
+    bufs: Vec<PayloadBuf>,
     free: Vec<u32>,
 }
 
@@ -215,26 +316,29 @@ impl PayloadPool {
     fn get(&self, idx: u32) -> &[u8] {
         &self.bufs[idx as usize]
     }
-}
 
-/// Moves a [`PageData`]'s payload into the pool and returns the dense slot.
-fn intern_slot(pool: &mut PayloadPool, data: PageData, state: SlotState) -> PageSlot {
-    let PageData { tag, payload, oob } = data;
-    PageSlot { state, tag, payload: payload.map(|p| pool.store(&p)), oob }
-}
-
-/// Clears a slot, returning its payload buffer (if any) to the pool.
-fn retire_slot(pool: &mut PayloadPool, slot: &mut PageSlot, state: SlotState) {
-    if let Some(idx) = slot.payload.take() {
-        pool.release(idx);
+    /// Whether any payload was ever stored (tag-only runs never do, and
+    /// their erases skip the record scan).
+    fn is_unused(&self) -> bool {
+        self.bufs.is_empty()
     }
-    *slot = PageSlot { state, ..PageSlot::ERASED };
 }
 
-/// One erase block.
+/// Moves a [`PageData`]'s payload into the pool and returns the dense record.
+#[inline]
+fn intern_slot(pool: &mut PayloadPool, data: PageData) -> PageSlot {
+    let PageData { tag, oob, payload } = data;
+    let payload = match payload {
+        None => 0,
+        Some(bytes) => META_PAYLOAD | u64::from(pool.store(&bytes)) << META_POOL_SHIFT,
+    };
+    PageSlot { tag, lpa: oob.lpa, seq: oob.seq, meta: oob.meta | payload }
+}
+
+/// Per-block bookkeeping (the pages themselves are in the chip's flat
+/// store).
 #[derive(Debug, Clone)]
-struct Block {
-    slots: Vec<PageSlot>,
+struct BlockMeta {
     /// Next in-order program index.
     next_program: u32,
     erase_count: u64,
@@ -246,16 +350,9 @@ struct Block {
     torn_erase: bool,
 }
 
-impl Block {
-    fn new(pages: u32) -> Self {
-        Block {
-            slots: vec![PageSlot::ERASED; pages as usize],
-            next_program: 0,
-            erase_count: 0,
-            last_erase_at: None,
-            torn_erase: false,
-        }
-    }
+impl BlockMeta {
+    const FRESH: BlockMeta =
+        BlockMeta { next_program: 0, erase_count: 0, last_erase_at: None, torn_erase: false };
 }
 
 /// Cumulative operation counters of a chip.
@@ -276,11 +373,22 @@ pub struct ChipStats {
 }
 
 /// A behavioral NAND flash chip.
+///
+/// The page store is flat: one state byte and one [`PageSlot`] record per
+/// page, both indexed through the chip's [`PageLayout`]
+/// (`block * pages_per_block + page`, range-checked). Program, lock and
+/// read-gate decisions test the byte column; only an operation that moves
+/// data touches the record.
 #[derive(Debug, Clone)]
 pub struct Chip {
     geom: Geometry,
+    layout: PageLayout,
     timing: TimingSpec,
-    blocks: Vec<Block>,
+    /// State of every page slot.
+    states: Vec<SlotState>,
+    /// Record of every page slot, live where `states` says so.
+    slots: Vec<PageSlot>,
+    blocks: Vec<BlockMeta>,
     pool: PayloadPool,
     stats: ChipStats,
 }
@@ -293,16 +401,26 @@ impl Chip {
 
     /// Creates an all-erased chip with explicit timing.
     pub fn with_timing(geom: Geometry, timing: TimingSpec) -> Self {
-        let blocks = (0..geom.blocks).map(|_| Block::new(geom.pages_per_block())).collect();
-        Chip { geom, timing, blocks, pool: PayloadPool::default(), stats: ChipStats::default() }
+        let layout = geom.layout();
+        Chip {
+            geom,
+            layout,
+            timing,
+            states: vec![SlotState::Erased; layout.pages()],
+            slots: vec![PageSlot::BLANK; layout.pages()],
+            blocks: vec![BlockMeta::FRESH; layout.blocks()],
+            pool: PayloadPool::default(),
+            stats: ChipStats::default(),
+        }
     }
 
-    /// Rebuilds a [`PageData`] view of a slot (copies the pooled payload).
+    /// Rebuilds a [`PageData`] view of a record (copies the pooled payload).
+    #[inline]
     fn slot_data(&self, slot: &PageSlot) -> PageData {
         PageData {
             tag: slot.tag,
-            payload: slot.payload.map(|idx| Box::from(self.pool.get(idx))),
-            oob: slot.oob,
+            oob: slot.oob(),
+            payload: slot.payload().map(|idx| Box::from(self.pool.get(idx))),
         }
     }
 
@@ -311,22 +429,24 @@ impl Chip {
     /// OOB. The pool is an in-memory detail; it never reaches the stream.
     fn encode_slot_data(&self, e: &mut Enc, slot: &PageSlot) {
         e.u64(slot.tag);
-        e.opt(&slot.payload, |e, &idx| e.bytes(self.pool.get(idx)));
-        e.opt(&slot.oob, |e, oob| {
+        e.opt(&slot.payload(), |e, &idx| e.bytes(self.pool.get(idx)));
+        e.opt(&slot.oob().unpack(), |e, oob| {
             e.u64(oob.lpa);
             e.bool(oob.secure);
             e.u64(oob.seq);
         });
     }
 
-    fn slot_content(&self, slot: &PageSlot) -> PageContent {
-        match slot.state {
-            SlotState::Erased => PageContent::Erased,
-            SlotState::Programmed => PageContent::Data(self.slot_data(slot)),
-            SlotState::Destroyed => PageContent::Destroyed,
-            SlotState::TornReadable => PageContent::Torn { data: Some(self.slot_data(slot)) },
-            SlotState::TornGarbage => PageContent::Torn { data: None },
+    /// Sets slot `i`'s state, first returning the payload buffer of a live
+    /// record (if any) to the pool. The record itself is left stale.
+    #[inline]
+    fn retire(&mut self, i: usize, state: SlotState) {
+        if self.states[i].holds_record() {
+            if let Some(idx) = self.slots[i].payload() {
+                self.pool.release(idx);
+            }
         }
+        self.states[i] = state;
     }
 
     /// The chip geometry.
@@ -344,19 +464,60 @@ impl Chip {
         self.stats
     }
 
-    fn check_addr(&self, ppa: Ppa) -> Result<(), NandError> {
-        if self.geom.contains(ppa) {
-            Ok(())
-        } else {
-            Err(NandError::BadAddress { ppa })
+    /// Senses a page: checks the address, counts the read, and returns the
+    /// page's flat index for the `*_at` views below. Every read of this
+    /// chip — [`Chip::read`] and the gated reads of the layer above — is
+    /// this one function followed by one view.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NandError::BadAddress`] for an out-of-range address.
+    #[inline]
+    pub fn sense(&mut self, ppa: Ppa) -> Result<usize, NandError> {
+        let i = self.layout.page(ppa)?;
+        self.stats.reads += 1;
+        Ok(i)
+    }
+
+    /// Whether sensed page `i` holds a cleanly programmed page — the only
+    /// state whose read runs ECC decode.
+    ///
+    /// # Panics
+    ///
+    /// Like every `*_at` view, panics if `i` is not an index
+    /// [`Chip::sense`] returned.
+    #[inline]
+    pub fn holds_data_at(&self, i: usize) -> bool {
+        self.states[i] == SlotState::Programmed
+    }
+
+    /// The data of sensed page `i` if it is cleanly programmed (what a
+    /// controller hands the FTL; a torn page is not served).
+    #[inline]
+    pub fn data_at(&self, i: usize) -> Option<PageData> {
+        self.holds_data_at(i).then(|| self.slot_data(&self.slots[i]))
+    }
+
+    /// The OOB metadata of sensed page `i` if its data decodes, torn or
+    /// not (what a recovery scan reads).
+    #[inline]
+    pub fn oob_at(&self, i: usize) -> Option<PageOob> {
+        match self.states[i] {
+            SlotState::Programmed | SlotState::TornReadable => self.slots[i].oob().unpack(),
+            _ => None,
         }
     }
 
-    fn check_block(&self, block: BlockId) -> Result<(), NandError> {
-        if block.0 < self.geom.blocks {
-            Ok(())
-        } else {
-            Err(NandError::BadBlock { block })
+    /// Everything the interface shows of sensed page `i`.
+    pub fn content_at(&self, i: usize) -> PageContent {
+        match self.states[i] {
+            SlotState::Erased => PageContent::Erased,
+            SlotState::Programmed => PageContent::Data(self.slot_data(&self.slots[i])),
+            SlotState::Destroyed => PageContent::Destroyed,
+            SlotState::TornReadable => {
+                PageContent::Torn { data: Some(self.slot_data(&self.slots[i])) }
+            }
+            SlotState::TornGarbage => PageContent::Torn { data: None },
         }
     }
 
@@ -366,11 +527,26 @@ impl Chip {
     ///
     /// Returns [`NandError::BadAddress`] for an out-of-range address.
     pub fn read(&mut self, ppa: Ppa) -> Result<ReadOutput, NandError> {
-        self.check_addr(ppa)?;
-        self.stats.reads += 1;
-        let slot = self.blocks[ppa.block.0 as usize].slots[ppa.page.0 as usize];
-        let content = self.slot_content(&slot);
-        Ok(ReadOutput { content, latency: self.timing.t_read })
+        let i = self.sense(ppa)?;
+        Ok(ReadOutput { content: self.content_at(i), latency: self.timing.t_read })
+    }
+
+    /// The checks and bookkeeping shared by a program and a torn program:
+    /// erase-before-program, in-order, record stored, pointer advanced.
+    #[inline]
+    fn store(&mut self, ppa: Ppa, data: PageData, state: SlotState) -> Result<(), NandError> {
+        let i = self.layout.page(ppa)?;
+        if self.states[i] != SlotState::Erased {
+            return Err(NandError::ProgramOnProgrammedPage { ppa });
+        }
+        let block = &mut self.blocks[ppa.block.0 as usize];
+        if ppa.page.0 != block.next_program {
+            return Err(NandError::OutOfOrderProgram { ppa, expected: block.next_program });
+        }
+        block.next_program += 1;
+        self.slots[i] = intern_slot(&mut self.pool, data);
+        self.states[i] = state;
+        Ok(())
     }
 
     /// Programs a page with `data`.
@@ -382,17 +558,9 @@ impl Chip {
     ///   violation.
     /// * [`NandError::OutOfOrderProgram`] — pages of a block must be
     ///   programmed in increasing order.
+    #[inline]
     pub fn program(&mut self, ppa: Ppa, data: PageData) -> Result<Nanos, NandError> {
-        self.check_addr(ppa)?;
-        let block = &mut self.blocks[ppa.block.0 as usize];
-        if block.slots[ppa.page.0 as usize].state != SlotState::Erased {
-            return Err(NandError::ProgramOnProgrammedPage { ppa });
-        }
-        if ppa.page.0 != block.next_program {
-            return Err(NandError::OutOfOrderProgram { ppa, expected: block.next_program });
-        }
-        block.slots[ppa.page.0 as usize] = intern_slot(&mut self.pool, data, SlotState::Programmed);
-        block.next_program += 1;
+        self.store(ppa, data, SlotState::Programmed)?;
         self.stats.programs += 1;
         Ok(self.timing.t_prog)
     }
@@ -406,11 +574,15 @@ impl Chip {
     ///
     /// Returns [`NandError::BadBlock`] for an out-of-range block.
     pub fn erase(&mut self, block: BlockId, now: Nanos) -> Result<Nanos, NandError> {
-        self.check_block(block)?;
-        let b = &mut self.blocks[block.0 as usize];
-        for slot in &mut b.slots {
-            retire_slot(&mut self.pool, slot, SlotState::Erased);
+        let pages = self.layout.block_pages(block)?;
+        if self.pool.is_unused() {
+            self.states[pages].fill(SlotState::Erased);
+        } else {
+            for i in pages {
+                self.retire(i, SlotState::Erased);
+            }
         }
+        let b = &mut self.blocks[block.0 as usize];
         b.next_program = 0;
         b.erase_count += 1;
         b.last_erase_at = Some(now);
@@ -433,21 +605,12 @@ impl Chip {
         data: PageData,
         fraction: f64,
     ) -> Result<(), NandError> {
-        self.check_addr(ppa)?;
-        let block = &mut self.blocks[ppa.block.0 as usize];
-        if block.slots[ppa.page.0 as usize].state != SlotState::Erased {
-            return Err(NandError::ProgramOnProgrammedPage { ppa });
-        }
-        if ppa.page.0 != block.next_program {
-            return Err(NandError::OutOfOrderProgram { ppa, expected: block.next_program });
-        }
         let state = if fraction >= TORN_PROGRAM_READABLE_FRACTION {
             SlotState::TornReadable
         } else {
             SlotState::TornGarbage
         };
-        block.slots[ppa.page.0 as usize] = intern_slot(&mut self.pool, data, state);
-        block.next_program += 1;
+        self.store(ppa, data, state)?;
         self.stats.torn_programs += 1;
         Ok(())
     }
@@ -462,18 +625,25 @@ impl Chip {
     ///
     /// Returns [`NandError::BadBlock`] for an out-of-range block.
     pub fn interrupt_erase(&mut self, block: BlockId, fraction: f64) -> Result<(), NandError> {
-        self.check_block(block)?;
-        let b = &mut self.blocks[block.0 as usize];
+        let pages = self.layout.block_pages(block)?;
         if fraction >= TORN_ERASE_DATA_WIPE_FRACTION {
-            for slot in &mut b.slots {
-                if slot.state != SlotState::Erased {
-                    retire_slot(&mut self.pool, slot, SlotState::Destroyed);
+            for i in pages {
+                if self.states[i] != SlotState::Erased {
+                    self.retire(i, SlotState::Destroyed);
                 }
             }
         }
-        b.torn_erase = true;
+        self.blocks[block.0 as usize].torn_erase = true;
         self.stats.torn_erases += 1;
         Ok(())
+    }
+
+    /// Destroys slot `i` in place, keeping the in-order pointer past it if
+    /// it was still erased.
+    fn destroy_at(&mut self, ppa: Ppa, i: usize) {
+        self.retire(i, SlotState::Destroyed);
+        let block = &mut self.blocks[ppa.block.0 as usize];
+        block.next_program = block.next_program.max(ppa.page.0 + 1);
     }
 
     /// Models a scrub (one-shot destructive reprogram) interrupted after
@@ -485,17 +655,9 @@ impl Chip {
     ///
     /// Returns [`NandError::BadAddress`] for an out-of-range address.
     pub fn interrupt_scrub(&mut self, ppa: Ppa, fraction: f64) -> Result<(), NandError> {
-        self.check_addr(ppa)?;
+        let i = self.layout.page(ppa)?;
         if fraction >= TORN_SCRUB_DESTROY_FRACTION {
-            let block = &mut self.blocks[ppa.block.0 as usize];
-            retire_slot(
-                &mut self.pool,
-                &mut block.slots[ppa.page.0 as usize],
-                SlotState::Destroyed,
-            );
-            if ppa.page.0 >= block.next_program {
-                block.next_program = ppa.page.0 + 1;
-            }
+            self.destroy_at(ppa, i);
         }
         Ok(())
     }
@@ -507,8 +669,7 @@ impl Chip {
     ///
     /// Returns [`NandError::BadBlock`] for an out-of-range block.
     pub fn block_torn_erase(&self, block: BlockId) -> Result<bool, NandError> {
-        self.check_block(block)?;
-        Ok(self.blocks[block.0 as usize].torn_erase)
+        Ok(self.blocks[self.layout.block(block)?].torn_erase)
     }
 
     /// Whether a page holds a torn (interrupted) program. Metadata probe.
@@ -517,8 +678,7 @@ impl Chip {
     ///
     /// Returns [`NandError::BadAddress`] for an out-of-range address.
     pub fn page_is_torn(&self, ppa: Ppa) -> Result<bool, NandError> {
-        self.check_addr(ppa)?;
-        let state = self.blocks[ppa.block.0 as usize].slots[ppa.page.0 as usize].state;
+        let state = self.states[self.layout.page(ppa)?];
         Ok(matches!(state, SlotState::TornReadable | SlotState::TornGarbage))
     }
 
@@ -530,13 +690,8 @@ impl Chip {
     ///
     /// Returns [`NandError::BadAddress`] for an out-of-range address.
     pub fn destroy_page(&mut self, ppa: Ppa) -> Result<Nanos, NandError> {
-        self.check_addr(ppa)?;
-        let block = &mut self.blocks[ppa.block.0 as usize];
-        retire_slot(&mut self.pool, &mut block.slots[ppa.page.0 as usize], SlotState::Destroyed);
-        // Keep the in-order pointer past this page if it was still erased.
-        if ppa.page.0 >= block.next_program {
-            block.next_program = ppa.page.0 + 1;
-        }
+        let i = self.layout.page(ppa)?;
+        self.destroy_at(ppa, i);
         self.stats.scrubs += 1;
         Ok(self.timing.t_scrub)
     }
@@ -548,64 +703,79 @@ impl Chip {
     /// # Errors
     ///
     /// Returns [`NandError::BadAddress`] for an out-of-range address.
+    #[inline]
     pub fn page_is_written(&self, ppa: Ppa) -> Result<bool, NandError> {
-        self.check_addr(ppa)?;
-        let state = self.blocks[ppa.block.0 as usize].slots[ppa.page.0 as usize].state;
-        Ok(state != SlotState::Erased)
+        Ok(self.states[self.layout.page(ppa)?] != SlotState::Erased)
     }
 
     /// Erase count of a block.
     ///
     /// # Panics
     ///
-    /// Panics if the block is out of range.
+    /// Panics, naming the block, if it is out of range.
     pub fn erase_count(&self, block: BlockId) -> u64 {
-        self.blocks[block.0 as usize].erase_count
+        self.blocks[self.layout.expect_block(block)].erase_count
     }
 
     /// Time of the last erase of `block`, if it was ever erased.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the block, if it is out of range.
+    #[inline]
     pub fn last_erase_at(&self, block: BlockId) -> Option<Nanos> {
-        self.blocks[block.0 as usize].last_erase_at
+        self.blocks[self.layout.expect_block(block)].last_erase_at
     }
 
     /// Next in-order programmable page index of a block (equals
     /// pages-per-block when the block is fully programmed).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the block, if it is out of range.
     pub fn next_program_index(&self, block: BlockId) -> u32 {
-        self.blocks[block.0 as usize].next_program
+        self.blocks[self.layout.expect_block(block)].next_program
     }
 
     /// Raw interface dump of a whole block, as a forensic attacker sees it
     /// through standard flash commands (no FTL, no file system).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the block, if it is out of range.
     pub fn raw_block_dump(&self, block: BlockId) -> Vec<PageContent> {
-        self.blocks[block.0 as usize].slots.iter().map(|s| self.slot_content(s)).collect()
+        let pages = self.layout.block_pages(block).unwrap_or_else(|e| panic!("{e}"));
+        pages.map(|i| self.content_at(i)).collect()
     }
 
     /// Serializes the full chip state — geometry, timing, every block's
     /// slots and wear counters, and the operation stats — into a
-    /// checkpoint stream.
+    /// checkpoint stream. The stream keeps its per-block shape; the flat
+    /// store is an in-memory detail.
     pub fn encode_state(&self, e: &mut Enc) {
         e.tag(TAG_CHIP);
         self.geom.encode_snapshot(e);
         self.timing.encode_snapshot(e);
         e.usize(self.blocks.len());
-        for b in &self.blocks {
-            e.u32(b.next_program);
-            e.u64(b.erase_count);
-            e.opt(&b.last_erase_at, |e, t| e.u64(t.0));
-            e.bool(b.torn_erase);
-            e.usize(b.slots.len());
-            for slot in &b.slots {
-                match slot.state {
+        let ppb = self.layout.pages_per_block() as usize;
+        for (b, block) in self.blocks.iter().enumerate() {
+            e.u32(block.next_program);
+            e.u64(block.erase_count);
+            e.opt(&block.last_erase_at, |e, t| e.u64(t.0));
+            e.bool(block.torn_erase);
+            e.usize(ppb);
+            for i in b * ppb..(b + 1) * ppb {
+                match self.states[i] {
                     SlotState::Erased => e.u8(0),
                     SlotState::Programmed => {
                         e.u8(1);
-                        self.encode_slot_data(e, slot);
+                        self.encode_slot_data(e, &self.slots[i]);
                     }
                     SlotState::Destroyed => e.u8(2),
-                    SlotState::TornReadable | SlotState::TornGarbage => {
+                    state @ (SlotState::TornReadable | SlotState::TornGarbage) => {
                         e.u8(3);
-                        self.encode_slot_data(e, slot);
-                        e.bool(slot.state == SlotState::TornReadable);
+                        self.encode_slot_data(e, &self.slots[i]);
+                        e.bool(state == SlotState::TornReadable);
                     }
                 }
             }
@@ -638,43 +808,54 @@ impl Chip {
                 geom.blocks
             )));
         }
-        let mut blocks = Vec::with_capacity(n_blocks);
-        let mut pool = PayloadPool::default();
-        for _ in 0..n_blocks {
+        // Every page costs the stream at least its tag byte: a geometry the
+        // remaining bytes cannot cover is rejected before the store is sized
+        // from it.
+        if geom.pages_per_chip() > d.remaining() as u64 {
+            return Err(SnapshotError::Truncated {
+                offset: d.offset(),
+                needed: usize::try_from(geom.pages_per_chip()).unwrap_or(usize::MAX),
+            });
+        }
+        let mut chip = Chip::with_timing(geom, timing);
+        let ppb = chip.layout.pages_per_block() as usize;
+        for b in 0..n_blocks {
             let next_program = d.u32()?;
             let erase_count = d.u64()?;
             let last_erase_at = d.opt(|d| Ok(Nanos(d.u64()?)))?;
             let torn_erase = d.bool()?;
+            chip.blocks[b] = BlockMeta { next_program, erase_count, last_erase_at, torn_erase };
             let n_slots = d.usize()?;
-            if n_slots != geom.pages_per_block() as usize {
+            if n_slots != ppb {
                 return Err(SnapshotError::Corrupt(format!(
-                    "block slot count {n_slots} does not match geometry ({})",
-                    geom.pages_per_block()
+                    "block slot count {n_slots} does not match geometry ({ppb})"
                 )));
             }
-            let mut slots = Vec::with_capacity(n_slots);
-            for _ in 0..n_slots {
-                slots.push(match d.u8()? {
-                    0 => PageSlot::ERASED,
-                    1 => intern_slot(&mut pool, decode_page_data(d)?, SlotState::Programmed),
-                    2 => PageSlot { state: SlotState::Destroyed, ..PageSlot::ERASED },
-                    3 => {
-                        let data = decode_page_data(d)?;
-                        let readable = d.bool()?;
-                        let state =
-                            if readable { SlotState::TornReadable } else { SlotState::TornGarbage };
-                        intern_slot(&mut pool, data, state)
+            for i in b * ppb..(b + 1) * ppb {
+                chip.states[i] = match d.u8()? {
+                    0 => SlotState::Erased,
+                    1 => {
+                        chip.slots[i] = intern_slot(&mut chip.pool, decode_page_data(d)?);
+                        SlotState::Programmed
                     }
-                    b => {
+                    2 => SlotState::Destroyed,
+                    3 => {
+                        chip.slots[i] = intern_slot(&mut chip.pool, decode_page_data(d)?);
+                        if d.bool()? {
+                            SlotState::TornReadable
+                        } else {
+                            SlotState::TornGarbage
+                        }
+                    }
+                    t => {
                         return Err(SnapshotError::Corrupt(format!(
-                            "unknown page-slot tag {b:#04x}"
+                            "unknown page-slot tag {t:#04x}"
                         )))
                     }
-                });
+                };
             }
-            blocks.push(Block { slots, next_program, erase_count, last_erase_at, torn_erase });
         }
-        let stats = ChipStats {
+        chip.stats = ChipStats {
             reads: d.u64()?,
             programs: d.u64()?,
             erases: d.u64()?,
@@ -682,7 +863,7 @@ impl Chip {
             torn_programs: d.u64()?,
             torn_erases: d.u64()?,
         };
-        Ok(Chip { geom, timing, blocks, pool, stats })
+        Ok(chip)
     }
 }
 
@@ -693,7 +874,7 @@ fn decode_page_data(d: &mut Dec<'_>) -> Result<PageData, SnapshotError> {
     let tag = d.u64()?;
     let payload = d.opt(|d| Ok(Box::<[u8]>::from(d.bytes()?)))?;
     let oob = d.opt(|d| Ok(PageOob { lpa: d.u64()?, secure: d.bool()?, seq: d.u64()? }))?;
-    Ok(PageData { tag, payload, oob })
+    Ok(PageData { tag, oob: oob.map_or(PackedOob::NONE, PackedOob::pack), payload })
 }
 
 #[cfg(test)]
@@ -703,6 +884,66 @@ mod tests {
 
     fn small_chip() -> Chip {
         Chip::new(Geometry::small_tlc())
+    }
+
+    /// The hot records are whole words end to end: no padding for the
+    /// compiler to copy around with narrow overlapping moves, which is what
+    /// defeats store-to-load forwarding on the next full-width load (see
+    /// [`PackedOob`]). A `bool`, a `u32` or an `Option` discriminant slipped
+    /// into one of them shows up here as size != sum of fields.
+    #[test]
+    fn padding_free() {
+        use std::mem::{align_of, size_of};
+        let word = size_of::<u64>();
+        assert_eq!(size_of::<PackedOob>(), 3 * word);
+        assert_eq!(size_of::<PageSlot>(), 32);
+        assert_eq!(size_of::<PageSlot>(), 4 * word);
+        assert_eq!(align_of::<PageSlot>(), 32, "a record never straddles a cache line");
+        assert_eq!(
+            size_of::<PageData>(),
+            word + size_of::<PackedOob>() + size_of::<Option<Box<[u8]>>>()
+        );
+        assert_eq!(size_of::<Option<Box<[u8]>>>(), 2 * word, "the payload is a bare fat pointer");
+        assert_eq!(size_of::<SlotState>(), 1, "the state column is a byte per page");
+    }
+
+    #[test]
+    fn oob_packing_roundtrips() {
+        for secure in [false, true] {
+            let oob = PageOob { lpa: u64::MAX, secure, seq: 1 << 63 };
+            assert_eq!(PackedOob::pack(oob).unpack(), Some(oob));
+            assert_eq!(PageData::tagged(1).with_oob(oob).oob(), Some(oob));
+        }
+        assert_eq!(PackedOob::NONE.unpack(), None);
+        assert_eq!(PageData::tagged(1).oob(), None);
+        // The view is what `Debug` shows, as before the packing.
+        assert_eq!(
+            format!("{:?}", PageData::tagged(7)),
+            "PageData { tag: 7, payload: None, oob: None }"
+        );
+    }
+
+    #[test]
+    fn flat_indices_do_not_alias_the_next_block() {
+        let mut chip = small_chip();
+        let ppb = chip.geometry().pages_per_block();
+        chip.program(Ppa::new(1, 0), PageData::tagged(5)).unwrap();
+        // Block 0 "page ppb" is the flat cell of block 1 page 0: every path
+        // must refuse it rather than serve the neighbour.
+        let past = Ppa::new(0, ppb);
+        assert_eq!(chip.read(past), Err(NandError::BadAddress { ppa: past }));
+        assert_eq!(chip.sense(past), Err(NandError::BadAddress { ppa: past }));
+        assert_eq!(chip.page_is_written(past), Err(NandError::BadAddress { ppa: past }));
+        assert_eq!(chip.page_is_torn(past), Err(NandError::BadAddress { ppa: past }));
+        assert_eq!(chip.destroy_page(past), Err(NandError::BadAddress { ppa: past }));
+        assert_eq!(chip.read(Ppa::new(1, 0)).unwrap().data().unwrap().tag(), 5);
+        assert_eq!(chip.stats().reads, 1, "a refused read is not counted");
+    }
+
+    #[test]
+    #[should_panic(expected = "block out of range: PB#0x0040")]
+    fn block_probes_name_the_block_they_refuse() {
+        small_chip().next_program_index(BlockId(64));
     }
 
     #[test]

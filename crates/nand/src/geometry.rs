@@ -11,8 +11,10 @@
 //! and documented.
 
 use crate::cell::{CellTech, PageType};
+use crate::error::NandError;
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use std::fmt;
+use std::ops::Range;
 
 /// Block index within a chip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -191,6 +193,12 @@ impl Geometry {
         ppa.block.0 < self.blocks && ppa.page.0 < self.pages_per_block()
     }
 
+    /// The flat per-page table addressing of this geometry, with
+    /// `pages_per_block` computed once.
+    pub fn layout(&self) -> PageLayout {
+        PageLayout { blocks: self.blocks, pages_per_block: self.pages_per_block() }
+    }
+
     /// Serializes the geometry into a checkpoint stream.
     pub fn encode_snapshot(&self, e: &mut Enc) {
         e.u8(match self.tech {
@@ -228,9 +236,124 @@ impl Geometry {
     }
 }
 
+/// Checked flat addressing of a chip's per-page and per-block tables.
+///
+/// Every dense table of a chip (page records, slot states, pAP flags) is
+/// one `Vec` indexed `block * pages_per_block + page`. In a flat table an
+/// unchecked `page == pages_per_block` would silently land on the next
+/// block's first cell, so this is the only place that product is formed:
+/// both coordinates are range-checked first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageLayout {
+    blocks: u32,
+    pages_per_block: u32,
+}
+
+impl PageLayout {
+    /// Pages per block.
+    pub fn pages_per_block(&self) -> u32 {
+        self.pages_per_block
+    }
+
+    /// Blocks in the chip.
+    pub fn blocks(&self) -> usize {
+        self.blocks as usize
+    }
+
+    /// Pages in the chip (the length of a per-page table).
+    pub fn pages(&self) -> usize {
+        self.blocks as usize * self.pages_per_block as usize
+    }
+
+    /// Flat table index of `ppa`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NandError::BadAddress`] when either coordinate is out of
+    /// range.
+    #[inline]
+    pub fn page(&self, ppa: Ppa) -> Result<usize, NandError> {
+        if ppa.block.0 < self.blocks && ppa.page.0 < self.pages_per_block {
+            Ok(ppa.block.0 as usize * self.pages_per_block as usize + ppa.page.0 as usize)
+        } else {
+            Err(NandError::BadAddress { ppa })
+        }
+    }
+
+    /// Per-block table index of `block`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NandError::BadBlock`] for an out-of-range block.
+    #[inline]
+    pub fn block(&self, block: BlockId) -> Result<usize, NandError> {
+        if block.0 < self.blocks {
+            Ok(block.0 as usize)
+        } else {
+            Err(NandError::BadBlock { block })
+        }
+    }
+
+    /// Flat index range of the pages of `block`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NandError::BadBlock`] for an out-of-range block.
+    #[inline]
+    pub fn block_pages(&self, block: BlockId) -> Result<Range<usize>, NandError> {
+        let ppb = self.pages_per_block as usize;
+        self.block(block).map(|b| b * ppb..(b + 1) * ppb)
+    }
+
+    /// [`PageLayout::page`] for infallible metadata accessors.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the address, if `ppa` is out of range.
+    #[inline]
+    pub fn expect_page(&self, ppa: Ppa) -> usize {
+        self.page(ppa).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PageLayout::block`] for infallible metadata accessors.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the block, if `block` is out of range.
+    #[inline]
+    pub fn expect_block(&self, block: BlockId) -> usize {
+        self.block(block).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn layout_indices_are_checked_and_do_not_alias() {
+        let g = Geometry::small_tlc();
+        let l = g.layout();
+        let ppb = g.pages_per_block();
+        assert_eq!(l.pages(), g.pages_per_chip() as usize);
+        assert_eq!(l.page(Ppa::new(0, 0)), Ok(0));
+        assert_eq!(l.page(Ppa::new(1, 0)), Ok(ppb as usize));
+        assert_eq!(l.page(Ppa::new(63, ppb - 1)), Ok(l.pages() - 1));
+        // The cell after block 0's last page is block 1 page 0, not
+        // "block 0 page ppb".
+        let past = Ppa::new(0, ppb);
+        assert_eq!(l.page(past), Err(NandError::BadAddress { ppa: past }));
+        assert_eq!(l.page(Ppa::new(64, 0)), Err(NandError::BadAddress { ppa: Ppa::new(64, 0) }));
+        assert_eq!(l.block(BlockId(64)), Err(NandError::BadBlock { block: BlockId(64) }));
+        assert_eq!(l.block_pages(BlockId(1)), Ok(ppb as usize..2 * ppb as usize));
+        assert!(l.block_pages(BlockId(64)).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "address out of range: PB#0x0000:pg72")]
+    fn expect_page_names_the_address() {
+        Geometry::small_tlc().layout().expect_page(Ppa::new(0, 72));
+    }
 
     #[test]
     fn paper_geometry_matches_section_7() {

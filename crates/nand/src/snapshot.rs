@@ -254,6 +254,12 @@ impl<'a> Dec<'a> {
         self.pos
     }
 
+    /// Bytes not yet consumed — the bound for any table a decoder sizes
+    /// from a count in the stream.
+    pub fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     /// Whether every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()

@@ -15,11 +15,11 @@
 use crate::config::SsdConfig;
 use crate::timeline::Resource;
 use crate::trace::{ResourceId, SpanKind, TraceEvent};
-use evanesco_core::chip::{EvanescoChip, ReadResult};
+use evanesco_core::chip::EvanescoChip;
 use evanesco_core::fault::{FaultStats, OpStatus};
 use evanesco_ftl::executor::{probe_block_on, probe_page_on, BlockProbe, NandExecutor, PageProbe};
 use evanesco_ftl::{GlobalPpa, OpCause};
-use evanesco_nand::chip::{PageContent, PageData};
+use evanesco_nand::chip::PageData;
 use evanesco_nand::geometry::BlockId;
 use evanesco_nand::timing::{Nanos, TimingSpec};
 
@@ -508,7 +508,7 @@ impl NandExecutor for TimedExecutor {
         // performed even when its window crossed the cut, so in-flight FTL
         // logic (e.g. a GC copy loop) sees consistent data. Its RAM-side
         // effects are discarded at recovery; only mutations are gated.
-        let out = self.chips[at.chip].read(at.ppa).expect("FTL issues in-range reads");
+        let data = self.chips[at.chip].read_data(at.ppa).expect("FTL issues in-range reads");
         // Read-retry ladder: each chip-internal re-read re-occupies the
         // array for another sensing pass.
         let retries = self.chips[at.chip].last_read_retries();
@@ -523,11 +523,7 @@ impl NandExecutor for TimedExecutor {
                 self.breakdown.read += extra;
             }
         }
-        match out.result {
-            ReadResult::Locked => None,
-            ReadResult::Content(PageContent::Data(d)) => Some(d),
-            ReadResult::Content(_) => None,
-        }
+        data
     }
 
     fn program(&mut self, at: GlobalPpa, data: PageData) -> OpStatus {

@@ -11,6 +11,9 @@
 //! drop; the arenas spend 79 and free 88.
 //!
 //! The bare run has a budget of its own: its result vectors and a constant.
+//! So has the NAND data path under it: a locked read builds nothing, and a
+//! serialized scrSSD replay allocates its result vectors plus a one-off
+//! that does not grow with the trace.
 //!
 //! Counts are per thread and the run is deterministic, so this gates.
 
@@ -195,4 +198,85 @@ fn a_bare_scheduled_run_allocates_its_results_and_a_constant() {
              driver loop allocates per request again"
         );
     }
+}
+
+/// Reading a locked page builds nothing: the gate is tested before any
+/// content is materialised (it used to copy the pooled payload into a fresh
+/// `Box` and then drop it). The read is still a read — counted, and as slow
+/// as any other.
+#[test]
+fn a_locked_read_allocates_nothing() {
+    use evanesco::core::chip::{EvanescoChip, ReadResult};
+    use evanesco::nand::chip::PageData;
+    use evanesco::nand::geometry::{BlockId, Geometry, Ppa};
+
+    let mut chip = EvanescoChip::new(Geometry::small_tlc());
+    let (plocked, blocked, open) = (Ppa::new(0, 0), Ppa::new(1, 0), Ppa::new(2, 0));
+    for ppa in [plocked, blocked, open] {
+        chip.program(ppa, PageData::with_payload(&[0xA5; 512])).expect("in-order program");
+    }
+    chip.p_lock(plocked).expect("programmed page");
+    chip.b_lock(BlockId(1)).expect("in-range block");
+    let t_read = chip.timing().t_read;
+
+    let (reads, before) = (chip.nand_stats().reads, allocs());
+    for ppa in [plocked, blocked] {
+        let out = chip.read(ppa).expect("in range");
+        assert_eq!(out.result, ReadResult::Locked);
+        assert_eq!(out.latency, t_read);
+        assert_eq!(chip.read_data(ppa).expect("in range"), None);
+    }
+    assert_eq!(allocs() - before, 0, "a locked read materialised the page it was hiding");
+    assert_eq!(chip.nand_stats().reads, reads + 4, "a locked read still senses the array");
+    // The exposed neighbour pays for exactly its payload copy.
+    let before = allocs();
+    assert!(chip.read_data(open).expect("in range").is_some());
+    assert_eq!(allocs() - before, 1);
+}
+
+/// The Figure-14 path under scrSSD — the relocation-heaviest policy: every
+/// secure invalidation reads, reprograms and scrubs the page's wordline
+/// siblings (8 NAND programs per host write here). The NAND data path
+/// moves page records by value and allocates nothing, so what a serialized
+/// replay allocates is what its host API hands back (a tag vector per
+/// write, a result vector per read) plus a one-off that does not grow with
+/// the trace: 4 636 blocks on this device, the GC victim buckets reaching
+/// their high-water capacity, the same for half the trace as for all of it.
+#[test]
+fn a_serialized_scrub_replay_allocates_its_results_and_a_constant() {
+    use evanesco::workloads::replay::replay;
+    use evanesco::workloads::trace::{Trace, TraceOp};
+    use evanesco::workloads::WorkloadSpec;
+
+    let cfg = SsdConfig::scaled(12);
+    let logical = cfg.ftl.logical_pages();
+    let spec = &WorkloadSpec::table2()[0];
+    let full = evanesco::workloads::generate::generate(spec, logical, logical * 2, 42);
+    // Allocations of replaying `ops` after the prefill, beyond one per
+    // request that returns a vector.
+    let extra = |ops: &[TraceOp]| {
+        let mut ssd = Emulator::new(cfg, SanitizePolicy::scrub());
+        let trace = Trace { name: full.name.clone(), prefill: full.prefill.clone(), ops: vec![] };
+        replay(&mut ssd, &trace);
+        let trace = Trace { name: full.name.clone(), prefill: vec![], ops: ops.to_vec() };
+        let before = allocs();
+        let r = replay(&mut ssd, &trace);
+        let spent = allocs() - before;
+        assert!(r.ftl.scrubs > 0 && r.ftl.copied_pages > 0, "the run must relocate");
+        let returned = ops.iter().filter(|op| !matches!(op, TraceOp::Trim { .. })).count() as u64;
+        println!(
+            "{} ops, {} NAND programs: {spent} allocations, {returned} requests return a vector",
+            ops.len(),
+            r.ftl.nand_programs
+        );
+        spent.saturating_sub(returned)
+    };
+    let half = extra(&full.ops[..full.ops.len() / 2]);
+    let whole = extra(&full.ops);
+    assert!(half <= 8_192, "{half} allocations beyond the result vectors: the one-off grew");
+    assert!(
+        whole <= half + 64,
+        "{whole} allocations beyond the result vectors for the whole trace, {half} for half of \
+         it: the NAND data path allocates per page again"
+    );
 }
