@@ -23,6 +23,7 @@
 use crate::scale::Scale;
 use evanesco_fleet::{run_fleet, FleetConfig, QosMode};
 use evanesco_nand::timing::Nanos;
+use evanesco_ssd::jsonlite::Obj;
 use evanesco_ssd::{Emulator, HostOp, SchedRun, Stage};
 use evanesco_workloads::TrafficConfig;
 use std::fmt::Write as _;
@@ -297,7 +298,7 @@ impl AnatomyBench {
 
     /// All gate violations (empty = pass).
     pub fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
+        let mut v = self.doc(false).non_finite();
         for c in &self.qd_cells {
             if c.rows == 0 {
                 v.push(format!("tiling: qd {} produced no anatomy rows", c.qd));
@@ -319,7 +320,7 @@ impl AnatomyBench {
             ));
         }
         let share = self.victim_sanitize_share();
-        if share < GATE_MIN_SANITIZE_SHARE {
+        if share.is_nan() || share < GATE_MIN_SANITIZE_SHARE {
             v.push(format!(
                 "blame: sanitize share of victim p99-tail interference {share:.3} \
                  below gate {GATE_MIN_SANITIZE_SHARE}"
@@ -398,94 +399,54 @@ impl AnatomyBench {
         out
     }
 
-    /// Machine-readable JSON (`BENCH_anatomy.json`), hand-rendered — the
-    /// build has no serde.
-    pub fn to_json(&self) -> String {
-        fn f(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.4}")
-            } else {
-                "0.0".to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str("{\n");
-        writeln!(out, "  \"bench\": \"anatomy\",").unwrap();
-        writeln!(out, "  \"scale\": \"{}\",", self.scale_name).unwrap();
-        writeln!(out, "  \"requests\": {},", self.requests).unwrap();
-        writeln!(
-            out,
-            "  \"gate\": {{\"min_sanitize_share\": {}, \"victim_sanitize_share\": {}, \
-             \"device_neutral\": {}, \"fleet_neutral\": {}, \"pass\": {}}},",
-            f(GATE_MIN_SANITIZE_SHARE),
-            f(self.victim_sanitize_share()),
-            self.device_neutral,
-            self.fleet_digests.0 == self.fleet_digests.1,
-            self.violations().is_empty(),
-        )
-        .unwrap();
-        writeln!(out, "  \"tiling\": [").unwrap();
-        for (i, c) in self.qd_cells.iter().enumerate() {
-            let stages = Stage::ALL
-                .into_iter()
-                .map(|s| format!("\"{}\": {}", s.label(), c.stage_ns[s.idx()]))
-                .collect::<Vec<_>>()
-                .join(", ");
-            write!(
-                out,
-                "    {{\"qd\": {}, \"rows\": {}, \"violations\": {}, \"e2e_ns\": {}, \
-                 \"stage_ns\": {{{stages}}}}}",
-                c.qd, c.rows, c.tiling_violations, c.e2e_ns
-            )
-            .unwrap();
-            out.push_str(if i + 1 < self.qd_cells.len() { ",\n" } else { "\n" });
-        }
-        writeln!(out, "  ],").unwrap();
-        writeln!(out, "  \"top\": [").unwrap();
-        for (i, t) in self.top.iter().enumerate() {
-            write!(
-                out,
-                "    {{\"trace_id\": {}, \"kind\": \"{}\", \"e2e_ns\": {}, \
-                 \"dominant\": \"{}\", \"chain\": \"{}\"}}",
-                t.trace_id,
-                t.kind,
-                t.e2e.0,
-                t.dominant,
-                t.chain.replace('\\', "\\\\").replace('"', "\\\""),
-            )
-            .unwrap();
-            out.push_str(if i + 1 < self.top.len() { ",\n" } else { "\n" });
-        }
-        writeln!(out, "  ],").unwrap();
-        writeln!(out, "  \"storm\": [").unwrap();
-        for (i, t) in self.storm.iter().enumerate() {
-            let blame = Stage::ALL
-                .into_iter()
-                .map(|s| format!("\"{}\": {}", s.label(), t.tail_blame_ns[s.idx()]))
-                .collect::<Vec<_>>()
-                .join(", ");
-            write!(
-                out,
-                "    {{\"tenant\": \"{}\", \"requests\": {}, \"p99_ns\": {}, \
-                 \"sanitize_share\": {}, \"tail_blame_ns\": {{{blame}}}}}",
-                t.name,
-                t.requests,
-                t.p99.0,
-                f(t.sanitize_share()),
-            )
-            .unwrap();
-            out.push_str(if i + 1 < self.storm.len() { ",\n" } else { "\n" });
-        }
-        writeln!(out, "  ]").unwrap();
-        out.push_str("}\n");
-        out
+    fn doc(&self, pass: bool) -> Obj {
+        let stages = |ns: &[u64; Stage::COUNT]| {
+            Stage::ALL.into_iter().fold(Obj::new(), |o, s| o.field(s.label(), ns[s.idx()]))
+        };
+        let gate = Obj::new()
+            .field("min_sanitize_share", GATE_MIN_SANITIZE_SHARE)
+            .field("victim_sanitize_share", self.victim_sanitize_share())
+            .field("device_neutral", self.device_neutral)
+            .field("fleet_neutral", self.fleet_digests.0 == self.fleet_digests.1)
+            .field("pass", pass);
+        let tiling = self.qd_cells.iter().map(|c| {
+            Obj::new()
+                .field("qd", c.qd)
+                .field("rows", c.rows)
+                .field("violations", c.tiling_violations)
+                .field("e2e_ns", c.e2e_ns)
+                .field("stage_ns", stages(&c.stage_ns))
+        });
+        let top = self.top.iter().map(|t| {
+            Obj::new()
+                .field("trace_id", t.trace_id)
+                .field("kind", t.kind)
+                .field("e2e_ns", t.e2e.0)
+                .field("dominant", t.dominant)
+                .field("chain", &t.chain)
+        });
+        let storm = self.storm.iter().map(|t| {
+            Obj::new()
+                .field("tenant", &t.name)
+                .field("requests", t.requests)
+                .field("p99_ns", t.p99.0)
+                .field("sanitize_share", t.sanitize_share())
+                .field("tail_blame_ns", stages(&t.tail_blame_ns))
+        });
+        Obj::new()
+            .field("bench", "anatomy")
+            .field("scale", &self.scale_name)
+            .field("requests", self.requests)
+            .field("gate", gate)
+            .array("tiling", tiling)
+            .array("top", top)
+            .array("storm", storm)
     }
-}
 
-/// The `anatomy` experiment as printable text (no file output, no gate;
-/// the `experiments` binary's subcommand adds both).
-pub fn anatomy(scale: &Scale, scale_name: &str) -> String {
-    run(scale, scale_name).render()
+    /// Machine-readable JSON (`BENCH_anatomy.json`).
+    pub fn to_json(&self) -> String {
+        self.doc(self.violations().is_empty()).render()
+    }
 }
 
 #[cfg(test)]
@@ -509,15 +470,5 @@ mod tests {
             b.storm.iter().any(|t| t.tail_blame_ns.iter().sum::<u64>() > 0),
             "storm blame is non-trivial"
         );
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let b = run(&Scale::smoke(), "smoke");
-        let j = b.to_json();
-        assert!(j.starts_with("{\n") && j.ends_with("}\n"));
-        assert!(j.contains("\"bench\": \"anatomy\""));
-        assert!(j.contains("\"pass\": true"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count(), "unbalanced braces");
     }
 }

@@ -30,6 +30,7 @@ use evanesco_ftl::config::FaultConfig;
 use evanesco_ftl::observer::NullObserver;
 use evanesco_ftl::SanitizePolicy;
 use evanesco_nand::timing::Nanos;
+use evanesco_ssd::jsonlite::Obj;
 use evanesco_ssd::Emulator;
 use evanesco_workloads::generate::generate;
 use evanesco_workloads::replay::apply;
@@ -347,45 +348,37 @@ impl CampaignBundle {
         out
     }
 
-    /// Machine-readable JSON (`BENCH_campaign.json`), hand-rendered —
-    /// the build has no serde.
+    fn doc(&self, pass: bool) -> Obj {
+        let scenarios = self.reports.iter().map(|r| {
+            let segments = r.segments.iter().map(|d| {
+                Obj::new()
+                    .field("segment", d.segment)
+                    .field("host_ops", d.host_ops)
+                    .field("sim_ns", d.sim_ns)
+                    .field("windows", d.windows)
+                    .field("erases", d.erases)
+                    .field("retired", d.retired)
+                    .field("mode", &d.mode)
+            });
+            Obj::new()
+                .field("name", &r.name)
+                .field("identical", r.identical())
+                .field("bytes_identical", r.bytes_identical)
+                .field("scrape_identical", r.scrape_identical)
+                .field("checkpoint_bytes", r.checkpoint_bytes)
+                .array("segments", segments)
+        });
+        Obj::new()
+            .field("bench", "campaign")
+            .field("scale", &self.scale_name)
+            .field("segments", self.segments)
+            .array("scenarios", scenarios)
+            .field("pass", pass)
+    }
+
+    /// Machine-readable JSON (`BENCH_campaign.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        writeln!(out, "  \"bench\": \"campaign\",").unwrap();
-        writeln!(out, "  \"scale\": \"{}\",", self.scale_name).unwrap();
-        writeln!(out, "  \"segments\": {},", self.segments).unwrap();
-        writeln!(out, "  \"scenarios\": [").unwrap();
-        for (i, r) in self.reports.iter().enumerate() {
-            writeln!(out, "    {{\"name\": \"{}\",", r.name).unwrap();
-            writeln!(
-                out,
-                "     \"identical\": {}, \"bytes_identical\": {}, \"scrape_identical\": {}, \
-                 \"checkpoint_bytes\": {},",
-                r.identical(),
-                r.bytes_identical,
-                r.scrape_identical,
-                r.checkpoint_bytes,
-            )
-            .unwrap();
-            writeln!(out, "     \"segments\": [").unwrap();
-            for (j, d) in r.segments.iter().enumerate() {
-                write!(
-                    out,
-                    "       {{\"segment\": {}, \"host_ops\": {}, \"sim_ns\": {}, \
-                     \"windows\": {}, \"erases\": {}, \"retired\": {}, \"mode\": \"{}\"}}",
-                    d.segment, d.host_ops, d.sim_ns, d.windows, d.erases, d.retired, d.mode
-                )
-                .unwrap();
-                out.push_str(if j + 1 < r.segments.len() { ",\n" } else { "\n" });
-            }
-            write!(out, "     ]}}").unwrap();
-            out.push_str(if i + 1 < self.reports.len() { ",\n" } else { "\n" });
-        }
-        writeln!(out, "  ],").unwrap();
-        writeln!(out, "  \"pass\": {}", self.violations().is_empty()).unwrap();
-        out.push_str("}\n");
-        out
+        self.doc(self.violations().is_empty()).render()
     }
 }
 
@@ -415,15 +408,10 @@ pub fn run_with_segments(scale: &Scale, scale_name: &str, segments: usize) -> Ca
     CampaignBundle { scale_name: scale_name.to_string(), segments, reports }
 }
 
-/// The `campaign` experiment as printable text (no file output, no
-/// gate; the `experiments` binary's subcommand adds both).
-pub fn campaign(scale: &Scale, scale_name: &str) -> String {
-    run(scale, scale_name).render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evanesco_ssd::jsonlite::Json;
 
     #[test]
     fn smoke_campaign_is_resume_equivalent() {
@@ -443,23 +431,16 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_and_carries_the_gate() {
-        let b = run_with_segments(&Scale::smoke(), "smoke", 2);
-        let j = b.to_json();
-        let parsed = evanesco_ssd::jsonlite::Json::parse(&j).expect("well-formed JSON");
-        assert_eq!(
-            parsed.get("bench").and_then(evanesco_ssd::jsonlite::Json::as_str),
-            Some("campaign")
-        );
-        assert!(j.contains("\"pass\": true"));
-    }
-
-    #[test]
     fn divergence_is_reported_not_swallowed() {
         let mut b = run_with_segments(&Scale::smoke(), "smoke", 2);
         b.reports[0].bytes_identical = false;
         assert!(b.violations().iter().any(|v| v.contains("checkpoints differ")));
         assert!(b.to_json().contains("\"pass\": false"));
+        // Nor can a hostile scenario name break the artifact.
+        b.reports[0].name = "quo\"te\n".into();
+        let doc = Json::parse(&b.to_json()).expect("every string is escaped");
+        let scenario = &doc.get("scenarios").unwrap().as_arr().unwrap()[0];
+        assert_eq!(scenario.get("name").and_then(Json::as_str), Some("quo\"te\n"));
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::scale::Scale;
 use evanesco_fleet::{run_fleet, FleetConfig, QosMode, TenantQos};
 use evanesco_ftl::SanitizePolicy;
 use evanesco_nand::timing::Nanos;
+use evanesco_ssd::jsonlite::Obj;
 use evanesco_ssd::SsdConfig;
 use evanesco_workloads::TrafficConfig;
 use std::fmt::Write as _;
@@ -287,9 +288,10 @@ impl FleetBench {
 
     /// All gate violations (empty = pass).
     pub fn violations(&self) -> Vec<String> {
-        let mut v = self.determinism.violations();
+        let mut v = self.doc(false).non_finite();
+        v.extend(self.determinism.violations());
         let sep = self.qos_separation();
-        if sep < GATE_MIN_P99_SEPARATION {
+        if sep.is_nan() || sep < GATE_MIN_P99_SEPARATION {
             v.push(format!(
                 "qos: worst victim p99 improved only {sep:.2}x under shaping \
                  (gate {GATE_MIN_P99_SEPARATION:.1}x)"
@@ -362,89 +364,60 @@ impl FleetBench {
         out
     }
 
-    /// Machine-readable JSON (`BENCH_fleet.json`), hand-rendered — the
-    /// build has no serde. Uploaded by CI, not byte-diffed (see module
-    /// docs).
-    pub fn to_json(&self) -> String {
-        fn f(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.4}")
-            } else {
-                "0.0".to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str("{\n");
-        writeln!(out, "  \"bench\": \"fleet\",").unwrap();
-        writeln!(out, "  \"scale\": \"{}\",", self.scale_name).unwrap();
-        writeln!(out, "  \"devices\": {},", self.devices).unwrap();
-        writeln!(out, "  \"requests_per_device\": {},", self.requests_per_device).unwrap();
-        writeln!(
-            out,
-            "  \"gate\": {{\"min_p99_separation\": {}, \"p99_separation\": {}, \"pass\": {}}},",
-            f(GATE_MIN_P99_SEPARATION),
-            f(self.qos_separation()),
-            self.violations().is_empty(),
-        )
-        .unwrap();
-        let shard_digests = self
+    fn doc(&self, pass: bool) -> Obj {
+        let hex = |digest: u64| format!("{digest:016x}");
+        let gate = Obj::new()
+            .field("min_p99_separation", GATE_MIN_P99_SEPARATION)
+            .field("p99_separation", self.qos_separation())
+            .field("pass", pass);
+        let runs = self
             .determinism
             .by_shards
             .iter()
-            .map(|(s, d)| format!("{{\"shards\": {s}, \"digest\": \"{d:016x}\"}}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        writeln!(
-            out,
-            "  \"determinism\": {{\"runs\": [{shard_digests}], \"rerun\": \"{:016x}\", \
-             \"pass\": {}}},",
-            self.determinism.rerun,
-            self.determinism.violations().is_empty(),
-        )
-        .unwrap();
-        writeln!(out, "  \"cells\": [").unwrap();
-        for (i, c) in self.cells.iter().enumerate() {
-            writeln!(
-                out,
-                "    {{\"mix\": \"{}\", \"qos\": \"{}\", \"policy\": \"{}\", \
-                 \"fleet_digest\": \"{:016x}\", \"tenants\": [",
-                c.mix, c.qos, c.policy, c.fleet_digest
-            )
-            .unwrap();
-            for (j, t) in c.tenants.iter().enumerate() {
-                write!(
-                    out,
-                    "      {{\"tenant\": \"{}\", \"requests\": {}, \"p50_ns\": {}, \
-                     \"p99_ns\": {}, \"p999_ns\": {}, \"vaf\": {}, \"insecure_ticks\": {}}}",
-                    t.name,
-                    t.requests,
-                    t.p50.0,
-                    t.p99.0,
-                    t.p999.0,
-                    f(t.vaf),
-                    t.insecure_ticks,
-                )
-                .unwrap();
-                out.push_str(if j + 1 < c.tenants.len() { ",\n" } else { "\n" });
-            }
-            write!(out, "    ]}}").unwrap();
-            out.push_str(if i + 1 < self.cells.len() { ",\n" } else { "\n" });
-        }
-        writeln!(out, "  ]").unwrap();
-        out.push_str("}\n");
-        out
+            .map(|&(shards, d)| Obj::new().field("shards", shards).field("digest", hex(d)));
+        let determinism = Obj::new()
+            .array("runs", runs)
+            .field("rerun", hex(self.determinism.rerun))
+            .field("pass", self.determinism.violations().is_empty());
+        let cells = self.cells.iter().map(|c| {
+            let tenants = c.tenants.iter().map(|t| {
+                Obj::new()
+                    .field("tenant", &t.name)
+                    .field("requests", t.requests)
+                    .field("p50_ns", t.p50.0)
+                    .field("p99_ns", t.p99.0)
+                    .field("p999_ns", t.p999.0)
+                    .field("vaf", t.vaf)
+                    .field("insecure_ticks", t.insecure_ticks)
+            });
+            Obj::new()
+                .field("mix", c.mix)
+                .field("qos", c.qos)
+                .field("policy", c.policy)
+                .field("fleet_digest", hex(c.fleet_digest))
+                .array("tenants", tenants)
+        });
+        Obj::new()
+            .field("bench", "fleet")
+            .field("scale", &self.scale_name)
+            .field("devices", self.devices)
+            .field("requests_per_device", self.requests_per_device)
+            .field("gate", gate)
+            .field("determinism", determinism)
+            .array("cells", cells)
     }
-}
 
-/// The `fleet` experiment as printable text (no file output, no gate;
-/// the `experiments` binary's subcommand adds both).
-pub fn fleet(scale: &Scale, scale_name: &str) -> String {
-    run(scale, scale_name).render()
+    /// Machine-readable JSON (`BENCH_fleet.json`). Uploaded by CI, not
+    /// byte-diffed (see module docs).
+    pub fn to_json(&self) -> String {
+        self.doc(self.violations().is_empty()).render()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evanesco_ssd::jsonlite::Json;
 
     #[test]
     fn smoke_matrix_passes_both_gates_with_headroom() {
@@ -482,12 +455,38 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let b = run(&Scale::smoke(), "smoke");
-        let j = b.to_json();
-        assert!(j.starts_with("{\n") && j.ends_with("}\n"));
-        assert_eq!(j.matches("\"mix\":").count(), 8);
-        assert!(j.contains("\"pass\": true"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count(), "unbalanced braces");
+    fn a_hostile_name_and_a_nan_cannot_corrupt_the_artifact() {
+        let row = TenantRow {
+            name: "quo\"te\n".into(),
+            requests: 1,
+            p50: Nanos(1),
+            p99: Nanos(2),
+            p999: Nanos(3),
+            vaf: f64::NAN,
+            insecure_ticks: 0,
+        };
+        let cell = |qos| Cell {
+            mix: "noisy",
+            qos,
+            policy: "evanesco",
+            tenants: vec![row.clone()],
+            fleet_digest: 7,
+        };
+        let b = FleetBench {
+            scale_name: "sm\\oke".into(),
+            devices: 1,
+            requests_per_device: 1,
+            cells: vec![cell("fifo"), cell("shaped")],
+            determinism: DeterminismCheck { by_shards: vec![(1, 7)], rerun: 7 },
+        };
+        let doc = Json::parse(&b.to_json()).expect("every string is escaped");
+        assert_eq!(doc.get("scale").and_then(Json::as_str), Some("sm\\oke"));
+        let tenant = &doc.get("cells").unwrap().as_arr().unwrap()[0].get("tenants").unwrap();
+        let tenant = &tenant.as_arr().unwrap()[0];
+        assert_eq!(tenant.get("tenant").and_then(Json::as_str), Some("quo\"te\n"));
+        // The NaN is null, named by the gate, and the artifact says so.
+        assert_eq!(tenant.get("vaf"), Some(&Json::Null));
+        assert!(b.violations().iter().any(|v| v.contains("'cells.0.tenants.0.vaf'")));
+        assert_eq!(doc.get("gate").unwrap().get("pass"), Some(&Json::Bool(false)));
     }
 }

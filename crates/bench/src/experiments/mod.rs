@@ -1,6 +1,6 @@
-//! One module per group of paper artifacts. Every public function returns
-//! the regenerated table/figure as printable text, so the `experiments`
-//! binary prints them and integration tests assert on their shape.
+//! One module per group of paper artifacts. A paper table/figure is a
+//! function returning printable text; a gate-bearing bench answers `run`,
+//! `render`, `violations` and `to_json`. `crate::EXPERIMENTS` lists both.
 
 pub mod ablation;
 pub mod anatomy;

@@ -28,7 +28,7 @@ use crate::scale::Scale;
 use evanesco_ftl::observer::Tee;
 use evanesco_ftl::{DecisionLevel, SanitizePolicy};
 use evanesco_nand::timing::Nanos;
-use evanesco_ssd::jsonlite::Json;
+use evanesco_ssd::jsonlite::{DriftRule, Obj};
 use evanesco_ssd::Emulator;
 use evanesco_workloads::generate::generate;
 use evanesco_workloads::ledger::ExposureLedger;
@@ -41,6 +41,19 @@ use std::fmt::Write as _;
 /// the offline VerTrace on any Table-1 field (the acceptance bar; the
 /// two share counting rules, so the observed value is 0).
 pub const MAX_LIVE_OFFLINE_REL_DIFF: f64 = 0.05;
+
+/// What `BENCH_report.json` may drift by against a checked-in baseline
+/// of the same scale (`jsonlite::drift`).
+pub const DRIFT_RULES: [DriftRule; 8] = [
+    DriftRule { path: "scheduler.speedup", tol: 0.15, floor: 0.05 },
+    DriftRule { path: "scheduler.iops", tol: 0.15, floor: 1.0 },
+    DriftRule { path: "timeseries.windows", tol: 0.25, floor: 2.0 },
+    DriftRule { path: "timeseries.peak_invalid_secured", tol: 0.25, floor: 4.0 },
+    DriftRule { path: "live_offline_max_rel_diff", tol: 0.0, floor: 0.05 },
+    DriftRule { path: "attribution.*.live.mv_vaf_avg", tol: 0.05, floor: 0.05 },
+    DriftRule { path: "attribution.*.live.mv_tinsec_avg", tol: 0.05, floor: 0.05 },
+    DriftRule { path: "attribution.*.live.uv_vaf_avg", tol: 0.05, floor: 0.05 },
+];
 
 /// Live and offline Table-1 stats for one file class of one workload.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -277,7 +290,7 @@ pub fn run(scale: &Scale, scale_name: &str) -> ReportBundle {
         scale_name: scale_name.to_string(),
         scheduler_speedup: sched.gate_speedup(),
         scheduler_iops: sched_iops,
-        scheduler_pass: sched.gate_passes(),
+        scheduler_pass: sched.violations().is_empty(),
         attribution,
         mv_vaf_exceeds_uv,
         dbserver_mv_vaf_largest,
@@ -290,9 +303,9 @@ pub fn run(scale: &Scale, scale_name: &str) -> ReportBundle {
 
 impl ReportBundle {
     /// The bundle's own invariants — violations independent of any
-    /// baseline. Empty means healthy.
-    pub fn self_check(&self) -> Vec<String> {
-        let mut v = Vec::new();
+    /// baseline ([`DRIFT_RULES`] gate against one). Empty means healthy.
+    pub fn violations(&self) -> Vec<String> {
+        let mut v = self.doc().non_finite();
         if !self.timing_neutral {
             v.push("telemetry is not timing-neutral: enabled run diverged".into());
         }
@@ -321,79 +334,6 @@ impl ReportBundle {
         }
         if self.decisions.info + self.decisions.warn + self.decisions.error == 0 {
             v.push("decision log recorded nothing".into());
-        }
-        v
-    }
-
-    /// Numeric-drift violations against a previously written
-    /// `BENCH_report.json`. An unparseable baseline is a violation; a
-    /// baseline from a different scale is skipped (empty result) since
-    /// its magnitudes aren't comparable.
-    pub fn drift_against(&self, baseline: &str) -> Vec<String> {
-        let base = match Json::parse(baseline) {
-            Ok(b) => b,
-            Err(e) => return vec![format!("unparseable BENCH_report.json baseline: {e}")],
-        };
-        if base.get("scale").and_then(Json::as_str) != Some(self.scale_name.as_str()) {
-            return Vec::new();
-        }
-        let mut v = Vec::new();
-        let mut num = |path: &str, cur: f64, tol: f64, floor: f64| {
-            let mut node = &base;
-            for key in path.split('.') {
-                match node.get(key) {
-                    Some(n) => node = n,
-                    None => {
-                        v.push(format!("baseline missing field '{path}'"));
-                        return;
-                    }
-                }
-            }
-            let Some(b) = node.as_num() else {
-                v.push(format!("baseline field '{path}' is not a number"));
-                return;
-            };
-            if (cur - b).abs() > floor && rel_diff(cur, b) > tol {
-                v.push(format!(
-                    "'{path}' drifted: {cur:.4} vs baseline {b:.4} (tol {:.0}%)",
-                    tol * 100.0
-                ));
-            }
-        };
-        num("scheduler.speedup", self.scheduler_speedup, 0.15, 0.05);
-        num("scheduler.iops", self.scheduler_iops, 0.15, 1.0);
-        num("timeseries.windows", self.timeseries.windows as f64, 0.25, 2.0);
-        num(
-            "timeseries.peak_invalid_secured",
-            self.timeseries.peak_invalid_secured as f64,
-            0.25,
-            4.0,
-        );
-        num("live_offline_max_rel_diff", self.live_offline_max_rel_diff, 0.0, 0.05);
-        if let Some(rows) = base.get("attribution").and_then(Json::as_arr) {
-            for row in rows {
-                let Some(name) = row.get("workload").and_then(Json::as_str) else { continue };
-                let Some(cur) = self.attribution.iter().find(|a| a.workload == name) else {
-                    v.push(format!("workload '{name}' missing from this run"));
-                    continue;
-                };
-                for (field, val) in [
-                    ("mv_vaf_avg", cur.mv.live.vaf_avg),
-                    ("mv_tinsec_avg", cur.mv.live.tinsec_avg),
-                    ("uv_vaf_avg", cur.uv.live.vaf_avg),
-                ] {
-                    let Some(b) = row.get("live").and_then(|l| l.get(field)).and_then(Json::as_num)
-                    else {
-                        v.push(format!("baseline missing field 'attribution.{name}.live.{field}'"));
-                        continue;
-                    };
-                    if (val - b).abs() > 0.05 && rel_diff(val, b) > 0.05 {
-                        v.push(format!(
-                            "'{name}.{field}' drifted: {val:.4} vs baseline {b:.4} (tol 5%)"
-                        ));
-                    }
-                }
-            }
         }
         v
     }
@@ -478,125 +418,79 @@ impl ReportBundle {
         out
     }
 
-    /// Machine-readable JSON (`BENCH_report.json`), hand-rendered — the
-    /// build has no serde.
-    pub fn to_json(&self) -> String {
-        fn f(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.4}")
-            } else {
-                "0.0".to_string()
-            }
-        }
-        fn class(c: &ClassStats) -> String {
-            format!(
-                "{{\"n_files\": {}, \"vaf_avg\": {}, \"vaf_max\": {}, \"tinsec_avg\": {}, \
-                 \"tinsec_max\": {}}}",
-                c.n_files,
-                f(c.vaf_avg),
-                f(c.vaf_max),
-                f(c.tinsec_avg),
-                f(c.tinsec_max)
-            )
-        }
-        let mut out = String::new();
-        out.push_str("{\n");
-        writeln!(out, "  \"bench\": \"report\",").unwrap();
-        writeln!(out, "  \"scale\": \"{}\",", self.scale_name).unwrap();
-        writeln!(
-            out,
-            "  \"scheduler\": {{\"gate_qd\": {}, \"speedup\": {}, \"iops\": {}, \"pass\": {}}},",
-            scheduler::GATE_QD,
-            f(self.scheduler_speedup),
-            f(self.scheduler_iops),
-            self.scheduler_pass,
-        )
-        .unwrap();
-        writeln!(out, "  \"attribution\": [").unwrap();
-        for (i, a) in self.attribution.iter().enumerate() {
-            writeln!(out, "    {{\"workload\": \"{}\",", a.workload).unwrap();
-            writeln!(
-                out,
-                "     \"live\": {{\"uv\": {}, \"mv\": {}, \"uv_vaf_avg\": {}, \
-                 \"mv_vaf_avg\": {}, \"mv_tinsec_avg\": {}}},",
-                class(&a.uv.live),
-                class(&a.mv.live),
-                f(a.uv.live.vaf_avg),
-                f(a.mv.live.vaf_avg),
-                f(a.mv.live.tinsec_avg),
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "     \"offline\": {{\"uv\": {}, \"mv\": {}}},",
-                class(&a.uv.offline),
-                class(&a.mv.offline)
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "     \"causes\": {{\"secured\": [{}, {}, {}], \"exposed\": [{}, {}, {}]}},",
-                a.causes_secured[0],
-                a.causes_secured[1],
-                a.causes_secured[2],
-                a.causes_exposed[0],
-                a.causes_exposed[1],
-                a.causes_exposed[2],
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "     \"exposure\": {{\"mean_ticks\": {}, \"zero_fraction\": {}, \
-                 \"max_ticks\": {}}},",
-                f(a.exposure_mean_ticks),
-                f(a.exposure_zero_fraction),
-                a.exposure_max_ticks,
-            )
-            .unwrap();
-            write!(out, "     \"max_rel_diff\": {}}}", f(a.max_rel_diff())).unwrap();
-            out.push_str(if i + 1 < self.attribution.len() { ",\n" } else { "\n" });
-        }
-        writeln!(out, "  ],").unwrap();
-        writeln!(
-            out,
-            "  \"orderings\": {{\"mv_vaf_exceeds_uv\": {}, \"dbserver_mv_vaf_largest\": {}}},",
-            self.mv_vaf_exceeds_uv, self.dbserver_mv_vaf_largest,
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "  \"timeseries\": {{\"windows\": {}, \"retained\": {}, \"mean_window_iops\": {}, \
-             \"peak_invalid_secured\": {}, \"final_t_insecure\": {}}},",
-            self.timeseries.windows,
-            self.timeseries.retained,
-            f(self.timeseries.mean_window_iops),
-            self.timeseries.peak_invalid_secured,
-            f(self.timeseries.final_t_insecure),
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "  \"decisions\": {{\"info\": {}, \"warn\": {}, \"error\": {}, \"dropped\": {}}},",
-            self.decisions.info, self.decisions.warn, self.decisions.error, self.decisions.dropped,
-        )
-        .unwrap();
-        writeln!(out, "  \"timing_neutral\": {},", self.timing_neutral).unwrap();
-        writeln!(out, "  \"live_offline_max_rel_diff\": {}", f(self.live_offline_max_rel_diff))
-            .unwrap();
-        out.push_str("}\n");
-        out
+    fn doc(&self) -> Obj {
+        let class = |c: &ClassStats| {
+            Obj::new()
+                .field("n_files", c.n_files)
+                .field("vaf_avg", c.vaf_avg)
+                .field("vaf_max", c.vaf_max)
+                .field("tinsec_avg", c.tinsec_avg)
+                .field("tinsec_max", c.tinsec_max)
+        };
+        let attribution = self.attribution.iter().map(|a| {
+            let live = Obj::new()
+                .field("uv", class(&a.uv.live))
+                .field("mv", class(&a.mv.live))
+                .field("uv_vaf_avg", a.uv.live.vaf_avg)
+                .field("mv_vaf_avg", a.mv.live.vaf_avg)
+                .field("mv_tinsec_avg", a.mv.live.tinsec_avg);
+            let offline =
+                Obj::new().field("uv", class(&a.uv.offline)).field("mv", class(&a.mv.offline));
+            let causes =
+                Obj::new().array("secured", a.causes_secured).array("exposed", a.causes_exposed);
+            let exposure = Obj::new()
+                .field("mean_ticks", a.exposure_mean_ticks)
+                .field("zero_fraction", a.exposure_zero_fraction)
+                .field("max_ticks", a.exposure_max_ticks);
+            Obj::new()
+                .field("workload", &a.workload)
+                .field("live", live)
+                .field("offline", offline)
+                .field("causes", causes)
+                .field("exposure", exposure)
+                .field("max_rel_diff", a.max_rel_diff())
+        });
+        let scheduler = Obj::new()
+            .field("gate_qd", scheduler::GATE_QD)
+            .field("speedup", self.scheduler_speedup)
+            .field("iops", self.scheduler_iops)
+            .field("pass", self.scheduler_pass);
+        let orderings = Obj::new()
+            .field("mv_vaf_exceeds_uv", self.mv_vaf_exceeds_uv)
+            .field("dbserver_mv_vaf_largest", self.dbserver_mv_vaf_largest);
+        let timeseries = Obj::new()
+            .field("windows", self.timeseries.windows)
+            .field("retained", self.timeseries.retained)
+            .field("mean_window_iops", self.timeseries.mean_window_iops)
+            .field("peak_invalid_secured", self.timeseries.peak_invalid_secured)
+            .field("final_t_insecure", self.timeseries.final_t_insecure);
+        let decisions = Obj::new()
+            .field("info", self.decisions.info)
+            .field("warn", self.decisions.warn)
+            .field("error", self.decisions.error)
+            .field("dropped", self.decisions.dropped);
+        Obj::new()
+            .field("bench", "report")
+            .field("scale", &self.scale_name)
+            .field("scheduler", scheduler)
+            .array("attribution", attribution)
+            .field("orderings", orderings)
+            .field("timeseries", timeseries)
+            .field("decisions", decisions)
+            .field("timing_neutral", self.timing_neutral)
+            .field("live_offline_max_rel_diff", self.live_offline_max_rel_diff)
     }
-}
 
-/// The `report` experiment as printable text (no file output, no gate;
-/// the `experiments` binary's subcommand adds both).
-pub fn report(scale: &Scale, scale_name: &str) -> String {
-    run(scale, scale_name).render()
+    /// Machine-readable JSON (`BENCH_report.json`).
+    pub fn to_json(&self) -> String {
+        self.doc().render()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evanesco_ssd::jsonlite::drift;
 
     #[test]
     fn smoke_bundle_is_healthy() {
@@ -612,34 +506,17 @@ mod tests {
         assert!(b.mv_vaf_exceeds_uv && b.dbserver_mv_vaf_largest, "Table-1 orderings broken");
         assert!(b.timeseries.windows > 0);
         assert!(b.decisions.info + b.decisions.warn + b.decisions.error > 0);
-        assert!(b.self_check().is_empty(), "{:?}", b.self_check());
-    }
-
-    #[test]
-    fn json_round_trips_and_gates_against_itself() {
-        let b = run(&Scale::smoke(), "smoke");
-        let j = b.to_json();
-        let parsed = Json::parse(&j).expect("well-formed JSON");
-        assert_eq!(parsed.get("bench").and_then(Json::as_str), Some("report"));
-        assert_eq!(
-            parsed.get("attribution").and_then(Json::as_arr).map(|a| a.len()),
-            Some(b.attribution.len())
-        );
-        // Gating a bundle against its own serialization finds no drift.
-        assert!(b.drift_against(&j).is_empty(), "{:?}", b.drift_against(&j));
-        // A different scale's baseline is skipped, not a violation.
-        let other = j.replace("\"scale\": \"smoke\"", "\"scale\": \"full\"");
-        assert!(b.drift_against(&other).is_empty());
-        // A corrupt baseline is a violation.
-        assert!(!b.drift_against("{not json").is_empty());
+        assert!(b.violations().is_empty(), "{:?}", b.violations());
     }
 
     #[test]
     fn drift_gate_catches_a_moved_number() {
         let b = run(&Scale::smoke(), "smoke");
+        let baseline = b.to_json();
+        assert_eq!(drift(&baseline, &baseline, &DRIFT_RULES), Vec::<String>::new());
         let mut doctored = b.clone();
         doctored.scheduler_speedup *= 2.0;
-        let violations = doctored.drift_against(&b.to_json());
+        let violations = drift(&baseline, &doctored.to_json(), &DRIFT_RULES);
         assert!(violations.iter().any(|v| v.contains("scheduler.speedup")), "{violations:?}");
     }
 }

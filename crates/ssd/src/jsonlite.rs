@@ -1,12 +1,18 @@
-//! A minimal JSON value parser — just enough to round-trip and validate
-//! the chrome://tracing exports and the checked-in trace schema without
-//! pulling a serialization dependency into the workspace.
+//! Minimal JSON, both directions, without pulling a serialization
+//! dependency into the workspace.
 //!
-//! Supports the full JSON value grammar (objects, arrays, strings with
-//! escapes, numbers, booleans, null). Integer-valued numbers without a
-//! fraction or exponent are kept exactly as [`Json::Uint`]/[`Json::Int`]
-//! (fleet-aggregated op/byte totals exceed 2^53, where `f64` starts
-//! dropping low bits); everything else is kept as `f64`.
+//! **Reading** ([`Json::parse`]) supports the full value grammar (objects,
+//! arrays, strings with escapes, numbers, booleans, null). Integer-valued
+//! numbers without a fraction or exponent are kept exactly as
+//! [`Json::Uint`]/[`Json::Int`] (fleet-aggregated op/byte totals exceed
+//! 2^53, where `f64` starts dropping low bits); everything else is kept
+//! as `f64`.
+//!
+//! **Writing** ([`Obj`]) is how every `BENCH_*.json` artifact is emitted:
+//! an object keeps insertion order, every string goes through [`escape`],
+//! a non-finite number is written as `null` and named by
+//! [`Obj::non_finite`], and there is one layout ([`Obj::render`]).
+//! [`drift`] compares two written documents leaf by leaf.
 
 use std::collections::BTreeMap;
 
@@ -36,7 +42,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { bytes, pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -124,9 +130,14 @@ impl Json {
     }
 }
 
+/// Deepest container nesting [`Json::parse`] follows; a document nested
+/// deeper is an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -155,8 +166,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') | Some(b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nested deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'{') { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -366,9 +384,229 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// A value of a document under construction (see [`Obj`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `true` / `false`
+    Bool(bool),
+    /// A non-negative integer, written exactly.
+    Uint(u64),
+    /// A signed integer, written exactly.
+    Int(i64),
+    /// A measured quantity, written `{:.4}` (what `From<f64>` builds).
+    Fixed(f64),
+    /// A configured quantity, written in its shortest round-trip form
+    /// (`0.05` stays `0.05`).
+    Exact(f64),
+    /// A string (escaped on output).
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object.
+    Obj(Obj),
+}
+
+macro_rules! value_from {
+    ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {
+        $(impl From<$t> for Value {
+            fn from($v: $t) -> Self {
+                $e
+            }
+        })*
+    };
+}
+value_from! {
+    bool => |v| Value::Bool(v),
+    u64 => |v| Value::Uint(v),
+    usize => |v| Value::Uint(v as u64),
+    f64 => |v| Value::Fixed(v),
+    &str => |v| Value::Str(v.to_string()),
+    &String => |v| Value::Str(v.clone()),
+    String => |v| Value::Str(v),
+    Obj => |v| Value::Obj(v),
+}
+
+/// An object under construction: members keep insertion order.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Obj(Vec<(String, Value)>);
+
+impl Obj {
+    /// An empty object.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one member.
+    pub fn field(mut self, key: &str, value: impl Into<Value>) -> Self {
+        self.0.push((key.to_string(), value.into()));
+        self
+    }
+
+    /// Appends an array member built from `items`.
+    pub fn array<T: Into<Value>>(self, key: &str, items: impl IntoIterator<Item = T>) -> Self {
+        self.field(key, Value::Arr(items.into_iter().map(Into::into).collect()))
+    }
+
+    /// The document text. One layout for every artifact: root members one
+    /// per line, the elements of a root-level array one per line,
+    /// everything deeper inline.
+    pub fn render(&self) -> String {
+        let members: Vec<String> = self
+            .0
+            .iter()
+            .map(|(key, value)| match value {
+                Value::Arr(items) if !items.is_empty() => {
+                    let lines: Vec<String> =
+                        items.iter().map(|item| format!("    {}", item.inline())).collect();
+                    format!("  \"{}\": [\n{}\n  ]", escape(key), lines.join(",\n"))
+                }
+                other => format!("  {}", member(key, other)),
+            })
+            .collect();
+        format!("{{\n{}\n}}\n", members.join(",\n"))
+    }
+
+    /// One message per non-finite number in the document, naming its
+    /// dotted path (`points.3.iops`). Such a number is written as `null`;
+    /// a gate that reports these cannot read a NaN as a healthy zero.
+    pub fn non_finite(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for (key, value) in &self.0 {
+            value.non_finite_into(key, &mut out);
+        }
+        out
+    }
+}
+
+impl Value {
+    fn inline(&self) -> String {
+        match self {
+            Value::Bool(b) => b.to_string(),
+            Value::Uint(n) => n.to_string(),
+            Value::Int(n) => n.to_string(),
+            Value::Fixed(v) if v.is_finite() => format!("{v:.4}"),
+            Value::Exact(v) if v.is_finite() => format!("{v:?}"),
+            Value::Fixed(_) | Value::Exact(_) => "null".to_string(),
+            Value::Str(s) => format!("\"{}\"", escape(s)),
+            Value::Arr(items) => {
+                format!("[{}]", items.iter().map(Value::inline).collect::<Vec<_>>().join(", "))
+            }
+            Value::Obj(obj) => {
+                let members: Vec<String> = obj.0.iter().map(|(k, v)| member(k, v)).collect();
+                format!("{{{}}}", members.join(", "))
+            }
+        }
+    }
+
+    fn non_finite_into(&self, path: &str, out: &mut Vec<String>) {
+        match self {
+            Value::Fixed(v) | Value::Exact(v) if !v.is_finite() => {
+                out.push(format!("'{path}' is not finite (written as null)"));
+            }
+            Value::Arr(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    item.non_finite_into(&format!("{path}.{i}"), out);
+                }
+            }
+            Value::Obj(obj) => {
+                for (key, value) in &obj.0 {
+                    value.non_finite_into(&format!("{path}.{key}"), out);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+fn member(key: &str, value: &Value) -> String {
+    format!("\"{}\": {}", escape(key), value.inline())
+}
+
+/// One drift rule: every numeric leaf at `path` (dotted; `*` stands for
+/// each element of an array or member of an object) may differ from the
+/// baseline by `tol` relative to the larger magnitude. Differences up to
+/// `floor` are ignored outright, so near-zero pairs don't explode.
+#[derive(Debug, Clone, Copy)]
+pub struct DriftRule {
+    /// Dotted path of the gated leaves.
+    pub path: &'static str,
+    /// Relative tolerance.
+    pub tol: f64,
+    /// Absolute difference below which nothing is reported.
+    pub floor: f64,
+}
+
+/// Numeric drift of the `current` document against a previously written
+/// `baseline`, under `rules`. An unparseable document, a rule's leaf
+/// missing on either side and a moved number are each one message; a
+/// baseline from a different `"scale"` is skipped (empty result), since
+/// its magnitudes aren't comparable.
+pub fn drift(baseline: &str, current: &str, rules: &[DriftRule]) -> Vec<String> {
+    let (base, cur) = match (Json::parse(baseline), Json::parse(current)) {
+        (Ok(base), Ok(cur)) => (base, cur),
+        (Err(e), _) => return vec![format!("unparseable baseline: {e}")],
+        (_, Err(e)) => return vec![format!("unparseable artifact: {e}")],
+    };
+    if base.get("scale") != cur.get("scale") {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for rule in rules {
+        let segments: Vec<&str> = rule.path.split('.').collect();
+        drift_walk(&base, Some(&cur), &segments, String::new(), rule, &mut out);
+    }
+    out
+}
+
+fn drift_walk(
+    base: &Json,
+    cur: Option<&Json>,
+    segments: &[&str],
+    path: String,
+    rule: &DriftRule,
+    out: &mut Vec<String>,
+) {
+    let Some((&segment, rest)) = segments.split_first() else {
+        match (base.as_num(), cur.and_then(Json::as_num)) {
+            (None, _) => out.push(format!("baseline field '{path}' is not a number")),
+            (_, None) => out.push(format!("'{path}' is missing from this run")),
+            (Some(b), Some(c)) => {
+                let diff = (c - b).abs();
+                if diff > rule.floor && diff > rule.tol * b.abs().max(c.abs()) {
+                    out.push(format!(
+                        "'{path}' drifted: {c:.4} vs baseline {b:.4} (tol {:.0}%)",
+                        rule.tol * 100.0
+                    ));
+                }
+            }
+        }
+        return;
+    };
+    let keys: Vec<String> = match (segment, base) {
+        ("*", Json::Arr(items)) => (0..items.len()).map(|i| i.to_string()).collect(),
+        ("*", Json::Obj(members)) => members.keys().cloned().collect(),
+        _ => vec![segment.to_string()],
+    };
+    for key in keys {
+        let at = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
+        match child(base, &key) {
+            Some(b) => drift_walk(b, cur.and_then(|c| child(c, &key)), rest, at, rule, out),
+            None => out.push(format!("baseline missing field '{at}'")),
+        }
+    }
+}
+
+fn child<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
+    match v {
+        Json::Arr(items) => items.get(key.parse::<usize>().ok()?),
+        _ => v.get(key),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -453,5 +691,166 @@ mod tests {
         let s = "line1\nline2\t\"quoted\" \\slash\u{0001}";
         let parsed = Json::parse(&format!("\"{}\"", escape(s))).unwrap();
         assert_eq!(parsed, Json::Str(s.into()));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        assert!(Json::parse(&"[".repeat(100_000)).unwrap_err().contains("nested deeper"));
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deep).is_ok());
+    }
+
+    fn sample() -> Obj {
+        Obj::new()
+            .field("name", "quo\"te\n\u{1}")
+            .field("gate", Obj::new().field("speedup", 2.5).field("rate", Value::Exact(0.05)))
+            .array("points", [Obj::new().field("qd", 1u64).array("util", [0.25, f64::NAN])])
+            .array("none", Vec::<u64>::new())
+            .field("last", Value::Int(-3))
+    }
+
+    #[test]
+    fn one_layout_root_members_and_root_array_elements_per_line() {
+        let expected = concat!(
+            "{\n",
+            "  \"name\": \"quo\\\"te\\n\\u0001\",\n",
+            "  \"gate\": {\"speedup\": 2.5000, \"rate\": 0.05},\n",
+            "  \"points\": [\n",
+            "    {\"qd\": 1, \"util\": [0.2500, null]}\n",
+            "  ],\n",
+            "  \"none\": [],\n",
+            "  \"last\": -3\n",
+            "}\n",
+        );
+        assert_eq!(sample().render(), expected);
+        let parsed = Json::parse(expected).unwrap();
+        assert_eq!(parsed.get("name").and_then(Json::as_str), Some("quo\"te\n\u{1}"));
+    }
+
+    #[test]
+    fn a_non_finite_number_is_null_and_named() {
+        assert_eq!(sample().non_finite(), ["'points.0.util.1' is not finite (written as null)"]);
+    }
+
+    #[test]
+    fn drift_compares_the_ruled_leaves_only() {
+        let doc = |scale: &str, speedup: f64, vaf: f64, noise: u64| {
+            Obj::new()
+                .field("scale", scale)
+                .field("gate", Obj::new().field("speedup", speedup))
+                .array("rows", [Obj::new().field("vaf", 1.0), Obj::new().field("vaf", vaf)])
+                .field("noise", noise)
+                .render()
+        };
+        let rules = [
+            DriftRule { path: "gate.speedup", tol: 0.1, floor: 0.05 },
+            DriftRule { path: "rows.*.vaf", tol: 0.0, floor: 0.01 },
+        ];
+        let base = doc("smoke", 2.0, 0.5, 1);
+        assert_eq!(drift(&base, &doc("smoke", 2.1, 0.505, 99), &rules), Vec::<String>::new());
+        let moved = drift(&base, &doc("smoke", 3.0, 0.6, 1), &rules);
+        assert_eq!(moved.len(), 2, "{moved:?}");
+        assert!(moved[0].contains("'gate.speedup' drifted") && moved[1].contains("'rows.1.vaf'"));
+        // Another scale's baseline is skipped; a corrupt one is a violation.
+        assert!(drift(&base, &doc("full", 3.0, 0.6, 1), &rules).is_empty());
+        assert_eq!(drift("{not json", &base, &rules).len(), 1);
+        // A ruled leaf missing on either side is reported, not skipped.
+        let bare = Obj::new().field("scale", "smoke").render();
+        assert!(drift(&base, &bare, &rules).iter().all(|m| m.contains("missing from this run")));
+        assert!(drift(&bare, &base, &rules)[0].contains("baseline missing field 'gate'"));
+    }
+
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    fn arbitrary_string(rng: &mut Xorshift) -> String {
+        const PALETTE: [char; 12] =
+            ['a', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{7f}', 'é', '你', '\u{10348}'];
+        (0..rng.below(6)).map(|_| PALETTE[rng.below(12) as usize]).collect()
+    }
+
+    /// An object drawn from `rng`, and what parsing its rendering must
+    /// yield (a repeated key keeps its last value; a `Fixed` float comes
+    /// back at the four decimals it was written with).
+    fn arbitrary_object(rng: &mut Xorshift, depth: u32) -> (Obj, Json) {
+        let (mut obj, mut parsed) = (Obj::new(), BTreeMap::new());
+        for _ in 0..rng.below(5) {
+            let key = arbitrary_string(rng);
+            let (value, json) = arbitrary_value(rng, depth);
+            obj = obj.field(&key, value);
+            parsed.insert(key, json);
+        }
+        (obj, Json::Obj(parsed))
+    }
+
+    fn arbitrary_value(rng: &mut Xorshift, depth: u32) -> (Value, Json) {
+        match rng.below(if depth == 0 { 7 } else { 9 }) {
+            0 => (Value::Exact(f64::NAN), Json::Null),
+            1 => (Value::Bool(true), Json::Bool(true)),
+            2 => {
+                let n = [0, 1 << 53, u64::MAX, rng.below(u64::MAX)][rng.below(4) as usize];
+                (Value::Uint(n), Json::Uint(n))
+            }
+            3 => {
+                let n =
+                    [i64::MIN, -1, rng.below(u64::MAX) as i64 | i64::MIN][rng.below(3) as usize];
+                (Value::Int(n), Json::Int(n))
+            }
+            4 | 5 => {
+                let v = f64::from_bits(rng.below(u64::MAX));
+                let v = if v.is_finite() { v } else { 0.5 };
+                if rng.below(2) == 0 {
+                    (Value::Exact(v), Json::Num(v))
+                } else {
+                    (Value::Fixed(v), Json::Num(format!("{v:.4}").parse().unwrap()))
+                }
+            }
+            6 => {
+                let s = arbitrary_string(rng);
+                (Value::Str(s.clone()), Json::Str(s))
+            }
+            7 => {
+                let n = rng.below(4);
+                let (values, parsed) = (0..n).map(|_| arbitrary_value(rng, depth - 1)).unzip();
+                (Value::Arr(values), Json::Arr(parsed))
+            }
+            _ => {
+                let (obj, parsed) = arbitrary_object(rng, depth - 1);
+                (Value::Obj(obj), parsed)
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn what_is_written_parses_back_to_itself(seed in any::<u64>()) {
+            let (doc, expected) = arbitrary_object(&mut Xorshift(seed | 1), 3);
+            prop_assert_eq!(Json::parse(&doc.render()), Ok(expected));
+        }
+
+        #[test]
+        fn parse_never_panics_on_hostile_text(
+            seed in any::<u64>(),
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            cut in any::<usize>(),
+            at in any::<usize>(),
+            with in any::<u8>(),
+        ) {
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+            // A written document, truncated, then with one byte replaced.
+            let mut text = arbitrary_object(&mut Xorshift(seed | 1), 3).0.render().into_bytes();
+            let _ = Json::parse(&String::from_utf8_lossy(&text[..cut % text.len()]));
+            let at = at % text.len();
+            text[at] = with;
+            let _ = Json::parse(&String::from_utf8_lossy(&text));
+        }
     }
 }

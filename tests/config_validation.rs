@@ -266,7 +266,7 @@ fn experiment_registry_accepts_every_gate_subcommand() {
     for name in ["scheduler", "trace", "report", "campaign", "chaos", "fleet", "anatomy"] {
         assert!(
             evanesco_bench::is_experiment_name(name),
-            "gate subcommand '{name}' missing from EXPERIMENT_NAMES"
+            "gate subcommand '{name}' missing from EXPERIMENTS"
         );
     }
     assert!(!evanesco_bench::is_experiment_name("schedular"), "typos must be rejected up front");

@@ -1,18 +1,26 @@
 //! Integration assertions on the reproduced paper results (smoke scale):
-//! every experiment generator runs, and the qualitative shapes of the
-//! evaluation hold end-to-end.
+//! every experiment generator runs and passes its own gate, and the
+//! qualitative shapes of the evaluation hold end-to-end.
 
 use evanesco_bench::experiments::system::run_matrix;
-use evanesco_bench::{run_experiment, Scale, EXPERIMENT_NAMES};
+use evanesco_bench::{run_experiment, Scale, EXPERIMENTS};
 use evanesco_ftl::SanitizePolicy;
+use evanesco_ssd::jsonlite::Json;
 
 #[test]
 fn every_experiment_generator_produces_output() {
     let scale = Scale::smoke();
-    for name in EXPERIMENT_NAMES {
-        let out = run_experiment(name, &scale);
-        assert!(out.len() > 80, "{name}: suspiciously short output:\n{out}");
-        assert!(out.contains("=="), "{name}: missing header");
+    for e in &EXPERIMENTS {
+        let name = e.name;
+        let out = (e.run)(&scale, "smoke");
+        assert!(out.text.len() > 80, "{name}: suspiciously short output:\n{}", out.text);
+        assert!(out.text.contains("=="), "{name}: missing header");
+        assert_eq!(out.violations, Vec::<String>::new(), "{name}: gate breached");
+        assert_eq!(e.gate.is_some(), out.artifact.is_some(), "{name}: gate without artifact");
+        if let Some((file, content)) = out.artifact {
+            assert!(e.gate.unwrap().starts_with(file), "{name}: --help names another file");
+            Json::parse(&content).unwrap_or_else(|err| panic!("{file} does not parse: {err}"));
+        }
     }
 }
 

@@ -127,6 +127,9 @@ fn chrome_export_validates_and_tracing_is_timing_neutral() {
 
     let mut plain = Emulator::new(cfg, SanitizePolicy::evanesco());
     plain.run_scheduled(&ops, 8);
+    // The disabled path's whole cost is one untaken branch per
+    // reservation: a bare run must not collect events at all.
+    assert!(plain.device().trace_events().is_empty(), "a bare run collected trace events");
 
     let mut traced = Emulator::new(cfg, SanitizePolicy::evanesco());
     traced.enable_gauges();
