@@ -210,8 +210,8 @@ fn run_cell(
             p50: t.latency.percentile(50.0),
             p99: t.latency.percentile(99.0),
             p999: t.latency.percentile(99.9),
-            vaf: t.vaf(),
-            insecure_ticks: t.insecure_ticks,
+            vaf: t.versions.vaf(),
+            insecure_ticks: t.versions.insecure_ticks,
         })
         .collect();
     Cell {

@@ -6,10 +6,9 @@
 //! * **scheduler** — the out-of-order throughput gate numbers (same
 //!   machinery as the `scheduler` subcommand);
 //! * **attribution** — for Mobile, MailServer and DBServer on the
-//!   baseline SSD, the live [`ExposureLedger`] Table-1 numbers side by
-//!   side with the offline [`VerTrace`] numbers from the *same* run
-//!   (attached through one observer [`Tee`]), plus retirement-path
-//!   counters and the exposure-window histogram summary;
+//!   baseline SSD, VerTrace's Table-1 numbers from the same replay Table 1
+//!   runs (`versioning::run_vertrace`), plus retirement-path counters and
+//!   the exposure-window histogram summary;
 //! * **timeseries + decisions** — a telemetry-enabled DBServer run on the
 //!   Evanesco SSD: windowed samples, peak invalid-secured gauge, and the
 //!   FTL decision-log level counts;
@@ -18,98 +17,48 @@
 //!
 //! The `report` subcommand of the `experiments` binary writes
 //! `BENCH_report.json`, checks the bundle's own invariants (neutrality,
-//! live-vs-offline agreement within [`MAX_LIVE_OFFLINE_REL_DIFF`], the
-//! paper's Table-1 orderings, the scheduler gate) and, when a checked-in
+//! the paper's Table-1 orderings, the scheduler gate) and, when a checked-in
 //! `BENCH_report.json` baseline exists at the same scale, gates numeric
 //! drift against it with per-field tolerances. Any violation exits 1.
 
-use crate::experiments::scheduler;
+use crate::experiments::{scheduler, versioning};
 use crate::scale::Scale;
-use evanesco_ftl::observer::Tee;
 use evanesco_ftl::{DecisionLevel, SanitizePolicy};
 use evanesco_nand::timing::Nanos;
 use evanesco_ssd::jsonlite::{DriftRule, Obj};
 use evanesco_ssd::Emulator;
 use evanesco_workloads::generate::generate;
-use evanesco_workloads::ledger::ExposureLedger;
-use evanesco_workloads::replay::{replay, replay_with};
-use evanesco_workloads::vertrace::{ClassStats, VerTrace};
+use evanesco_workloads::replay::replay;
 use evanesco_workloads::WorkloadSpec;
+use evanesco_workloads::{CauseCounts, ClassStats, ExposureHistogram};
 use std::fmt::Write as _;
-
-/// Largest tolerated relative disagreement between the live ledger and
-/// the offline VerTrace on any Table-1 field (the acceptance bar; the
-/// two share counting rules, so the observed value is 0).
-pub const MAX_LIVE_OFFLINE_REL_DIFF: f64 = 0.05;
 
 /// What `BENCH_report.json` may drift by against a checked-in baseline
 /// of the same scale (`jsonlite::drift`).
-pub const DRIFT_RULES: [DriftRule; 8] = [
+pub const DRIFT_RULES: [DriftRule; 7] = [
     DriftRule { path: "scheduler.speedup", tol: 0.15, floor: 0.05 },
     DriftRule { path: "scheduler.iops", tol: 0.15, floor: 1.0 },
     DriftRule { path: "timeseries.windows", tol: 0.25, floor: 2.0 },
     DriftRule { path: "timeseries.peak_invalid_secured", tol: 0.25, floor: 4.0 },
-    DriftRule { path: "live_offline_max_rel_diff", tol: 0.0, floor: 0.05 },
     DriftRule { path: "attribution.*.live.mv_vaf_avg", tol: 0.05, floor: 0.05 },
     DriftRule { path: "attribution.*.live.mv_tinsec_avg", tol: 0.05, floor: 0.05 },
     DriftRule { path: "attribution.*.live.uv_vaf_avg", tol: 0.05, floor: 0.05 },
 ];
 
-/// Live and offline Table-1 stats for one file class of one workload.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ClassPair {
-    /// From the live [`ExposureLedger`].
-    pub live: ClassStats,
-    /// From the offline [`VerTrace`], same run.
-    pub offline: ClassStats,
-}
-
-impl ClassPair {
-    /// Largest relative live-vs-offline difference across the class's
-    /// fields (1.0 when the file counts disagree).
-    pub fn max_rel_diff(&self) -> f64 {
-        if self.live.n_files != self.offline.n_files {
-            return 1.0;
-        }
-        [
-            (self.live.vaf_avg, self.offline.vaf_avg),
-            (self.live.vaf_max, self.offline.vaf_max),
-            (self.live.tinsec_avg, self.offline.tinsec_avg),
-            (self.live.tinsec_max, self.offline.tinsec_max),
-        ]
-        .iter()
-        .map(|&(a, b)| rel_diff(a, b))
-        .fold(0.0, f64::max)
-    }
-}
-
-/// Live attribution for one workload.
+/// Attribution for one workload: VerTrace's report on the baseline SSD.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadAttribution {
     /// Workload name (Table-2 spelling).
     pub workload: String,
     /// Uni-version files.
-    pub uv: ClassPair,
+    pub uv: ClassStats,
     /// Multi-version files.
-    pub mv: ClassPair,
-    /// Device-wide secured retirements by path `[host_update, trim,
-    /// gc_copy]`.
-    pub causes_secured: [u64; 3],
-    /// The exposed (not sanitized at invalidation) subset.
-    pub causes_exposed: [u64; 3],
-    /// Mean exposure window in ticks (MV + UV files).
-    pub exposure_mean_ticks: f64,
-    /// Fraction of zero-tick windows (sanitized on the spot).
-    pub exposure_zero_fraction: f64,
-    /// Largest exposure window in ticks.
-    pub exposure_max_ticks: u64,
-}
-
-impl WorkloadAttribution {
-    /// Largest live-vs-offline relative difference across both classes.
-    pub fn max_rel_diff(&self) -> f64 {
-        self.uv.max_rel_diff().max(self.mv.max_rel_diff())
-    }
+    pub mv: ClassStats,
+    /// Device-wide retirement paths (the report shows the secured and
+    /// exposed counts).
+    pub causes: CauseCounts,
+    /// Exposure windows of both classes.
+    pub exposure: ExposureHistogram,
 }
 
 /// The telemetry-enabled run's windowed-sample summary.
@@ -165,50 +114,20 @@ pub struct ReportBundle {
     /// Telemetry-on and telemetry-off runs produced identical simulated
     /// results.
     pub timing_neutral: bool,
-    /// Largest live-vs-offline relative difference across all workloads.
-    pub live_offline_max_rel_diff: f64,
 }
 
-/// Relative difference with a small absolute floor, so near-zero pairs
-/// don't explode.
-fn rel_diff(a: f64, b: f64) -> f64 {
-    let denom = a.abs().max(b.abs());
-    if denom < 1e-9 {
-        0.0
-    } else {
-        (a - b).abs() / denom
-    }
-}
-
-fn class_pair(live: &evanesco_workloads::ledger::ClassExposure, offline: &ClassStats) -> ClassPair {
-    ClassPair { live: live.stats, offline: *offline }
-}
-
-/// One baseline-SSD workload run with the ledger and VerTrace attached
-/// through a single [`Tee`] (shared run, so the comparison is apples to
-/// apples).
+/// One baseline-SSD workload, replayed exactly as Table 1 replays it.
 fn run_attribution(scale: &Scale, spec: &WorkloadSpec) -> WorkloadAttribution {
-    let mut cfg = scale.ssd_config();
-    cfg.track_tags = false;
-    let mut ssd = Emulator::new(cfg, SanitizePolicy::none());
-    let logical = ssd.logical_pages();
-    let trace = generate(spec, logical, scale.main_write_pages(logical), scale.seed);
-    let mut lg = ExposureLedger::new();
-    let mut vt = VerTrace::new();
-    replay_with(&mut ssd, &trace, &mut Tee(&mut lg, &mut vt));
-    let offline = vt.report(logical);
-    let live = lg.report(logical);
-    let mut exposure = live.uv.exposure;
-    exposure.absorb(&live.mv.exposure);
+    let (mut vt, logical) = versioning::run_vertrace(scale, spec, false);
+    let r = vt.report(logical);
+    let mut exposure = r.uv.exposure;
+    exposure.absorb(&r.mv.exposure);
     WorkloadAttribution {
         workload: spec.name.to_string(),
-        uv: class_pair(&live.uv, &offline.uv),
-        mv: class_pair(&live.mv, &offline.mv),
-        causes_secured: live.device_causes.secured,
-        causes_exposed: live.device_causes.exposed,
-        exposure_mean_ticks: exposure.mean(),
-        exposure_zero_fraction: exposure.zero_fraction(),
-        exposure_max_ticks: exposure.max,
+        uv: r.uv,
+        mv: r.mv,
+        causes: r.device_causes,
+        exposure,
     }
 }
 
@@ -223,16 +142,13 @@ pub fn run(scale: &Scale, scale_name: &str) -> ReportBundle {
             .iter()
             .map(|spec| run_attribution(scale, spec))
             .collect();
-    let live_offline_max_rel_diff =
-        attribution.iter().map(|a| a.max_rel_diff()).fold(0.0, f64::max);
     let mv_vaf_exceeds_uv = attribution
         .iter()
-        .filter(|a| a.uv.live.n_files > 0 && a.mv.live.n_files > 0)
-        .all(|a| a.mv.live.vaf_avg >= a.uv.live.vaf_avg);
+        .filter(|a| a.uv.n_files > 0 && a.mv.n_files > 0)
+        .all(|a| a.mv.vaf_avg >= a.uv.vaf_avg);
     let db = attribution.iter().find(|a| a.workload == "DBServer");
     let dbserver_mv_vaf_largest = db.is_some_and(|db| {
-        attribution.iter().all(|a| db.mv.live.vaf_avg >= a.mv.live.vaf_avg)
-            && db.mv.live.vaf_avg > 0.0
+        attribution.iter().all(|a| db.mv.vaf_avg >= a.mv.vaf_avg) && db.mv.vaf_avg > 0.0
     });
 
     // Telemetry-enabled DBServer run on the Evanesco SSD, and the same
@@ -297,7 +213,6 @@ pub fn run(scale: &Scale, scale_name: &str) -> ReportBundle {
         timeseries,
         decisions,
         timing_neutral,
-        live_offline_max_rel_diff,
     }
 }
 
@@ -315,12 +230,6 @@ impl ReportBundle {
                 scheduler::GATE_QD,
                 self.scheduler_speedup,
                 scheduler::GATE_MIN_SPEEDUP
-            ));
-        }
-        if self.live_offline_max_rel_diff > MAX_LIVE_OFFLINE_REL_DIFF {
-            v.push(format!(
-                "live ledger disagrees with offline VerTrace: max rel diff {:.4} > {:.2}",
-                self.live_offline_max_rel_diff, MAX_LIVE_OFFLINE_REL_DIFF
             ));
         }
         if !self.mv_vaf_exceeds_uv {
@@ -351,25 +260,15 @@ impl ReportBundle {
             if self.scheduler_pass { "PASS" } else { "FAIL" },
         )
         .unwrap();
-        writeln!(out, "\nattribution (live ledger | offline VerTrace, baseline SSD):").unwrap();
-        writeln!(
-            out,
-            "{:<12} {:>5} | {:>9} {:>9} {:>9} {:>9} | {:>8}",
-            "workload", "class", "vaf_avg", "(offl)", "tins_avg", "(offl)", "rel_diff"
-        )
-        .unwrap();
+        writeln!(out, "\nattribution (VerTrace, baseline SSD):").unwrap();
+        writeln!(out, "{:<12} {:>5} | {:>9} {:>9}", "workload", "class", "vaf_avg", "tins_avg")
+            .unwrap();
         for a in &self.attribution {
-            for (class, pair) in [("UV", &a.uv), ("MV", &a.mv)] {
+            for (class, c) in [("UV", &a.uv), ("MV", &a.mv)] {
                 writeln!(
                     out,
-                    "{:<12} {:>5} | {:>9.3} {:>9.3} {:>9.3} {:>9.3} | {:>8.4}",
-                    a.workload,
-                    class,
-                    pair.live.vaf_avg,
-                    pair.offline.vaf_avg,
-                    pair.live.tinsec_avg,
-                    pair.offline.tinsec_avg,
-                    pair.max_rel_diff(),
+                    "{:<12} {:>5} | {:>9.3} {:>9.3}",
+                    a.workload, class, c.vaf_avg, c.tinsec_avg,
                 )
                 .unwrap();
             }
@@ -378,11 +277,11 @@ impl ReportBundle {
                 "{:<12} paths: secured {:?} exposed {:?}; exposure mean {:.1} ticks, \
                  zero {:.0}%, max {}",
                 "",
-                a.causes_secured,
-                a.causes_exposed,
-                a.exposure_mean_ticks,
-                a.exposure_zero_fraction * 100.0,
-                a.exposure_max_ticks,
+                a.causes.secured,
+                a.causes.exposed,
+                a.exposure.mean(),
+                a.exposure.zero_fraction() * 100.0,
+                a.exposure.max,
             )
             .unwrap();
         }
@@ -409,12 +308,7 @@ impl ReportBundle {
             self.decisions.info, self.decisions.warn, self.decisions.error, self.decisions.dropped,
         )
         .unwrap();
-        writeln!(
-            out,
-            "timing-neutral: {}; live-vs-offline max rel diff: {:.4}",
-            self.timing_neutral, self.live_offline_max_rel_diff,
-        )
-        .unwrap();
+        writeln!(out, "timing-neutral: {}", self.timing_neutral).unwrap();
         out
     }
 
@@ -429,26 +323,22 @@ impl ReportBundle {
         };
         let attribution = self.attribution.iter().map(|a| {
             let live = Obj::new()
-                .field("uv", class(&a.uv.live))
-                .field("mv", class(&a.mv.live))
-                .field("uv_vaf_avg", a.uv.live.vaf_avg)
-                .field("mv_vaf_avg", a.mv.live.vaf_avg)
-                .field("mv_tinsec_avg", a.mv.live.tinsec_avg);
-            let offline =
-                Obj::new().field("uv", class(&a.uv.offline)).field("mv", class(&a.mv.offline));
+                .field("uv", class(&a.uv))
+                .field("mv", class(&a.mv))
+                .field("uv_vaf_avg", a.uv.vaf_avg)
+                .field("mv_vaf_avg", a.mv.vaf_avg)
+                .field("mv_tinsec_avg", a.mv.tinsec_avg);
             let causes =
-                Obj::new().array("secured", a.causes_secured).array("exposed", a.causes_exposed);
+                Obj::new().array("secured", a.causes.secured).array("exposed", a.causes.exposed);
             let exposure = Obj::new()
-                .field("mean_ticks", a.exposure_mean_ticks)
-                .field("zero_fraction", a.exposure_zero_fraction)
-                .field("max_ticks", a.exposure_max_ticks);
+                .field("mean_ticks", a.exposure.mean())
+                .field("zero_fraction", a.exposure.zero_fraction())
+                .field("max_ticks", a.exposure.max);
             Obj::new()
                 .field("workload", &a.workload)
                 .field("live", live)
-                .field("offline", offline)
                 .field("causes", causes)
                 .field("exposure", exposure)
-                .field("max_rel_diff", a.max_rel_diff())
         });
         let scheduler = Obj::new()
             .field("gate_qd", scheduler::GATE_QD)
@@ -478,7 +368,6 @@ impl ReportBundle {
             .field("timeseries", timeseries)
             .field("decisions", decisions)
             .field("timing_neutral", self.timing_neutral)
-            .field("live_offline_max_rel_diff", self.live_offline_max_rel_diff)
     }
 
     /// Machine-readable JSON (`BENCH_report.json`).
@@ -496,13 +385,6 @@ mod tests {
     fn smoke_bundle_is_healthy() {
         let b = run(&Scale::smoke(), "smoke");
         assert!(b.timing_neutral, "telemetry changed simulated results");
-        // Identical counting rules; only float summation order (HashMap
-        // iteration) separates the two.
-        assert!(
-            b.live_offline_max_rel_diff < 1e-9,
-            "ledger must match VerTrace: {}",
-            b.live_offline_max_rel_diff
-        );
         assert!(b.mv_vaf_exceeds_uv && b.dbserver_mv_vaf_largest, "Table-1 orderings broken");
         assert!(b.timeseries.windows > 0);
         assert!(b.decisions.info + b.decisions.warn + b.decisions.error > 0);

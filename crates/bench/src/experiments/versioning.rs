@@ -12,8 +12,9 @@ use evanesco_workloads::vertrace::{VerTrace, VerTraceReport};
 use evanesco_workloads::WorkloadSpec;
 use std::fmt::Write;
 
-/// Runs one workload on the baseline SSD with VerTrace attached.
-fn run_vertrace(scale: &Scale, spec: &WorkloadSpec, timelines: bool) -> (VerTrace, u64) {
+/// Runs one workload on the baseline SSD with VerTrace attached (Table 1,
+/// Figure 4 and the `report` attribution rows all start here).
+pub(crate) fn run_vertrace(scale: &Scale, spec: &WorkloadSpec, timelines: bool) -> (VerTrace, u64) {
     let mut cfg = scale.ssd_config();
     cfg.track_tags = false;
     let mut ssd = Emulator::new(cfg, SanitizePolicy::none());
@@ -96,9 +97,9 @@ pub fn fig4(scale: &Scale) -> String {
         writeln!(
             out,
             "  file {id}: max_valid {}  max_invalid {}  VAF {:.2}",
-            stats.max_valid,
-            stats.max_invalid,
-            stats.vaf()
+            stats.versions.max_valid,
+            stats.versions.max_invalid,
+            stats.versions.vaf()
         )
         .unwrap();
         writeln!(out, "  {:>12} {:>10} {:>10}", "tick", "N_valid", "N_invalid").unwrap();

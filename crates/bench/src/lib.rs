@@ -126,9 +126,8 @@ pub const EXPERIMENTS: [Experiment; 28] = [
         drift: &report::DRIFT_RULES,
         ..gated(
             "report",
-            "BENCH_report.json; fails on a timing-neutrality violation, live-vs-offline \
-             attribution disagreement, broken Table-1 ordering, or numeric drift against the \
-             checked-in same-scale baseline",
+            "BENCH_report.json; fails on a timing-neutrality violation, broken Table-1 \
+             ordering, or numeric drift against the checked-in same-scale baseline",
             bench!(report, "BENCH_report.json"),
         )
     },

@@ -21,7 +21,7 @@ use crate::config::FleetConfig;
 use crate::qos::admission_order;
 use evanesco_nand::timing::Nanos;
 use evanesco_ssd::metrics::LatencyHistogram;
-use evanesco_ssd::{Emulator, GaugeSnapshot, HostOp, OpResult, Stage};
+use evanesco_ssd::{Emulator, GaugeSnapshot, HostOp, OpResult, Stage, VersionCounts};
 use evanesco_workloads::{generate_device, TenantOp};
 
 /// One tenant's share of one device's run.
@@ -71,7 +71,7 @@ pub struct DeviceResult {
 }
 
 /// One tenant aggregated across the whole fleet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantFleetStats {
     /// Tenant name (from the traffic profile).
     pub name: String,
@@ -81,12 +81,9 @@ pub struct TenantFleetStats {
     pub pages: u64,
     /// Fleet-wide latency distribution (per-device histograms merged).
     pub latency: LatencyHistogram,
-    /// Sum of per-device peak valid secured pages.
-    pub max_valid: u64,
-    /// Sum of per-device peak invalid (exposed) secured pages.
-    pub max_invalid: u64,
-    /// Sum of per-device insecure ticks.
-    pub insecure_ticks: u64,
+    /// Per-device secured-page counts, peaks and insecure ticks, summed
+    /// (so `versions.vaf()` is the fleet-wide VAF).
+    pub versions: VersionCounts,
     /// Secured invalidations sanitized immediately, fleet-wide.
     pub sanitized_immediately: u64,
     /// Exposed pages finally destroyed by an erase, fleet-wide.
@@ -98,26 +95,6 @@ pub struct TenantFleetStats {
     pub tail_blame: [Nanos; Stage::COUNT],
     /// Requests counted into [`TenantFleetStats::tail_blame`].
     pub tail_requests: u64,
-}
-
-impl TenantFleetStats {
-    /// Fleet-wide version amplification factor.
-    pub fn vaf(&self) -> f64 {
-        if self.max_valid == 0 {
-            0.0
-        } else {
-            self.max_invalid as f64 / self.max_valid as f64
-        }
-    }
-
-    /// Fleet-wide T_insecure normalized by total capacity written.
-    pub fn t_insecure(&self, capacity_pages: u64) -> f64 {
-        if capacity_pages == 0 {
-            0.0
-        } else {
-            self.insecure_ticks as f64 / capacity_pages as f64
-        }
-    }
 }
 
 /// The whole fleet's run.
@@ -320,20 +297,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         .traffic
         .tenants
         .iter()
-        .map(|t| TenantFleetStats {
-            name: t.name.clone(),
-            requests: 0,
-            pages: 0,
-            latency: LatencyHistogram::new(),
-            max_valid: 0,
-            max_invalid: 0,
-            insecure_ticks: 0,
-            sanitized_immediately: 0,
-            exposed_then_erased: 0,
-            blame: [Nanos::ZERO; Stage::COUNT],
-            tail_blame: [Nanos::ZERO; Stage::COUNT],
-            tail_requests: 0,
-        })
+        .map(|t| TenantFleetStats { name: t.name.clone(), ..TenantFleetStats::default() })
         .collect();
     let mut fleet_digest = FNV_OFFSET;
     for d in &devices {
@@ -342,9 +306,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             agg.requests += dev.requests;
             agg.pages += dev.pages;
             agg.latency.merge(&dev.latency);
-            agg.max_valid += dev.gauges.max_valid;
-            agg.max_invalid += dev.gauges.max_invalid;
-            agg.insecure_ticks += dev.gauges.insecure_ticks;
+            agg.versions.add(&dev.gauges);
             agg.sanitized_immediately += dev.gauges.sanitized_immediately;
             agg.exposed_then_erased += dev.gauges.exposed_then_erased;
             for (a, b) in agg.blame.iter_mut().zip(dev.blame) {

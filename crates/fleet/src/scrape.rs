@@ -75,8 +75,8 @@ pub fn render_fleet(cfg: &FleetConfig, report: &FleetReport) -> String {
                 t.latency.percentile(p).as_secs_f64(),
             );
         }
-        vaf.sample_f(&labels, t.vaf());
-        exposed.sample_u(&labels, t.insecure_ticks);
+        vaf.sample_f(&labels, t.versions.vaf());
+        exposed.sample_u(&labels, t.versions.insecure_ticks);
         if cfg.anatomy {
             for s in Stage::ALL {
                 let labels =

@@ -53,7 +53,7 @@ fn shard_count_leaves_no_trace_in_any_tenants_exposure_gauges() {
             run_fleet(&cfg)
         };
         let base = with(1);
-        let exposed: u64 = base.tenants.iter().map(|t| t.max_invalid).sum();
+        let exposed: u64 = base.tenants.iter().map(|t| t.versions.max_invalid).sum();
         assert_eq!(exposed > 0, policy == SanitizePolicy::none(), "{policy:?}: {exposed} exposed");
         for shards in [2, 4] {
             let sharded = with(shards);

@@ -7,7 +7,7 @@ use evanesco_nand::geometry::BlockId;
 
 /// Why a physical page was invalidated — the path that retired it.
 ///
-/// Attribution by retirement path is what lets the exposure ledger split
+/// Attribution by retirement path is what lets VerTrace split
 /// VAF / T_insecure contributions between host-driven updates, explicit
 /// deletes, and background GC movement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

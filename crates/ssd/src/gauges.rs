@@ -58,22 +58,34 @@ impl GaugeSnapshot {
     }
 }
 
-/// One owner's exposure counters (everything a [`GaugeSnapshot`] reports
-/// except the shared logical clock).
-#[derive(Debug, Clone, Default)]
-struct Exposure {
-    valid: u64,
-    invalid: u64,
-    max_valid: u64,
-    max_invalid: u64,
-    insecure_ticks: u64,
+/// One owner's page-version counts — the paper's §3 rule, kept in one
+/// place: `N_valid` and `N_invalid` now, their peaks, and the logical time
+/// spent with `N_invalid > 0` (T_insecure before normalization). The owner
+/// is a device ([`LiveGauges`]), a tenant (the fleet's totals) or a file
+/// (VerTrace in `evanesco-workloads`): the caller moves `valid` /
+/// `invalid`, and [`VersionCounts::note_change`] keeps the peaks and the
+/// insecure interval in step.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VersionCounts {
+    /// Valid (live) pages now.
+    pub valid: u64,
+    /// Invalid pages still physically recoverable now.
+    pub invalid: u64,
+    /// Peak of `valid`.
+    pub max_valid: u64,
+    /// Peak of `invalid`.
+    pub max_invalid: u64,
+    /// Ticks with `invalid > 0` in closed intervals (the open one is added
+    /// by [`VersionCounts::insecure_ticks_at`] and
+    /// [`VersionCounts::close`]).
+    pub insecure_ticks: u64,
     insecure_since: Option<u64>,
-    sanitized_immediately: u64,
-    exposed_then_erased: u64,
 }
 
-impl Exposure {
-    fn note_change(&mut self, tick: u64) {
+impl VersionCounts {
+    /// Folds a change of `valid` / `invalid` made at `tick` into the peaks
+    /// and the insecure interval.
+    pub fn note_change(&mut self, tick: u64) {
         self.max_valid = self.max_valid.max(self.valid);
         self.max_invalid = self.max_invalid.max(self.invalid);
         match (self.invalid > 0, self.insecure_since) {
@@ -86,22 +98,113 @@ impl Exposure {
         }
     }
 
+    /// Insecure ticks up to `tick`, the open interval included.
+    pub fn insecure_ticks_at(&self, tick: u64) -> u64 {
+        self.insecure_ticks + self.insecure_since.map_or(0, |since| tick - since)
+    }
+
+    /// Closes the open insecure interval at `tick` (the end of a run).
+    pub fn close(&mut self, tick: u64) {
+        if let Some(since) = self.insecure_since.take() {
+            self.insecure_ticks += tick - since;
+        }
+    }
+
+    /// Version amplification factor, `max_invalid / max_valid` (0 before
+    /// any page was valid).
+    pub fn vaf(&self) -> f64 {
+        if self.max_valid == 0 {
+            0.0
+        } else {
+            self.max_invalid as f64 / self.max_valid as f64
+        }
+    }
+
+    /// Adds one device's gauges to a running total: the fleet sums its
+    /// tenants' per-device counts, peaks and insecure ticks.
+    pub fn add(&mut self, s: &GaugeSnapshot) {
+        self.valid += s.valid_secured;
+        self.invalid += s.invalid_secured;
+        self.max_valid += s.max_valid;
+        self.max_invalid += s.max_invalid;
+        self.insecure_ticks += s.insecure_ticks;
+    }
+
+    /// Writes the five counters. The open interval goes separately
+    /// ([`VersionCounts::encode_open`]): each checkpoint section puts its
+    /// own fields between the two.
+    pub fn encode(&self, e: &mut evanesco_nand::snapshot::Enc) {
+        for v in [self.valid, self.invalid, self.max_valid, self.max_invalid, self.insecure_ticks] {
+            e.u64(v);
+        }
+    }
+
+    /// Reads what [`VersionCounts::encode`] wrote; no interval is open.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncation.
+    pub fn decode(
+        d: &mut evanesco_nand::snapshot::Dec<'_>,
+    ) -> Result<Self, evanesco_nand::snapshot::SnapshotError> {
+        Ok(VersionCounts {
+            valid: d.u64()?,
+            invalid: d.u64()?,
+            max_valid: d.u64()?,
+            max_invalid: d.u64()?,
+            insecure_ticks: d.u64()?,
+            insecure_since: None,
+        })
+    }
+
+    /// Writes the open insecure interval.
+    pub fn encode_open(&self, e: &mut evanesco_nand::snapshot::Enc) {
+        e.opt(&self.insecure_since, |e, &t| e.u64(t));
+    }
+
+    /// Reads what [`VersionCounts::encode_open`] wrote, in a stream whose
+    /// logical clock reads `tick`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncation, and on an interval that opens after `tick`.
+    pub fn decode_open(
+        &mut self,
+        d: &mut evanesco_nand::snapshot::Dec<'_>,
+        tick: u64,
+    ) -> Result<(), evanesco_nand::snapshot::SnapshotError> {
+        self.insecure_since = d.opt(|d| d.u64())?;
+        match self.insecure_since {
+            Some(since) if since > tick => Err(evanesco_nand::snapshot::SnapshotError::Corrupt(
+                format!("insecure interval opens at tick {since}, after the clock's {tick}"),
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// One owner's exposure counters (everything a [`GaugeSnapshot`] reports
+/// except the shared logical clock).
+#[derive(Debug, Clone, Default)]
+struct Exposure {
+    versions: VersionCounts,
+    sanitized_immediately: u64,
+    exposed_then_erased: u64,
+}
+
+impl Exposure {
     fn snapshot(&self, tick: u64) -> GaugeSnapshot {
-        let open = self.insecure_since.map_or(0, |since| tick - since);
+        let v = &self.versions;
         GaugeSnapshot {
             tick,
-            valid_secured: self.valid,
-            invalid_secured: self.invalid,
-            max_valid: self.max_valid,
-            max_invalid: self.max_invalid,
-            insecure_ticks: self.insecure_ticks + open,
+            valid_secured: v.valid,
+            invalid_secured: v.invalid,
+            max_valid: v.max_valid,
+            max_invalid: v.max_invalid,
+            insecure_ticks: v.insecure_ticks_at(tick),
             sanitized_immediately: self.sanitized_immediately,
             exposed_then_erased: self.exposed_then_erased,
-            vaf: if self.max_valid == 0 {
-                0.0
-            } else {
-                self.max_invalid as f64 / self.max_valid as f64
-            },
+            vaf: v.vaf(),
         }
     }
 }
@@ -218,7 +321,7 @@ impl ExposureTable {
             // rewrite after a lost erase event) hands it to the new
             // owner, never double-counts.
             state => {
-                let was = &mut self.owners[(prev >> 2) as usize];
+                let was = &mut self.owners[(prev >> 2) as usize].versions;
                 if state == LIVE {
                     was.valid -= 1;
                 } else {
@@ -229,7 +332,7 @@ impl ExposureTable {
         }
         self.blocks[b].present = true;
         self.cells[i] = LIVE | (owner as u8) << 2;
-        let now = &mut self.owners[owner];
+        let now = &mut self.owners[owner].versions;
         now.valid += 1;
         now.note_change(self.tick);
     }
@@ -246,7 +349,7 @@ impl ExposureTable {
         }
         let o = &mut self.owners[(cell >> 2) as usize];
         if cell & STATE == LIVE {
-            o.valid -= 1;
+            o.versions.valid -= 1;
         }
         if sanitized {
             self.cells[i] = UNTRACKED;
@@ -254,9 +357,9 @@ impl ExposureTable {
             o.sanitized_immediately += 1;
         } else {
             self.cells[i] = (cell & !STATE) | EXPOSED;
-            o.invalid += 1;
+            o.versions.invalid += 1;
         }
-        o.note_change(self.tick);
+        o.versions.note_change(self.tick);
     }
 
     /// A block was erased: one pass over its cells settles every owner.
@@ -272,9 +375,9 @@ impl ExposureTable {
                 let o = &mut self.owners[(*cell >> 2) as usize];
                 match *cell & STATE {
                     UNTRACKED => continue,
-                    LIVE => o.valid = o.valid.saturating_sub(1),
+                    LIVE => o.versions.valid = o.versions.valid.saturating_sub(1),
                     _ => {
-                        o.invalid = o.invalid.saturating_sub(1);
+                        o.versions.invalid = o.versions.invalid.saturating_sub(1);
                         o.exposed_then_erased += 1;
                     }
                 }
@@ -282,7 +385,7 @@ impl ExposureTable {
             }
         }
         for o in &mut self.owners {
-            o.note_change(self.tick);
+            o.versions.note_change(self.tick);
         }
     }
 
@@ -324,12 +427,8 @@ impl LiveGauges {
         let o = &t.owners[0];
         e.tag(0x40);
         e.u64(t.tick);
-        e.u64(o.valid);
-        e.u64(o.invalid);
-        e.u64(o.max_valid);
-        e.u64(o.max_invalid);
-        e.u64(o.insecure_ticks);
-        e.opt(&o.insecure_since, |e, &t| e.u64(t));
+        o.versions.encode(e);
+        o.versions.encode_open(e);
         e.u64(o.sanitized_immediately);
         e.u64(o.exposed_then_erased);
         e.usize(t.blocks.iter().filter(|b| b.present).count());
@@ -367,12 +466,8 @@ impl LiveGauges {
         let mut t = ExposureTable::new(cfg, 1);
         t.tick = d.u64()?;
         let o = &mut t.owners[0];
-        o.valid = d.u64()?;
-        o.invalid = d.u64()?;
-        o.max_valid = d.u64()?;
-        o.max_invalid = d.u64()?;
-        o.insecure_ticks = d.u64()?;
-        o.insecure_since = d.opt(|d| d.u64())?;
+        o.versions = VersionCounts::decode(d)?;
+        o.versions.decode_open(d, t.tick)?;
         o.sanitized_immediately = d.u64()?;
         o.exposed_then_erased = d.u64()?;
         let (mut live, mut exposed) = (0u64, 0u64);
@@ -415,7 +510,7 @@ impl LiveGauges {
         }
         // Every live page is counted valid exactly once; an exposed page
         // at least once (`invalid` also keeps pages sanitized later).
-        let o = &t.owners[0];
+        let o = &t.owners[0].versions;
         if o.valid != live || o.invalid < exposed {
             return Err(corrupt(format!(
                 "counters ({} valid, {} invalid) disagree with the listed pages ({live} live, \
@@ -562,52 +657,28 @@ mod tests {
     // ---- The hash-map gauges this table replaced, kept as the ----
     // ---- differential reference (PR 14 / PR 16 style).         ----
 
+    /// Counts through the same [`Exposure`] (the Table-1 rule has one
+    /// home); the page population is the hash map the dense table replaced.
     #[derive(Debug, Clone, Default)]
     struct RefGauges {
         tick: u64,
-        valid: u64,
-        invalid: u64,
-        max_valid: u64,
-        max_invalid: u64,
-        insecure_ticks: u64,
-        insecure_since: Option<u64>,
-        sanitized_immediately: u64,
-        exposed_then_erased: u64,
+        exp: Exposure,
         /// `(chip, block)` → page → live?
         phys: HashMap<(usize, u32), HashMap<u32, bool>>,
     }
 
     impl RefGauges {
         fn snapshot(&self) -> GaugeSnapshot {
-            let open = self.insecure_since.map_or(0, |since| self.tick - since);
-            GaugeSnapshot {
-                tick: self.tick,
-                valid_secured: self.valid,
-                invalid_secured: self.invalid,
-                max_valid: self.max_valid,
-                max_invalid: self.max_invalid,
-                insecure_ticks: self.insecure_ticks + open,
-                sanitized_immediately: self.sanitized_immediately,
-                exposed_then_erased: self.exposed_then_erased,
-                vaf: if self.max_valid == 0 {
-                    0.0
-                } else {
-                    self.max_invalid as f64 / self.max_valid as f64
-                },
-            }
+            self.exp.snapshot(self.tick)
         }
 
         fn encode_state(&self, e: &mut Enc) {
             e.tag(0x40);
             e.u64(self.tick);
-            e.u64(self.valid);
-            e.u64(self.invalid);
-            e.u64(self.max_valid);
-            e.u64(self.max_invalid);
-            e.u64(self.insecure_ticks);
-            e.opt(&self.insecure_since, |e, &t| e.u64(t));
-            e.u64(self.sanitized_immediately);
-            e.u64(self.exposed_then_erased);
+            self.exp.versions.encode(e);
+            self.exp.versions.encode_open(e);
+            e.u64(self.exp.sanitized_immediately);
+            e.u64(self.exp.exposed_then_erased);
             let mut blocks: Vec<_> = self.phys.keys().copied().collect();
             blocks.sort_unstable();
             e.usize(blocks.len());
@@ -624,19 +695,6 @@ mod tests {
                 }
             }
         }
-
-        fn note_change(&mut self) {
-            self.max_valid = self.max_valid.max(self.valid);
-            self.max_invalid = self.max_invalid.max(self.invalid);
-            match (self.invalid > 0, self.insecure_since) {
-                (true, None) => self.insecure_since = Some(self.tick),
-                (false, Some(since)) => {
-                    self.insecure_ticks += self.tick - since;
-                    self.insecure_since = None;
-                }
-                _ => {}
-            }
-        }
     }
 
     impl FtlObserver for RefGauges {
@@ -646,15 +704,16 @@ mod tests {
             }
             let prev =
                 self.phys.entry((at.chip, at.ppa.block.0)).or_default().insert(at.ppa.page.0, true);
+            let v = &mut self.exp.versions;
             match prev {
-                None => self.valid += 1,
+                None => v.valid += 1,
                 Some(false) => {
-                    self.valid += 1;
-                    self.invalid = self.invalid.saturating_sub(1);
+                    v.valid += 1;
+                    v.invalid = v.invalid.saturating_sub(1);
                 }
                 Some(true) => {}
             }
-            self.note_change();
+            v.note_change(self.tick);
         }
 
         fn on_invalidate(
@@ -670,30 +729,32 @@ mod tests {
             let key = (at.chip, at.ppa.block.0);
             let Some(block) = self.phys.get_mut(&key) else { return };
             let Some(live) = block.get_mut(&at.ppa.page.0) else { return };
+            let v = &mut self.exp.versions;
             if *live {
                 *live = false;
-                self.valid -= 1;
+                v.valid -= 1;
             }
             if sanitized {
                 block.remove(&at.ppa.page.0);
-                self.sanitized_immediately += 1;
+                self.exp.sanitized_immediately += 1;
             } else {
-                self.invalid += 1;
+                v.invalid += 1;
             }
-            self.note_change();
+            v.note_change(self.tick);
         }
 
         fn on_erase(&mut self, chip: usize, block: BlockId) {
             let Some(entries) = self.phys.remove(&(chip, block.0)) else { return };
+            let v = &mut self.exp.versions;
             for live in entries.into_values() {
                 if live {
-                    self.valid = self.valid.saturating_sub(1);
+                    v.valid = v.valid.saturating_sub(1);
                 } else {
-                    self.invalid = self.invalid.saturating_sub(1);
-                    self.exposed_then_erased += 1;
+                    v.invalid = v.invalid.saturating_sub(1);
+                    self.exp.exposed_then_erased += 1;
                 }
             }
-            self.note_change();
+            v.note_change(self.tick);
         }
 
         fn on_host_tick(&mut self) {
@@ -1011,6 +1072,16 @@ mod tests {
         corrupt(&stream(1, 0, &[(0, 3, &[(0, true)])]), "outside the device");
         corrupt(&stream(1, 0, &[(0, 0, &[(6, true)])]), "outside the device");
         corrupt(&stream(1, 0, &[(0, 0, &[(u32::MAX, true)])]), "outside the device");
+    }
+
+    #[test]
+    fn an_insecure_interval_opening_after_the_clock_is_rejected() {
+        let mut e = Enc::new();
+        e.tag(0x40);
+        e.u64(2);
+        VersionCounts { invalid: 1, max_invalid: 1, ..VersionCounts::default() }.encode(&mut e);
+        e.opt(&Some(5u64), |e, &t| e.u64(t));
+        corrupt(&e.into_bytes(), "after the clock");
     }
 
     #[test]

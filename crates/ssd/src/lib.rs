@@ -56,7 +56,7 @@ pub use checkpoint::{
 pub use config::SsdConfig;
 pub use emulator::Emulator;
 pub use faultplan::FaultPlan;
-pub use gauges::{ExposureTable, GaugeSnapshot, LiveGauges};
+pub use gauges::{ExposureTable, GaugeSnapshot, LiveGauges, VersionCounts};
 pub use metrics::{LatencyBreakdown, RecoveryTotals, RunResult};
 pub use sched::{check_lpa_range, HostOp, OpResult, SchedRun, Scheduler, SubmitError};
 pub use timeseries::{TimeSeries, UtilWindow, WindowSample};

@@ -7,12 +7,11 @@
 //! * [`fs::FileModel`] + [`generate::generate`] — file-level trace
 //!   generation (create/append/overwrite/delete, prefill to 75 %
 //!   utilization, interleaved reads at the Table-2 ratios);
-//! * [`vertrace::VerTrace`] — the §3 data-versioning study: per-file
-//!   `N_valid`/`N_invalid` tracking, VAF and T_insecure metrics, UV/MV
-//!   classification (Table 1, Figure 4);
-//! * [`ledger::ExposureLedger`] — the *live* counterpart of VerTrace:
-//!   identical per-class accounting plus retirement-path attribution
-//!   (host update / trim / GC copy) and exposure-window histograms;
+//! * [`vertrace::VerTrace`] — the §3 data-versioning study, an FTL
+//!   observer riding the replay: per-file `N_valid`/`N_invalid` tracking,
+//!   VAF and T_insecure metrics, UV/MV classification (Table 1, Figure 4),
+//!   plus retirement-path attribution (host update / trim / GC copy) and
+//!   exposure-window histograms;
 //! * [`replay`] — drives a trace through the `evanesco-ssd` emulator with
 //!   measured-phase isolation;
 //! * [`tenants`] — open-loop multi-tenant fleet traffic (Zipf-distributed
@@ -39,7 +38,6 @@
 
 pub mod fs;
 pub mod generate;
-pub mod ledger;
 pub mod replay;
 pub mod serialize;
 pub mod spec;
@@ -47,8 +45,7 @@ pub mod tenants;
 pub mod trace;
 pub mod vertrace;
 
-pub use ledger::{CauseCounts, ClassExposure, ExposureHistogram, ExposureLedger, LedgerReport};
 pub use spec::WorkloadSpec;
 pub use tenants::{generate_device, generate_fleet, TenantOp, TenantProfile, TrafficConfig};
 pub use trace::{FileId, Trace, TraceOp};
-pub use vertrace::{VerTrace, VerTraceReport};
+pub use vertrace::{CauseCounts, ClassStats, ExposureHistogram, VerTrace, VerTraceReport};

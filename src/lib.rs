@@ -12,8 +12,9 @@
 //!   erase-based and scrubbing baselines);
 //! * [`ssd`] — the event-timed SSD emulator (channels × chips, metrics)
 //!   and a host file-system façade with `O_INSEC` semantics;
-//! * [`workloads`] — Table-2 trace generators and the VerTrace
-//!   data-versioning study.
+//! * [`workloads`] — Table-2 trace generators, the replayer, and VerTrace:
+//!   the data-versioning study (Table 1, Figure 4) with per-path exposure
+//!   attribution, as one FTL observer.
 //!
 //! ## Quickstart
 //!

@@ -14,7 +14,7 @@
 //!
 //! * every post-resume scheduled op result is identical at every queue
 //!   depth, across all five sanitization policies, with fault storms on;
-//! * the final [`RunResult`], Prometheus scrape, exposure-ledger report
+//! * the final [`RunResult`], Prometheus scrape, VerTrace report
 //!   and re-serialized checkpoint are identical;
 //! * the golden fixture under `tests/data/` keeps the on-disk format
 //!   honest, and damaged checkpoints (unknown version, truncation) fail
@@ -29,10 +29,9 @@ use evanesco::nand::snapshot::{Dec, Enc, SnapshotError};
 use evanesco::nand::timing::Nanos;
 use evanesco::ssd::{Emulator, HostOp, OpResult, SsdConfig};
 use evanesco::workloads::generate::generate;
-use evanesco::workloads::ledger::ExposureLedger;
 use evanesco::workloads::replay::apply;
 use evanesco::workloads::trace::TraceOp;
-use evanesco::workloads::WorkloadSpec;
+use evanesco::workloads::{VerTrace, WorkloadSpec};
 use proptest::prelude::*;
 
 /// Rejected design corners: Figure 9(d)'s (vi) leaks pages within years,
@@ -136,10 +135,10 @@ proptest! {
         prop_assert_eq!(a.attacker_recoverable_tags(), em.attacker_recoverable_tags());
     }
 
-    /// The same oracle at file level: a workload trace with the live
-    /// exposure ledger attached, cut anywhere (including inside the
-    /// prefill). Both the device checkpoint *and* the serialized ledger
-    /// cross the boundary; the final Table-1 report must not notice.
+    /// The same oracle at file level: a workload trace with VerTrace
+    /// attached, cut anywhere (including inside the prefill). Both the
+    /// device checkpoint *and* the serialized VerTrace cross the boundary;
+    /// the final Table-1 report must not notice.
     #[test]
     fn ledger_attribution_survives_a_mid_trace_resume(
         spec_i in 0usize..4,
@@ -164,15 +163,17 @@ proptest! {
 
         // Control arm.
         let mut a = device(cfg, policy);
-        let mut a_lg = ExposureLedger::new();
+        let mut a_lg = VerTrace::new();
         for op in &stream {
+            a_lg.note_op(op);
             apply(&mut a, &mut a_lg, op);
         }
 
-        // Resumed arm: both the device and the ledger travel as bytes.
+        // Resumed arm: both the device and VerTrace travel as bytes.
         let mut em = device(cfg, policy);
-        let mut lg = ExposureLedger::new();
+        let mut lg = VerTrace::new();
         for op in &stream[..cut] {
+            lg.note_op(op);
             apply(&mut em, &mut lg, op);
         }
         let dev_bytes = em.save_checkpoint();
@@ -182,9 +183,10 @@ proptest! {
         drop((em, lg));
         let mut em = Emulator::restore_checkpoint(&dev_bytes).expect("device restore");
         let mut dec = Dec::new(&lg_bytes);
-        let mut lg = ExposureLedger::decode_state(&mut dec).expect("ledger restore");
-        dec.finish().expect("no trailing ledger bytes");
+        let mut lg = VerTrace::decode_state(&cfg.ftl, &mut dec).expect("vertrace restore");
+        dec.finish().expect("no trailing vertrace bytes");
         for op in &stream[cut..] {
+            lg.note_op(op);
             apply(&mut em, &mut lg, op);
         }
 

@@ -6,17 +6,17 @@
 //! depth × fault-seed draws (the harness shape of
 //! `tests/checkpoint_resume.rs`):
 //!
-//! * **Attachment neutrality** — running with a live exposure ledger and
-//!   an event recorder tee'd onto the FTL produces byte-identical per-op
+//! * **Attachment neutrality** — running with VerTrace and an event
+//!   recorder tee'd onto the FTL produces byte-identical per-op
 //!   results, `RunResult`, Prometheus scrape, and checkpoint bytes as the
 //!   same run with no observer. Batched dispatch buffers events; it must
 //!   never feed back into the simulation.
-//! * **Replay closure** — the exposure ledger's attribution is a pure
-//!   function of the (ordered) event stream: replaying the recorded
-//!   events into a second ledger reproduces the directly-attached
-//!   ledger's report *and* its serialized bytes. This pins the batched
-//!   drain to deliver a complete stream in recording order, and the
-//!   dense ledger tables to carry no hidden state outside the events.
+//! * **Replay closure** — VerTrace's attribution is a pure function of
+//!   the (ordered) event stream: replaying the recorded events into a
+//!   second VerTrace reproduces the directly-attached one's report *and*
+//!   its serialized bytes. This pins the batched drain to deliver a
+//!   complete stream in recording order, and VerTrace's dense tables to
+//!   carry no hidden state outside the events.
 
 use evanesco::core::fault::FaultConfig;
 use evanesco::ftl::observer::{FtlObserver, ObserverEvent, Tee};
@@ -24,10 +24,9 @@ use evanesco::ftl::SanitizePolicy;
 use evanesco::nand::snapshot::Enc;
 use evanesco::ssd::{Emulator, HostOp, SsdConfig};
 use evanesco::workloads::generate::generate;
-use evanesco::workloads::ledger::ExposureLedger;
-use evanesco::workloads::replay::{apply, ReplayObserver};
+use evanesco::workloads::replay::apply;
 use evanesco::workloads::trace::TraceOp;
-use evanesco::workloads::WorkloadSpec;
+use evanesco::workloads::{VerTrace, WorkloadSpec};
 use proptest::prelude::*;
 
 fn sched_op(logical: u64) -> impl Strategy<Value = HostOp> {
@@ -49,9 +48,6 @@ fn observables(ssd: &Emulator) -> (String, String, Vec<u8>) {
 /// Captures the full event stream the FTL dispatches, verbatim.
 #[derive(Default)]
 struct Recorder(Vec<ObserverEvent>);
-
-/// File-level replay markers are not FTL events: ignored.
-impl ReplayObserver for Recorder {}
 
 impl FtlObserver for Recorder {
     fn on_program(
@@ -80,7 +76,7 @@ impl FtlObserver for Recorder {
     }
 }
 
-fn replay_into(lg: &mut ExposureLedger, events: &[ObserverEvent]) {
+fn replay_into(lg: &mut VerTrace, events: &[ObserverEvent]) {
     for &ev in events {
         match ev {
             ObserverEvent::Program { lpa, at, relocation, secure } => {
@@ -95,7 +91,7 @@ fn replay_into(lg: &mut ExposureLedger, events: &[ObserverEvent]) {
     }
 }
 
-fn ledger_bytes(lg: &ExposureLedger) -> Vec<u8> {
+fn ledger_bytes(lg: &VerTrace) -> Vec<u8> {
     let mut enc = Enc::new();
     lg.encode_state(&mut enc);
     enc.into_bytes()
@@ -104,7 +100,7 @@ fn ledger_bytes(lg: &ExposureLedger) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// Attachment neutrality: tee'ing a ledger + recorder onto the
+    /// Attachment neutrality: tee'ing VerTrace + a recorder onto the
     /// scheduled-run path changes nothing the host or an operator sees.
     #[test]
     fn observer_attachment_never_perturbs_the_simulation(
@@ -125,7 +121,7 @@ proptest! {
         bare.flush_coalesced_locks();
 
         let mut observed = Emulator::new(cfg, policy);
-        let mut lg = ExposureLedger::new();
+        let mut lg = VerTrace::new();
         let mut rec = Recorder::default();
         let obs_run = {
             let mut tee = Tee(&mut lg, &mut rec);
@@ -142,8 +138,8 @@ proptest! {
         }
     }
 
-    /// Replay closure: the ledger built from the recorded event stream is
-    /// indistinguishable — report and serialized bytes — from the ledger
+    /// Replay closure: the VerTrace built from the recorded event stream
+    /// is indistinguishable — report and serialized bytes — from the one
     /// that rode the FTL directly.
     #[test]
     fn ledger_attribution_is_a_pure_function_of_the_event_stream(
@@ -170,30 +166,23 @@ proptest! {
         let trace = generate(&specs[spec_i], logical, 250, seed);
         let stream: Vec<&TraceOp> = trace.prefill.iter().chain(&trace.ops).collect();
 
-        // Direct arm: ledger attached to the device, recorder tee'd in;
+        // Direct arm: VerTrace attached to the device, recorder tee'd in;
         // events are segmented per host op as they happen.
         let mut ssd = Emulator::new(cfg, policy);
-        let mut direct = ExposureLedger::new();
+        let mut direct = VerTrace::new();
         let mut per_op: Vec<Vec<ObserverEvent>> = Vec::new();
         for op in &stream {
             let mut rec = Recorder::default();
+            direct.note_op(op);
             apply(&mut ssd, &mut Tee(&mut direct, &mut rec), op);
             per_op.push(rec.0);
         }
 
-        // Replay arm: a fresh ledger fed only the host markers and the
+        // Replay arm: a fresh VerTrace fed only the host markers and the
         // recorded stream, never the device.
-        let mut replayed = ExposureLedger::new();
+        let mut replayed = VerTrace::new();
         for (op, events) in stream.iter().zip(&per_op) {
-            match **op {
-                TraceOp::Write { file, lpa, npages, overwrite, .. } => {
-                    replayed.before_write(file, lpa, npages, overwrite);
-                }
-                TraceOp::Trim { file, lpa, npages } => {
-                    replayed.before_trim(file, lpa, npages);
-                }
-                TraceOp::Read { .. } => {}
-            }
+            replayed.note_op(op);
             replay_into(&mut replayed, events);
         }
 

@@ -1,8 +1,8 @@
 //! Golden pin for the exposure accounting behind Table 1, Figure 4 and
 //! `BENCH_report.json`.
 //!
-//! Each cell replays one generated Table-2 trace on a small device with the
-//! exposure observers attached and digests everything they report:
+//! Each cell replays one generated Table-2 trace on a small device with
+//! VerTrace attached and digests everything it reports:
 //!
 //! * the `0x60` checkpoint bytes, before and after the end-of-run report
 //!   (which closes open insecure intervals and right-censors open exposure
@@ -16,12 +16,10 @@
 //! Cells: the four Table-2 specs × {`none`, `evanesco`} × seeds {42, 7} on
 //! `SsdConfig::tiny_for_tests()`, 2 × logical pages written.
 
-use evanesco::ftl::observer::Tee;
 use evanesco::ftl::SanitizePolicy;
 use evanesco::nand::snapshot::Enc;
 use evanesco::ssd::{Emulator, SsdConfig};
 use evanesco::workloads::generate::generate;
-use evanesco::workloads::ledger::ExposureLedger;
 use evanesco::workloads::replay::replay_with;
 use evanesco::workloads::vertrace::VerTrace;
 use evanesco::workloads::{CauseCounts, ExposureHistogram, WorkloadSpec};
@@ -77,9 +75,9 @@ impl Fnv {
     }
 }
 
-fn checkpoint_bytes(lg: &ExposureLedger) -> Vec<u8> {
+fn checkpoint_bytes(vt: &VerTrace) -> Vec<u8> {
     let mut e = Enc::new();
-    lg.encode_state(&mut e);
+    vt.encode_state(&mut e);
     e.into_bytes()
 }
 
@@ -90,33 +88,31 @@ fn digest(spec: &WorkloadSpec, policy: SanitizePolicy, seed: u64) -> u64 {
     let mut ssd = Emulator::new(cfg, policy);
     let logical = ssd.logical_pages();
     let trace = generate(spec, logical, 2 * logical, seed);
-    let mut lg = ExposureLedger::new();
     let mut vt = VerTrace::with_timelines();
-    replay_with(&mut ssd, &trace, &mut Tee(&mut lg, &mut vt));
+    replay_with(&mut ssd, &trace, &mut vt);
 
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    h.bytes(&checkpoint_bytes(&lg));
-    let r = lg.report(logical);
-    for class in [&r.uv, &r.mv] {
-        let s = &class.stats;
+    h.bytes(&checkpoint_bytes(&vt));
+    let r = vt.report(logical);
+    for s in [&r.uv, &r.mv] {
         h.u64(s.n_files);
         for v in [s.vaf_avg, s.vaf_max, s.tinsec_avg, s.tinsec_max] {
             h.f64(v);
         }
-        h.causes(&class.causes);
-        h.histogram(&class.exposure);
+        h.causes(&s.causes);
+        h.histogram(&s.exposure);
     }
     h.causes(&r.device_causes);
-    h.bytes(&checkpoint_bytes(&lg));
+    h.bytes(&checkpoint_bytes(&vt));
 
-    vt.report(logical);
     for mv in [false, true] {
         let Some((id, f)) = vt.worst_file(mv) else {
             h.u64(u64::MAX);
             continue;
         };
         h.u64(u64::from(id));
-        for v in [f.max_valid, f.max_invalid, f.insecure_ticks, f.timeline.len() as u64] {
+        let v = &f.versions;
+        for v in [v.max_valid, v.max_invalid, v.insecure_ticks, f.timeline.len() as u64] {
             h.u64(v);
         }
         for &(tick, valid, invalid) in &f.timeline {

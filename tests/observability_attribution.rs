@@ -1,67 +1,27 @@
-//! Integration tests for the PR-5 observability stack: the live
-//! [`ExposureLedger`] must agree with the offline VerTrace scan within
-//! the 5% acceptance bound (observed: float-epsilon), reproduce the
-//! paper's Table-1 orderings, attribute retirements to the right
-//! invalidation path — and none of it may perturb the simulation
-//! (telemetry-enabled and telemetry-disabled runs are identical).
+//! Integration tests for the PR-5 observability stack: VerTrace must
+//! reproduce the paper's Table-1 orderings and attribute retirements to
+//! the right invalidation path — and none of it may perturb the
+//! simulation (telemetry-enabled and telemetry-disabled runs are
+//! identical).
 
-use evanesco::ftl::observer::Tee;
 use evanesco::ftl::{DecisionLevel, SanitizePolicy};
 use evanesco::nand::timing::Nanos;
 use evanesco::ssd::Emulator;
 use evanesco::workloads::generate::generate;
-use evanesco::workloads::ledger::ExposureLedger;
-use evanesco::workloads::replay::replay_with;
-use evanesco::workloads::vertrace::{ClassStats, VerTrace};
-use evanesco::workloads::{Trace, WorkloadSpec};
+use evanesco::workloads::replay::{replay, replay_with};
+use evanesco::workloads::{Trace, VerTrace, VerTraceReport, WorkloadSpec};
 use evanesco_bench::Scale;
 
-/// One baseline-SSD run of `spec` with the live ledger and the offline
-/// VerTrace attached through a single observer tee.
-fn run_both(spec: &WorkloadSpec, seed: u64) -> (ExposureLedger, VerTrace, u64) {
+/// One run of `spec` under `policy` with VerTrace attached.
+fn run(spec: &WorkloadSpec, seed: u64, policy: SanitizePolicy) -> VerTraceReport {
     let mut cfg = Scale::smoke().ssd_config();
     cfg.track_tags = false;
-    let mut ssd = Emulator::new(cfg, SanitizePolicy::none());
+    let mut ssd = Emulator::new(cfg, policy);
     let logical = ssd.logical_pages();
     let trace = generate(spec, logical, logical, seed);
-    let mut lg = ExposureLedger::new();
     let mut vt = VerTrace::new();
-    replay_with(&mut ssd, &trace, &mut Tee(&mut lg, &mut vt));
-    (lg, vt, logical)
-}
-
-fn rel_diff(a: f64, b: f64) -> f64 {
-    let denom = a.abs().max(b.abs());
-    if denom < 1e-9 {
-        0.0
-    } else {
-        (a - b).abs() / denom
-    }
-}
-
-fn max_class_diff(live: &ClassStats, offline: &ClassStats) -> f64 {
-    assert_eq!(live.n_files, offline.n_files, "class file counts diverged");
-    [
-        (live.vaf_avg, offline.vaf_avg),
-        (live.vaf_max, offline.vaf_max),
-        (live.tinsec_avg, offline.tinsec_avg),
-        (live.tinsec_max, offline.tinsec_max),
-    ]
-    .iter()
-    .map(|&(a, b)| rel_diff(a, b))
-    .fold(0.0, f64::max)
-}
-
-#[test]
-fn live_ledger_matches_offline_vertrace_within_5_percent() {
-    for spec in [WorkloadSpec::mobile(), WorkloadSpec::mail_server(), WorkloadSpec::db_server()] {
-        let (mut lg, mut vt, logical) = run_both(&spec, 7);
-        let offline = vt.report(logical);
-        let live = lg.report(logical);
-        let diff = max_class_diff(&live.uv.stats, &offline.uv)
-            .max(max_class_diff(&live.mv.stats, &offline.mv));
-        assert!(diff <= 0.05, "{}: live vs offline rel diff {diff}", spec.name);
-    }
+    replay_with(&mut ssd, &trace, &mut vt);
+    vt.report(logical)
 }
 
 #[test]
@@ -69,32 +29,29 @@ fn ledger_reproduces_table1_orderings() {
     let reports: Vec<_> =
         [WorkloadSpec::mobile(), WorkloadSpec::mail_server(), WorkloadSpec::db_server()]
             .iter()
-            .map(|spec| {
-                let (mut lg, _, logical) = run_both(spec, 7);
-                (spec.name.to_string(), lg.report(logical))
-            })
+            .map(|spec| (spec.name.to_string(), run(spec, 7, SanitizePolicy::none())))
             .collect();
 
     // MV files accumulate at least as many stale versions as UV files.
     for (name, r) in &reports {
-        if r.uv.stats.n_files > 0 && r.mv.stats.n_files > 0 {
+        if r.uv.n_files > 0 && r.mv.n_files > 0 {
             assert!(
-                r.mv.stats.vaf_avg >= r.uv.stats.vaf_avg,
+                r.mv.vaf_avg >= r.uv.vaf_avg,
                 "{name}: MV VAF {} < UV VAF {}",
-                r.mv.stats.vaf_avg,
-                r.uv.stats.vaf_avg
+                r.mv.vaf_avg,
+                r.uv.vaf_avg
             );
         }
     }
     // DBServer's overwrite-heavy pattern yields the largest MV VAF.
     let db = &reports.iter().find(|(n, _)| n == "DBServer").unwrap().1;
-    assert!(db.mv.stats.vaf_avg > 0.0, "DBServer produced no stale MV versions");
+    assert!(db.mv.vaf_avg > 0.0, "DBServer produced no stale MV versions");
     for (name, r) in &reports {
         assert!(
-            db.mv.stats.vaf_avg >= r.mv.stats.vaf_avg,
+            db.mv.vaf_avg >= r.mv.vaf_avg,
             "{name} MV VAF {} exceeds DBServer's {}",
-            r.mv.stats.vaf_avg,
-            db.mv.stats.vaf_avg
+            r.mv.vaf_avg,
+            db.mv.vaf_avg
         );
     }
 }
@@ -103,8 +60,7 @@ fn ledger_reproduces_table1_orderings() {
 fn retirement_paths_split_by_policy() {
     // Baseline SSD: stale secured versions stay exposed, retired by host
     // updates, trims, and GC copies alike.
-    let (mut lg, _, logical) = run_both(&WorkloadSpec::db_server(), 11);
-    let base = lg.report(logical);
+    let base = run(&WorkloadSpec::db_server(), 11, SanitizePolicy::none());
     let exposed: u64 = base.device_causes.exposed.iter().sum();
     assert!(exposed > 0, "baseline SSD must leave exposed retirements");
     assert!(
@@ -122,14 +78,7 @@ fn retirement_paths_split_by_policy() {
 
     // Evanesco SSD: every secured retirement sanitizes on the spot, so
     // nothing is ever exposed and every window is zero ticks.
-    let mut cfg = Scale::smoke().ssd_config();
-    cfg.track_tags = false;
-    let mut ssd = Emulator::new(cfg, SanitizePolicy::evanesco());
-    let logical = ssd.logical_pages();
-    let trace = generate(&WorkloadSpec::db_server(), logical, logical, 11);
-    let mut lg = ExposureLedger::new();
-    replay_with(&mut ssd, &trace, &mut lg);
-    let sec = lg.report(logical);
+    let sec = run(&WorkloadSpec::db_server(), 11, SanitizePolicy::evanesco());
     assert_eq!(sec.device_causes.exposed, [0, 0, 0], "Evanesco left exposed retirements");
     let secured: u64 = sec.device_causes.secured.iter().sum();
     assert!(secured > 0, "no secured retirements observed");
@@ -140,7 +89,7 @@ fn retirement_paths_split_by_policy() {
     };
     assert!(exp.count > 0);
     assert_eq!(exp.zero_fraction(), 1.0, "Evanesco windows must all be zero ticks");
-    assert_eq!(sec.mv.stats.vaf_max, 0.0, "secSSD must leave MV files version-free");
+    assert_eq!((sec.uv.vaf_max, sec.mv.vaf_max), (0.0, 0.0), "secSSD must leave no versions");
 }
 
 /// Replays `trace` with every telemetry layer either armed or off and
@@ -154,15 +103,13 @@ fn telemetry_run(trace: &Trace, enable: bool) -> evanesco::ssd::RunResult {
         ssd.enable_tracing(256);
         ssd.enable_timeseries(Nanos::from_micros(100), 256);
         ssd.enable_decision_log(2048, DecisionLevel::Info);
-        let mut lg = ExposureLedger::new();
-        replay_with(&mut ssd, trace, &mut lg);
+        replay_with(&mut ssd, trace, &mut VerTrace::new());
         ssd.sample_timeseries_now();
         // The layers actually observed the run.
         assert!(ssd.timeseries().unwrap().total() > 0);
         assert!(!ssd.decision_log().is_empty());
     } else {
-        let mut none = evanesco::ftl::observer::NullObserver;
-        replay_with(&mut ssd, trace, &mut none);
+        replay(&mut ssd, trace);
     }
     ssd.result()
 }
