@@ -102,7 +102,6 @@ pub fn ablation_lazy(scale: &Scale) -> String {
     for eager in [false, true] {
         let mut cfg = scale.ssd_config();
         cfg.ftl.eager_gc_erase = eager;
-        cfg.track_tags = false;
         let mut ssd = Emulator::new(cfg, SanitizePolicy::none());
         let logical = ssd.logical_pages();
         let trace = generate(

@@ -134,20 +134,12 @@ pub struct FleetBench {
     pub determinism: DeterminismCheck,
 }
 
-/// The per-device SSD every fleet cell runs on: the tiny 2-chip device
-/// (fleet cells multiply it by `devices`, so each device stays small).
-fn fleet_ssd() -> SsdConfig {
-    let mut cfg = SsdConfig::tiny_for_tests();
-    cfg.track_tags = false;
-    cfg.stale_audit = false;
-    cfg
-}
-
 /// Builds one cell's fleet config. The offered load is calibrated
 /// against the device's nominal drain rate: victims alone run the
 /// device at a comfortable fraction of capacity, while the storm tenant
 /// (noisy mix only) oversubscribes it outright — so QoS-off shows real
-/// noisy-neighbor damage and QoS-on has headroom to fix it.
+/// noisy-neighbor damage and QoS-on has headroom to fix it. Every device
+/// is the tiny 2-chip SSD: a cell multiplies it by `devices`.
 fn cell_config(
     scale: &Scale,
     devices: usize,
@@ -164,7 +156,7 @@ fn cell_config(
     };
     let tenants = traffic.tenants.len();
     let mut cfg = FleetConfig {
-        ssd: fleet_ssd(),
+        ssd: SsdConfig::tiny_for_tests(),
         policy,
         traffic,
         qos: vec![TenantQos::unlimited(); tenants],

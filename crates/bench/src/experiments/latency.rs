@@ -13,9 +13,7 @@ use std::fmt::Write;
 
 fn delete_cost(policy: SanitizePolicy, npages: u64) -> (Nanos, u64, u64) {
     // Enough capacity for the largest file: 65,536 pages needs ≥114 blocks.
-    let mut cfg = SsdConfig::scaled(24);
-    cfg.track_tags = false;
-    let mut ssd = Emulator::new(cfg, policy);
+    let mut ssd = Emulator::new(SsdConfig::scaled(24), policy);
     assert!(npages <= ssd.logical_pages(), "file larger than the device");
     ssd.write(0, npages, true);
     let before = ssd.result();

@@ -154,9 +154,7 @@ pub fn run(scale: &Scale, scale_name: &str) -> ReportBundle {
     // Telemetry-enabled DBServer run on the Evanesco SSD, and the same
     // run with everything off for the neutrality check.
     let telemetry_run = |enable: bool| {
-        let mut cfg = scale.ssd_config();
-        cfg.track_tags = false;
-        let mut ssd = Emulator::new(cfg, SanitizePolicy::evanesco());
+        let mut ssd = Emulator::new(scale.ssd_config(), SanitizePolicy::evanesco());
         if enable {
             ssd.enable_gauges();
             ssd.enable_timeseries(Nanos::from_micros(250), 512);

@@ -101,7 +101,6 @@ pub fn sched_config(scale: &Scale) -> SsdConfig {
     // rewrite sweep (a few hundred host writes) is promoted to one bLock
     // instead of aging out page by page.
     cfg.ftl.coalesce_window = 1024;
-    cfg.track_tags = false;
     cfg
 }
 

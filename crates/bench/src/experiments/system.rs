@@ -47,9 +47,7 @@ fn trace_for(scale: &Scale, spec: &WorkloadSpec) -> Trace {
 fn run_one(scale: &Scale, trace: &Trace, policy: SanitizePolicy) -> RunResult {
     #[cfg(test)]
     tests::REPLAYS.fetch_add(1, Ordering::Relaxed);
-    let mut cfg = scale.ssd_config();
-    cfg.track_tags = false;
-    let mut ssd = Emulator::new(cfg, policy);
+    let mut ssd = Emulator::new(scale.ssd_config(), policy);
     replay(&mut ssd, trace)
 }
 

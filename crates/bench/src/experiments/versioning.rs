@@ -15,9 +15,7 @@ use std::fmt::Write;
 /// Runs one workload on the baseline SSD with VerTrace attached (Table 1,
 /// Figure 4 and the `report` attribution rows all start here).
 pub(crate) fn run_vertrace(scale: &Scale, spec: &WorkloadSpec, timelines: bool) -> (VerTrace, u64) {
-    let mut cfg = scale.ssd_config();
-    cfg.track_tags = false;
-    let mut ssd = Emulator::new(cfg, SanitizePolicy::none());
+    let mut ssd = Emulator::new(scale.ssd_config(), SanitizePolicy::none());
     let logical = ssd.logical_pages();
     let trace = generate(spec, logical, scale.main_write_pages(logical), scale.seed);
     let mut vt = if timelines { VerTrace::with_timelines() } else { VerTrace::new() };

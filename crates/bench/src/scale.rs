@@ -102,13 +102,7 @@ impl Scale {
                 faults: evanesco_ftl::config::FaultConfig::none(),
                 reliability: evanesco_ftl::config::ReliabilityConfig::paper(),
             };
-            SsdConfig {
-                channels: 2,
-                chips_per_channel: 1,
-                ftl,
-                track_tags: false,
-                stale_audit: false,
-            }
+            SsdConfig { channels: 2, chips_per_channel: 1, ftl }
         } else {
             SsdConfig::scaled(self.blocks_per_chip)
         }

@@ -23,7 +23,8 @@
 //!   and 12) that pick the programming voltage and latency for each command.
 //! * [`threat`] implements the paper's threat model (§5.1): an attacker with
 //!   raw-chip access through all interface commands, able to de-solder chips
-//!   and bypass the FTL — and verifies the sanitization conditions C1/C2.
+//!   and bypass the FTL (the SSD emulator judges C1/C2 by what this
+//!   attacker reads).
 //!
 //! ## Example: lock, then fail to read
 //!

@@ -49,11 +49,8 @@ impl FleetConfig {
         requests_per_device: usize,
         seed: u64,
     ) -> Self {
-        let mut cfg = SsdConfig::tiny_for_tests();
-        cfg.track_tags = false;
-        cfg.stale_audit = false;
         FleetConfig {
-            ssd: cfg,
+            ssd: SsdConfig::tiny_for_tests(),
             policy: SanitizePolicy::evanesco(),
             traffic: TrafficConfig::noisy_neighbor(victims, requests_per_device, seed),
             qos: vec![TenantQos::unlimited(); victims + 1],

@@ -176,43 +176,54 @@ impl FtlConfig {
         }
     }
 
-    /// Validates structural invariants of the configuration.
+    /// Checks the structural invariants of the configuration: the one
+    /// list of rules [`FtlConfig::validate`] enforces and a checkpoint
+    /// decode reports.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a descriptive message on any violation: zero chips or
-    /// blocks, an over-provisioning ratio outside `(0, 1)`, an empty
-    /// logical address space, or a GC threshold the geometry cannot
-    /// satisfy.
-    pub fn validate(&self) {
-        assert!(self.n_chips > 0, "FtlConfig: n_chips must be positive");
-        assert!(self.geometry.blocks > 0, "FtlConfig: geometry needs at least one block");
-        assert!(
+    /// Names the first violated rule: zero chips or blocks, an
+    /// over-provisioning ratio outside `(0, 1)`, an empty logical address
+    /// space, a GC threshold the geometry cannot satisfy, a fault
+    /// probability outside `[0, 1]`, or an unsatisfiable spare-block
+    /// reserve.
+    pub fn check(&self) -> Result<(), String> {
+        macro_rules! rule {
+            ($ok:expr, $($msg:tt)+) => {
+                let ok: bool = $ok;
+                if !ok {
+                    return Err(format!("FtlConfig: {}", format_args!($($msg)+)));
+                }
+            };
+        }
+        rule!(self.n_chips > 0, "n_chips must be positive");
+        rule!(self.geometry.blocks > 0, "geometry needs at least one block");
+        rule!(
             self.geometry.wordlines_per_block > 0,
-            "FtlConfig: geometry needs at least one wordline per block"
+            "geometry needs at least one wordline per block"
         );
-        assert!(
+        rule!(
             self.op_ratio > 0.0 && self.op_ratio < 1.0,
-            "FtlConfig: op_ratio must be in (0, 1), got {}",
+            "op_ratio must be in (0, 1), got {}",
             self.op_ratio
         );
-        assert!(self.logical_pages() > 0, "FtlConfig: logical address space is empty");
-        assert!(self.gc_free_threshold >= 1, "FtlConfig: gc_free_threshold must be >= 1");
-        assert!(self.chips_per_channel >= 1, "FtlConfig: chips_per_channel must be >= 1");
-        assert!(
+        rule!(self.logical_pages() > 0, "logical address space is empty");
+        rule!(self.gc_free_threshold >= 1, "gc_free_threshold must be >= 1");
+        rule!(self.chips_per_channel >= 1, "chips_per_channel must be >= 1");
+        rule!(
             self.n_chips.is_multiple_of(self.chips_per_channel),
-            "FtlConfig: chips_per_channel {} must divide n_chips {}",
+            "chips_per_channel {} must divide n_chips {}",
             self.chips_per_channel,
             self.n_chips
         );
-        assert!(self.coalesce_window >= 1, "FtlConfig: coalesce_window must be >= 1");
-        assert!(
+        rule!(self.coalesce_window >= 1, "coalesce_window must be >= 1");
+        rule!(
             (self.geometry.blocks as usize) > self.gc_free_threshold,
-            "FtlConfig: gc_free_threshold {} needs more than {} blocks per chip",
+            "gc_free_threshold {} needs more than {} blocks per chip",
             self.gc_free_threshold,
             self.geometry.blocks
         );
-        assert!(self.block_min_plocks >= 1, "FtlConfig: block_min_plocks must be >= 1");
+        rule!(self.block_min_plocks >= 1, "block_min_plocks must be >= 1");
         for (name, p) in [
             ("program_fail", self.faults.program_fail),
             ("erase_fail", self.faults.erase_fail),
@@ -221,38 +232,41 @@ impl FtlConfig {
             ("read_unc", self.faults.read_unc),
             ("read_retry_decay", self.faults.read_retry_decay),
         ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "FtlConfig: fault probability {name} must be in [0, 1], got {p}"
-            );
+            rule!((0.0..=1.0).contains(&p), "fault probability {name} must be in [0, 1], got {p}");
         }
         // A certain program failure makes the write-remap loop diverge: no
         // page would ever accept data.
-        assert!(
+        rule!(
             self.faults.program_fail < 1.0,
-            "FtlConfig: fault probability program_fail must be below 1, got {}",
+            "fault probability program_fail must be below 1, got {}",
             self.faults.program_fail
         );
-        assert!(
-            self.reliability.backoff_base.0 >= 1,
-            "FtlConfig: reliability backoff_base must be positive"
-        );
-        assert!(
-            self.reliability.spare_blocks >= 1,
-            "FtlConfig: reliability spare_blocks must be >= 1"
-        );
-        assert!(
+        rule!(self.reliability.backoff_base.0 >= 1, "reliability backoff_base must be positive");
+        rule!(self.reliability.spare_blocks >= 1, "reliability spare_blocks must be >= 1");
+        rule!(
             self.reliability.spare_low_watermark < self.reliability.spare_blocks,
-            "FtlConfig: spare_low_watermark {} must be below spare_blocks {}",
+            "spare_low_watermark {} must be below spare_blocks {}",
             self.reliability.spare_low_watermark,
             self.reliability.spare_blocks
         );
-        assert!(
+        rule!(
             self.reliability.spare_blocks < self.geometry.blocks as usize,
-            "FtlConfig: spare_blocks {} must be below the {} blocks per chip",
+            "spare_blocks {} must be below the {} blocks per chip",
             self.reliability.spare_blocks,
             self.geometry.blocks
         );
+        Ok(())
+    }
+
+    /// Validates structural invariants of the configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`FtlConfig::check`]'s message on any violation.
+    pub fn validate(&self) {
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
+        }
     }
 
     /// Total physical pages across all chips.

@@ -43,7 +43,7 @@ pub mod section {
     pub const DEVICE: u8 = 3;
     /// FTL RAM tables (salvageable: rebuilt from flash OOB).
     pub const FTL: u8 = 4;
-    /// Host bookkeeping: tags, stale audit, histograms (salvageable:
+    /// Host counters, latency histograms, recovery totals (salvageable:
     /// reset).
     pub const HOST: u8 = 5;
     /// Live gauges (salvageable: dropped).
@@ -151,21 +151,11 @@ pub fn read_checkpoint_salvaging(
     Ok(Emulator::restore_checkpoint_salvaging(&bytes)?)
 }
 
-fn check(cond: bool, what: &str) -> Result<(), SnapshotError> {
-    if cond {
-        Ok(())
-    } else {
-        Err(SnapshotError::Corrupt(format!("checkpoint config invalid: {what}")))
-    }
-}
-
 /// Serializes the full device configuration.
 pub fn encode_config(cfg: &SsdConfig, e: &mut Enc) {
     e.tag(0x51);
     e.u16(cfg.channels);
     e.u16(cfg.chips_per_channel);
-    e.bool(cfg.track_tags);
-    e.bool(cfg.stale_audit);
     let f = &cfg.ftl;
     f.geometry.encode_snapshot(e);
     e.usize(f.n_chips);
@@ -201,10 +191,10 @@ pub fn encode_config(cfg: &SsdConfig, e: &mut Enc) {
     e.usize(f.reliability.spare_low_watermark);
 }
 
-/// Inverse of [`encode_config`], with graceful validation: every invariant
-/// that [`SsdConfig::validate`] would panic on is reported as a
-/// [`SnapshotError::Corrupt`] instead, so a damaged checkpoint cannot
-/// bring the process down.
+/// Inverse of [`encode_config`], with graceful validation: the rule
+/// [`SsdConfig::check`] finds violated is reported as a
+/// [`SnapshotError::Corrupt`] instead of a [`SsdConfig::validate`] panic,
+/// so a damaged checkpoint cannot bring the process down.
 ///
 /// # Errors
 ///
@@ -214,8 +204,6 @@ pub fn decode_config(d: &mut Dec<'_>) -> Result<SsdConfig, SnapshotError> {
     d.expect_tag(0x51, "ssd-config")?;
     let channels = d.u16()?;
     let chips_per_channel = d.u16()?;
-    let track_tags = d.bool()?;
-    let stale_audit = d.bool()?;
     let geometry = Geometry::decode_snapshot(d)?;
     let n_chips = d.usize()?;
     let ftl_cpc = d.usize()?;
@@ -273,52 +261,9 @@ pub fn decode_config(d: &mut Dec<'_>) -> Result<SsdConfig, SnapshotError> {
             faults,
             reliability,
         },
-        track_tags,
-        stale_audit,
     };
-    // Mirror SsdConfig::validate / FtlConfig::validate without panicking.
-    check(cfg.channels > 0, "channels must be positive")?;
-    check(cfg.chips_per_channel > 0, "chips_per_channel must be positive")?;
-    check(cfg.n_chips() == cfg.ftl.n_chips, "channel topology and FTL chip count disagree")?;
-    check(!cfg.stale_audit || cfg.track_tags, "stale_audit requires track_tags")?;
-    let f = &cfg.ftl;
-    check(f.geometry.blocks > 0, "geometry needs at least one block")?;
-    check(f.geometry.wordlines_per_block > 0, "geometry needs at least one wordline")?;
-    check(f.op_ratio > 0.0 && f.op_ratio < 1.0, "op_ratio must be in (0, 1)")?;
-    check(f.logical_pages() > 0, "logical address space is empty")?;
-    check(f.gc_free_threshold >= 1, "gc_free_threshold must be >= 1")?;
-    check(f.chips_per_channel >= 1, "ftl chips_per_channel must be >= 1")?;
-    check(
-        f.chips_per_channel != 0 && f.n_chips.is_multiple_of(f.chips_per_channel),
-        "chips_per_channel must divide n_chips",
-    )?;
-    check(f.coalesce_window >= 1, "coalesce_window must be >= 1")?;
-    check(
-        (f.geometry.blocks as usize) > f.gc_free_threshold,
-        "gc_free_threshold needs more blocks per chip",
-    )?;
-    check(f.block_min_plocks >= 1, "block_min_plocks must be >= 1")?;
-    for p in [
-        f.faults.program_fail,
-        f.faults.erase_fail,
-        f.faults.plock_fail,
-        f.faults.block_lock_fail,
-        f.faults.read_unc,
-        f.faults.read_retry_decay,
-    ] {
-        check((0.0..=1.0).contains(&p), "fault probability outside [0, 1]")?;
-    }
-    check(f.faults.program_fail < 1.0, "program_fail must be below 1")?;
-    check(f.reliability.backoff_base.0 >= 1, "backoff_base must be positive")?;
-    check(f.reliability.spare_blocks >= 1, "spare_blocks must be >= 1")?;
-    check(
-        f.reliability.spare_low_watermark < f.reliability.spare_blocks,
-        "spare_low_watermark must be below spare_blocks",
-    )?;
-    check(
-        f.reliability.spare_blocks < f.geometry.blocks as usize,
-        "spare_blocks must be below blocks per chip",
-    )?;
+    cfg.check()
+        .map_err(|rule| SnapshotError::Corrupt(format!("checkpoint config invalid: {rule}")))?;
     Ok(cfg)
 }
 
@@ -383,22 +328,6 @@ mod tests {
             let mut d = Dec::new(&bytes);
             assert_eq!(decode_policy(&mut d).unwrap(), p);
             d.finish().unwrap();
-        }
-    }
-
-    #[test]
-    fn corrupt_config_errors_instead_of_panicking() {
-        let mut e = Enc::new();
-        encode_config(&SsdConfig::tiny_for_tests(), &mut e);
-        let mut bytes = e.into_bytes();
-        // The channel count lives right after the section tag; zeroing it
-        // must surface as Corrupt, not as a validate() panic.
-        bytes[1] = 0;
-        bytes[2] = 0;
-        let mut d = Dec::new(&bytes);
-        match decode_config(&mut d) {
-            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("channels")),
-            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 }

@@ -12,26 +12,12 @@ pub struct SsdConfig {
     /// FTL configuration (its `n_chips` must equal
     /// `channels × chips_per_channel`).
     pub ftl: FtlConfig,
-    /// Whether the emulator records content tags for forensic verification
-    /// (cheap for tests; disable for large performance runs).
-    pub track_tags: bool,
-    /// Whether the emulator keeps the stale-tag audit log that backs
-    /// `verify_sanitized` (requires `track_tags`). The log grows with
-    /// every overwrite/trim; long performance runs should disable it or
-    /// compact it periodically (`Emulator::compact_stale`).
-    pub stale_audit: bool,
 }
 
 impl SsdConfig {
     /// The paper's SecureSSD (§7): 2 channels × 4 chips of 3D TLC.
     pub fn paper() -> Self {
-        SsdConfig {
-            channels: 2,
-            chips_per_channel: 4,
-            ftl: FtlConfig::paper(),
-            track_tags: false,
-            stale_audit: false,
-        }
+        SsdConfig { channels: 2, chips_per_channel: 4, ftl: FtlConfig::paper() }
     }
 
     /// Paper structure with a scaled-down block count per chip.
@@ -40,15 +26,12 @@ impl SsdConfig {
             channels: 2,
             chips_per_channel: 4,
             ftl: FtlConfig::paper_scaled(blocks_per_chip),
-            track_tags: false,
-            stale_audit: false,
         }
     }
 
-    /// A tiny SSD for unit tests, with tag tracking and auditing on.
+    /// A tiny SSD for unit tests.
     pub fn tiny_for_tests() -> Self {
-        let ftl = FtlConfig::tiny_for_tests();
-        SsdConfig { channels: 2, chips_per_channel: 1, ftl, track_tags: true, stale_audit: true }
+        SsdConfig { channels: 2, chips_per_channel: 1, ftl: FtlConfig::tiny_for_tests() }
     }
 
     /// Total chips.
@@ -56,29 +39,40 @@ impl SsdConfig {
         self.channels as usize * self.chips_per_channel as usize
     }
 
-    /// Validates internal consistency, including the embedded
-    /// [`FtlConfig`]'s structural invariants.
+    /// Checks internal consistency, the embedded [`FtlConfig::check`]
+    /// first: the one list of rules [`SsdConfig::validate`] enforces and a
+    /// checkpoint decode reports.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated rule: any [`FtlConfig::check`] violation,
+    /// a zero-channel or zero-chip topology, an FTL chip count that
+    /// disagrees with the channel topology, or a logical capacity the host
+    /// cannot index.
+    pub fn check(&self) -> Result<(), String> {
+        let rule =
+            |ok: bool, msg: String| if ok { Ok(()) } else { Err(format!("SsdConfig: {msg}")) };
+        self.ftl.check()?;
+        rule(self.channels > 0, "channels must be positive".into())?;
+        rule(self.chips_per_channel > 0, "chips_per_channel must be positive".into())?;
+        let (topology, ftl) = (self.n_chips(), self.ftl.n_chips);
+        let disagree =
+            format!("channel topology and FTL chip count disagree ({topology} vs {ftl})");
+        rule(topology == ftl, disagree)?;
+        let lp = self.ftl.logical_pages();
+        let unindexable = format!("logical capacity ({lp} pages) exceeds the host-indexable range");
+        rule(usize::try_from(lp).is_ok(), unindexable)
+    }
+
+    /// Validates internal consistency.
     ///
     /// # Panics
     ///
-    /// Panics with a descriptive message on a zero-channel or zero-chip
-    /// topology, on an FTL chip count that disagrees with the channel
-    /// topology, or on any [`FtlConfig::validate`] violation.
+    /// Panics with [`SsdConfig::check`]'s message on any violation.
     pub fn validate(&self) {
-        assert!(self.channels > 0, "SsdConfig: channels must be positive");
-        assert!(self.chips_per_channel > 0, "SsdConfig: chips_per_channel must be positive");
-        assert_eq!(
-            self.n_chips(),
-            self.ftl.n_chips,
-            "channel topology and FTL chip count disagree"
-        );
-        assert!(!self.stale_audit || self.track_tags, "SsdConfig: stale_audit requires track_tags");
-        let lp = self.ftl.logical_pages();
-        assert!(
-            usize::try_from(lp).is_ok(),
-            "SsdConfig: logical capacity ({lp} pages) exceeds the host-indexable range"
-        );
-        self.ftl.validate();
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
+        }
     }
 
     /// Validates that the host request range `[lpa, lpa + npages)` lies
@@ -100,18 +94,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_topology() {
-        let cfg = SsdConfig::paper();
-        cfg.validate();
-        assert_eq!(cfg.n_chips(), 8);
-    }
-
-    #[test]
-    fn tiny_topology() {
-        let cfg = SsdConfig::tiny_for_tests();
-        cfg.validate();
-        assert_eq!(cfg.n_chips(), 2);
-        assert!(cfg.track_tags);
+    fn preset_topologies() {
+        for (cfg, chips) in [(SsdConfig::paper(), 8), (SsdConfig::tiny_for_tests(), 2)] {
+            cfg.validate();
+            assert_eq!(cfg.n_chips(), chips);
+        }
     }
 
     #[test]
@@ -122,13 +109,5 @@ mod tests {
         assert!(cfg.check_lpa_range(lp, 0).is_ok(), "empty range at the boundary is a no-op");
         assert!(cfg.check_lpa_range(lp - 1, 2).is_err(), "one page past the end");
         assert!(cfg.check_lpa_range(u64::MAX, 2).is_err(), "wrapping range near u64::MAX");
-    }
-
-    #[test]
-    #[should_panic(expected = "disagree")]
-    fn validate_catches_mismatch() {
-        let mut cfg = SsdConfig::tiny_for_tests();
-        cfg.channels = 3;
-        cfg.validate();
     }
 }

@@ -18,7 +18,7 @@ use evanesco_core::fault::{CorruptionConfig, CorruptionStats};
 use evanesco_core::threat::Attacker;
 use evanesco_ftl::ftl::Ftl;
 use evanesco_ftl::observer::{FtlObserver, NullObserver, Tee};
-use evanesco_ftl::{Lpa, RecoveryReport, SanitizePolicy};
+use evanesco_ftl::{GlobalPpa, Lpa, RecoveryReport, SanitizePolicy};
 use evanesco_nand::chip::PageData;
 use evanesco_nand::timing::Nanos;
 use std::collections::HashSet;
@@ -29,13 +29,6 @@ pub struct Emulator {
     cfg: SsdConfig,
     ftl: Ftl,
     ex: TimedExecutor,
-    /// Current content tag and security flag per logical page (tag
-    /// tracking only).
-    tag_of: Vec<Option<(u64, bool)>>,
-    /// Superseded or deleted tags: `(lpa, tag, was_secure)` — the audit
-    /// log behind [`Emulator::verify_sanitized`]. Only populated when
-    /// `cfg.stale_audit` is on; see [`Emulator::compact_stale`].
-    stale: Vec<(Lpa, u64, bool)>,
     next_tag: u64,
     host_ops: u64,
     read_latency: LatencyHistogram,
@@ -78,11 +71,8 @@ impl Emulator {
     pub fn new(cfg: SsdConfig, policy: SanitizePolicy) -> Self {
         cfg.validate();
         let ftl = Ftl::new(cfg.ftl, policy);
-        let tags = if cfg.track_tags { ftl.logical_pages() as usize } else { 0 };
         Emulator {
             ex: TimedExecutor::new(&cfg),
-            tag_of: vec![None; tags],
-            stale: Vec::new(),
             next_tag: 1,
             host_ops: 0,
             read_latency: LatencyHistogram::new(),
@@ -471,24 +461,22 @@ impl Emulator {
                 self.ex.begin_dispatch(start);
             }
             self.ex.begin_commit();
-            // Each arm yields whether the FTL accepted the request and what
-            // a write's first page leaves in the tag map.
+            // Each arm yields whether the FTL accepted the request.
             let tee = &mut Tee(self.gauges.as_mut(), &mut *obs);
-            let (accepted, first) = match (op, payload) {
+            let accepted = match (op, payload) {
                 (HostOp::Write { secure, .. }, Payload::Tags(base)) => {
                     let mut accepted = true;
                     for i in 0..npages {
                         accepted &= self.ftl.write(&mut self.ex, tee, lpa + i, secure, base + i);
                     }
-                    (accepted, Some((base, secure)))
+                    accepted
                 }
                 (HostOp::Write { secure, npages: 1, .. }, Payload::Page(data)) => {
-                    let first = Some((data.tag(), secure));
-                    (self.ftl.write_data(&mut self.ex, tee, lpa, secure, data), first)
+                    self.ftl.write_data(&mut self.ex, tee, lpa, secure, data)
                 }
                 (HostOp::Read { .. }, Payload::Read(sink)) => {
                     (0..npages).for_each(|i| sink(self.ftl.read(&mut self.ex, lpa + i)));
-                    (true, None)
+                    true
                 }
                 (HostOp::Trim { .. }, Payload::None) => {
                     let mut lpas = std::mem::take(&mut self.trim_scratch);
@@ -496,28 +484,14 @@ impl Emulator {
                     lpas.extend(lpa..lpa + npages);
                     self.ftl.trim(&mut self.ex, tee, &lpas);
                     self.trim_scratch = lpas;
-                    (true, None)
+                    true
                 }
                 _ => unreachable!("{op:?} carries the wrong payload"),
             };
             // A write the degraded-mode gate rejected is never acked.
             acked = accepted && self.ex.commit_clean();
             if acked {
-                // Bookkeeping follows the ack: an unacknowledged request
-                // never supersedes the previous version from the host's
-                // point of view.
                 self.host_ops += npages;
-                if self.cfg.track_tags && !matches!(op, HostOp::Read { .. }) {
-                    for l in lpa..lpa + npages {
-                        let new = first.map(|(tag, secure)| (tag + (l - lpa), secure));
-                        let slot = &mut self.tag_of[l as usize];
-                        if let Some((old, was_secure)) = std::mem::replace(slot, new) {
-                            if self.cfg.stale_audit {
-                                self.stale.push((l, old, was_secure));
-                            }
-                        }
-                    }
-                }
             }
             done = if window.is_some() { self.ex.end_dispatch() } else { self.ex.simulated_time() };
         }
@@ -916,57 +890,53 @@ impl Emulator {
         }
     }
 
+    /// The raw-chip attacker's sweep (§5.1) over every chip, in ascending
+    /// [`GlobalPpa`] order: `f` sees each page that returned data.
+    fn interface_sweep(&mut self, mut f: impl FnMut(GlobalPpa, &PageData)) {
+        for (chip, ec) in self.ex.chips_mut().iter_mut().enumerate() {
+            Attacker::new().sweep(ec, |ppa, d| f(GlobalPpa { chip, ppa }, d));
+        }
+    }
+
     /// Every content tag a raw-chip attacker can currently recover from any
     /// chip of this SSD (after de-soldering).
     pub fn attacker_recoverable_tags(&mut self) -> HashSet<u64> {
-        let attacker = Attacker::new();
         let mut tags = HashSet::new();
-        for chip in self.ex.chips_mut() {
-            tags.extend(attacker.recoverable_tags(chip));
-        }
+        self.interface_sweep(|_, d| {
+            tags.insert(d.tag());
+        });
         tags
     }
 
     /// Verifies sanitization conditions C1/C2 for the logical range
-    /// `[lpa, lpa + npages)`: no superseded or deleted version of the
-    /// range's **secured** data is recoverable by the attacker. Data
-    /// written insecurely (`O_INSEC`) is exempt by definition (§6).
+    /// `[lpa, lpa + npages)` against what the flash returns: no page the
+    /// attacker can read holds a **secured** version of an LPA in the range
+    /// other than the one the FTL currently maps it to.
     ///
-    /// # Panics
-    ///
-    /// Panics if tag tracking is disabled in the configuration.
+    /// One attacker sweep collects every readable page's position, tag and
+    /// OOB `(lpa, secure)`. The range fails iff some readable page has
+    /// secure OOB, an OOB LPA inside the range, and a tag other than the
+    /// one readable at the position the FTL maps that LPA to. An unmapped
+    /// LPA, or one whose mapped page is unreadable, has no current tag, so
+    /// every readable secured copy of it is a leak. Data written insecurely
+    /// (`O_INSEC`) is exempt by definition (§6). Whether the map itself is
+    /// right is the read-back oracles' question, not this one's.
     pub fn verify_sanitized(&mut self, lpa: Lpa, npages: u64) -> bool {
-        assert!(
-            self.cfg.track_tags && self.cfg.stale_audit,
-            "verify_sanitized requires track_tags and stale_audit"
-        );
-        let recoverable = self.attacker_recoverable_tags();
-        self.stale
-            .iter()
-            .filter(|(l, _, secure)| *secure && (lpa..lpa + npages).contains(l))
-            .all(|(_, t, _)| !recoverable.contains(t))
-    }
-
-    /// Current length of the stale-tag audit log.
-    pub fn stale_len(&self) -> usize {
-        self.stale.len()
-    }
-
-    /// Compacts the stale-tag audit log: drops every entry whose tag is no
-    /// longer attacker-recoverable (its physical copies were all locked,
-    /// scrubbed, or erased) and every insecure entry (exempt from C1/C2 by
-    /// definition). Returns the number of entries dropped.
-    ///
-    /// [`Emulator::verify_sanitized`] is unaffected for the retained
-    /// window: a dropped entry could only have passed. Caveat: under
-    /// *aged* physical flags (see [`Emulator::age_flags`]) a lock can
-    /// decay and re-expose a page later, so compact only after the aging
-    /// horizon of interest, or not at all for forensic runs.
-    pub fn compact_stale(&mut self) -> usize {
-        let recoverable = self.attacker_recoverable_tags();
-        let before = self.stale.len();
-        self.stale.retain(|(_, t, secure)| *secure && recoverable.contains(t));
-        before - self.stale.len()
+        let range = lpa..lpa.saturating_add(npages);
+        // Sorted by position: the sweep visits positions in order.
+        let mut readable = Vec::new();
+        let mut secured = Vec::new();
+        self.interface_sweep(|at, d| {
+            readable.push((at, d.tag()));
+            if let Some(oob) = d.oob().filter(|o| o.secure && range.contains(&o.lpa)) {
+                secured.push((oob.lpa, d.tag()));
+            }
+        });
+        let current = |l: Lpa| {
+            let at = self.ftl.mapped(l)?;
+            readable.binary_search_by_key(&at, |&(p, _)| p).ok().map(|i| readable[i].1)
+        };
+        secured.into_iter().all(|(l, tag)| current(l) == Some(tag))
     }
 
     /// Device busy-time added per host page read (the serialized paths
@@ -1016,8 +986,8 @@ impl Emulator {
     /// Serializes the complete device state into one self-contained,
     /// versioned checkpoint: configuration, sanitization policy, FTL
     /// tables, every chip's NAND/flag/fault state, busy timelines, the
-    /// simulated clock, host bookkeeping (tags, stale audit log), latency
-    /// histograms, recovery totals, and — when enabled — the live gauges
+    /// simulated clock, host counters, latency histograms, recovery
+    /// totals, and — when enabled — the live gauges
     /// and telemetry ring. A run restored from these bytes continues
     /// bit-identically to one that never stopped (see
     /// `tests/checkpoint_resume.rs`).
@@ -1046,23 +1016,10 @@ impl Emulator {
         e.into_bytes()
     }
 
-    /// Host-side bookkeeping: tag map, stale audit log, op counters,
-    /// latency histograms, recovery totals.
+    /// Host-side bookkeeping: op counters, latency histograms, recovery
+    /// totals.
     fn encode_host_state(&self, e: &mut evanesco_nand::snapshot::Enc) {
         e.tag(0x50);
-        e.usize(self.tag_of.len());
-        for t in &self.tag_of {
-            e.opt(t, |e, &(tag, secure)| {
-                e.u64(tag);
-                e.bool(secure);
-            });
-        }
-        e.usize(self.stale.len());
-        for &(l, tag, secure) in &self.stale {
-            e.u64(l);
-            e.u64(tag);
-            e.bool(secure);
-        }
         e.u64(self.next_tag);
         e.u64(self.host_ops);
         self.read_latency.encode_snapshot(e);
@@ -1076,30 +1033,7 @@ impl Emulator {
         &mut self,
         d: &mut evanesco_nand::snapshot::Dec<'_>,
     ) -> Result<(), evanesco_nand::snapshot::SnapshotError> {
-        use evanesco_nand::snapshot::SnapshotError;
         d.expect_tag(0x50, "emulator")?;
-        let n_tags = d.usize()?;
-        if n_tags != self.tag_of.len() {
-            return Err(SnapshotError::Mismatch(format!(
-                "checkpoint tracks {n_tags} logical tags, configuration implies {}",
-                self.tag_of.len()
-            )));
-        }
-        for slot in self.tag_of.iter_mut() {
-            *slot = d.opt(|d| {
-                let tag = d.u64()?;
-                let secure = d.bool()?;
-                Ok((tag, secure))
-            })?;
-        }
-        let n_stale = d.usize()?;
-        self.stale = Vec::with_capacity(n_stale.min(1 << 20));
-        for _ in 0..n_stale {
-            let l = d.u64()?;
-            let tag = d.u64()?;
-            let secure = d.bool()?;
-            self.stale.push((l, tag, secure));
-        }
         self.next_tag = d.u64()?;
         self.host_ops = d.u64()?;
         self.read_latency = LatencyHistogram::decode_snapshot(d)?;
@@ -1168,10 +1102,9 @@ impl Emulator {
     ///   Costs simulated scan time and resets cumulative FTL counters,
     ///   so the salvaged run is consistent but no longer bit-identical
     ///   to the original.
-    /// * `host` — reset: tag tracking restarts from a blank map (the
-    ///   stale-audit history is lost, so `verify_sanitized` only covers
-    ///   deletes issued after the salvage), histograms and recovery
-    ///   totals restart from zero.
+    /// * `host` — reset: counters, histograms and recovery totals restart
+    ///   from zero. [`Emulator::verify_sanitized`] reads only the flash and
+    ///   the FTL map, so its coverage does not depend on this section.
     /// * `gauges` / `timeseries` — dropped (observational).
     ///
     /// # Errors
@@ -1215,9 +1148,6 @@ impl Emulator {
         let (mut s, crc_ok) = d.section_frame(section::HOST, "host")?;
         let host_ok = crc_ok && em.decode_host_state(&mut s).and_then(|()| s.finish()).is_ok();
         if !host_ok {
-            let tags = if em.cfg.track_tags { em.ftl.logical_pages() as usize } else { 0 };
-            em.tag_of = vec![None; tags];
-            em.stale = Vec::new();
             em.next_tag = 1;
             em.host_ops = 0;
             em.read_latency = LatencyHistogram::new();
@@ -1334,6 +1264,39 @@ mod tests {
         let rec = s.attacker_recoverable_tags();
         assert!(!rec.contains(&first));
         assert!(s.verify_sanitized(0, 1));
+    }
+
+    #[test]
+    fn a_remnant_the_host_never_wrote_is_judged_by_its_oob() {
+        use evanesco_nand::{chip::PageOob, geometry::Ppa};
+        // Planted in the last block of chip 0, which the FTL has not
+        // opened: `lpa` 2 is mapped to another tag, 9 is unmapped.
+        for (lpa, secure, leaks) in [(2, true, true), (9, true, true), (2, false, false)] {
+            let mut s = ssd(SanitizePolicy::evanesco());
+            s.write(0, 4, true);
+            let at = Ppa::new(s.config().ftl.geometry.blocks - 1, 0);
+            let remnant = PageData::tagged(0xF0E1).with_oob(PageOob { lpa, secure, seq: 0 });
+            s.device_mut().chips_mut()[0].program(at, remnant).unwrap();
+            assert_eq!(s.verify_sanitized(0, 16), !leaks, "lpa {lpa} secure {secure}");
+            assert!(s.verify_sanitized(10, 6), "a remnant outside the range is not judged");
+            s.device_mut().chips_mut()[0].p_lock(at).unwrap();
+            assert!(s.verify_sanitized(0, 16), "a locked remnant is unreadable");
+        }
+    }
+
+    #[test]
+    fn verification_runs_on_a_scaled_device() {
+        let mut s = Emulator::new(SsdConfig::scaled(12), SanitizePolicy::evanesco());
+        let mut x = 11u64;
+        for _ in 0..300 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            s.write(x % 512, 1 + x % 4, !x.is_multiple_of(3));
+            if x.is_multiple_of(5) {
+                s.trim(x % 256, 2);
+            }
+        }
+        let logical = s.logical_pages();
+        assert!(s.verify_sanitized(0, logical));
     }
 
     #[test]
@@ -1630,7 +1593,6 @@ mod tests {
         let (mut em, report) = Emulator::restore_checkpoint_salvaging(&bytes).unwrap();
         assert_eq!(report.salvaged, vec!["host"]);
         // Bookkeeping restarted; the flash and FTL state survived.
-        assert_eq!(em.stale_len(), 0);
         assert_eq!(em.result().host_ops, 0);
         assert_eq!(em.read(0, 4), tags.into_iter().map(Some).collect::<Vec<_>>());
     }

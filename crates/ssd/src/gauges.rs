@@ -157,6 +157,24 @@ impl VersionCounts {
         })
     }
 
+    /// Reads a stream's logical clock, the `tick` its open intervals are
+    /// checked against.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncation, and on a clock of `u64::MAX`: the next host
+    /// tick would overflow it.
+    pub fn decode_clock(
+        d: &mut evanesco_nand::snapshot::Dec<'_>,
+    ) -> Result<u64, evanesco_nand::snapshot::SnapshotError> {
+        match d.u64()? {
+            u64::MAX => Err(evanesco_nand::snapshot::SnapshotError::Corrupt(
+                "logical clock at u64::MAX cannot tick again".into(),
+            )),
+            tick => Ok(tick),
+        }
+    }
+
     /// Writes the open insecure interval.
     pub fn encode_open(&self, e: &mut evanesco_nand::snapshot::Enc) {
         e.opt(&self.insecure_since, |e, &t| e.u64(t));
@@ -453,8 +471,8 @@ impl LiveGauges {
     ///
     /// Fails on truncation or structural corruption, and — the table is
     /// sized by `cfg`, never by the stream — on a block or page outside
-    /// the device, a block or page listed twice, or counters that
-    /// disagree with the listed pages.
+    /// the device, a block or page listed twice, counters that disagree
+    /// with the listed pages, or a clock that cannot tick again.
     pub fn decode_state(
         cfg: &FtlConfig,
         d: &mut evanesco_nand::snapshot::Dec<'_>,
@@ -464,7 +482,7 @@ impl LiveGauges {
         };
         d.expect_tag(0x40, "live-gauges")?;
         let mut t = ExposureTable::new(cfg, 1);
-        t.tick = d.u64()?;
+        t.tick = VersionCounts::decode_clock(d)?;
         let o = &mut t.owners[0];
         o.versions = VersionCounts::decode(d)?;
         o.versions.decode_open(d, t.tick)?;
@@ -1082,6 +1100,15 @@ mod tests {
         VersionCounts { invalid: 1, max_invalid: 1, ..VersionCounts::default() }.encode(&mut e);
         e.opt(&Some(5u64), |e, &t| e.u64(t));
         corrupt(&e.into_bytes(), "after the clock");
+    }
+
+    #[test]
+    fn a_clock_that_cannot_tick_again_is_rejected() {
+        let mut bytes = stream(0, 0, &[]);
+        bytes[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+        corrupt(&bytes, "cannot tick again");
+        bytes[1..9].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+        assert!(decode(&bytes).is_ok(), "one tick below the limit still decodes");
     }
 
     #[test]

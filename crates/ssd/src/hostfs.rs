@@ -312,6 +312,20 @@ mod tests {
     }
 
     #[test]
+    fn identical_files_share_a_tag_without_a_false_leak() {
+        // Equal bytes, equal content tag: the survivor's readable copy is
+        // current data, not a remnant of the deleted file.
+        let mut f = fs();
+        f.create("a", b"same bytes", OpenMode::Secure).unwrap();
+        f.create("b", b"same bytes", OpenMode::Secure).unwrap();
+        f.delete("a").unwrap();
+        assert!(f.ssd_mut().result().plocks > 0, "the deleted copy is pLocked");
+        assert_eq!(f.read("b").unwrap(), b"same bytes");
+        let logical = f.ssd.logical_pages();
+        assert!(f.ssd_mut().verify_sanitized(0, logical));
+    }
+
+    #[test]
     fn insecure_files_skip_locking() {
         let mut f = fs();
         f.create("cache.tmp", b"cat pictures", OpenMode::Insecure).unwrap();

@@ -35,12 +35,6 @@ pub fn render(em: &Emulator) -> String {
     );
     gauge_f(&mut out, "evanesco_iops", "Host page operations per simulated second.", r.iops);
     gauge_f(&mut out, "evanesco_waf", "Write amplification factor.", r.waf);
-    counter(
-        &mut out,
-        "evanesco_stale_audit_entries",
-        "Entries in the stale-tag audit log (0 unless stale_audit).",
-        em.stale_len() as u64,
-    );
 
     let f = &r.ftl;
     let ftl: [(&str, &str, u64); 32] = [

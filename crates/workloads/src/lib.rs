@@ -26,10 +26,7 @@
 //! use evanesco_ftl::SanitizePolicy;
 //!
 //! # fn main() {
-//! let mut cfg = SsdConfig::tiny_for_tests();
-//! cfg.track_tags = false;
-//! cfg.stale_audit = false;
-//! let mut ssd = Emulator::new(cfg, SanitizePolicy::evanesco());
+//! let mut ssd = Emulator::new(SsdConfig::tiny_for_tests(), SanitizePolicy::evanesco());
 //! let trace = generate(&WorkloadSpec::mail_server(), ssd.logical_pages(), 200, 42);
 //! let result = replay(&mut ssd, &trace);
 //! assert!(result.iops > 0.0);

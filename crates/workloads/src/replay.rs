@@ -64,10 +64,7 @@ mod tests {
     use evanesco_ssd::SsdConfig;
 
     fn small_ssd(policy: SanitizePolicy) -> Emulator {
-        let mut cfg = SsdConfig::tiny_for_tests();
-        cfg.track_tags = false;
-        cfg.stale_audit = false;
-        Emulator::new(cfg, policy)
+        Emulator::new(SsdConfig::tiny_for_tests(), policy)
     }
 
     #[test]

@@ -442,12 +442,12 @@ impl VerTrace {
     /// Fails on truncation or structural corruption, and — the tables are
     /// bounded by `cfg`, never by the stream — on an LPA outside the
     /// logical space, a chip, block or page outside the device, an LPA,
-    /// block, page or file listed twice, or a window or interval that
-    /// opens after the stream's clock.
+    /// block, page or file listed twice, a window or interval that opens
+    /// after the stream's clock, or a clock that cannot tick again.
     pub fn decode_state(cfg: &FtlConfig, d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         let corrupt = |what: String| SnapshotError::Corrupt(format!("vertrace: {what}"));
         d.expect_tag(0x60, "vertrace")?;
-        let mut vt = VerTrace { tick: d.u64()?, ..Self::default() };
+        let mut vt = VerTrace { tick: VersionCounts::decode_clock(d)?, ..Self::default() };
         let logical = cfg.logical_pages();
         let n_lpas = d.usize()?;
         if n_lpas as u64 > logical {
@@ -938,6 +938,15 @@ mod tests {
         corrupt(&stream(&[], &[(0, 0, &[(0, 1, false, Some(10))])], &[]), "after the clock");
         corrupt(&stream(&[], &[], &[(1, 0, true, Some(u64::MAX))]), "after the clock");
         assert!(decode(&stream(&[], &[(0, 0, &[(0, 1, false, Some(9))])], &[])).is_ok());
+    }
+
+    #[test]
+    fn a_clock_that_cannot_tick_again_is_rejected() {
+        let mut bytes = stream(&[], &[], &[]);
+        bytes[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+        corrupt(&bytes, "cannot tick again");
+        bytes[1..9].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+        assert!(decode(&bytes).is_ok(), "one tick below the limit still decodes");
     }
 
     #[test]

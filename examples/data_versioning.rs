@@ -14,10 +14,7 @@ use evanesco::workloads::vertrace::VerTrace;
 use evanesco::workloads::WorkloadSpec;
 
 fn run(policy: SanitizePolicy) -> (String, evanesco::workloads::VerTraceReport) {
-    let mut cfg = SsdConfig::tiny_for_tests();
-    cfg.track_tags = false;
-    cfg.stale_audit = false;
-    let mut ssd = Emulator::new(cfg, policy);
+    let mut ssd = Emulator::new(SsdConfig::tiny_for_tests(), policy);
     let logical = ssd.logical_pages();
     let trace = generate(&WorkloadSpec::db_server(), logical, 2 * logical, 42);
     let mut vt = VerTrace::new();

@@ -152,9 +152,7 @@ proptest! {
             WorkloadSpec::db_server(),
             WorkloadSpec::file_server(),
         ];
-        let mut cfg = SsdConfig::tiny_for_tests();
-        cfg.track_tags = false;
-        cfg.stale_audit = false;
+        let cfg = SsdConfig::tiny_for_tests();
         let policy = SanitizePolicy::ALL[policy_i];
         let logical = Emulator::new(cfg, policy).logical_pages();
         let trace = generate(&specs[spec_i], logical, 250, seed);
@@ -196,16 +194,19 @@ proptest! {
             "exposure attribution diverged after resume"
         );
         prop_assert_eq!(observables(&a), observables(&em));
+        if policy.is_immediate() {
+            prop_assert!(em.verify_sanitized(0, logical), "{} leaks after resume", policy);
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Golden format: the checked-in fixture pins the on-disk byte layout
-// (`checkpoint_v3.ckpt`, the current format) and must round-trip
+// (`checkpoint_v4.ckpt`, the current format) and must round-trip
 // byte-identically.
 // ---------------------------------------------------------------------------
 
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/checkpoint_v3.ckpt");
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/checkpoint_v4.ckpt");
 
 /// The fixed script behind the golden fixture. Deterministic: the same
 /// library version always produces the same bytes. Physical flags are on,
@@ -297,12 +298,12 @@ fn restored_golden_device_serves_reads_and_keeps_working() {
 }
 
 /// A checkpoint from a future (unknown) format version — or from the
-/// retired formats 1 and 2 — is rejected with a typed, descriptive error: not a
+/// retired formats 1 to 3 — is rejected with a typed, descriptive error: not a
 /// panic, not garbage state.
 #[test]
 fn unknown_version_fails_with_a_clear_error() {
     let mut bytes = std::fs::read(GOLDEN).expect("checked-in fixture exists");
-    for version in [u32::MAX, 2, 1, 0] {
+    for version in [u32::MAX, 3, 2, 1, 0] {
         // Layout: 8-byte magic, then the little-endian u32 format version.
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         for restored in [
@@ -311,7 +312,7 @@ fn unknown_version_fails_with_a_clear_error() {
         ] {
             match restored {
                 Err(e @ SnapshotError::UnsupportedVersion { found, supported }) => {
-                    assert_eq!((found, supported), (version, 3));
+                    assert_eq!((found, supported), (version, 4));
                     assert!(e.to_string().contains("version"), "error must name the problem: {e}");
                 }
                 other => panic!("want UnsupportedVersion for {version}, got {other:?}"),

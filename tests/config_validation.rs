@@ -1,9 +1,12 @@
 //! Edge-case tests for configuration validation: every structural
 //! invariant of [`FtlConfig::validate`] and [`SsdConfig::validate`] must
-//! reject its violation with a descriptive panic, and the shipped presets
-//! must all pass.
+//! reject its violation with a descriptive panic, a checkpoint carrying the
+//! violation must decode to a typed error naming the same rule, and the
+//! shipped presets must all pass.
 
 use evanesco::ftl::{FtlConfig, SanitizePolicy};
+use evanesco::nand::snapshot::{Dec, Enc, SnapshotError};
+use evanesco::ssd::checkpoint::{decode_config, encode_config};
 use evanesco::ssd::SsdConfig;
 
 fn tiny_ftl() -> FtlConfig {
@@ -222,6 +225,56 @@ fn ssd_validate_reaches_the_embedded_ftl_config() {
     let mut cfg = SsdConfig::tiny_for_tests();
     cfg.ftl.gc_free_threshold = 0;
     cfg.validate();
+}
+
+type Violate = fn(&mut SsdConfig);
+
+/// Every violation above, as `(the text its test expects, the mutation)`.
+const VIOLATIONS: [(&str, Violate); 21] = [
+    ("n_chips must be positive", |c| c.ftl.n_chips = 0),
+    ("at least one block", |c| c.ftl.geometry.blocks = 0),
+    ("at least one wordline", |c| c.ftl.geometry.wordlines_per_block = 0),
+    ("op_ratio must be in (0, 1)", |c| c.ftl.op_ratio = 0.0),
+    ("op_ratio must be in (0, 1)", |c| c.ftl.op_ratio = 1.0),
+    ("op_ratio must be in (0, 1)", |c| c.ftl.op_ratio = -0.2),
+    ("logical address space is empty", |c| c.ftl.op_ratio = 0.999),
+    ("gc_free_threshold must be >= 1", |c| c.ftl.gc_free_threshold = 0),
+    ("needs more than", |c| c.ftl.gc_free_threshold = c.ftl.geometry.blocks as usize),
+    ("block_min_plocks must be >= 1", |c| c.ftl.block_min_plocks = 0),
+    ("fault probability plock_fail must be in [0, 1]", |c| c.ftl.faults.plock_fail = 1.5),
+    ("fault probability erase_fail must be in [0, 1]", |c| c.ftl.faults.erase_fail = -0.1),
+    ("fault probability read_retry_decay must be in [0, 1]", |c| {
+        c.ftl.faults.read_retry_decay = 2.0
+    }),
+    ("program_fail must be below 1", |c| c.ftl.faults.program_fail = 1.0),
+    ("backoff_base must be positive", |c| {
+        c.ftl.reliability.backoff_base = evanesco::nand::timing::Nanos(0)
+    }),
+    ("spare_blocks must be >= 1", |c| c.ftl.reliability.spare_blocks = 0),
+    ("must be below spare_blocks", |c| {
+        c.ftl.reliability.spare_low_watermark = c.ftl.reliability.spare_blocks
+    }),
+    ("must be below the", |c| c.ftl.reliability.spare_blocks = c.ftl.geometry.blocks as usize),
+    ("channels must be positive", |c| c.channels = 0),
+    ("chips_per_channel must be positive", |c| c.chips_per_channel = 0),
+    ("channel topology and FTL chip count disagree", |c| c.chips_per_channel = 2),
+];
+
+#[test]
+fn every_violation_in_a_checkpoint_decodes_to_corrupt_naming_the_rule() {
+    for (rule, violate) in VIOLATIONS {
+        let mut cfg = SsdConfig::tiny_for_tests();
+        violate(&mut cfg);
+        let text = cfg.check().expect_err(rule);
+        assert!(text.contains(rule), "check() says {text:?}, the panic test expects {rule:?}");
+        let mut e = Enc::new();
+        encode_config(&cfg, &mut e);
+        let bytes = e.into_bytes();
+        match decode_config(&mut Dec::new(&bytes)) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(&text), "{msg}"),
+            other => panic!("{rule}: want Corrupt, got {other:?}"),
+        }
+    }
 }
 
 #[test]

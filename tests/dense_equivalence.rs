@@ -156,8 +156,6 @@ proptest! {
             WorkloadSpec::file_server(),
         ];
         let mut cfg = SsdConfig::tiny_for_tests();
-        cfg.track_tags = false;
-        cfg.stale_audit = false;
         if severity >= 0.05 {
             cfg.ftl.faults = FaultConfig::storm(severity, fault_seed);
         }

@@ -82,10 +82,7 @@ fn checkpoint_bytes(vt: &VerTrace) -> Vec<u8> {
 }
 
 fn digest(spec: &WorkloadSpec, policy: SanitizePolicy, seed: u64) -> u64 {
-    let mut cfg = SsdConfig::tiny_for_tests();
-    cfg.track_tags = false;
-    cfg.stale_audit = false;
-    let mut ssd = Emulator::new(cfg, policy);
+    let mut ssd = Emulator::new(SsdConfig::tiny_for_tests(), policy);
     let logical = ssd.logical_pages();
     let trace = generate(spec, logical, 2 * logical, seed);
     let mut vt = VerTrace::with_timelines();

@@ -14,9 +14,7 @@ use evanesco_bench::Scale;
 
 /// One run of `spec` under `policy` with VerTrace attached.
 fn run(spec: &WorkloadSpec, seed: u64, policy: SanitizePolicy) -> VerTraceReport {
-    let mut cfg = Scale::smoke().ssd_config();
-    cfg.track_tags = false;
-    let mut ssd = Emulator::new(cfg, policy);
+    let mut ssd = Emulator::new(Scale::smoke().ssd_config(), policy);
     let logical = ssd.logical_pages();
     let trace = generate(spec, logical, logical, seed);
     let mut vt = VerTrace::new();
@@ -95,9 +93,7 @@ fn retirement_paths_split_by_policy() {
 /// Replays `trace` with every telemetry layer either armed or off and
 /// returns the final whole-run result.
 fn telemetry_run(trace: &Trace, enable: bool) -> evanesco::ssd::RunResult {
-    let mut cfg = Scale::smoke().ssd_config();
-    cfg.track_tags = false;
-    let mut ssd = Emulator::new(cfg, SanitizePolicy::evanesco());
+    let mut ssd = Emulator::new(Scale::smoke().ssd_config(), SanitizePolicy::evanesco());
     if enable {
         ssd.enable_gauges();
         ssd.enable_tracing(256);

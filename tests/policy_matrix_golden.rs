@@ -14,7 +14,7 @@
 //!
 //! Each cell also checks the security contract directly: after the final
 //! flush no acknowledged-dead secured tag is recoverable from any chip,
-//! and the FTL's invariants hold.
+//! `Emulator::verify_sanitized` agrees, and the FTL's invariants hold.
 
 use evanesco::core::fault::FaultConfig;
 use evanesco::ftl::observer::NullObserver;
@@ -200,6 +200,12 @@ fn run_cell(
     h.bytes(ssd.decision_log().render().as_bytes());
     for t in &recoverable {
         h.bytes(&t.to_le_bytes());
+    }
+    // The flash-side verifier agrees with the shadow (after the digest: its
+    // sweep reads every page again).
+    if policy.is_immediate() {
+        let logical = ssd.logical_pages();
+        assert!(ssd.verify_sanitized(0, logical), "{policy}: verify_sanitized finds a leak");
     }
     (h.0, result.ftl, result.recovery.lock_retries)
 }

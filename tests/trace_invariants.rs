@@ -12,8 +12,6 @@
 //!   workloads at qd 1 and qd 8 (the bug this PR fixes discarded it);
 //! * **gauges** — a sanitizing policy holds live T_insecure at zero
 //!   while the no-sanitization baseline accrues it;
-//! * **stale audit log** — gated by config, compactable, and still
-//!   sufficient for `verify_sanitized`;
 //! * **segmenter** — the sweep-line `trace::segment` returns exactly what
 //!   the quadratic rule and the sorted-bounds sweep it replaced return, on
 //!   arbitrary event sets;
@@ -205,40 +203,6 @@ fn gauges_separate_sanitizing_from_baseline_policies() {
     assert!(exposed.insecure_ticks > 0, "baseline accrues insecure time");
     assert!(exposed.vaf > 0.0);
     assert!(exposed.t_insecure(1024) > secured.t_insecure(1024));
-}
-
-#[test]
-fn stale_audit_log_is_gated_and_compactable() {
-    // Auditing on (the test default): the log grows, compaction drops
-    // sanitized entries, and verification still works afterwards.
-    let mut audited = Emulator::new(SsdConfig::tiny_for_tests(), SanitizePolicy::evanesco());
-    audited.write(0, 8, true);
-    audited.write(0, 8, true); // overwrite: 8 stale secured versions
-    assert!(audited.stale_len() >= 8, "audit log should grow on overwrite");
-    assert!(audited.verify_sanitized(0, 8));
-    let dropped = audited.compact_stale();
-    assert!(dropped >= 8, "sanitized entries should compact away");
-    assert_eq!(audited.stale_len(), 0);
-    assert!(audited.verify_sanitized(0, 8), "verification survives compaction");
-
-    // Auditing off: the log must not grow at all.
-    let mut cfg = SsdConfig::tiny_for_tests();
-    cfg.stale_audit = false;
-    let mut bare = Emulator::new(cfg, SanitizePolicy::evanesco());
-    bare.write(0, 8, true);
-    bare.write(0, 8, true);
-    bare.trim(0, 8);
-    assert_eq!(bare.stale_len(), 0, "stale log must stay empty without stale_audit");
-}
-
-#[test]
-#[should_panic(expected = "stale_audit")]
-fn verify_without_audit_log_panics() {
-    let mut cfg = SsdConfig::tiny_for_tests();
-    cfg.stale_audit = false;
-    let mut ssd = Emulator::new(cfg, SanitizePolicy::evanesco());
-    ssd.write(0, 4, true);
-    ssd.verify_sanitized(0, 4);
 }
 
 /// The segmentation rule as first written, kept as the reference: for
