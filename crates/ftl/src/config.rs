@@ -184,9 +184,9 @@ impl FtlConfig {
     ///
     /// Names the first violated rule: zero chips or blocks, an
     /// over-provisioning ratio outside `(0, 1)`, an empty logical address
-    /// space, a GC threshold the geometry cannot satisfy, a fault
-    /// probability outside `[0, 1]`, or an unsatisfiable spare-block
-    /// reserve.
+    /// space or a device too large for the word-width mapping tables, a GC
+    /// threshold the geometry cannot satisfy, a fault probability outside
+    /// `[0, 1]`, or an unsatisfiable spare-block reserve.
     pub fn check(&self) -> Result<(), String> {
         macro_rules! rule {
             ($ok:expr, $($msg:tt)+) => {
@@ -207,7 +207,12 @@ impl FtlConfig {
             "op_ratio must be in (0, 1), got {}",
             self.op_ratio
         );
-        rule!(self.logical_pages() > 0, "logical address space is empty");
+        let lp = self.logical_pages();
+        rule!(lp > 0, "logical address space is empty");
+        rule!(lp < u32::MAX.into(), "logical capacity must be below 2^32 - 1 pages, got {lp}");
+        let (chip, block, page) = self.l2p_field_bits();
+        let bits = chip + block + page;
+        rule!(bits <= 31, "geometry and chip count must pack into a 31-bit L2P entry, need {bits}");
         rule!(self.gc_free_threshold >= 1, "gc_free_threshold must be >= 1");
         rule!(self.chips_per_channel >= 1, "chips_per_channel must be >= 1");
         rule!(
@@ -277,6 +282,13 @@ impl FtlConfig {
     /// Number of logical pages exposed to the host.
     pub fn logical_pages(&self) -> u64 {
         (self.physical_pages() as f64 * (1.0 - self.op_ratio)).floor() as u64
+    }
+
+    /// Widths of a packed L2P entry's `(chip, block, page)` bit-fields.
+    pub(crate) fn l2p_field_bits(&self) -> (u32, u32, u32) {
+        let bits = |n: u64| u64::BITS - n.saturating_sub(1).leading_zeros();
+        let geom = &self.geometry;
+        (bits(self.n_chips as u64), bits(geom.blocks.into()), bits(geom.pages_per_block().into()))
     }
 }
 

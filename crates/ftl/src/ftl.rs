@@ -55,7 +55,7 @@ mod sanitize;
 use alloc::ActiveBlock;
 use coalesce::{CoalesceEntry, CoalesceQueue};
 use gc::VictimIndex;
-use map::{BlockMeta, BlockState, ChipState};
+use map::{BlockMeta, BlockState, ChipState, L2p};
 pub use reliability::DegradedMode;
 
 /// A page-mapping FTL with pluggable sanitization policy.
@@ -63,7 +63,7 @@ pub use reliability::DegradedMode;
 pub struct Ftl {
     cfg: FtlConfig,
     policy: SanitizePolicy,
-    l2p: Vec<Option<GlobalPpa>>,
+    l2p: L2p,
     chips: Vec<ChipState>,
     /// Chip visit order of the write frontier (see
     /// [`crate::config::WriteAlloc`]); the frontier position `next_chip`
@@ -111,7 +111,7 @@ impl Ftl {
         cfg.validate();
         let ppb = cfg.geometry.pages_per_block();
         Ftl {
-            l2p: vec![None; cfg.logical_pages() as usize],
+            l2p: L2p::new(&cfg),
             chips: (0..cfg.n_chips).map(|_| ChipState::new(cfg.geometry.blocks, ppb)).collect(),
             chip_order: Self::chip_order_for(&cfg),
             next_chip: 0,
@@ -248,7 +248,7 @@ impl Ftl {
         if self.cfg.lock_coalescing {
             self.flush_aged_locks(ex);
         }
-        if let Some(old) = self.l2p[lpa as usize] {
+        if let Some(old) = self.l2p.get(lpa as usize) {
             // A single superseded page is one block group by construction;
             // dispatch it directly instead of routing through the grouping
             // pass (this is the hottest invalidation path in the system).
@@ -272,7 +272,7 @@ impl Ftl {
     /// Handles a host page read; returns the stored data if mapped.
     pub fn read<E: NandExecutor>(&mut self, ex: &mut E, lpa: Lpa) -> Option<PageData> {
         self.stats.host_read_pages += 1;
-        let at = self.l2p.get(lpa as usize).copied().flatten()?;
+        let at = self.l2p.get(lpa as usize)?;
         self.stats.nand_reads += 1;
         ex.read(at)
     }

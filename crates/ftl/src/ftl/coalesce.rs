@@ -12,10 +12,18 @@ use super::*;
 pub(super) struct CoalesceEntry {
     pub(super) chip: usize,
     pub(super) block: u32,
-    pub(super) pages: Vec<GlobalPpa>,
+    /// Page ids within `block`, in enqueue order (the `pLock` order).
+    pub(super) pages: Vec<u32>,
     /// Host-write tick at which the first page entered (age reference for
     /// the bounded coalescing window).
     pub(super) since: u64,
+}
+
+impl CoalesceEntry {
+    /// The queued pages as addresses, in enqueue order.
+    pub(super) fn addresses(&self) -> impl Iterator<Item = GlobalPpa> + '_ {
+        self.pages.iter().map(|&page| GlobalPpa::new(self.chip, Ppa::new(self.block, page)))
+    }
 }
 
 /// The deferred-lock queue, engineered for the host data plane: a dense
@@ -38,7 +46,7 @@ pub(super) struct CoalesceQueue {
     at: Vec<u32>,
     blocks_per_chip: u32,
     /// Recycled page buffers from settled entries.
-    spare: Vec<Vec<GlobalPpa>>,
+    spare: Vec<Vec<u32>>,
     /// Total queued pages across live entries.
     queued_pages: usize,
     /// Live entry count (the checkpoint codec needs it up front).
@@ -58,20 +66,21 @@ impl CoalesceQueue {
         chip * self.blocks_per_chip as usize + block as usize
     }
 
-    /// Appends `pages` to the block's entry, creating one (age-stamped
-    /// `since`) when none is queued. Steady state never allocates: slots
-    /// and page buffers come from the recycle pools.
+    /// Appends the ids of `pages` (all in `block`) to the block's entry,
+    /// creating one (age-stamped `since`) when none is queued. Steady state
+    /// never allocates: slots and page buffers come from the recycle pools.
     pub(super) fn enqueue(&mut self, chip: usize, block: u32, pages: &[GlobalPpa], since: u64) {
         self.queued_pages += pages.len();
+        let ids = pages.iter().map(|at| at.ppa.page.0);
         let key = self.key(chip, block);
         let slot = self.at[key];
         if slot != 0 {
-            self.slab[(slot - 1) as usize].pages.extend_from_slice(pages);
+            self.slab[(slot - 1) as usize].pages.extend(ids);
             return;
         }
         let mut buf = self.spare.pop().unwrap_or_default();
         buf.clear();
-        buf.extend_from_slice(pages);
+        buf.extend(ids);
         let entry = CoalesceEntry { chip, block, pages: buf, since };
         let slot = match self.free.pop() {
             Some(s) => {
@@ -139,7 +148,7 @@ impl CoalesceQueue {
     }
 
     /// Returns a drained entry's page buffer to the recycle pool.
-    pub(super) fn recycle(&mut self, pages: Vec<GlobalPpa>) {
+    pub(super) fn recycle(&mut self, pages: Vec<u32>) {
         if pages.capacity() > 0 && self.spare.len() < 64 {
             self.spare.push(pages);
         }

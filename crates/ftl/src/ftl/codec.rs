@@ -2,7 +2,7 @@
 //! snapshot stream, byte for byte (format 3, section 0x30).
 
 use super::*;
-use evanesco_nand::snapshot::{Dec, Enc, SnapshotError};
+use evanesco_nand::snapshot::{Dec, Enc, SnapshotError, SnapshotError::Corrupt};
 
 /// Wire codes: an enum value travels as its index in its table, so the
 /// tables are checkpoint format — append to them, never reorder.
@@ -33,7 +33,7 @@ fn decode_code<T: Copy>(d: &mut Dec<'_>, table: &[T], what: &str) -> Result<T, S
     table
         .get(usize::from(code))
         .copied()
-        .ok_or_else(|| SnapshotError::Corrupt(format!("unknown {what} {code:#04x}")))
+        .ok_or_else(|| Corrupt(format!("unknown {what} {code:#04x}")))
 }
 
 impl Ftl {
@@ -47,14 +47,14 @@ impl Ftl {
     pub fn encode_state(&self, e: &mut Enc) {
         e.tag(0x30);
         e.usize(self.l2p.len());
-        for slot in &self.l2p {
-            e.opt(slot, encode_gppa);
+        for lpa in 0..self.l2p.len() {
+            e.opt(&self.l2p.get(lpa), encode_gppa);
         }
         e.usize(self.chips.len());
         for c in &self.chips {
             e.usize(c.p2l.len());
-            for slot in &c.p2l {
-                e.opt(slot, |e, lpa| e.u64(*lpa));
+            for idx in 0..c.p2l.len() {
+                e.opt(&c.lpa_at(idx), |e, lpa| e.u64(*lpa));
             }
             for &s in &c.status {
                 encode_code(e, &PAGE_STATUS, s);
@@ -106,8 +106,8 @@ impl Ftl {
             e.usize(entry.chip);
             e.u32(entry.block);
             e.usize(entry.pages.len());
-            for p in &entry.pages {
-                encode_gppa(e, p);
+            for p in entry.addresses() {
+                encode_gppa(e, &p);
             }
             e.u64(entry.since);
         }
@@ -119,19 +119,29 @@ impl Ftl {
     ///
     /// # Errors
     ///
-    /// Fails on truncation, structural corruption, or table dimensions
-    /// that do not match this FTL's geometry.
+    /// Fails on truncation, corruption (an address or LPA off the device),
+    /// or table dimensions that do not match this FTL's geometry.
     pub fn decode_state(&mut self, d: &mut Dec<'_>) -> Result<(), SnapshotError> {
         d.expect_tag(0x30, "ftl")?;
+        let geom = self.cfg.geometry;
         dimension(d, self.l2p.len(), "L2P size")?;
-        for slot in &mut self.l2p {
-            *slot = d.opt(decode_gppa)?;
+        for lpa in 0..self.l2p.len() {
+            let at = d.opt(decode_gppa)?;
+            if at.is_some_and(|at| at.chip >= self.chips.len() || !geom.contains(at.ppa)) {
+                return Err(Corrupt(format!("L2P entry of lpa {lpa} outside the device")));
+            }
+            self.l2p.set(lpa, at);
         }
+        let logical = self.l2p.len() as u64;
         dimension(d, self.chips.len(), "chip count")?;
         for c in &mut self.chips {
             dimension(d, c.p2l.len(), "chip page count")?;
             for slot in &mut c.p2l {
-                *slot = d.opt(|d| d.u64())?;
+                *slot = match d.opt(|d| d.u64())? {
+                    None => 0,
+                    Some(lpa) if lpa < logical => lpa as u32 + 1,
+                    Some(lpa) => return Err(Corrupt(format!("P2L entry names lpa {lpa}"))),
+                };
             }
             for s in &mut c.status {
                 *s = decode_code(d, &PAGE_STATUS, "page status")?;
@@ -189,11 +199,15 @@ impl Ftl {
             // as a decode error downstream, not an OOM abort here.
             let mut pages = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
-                pages.push(decode_gppa(d)?);
+                let at = decode_gppa(d)?;
+                if (at.chip, at.ppa.block.0) != (chip, block) || !geom.contains(at.ppa) {
+                    return Err(Corrupt(format!("queued page {at} outside its entry's block")));
+                }
+                pages.push(at);
             }
             let since = d.u64()?;
-            if chip >= self.chips.len() || block >= self.cfg.geometry.blocks {
-                return Err(SnapshotError::Corrupt(format!(
+            if chip >= self.chips.len() || block >= geom.blocks {
+                return Err(Corrupt(format!(
                     "coalesce entry out of range: chip {chip}, block {block}"
                 )));
             }

@@ -206,7 +206,7 @@ impl Ftl {
         if !st.is_live() {
             return None;
         }
-        let lpa = self.chips[chip].p2l[idx].expect("live page has a reverse mapping");
+        let lpa = self.chips[chip].lpa_at(idx).expect("live page has a reverse mapping");
         let data = ex.read(old).expect("live page is readable");
         self.stats.nand_reads += 1;
         let secure = st == PageStatus::Secured;

@@ -138,8 +138,8 @@ impl Ftl {
         let mut bits = std::mem::take(&mut self.guard.as_mut().expect("guard armed").unmapped);
         bits.clear();
         bits.resize(self.l2p.len().div_ceil(64), 0);
-        for (i, slot) in self.l2p.iter().enumerate() {
-            if slot.is_none() {
+        for i in 0..self.l2p.len() {
+            if self.l2p.get(i).is_none() {
                 bits[i / 64] |= 1u64 << (i % 64);
             }
         }
@@ -270,7 +270,7 @@ impl Ftl {
         self.events.arm(obs.listening());
         let resurrected: Vec<Lpa> = (0..self.l2p.len())
             .filter(|&i| {
-                self.l2p[i].is_some()
+                self.l2p.get(i).is_some()
                     && tombstones.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
             })
             .map(|i| i as Lpa)
@@ -368,12 +368,10 @@ impl Ftl {
             }
             match probe.oob {
                 Some(oob) => {
-                    if self.chips[chip].p2l[idx] != Some(oob.lpa) {
+                    if self.chips[chip].lpa_at(idx) != Some(oob.lpa) {
                         return true;
                     }
-                    if (oob.lpa as usize) >= self.l2p.len()
-                        || self.l2p[oob.lpa as usize] != Some(at)
-                    {
+                    if self.l2p.get(oob.lpa as usize) != Some(at) {
                         return true;
                     }
                     if (st == PageStatus::Secured) != oob.secure {
@@ -402,9 +400,9 @@ impl Ftl {
 
     fn seal_l2p(&self) -> u64 {
         let mut s = Seal::new();
-        for slot in &self.l2p {
-            match slot {
-                Some(at) => s.gppa(*at),
+        for lpa in 0..self.l2p.len() {
+            match self.l2p.get(lpa) {
+                Some(at) => s.gppa(at),
                 None => s.u64(u64::MAX),
             }
         }
@@ -432,7 +430,7 @@ impl Ftl {
             s.u64(u64::from(e.block));
             s.u64(e.since);
             s.u64(e.pages.len() as u64);
-            for &p in &e.pages {
+            for p in e.addresses() {
                 s.gppa(p);
             }
         }
@@ -498,7 +496,7 @@ impl Ftl {
         match target {
             CorruptTarget::L2pMap => {
                 let i = (salt % self.l2p.len() as u64) as usize;
-                self.l2p[i] = match self.l2p[i] {
+                let flipped = match self.l2p.get(i) {
                     Some(_) => None,
                     None => {
                         let geom = self.cfg.geometry;
@@ -513,6 +511,7 @@ impl Ftl {
                         ))
                     }
                 };
+                self.l2p.set(i, flipped);
             }
             CorruptTarget::Counters => {
                 let chip = (salt % self.chips.len() as u64) as usize;
@@ -705,7 +704,7 @@ mod tests {
         assert!(ftl.read(&mut ex, 3).is_none(), "trim acked");
         // Hand-corrupt the L2P map (the rate is 0, so nothing else fires):
         // dropping a live mapping forces the full-scan OOB repair.
-        ftl.l2p[1] = None;
+        ftl.l2p.set(1, None);
         ftl.guard_finalize(&mut ex, &mut NullObserver);
         let s = ftl.stats();
         assert_eq!(s.meta_repairs_from_oob, 1, "{s:?}");

@@ -49,9 +49,46 @@ impl BlockMeta {
     }
 }
 
+/// The L2P map at word width (DESIGN.md §13): per logical page the packed
+/// `chip | block | page` (`bits`: the page and block field widths) plus
+/// one, so zero means unmapped and a fresh table is zeroed pages.
+#[derive(Debug, Clone)]
+pub(super) struct L2p {
+    entries: Vec<u32>,
+    bits: (u32, u32),
+}
+
+impl L2p {
+    pub(super) fn new(cfg: &FtlConfig) -> Self {
+        let (_, block, page) = cfg.l2p_field_bits();
+        L2p { entries: vec![0; cfg.logical_pages() as usize], bits: (page, block) }
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Where `lpa` is mapped; `None` when unmapped or beyond the table.
+    pub(super) fn get(&self, lpa: usize) -> Option<GlobalPpa> {
+        let packed = self.entries.get(lpa)?.checked_sub(1)?;
+        let (page, block) = self.bits;
+        let ppa = Ppa::new(packed >> page & ((1 << block) - 1), packed & ((1 << page) - 1));
+        Some(GlobalPpa::new((packed >> (page + block)) as usize, ppa))
+    }
+
+    /// Maps `lpa` to `at`, which must lie inside the configured geometry.
+    pub(super) fn set(&mut self, lpa: usize, at: Option<GlobalPpa>) {
+        let (page, block) = self.bits;
+        let packed = at.map(|a| ((a.chip as u32) << block | a.ppa.block.0) << page | a.ppa.page.0);
+        self.entries[lpa] = packed.map_or(0, |p| p + 1);
+        debug_assert_eq!(self.get(lpa), at, "an address outside the L2P fields");
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(super) struct ChipState {
-    pub(super) p2l: Vec<Option<Lpa>>,
+    /// Reverse map per physical page: `lpa + 1`, zero for none.
+    pub(super) p2l: Vec<u32>,
     pub(super) status: Vec<PageStatus>,
     pub(super) blocks: Vec<BlockMeta>,
     pub(super) free: VecDeque<u32>,
@@ -75,7 +112,7 @@ impl ChipState {
     pub(super) fn new(blocks: u32, pages_per_block: u32) -> Self {
         let pages = (blocks * pages_per_block) as usize;
         ChipState {
-            p2l: vec![None; pages],
+            p2l: vec![0; pages],
             status: vec![PageStatus::Free; pages],
             blocks: vec![BlockMeta::EMPTY; blocks as usize],
             free: (0..blocks).collect(),
@@ -87,6 +124,11 @@ impl ChipState {
             invalid_total: 0,
             retired: 0,
         }
+    }
+
+    /// The logical page mapped at physical page `idx`, if any.
+    pub(super) fn lpa_at(&self, idx: usize) -> Option<Lpa> {
+        self.p2l[idx].checked_sub(1).map(Lpa::from)
     }
 
     pub(super) fn available_blocks(&self) -> usize {
@@ -128,7 +170,7 @@ impl ChipState {
             self.invalid_total -= 1;
         }
         self.status[idx] = if secure { PageStatus::Secured } else { PageStatus::Valid };
-        self.p2l[idx] = Some(lpa);
+        self.p2l[idx] = lpa as u32 + 1;
         self.blocks[block as usize].live += 1;
         self.live_total += 1;
         self.victims.update(block, self.blocks[block as usize].live);
@@ -141,7 +183,7 @@ impl ChipState {
         let old = self.status[idx];
         debug_assert!(old != PageStatus::Invalid, "double invalidate of page {idx}");
         if old.is_live() {
-            self.p2l[idx] = None;
+            self.p2l[idx] = 0;
             self.blocks[block as usize].live -= 1;
             self.live_total -= 1;
         }
@@ -160,7 +202,7 @@ impl ChipState {
         self.victims.remove(block);
         let base = (block * pages_per_block) as usize;
         for i in 0..pages_per_block as usize {
-            self.p2l[base + i] = None;
+            self.p2l[base + i] = 0;
             self.status[base + i] = PageStatus::Free;
         }
         self.blocks[block as usize] = BlockMeta::EMPTY;
@@ -179,7 +221,7 @@ impl ChipState {
 impl Ftl {
     /// Current mapping of a logical page.
     pub fn mapped(&self, lpa: Lpa) -> Option<GlobalPpa> {
-        self.l2p[lpa as usize]
+        self.l2p.get(lpa as usize)
     }
 
     /// Status of a physical page.
@@ -198,7 +240,7 @@ impl Ftl {
     pub(super) fn commit_mapping(&mut self, lpa: Lpa, at: GlobalPpa, secure: bool) {
         let idx = self.flat(at.ppa);
         self.chips[at.chip].mark_live(idx, at.ppa.block.0, lpa, secure);
-        self.l2p[lpa as usize] = Some(at);
+        self.l2p.set(lpa as usize, Some(at));
     }
 
     /// Unmaps every still-mapped page of `lpas` and invalidates the old
@@ -219,13 +261,13 @@ impl Ftl {
         pending.clear();
         pending.extend(lpas);
         let mut group = std::mem::take(&mut self.trim_group_scratch);
-        while let Some(at0) = pending.iter().find_map(|&l| self.l2p[l as usize]) {
+        while let Some(at0) = pending.iter().find_map(|&l| self.l2p.get(l as usize)) {
             let key = (at0.chip, at0.ppa.block.0);
             group.clear();
-            pending.retain(|&l| match self.l2p[l as usize] {
+            pending.retain(|&l| match self.l2p.get(l as usize) {
                 Some(at) if (at.chip, at.ppa.block.0) == key => {
                     group.push(at);
-                    self.l2p[l as usize] = None;
+                    self.l2p.set(l as usize, None);
                     false
                 }
                 Some(_) => true,
@@ -302,15 +344,14 @@ impl Ftl {
     /// points outside the geometry is a violation, not an index panic.
     pub(super) fn first_violation(&self) -> Option<String> {
         let ppb = self.cfg.geometry.pages_per_block();
-        let n_blocks = self.cfg.geometry.blocks;
         let mut mapped = 0u64;
-        for (lpa, at) in self.l2p.iter().enumerate() {
-            let Some(at) = at else { continue };
-            if at.chip >= self.chips.len() || at.ppa.block.0 >= n_blocks || at.ppa.page.0 >= ppb {
+        for lpa in 0..self.l2p.len() {
+            let Some(at) = self.l2p.get(lpa) else { continue };
+            if at.chip >= self.chips.len() || !self.cfg.geometry.contains(at.ppa) {
                 return Some(format!("l2p entry of lpa {lpa} points outside the device: {at}"));
             }
             let idx = self.flat(at.ppa);
-            if self.chips[at.chip].p2l[idx] != Some(lpa as Lpa) {
+            if self.chips[at.chip].lpa_at(idx) != Some(lpa as Lpa) {
                 return Some(format!("l2p/p2l disagree at lpa {lpa}"));
             }
             if !self.chips[at.chip].status[idx].is_live() {
@@ -359,5 +400,32 @@ impl Ftl {
             }
         }
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testutil::*;
+    use super::*;
+
+    #[test]
+    fn mapping_tables_are_a_word_per_page() {
+        let (mut ftl, mut ex) = setup(SanitizePolicy::none());
+        let l2p = std::mem::size_of_val(&ftl.l2p.entries[..]);
+        assert_eq!(l2p, 4 * ftl.logical_pages() as usize, "one u32 per L2P entry");
+        let p2l = std::mem::size_of_val(&ftl.chips[0].p2l[..]);
+        assert_eq!(p2l, 4 * ftl.config().geometry.pages_per_chip() as usize, "one u32 per page");
+        // Zero is unmapped, and every field survives the round trip.
+        assert!(ftl.l2p.entries.iter().all(|&e| e == 0));
+        let last = ftl.logical_pages() - 1;
+        ftl.write(&mut ex, &mut NullObserver, last, true, 7);
+        let at = ftl.mapped(last).expect("mapped");
+        let geom = ftl.config().geometry;
+        let corner = GlobalPpa::new(1, Ppa::new(geom.blocks - 1, geom.pages_per_block() - 1));
+        for probe in [at, corner] {
+            ftl.l2p.set(0, Some(probe));
+            assert_eq!(ftl.l2p.get(0), Some(probe));
+        }
+        assert_eq!(ftl.chips[at.chip].lpa_at(ftl.flat(at.ppa)), Some(last));
     }
 }

@@ -23,7 +23,7 @@ impl Ftl {
         self.events.arm(obs.listening());
 
         // Phase 0: forget everything RAM held. The on-flash truth wins.
-        self.l2p.fill(None);
+        self.l2p = L2p::new(&self.cfg);
         for cs in &mut self.chips {
             *cs = ChipState::new(n_blocks, ppb);
             // The scan below decides which blocks are free.

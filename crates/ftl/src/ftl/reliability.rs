@@ -132,13 +132,13 @@ impl Ftl {
         ex: &mut E,
         chip: usize,
         block: u32,
-        pages: &[GlobalPpa],
+        pages: impl Iterator<Item = GlobalPpa>,
     ) {
         if self.block_lock_with_retry(ex, chip, block) {
             return;
         }
         self.note_escalation(ex, chip, block, EscalationRung::BlockLockDemoted);
-        for &at in pages {
+        for at in pages {
             self.plock_or_scrub(ex, at);
         }
     }

@@ -46,7 +46,7 @@ impl Ftl {
                 }
                 let queued = if fully_dead { self.merge_queued(chip, block, secured) } else { 0 };
                 let promote = self.promotes_to_block(use_block, chip, block, secured.len());
-                self.settle_locks(ex, chip, block, secured, queued, promote);
+                self.settle_locks(ex, chip, block, secured.iter().copied(), queued, promote);
             }
             SanitizePolicy::EraseBased => {
                 if !secured.is_empty() {
@@ -78,7 +78,7 @@ impl Ftl {
                 debug_assert!(f.block_meta(chip, block).fully_dead(), "GC victim still live");
                 let queued = f.merge_queued(chip, block, secured_olds);
                 let promote = f.promotes_to_block(use_block, chip, block, secured_olds.len());
-                f.settle_locks(ex, chip, block, secured_olds, queued, promote);
+                f.settle_locks(ex, chip, block, secured_olds.iter().copied(), queued, promote);
             }
             SanitizePolicy::EraseBased => {
                 if !secured_olds.is_empty() {
@@ -99,9 +99,8 @@ impl Ftl {
     /// *now* (its age window expired, or the queue is being flushed). The
     /// only settle the decision log records, as a promote or a flush.
     pub(super) fn settle_deferred<E: NandExecutor>(&mut self, ex: &mut E, entry: CoalesceEntry) {
-        let CoalesceEntry { chip, block, pages, since: _ } = entry;
+        let (chip, block, n) = (entry.chip, entry.block, entry.pages.len());
         let use_block = matches!(self.policy, SanitizePolicy::Evanesco { use_block: true });
-        let n = pages.len();
         let promote = self.promotes_to_block(use_block, chip, block, n);
         let decision = if promote {
             Decision::CoalescePromote { chip, block, pages: n }
@@ -109,8 +108,8 @@ impl Ftl {
             Decision::CoalesceFlush { chip, block, pages: n }
         };
         self.note_decision(ex, decision);
-        self.settle_locks(ex, chip, block, &pages, n as u64, promote);
-        self.pending_locks.recycle(pages);
+        self.settle_locks(ex, chip, block, entry.addresses(), n as u64, promote);
+        self.pending_locks.recycle(entry.pages);
     }
 
     /// Post-recovery reseal: `targets` are the stale secured versions
@@ -177,7 +176,7 @@ impl Ftl {
             return 0;
         }
         let Some(entry) = self.pending_locks.take(chip, block) else { return 0 };
-        pages.extend_from_slice(&entry.pages);
+        pages.extend(entry.addresses());
         let queued = entry.pages.len() as u64;
         self.pending_locks.recycle(entry.pages);
         queued
@@ -191,7 +190,7 @@ impl Ftl {
         ex: &mut E,
         chip: usize,
         block: u32,
-        pages: &[GlobalPpa],
+        pages: impl Iterator<Item = GlobalPpa>,
         queued: u64,
         promote: bool,
     ) {
@@ -199,7 +198,7 @@ impl Ftl {
             self.secure_block(ex, chip, block, pages);
             self.stats.coalesced_plocks += queued;
         } else {
-            for &at in pages {
+            for at in pages {
                 self.secure_page(ex, at);
             }
             self.stats.coalesce_flushed_plocks += queued;

@@ -46,9 +46,8 @@ impl SsdConfig {
     /// # Errors
     ///
     /// Names the first violated rule: any [`FtlConfig::check`] violation,
-    /// a zero-channel or zero-chip topology, an FTL chip count that
-    /// disagrees with the channel topology, or a logical capacity the host
-    /// cannot index.
+    /// a zero-channel or zero-chip topology, or an FTL chip count that
+    /// disagrees with the channel topology.
     pub fn check(&self) -> Result<(), String> {
         let rule =
             |ok: bool, msg: String| if ok { Ok(()) } else { Err(format!("SsdConfig: {msg}")) };
@@ -58,10 +57,7 @@ impl SsdConfig {
         let (topology, ftl) = (self.n_chips(), self.ftl.n_chips);
         let disagree =
             format!("channel topology and FTL chip count disagree ({topology} vs {ftl})");
-        rule(topology == ftl, disagree)?;
-        let lp = self.ftl.logical_pages();
-        let unindexable = format!("logical capacity ({lp} pages) exceeds the host-indexable range");
-        rule(usize::try_from(lp).is_ok(), unindexable)
+        rule(topology == ftl, disagree)
     }
 
     /// Validates internal consistency.

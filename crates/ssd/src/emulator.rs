@@ -1635,6 +1635,57 @@ mod tests {
     }
 
     #[test]
+    fn hostile_ftl_tables_decode_to_corrupt_and_salvage_as_a_corrupt_ftl_section() {
+        use evanesco_nand::snapshot::{crc32, Dec, SnapshotError};
+        let mut cfg = SsdConfig::tiny_for_tests();
+        cfg.ftl.lock_coalescing = true;
+        let mut s = Emulator::new(cfg, SanitizePolicy::evanesco());
+        s.write(0, 8, true);
+        s.write(0, 1, true); // queues one deferred pLock
+        assert_eq!(s.ftl().pending_coalesced_locks(), 1);
+        let bytes = s.save_checkpoint();
+        let r = section_payload_range(&bytes, crate::checkpoint::section::FTL);
+        // Offsets into the payload: lpa 0's L2P entry (tag byte, len, then
+        // `[1][chip:u64][block:u32][page:u32]`), the first occupied P2L
+        // slot's `[1][lpa:u64]`, and the queued page, which the 8-byte
+        // `since` and the 1-byte degraded mode close.
+        let payload = &bytes[r.clone()];
+        let mut d = Dec::new(payload);
+        d.u8().unwrap();
+        for _ in 0..d.usize().unwrap() {
+            d.opt(|d| Ok((d.usize()?, d.u32()?, d.u32()?))).unwrap();
+        }
+        d.usize().unwrap();
+        d.usize().unwrap();
+        let p2l = (0..).map(|_| (d.offset(), d.opt(|d| d.u64()).unwrap())).find(|e| e.1.is_some());
+        let p2l = p2l.unwrap().0 + 1;
+        let queued = payload.len() - 25;
+        // One flipped bit each (little-endian fields): chip 0 or 1 becomes
+        // 8 or 9 of 2; the LPA gains 2^32; the queued page's chip or block
+        // moves off its entry's, or its page id gains 32 (of 24).
+        let cases = [
+            ("L2P entry of lpa 0 outside the device", 10, 0x08),
+            ("P2L entry names lpa", p2l + 4, 0x01),
+            ("queued page", queued, 0x01),
+            ("queued page", queued + 8, 0x01),
+            ("queued page", queued + 12, 0x20),
+        ];
+        for (want, at, bit) in cases {
+            let mut bad = bytes.clone();
+            bad[r.start + at] ^= bit;
+            let crc = crc32(&bad[r.clone()]).to_le_bytes();
+            bad[r.start - 4..r.start].copy_from_slice(&crc);
+            match Emulator::restore_checkpoint(&bad) {
+                Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("{want}: want Corrupt, got {:?}", other.map(|_| ())),
+            }
+            let (em, report) = Emulator::restore_checkpoint_salvaging(&bad).expect(want);
+            assert_eq!(report.salvaged, vec!["ftl"], "{want}");
+            em.ftl().check_invariants();
+        }
+    }
+
+    #[test]
     fn salvaging_a_clean_checkpoint_is_a_strict_restore() {
         let mut s = ssd(SanitizePolicy::evanesco());
         s.enable_gauges();

@@ -35,10 +35,14 @@
 //! * **Submit and complete are one pass over `lo`/`hi`.** Submit counts the
 //!   new request's *blockers* (earlier, still-queued requests sharing a
 //!   page; an empty range shares none, so free slots need no test) and
-//!   seeds `earliest = max(submit, dependencies)` from the per-LPA table;
-//!   complete raises `earliest` and releases one blocker in every
-//!   overlapping slot — and skips the pass while nothing is blocked. A
-//!   request is eligible iff its count is zero.
+//!   seeds `earliest = max(submit, dependencies)` from the at most `qd`
+//!   in-flight `(completion, range)` entries; complete raises `earliest`
+//!   and releases one blocker in every overlapping slot — and skips the
+//!   pass while nothing is blocked. A request is eligible iff its count is
+//!   zero. No per-LPA table is needed: a request leaves the in-flight list
+//!   only at a submission that first raises the clock to its completion,
+//!   and the clock never falls, so every forgotten completion is already
+//!   in `earliest` through `submit`.
 //! * **Dispatch is a min over the dense `score` array**, ties to `seq`. On
 //!   the chip-aware path ([`Scheduler::take_dispatch_chips`]) scores are
 //!   *maintained*: a read is scored from scratch once, when it first
@@ -258,14 +262,14 @@ fn latest_free(token: u64, free_at: &[Nanos]) -> Nanos {
 
 /// Closed-loop out-of-order request scoreboard.
 ///
-/// Tracks at most `qd` outstanding requests, per-LPA completion times for
-/// dependency ordering, and the in-flight completion heap that paces
-/// closed-loop submission.
+/// Tracks at most `qd` outstanding requests and the in-flight completions
+/// (with their LPA ranges) that both pace closed-loop submission and
+/// answer dependency ordering.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     qd: usize,
     /// Logical capacity in pages; every submitted range must end at or
-    /// below it (also bounds the dense `last_done` table).
+    /// below it.
     logical_pages: u64,
     /// The window, one entry per slot in each array (see the module's cost
     /// model): the LPA range `[lo, hi)`; …
@@ -278,7 +282,7 @@ pub struct Scheduler {
     blockers: Vec<u32>,
     blocked: usize,
     /// … the submission time joined with the completion of every dispatched
-    /// request overlapping this one: seeded from `last_done` at submission
+    /// request overlapping this one: seeded from `inflight` at submission
     /// and advanced by [`Scheduler::complete`]; …
     earliest: Vec<Nanos>,
     /// … submission order (the tie-break), the maintained score, the hint
@@ -297,14 +301,9 @@ pub struct Scheduler {
     frontier: Vec<u64>,
     waiters: Vec<u64>,
     last_free: Vec<Nanos>,
-    /// Completion times of dispatched-but-still-outstanding requests.
-    inflight: Vec<Nanos>,
-    /// Completion time of the latest dispatched request touching each LPA,
-    /// as a dense table indexed by LPA (grown on demand; `Nanos::ZERO`
-    /// means "never touched", which is exactly what a missing entry meant).
-    /// Requests address a bounded logical space, so this stays small and
-    /// turns the per-page dependency check into a contiguous slice scan.
-    last_done: Vec<Nanos>,
+    /// Completion time and LPA range `[lo, hi)` of every
+    /// dispatched-but-still-outstanding request (at most `qd`).
+    inflight: Vec<(Nanos, Lpa, Lpa)>,
     /// LPA range of the request handed out by [`Scheduler::take_dispatch`]
     /// and not yet [`Scheduler::complete`]d.
     dispatched: Option<(Lpa, Lpa)>,
@@ -323,14 +322,9 @@ impl Scheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `qd` is zero or `logical_pages` does not fit the host's
-    /// address width (the dependency table is indexed by `usize`).
+    /// Panics if `qd` is zero.
     pub fn new(qd: usize, logical_pages: u64) -> Self {
         assert!(qd >= 1, "queue depth must be at least 1");
-        assert!(
-            usize::try_from(logical_pages).is_ok(),
-            "logical capacity ({logical_pages} pages) exceeds the host-indexable range"
-        );
         Scheduler {
             qd,
             logical_pages,
@@ -349,7 +343,6 @@ impl Scheduler {
             waiters: Vec::new(),
             last_free: Vec::new(),
             inflight: Vec::new(),
-            last_done: Vec::new(),
             dispatched: None,
             submit_clock: Nanos::ZERO,
             submitted: 0,
@@ -404,19 +397,22 @@ impl Scheduler {
     ) -> Result<bool, SubmitError> {
         let (lpa, n) = op.lpa_range();
         let hi = check_lpa_range(lpa, n, self.logical_pages)?;
+        let mut retired = Nanos::ZERO;
         if self.outstanding() >= self.qd {
             // Retire the earliest-completing in-flight request to free a
             // slot; with none in flight the queue is all undispatched
             // work and submission must wait.
             let Some(min_at) =
-                self.inflight.iter().enumerate().min_by_key(|&(_, t)| *t).map(|(i, _)| i)
+                self.inflight.iter().enumerate().min_by_key(|&(_, t)| t.0).map(|(i, _)| i)
             else {
                 return Ok(false);
             };
-            let freed = self.inflight.swap_remove(min_at);
-            self.submit_clock = self.submit_clock.max(freed);
+            retired = self.inflight.swap_remove(min_at).0;
+            self.submit_clock = self.submit_clock.max(retired);
         }
         self.submit_clock = self.submit_clock.max(arrival);
+        // What lets `deps_of` forget retired requests (see the cost model).
+        debug_assert!(retired <= self.submit_clock, "retired {retired:?} above the clock");
         // Everything still in a slot was submitted earlier. A request
         // mid-dispatch counts too: its `complete` releases every
         // overlapping slot it finds, this one included.
@@ -590,7 +586,7 @@ impl Scheduler {
     }
 
     /// Records the completion time of the request returned by the last
-    /// [`Scheduler::take_dispatch`]: its pages' dependency times advance
+    /// [`Scheduler::take_dispatch`]: the queued requests it blocked advance
     /// and the request joins the in-flight set.
     ///
     /// # Panics
@@ -598,15 +594,6 @@ impl Scheduler {
     /// Panics when no dispatch is pending.
     pub fn complete(&mut self, done: Nanos) {
         let (lo, hi) = self.dispatched.take().expect("no dispatch pending");
-        // The range was checked at submission, so the casts and slice
-        // bounds below cannot wrap.
-        let end = hi as usize;
-        if self.last_done.len() < end {
-            self.last_done.resize(end, Nanos::ZERO);
-        }
-        for e in &mut self.last_done[lo as usize..end] {
-            *e = (*e).max(done);
-        }
         // Advance the dependency time of every queued request the completed
         // one overlaps, and release it as their blocker. The completed
         // request was eligible, so everything it overlaps was submitted
@@ -622,22 +609,24 @@ impl Scheduler {
                 }
             }
         }
-        self.inflight.push(done);
+        self.inflight.push((done, lo, hi));
     }
 
-    /// Completion time of the latest dispatched request overlapping the
-    /// (already range-checked) span `[lo, hi)`.
+    /// Completion time of the latest in-flight request overlapping `[lo,
+    /// hi)`. Every retired one completed at or before the submission clock,
+    /// which `earliest` already includes, so this equals the latest of
+    /// *every* dispatched request overlapping it.
     fn deps_of(&self, lo: Lpa, hi: Lpa) -> Nanos {
-        let lo = (lo as usize).min(self.last_done.len());
-        let hi = (hi as usize).min(self.last_done.len());
-        self.last_done[lo..hi].iter().copied().max().unwrap_or(Nanos::ZERO)
+        let overlapping =
+            self.inflight.iter().filter(|&&(_, l, h)| ranges_overlap((l, h), (lo, hi)));
+        overlapping.map(|&(done, ..)| done).max().unwrap_or(Nanos::ZERO)
     }
 
     /// Simulated completion time of the whole run: the latest in-flight
     /// completion (call after the queue drains).
     pub fn drain(&self) -> Nanos {
         assert!(self.free.len() == self.qd && self.dispatched.is_none(), "queue not drained");
-        self.inflight.iter().copied().max().unwrap_or(self.submit_clock)
+        self.inflight.iter().map(|&(done, ..)| done).max().unwrap_or(self.submit_clock)
     }
 }
 
@@ -763,6 +752,37 @@ mod tests {
         let d3 = s.take_dispatch(|_| Nanos::ZERO).unwrap();
         assert_eq!(d2.earliest, Nanos::from_micros(400));
         assert_eq!(d3.earliest, Nanos::from_micros(1000), "submissions stay in host order");
+    }
+
+    #[test]
+    fn a_retired_completion_never_exceeds_the_submission_clock() {
+        // Dependencies come from the in-flight window alone: a request
+        // retires only once the clock has reached its completion, so the
+        // clock already orders everything that overlapped it.
+        let us = Nanos::from_micros;
+        let mut s = Scheduler::new(2, 100);
+        assert!(s.try_submit(0, w(0, 1)).unwrap());
+        assert!(s.try_submit(1, w(5, 1)).unwrap());
+        for done in [900, 300] {
+            s.take_dispatch(|_| Nanos::ZERO).unwrap();
+            s.complete(us(done));
+        }
+        // Retires request 1 at 300 us; request 0, in flight, orders this one.
+        assert!(s.try_submit(2, w(0, 1)).unwrap());
+        let d = s.take_dispatch(|_| Nanos::ZERO).unwrap();
+        assert_eq!((d.submit, d.earliest), (us(300), us(900)));
+        s.complete(us(1000));
+        // Retires request 0 at 900 us. Request 1, which this one overlaps,
+        // left the window at 300 us: the clock covers it.
+        assert!(s.try_submit(3, w(5, 1)).unwrap());
+        let d = s.take_dispatch(|_| Nanos::ZERO).unwrap();
+        assert_eq!((d.submit, d.earliest), (us(900), us(900)));
+        s.complete(us(1100));
+        // Retires request 2 at 1000 us; request 3, in flight, orders this one.
+        assert!(s.try_submit(4, w(4, 2)).unwrap());
+        let d = s.take_dispatch(|_| Nanos::ZERO).unwrap();
+        assert_eq!((d.submit, d.earliest), (us(1000), us(1100)));
+        s.complete(us(1200));
     }
 
     #[test]

@@ -83,6 +83,25 @@ fn ftl_rejects_op_ratio_that_swallows_the_address_space() {
 }
 
 #[test]
+#[should_panic(expected = "logical capacity must be below 2^32 - 1 pages")]
+fn ftl_rejects_a_logical_capacity_beyond_a_word_wide_p2l_entry() {
+    let mut cfg = tiny_ftl();
+    // 2 chips × 2^28 blocks × 24 pages × 0.8 ≈ 1.0e10 logical pages.
+    cfg.geometry.blocks = 1 << 28;
+    cfg.validate();
+}
+
+#[test]
+#[should_panic(expected = "geometry and chip count must pack into a 31-bit L2P entry")]
+fn ftl_rejects_a_device_whose_addresses_overflow_a_31_bit_l2p_entry() {
+    let mut cfg = tiny_ftl();
+    // 1 chip bit + 26 block bits + 5 page bits = 32, yet only ≈ 2.6e9
+    // logical pages.
+    cfg.geometry.blocks = 1 << 26;
+    cfg.validate();
+}
+
+#[test]
 #[should_panic(expected = "gc_free_threshold must be >= 1")]
 fn ftl_rejects_zero_gc_threshold() {
     let mut cfg = tiny_ftl();
@@ -230,7 +249,7 @@ fn ssd_validate_reaches_the_embedded_ftl_config() {
 type Violate = fn(&mut SsdConfig);
 
 /// Every violation above, as `(the text its test expects, the mutation)`.
-const VIOLATIONS: [(&str, Violate); 21] = [
+const VIOLATIONS: [(&str, Violate); 23] = [
     ("n_chips must be positive", |c| c.ftl.n_chips = 0),
     ("at least one block", |c| c.ftl.geometry.blocks = 0),
     ("at least one wordline", |c| c.ftl.geometry.wordlines_per_block = 0),
@@ -238,6 +257,8 @@ const VIOLATIONS: [(&str, Violate); 21] = [
     ("op_ratio must be in (0, 1)", |c| c.ftl.op_ratio = 1.0),
     ("op_ratio must be in (0, 1)", |c| c.ftl.op_ratio = -0.2),
     ("logical address space is empty", |c| c.ftl.op_ratio = 0.999),
+    ("logical capacity must be below 2^32 - 1 pages", |c| c.ftl.geometry.blocks = 1 << 28),
+    ("must pack into a 31-bit L2P entry", |c| c.ftl.geometry.blocks = 1 << 26),
     ("gc_free_threshold must be >= 1", |c| c.ftl.gc_free_threshold = 0),
     ("needs more than", |c| c.ftl.gc_free_threshold = c.ftl.geometry.blocks as usize),
     ("block_min_plocks must be >= 1", |c| c.ftl.block_min_plocks = 0),

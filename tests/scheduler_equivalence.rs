@@ -189,7 +189,9 @@ struct ReferenceScoreboard {
     /// `(idx, op, submit)` in submission order.
     queue: Vec<(usize, HostOp, Nanos)>,
     inflight: Vec<Nanos>,
-    /// Completion time of the latest dispatched request touching each page.
+    /// Completion time of the latest dispatched request touching each page,
+    /// never forgotten: the oracle for the scoreboard, which reads
+    /// dependencies from its in-flight window and drops what retires.
     last_done: Vec<Nanos>,
     clock: Nanos,
     max_outstanding: usize,
