@@ -2,23 +2,13 @@
 
 pub use evanesco_core::fault::FaultConfig;
 use evanesco_nand::geometry::Geometry;
-use evanesco_nand::timing::{Nanos, TimingSpec};
+use evanesco_nand::timing::TimingSpec;
 
-/// Knobs of the runtime reliability manager: how hard the FTL fights each
-/// fault class before escalating, and how much grown-bad-block headroom it
-/// keeps before degrading service.
+/// Grown-bad-block headroom of the reliability manager: how much it keeps
+/// before degrading service. (Its retry budgets are fixed; see
+/// `ftl/reliability.rs`.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityConfig {
-    /// Extra `pLock` attempts (with exponential backoff) after a verify
-    /// failure before escalating to a block-level sanitize.
-    pub plock_retry_budget: u32,
-    /// Extra `bLock` attempts before falling back to per-page locks or an
-    /// immediate erase.
-    pub block_retry_budget: u32,
-    /// Extra `erase` attempts before retiring the block as grown-bad.
-    pub erase_retry_budget: u32,
-    /// Base of the exponential lock-retry backoff (`base << attempt`).
-    pub backoff_base: Nanos,
     /// Grown-bad blocks a chip may absorb before the drive goes read-only
     /// (the spare-block reserve).
     pub spare_blocks: usize,
@@ -28,22 +18,14 @@ pub struct ReliabilityConfig {
 }
 
 impl ReliabilityConfig {
-    /// Production-shaped defaults: a few retries everywhere, 100 µs
-    /// backoff base, and a reserve of 8 spare blocks per chip.
+    /// Production-shaped defaults: a reserve of 8 spare blocks per chip.
     pub fn paper() -> Self {
-        ReliabilityConfig {
-            plock_retry_budget: 3,
-            block_retry_budget: 2,
-            erase_retry_budget: 1,
-            backoff_base: Nanos::from_micros(100),
-            spare_blocks: 8,
-            spare_low_watermark: 2,
-        }
+        ReliabilityConfig { spare_blocks: 8, spare_low_watermark: 2 }
     }
 
     /// Small-reserve variant for the tiny test geometry.
     pub fn tiny_for_tests() -> Self {
-        ReliabilityConfig { spare_blocks: 2, spare_low_watermark: 1, ..Self::paper() }
+        ReliabilityConfig { spare_blocks: 2, spare_low_watermark: 1 }
     }
 }
 
@@ -246,7 +228,6 @@ impl FtlConfig {
             "fault probability program_fail must be below 1, got {}",
             self.faults.program_fail
         );
-        rule!(self.reliability.backoff_base.0 >= 1, "reliability backoff_base must be positive");
         rule!(self.reliability.spare_blocks >= 1, "reliability spare_blocks must be >= 1");
         rule!(
             self.reliability.spare_low_watermark < self.reliability.spare_blocks,

@@ -237,11 +237,6 @@ impl MemExecutor {
     pub fn chips_mut(&mut self) -> &mut [EvanescoChip] {
         &mut self.chips
     }
-
-    /// Consumes the executor, returning the chips.
-    pub fn into_chips(self) -> Vec<EvanescoChip> {
-        self.chips
-    }
 }
 
 impl NandExecutor for MemExecutor {

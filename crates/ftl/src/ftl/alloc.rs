@@ -140,20 +140,11 @@ impl Ftl {
         // A physical erase sanitizes harder than any lock: locks still
         // queued for this block are satisfied for free.
         self.supersede_queued_locks(ex, chip, id);
-        let budget = self.cfg.reliability.erase_retry_budget;
-        for attempt in 0..=budget {
-            let st = ex.erase(chip, BlockId(id));
-            self.stats.nand_erases += 1;
-            if st.is_ok() {
-                let ppb = self.cfg.geometry.pages_per_block();
-                self.chips[chip].reset_block(id, ppb);
-                self.events.erase(chip, BlockId(id));
-                return true;
-            }
-            if attempt < budget {
-                self.stats.erase_retries += 1;
-                ex.stall(chip, Nanos(self.cfg.reliability.backoff_base.0 << attempt));
-            }
+        if self.erase_with_retry(ex, chip, id) {
+            let ppb = self.cfg.geometry.pages_per_block();
+            self.chips[chip].reset_block(id, ppb);
+            self.events.erase(chip, BlockId(id));
+            return true;
         }
         self.retire_block(ex, chip, id);
         false

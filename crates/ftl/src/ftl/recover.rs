@@ -76,11 +76,9 @@ impl Ftl {
                 }
 
                 // A bLock — torn or complete — only ever covers dead data:
-                // complete it if torn, mark every occupied page invalid.
-                if bp.lock.is_torn() {
-                    self.reissue_b_lock(ex, chip, b, bp.next_program, &mut report);
-                    report.reissued_blocks += 1;
-                }
+                // mark every occupied page invalid, then complete it if
+                // torn (the runtime block settle, per-page locks and
+                // scrubs as its fallbacks).
                 if bp.lock.reads_locked() || bp.lock.is_torn() {
                     let cs = &mut self.chips[chip];
                     let base = (b * ppb) as usize;
@@ -92,6 +90,12 @@ impl Ftl {
                         cs.free.push_back(b);
                     } else {
                         cs.set_block_state(b, BlockState::Full);
+                    }
+                    if bp.lock.is_torn() {
+                        let pages = (0..bp.next_program)
+                            .map(|p| GlobalPpa::new(chip, Ppa { block: bid, page: PageId(p) }));
+                        self.secure_block(ex, chip, b, pages);
+                        report.reissued_blocks += 1;
                     }
                     continue;
                 }
@@ -122,7 +126,7 @@ impl Ftl {
                     if probe.lock.is_torn() {
                         // The pLock's page is by definition a dead secured
                         // version; completing the lock sanitizes it.
-                        self.relock_page(ex, at, &mut report);
+                        self.plock_or_scrub(ex, at);
                         report.relocked_pages += 1;
                         continue;
                     }
@@ -183,7 +187,7 @@ impl Ftl {
             }
         }
         to_sanitize.extend_from_slice(&orphans);
-        self.reseal_after_recovery(ex, &to_sanitize, &mut report);
+        self.reseal_after_recovery(ex, &to_sanitize);
 
         // Phase 5: re-derive the degraded mode from the rebuilt grown-bad
         // table (blocks retired during this recovery included).
@@ -297,8 +301,8 @@ mod tests {
         ex.chips_mut()[at.chip].inject_lock_verify_failures(2);
         let report = ftl.recover(&mut ex, &mut NullObserver);
         assert_eq!(report.relocked_pages, 1);
-        assert_eq!(report.lock_retries, 2);
-        assert_eq!(report.lock_fallbacks, 0);
+        let s = ftl.stats();
+        assert_eq!((s.plocks, s.plock_retries, s.lock_scrub_fallbacks), (3, 2, 0));
         let attacker = Attacker::new();
         assert!(!attacker.recover_tag(&mut ex.chips_mut()[at.chip], 1));
     }
@@ -311,12 +315,52 @@ mod tests {
         ex.chips_mut()[at.chip].interrupt_p_lock(at.ppa, 0.5, 3).unwrap();
         // Every re-issue fails: recovery must not loop forever.
         ex.chips_mut()[at.chip].inject_lock_verify_failures(100);
-        let report = ftl.recover(&mut ex, &mut NullObserver);
-        assert_eq!(report.lock_fallbacks, 1);
-        assert_eq!(report.lock_retries, u64::from(crate::recovery::MAX_LOCK_RETRIES));
+        ftl.recover(&mut ex, &mut NullObserver);
+        let s = ftl.stats();
+        assert_eq!((s.plocks, s.plock_retries, s.lock_scrub_fallbacks), (4, 3, 1));
+        assert_eq!(s.plock_escalations, 0, "recovery never relocates");
         let attacker = Attacker::new();
         assert!(!attacker.recover_tag(&mut ex.chips_mut()[at.chip], 1), "scrub fallback");
         ftl.check_invariants();
+    }
+
+    #[test]
+    fn recover_completes_torn_block_lock() {
+        // Power cut mid-bLock of a whole-block secure trim: every page of
+        // the block is dead and its SSL is torn. Recovery completes the
+        // lock through the runtime block settle; with the bLock's verify
+        // failing past its budget it demotes to per-page locks.
+        let cfg = FtlConfig { n_chips: 1, ..FtlConfig::tiny_for_tests() };
+        let ppb = cfg.geometry.pages_per_block() as u64;
+        for verify_failures in [0, 3] {
+            let (mut ftl, mut ex) = setup_with(cfg, SanitizePolicy::evanesco());
+            let lpas: Vec<Lpa> = (0..ppb).collect();
+            for &l in &lpas {
+                ftl.write(&mut ex, &mut NullObserver, l, true, 7000 + l);
+            }
+            assert!(lpas.iter().all(|&l| ftl.mapped(l).unwrap().ppa.block == BlockId(0)));
+            ex.chips_mut()[0].interrupt_b_lock(BlockId(0), 0.5, 5).unwrap();
+            assert!(ex.probe_block(0, BlockId(0)).lock.is_torn(), "the cut must tear the SSL");
+            ex.chips_mut()[0].inject_lock_verify_failures(verify_failures);
+            let report = ftl.recover(&mut ex, &mut NullObserver);
+            assert_eq!(report.reissued_blocks, 1);
+            assert!(lpas.iter().all(|&l| ftl.mapped(l).is_none()), "a bLock covers dead data");
+            let s = ftl.stats();
+            let rungs = (s.blocks_locked, s.block_lock_retries, s.block_lock_fallbacks, s.plocks);
+            if verify_failures == 0 {
+                assert_eq!(rungs, (1, 0, 0, 0), "{s:?}");
+            } else {
+                assert_eq!(rungs, (3, 2, 1, ppb), "demoted to one pLock per page: {s:?}");
+            }
+            assert_eq!((s.plock_retries, s.lock_scrub_fallbacks), (0, 0));
+            let f = ex.fault_totals();
+            assert_eq!(f.block_lock_failures, s.block_lock_retries + s.block_lock_fallbacks);
+            let attacker = Attacker::new();
+            for &l in &lpas {
+                assert!(!attacker.recover_tag(&mut ex.chips_mut()[0], 7000 + l));
+            }
+            ftl.check_invariants();
+        }
     }
 
     #[test]

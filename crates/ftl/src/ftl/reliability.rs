@@ -1,8 +1,20 @@
-//! Runtime reliability manager: the lock retry ladders, program-failure
+//! Reliability manager: the FTL's one retry loop and the lock ladders
+//! built on it (runtime and power-up recovery alike), program-failure
 //! remap, grown-bad-block retirement, and the degraded-mode state machine.
 
 use super::*;
 use crate::decision::EscalationRung;
+
+/// Extra `pLock` attempts after a verify failure before the caller picks
+/// the next rung (block-level escalation, or a scrub).
+const PLOCK_RETRY_BUDGET: u32 = 3;
+/// Extra `bLock` attempts before falling back to per-page locks or an
+/// immediate erase.
+const BLOCK_RETRY_BUDGET: u32 = 2;
+/// Extra `erase` attempts before retiring the block as grown-bad.
+const ERASE_RETRY_BUDGET: u32 = 1;
+/// Base of the exponential retry back-off (`BACKOFF_BASE << attempt`).
+const BACKOFF_BASE: Nanos = Nanos::from_micros(100);
 
 /// Service level of the drive under grown-bad-block pressure (the
 /// degraded-mode state machine: `Normal → SpareLow → ReadOnly`, never
@@ -32,34 +44,49 @@ impl Ftl {
         self.chips.iter().map(|c| c.retired).sum()
     }
 
-    /// Issues one lock command on `chip` up to `1 + budget` times, backing
-    /// off exponentially between attempts. Returns whether a verify
-    /// succeeded and how many commands were issued (every one but the last
-    /// was answered with a retry).
-    fn lock_with_retry<E: NandExecutor>(
-        &self,
+    /// The FTL's one retry loop: issues a command on `chip` up to
+    /// `1 + budget` times, backing off exponentially between attempts.
+    /// Returns whether its status register reported success and how many
+    /// commands were issued (every one but the last was answered with a
+    /// retry).
+    fn with_retry<E: NandExecutor>(
         ex: &mut E,
         chip: usize,
         budget: u32,
         mut issue: impl FnMut(&mut E) -> bool,
     ) -> (bool, u64) {
-        let base = self.cfg.reliability.backoff_base;
         for attempt in 0..=budget {
             if issue(ex) {
                 return (true, u64::from(attempt) + 1);
             }
             if attempt < budget {
-                ex.stall(chip, Nanos(base.0 << attempt));
+                ex.stall(chip, Nanos(BACKOFF_BASE.0 << attempt));
             }
         }
         (false, u64::from(budget) + 1)
     }
 
+    /// Erases `block` with bounded, backed-off retries. Returns whether the
+    /// erase succeeded; retirement on failure is the caller's rung.
+    pub(super) fn erase_with_retry<E: NandExecutor>(
+        &mut self,
+        ex: &mut E,
+        chip: usize,
+        block: u32,
+    ) -> bool {
+        let (ok, issued) = Self::with_retry(ex, chip, ERASE_RETRY_BUDGET, |ex| {
+            ex.erase(chip, BlockId(block)).is_ok()
+        });
+        self.stats.nand_erases += issued;
+        self.stats.erase_retries += issued - 1;
+        ok
+    }
+
     /// Issues one `pLock` with bounded, backed-off retries. Returns whether
     /// the flag verified. Does not escalate — callers pick the next rung.
     fn plock_with_retry<E: NandExecutor>(&mut self, ex: &mut E, at: GlobalPpa) -> bool {
-        let budget = self.cfg.reliability.plock_retry_budget;
-        let (ok, issued) = self.lock_with_retry(ex, at.chip, budget, |ex| ex.p_lock(at).is_ok());
+        let (ok, issued) =
+            Self::with_retry(ex, at.chip, PLOCK_RETRY_BUDGET, |ex| ex.p_lock(at).is_ok());
         self.stats.plocks += issued;
         self.stats.plock_retries += issued - 1;
         ok
@@ -73,9 +100,9 @@ impl Ftl {
         chip: usize,
         block: u32,
     ) -> bool {
-        let budget = self.cfg.reliability.block_retry_budget;
-        let (ok, issued) =
-            self.lock_with_retry(ex, chip, budget, |ex| ex.b_lock(chip, BlockId(block)).is_ok());
+        let (ok, issued) = Self::with_retry(ex, chip, BLOCK_RETRY_BUDGET, |ex| {
+            ex.b_lock(chip, BlockId(block)).is_ok()
+        });
         self.stats.blocks_locked += issued;
         self.stats.block_lock_retries += issued - 1;
         self.stats.block_lock_fallbacks += u64::from(!ok);
@@ -111,10 +138,11 @@ impl Ftl {
         self.scoped(ex, OpCause::Retry, |f, ex| f.escalate_block(ex, chip, block));
     }
 
-    /// Terminal per-page rung inside a failed block-level settle: `pLock`
-    /// retries, then an in-place scrub (infallible — the partial pulse
-    /// physically destroys the wordline's charge).
-    fn plock_or_scrub<E: NandExecutor>(&mut self, ex: &mut E, at: GlobalPpa) {
+    /// Terminal per-page rung inside a failed block-level settle, and
+    /// power-up recovery's per-page lock: `pLock` retries, then an in-place
+    /// scrub (infallible — the partial pulse physically destroys the
+    /// wordline's charge). Never relocates.
+    pub(super) fn plock_or_scrub<E: NandExecutor>(&mut self, ex: &mut E, at: GlobalPpa) {
         if !self.still_dead(at) || self.plock_with_retry(ex, at) {
             return;
         }

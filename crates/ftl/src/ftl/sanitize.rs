@@ -9,8 +9,6 @@
 //! and whatever mechanism the arms call (DESIGN.md §3.1).
 
 use super::*;
-use crate::recovery::MAX_LOCK_RETRIES;
-use evanesco_core::chip::FlagState;
 
 impl Ftl {
     // ---- Entry points ----
@@ -114,14 +112,13 @@ impl Ftl {
 
     /// Post-recovery reseal: `targets` are the stale secured versions
     /// (sequence-contest losers) and decodable secured orphans the power-up
-    /// scan found. The lock arms climb the recovery ladder
-    /// ([`Ftl::relock_page`] / [`Ftl::reissue_b_lock`]), which verifies by
-    /// probing and accounts into `report`.
+    /// scan found. The lock arms climb the runtime ladder's block-level
+    /// settle ([`Ftl::secure_block`]) or its per-page rung
+    /// ([`Ftl::plock_or_scrub`]), never its relocation.
     pub(super) fn reseal_after_recovery<E: NandExecutor>(
         &mut self,
         ex: &mut E,
         targets: &[GlobalPpa],
-        report: &mut RecoveryReport,
     ) {
         // Group by (chip, block) — same batching the runtime paths use.
         let mut groups: Vec<(usize, u32, Vec<GlobalPpa>)> = Vec::new();
@@ -137,12 +134,10 @@ impl Ftl {
                 SanitizePolicy::None => {}
                 SanitizePolicy::Evanesco { use_block } => {
                     if self.promotes_to_block(use_block, chip, block, group.len()) {
-                        let written = self.block_meta(chip, block).written;
-                        self.reissue_b_lock(ex, chip, block, written, report);
-                        self.stats.blocks_locked += 1;
+                        self.secure_block(ex, chip, block, group.into_iter());
                     } else {
-                        for &at in &group {
-                            self.relock_page(ex, at, report);
+                        for at in group {
+                            self.plock_or_scrub(ex, at);
                         }
                     }
                 }
@@ -307,57 +302,6 @@ impl Ftl {
                     cs.set_block_state(block.0, BlockState::Full);
                 }
             }
-        }
-    }
-
-    // ---- Recovery lock ladder (see crate::recovery) ----
-
-    /// Issues `pLock` with verify; bounded retry with exponential backoff
-    /// on verify failure, destructive scrub as the final fallback.
-    pub(super) fn relock_page<E: NandExecutor>(
-        &mut self,
-        ex: &mut E,
-        at: GlobalPpa,
-        report: &mut RecoveryReport,
-    ) {
-        let base = self.cfg.timing.t_plock;
-        for attempt in 0..MAX_LOCK_RETRIES {
-            ex.p_lock(at);
-            self.stats.plocks += 1;
-            if ex.probe_page(at).lock == FlagState::Locked {
-                return;
-            }
-            report.lock_retries += 1;
-            ex.stall(at.chip, Nanos(base.0 << attempt));
-        }
-        ex.scrub(at);
-        self.stats.scrubs += 1;
-        report.lock_fallbacks += 1;
-    }
-
-    /// Issues `bLock` with verify and bounded retry; falls back to
-    /// per-page locks (which themselves fall back to scrubs).
-    pub(super) fn reissue_b_lock<E: NandExecutor>(
-        &mut self,
-        ex: &mut E,
-        chip: usize,
-        block: u32,
-        written: u32,
-        report: &mut RecoveryReport,
-    ) {
-        let base = self.cfg.timing.t_block;
-        for attempt in 0..MAX_LOCK_RETRIES {
-            ex.b_lock(chip, BlockId(block));
-            if ex.probe_block(chip, BlockId(block)).lock == FlagState::Locked {
-                return;
-            }
-            report.lock_retries += 1;
-            ex.stall(chip, Nanos(base.0 << attempt));
-        }
-        report.lock_fallbacks += 1;
-        for p in 0..written {
-            let at = GlobalPpa::new(chip, Ppa { block: BlockId(block), page: PageId(p) });
-            self.relock_page(ex, at, report);
         }
     }
 }

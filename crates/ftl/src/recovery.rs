@@ -12,56 +12,67 @@
 //! 1. blocks with a torn-erase signature are re-erased (their low-voltage
 //!    flag cells decay before the data does, so a half-erased block may
 //!    hold unlocked-but-recoverable secured data);
-//! 2. torn `bLock`s are completed (a bLock only ever covers dead data);
-//! 3. torn `pLock`s are completed, with bounded retry and exponential
-//!    backoff when the lock's program-verify reports failure, and a
-//!    destructive scrub as the final fallback;
+//! 2. torn `bLock`s are completed (a bLock only ever covers dead data):
+//!    the block's written pages are marked dead, then settled by the
+//!    runtime block settle — `bLock` retries, per-page locks, scrubs;
+//! 3. torn `pLock`s are completed by the runtime per-page rung — `pLock`
+//!    retries with exponential back-off while the command's status
+//!    register reports a verify failure, then a destructive scrub;
 //! 4. readable pages are entered into a sequence-number contest per
 //!    logical page; losers are stale versions, and stale *secured*
 //!    versions are sanitized through the active policy's own mechanism;
 //! 5. torn writes carrying a `secure` OOB mark are orphans — data the
 //!    host never acknowledged — and are sanitized the same way.
 //!
-//! The scan costs one page read per occupied page on timed executors,
-//! which is what the recovery-time metric measures.
+//! Recovery has no retry ladder of its own: every lock it issues climbs
+//! the reliability manager's (`ftl/reliability.rs`), minus the relocation
+//! rung, and its retries and fallbacks count in the same `FtlStats`
+//! counters as the runtime's. The scan costs one page read per occupied
+//! page on timed executors, which is what the recovery-time metric
+//! measures.
 
-/// Maximum times a lock command is re-issued when its verify fails before
-/// recovery falls back to destroying the page in place.
-pub const MAX_LOCK_RETRIES: u32 = 4;
-
-/// Counters describing one recovery scan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
+crate::stats::counters! {
+    /// Counters describing one recovery scan. Its lock commands, their
+    /// retries and their fallbacks count in the [`crate::stats::FtlStats`]
+    /// rungs, as on every other path.
+    RecoveryReport;
     /// Occupied pages probed (one flash read each).
-    pub scanned_pages: u64,
+    scanned_pages,
     /// Logical mappings rebuilt from OOB metadata.
-    pub rebuilt_mappings: u64,
+    rebuilt_mappings,
     /// Pages found holding a program interrupted by the power cut.
-    pub torn_writes: u64,
+    torn_writes,
     /// Torn writes of *secured* data that were still decodable — never
     /// acknowledged to the host, so they are sanitized, not mapped.
-    pub orphaned_pages: u64,
+    orphaned_pages,
     /// Pages whose `pLock` was found torn and was re-issued.
-    pub relocked_pages: u64,
+    relocked_pages,
     /// Blocks whose `bLock` was found torn and was re-issued.
-    pub reissued_blocks: u64,
+    reissued_blocks,
     /// Blocks with a torn-erase signature that were re-erased.
-    pub resealed_blocks: u64,
+    resealed_blocks,
     /// Stale secured versions (sequence-contest losers) sanitized.
-    pub stale_secured: u64,
-    /// Lock commands re-issued after a verify failure.
-    pub lock_retries: u64,
-    /// Locks abandoned after [`MAX_LOCK_RETRIES`] and replaced by a scrub.
-    pub lock_fallbacks: u64,
+    stale_secured,
     /// Grown-bad blocks in the rebuilt bad-block table after this scan
     /// (spare-area marks rediscovered plus blocks retired mid-recovery).
-    pub retired_blocks: u64,
+    retired_blocks,
 }
 
 impl RecoveryReport {
-    /// Total lock commands issued by this scan (initial + retries).
-    pub fn lock_commands(&self) -> u64 {
-        self.relocked_pages + self.reissued_blocks + self.lock_retries
+    /// Folds a later scan's report into this sum: every counter adds up
+    /// except `retired_blocks`, which is the later scan's table size.
+    pub fn absorb(&mut self, later: &RecoveryReport) {
+        let (sum, add) =
+            (RecoveryReport { retired_blocks: 0, ..*self }.as_array(), later.as_array());
+        *self = Self::from_array(std::array::from_fn(|i| sum[i] + add[i]));
+    }
+
+    /// The counters summed since `earlier`, a snapshot of the same sum;
+    /// `retired_blocks` stays this one's.
+    pub fn since(&self, earlier: &RecoveryReport) -> RecoveryReport {
+        let (now, then) =
+            (self.as_array(), RecoveryReport { retired_blocks: 0, ..*earlier }.as_array());
+        Self::from_array(std::array::from_fn(|i| now[i] - then[i]))
     }
 }
 
@@ -70,13 +81,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lock_commands_sums_reissues() {
-        let r = RecoveryReport {
-            relocked_pages: 3,
-            reissued_blocks: 1,
-            lock_retries: 2,
-            ..RecoveryReport::default()
+    fn absorb_sums_and_since_diffs_all_but_the_bad_block_table() {
+        let scan = |n| RecoveryReport {
+            scanned_pages: 10 * n,
+            relocked_pages: n,
+            retired_blocks: n,
+            ..Default::default()
         };
-        assert_eq!(r.lock_commands(), 6);
+        let mut sum = scan(1);
+        let earlier = sum;
+        sum.absorb(&scan(2));
+        assert_eq!((sum.scanned_pages, sum.relocked_pages, sum.retired_blocks), (30, 3, 2));
+        let d = sum.since(&earlier);
+        assert_eq!((d.scanned_pages, d.relocked_pages, d.retired_blocks), (20, 2, 2));
     }
 }

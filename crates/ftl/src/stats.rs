@@ -1,17 +1,17 @@
 //! FTL operation counters and derived metrics (WAF, lock mix).
 
-/// Declares [`FtlStats`] from one list of counters, so the struct, its
+/// Declares a struct of `u64` counters from one list, so the struct, its
 /// array view and the checkpoint wire order cannot drift apart: a counter's
-/// position in this list *is* its position in every checkpoint.
-macro_rules! ftl_stats {
-    ($($(#[$doc:meta])* $name:ident,)*) => {
-        /// Cumulative FTL statistics.
+/// position in the list *is* its position in every checkpoint.
+macro_rules! counters {
+    ($(#[$sdoc:meta])* $ty:ident; $($(#[$doc:meta])* $name:ident,)*) => {
+        $(#[$sdoc])*
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct FtlStats {
+        pub struct $ty {
             $($(#[$doc])* pub $name: u64,)*
         }
 
-        impl FtlStats {
+        impl $ty {
             /// Number of counters.
             const N: usize = [$(stringify!($name)),*].len();
 
@@ -20,13 +20,38 @@ macro_rules! ftl_stats {
             }
 
             fn from_array([$($name),*]: [u64; Self::N]) -> Self {
-                FtlStats { $($name),* }
+                $ty { $($name),* }
+            }
+
+            /// Serializes every counter into a checkpoint stream.
+            pub fn encode_snapshot(&self, e: &mut evanesco_nand::snapshot::Enc) {
+                for v in self.as_array() {
+                    e.u64(v);
+                }
+            }
+
+            /// Inverse of `encode_snapshot`.
+            ///
+            /// # Errors
+            ///
+            /// Fails on truncation.
+            pub fn decode_snapshot(
+                d: &mut evanesco_nand::snapshot::Dec<'_>,
+            ) -> Result<Self, evanesco_nand::snapshot::SnapshotError> {
+                let mut counters = [0u64; Self::N];
+                for v in &mut counters {
+                    *v = d.u64()?;
+                }
+                Ok(Self::from_array(counters))
             }
         }
     };
 }
+pub(crate) use counters;
 
-ftl_stats! {
+counters! {
+    /// Cumulative FTL statistics.
+    FtlStats;
     /// Host-initiated page writes.
     host_write_pages,
     /// Host-initiated page reads.
@@ -137,28 +162,6 @@ impl FtlStats {
     pub fn since(&self, earlier: &FtlStats) -> FtlStats {
         let (now, then) = (self.as_array(), earlier.as_array());
         Self::from_array(std::array::from_fn(|i| now[i] - then[i]))
-    }
-
-    /// Serializes every counter into a checkpoint stream.
-    pub fn encode_snapshot(&self, e: &mut evanesco_nand::snapshot::Enc) {
-        for v in self.as_array() {
-            e.u64(v);
-        }
-    }
-
-    /// Inverse of [`FtlStats::encode_snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation.
-    pub fn decode_snapshot(
-        d: &mut evanesco_nand::snapshot::Dec<'_>,
-    ) -> Result<Self, evanesco_nand::snapshot::SnapshotError> {
-        let mut counters = [0u64; Self::N];
-        for v in &mut counters {
-            *v = d.u64()?;
-        }
-        Ok(Self::from_array(counters))
     }
 
     /// The metadata-integrity accounting identity: every injected

@@ -40,10 +40,13 @@ pub const MAGIC: &[u8; 8] = b"EVSCCKP1";
 /// * **4** — the configuration section drops its two tag-tracking flags and
 ///   the host section its per-LPA tag map and stale-tag audit log:
 ///   sanitization is verified from the flash, not from host bookkeeping.
+/// * **5** — the configuration section drops the four retry knobs (the
+///   budgets and back-off base are constants) and the recovery totals
+///   their two lock counters (recovery's locks count in the FTL's rungs).
 ///
 /// Only the current version decodes; older blobs are rejected as
 /// unsupported: nothing outside this repository ever wrote one.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding
 /// each framed checkpoint section. Detects every single-byte corruption
@@ -455,9 +458,9 @@ mod tests {
         let bytes = Enc::with_header().into_bytes();
         Dec::with_header(&bytes).unwrap();
         assert_eq!(Dec::with_header(b"NOTACKPT0000").unwrap_err(), SnapshotError::BadMagic);
-        // A future version, the retired formats 1 to 3, and zero are all
+        // A future version, the retired formats 1 to 4, and zero are all
         // refused.
-        for version in [0xFFu32, 3, 2, 1, 0] {
+        for version in [0xFFu32, 4, 3, 2, 1, 0] {
             let mut bad = bytes.clone();
             bad[8..12].copy_from_slice(&version.to_le_bytes());
             let want = SnapshotError::UnsupportedVersion { found: version, supported: VERSION };

@@ -25,7 +25,7 @@ use crate::emulator::Emulator;
 use evanesco_ftl::{FtlConfig, GcVictimPolicy, ReliabilityConfig, SanitizePolicy, WriteAlloc};
 use evanesco_nand::geometry::Geometry;
 use evanesco_nand::snapshot::{Dec, Enc, SnapshotError};
-use evanesco_nand::timing::{Nanos, TimingSpec};
+use evanesco_nand::timing::TimingSpec;
 use std::fmt;
 use std::path::Path;
 
@@ -183,10 +183,6 @@ pub fn encode_config(cfg: &SsdConfig, e: &mut Enc) {
     e.f64(f.faults.read_unc);
     e.f64(f.faults.read_retry_decay);
     e.u32(f.faults.read_retry_budget);
-    e.u32(f.reliability.plock_retry_budget);
-    e.u32(f.reliability.block_retry_budget);
-    e.u32(f.reliability.erase_retry_budget);
-    e.u64(f.reliability.backoff_base.0);
     e.usize(f.reliability.spare_blocks);
     e.usize(f.reliability.spare_low_watermark);
 }
@@ -234,14 +230,8 @@ pub fn decode_config(d: &mut Dec<'_>) -> Result<SsdConfig, SnapshotError> {
         read_retry_decay: d.f64()?,
         read_retry_budget: d.u32()?,
     };
-    let reliability = ReliabilityConfig {
-        plock_retry_budget: d.u32()?,
-        block_retry_budget: d.u32()?,
-        erase_retry_budget: d.u32()?,
-        backoff_base: Nanos(d.u64()?),
-        spare_blocks: d.usize()?,
-        spare_low_watermark: d.usize()?,
-    };
+    let reliability =
+        ReliabilityConfig { spare_blocks: d.usize()?, spare_low_watermark: d.usize()? };
     let cfg = SsdConfig {
         channels,
         chips_per_channel,

@@ -153,11 +153,6 @@ impl TimedExecutor {
         }
     }
 
-    /// Whether op-level tracing is enabled.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace_on
-    }
-
     /// The events reserved since the last discard, in issue order (the
     /// emulator reads them at each host-request boundary).
     pub fn trace_events(&self) -> &[TraceEvent] {

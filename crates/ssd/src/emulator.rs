@@ -6,6 +6,7 @@
 //! locks, and the device array accounts simulated time for IOPS.
 
 use crate::anatomy::AnatomyRecorder;
+use crate::checkpoint::SalvageReport;
 use crate::config::SsdConfig;
 use crate::device::TimedExecutor;
 use crate::gauges::LiveGauges;
@@ -20,6 +21,7 @@ use evanesco_ftl::ftl::Ftl;
 use evanesco_ftl::observer::{FtlObserver, NullObserver, Tee};
 use evanesco_ftl::{GlobalPpa, Lpa, RecoveryReport, SanitizePolicy};
 use evanesco_nand::chip::PageData;
+use evanesco_nand::snapshot::{Dec, Enc, SnapshotError};
 use evanesco_nand::timing::Nanos;
 use std::collections::HashSet;
 
@@ -99,11 +101,6 @@ impl Emulator {
     pub fn enable_chaos(&mut self, cfg: CorruptionConfig) -> &mut Self {
         self.ftl.enable_guard(cfg);
         self
-    }
-
-    /// Whether the chaos guard is armed.
-    pub fn chaos_enabled(&self) -> bool {
-        self.ftl.guard_enabled()
     }
 
     /// The corruption injector's own accounting (`None` when chaos is
@@ -240,11 +237,6 @@ impl Emulator {
         self.timeseries.as_ref()
     }
 
-    /// Detaches and returns the telemetry series, disabling sampling.
-    pub fn take_timeseries(&mut self) -> Option<TimeSeries> {
-        self.timeseries.take()
-    }
-
     /// Force-closes a final partial telemetry window at the current clock
     /// (call at end of run so the tail of the run is represented).
     pub fn sample_timeseries_now(&mut self) {
@@ -355,11 +347,6 @@ impl Emulator {
         let scanned = report.scanned_pages;
         self.trace_finish(ReqKind::Recovery, 0, scanned, true, before, before, end, None, None);
         report
-    }
-
-    /// Accumulated recovery work so far.
-    pub fn recovery_totals(&self) -> RecoveryTotals {
-        self.recovery
     }
 
     /// The configuration.
@@ -1005,7 +992,7 @@ impl Emulator {
     /// and the watchdog.
     pub fn save_checkpoint(&self) -> Vec<u8> {
         use crate::checkpoint::section;
-        let mut e = evanesco_nand::snapshot::Enc::with_header();
+        let mut e = Enc::with_header();
         e.section(section::CONFIG, |e| crate::checkpoint::encode_config(&self.cfg, e));
         e.section(section::POLICY, |e| crate::checkpoint::encode_policy(self.ftl.policy(), e));
         e.section(section::DEVICE, |e| self.ex.encode_state(e));
@@ -1018,7 +1005,7 @@ impl Emulator {
 
     /// Host-side bookkeeping: op counters, latency histograms, recovery
     /// totals.
-    fn encode_host_state(&self, e: &mut evanesco_nand::snapshot::Enc) {
+    fn encode_host_state(&self, e: &mut Enc) {
         e.tag(0x50);
         e.u64(self.next_tag);
         e.u64(self.host_ops);
@@ -1029,10 +1016,7 @@ impl Emulator {
     }
 
     /// Inverse of [`Emulator::encode_host_state`].
-    fn decode_host_state(
-        &mut self,
-        d: &mut evanesco_nand::snapshot::Dec<'_>,
-    ) -> Result<(), evanesco_nand::snapshot::SnapshotError> {
+    fn decode_host_state(&mut self, d: &mut Dec<'_>) -> Result<(), SnapshotError> {
         d.expect_tag(0x50, "emulator")?;
         self.next_tag = d.u64()?;
         self.host_ops = d.u64()?;
@@ -1050,47 +1034,19 @@ impl Emulator {
     ///
     /// # Errors
     ///
-    /// Fails with a typed [`evanesco_nand::snapshot::SnapshotError`] —
+    /// Fails with a typed [`SnapshotError`] —
     /// never a panic — on truncation, a wrong magic, an unsupported
     /// format version, a section checksum failure, structural corruption,
     /// or internally inconsistent state.
-    pub fn restore_checkpoint(
-        bytes: &[u8],
-    ) -> Result<Emulator, evanesco_nand::snapshot::SnapshotError> {
-        use crate::checkpoint::section;
-        use evanesco_nand::snapshot::Dec;
-        let mut d = Dec::with_header(bytes)?;
-        let mut s = d.section(section::CONFIG, "config")?;
-        let cfg = crate::checkpoint::decode_config(&mut s)?;
-        s.finish()?;
-        let mut s = d.section(section::POLICY, "policy")?;
-        let policy = crate::checkpoint::decode_policy(&mut s)?;
-        s.finish()?;
-        let mut em = Emulator::new(cfg, policy);
-        let mut s = d.section(section::DEVICE, "device")?;
-        em.ex.decode_state(&mut s)?;
-        s.finish()?;
-        let mut s = d.section(section::FTL, "ftl")?;
-        em.ftl.decode_state(&mut s)?;
-        s.finish()?;
-        let mut s = d.section(section::HOST, "host")?;
-        em.decode_host_state(&mut s)?;
-        s.finish()?;
-        let mut s = d.section(section::GAUGES, "gauges")?;
-        em.gauges = s.opt(|d| LiveGauges::decode_state(&cfg.ftl, d))?;
-        s.finish()?;
-        let mut s = d.section(section::TIMESERIES, "timeseries")?;
-        em.timeseries = s.opt(TimeSeries::decode_state)?;
-        s.finish()?;
-        d.finish()?;
-        Ok(em)
+    pub fn restore_checkpoint(bytes: &[u8]) -> Result<Emulator, SnapshotError> {
+        Self::restore_walk(bytes, false).map(|(em, _)| em)
     }
 
     /// Restores a v2 checkpoint, salvaging what a strict restore would
     /// reject: a section whose CRC (or decode) fails is rebuilt from
     /// ground truth where one exists, or dropped where the state is
-    /// purely observational. The [`crate::checkpoint::SalvageReport`]
-    /// names every section that was given up.
+    /// purely observational. The [`SalvageReport`] names every section
+    /// that was given up.
     ///
     /// Salvage policy, in stream order:
     ///
@@ -1113,10 +1069,19 @@ impl Emulator {
     /// running past the buffer), or damage to a required section.
     pub fn restore_checkpoint_salvaging(
         bytes: &[u8],
-    ) -> Result<(Emulator, crate::checkpoint::SalvageReport), evanesco_nand::snapshot::SnapshotError>
-    {
-        use crate::checkpoint::{section, SalvageReport};
-        use evanesco_nand::snapshot::Dec;
+    ) -> Result<(Emulator, SalvageReport), SnapshotError> {
+        Self::restore_walk(bytes, true)
+    }
+
+    /// The one checkpoint walk behind both restores, section by section in
+    /// stream order. `salvage` decides only what a failing optional section
+    /// does: a strict restore fails with its error, a salvaging one
+    /// rebuilds or drops it and names it in the report.
+    fn restore_walk(
+        bytes: &[u8],
+        salvage: bool,
+    ) -> Result<(Emulator, SalvageReport), SnapshotError> {
+        use crate::checkpoint::section;
         let mut d = Dec::with_header(bytes)?;
         let mut report = SalvageReport::default();
         let mut s = d.section(section::CONFIG, "config")?;
@@ -1130,24 +1095,20 @@ impl Emulator {
         em.ex.decode_state(&mut s)?;
         s.finish()?;
 
-        let (mut s, crc_ok) = d.section_frame(section::FTL, "ftl")?;
-        let ftl_ok = crc_ok && em.ftl.decode_state(&mut s).and_then(|()| s.finish()).is_ok();
-        if !ftl_ok {
+        if optional_section(&mut d, salvage, section::FTL, "ftl", |s| em.ftl.decode_state(s))?
+            .is_none()
+        {
             // A partial decode may have half-written the tables: start
             // from a fresh FTL and rebuild every RAM table from the
             // restored flash's OOB metadata, exactly as crash recovery
             // does.
             em.ftl = Ftl::new(em.cfg.ftl, policy);
-            let before = em.ex.simulated_time();
-            let rep = em.ftl.recover(&mut em.ex, &mut NullObserver);
-            let scan = em.ex.simulated_time().saturating_sub(before);
-            em.recovery.absorb(&rep, scan);
+            em.recover_with(&mut NullObserver);
             report.salvaged.push("ftl");
         }
-
-        let (mut s, crc_ok) = d.section_frame(section::HOST, "host")?;
-        let host_ok = crc_ok && em.decode_host_state(&mut s).and_then(|()| s.finish()).is_ok();
-        if !host_ok {
+        if optional_section(&mut d, salvage, section::HOST, "host", |s| em.decode_host_state(s))?
+            .is_none()
+        {
             em.next_tag = 1;
             em.host_ops = 0;
             em.read_latency = LatencyHistogram::new();
@@ -1160,22 +1121,16 @@ impl Emulator {
             }
             report.salvaged.push("host");
         }
-
-        let (mut s, crc_ok) = d.section_frame(section::GAUGES, "gauges")?;
-        match decode_section_opt(crc_ok, &mut s, |d| LiveGauges::decode_state(&cfg.ftl, d)) {
+        // The two observational sections stay off when given up.
+        let gauges = |s: &mut Dec<'_>| s.opt(|d| LiveGauges::decode_state(&cfg.ftl, d));
+        match optional_section(&mut d, salvage, section::GAUGES, "gauges", gauges)? {
             Some(g) => em.gauges = g,
-            None => {
-                em.gauges = None;
-                report.salvaged.push("gauges");
-            }
+            None => report.salvaged.push("gauges"),
         }
-        let (mut s, crc_ok) = d.section_frame(section::TIMESERIES, "timeseries")?;
-        match decode_section_opt(crc_ok, &mut s, TimeSeries::decode_state) {
+        let timeseries = |s: &mut Dec<'_>| s.opt(TimeSeries::decode_state);
+        match optional_section(&mut d, salvage, section::TIMESERIES, "timeseries", timeseries)? {
             Some(ts) => em.timeseries = ts,
-            None => {
-                em.timeseries = None;
-                report.salvaged.push("timeseries");
-            }
+            None => report.salvaged.push("timeseries"),
         }
         d.finish()?;
         Ok((em, report))
@@ -1194,30 +1149,30 @@ impl Emulator {
     ///
     /// Exactly those of [`Emulator::restore_checkpoint`]; on error
     /// `self` is untouched.
-    pub fn restore_in_place(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), evanesco_nand::snapshot::SnapshotError> {
+    pub fn restore_in_place(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         *self = Emulator::restore_checkpoint(bytes)?;
         Ok(())
     }
 }
 
-/// Decodes an optional-state section payload: `Some(decoded)` when the
-/// CRC held and the payload parsed cleanly, `None` otherwise.
-fn decode_section_opt<T>(
-    crc_ok: bool,
-    s: &mut evanesco_nand::snapshot::Dec<'_>,
-    f: impl FnMut(
-        &mut evanesco_nand::snapshot::Dec<'_>,
-    ) -> Result<T, evanesco_nand::snapshot::SnapshotError>,
-) -> Option<Option<T>> {
-    if !crc_ok {
-        return None;
+/// Decodes one section the restore walk may give up: `Ok(None)` when
+/// `salvage` drops a damaged one (its CRC or its decode fails); a strict
+/// restore fails with the error instead.
+fn optional_section<'a, T>(
+    d: &mut Dec<'a>,
+    salvage: bool,
+    id: u8,
+    name: &str,
+    decode: impl FnOnce(&mut Dec<'a>) -> Result<T, SnapshotError>,
+) -> Result<Option<T>, SnapshotError> {
+    if !salvage {
+        let mut s = d.section(id, name)?;
+        let v = decode(&mut s)?;
+        s.finish()?;
+        return Ok(Some(v));
     }
-    let v = s.opt(f).ok()?;
-    s.finish().ok()?;
-    Some(v)
+    let (mut s, crc_ok) = d.section_frame(id, name)?;
+    Ok(crc_ok.then(|| decode(&mut s).and_then(|v| s.finish().map(|()| v)).ok()).flatten())
 }
 
 #[cfg(test)]
@@ -1372,7 +1327,7 @@ mod tests {
         let r = s.result();
         assert_eq!(r.recovery.recoveries, 1);
         assert!(r.recovery.scan_time > evanesco_nand::timing::Nanos::ZERO);
-        assert_eq!(r.recovery.scanned_pages, report.scanned_pages);
+        assert_eq!(r.recovery.report.scanned_pages, report.scanned_pages);
 
         // The device accepts and acknowledges new work after recovery.
         assert!(s.write_tracked(3, 1, true)[0].1);
@@ -1554,7 +1509,7 @@ mod tests {
         let r = section_payload_range(&bytes, crate::checkpoint::section::FTL);
         bytes[r.start + 10] ^= 0xFF;
         match Emulator::restore_checkpoint(&bytes) {
-            Err(evanesco_nand::snapshot::SnapshotError::Corrupt(msg)) => {
+            Err(SnapshotError::Corrupt(msg)) => {
                 assert!(msg.contains("ftl"), "error must name the section: {msg}");
             }
             other => panic!("expected a CRC failure naming 'ftl', got {other:?}"),
@@ -1636,7 +1591,7 @@ mod tests {
 
     #[test]
     fn hostile_ftl_tables_decode_to_corrupt_and_salvage_as_a_corrupt_ftl_section() {
-        use evanesco_nand::snapshot::{crc32, Dec, SnapshotError};
+        use evanesco_nand::snapshot::crc32;
         let mut cfg = SsdConfig::tiny_for_tests();
         cfg.ftl.lock_coalescing = true;
         let mut s = Emulator::new(cfg, SanitizePolicy::evanesco());

@@ -209,29 +209,10 @@ pub struct RecoveryTotals {
     pub recoveries: u64,
     /// Simulated device time spent scanning and re-locking.
     pub scan_time: Nanos,
-    /// Occupied pages probed across all scans.
-    pub scanned_pages: u64,
-    /// Logical mappings rebuilt from OOB metadata.
-    pub rebuilt_mappings: u64,
-    /// Torn writes found (programs interrupted by a power cut).
-    pub torn_writes: u64,
-    /// Decodable torn *secured* writes sanitized as unacknowledged orphans.
-    pub orphaned_pages: u64,
-    /// Torn `pLock`s completed.
-    pub relocked_pages: u64,
-    /// Torn `bLock`s re-issued.
-    pub reissued_blocks: u64,
-    /// Torn-erase blocks re-erased before serving the host.
-    pub resealed_blocks: u64,
-    /// Stale secured versions sanitized after the mapping contest.
-    pub stale_secured: u64,
-    /// Lock commands re-issued after a verify failure.
-    pub lock_retries: u64,
-    /// Locks replaced by a destructive scrub after the retry budget.
-    pub lock_fallbacks: u64,
-    /// Grown-bad-block table size after the most recent scan (rebuilt from
-    /// the on-flash spare-area marks; a snapshot, not a running sum).
-    pub retired_blocks: u64,
+    /// Every scan's report summed (see [`RecoveryReport::absorb`]): its
+    /// `retired_blocks` is the grown-bad-block table size after the most
+    /// recent scan, a snapshot, not a running sum.
+    pub report: RecoveryReport,
 }
 
 impl RecoveryTotals {
@@ -239,34 +220,14 @@ impl RecoveryTotals {
     pub fn absorb(&mut self, r: &RecoveryReport, scan_time: Nanos) {
         self.recoveries += 1;
         self.scan_time += scan_time;
-        self.scanned_pages += r.scanned_pages;
-        self.rebuilt_mappings += r.rebuilt_mappings;
-        self.torn_writes += r.torn_writes;
-        self.orphaned_pages += r.orphaned_pages;
-        self.relocked_pages += r.relocked_pages;
-        self.reissued_blocks += r.reissued_blocks;
-        self.resealed_blocks += r.resealed_blocks;
-        self.stale_secured += r.stale_secured;
-        self.lock_retries += r.lock_retries;
-        self.lock_fallbacks += r.lock_fallbacks;
-        self.retired_blocks = r.retired_blocks;
+        self.report.absorb(r);
     }
 
     /// Serializes every counter into a checkpoint stream.
     pub fn encode_snapshot(&self, e: &mut evanesco_nand::snapshot::Enc) {
         e.u64(self.recoveries);
         e.u64(self.scan_time.0);
-        e.u64(self.scanned_pages);
-        e.u64(self.rebuilt_mappings);
-        e.u64(self.torn_writes);
-        e.u64(self.orphaned_pages);
-        e.u64(self.relocked_pages);
-        e.u64(self.reissued_blocks);
-        e.u64(self.resealed_blocks);
-        e.u64(self.stale_secured);
-        e.u64(self.lock_retries);
-        e.u64(self.lock_fallbacks);
-        e.u64(self.retired_blocks);
+        self.report.encode_snapshot(e);
     }
 
     /// Inverse of [`RecoveryTotals::encode_snapshot`].
@@ -280,17 +241,7 @@ impl RecoveryTotals {
         Ok(RecoveryTotals {
             recoveries: d.u64()?,
             scan_time: Nanos(d.u64()?),
-            scanned_pages: d.u64()?,
-            rebuilt_mappings: d.u64()?,
-            torn_writes: d.u64()?,
-            orphaned_pages: d.u64()?,
-            relocked_pages: d.u64()?,
-            reissued_blocks: d.u64()?,
-            resealed_blocks: d.u64()?,
-            stale_secured: d.u64()?,
-            lock_retries: d.u64()?,
-            lock_fallbacks: d.u64()?,
-            retired_blocks: d.u64()?,
+            report: RecoveryReport::decode_snapshot(d)?,
         })
     }
 
@@ -299,17 +250,7 @@ impl RecoveryTotals {
         RecoveryTotals {
             recoveries: self.recoveries - earlier.recoveries,
             scan_time: self.scan_time.saturating_sub(earlier.scan_time),
-            scanned_pages: self.scanned_pages - earlier.scanned_pages,
-            rebuilt_mappings: self.rebuilt_mappings - earlier.rebuilt_mappings,
-            torn_writes: self.torn_writes - earlier.torn_writes,
-            orphaned_pages: self.orphaned_pages - earlier.orphaned_pages,
-            relocked_pages: self.relocked_pages - earlier.relocked_pages,
-            reissued_blocks: self.reissued_blocks - earlier.reissued_blocks,
-            resealed_blocks: self.resealed_blocks - earlier.resealed_blocks,
-            stale_secured: self.stale_secured - earlier.stale_secured,
-            lock_retries: self.lock_retries - earlier.lock_retries,
-            lock_fallbacks: self.lock_fallbacks - earlier.lock_fallbacks,
-            retired_blocks: self.retired_blocks,
+            report: self.report.since(&earlier.report),
         }
     }
 }
@@ -587,29 +528,22 @@ mod tests {
         let mut t = RecoveryTotals::default();
         let r = RecoveryReport {
             scanned_pages: 40,
-            rebuilt_mappings: 30,
-            torn_writes: 2,
-            orphaned_pages: 1,
             relocked_pages: 3,
-            reissued_blocks: 1,
-            resealed_blocks: 1,
-            stale_secured: 2,
-            lock_retries: 4,
-            lock_fallbacks: 1,
             retired_blocks: 1,
+            ..RecoveryReport::default()
         };
         t.absorb(&r, Nanos::from_micros(500));
         let snapshot = t;
         t.absorb(&r, Nanos::from_micros(700));
         assert_eq!(t.recoveries, 2);
-        assert_eq!(t.scanned_pages, 80);
+        assert_eq!(t.report.scanned_pages, 80);
+        assert_eq!(t.report.retired_blocks, 1, "a snapshot, not a sum");
         assert_eq!(t.scan_time, Nanos::from_micros(1200));
         let d = t.since(&snapshot);
         assert_eq!(d.recoveries, 1);
         assert_eq!(d.scan_time, Nanos::from_micros(700));
-        assert_eq!(d.scanned_pages, 40);
-        assert_eq!(d.relocked_pages, 3);
-        assert_eq!(d.lock_fallbacks, 1);
+        assert_eq!(d.report.scanned_pages, 40);
+        assert_eq!(d.report.relocked_pages, 3);
     }
 
     #[test]

@@ -129,19 +129,18 @@ pub fn render(em: &Emulator) -> String {
     }
 
     let rec = &r.recovery;
-    let recovery: [(&str, &str, u64); 12] = [
+    let scans = &rec.report;
+    let recovery: [(&str, &str, u64); 10] = [
         ("recoveries", "Power-up recovery scans performed.", rec.recoveries),
-        ("scanned_pages", "Occupied pages probed across scans.", rec.scanned_pages),
-        ("rebuilt_mappings", "Logical mappings rebuilt from OOB.", rec.rebuilt_mappings),
-        ("torn_writes", "Torn writes found.", rec.torn_writes),
-        ("orphaned_pages", "Torn secured writes sanitized as orphans.", rec.orphaned_pages),
-        ("relocked_pages", "Torn pLocks completed.", rec.relocked_pages),
-        ("reissued_blocks", "Torn bLocks re-issued.", rec.reissued_blocks),
-        ("resealed_blocks", "Torn-erase blocks re-erased.", rec.resealed_blocks),
-        ("stale_secured", "Stale secured versions sanitized.", rec.stale_secured),
-        ("lock_retries", "Recovery lock commands re-issued.", rec.lock_retries),
-        ("lock_fallbacks", "Recovery locks replaced by a scrub.", rec.lock_fallbacks),
-        ("retired_blocks", "Grown-bad table size after the last scan.", rec.retired_blocks),
+        ("scanned_pages", "Occupied pages probed across scans.", scans.scanned_pages),
+        ("rebuilt_mappings", "Logical mappings rebuilt from OOB.", scans.rebuilt_mappings),
+        ("torn_writes", "Torn writes found.", scans.torn_writes),
+        ("orphaned_pages", "Torn secured writes sanitized as orphans.", scans.orphaned_pages),
+        ("relocked_pages", "Torn pLocks completed.", scans.relocked_pages),
+        ("reissued_blocks", "Torn bLocks re-issued.", scans.reissued_blocks),
+        ("resealed_blocks", "Torn-erase blocks re-erased.", scans.resealed_blocks),
+        ("stale_secured", "Stale secured versions sanitized.", scans.stale_secured),
+        ("retired_blocks", "Grown-bad table size after the last scan.", scans.retired_blocks),
     ];
     for (name, help, v) in recovery {
         counter(&mut out, &format!("evanesco_recovery_{name}_total"), help, v);

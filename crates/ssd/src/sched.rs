@@ -350,11 +350,6 @@ impl Scheduler {
         }
     }
 
-    /// The configured queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.qd
-    }
-
     /// Requests currently outstanding (queued, mid-dispatch, or in flight).
     pub fn outstanding(&self) -> usize {
         self.qd - self.free.len() + self.inflight.len() + usize::from(self.dispatched.is_some())

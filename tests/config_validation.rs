@@ -161,14 +161,6 @@ fn ftl_rejects_certain_program_failure() {
 }
 
 #[test]
-#[should_panic(expected = "backoff_base must be positive")]
-fn ftl_rejects_zero_backoff() {
-    let mut cfg = tiny_ftl();
-    cfg.reliability.backoff_base = evanesco::nand::timing::Nanos(0);
-    cfg.validate();
-}
-
-#[test]
 #[should_panic(expected = "spare_blocks must be >= 1")]
 fn ftl_rejects_zero_spare_blocks() {
     let mut cfg = tiny_ftl();
@@ -249,7 +241,7 @@ fn ssd_validate_reaches_the_embedded_ftl_config() {
 type Violate = fn(&mut SsdConfig);
 
 /// Every violation above, as `(the text its test expects, the mutation)`.
-const VIOLATIONS: [(&str, Violate); 23] = [
+const VIOLATIONS: [(&str, Violate); 22] = [
     ("n_chips must be positive", |c| c.ftl.n_chips = 0),
     ("at least one block", |c| c.ftl.geometry.blocks = 0),
     ("at least one wordline", |c| c.ftl.geometry.wordlines_per_block = 0),
@@ -268,9 +260,6 @@ const VIOLATIONS: [(&str, Violate); 23] = [
         c.ftl.faults.read_retry_decay = 2.0
     }),
     ("program_fail must be below 1", |c| c.ftl.faults.program_fail = 1.0),
-    ("backoff_base must be positive", |c| {
-        c.ftl.reliability.backoff_base = evanesco::nand::timing::Nanos(0)
-    }),
     ("spare_blocks must be >= 1", |c| c.ftl.reliability.spare_blocks = 0),
     ("must be below spare_blocks", |c| {
         c.ftl.reliability.spare_low_watermark = c.ftl.reliability.spare_blocks

@@ -263,7 +263,7 @@ fn run_crash_check_at(
     ssd.ftl().check_invariants();
     let totals = ssd.result().recovery;
     assert_eq!(totals.recoveries, 1);
-    assert_eq!(totals.scanned_pages, report.scanned_pages);
+    assert_eq!(totals.report.scanned_pages, report.scanned_pages);
 }
 
 proptest! {

@@ -15,7 +15,7 @@
 //!   order, so queue depths 1 and 8 produce byte-identical host results;
 //! * **full accounting** — every injected failure shows up in exactly one
 //!   FTL response counter (retry, escalation, fallback, remap, or
-//!   retirement);
+//!   retirement), across power cuts too;
 //! * **crash safety mid-ladder** — a power cut anywhere inside a fault
 //!   storm (including mid-escalation) still recovers to a sanitized,
 //!   serviceable device, and the grown-bad-block table survives the cut.
@@ -34,8 +34,9 @@ fn storm_cfg(severity: f64, seed: u64) -> SsdConfig {
 }
 
 /// Asserts the accounting identities: chip-level injected failures vs the
-/// FTL's response counters. Holds for any run that never lost power
-/// (across a cut the status register never reaches firmware).
+/// FTL's response counters. Holds across power cuts too: a command the
+/// cut tears or loses never draws a fault, and power-up recovery's locks
+/// and erases climb the same ladders and count in the same rungs.
 fn assert_fault_accounting(r: &RunResult) {
     assert_eq!(
         r.faults.plock_failures,
@@ -187,7 +188,8 @@ proptest! {
 
     /// A power cut anywhere inside a fault storm — including mid-ladder,
     /// mid-relocation, or mid-retirement — recovers to a device that is
-    /// sanitized, consistent, and serves new work.
+    /// sanitized, consistent, and serves new work, with every injected
+    /// failure (recovery's own included) answered by one rung.
     #[test]
     fn power_cut_mid_storm_recovers_sanitized(
         cut_frac in 0.02f64..0.98,
@@ -213,6 +215,7 @@ proptest! {
         // retirement recorded before the cut is forgotten.
         prop_assert!(ssd.ftl().retired_block_count() >= retired_before);
         ssd.ftl().check_invariants();
+        assert_fault_accounting(&ssd.result());
         let logical = ssd.logical_pages();
         prop_assert!(ssd.verify_sanitized(0, logical), "leak across power cut");
         // The device serves and acknowledges new work after recovery
@@ -291,7 +294,7 @@ fn bad_block_table_survives_power_cut() {
     assert_eq!(report.retired_blocks, u64::from(retired), "table rebuilt from marks");
     assert_eq!(ssd.ftl().retired_block_count(), retired);
     assert_eq!(ssd.ftl().degraded(), DegradedMode::SpareLow);
-    assert_eq!(ssd.result().recovery.retired_blocks, u64::from(retired));
+    assert_eq!(ssd.result().recovery.report.retired_blocks, u64::from(retired));
     for (i, &t) in tags.iter().enumerate().skip(1) {
         assert_eq!(ssd.read(i as u64, 1)[0], Some(t), "live data survives the cycle");
     }

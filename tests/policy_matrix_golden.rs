@@ -128,7 +128,9 @@ fn step(ssd: &mut Emulator, shadow: &mut Shadow, rng: &mut Lcg, span: u64, trim:
     }
 }
 
-/// Runs one matrix cell and returns `(digest, FtlStats, recovery lock retries)`.
+/// Runs one matrix cell and returns `(digest, FtlStats, torn locks recovery
+/// completed)`: its `relocked_pages + reissued_blocks`, the recovery-side
+/// rung (their retries and fallbacks count in the `FtlStats` rungs).
 fn run_cell(
     policy: SanitizePolicy,
     window: Option<u64>,
@@ -207,7 +209,8 @@ fn run_cell(
         let logical = ssd.logical_pages();
         assert!(ssd.verify_sanitized(0, logical), "{policy}: verify_sanitized finds a leak");
     }
-    (h.0, result.ftl, result.recovery.lock_retries)
+    let scans = result.recovery.report;
+    (h.0, result.ftl, scans.relocked_pages + scans.reissued_blocks)
 }
 
 /// One line per cell, `policy coalescing faults digest`.
@@ -219,7 +222,7 @@ fn run_matrix() -> String {
             for (flabel, faults) in [("none", FaultConfig::none()), ("storm", storm())] {
                 // Shown only when the cell fails: names the one that panicked.
                 eprintln!("cell {policy} {clabel} {flabel}");
-                let (digest, s, recovery_retries) = run_cell(policy, window, faults);
+                let (digest, s, recovery_relocks) = run_cell(policy, window, faults);
                 writeln!(out, "{policy} {clabel} {flabel} {digest:016x}").unwrap();
                 assert!(s.copied_pages > 0, "{policy} {clabel} {flabel}: no relocation pressure");
                 if flabel == "storm" {
@@ -232,7 +235,7 @@ fn run_matrix() -> String {
                         s.program_fail_remaps,
                         s.erase_retries,
                         s.retired_blocks,
-                        recovery_retries,
+                        recovery_relocks,
                     ]) {
                         *sum += v;
                     }
