@@ -33,12 +33,12 @@ use crate::scale::Scale;
 use evanesco_core::fault::CorruptionConfig;
 use evanesco_ftl::config::FaultConfig;
 use evanesco_ftl::observer::NullObserver;
-use evanesco_ftl::SanitizePolicy;
+use evanesco_ftl::{FtlStats, SanitizePolicy};
 use evanesco_nand::timing::Nanos;
 use evanesco_ssd::emulator::Emulator;
 use evanesco_ssd::jsonlite::{Obj, Value};
 use evanesco_ssd::sched::OpResult;
-use evanesco_ssd::watchdog::DeadlineConfig;
+use evanesco_ssd::watchdog::{DeadlineConfig, WatchdogStats};
 use std::collections::HashSet;
 
 use super::scheduler::{mixed_trace, sched_config};
@@ -71,21 +71,10 @@ pub struct ChaosCell {
     pub chip_faults: bool,
     /// Whether a power cut interrupted the run.
     pub power_cut: bool,
-    /// Corruptions injected (model view == FtlStats view, checked).
-    pub injected: u64,
-    /// Corruptions detected by seals or the audit scrubber.
-    pub detected: u64,
-    /// Repairs rebuilt from on-flash OOB.
-    pub from_oob: u64,
-    /// Repairs re-derived from RAM.
-    pub rederived: u64,
-    /// Failed repairs (degraded to read-only).
-    pub unrecoverable: u64,
-    /// Insecurely trimmed mappings a repair resurrected and the guard
-    /// pruned before they could serve.
-    pub resurrections_pruned: u64,
-    /// Audit-scrubber divergences (should stay 0: seals catch first).
-    pub audit_divergences: u64,
+    /// The armed device's FTL counters: the guard's `meta_*` accounting
+    /// and the audit scrubber's divergences (which should stay 0: seals
+    /// catch first).
+    pub ftl: FtlStats,
     /// Twin-diff mismatches (results or readback) — the gate's silent
     /// wrong-data count. Power-cut cells count post-recovery contract
     /// violations here instead.
@@ -98,14 +87,8 @@ pub struct ChaosCell {
 /// Watchdog leg results.
 #[derive(Debug, Clone)]
 pub struct WatchdogLeg {
-    /// Stalls injected at the gate rate.
-    pub stalls_injected: u64,
-    /// Attempts aborted at their deadline.
-    pub aborts: u64,
-    /// Aborted attempts retried.
-    pub retries: u64,
-    /// Requests failed by deadline.
-    pub deadline_failures: u64,
+    /// The qd-8 run's accounting at the gate rate.
+    pub stats: WatchdogStats,
     /// `TimedOut` results observed (must equal `deadline_failures`).
     pub timed_out_results: u64,
     /// stalls == aborts == retries + failures.
@@ -185,13 +168,7 @@ fn cell_from_stats(ssd: &Emulator, rate: f64, chip_faults: bool, power_cut: bool
         rate,
         chip_faults,
         power_cut,
-        injected: f.meta_corruptions_injected,
-        detected: f.meta_corruptions_detected,
-        from_oob: f.meta_repairs_from_oob,
-        rederived: f.meta_repairs_rederived,
-        unrecoverable: f.meta_unrecoverable,
-        resurrections_pruned: f.meta_resurrections_pruned,
-        audit_divergences: f.audit_divergences,
+        ftl: f,
         silent_wrong_data: 0,
         accounting_ok: f.meta_accounting_balanced()
             && model.injected == f.meta_corruptions_injected,
@@ -326,10 +303,7 @@ fn run_watchdog_leg(scale: &Scale, requests: usize) -> WatchdogLeg {
     let (res8, st8) = run(8);
     let timed_out = res8.iter().filter(|r| matches!(r, OpResult::TimedOut)).count() as u64;
     WatchdogLeg {
-        stalls_injected: st8.stalls_injected,
-        aborts: st8.aborts,
-        retries: st8.retries,
-        deadline_failures: st8.deadline_failures,
+        stats: st8,
         timed_out_results: timed_out,
         reconciles: st8.reconciles() && st8.deadline_failures == timed_out,
         qd_invariant: res1 == res8 && st1 == st8,
@@ -404,25 +378,30 @@ impl ChaosReport {
             if c.silent_wrong_data > 0 {
                 out.push(format!("{tag}: {} silent wrong-data events", c.silent_wrong_data));
             }
+            let f = &c.ftl;
             if !c.accounting_ok {
                 out.push(format!(
                     "{tag}: accounting identity broken (injected {} detected {} oob {} \
                      rederived {} unrecoverable {})",
-                    c.injected, c.detected, c.from_oob, c.rederived, c.unrecoverable
+                    f.meta_corruptions_injected,
+                    f.meta_corruptions_detected,
+                    f.meta_repairs_from_oob,
+                    f.meta_repairs_rederived,
+                    f.meta_unrecoverable
                 ));
             }
-            if c.injected == 0 {
+            if f.meta_corruptions_injected == 0 {
                 out.push(format!("{tag}: storm never fired"));
             }
         }
         if !self.qd_invariant {
             out.push("qd1 and qd8 storm runs diverged".into());
         }
-        let w = &self.watchdog;
+        let (w, s) = (&self.watchdog, &self.watchdog.stats);
         if !w.reconciles {
             out.push(format!(
                 "watchdog identity broken: stalls {} aborts {} retries {} failures {} timed_out {}",
-                w.stalls_injected, w.aborts, w.retries, w.deadline_failures, w.timed_out_results
+                s.stalls_injected, s.aborts, s.retries, s.deadline_failures, w.timed_out_results
             ));
         }
         if !w.qd_invariant {
@@ -431,7 +410,7 @@ impl ChaosReport {
         if !w.timing_neutral {
             out.push("zero-rate watchdog was not timing-neutral".into());
         }
-        if w.deadline_failures == 0 {
+        if s.deadline_failures == 0 {
             out.push("watchdog leg injected no deadline failures".into());
         }
         if self.salvage.violations > 0 {
@@ -460,12 +439,12 @@ impl ChaosReport {
                 c.rate,
                 if c.chip_faults { "yes" } else { "no" },
                 if c.power_cut { "yes" } else { "no" },
-                c.injected,
-                c.detected,
-                c.from_oob,
-                c.rederived,
-                c.unrecoverable,
-                c.resurrections_pruned,
+                c.ftl.meta_corruptions_injected,
+                c.ftl.meta_corruptions_detected,
+                c.ftl.meta_repairs_from_oob,
+                c.ftl.meta_repairs_rederived,
+                c.ftl.meta_unrecoverable,
+                c.ftl.meta_resurrections_pruned,
                 c.silent_wrong_data,
             ));
         }
@@ -474,10 +453,10 @@ impl ChaosReport {
             "qd-invariance: {}\nwatchdog: stalls={} aborts={} retries={} failures={} \
              timed_out={} reconciles={} qd_invariant={} timing_neutral={}\n",
             if self.qd_invariant { "PASS" } else { "FAIL" },
-            w.stalls_injected,
-            w.aborts,
-            w.retries,
-            w.deadline_failures,
+            w.stats.stalls_injected,
+            w.stats.aborts,
+            w.stats.retries,
+            w.stats.deadline_failures,
             w.timed_out_results,
             w.reconciles,
             w.qd_invariant,
@@ -508,22 +487,22 @@ impl ChaosReport {
                 .field("rate", Value::Exact(c.rate))
                 .field("chip_faults", c.chip_faults)
                 .field("power_cut", c.power_cut)
-                .field("injected", c.injected)
-                .field("detected", c.detected)
-                .field("from_oob", c.from_oob)
-                .field("rederived", c.rederived)
-                .field("unrecoverable", c.unrecoverable)
-                .field("resurrections_pruned", c.resurrections_pruned)
-                .field("audit_divergences", c.audit_divergences)
+                .field("injected", c.ftl.meta_corruptions_injected)
+                .field("detected", c.ftl.meta_corruptions_detected)
+                .field("from_oob", c.ftl.meta_repairs_from_oob)
+                .field("rederived", c.ftl.meta_repairs_rederived)
+                .field("unrecoverable", c.ftl.meta_unrecoverable)
+                .field("resurrections_pruned", c.ftl.meta_resurrections_pruned)
+                .field("audit_divergences", c.ftl.audit_divergences)
                 .field("silent_wrong_data", c.silent_wrong_data)
                 .field("accounting_ok", c.accounting_ok)
         });
         let w = &self.watchdog;
-        let watchdog = Obj::new()
-            .field("stalls_injected", w.stalls_injected)
-            .field("aborts", w.aborts)
-            .field("retries", w.retries)
-            .field("deadline_failures", w.deadline_failures)
+        let watchdog = w
+            .stats
+            .families()
+            .into_iter()
+            .fold(Obj::new(), |o, (name, _, v)| o.field(name, v))
             .field("timed_out_results", w.timed_out_results)
             .field("reconciles", w.reconciles)
             .field("qd_invariant", w.qd_invariant)
@@ -559,7 +538,10 @@ mod tests {
         let report = run(&Scale::smoke(), "smoke");
         let v = report.violations();
         assert!(v.is_empty(), "chaos gate violated:\n{}\n{}", v.join("\n"), report.render());
-        assert!(report.cells.iter().all(|c| c.injected > 0), "every cell fired");
+        assert!(
+            report.cells.iter().all(|c| c.ftl.meta_corruptions_injected > 0),
+            "every cell fired"
+        );
         assert_eq!(report.cells.len(), RATES.len() * 4);
     }
 }

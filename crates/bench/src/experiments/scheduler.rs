@@ -16,8 +16,9 @@
 //! the scheduling and allocation fast paths.
 
 use crate::scale::Scale;
+use evanesco_core::fault::FaultStats;
 use evanesco_ftl::config::WriteAlloc;
-use evanesco_ftl::SanitizePolicy;
+use evanesco_ftl::{FtlStats, SanitizePolicy};
 use evanesco_nand::timing::Nanos;
 use evanesco_ssd::jsonlite::Obj;
 use evanesco_ssd::{Emulator, HostOp, SsdConfig};
@@ -51,22 +52,14 @@ pub struct QdPoint {
     pub channel_util: Vec<f64>,
     /// Mean per-chip busy fraction.
     pub mean_chip_util: f64,
-    /// Individual `pLock` commands issued.
-    pub plocks: u64,
-    /// `bLock` commands issued.
-    pub blocks_locked: u64,
-    /// Deferred `pLock`s retired without a per-page command (coalesced
-    /// into a `bLock` or superseded by a physical erase).
-    pub coalesced_plocks: u64,
-    /// Deferred `pLock`s that aged out and were issued individually.
-    pub coalesce_flushed_plocks: u64,
-    /// Reliability-ladder responses (lock retries, escalations, fallbacks,
-    /// program remaps, erase retries, retirements) during this run. Zero
-    /// unless the config arms a fault model.
-    pub reliability_events: u64,
-    /// Chip-level injected faults (command failures plus uncorrectable
-    /// reads) during this run.
-    pub injected_faults: u64,
+    /// The run's FTL counters: its lock mix (`plocks`, `blocks_locked`,
+    /// `coalesced_plocks`, `coalesce_flushed_plocks`) and its
+    /// reliability-ladder responses, which read zero unless the config
+    /// arms a fault model.
+    pub ftl: FtlStats,
+    /// Chip-level injected faults during this run (its JSON row reports
+    /// command failures plus uncorrectable reads).
+    pub faults: FaultStats,
 }
 
 /// The full benchmark result: one [`QdPoint`] per entry of
@@ -178,7 +171,6 @@ pub fn run(scale: &Scale, scale_name: &str) -> SchedulerReport {
             host_pages = run.host_pages;
         }
         let secs = run.sim_time.as_secs_f64().max(f64::MIN_POSITIVE);
-        let stats = ssd.ftl().stats();
         points.push(QdPoint {
             qd,
             sim_time: run.sim_time,
@@ -195,15 +187,8 @@ pub fn run(scale: &Scale, scale_name: &str) -> SchedulerReport {
                 let chips = ssd.device().chip_utilized();
                 chips.iter().map(|u| u.0 as f64 / secs / 1e9).sum::<f64>() / chips.len() as f64
             },
-            plocks: stats.plocks,
-            blocks_locked: stats.blocks_locked,
-            coalesced_plocks: stats.coalesced_plocks,
-            coalesce_flushed_plocks: stats.coalesce_flushed_plocks,
-            reliability_events: stats.reliability_events(),
-            injected_faults: {
-                let f = ssd.result().faults;
-                f.command_failures() + f.unc_reads
-            },
+            ftl: ssd.ftl().stats(),
+            faults: ssd.result().faults,
         });
     }
     SchedulerReport {
@@ -273,10 +258,10 @@ impl SchedulerReport {
                 p.sim_time.0 as f64 / 1e6,
                 chan,
                 p.mean_chip_util,
-                p.plocks,
-                p.blocks_locked,
-                p.coalesced_plocks,
-                p.coalesce_flushed_plocks,
+                p.ftl.plocks,
+                p.ftl.blocks_locked,
+                p.ftl.coalesced_plocks,
+                p.ftl.coalesce_flushed_plocks,
             )
             .unwrap();
         }
@@ -311,12 +296,12 @@ impl SchedulerReport {
                 .field("max_outstanding", p.max_outstanding)
                 .array("channel_utilization", p.channel_util.iter().copied())
                 .field("mean_chip_utilization", p.mean_chip_util)
-                .field("plocks", p.plocks)
-                .field("blocks_locked", p.blocks_locked)
-                .field("coalesced_plocks", p.coalesced_plocks)
-                .field("coalesce_flushed_plocks", p.coalesce_flushed_plocks)
-                .field("reliability_events", p.reliability_events)
-                .field("injected_faults", p.injected_faults)
+                .field("plocks", p.ftl.plocks)
+                .field("blocks_locked", p.ftl.blocks_locked)
+                .field("coalesced_plocks", p.ftl.coalesced_plocks)
+                .field("coalesce_flushed_plocks", p.ftl.coalesce_flushed_plocks)
+                .field("reliability_events", p.ftl.reliability_events())
+                .field("injected_faults", p.faults.command_failures() + p.faults.unc_reads)
         };
         Obj::new()
             .field("bench", "scheduler")
@@ -358,12 +343,12 @@ mod tests {
         assert!(u8 > u1, "channel utilization should rise with depth");
         // Lock coalescing did real work on this overwrite-heavy trace.
         let p8 = &r.points[3];
-        assert!(p8.coalesced_plocks > 0, "no locks coalesced");
+        assert!(p8.ftl.coalesced_plocks > 0, "no locks coalesced");
         // The bench runs fault-free: the reliability counters it surfaces
         // must read zero (nonzero would mean phantom ladder activity).
         for p in &r.points {
-            assert_eq!(p.reliability_events, 0, "qd {}: phantom reliability events", p.qd);
-            assert_eq!(p.injected_faults, 0, "qd {}: phantom injected faults", p.qd);
+            assert_eq!(p.ftl.reliability_events(), 0, "qd {}: phantom reliability events", p.qd);
+            assert_eq!(p.faults, FaultStats::default(), "qd {}: phantom injected faults", p.qd);
         }
     }
 }

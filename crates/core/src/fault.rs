@@ -154,37 +154,33 @@ pub fn unc_probability(rber: f64, ecc: &EccModel) -> f64 {
     prob_above(mean, sd, f64::from(ecc.t_bits) + 0.5).clamp(0.0, 1.0)
 }
 
-/// Per-chip injected-failure counters. Every `true` returned by a
-/// [`FaultModel`] query is counted here, so the FTL's response counters can
-/// be audited against the hazards actually injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
+evanesco_nand::counters! {
+    /// Per-chip injected-failure counters. Every `true` returned by a
+    /// [`FaultModel`] query is counted here, so the FTL's response counters
+    /// can be audited against the hazards actually injected.
+    FaultStats;
     /// Program commands that failed status.
-    pub program_failures: u64,
+    program_failures: "Injected program-status failures.",
     /// Erase commands that failed status.
-    pub erase_failures: u64,
+    erase_failures: "Injected erase-status failures.",
     /// `pLock` commands that failed flag-program verify (including forced
     /// test-hook failures).
-    pub plock_failures: u64,
+    plock_failures: "Injected pLock verify failures.",
     /// `bLock` commands that failed SSL-program verify (including forced
     /// test-hook failures).
-    pub block_lock_failures: u64,
+    block_lock_failures: "Injected bLock verify failures.",
     /// Extra reference-shift read attempts performed by the retry ladder.
-    pub read_retries: u64,
+    read_retries: "Read-retry rounds performed.",
     /// Reads still uncorrectable after the full retry ladder (recovered via
     /// soft-decision fallback; counted as reliability events).
-    pub unc_reads: u64,
+    unc_reads: "Uncorrectable reads after all retries.",
 }
 
 impl FaultStats {
     /// Accumulates another chip's counters into this one.
     pub fn absorb(&mut self, other: FaultStats) {
-        self.program_failures += other.program_failures;
-        self.erase_failures += other.erase_failures;
-        self.plock_failures += other.plock_failures;
-        self.block_lock_failures += other.block_lock_failures;
-        self.read_retries += other.read_retries;
-        self.unc_reads += other.unc_reads;
+        let (sum, add) = (self.as_array(), other.as_array());
+        *self = Self::from_array(std::array::from_fn(|i| sum[i] + add[i]));
     }
 
     /// Total injected command failures (excluding read events).
@@ -195,14 +191,8 @@ impl FaultStats {
     /// Field-wise difference `self − earlier` (counters accumulated since
     /// an earlier snapshot).
     pub fn since(&self, earlier: &FaultStats) -> FaultStats {
-        FaultStats {
-            program_failures: self.program_failures - earlier.program_failures,
-            erase_failures: self.erase_failures - earlier.erase_failures,
-            plock_failures: self.plock_failures - earlier.plock_failures,
-            block_lock_failures: self.block_lock_failures - earlier.block_lock_failures,
-            read_retries: self.read_retries - earlier.read_retries,
-            unc_reads: self.unc_reads - earlier.unc_reads,
-        }
+        let (now, then) = (self.as_array(), earlier.as_array());
+        Self::from_array(std::array::from_fn(|i| now[i] - then[i]))
     }
 }
 
@@ -366,16 +356,7 @@ impl FaultModel {
     pub fn encode_state(&self, e: &mut evanesco_nand::snapshot::Enc) {
         e.tag(0x20);
         e.u32(self.forced_lock_failures);
-        for v in [
-            self.stats.program_failures,
-            self.stats.erase_failures,
-            self.stats.plock_failures,
-            self.stats.block_lock_failures,
-            self.stats.read_retries,
-            self.stats.unc_reads,
-        ] {
-            e.u64(v);
-        }
+        self.stats.encode_snapshot(e);
         // HashMap iteration order is nondeterministic per-instance; sort the
         // keys so identical states serialize to identical bytes.
         let mut keys: Vec<_> = self.attempts.keys().copied().collect();
@@ -401,14 +382,7 @@ impl FaultModel {
     ) -> Result<(), evanesco_nand::snapshot::SnapshotError> {
         d.expect_tag(0x20, "fault-model")?;
         self.forced_lock_failures = d.u32()?;
-        self.stats = FaultStats {
-            program_failures: d.u64()?,
-            erase_failures: d.u64()?,
-            plock_failures: d.u64()?,
-            block_lock_failures: d.u64()?,
-            read_retries: d.u64()?,
-            unc_reads: d.u64()?,
-        };
+        self.stats = FaultStats::decode_snapshot(d)?;
         self.attempts.clear();
         let n = d.usize()?;
         for _ in 0..n {

@@ -31,31 +31,31 @@
 //! page on timed executors, which is what the recovery-time metric
 //! measures.
 
-crate::stats::counters! {
+evanesco_nand::counters! {
     /// Counters describing one recovery scan. Its lock commands, their
     /// retries and their fallbacks count in the [`crate::stats::FtlStats`]
     /// rungs, as on every other path.
     RecoveryReport;
     /// Occupied pages probed (one flash read each).
-    scanned_pages,
+    scanned_pages: "Occupied pages probed across scans.",
     /// Logical mappings rebuilt from OOB metadata.
-    rebuilt_mappings,
+    rebuilt_mappings: "Logical mappings rebuilt from OOB.",
     /// Pages found holding a program interrupted by the power cut.
-    torn_writes,
+    torn_writes: "Torn writes found.",
     /// Torn writes of *secured* data that were still decodable — never
     /// acknowledged to the host, so they are sanitized, not mapped.
-    orphaned_pages,
+    orphaned_pages: "Torn secured writes sanitized as orphans.",
     /// Pages whose `pLock` was found torn and was re-issued.
-    relocked_pages,
+    relocked_pages: "Torn pLocks completed.",
     /// Blocks whose `bLock` was found torn and was re-issued.
-    reissued_blocks,
+    reissued_blocks: "Torn bLocks re-issued.",
     /// Blocks with a torn-erase signature that were re-erased.
-    resealed_blocks,
+    resealed_blocks: "Torn-erase blocks re-erased.",
     /// Stale secured versions (sequence-contest losers) sanitized.
-    stale_secured,
+    stale_secured: "Stale secured versions sanitized.",
     /// Grown-bad blocks in the rebuilt bad-block table after this scan
     /// (spare-area marks rediscovered plus blocks retired mid-recovery).
-    retired_blocks,
+    retired_blocks: "Grown-bad table size after the last scan.",
 }
 
 impl RecoveryReport {

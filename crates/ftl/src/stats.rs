@@ -1,141 +1,93 @@
 //! FTL operation counters and derived metrics (WAF, lock mix).
 
-/// Declares a struct of `u64` counters from one list, so the struct, its
-/// array view and the checkpoint wire order cannot drift apart: a counter's
-/// position in the list *is* its position in every checkpoint.
-macro_rules! counters {
-    ($(#[$sdoc:meta])* $ty:ident; $($(#[$doc:meta])* $name:ident,)*) => {
-        $(#[$sdoc])*
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct $ty {
-            $($(#[$doc])* pub $name: u64,)*
-        }
-
-        impl $ty {
-            /// Number of counters.
-            const N: usize = [$(stringify!($name)),*].len();
-
-            fn as_array(&self) -> [u64; Self::N] {
-                [$(self.$name),*]
-            }
-
-            fn from_array([$($name),*]: [u64; Self::N]) -> Self {
-                $ty { $($name),* }
-            }
-
-            /// Serializes every counter into a checkpoint stream.
-            pub fn encode_snapshot(&self, e: &mut evanesco_nand::snapshot::Enc) {
-                for v in self.as_array() {
-                    e.u64(v);
-                }
-            }
-
-            /// Inverse of `encode_snapshot`.
-            ///
-            /// # Errors
-            ///
-            /// Fails on truncation.
-            pub fn decode_snapshot(
-                d: &mut evanesco_nand::snapshot::Dec<'_>,
-            ) -> Result<Self, evanesco_nand::snapshot::SnapshotError> {
-                let mut counters = [0u64; Self::N];
-                for v in &mut counters {
-                    *v = d.u64()?;
-                }
-                Ok(Self::from_array(counters))
-            }
-        }
-    };
-}
-pub(crate) use counters;
-
-counters! {
+evanesco_nand::counters! {
     /// Cumulative FTL statistics.
     FtlStats;
     /// Host-initiated page writes.
-    host_write_pages,
+    host_write_pages: "Host-initiated page writes.",
     /// Host-initiated page reads.
-    host_read_pages,
+    host_read_pages: "Host-initiated page reads.",
     /// Host-initiated trimmed pages.
-    host_trim_pages,
+    host_trim_pages: "Host-initiated trimmed pages.",
     /// NAND page programs (host + relocation).
-    nand_programs,
+    nand_programs: "NAND page programs (host + relocation).",
     /// NAND page reads (host + relocation).
-    nand_reads,
+    nand_reads: "NAND page reads (host + relocation).",
     /// NAND block erases.
-    nand_erases,
+    nand_erases: "NAND block erases.",
     /// Pages copied by GC or sanitization-forced relocation.
-    copied_pages,
+    copied_pages: "Pages copied by GC or forced relocation.",
     /// GC invocations.
-    gc_invocations,
+    gc_invocations: "GC invocations.",
     /// `pLock` commands issued.
-    plocks,
+    plocks: "pLock commands issued.",
     /// `bLock` commands issued.
-    blocks_locked,
+    blocks_locked: "bLock commands issued.",
     /// Wordline scrubs performed (scrSSD).
-    scrubs,
+    scrubs: "Wordline scrubs performed.",
     /// Immediate block erases forced by sanitization (erSSD).
-    sanitize_erases,
+    sanitize_erases: "Immediate erases forced by sanitization.",
     /// Deferred `pLock`s retired *without* a per-page command: their block
     /// was promoted to one `bLock`, or physically erased while they were
     /// queued (lock coalescing, paper §4.3's lock-queue merge).
-    coalesced_plocks,
+    coalesced_plocks: "Deferred pLocks retired without a command.",
     /// Deferred `pLock`s that aged out of the coalescing window and were
     /// issued individually after all.
-    coalesce_flushed_plocks,
+    coalesce_flushed_plocks: "Deferred pLocks aged out and issued individually.",
     /// Reliability manager — `pLock` verify failures answered with a
     /// backed-off retry.
-    plock_retries,
+    plock_retries: "pLock verify failures retried.",
     /// `pLock` retry budgets exhausted, escalating the page's block to a
     /// block-level sanitize (relocate + `bLock`/erase).
-    plock_escalations,
+    plock_escalations: "pLock budgets escalated to block sanitize.",
     /// `pLock` retry budgets exhausted inside a block-level fallback,
     /// answered with an in-place scrub (the infallible terminal rung).
-    lock_scrub_fallbacks,
+    lock_scrub_fallbacks: "Lock failures resolved by a scrub.",
     /// `bLock` verify failures answered with a backed-off retry.
-    block_lock_retries,
+    block_lock_retries: "bLock verify failures retried.",
     /// `bLock` retry budgets exhausted, falling back to per-page locks or
     /// an immediate erase.
-    block_lock_fallbacks,
+    block_lock_fallbacks: "bLock budgets exhausted, fallback taken.",
     /// Program-status failures remapped to a fresh page (the consumed slot
     /// is marked invalid-suspect and scrubbed if it held secure data).
-    program_fail_remaps,
+    program_fail_remaps: "Program failures remapped to fresh pages.",
     /// Erase-status failures answered with a retry.
-    erase_retries,
+    erase_retries: "Erase-status failures retried.",
     /// Blocks retired as grown-bad after exhausting the erase retry budget.
-    retired_blocks,
+    retired_blocks: "Blocks retired as grown-bad.",
     /// Live pages relocated because their block was escalated to a
     /// block-level sanitize (subset of `copied_pages`).
-    reliability_relocations,
+    reliability_relocations: "Live pages relocated by escalations.",
     /// Host writes rejected because the drive is in read-only degraded
     /// mode (spare-block reserve exhausted).
-    writes_rejected_readonly,
+    writes_rejected_readonly: "Host writes rejected in read-only degraded mode.",
     /// Metadata guard — corruptions injected into FTL RAM structures by
     /// the chaos injector (zero outside chaos runs).
-    meta_corruptions_injected,
+    meta_corruptions_injected: "Metadata corruptions injected by the chaos model.",
     /// Metadata guard — corruptions detected by the shadow checksums or
     /// the OOB audit scrubber before any host op was served from the
     /// damaged table.
-    meta_corruptions_detected,
+    meta_corruptions_detected: "Metadata corruptions caught by seals or the audit scrubber.",
     /// Metadata guard — detected corruptions repaired by rebuilding the
     /// structure from on-flash OOB ground truth (full recovery scan).
-    meta_repairs_from_oob,
+    meta_repairs_from_oob: "Metadata repairs rebuilt from on-flash OOB.",
     /// Metadata guard — detected corruptions repaired by re-deriving the
     /// structure (counters, victim index) from the in-RAM map.
-    meta_repairs_rederived,
+    meta_repairs_rederived: "Metadata repairs re-derived from RAM state.",
     /// Metadata guard — repairs that failed post-verification; the drive
     /// degraded to read-only instead of serving from the bad table.
-    meta_unrecoverable,
+    meta_unrecoverable: "Failed repairs that degraded the drive to read-only.",
     /// Audit scrubber — blocks cross-checked against on-flash OOB.
-    audit_scrub_blocks,
+    audit_scrub_blocks: "Blocks cross-checked by the audit scrubber.",
     /// Audit scrubber — RAM-vs-OOB divergences found (subset of
     /// `meta_corruptions_detected`).
-    audit_divergences,
+    audit_divergences: "RAM-vs-OOB divergences found by the scrubber.",
     /// Metadata guard — logical pages a repair's recovery scan re-mapped
     /// from stale-but-readable flash (insecurely trimmed data has no
     /// on-flash tombstone) and the guard's trim filter re-invalidated
     /// before any host op could read the resurrected mapping.
-    meta_resurrections_pruned,
+    meta_resurrections_pruned:
+        "Insecurely trimmed mappings a repair resurrected and the guard re-invalidated.",
 }
 
 impl FtlStats {
@@ -225,28 +177,5 @@ mod tests {
             ..Default::default()
         };
         assert!(!phantom.meta_accounting_balanced(), "a false positive must trip");
-    }
-
-    #[test]
-    fn guard_counters_roundtrip_and_are_required() {
-        use evanesco_nand::snapshot::{Dec, Enc};
-        let s = FtlStats {
-            host_write_pages: 9,
-            meta_corruptions_injected: 4,
-            meta_corruptions_detected: 4,
-            meta_repairs_from_oob: 2,
-            meta_repairs_rederived: 2,
-            audit_scrub_blocks: 17,
-            ..Default::default()
-        };
-        let mut e = Enc::new();
-        s.encode_snapshot(&mut e);
-        let bytes = e.into_bytes();
-        let restored = FtlStats::decode_snapshot(&mut Dec::new(&bytes)).unwrap();
-        assert_eq!(restored, s);
-        // A stream cut after the first 24 counters (the retired v1 layout)
-        // is truncated, not zero-filled.
-        let mut d = Dec::new(&bytes[..24 * 8]);
-        assert!(FtlStats::decode_snapshot(&mut d).is_err(), "decode needs all 32 counters");
     }
 }

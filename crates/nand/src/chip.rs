@@ -355,21 +355,21 @@ impl BlockMeta {
         BlockMeta { next_program: 0, erase_count: 0, last_erase_at: None, torn_erase: false };
 }
 
-/// Cumulative operation counters of a chip.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChipStats {
+crate::counters! {
+    /// Cumulative operation counters of a chip.
+    ChipStats;
     /// Page reads.
-    pub reads: u64,
+    reads: "Page reads.",
     /// Page programs.
-    pub programs: u64,
+    programs: "Page programs.",
     /// Block erases.
-    pub erases: u64,
+    erases: "Block erases.",
     /// In-place page destructions (scrubs).
-    pub scrubs: u64,
+    scrubs: "In-place page destructions (scrubs).",
     /// Programs interrupted by a power cut.
-    pub torn_programs: u64,
+    torn_programs: "Programs interrupted by a power cut.",
     /// Erases interrupted by a power cut.
-    pub torn_erases: u64,
+    torn_erases: "Erases interrupted by a power cut.",
 }
 
 /// A behavioral NAND flash chip.
@@ -780,16 +780,7 @@ impl Chip {
                 }
             }
         }
-        for v in [
-            self.stats.reads,
-            self.stats.programs,
-            self.stats.erases,
-            self.stats.scrubs,
-            self.stats.torn_programs,
-            self.stats.torn_erases,
-        ] {
-            e.u64(v);
-        }
+        self.stats.encode_snapshot(e);
     }
 
     /// Reconstructs a chip from a stream written by [`Chip::encode_state`].
@@ -855,14 +846,7 @@ impl Chip {
                 };
             }
         }
-        chip.stats = ChipStats {
-            reads: d.u64()?,
-            programs: d.u64()?,
-            erases: d.u64()?,
-            scrubs: d.u64()?,
-            torn_programs: d.u64()?,
-            torn_erases: d.u64()?,
-        };
+        chip.stats = ChipStats::decode_snapshot(d)?;
         Ok(chip)
     }
 }

@@ -417,9 +417,87 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// Declares a struct of `u64` counters from one list, each with its scrape
+/// help text, so the struct, its array view, the checkpoint wire order and
+/// the scrape families cannot drift apart: a counter's position in the
+/// list *is* its position in every checkpoint and every scrape. Each
+/// field is `name: "scrape help",` under its doc comment.
+#[macro_export]
+macro_rules! counters {
+    ($(#[$sdoc:meta])* $ty:ident; $($(#[$doc:meta])* $name:ident: $help:literal,)*) => {
+        $(#[$sdoc])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $ty {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl $ty {
+            /// Number of counters.
+            const N: usize = [$(stringify!($name)),*].len();
+
+            fn as_array(&self) -> [u64; Self::N] {
+                [$(self.$name),*]
+            }
+
+            fn from_array([$($name),*]: [u64; Self::N]) -> Self {
+                $ty { $($name),* }
+            }
+
+            /// Every counter as `(name, scrape help, value)`, in declaration
+            /// order.
+            pub fn families(&self) -> [(&'static str, &'static str, u64); Self::N] {
+                [$((stringify!($name), $help, self.$name)),*]
+            }
+
+            /// Serializes every counter into a checkpoint stream.
+            pub fn encode_snapshot(&self, e: &mut $crate::snapshot::Enc) {
+                for v in self.as_array() {
+                    e.u64(v);
+                }
+            }
+
+            /// Inverse of `encode_snapshot`.
+            ///
+            /// # Errors
+            ///
+            /// Fails on truncation.
+            pub fn decode_snapshot(
+                d: &mut $crate::snapshot::Dec<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                let mut counters = [0u64; Self::N];
+                for v in &mut counters {
+                    *v = d.u64()?;
+                }
+                Ok(Self::from_array(counters))
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    crate::counters! {
+        /// Two counters.
+        Pair;
+        /// The first.
+        first: "First help.",
+        /// The second.
+        second: "Second help.",
+    }
+
+    #[test]
+    fn counters_travel_in_declaration_order_and_refuse_truncation() {
+        let p = Pair { first: 1, second: 2 };
+        assert_eq!(p.families(), [("first", "First help.", 1), ("second", "Second help.", 2)]);
+        let mut e = Enc::new();
+        p.encode_snapshot(&mut e);
+        let bytes = e.into_bytes();
+        assert_eq!(bytes, [1u64.to_le_bytes(), 2u64.to_le_bytes()].concat());
+        assert_eq!(Pair::decode_snapshot(&mut Dec::new(&bytes)), Ok(p));
+        assert!(Pair::decode_snapshot(&mut Dec::new(&bytes[..8])).is_err(), "never zero-filled");
+    }
 
     #[test]
     fn scalar_roundtrip() {

@@ -10,7 +10,7 @@ use crate::checkpoint::SalvageReport;
 use crate::config::SsdConfig;
 use crate::device::TimedExecutor;
 use crate::gauges::LiveGauges;
-use crate::metrics::{LatencyBreakdown, LatencyHistogram, RecoveryTotals, RunResult};
+use crate::metrics::{LatencyBreakdown, RecoveryTotals, RunResult};
 use crate::sched::{Dispatch, HostOp, OpResult, SchedRun, Scheduler};
 use crate::timeseries::TimeSeries;
 use crate::trace::{ReqKind, TraceRecorder};
@@ -33,9 +33,7 @@ pub struct Emulator {
     ex: TimedExecutor,
     next_tag: u64,
     host_ops: u64,
-    read_latency: LatencyHistogram,
-    write_latency: LatencyHistogram,
-    trim_latency: LatencyHistogram,
+    latency: LatencyBreakdown,
     recovery: RecoveryTotals,
     /// Live T_insecure / VAF gauges ([`Emulator::enable_gauges`]).
     gauges: Option<LiveGauges>,
@@ -77,9 +75,7 @@ impl Emulator {
             ex: TimedExecutor::new(&cfg),
             next_tag: 1,
             host_ops: 0,
-            read_latency: LatencyHistogram::new(),
-            write_latency: LatencyHistogram::new(),
-            trim_latency: LatencyHistogram::new(),
+            latency: LatencyBreakdown::default(),
             recovery: RecoveryTotals::default(),
             gauges: None,
             trace: None,
@@ -485,9 +481,9 @@ impl Emulator {
         // Service latency, acked or not: completion minus the earliest legal
         // start (queueing behind one's own dependencies excluded).
         let (kind, hist) = match op {
-            HostOp::Write { .. } => (ReqKind::Write, &mut self.write_latency),
-            HostOp::Read { .. } => (ReqKind::Read, &mut self.read_latency),
-            HostOp::Trim { .. } => (ReqKind::Trim, &mut self.trim_latency),
+            HostOp::Write { .. } => (ReqKind::Write, &mut self.latency.write),
+            HostOp::Read { .. } => (ReqKind::Read, &mut self.latency.read),
+            HostOp::Trim { .. } => (ReqKind::Trim, &mut self.latency.trim),
         };
         hist.record(done.saturating_sub(earliest));
         // The anatomy charges the backoff window to retry interference.
@@ -926,25 +922,6 @@ impl Emulator {
         secured.into_iter().all(|(l, tag)| current(l) == Some(tag))
     }
 
-    /// Device busy-time added per host page read (the serialized paths
-    /// record horizon deltas; [`Emulator::run_scheduled`] records full
-    /// per-request service latency).
-    pub fn read_latency(&self) -> &LatencyHistogram {
-        &self.read_latency
-    }
-
-    /// Device busy-time added per host page write (a tail-latency proxy
-    /// under the open-loop timing model).
-    pub fn write_latency(&self) -> &LatencyHistogram {
-        &self.write_latency
-    }
-
-    /// Device busy-time added per trim request — the cost the host observes
-    /// for a (secure) delete.
-    pub fn trim_latency(&self) -> &LatencyHistogram {
-        &self.trim_latency
-    }
-
     /// Run summary so far.
     pub fn result(&self) -> RunResult {
         RunResult::new(
@@ -955,11 +932,7 @@ impl Emulator {
             self.ex.erase_total(),
             self.recovery,
             self.ex.fault_totals(),
-            LatencyBreakdown {
-                read: self.read_latency,
-                write: self.write_latency,
-                trim: self.trim_latency,
-            },
+            self.latency,
         )
     }
 
@@ -1009,9 +982,7 @@ impl Emulator {
         e.tag(0x50);
         e.u64(self.next_tag);
         e.u64(self.host_ops);
-        self.read_latency.encode_snapshot(e);
-        self.write_latency.encode_snapshot(e);
-        self.trim_latency.encode_snapshot(e);
+        self.latency.encode_snapshot(e);
         self.recovery.encode_snapshot(e);
     }
 
@@ -1020,9 +991,7 @@ impl Emulator {
         d.expect_tag(0x50, "emulator")?;
         self.next_tag = d.u64()?;
         self.host_ops = d.u64()?;
-        self.read_latency = LatencyHistogram::decode_snapshot(d)?;
-        self.write_latency = LatencyHistogram::decode_snapshot(d)?;
-        self.trim_latency = LatencyHistogram::decode_snapshot(d)?;
+        self.latency = LatencyBreakdown::decode_snapshot(d)?;
         self.recovery = RecoveryTotals::decode_snapshot(d)?;
         Ok(())
     }
@@ -1111,9 +1080,7 @@ impl Emulator {
         {
             em.next_tag = 1;
             em.host_ops = 0;
-            em.read_latency = LatencyHistogram::new();
-            em.write_latency = LatencyHistogram::new();
-            em.trim_latency = LatencyHistogram::new();
+            em.latency = LatencyBreakdown::default();
             // Keep the scan totals an FTL salvage just accumulated; with
             // no salvage the totals restart from zero like the rest.
             if !report.salvaged.contains(&"ftl") {

@@ -279,8 +279,8 @@ pub struct RunResult {
     /// Chip-level injected-fault counters (zero unless a fault model is
     /// configured).
     pub faults: FaultStats,
-    /// Host service-latency histograms per op class (reads included; see
-    /// the read path in `emulator::dispatch_scheduled` and the sync ops).
+    /// Host service-latency histograms per op class, recorded for every
+    /// request (reads included) by `Emulator::execute` on both host paths.
     pub latency: LatencyBreakdown,
 }
 
@@ -325,12 +325,7 @@ impl RunResult {
         e.u64(self.blocks_locked);
         self.ftl.encode_snapshot(e);
         self.recovery.encode_snapshot(e);
-        e.u64(self.faults.program_failures);
-        e.u64(self.faults.erase_failures);
-        e.u64(self.faults.plock_failures);
-        e.u64(self.faults.block_lock_failures);
-        e.u64(self.faults.read_retries);
-        e.u64(self.faults.unc_reads);
+        self.faults.encode_snapshot(e);
         self.latency.encode_snapshot(e);
     }
 
@@ -352,14 +347,7 @@ impl RunResult {
             blocks_locked: d.u64()?,
             ftl: FtlStats::decode_snapshot(d)?,
             recovery: RecoveryTotals::decode_snapshot(d)?,
-            faults: FaultStats {
-                program_failures: d.u64()?,
-                erase_failures: d.u64()?,
-                plock_failures: d.u64()?,
-                block_lock_failures: d.u64()?,
-                read_retries: d.u64()?,
-                unc_reads: d.u64()?,
-            },
+            faults: FaultStats::decode_snapshot(d)?,
             latency: LatencyBreakdown::decode_snapshot(d)?,
         })
     }

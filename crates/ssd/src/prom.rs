@@ -10,7 +10,9 @@
 //!
 //! Conventions: cumulative counters end in `_total`, durations are in
 //! seconds, utilizations are 0..=1 ratios, and everything is prefixed
-//! `evanesco_`.
+//! `evanesco_`. The FTL, fault, recovery and watchdog counter records
+//! render from their `families()` (declared once, with their help text,
+//! through `evanesco_nand::counters!`), so no field name is spelled here.
 
 use crate::anatomy::Stage;
 use crate::emulator::Emulator;
@@ -36,120 +38,20 @@ pub fn render(em: &Emulator) -> String {
     gauge_f(&mut out, "evanesco_iops", "Host page operations per simulated second.", r.iops);
     gauge_f(&mut out, "evanesco_waf", "Write amplification factor.", r.waf);
 
-    let f = &r.ftl;
-    let ftl: [(&str, &str, u64); 32] = [
-        ("host_write_pages", "Host-initiated page writes.", f.host_write_pages),
-        ("host_read_pages", "Host-initiated page reads.", f.host_read_pages),
-        ("host_trim_pages", "Host-initiated trimmed pages.", f.host_trim_pages),
-        ("nand_programs", "NAND page programs (host + relocation).", f.nand_programs),
-        ("nand_reads", "NAND page reads (host + relocation).", f.nand_reads),
-        ("nand_erases", "NAND block erases.", f.nand_erases),
-        ("copied_pages", "Pages copied by GC or forced relocation.", f.copied_pages),
-        ("gc_invocations", "GC invocations.", f.gc_invocations),
-        ("plocks", "pLock commands issued.", f.plocks),
-        ("blocks_locked", "bLock commands issued.", f.blocks_locked),
-        ("scrubs", "Wordline scrubs performed.", f.scrubs),
-        ("sanitize_erases", "Immediate erases forced by sanitization.", f.sanitize_erases),
-        ("coalesced_plocks", "Deferred pLocks retired without a command.", f.coalesced_plocks),
-        (
-            "coalesce_flushed_plocks",
-            "Deferred pLocks aged out and issued individually.",
-            f.coalesce_flushed_plocks,
-        ),
-        ("plock_retries", "pLock verify failures retried.", f.plock_retries),
-        ("plock_escalations", "pLock budgets escalated to block sanitize.", f.plock_escalations),
-        ("lock_scrub_fallbacks", "Lock failures resolved by a scrub.", f.lock_scrub_fallbacks),
-        ("block_lock_retries", "bLock verify failures retried.", f.block_lock_retries),
-        (
-            "block_lock_fallbacks",
-            "bLock budgets exhausted, fallback taken.",
-            f.block_lock_fallbacks,
-        ),
-        ("program_fail_remaps", "Program failures remapped to fresh pages.", f.program_fail_remaps),
-        ("erase_retries", "Erase-status failures retried.", f.erase_retries),
-        ("retired_blocks", "Blocks retired as grown-bad.", f.retired_blocks),
-        (
-            "reliability_relocations",
-            "Live pages relocated by escalations.",
-            f.reliability_relocations,
-        ),
-        (
-            "writes_rejected_readonly",
-            "Host writes rejected in read-only degraded mode.",
-            f.writes_rejected_readonly,
-        ),
-        (
-            "meta_corruptions_injected",
-            "Metadata corruptions injected by the chaos model.",
-            f.meta_corruptions_injected,
-        ),
-        (
-            "meta_corruptions_detected",
-            "Metadata corruptions caught by seals or the audit scrubber.",
-            f.meta_corruptions_detected,
-        ),
-        (
-            "meta_repairs_from_oob",
-            "Metadata repairs rebuilt from on-flash OOB.",
-            f.meta_repairs_from_oob,
-        ),
-        (
-            "meta_repairs_rederived",
-            "Metadata repairs re-derived from RAM state.",
-            f.meta_repairs_rederived,
-        ),
-        (
-            "meta_unrecoverable",
-            "Failed repairs that degraded the drive to read-only.",
-            f.meta_unrecoverable,
-        ),
-        ("audit_scrub_blocks", "Blocks cross-checked by the audit scrubber.", f.audit_scrub_blocks),
-        ("audit_divergences", "RAM-vs-OOB divergences found by the scrubber.", f.audit_divergences),
-        (
-            "meta_resurrections_pruned",
-            "Insecurely trimmed mappings a repair resurrected and the guard re-invalidated.",
-            f.meta_resurrections_pruned,
-        ),
-    ];
-    for (name, help, v) in ftl {
-        counter(&mut out, &format!("evanesco_ftl_{name}_total"), help, v);
-    }
-
-    let fa = &r.faults;
-    let faults: [(&str, &str, u64); 6] = [
-        ("program_failures", "Injected program-status failures.", fa.program_failures),
-        ("erase_failures", "Injected erase-status failures.", fa.erase_failures),
-        ("plock_failures", "Injected pLock verify failures.", fa.plock_failures),
-        ("block_lock_failures", "Injected bLock verify failures.", fa.block_lock_failures),
-        ("read_retries", "Read-retry rounds performed.", fa.read_retries),
-        ("unc_reads", "Uncorrectable reads after all retries.", fa.unc_reads),
-    ];
-    for (name, help, v) in faults {
-        counter(&mut out, &format!("evanesco_fault_{name}_total"), help, v);
-    }
-
-    let rec = &r.recovery;
-    let scans = &rec.report;
-    let recovery: [(&str, &str, u64); 10] = [
-        ("recoveries", "Power-up recovery scans performed.", rec.recoveries),
-        ("scanned_pages", "Occupied pages probed across scans.", scans.scanned_pages),
-        ("rebuilt_mappings", "Logical mappings rebuilt from OOB.", scans.rebuilt_mappings),
-        ("torn_writes", "Torn writes found.", scans.torn_writes),
-        ("orphaned_pages", "Torn secured writes sanitized as orphans.", scans.orphaned_pages),
-        ("relocked_pages", "Torn pLocks completed.", scans.relocked_pages),
-        ("reissued_blocks", "Torn bLocks re-issued.", scans.reissued_blocks),
-        ("resealed_blocks", "Torn-erase blocks re-erased.", scans.resealed_blocks),
-        ("stale_secured", "Stale secured versions sanitized.", scans.stale_secured),
-        ("retired_blocks", "Grown-bad table size after the last scan.", scans.retired_blocks),
-    ];
-    for (name, help, v) in recovery {
-        counter(&mut out, &format!("evanesco_recovery_{name}_total"), help, v);
-    }
+    counters(&mut out, "ftl", &r.ftl.families());
+    counters(&mut out, "fault", &r.faults.families());
+    counter(
+        &mut out,
+        "evanesco_recovery_recoveries_total",
+        "Power-up recovery scans performed.",
+        r.recovery.recoveries,
+    );
+    counters(&mut out, "recovery", &r.recovery.report.families());
     gauge_f(
         &mut out,
         "evanesco_recovery_scan_seconds",
         "Simulated device time spent in recovery scans.",
-        rec.scan_time.as_secs_f64(),
+        r.recovery.scan_time.as_secs_f64(),
     );
 
     let tb = dev.time_breakdown();
@@ -194,9 +96,9 @@ pub fn render(em: &Emulator) -> String {
         "Host service latency per op class (log2 buckets).",
         "histogram",
     );
-    histogram(&mut out, "read", em.read_latency());
-    histogram(&mut out, "write", em.write_latency());
-    histogram(&mut out, "trim", em.trim_latency());
+    histogram(&mut out, "read", &r.latency.read);
+    histogram(&mut out, "write", &r.latency.write);
+    histogram(&mut out, "trim", &r.latency.trim);
 
     if let Some(g) = em.gauges() {
         let s = g.snapshot();
@@ -309,30 +211,7 @@ pub fn render(em: &Emulator) -> String {
     }
 
     if let Some(w) = em.watchdog_stats() {
-        counter(
-            &mut out,
-            "evanesco_watchdog_stalls_injected_total",
-            "Wedged attempts injected by the stall model.",
-            w.stalls_injected,
-        );
-        counter(
-            &mut out,
-            "evanesco_watchdog_aborts_total",
-            "Attempts aborted at their class deadline.",
-            w.aborts,
-        );
-        counter(
-            &mut out,
-            "evanesco_watchdog_retries_total",
-            "Aborted attempts retried with backoff.",
-            w.retries,
-        );
-        counter(
-            &mut out,
-            "evanesco_watchdog_deadline_failures_total",
-            "Requests failed after exhausting the retry budget.",
-            w.deadline_failures,
-        );
+        counters(&mut out, "watchdog", &w.families());
     }
 
     out
@@ -435,6 +314,14 @@ fn counter(out: &mut String, name: &str, help: &str, v: u64) {
     let _ = writeln!(out, "{name} {v}");
 }
 
+/// One `evanesco_{prefix}_{name}_total` counter per `(name, help, value)`
+/// of a `counters!` record's `families()`.
+fn counters(out: &mut String, prefix: &str, families: &[(&str, &str, u64)]) {
+    for &(name, help, v) in families {
+        counter(out, &format!("evanesco_{prefix}_{name}_total"), help, v);
+    }
+}
+
 fn gauge_u(out: &mut String, name: &str, help: &str, v: u64) {
     header(out, name, help, "gauge");
     let _ = writeln!(out, "{name} {v}");
@@ -507,7 +394,6 @@ mod tests {
             "evanesco_iops",
             "evanesco_waf",
             "evanesco_ftl_host_write_pages_total",
-            "evanesco_ftl_writes_rejected_readonly_total",
             "evanesco_fault_unc_reads_total",
             "evanesco_recovery_recoveries_total",
             "evanesco_recovery_scan_seconds",
@@ -521,12 +407,7 @@ mod tests {
             "evanesco_t_insecure",
             "evanesco_trace_recorded_total",
             "evanesco_trace_span_seconds_total{kind=\"plock\"}",
-            "evanesco_ftl_meta_corruptions_injected_total",
-            "evanesco_ftl_meta_repairs_from_oob_total",
-            "evanesco_ftl_meta_resurrections_pruned_total",
-            "evanesco_ftl_audit_scrub_blocks_total",
             "evanesco_watchdog_stalls_injected_total",
-            "evanesco_watchdog_deadline_failures_total",
             "evanesco_anatomy_recorded_total",
             "evanesco_anatomy_stage_ns_total{kind=\"trim\",stage=\"sanitize_interference\"}",
             "evanesco_anatomy_stage_ns_total{kind=\"write\",stage=\"chip_service\"}",

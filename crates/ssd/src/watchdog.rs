@@ -72,18 +72,18 @@ impl DeadlineConfig {
     }
 }
 
-/// The watchdog's accounting. See the module docs for the identities
-/// these counters satisfy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WatchdogStats {
+evanesco_nand::counters! {
+    /// The watchdog's accounting. See the module docs for the identities
+    /// these counters satisfy.
+    WatchdogStats;
     /// Wedged attempts injected by the stall model.
-    pub stalls_injected: u64,
+    stalls_injected: "Wedged attempts injected by the stall model.",
     /// Attempts aborted at their class deadline.
-    pub aborts: u64,
+    aborts: "Attempts aborted at their class deadline.",
     /// Aborted attempts that were retried.
-    pub retries: u64,
+    retries: "Aborted attempts retried with backoff.",
     /// Requests failed after exhausting the retry budget.
-    pub deadline_failures: u64,
+    deadline_failures: "Requests failed after exhausting the retry budget.",
 }
 
 impl WatchdogStats {

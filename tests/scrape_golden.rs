@@ -1,19 +1,11 @@
 //! Golden pin for the counter records' two outward forms: the Prometheus
-//! scrape text and the checkpoint bytes.
-//!
-//! `FtlStats`, `RecoveryReport`, `FaultStats` and `WatchdogStats` each
-//! reach the scrape (name, help text, value) and, except the watchdog's,
-//! the checkpoint stream (wire order). Two runs digest both forms:
-//!
-//! * `evanesco`: a fault storm, a chaos corruption storm, lock coalescing,
-//!   gauges, tracing, anatomy and a stalling watchdog, driven at qd 8
-//!   through eight power cuts, each followed by `recover()` and more
-//!   traffic;
-//! * `none`: the plain baseline on the serialized host path.
-//!
-//! Between them every counter of the four records is nonzero, except the
-//! one no public entry point can move (see [`UNREACHED`]), so a value
-//! written to the wrong name or the wrong wire slot moves a digest.
+//! scrape text (name, help, value of every `FtlStats`, `RecoveryReport`,
+//! `FaultStats` and `WatchdogStats` counter) and the checkpoint bytes (their
+//! wire order). Two runs digest both: `evanesco` (fault and chaos storms,
+//! lock coalescing, every observer, a stalling watchdog, qd 8 traffic
+//! across eight power cuts and recoveries) and the plain `none` baseline.
+//! Between them every counter but [`UNREACHED`] is nonzero, so a value
+//! written under the wrong name or into the wrong wire slot moves a digest.
 
 use evanesco::core::fault::{CorruptionConfig, FaultConfig};
 use evanesco::ftl::SanitizePolicy;
@@ -37,17 +29,13 @@ fn fnv(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
-fn lcg(x: u64) -> u64 {
-    x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)
-}
-
 /// `n` requests over the logical space: 5/8 writes (1 in 16 insecure),
 /// 1/8 trims, 2/8 reads, one to three pages each.
 fn traffic(seed: u64, n: usize, logical: u64) -> Vec<HostOp> {
     let mut x = seed | 1;
     (0..n)
         .map(|_| {
-            x = lcg(x);
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let r = x >> 33;
             let npages = 1 + (r >> 8) % 3;
             let lpa = (r >> 12) % (logical - npages);
@@ -64,14 +52,12 @@ fn evanesco_run() -> Emulator {
     let mut cfg = SsdConfig::tiny_for_tests();
     cfg.ftl.lock_coalescing = true;
     cfg.ftl.faults = FaultConfig {
-        seed: 13,
-        program_fail: 0.05,
         erase_fail: 0.15,
         plock_fail: 0.5,
         block_lock_fail: 0.8,
         read_unc: 0.4,
         read_retry_decay: 1.0,
-        read_retry_budget: 4,
+        ..FaultConfig::storm(0.2, 13)
     };
     let mut ssd = Emulator::new(cfg, SanitizePolicy::evanesco());
     ssd.enable_gauges();
@@ -109,13 +95,11 @@ fn runs() -> [(&'static str, Emulator); 2] {
     [("evanesco", evanesco_run()), ("none", none_run())]
 }
 
-/// `name: value` pairs of a derived `Debug` rendering of a flat record.
-fn fields(debug: &str) -> Vec<(String, u64)> {
-    let body = debug.split_once('{').expect("a braced record").1.trim_end_matches('}');
-    body.split(',')
-        .filter_map(|kv| kv.split_once(':'))
-        .map(|(k, v)| (k.trim().to_string(), v.trim().parse().expect("a u64 counter")))
-        .collect()
+fn digests(runs: &[(&'static str, Emulator)]) -> Vec<(&'static str, u64, u64)> {
+    let digest = |(name, ssd): &(&'static str, Emulator)| {
+        (*name, fnv(ssd.prometheus_scrape().as_bytes()), fnv(&ssd.save_checkpoint()))
+    };
+    runs.iter().map(digest).collect()
 }
 
 /// `cargo test --test scrape_golden regen -- --ignored --nocapture`
@@ -123,47 +107,26 @@ fn fields(debug: &str) -> Vec<(String, u64)> {
 #[test]
 #[ignore = "prints fresh digests; paste them only on a reviewed scrape or format change"]
 fn regen_scrape_golden() {
-    for (name, ssd) in runs() {
-        let (scrape, ckpt) = (fnv(ssd.prometheus_scrape().as_bytes()), fnv(&ssd.save_checkpoint()));
+    for (name, scrape, ckpt) in digests(&runs()) {
         println!("    (\"{name}\", 0x{scrape:016x}, 0x{ckpt:016x}),");
     }
 }
 
 #[test]
 fn scrape_and_checkpoint_match_the_golden_digests() {
-    for ((name, ssd), want) in runs().into_iter().zip(GOLDEN) {
-        let got = (name, fnv(ssd.prometheus_scrape().as_bytes()), fnv(&ssd.save_checkpoint()));
-        assert_eq!(
-            (got.0, format!("{:016x}", got.1), format!("{:016x}", got.2)),
-            (want.0, format!("{:016x}", want.1), format!("{:016x}", want.2)),
-            "scrape or checkpoint bytes diverged from the checked-in digest (got, want)"
-        );
-    }
-}
-
-#[test]
-fn the_runs_move_every_counter_of_the_four_records() {
-    let mut seen: Vec<(String, u64)> = Vec::new();
-    for (_, ssd) in runs() {
+    let runs = runs();
+    assert_eq!(digests(&runs), GOLDEN, "scrape or checkpoint bytes moved (got, want)");
+    let families = |ssd: &Emulator| {
         let r = ssd.result();
-        let wd = ssd.watchdog_stats().unwrap_or_default();
-        for debug in [
-            format!("{:?}", r.ftl),
-            format!("{:?}", r.recovery.report),
-            format!("{:?}", r.faults),
-            format!("{wd:?}"),
-        ] {
-            for (field, v) in fields(&debug) {
-                let tag = format!("{}.{field}", debug.split_once(' ').unwrap().0);
-                match seen.iter_mut().find(|(k, _)| *k == tag) {
-                    Some((_, sum)) => *sum += v,
-                    None => seen.push((tag, v)),
-                }
-            }
-        }
-    }
-    assert_eq!(seen.len(), 32 + 9 + 6 + 4, "one entry per counter: {seen:?}");
+        let mut all = r.ftl.families().to_vec();
+        all.extend(r.recovery.report.families());
+        all.extend(r.faults.families());
+        all.extend(ssd.watchdog_stats().unwrap_or_default().families());
+        all
+    };
+    let (a, b) = (families(&runs[0].1), families(&runs[1].1));
+    assert_eq!(a.len(), 32 + 9 + 6 + 4);
     let zero: Vec<&str> =
-        seen.iter().filter(|(_, v)| *v == 0).map(|(k, _)| k.split_once('.').unwrap().1).collect();
-    assert_eq!(zero, UNREACHED, "counters no run moves");
+        a.iter().zip(&b).filter(|(x, y)| x.2 + y.2 == 0).map(|(x, _)| x.0).collect();
+    assert_eq!(zero, UNREACHED, "counters neither run moves, so no digest pins their slot");
 }
