@@ -394,6 +394,7 @@ mod tests {
             "evanesco_iops",
             "evanesco_waf",
             "evanesco_ftl_host_write_pages_total",
+            "evanesco_ftl_writes_rejected_readonly_total",
             "evanesco_fault_unc_reads_total",
             "evanesco_recovery_recoveries_total",
             "evanesco_recovery_scan_seconds",
@@ -407,7 +408,12 @@ mod tests {
             "evanesco_t_insecure",
             "evanesco_trace_recorded_total",
             "evanesco_trace_span_seconds_total{kind=\"plock\"}",
+            "evanesco_ftl_meta_corruptions_injected_total",
+            "evanesco_ftl_meta_repairs_from_oob_total",
+            "evanesco_ftl_meta_resurrections_pruned_total",
+            "evanesco_ftl_audit_scrub_blocks_total",
             "evanesco_watchdog_stalls_injected_total",
+            "evanesco_watchdog_deadline_failures_total",
             "evanesco_anatomy_recorded_total",
             "evanesco_anatomy_stage_ns_total{kind=\"trim\",stage=\"sanitize_interference\"}",
             "evanesco_anatomy_stage_ns_total{kind=\"write\",stage=\"chip_service\"}",
