@@ -54,7 +54,6 @@ mod sanitize;
 
 use alloc::ActiveBlock;
 use coalesce::{CoalesceEntry, CoalesceQueue};
-use gc::VictimIndex;
 use map::{BlockMeta, BlockState, ChipState, L2p};
 pub use reliability::DegradedMode;
 

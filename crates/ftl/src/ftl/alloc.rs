@@ -73,7 +73,7 @@ impl Ftl {
         if full {
             cs.blocks[id as usize].closed_at = self.stats.host_write_pages;
             cs.active = None;
-            cs.set_block_state(id, BlockState::Full);
+            cs.blocks[id as usize].state = BlockState::Full;
         }
         at
     }
@@ -122,7 +122,7 @@ impl Ftl {
                 return;
             };
             let cs = &mut self.chips[chip];
-            cs.set_block_state(id, BlockState::Open);
+            cs.blocks[id as usize].state = BlockState::Open;
             cs.active = Some(ActiveBlock { id, next_page: 0 });
             return;
         }

@@ -1,5 +1,5 @@
 //! Checkpoint codec: every dynamic table of the FTL to and from the
-//! snapshot stream, byte for byte (format 3, section 0x30).
+//! snapshot stream, byte for byte (section 0x30).
 
 use super::*;
 use evanesco_nand::snapshot::{Dec, Enc, SnapshotError, SnapshotError::Corrupt};
@@ -38,8 +38,8 @@ fn decode_code<T: Copy>(d: &mut Dec<'_>, table: &[T], what: &str) -> Result<T, S
 
 impl Ftl {
     /// Serializes every dynamic table of the FTL — the L2P map, per-chip
-    /// page/block state (including the GC victim index and free/reclaimable
-    /// queue *orders*, which affect future victim and allocation choices),
+    /// page/block state (including the free/reclaimable queue *orders*,
+    /// which affect future allocation choices),
     /// the write frontier, counters, sequence number, coalescing queue, and
     /// degraded mode — into a checkpoint stream.
     ///
@@ -73,23 +73,9 @@ impl Ftl {
                 e.u32(a.id);
                 e.u32(a.next_page);
             });
-            let mut gc: Vec<u32> = c.gc_in_progress.iter().copied().collect();
+            let mut gc = c.gc_in_progress.clone();
             gc.sort_unstable();
             encode_u32s(e, gc.iter());
-            // Victim index verbatim: bucket order breaks cost-benefit GC
-            // ties, so it must survive exactly (never rebuilt sorted).
-            e.usize(c.victims.buckets.len());
-            for bucket in &c.victims.buckets {
-                encode_u32s(e, bucket.iter());
-            }
-            e.usize(c.victims.pos.len());
-            for p in &c.victims.pos {
-                e.opt(p, |e, &(live, slot)| {
-                    e.u32(live);
-                    e.u32(slot);
-                });
-            }
-            e.u32(c.victims.min_live);
             e.u64(c.live_total);
             e.u64(c.invalid_total);
             e.u32(c.retired);
@@ -165,20 +151,14 @@ impl Ftl {
             c.active = d.opt(|d| Ok(ActiveBlock { id: d.u32()?, next_page: d.u32()? }))?;
             c.gc_in_progress.clear();
             for _ in 0..d.usize()? {
-                c.gc_in_progress.insert(d.u32()?);
-            }
-            dimension(d, c.victims.buckets.len(), "victim bucket count")?;
-            for bucket in &mut c.victims.buckets {
-                bucket.clear();
-                for _ in 0..d.usize()? {
-                    bucket.push(d.u32()?);
+                let b = d.u32()?;
+                if b >= geom.blocks || c.gc_in_progress.last().is_some_and(|&prev| prev >= b) {
+                    return Err(Corrupt(format!(
+                        "GC-in-progress block {b} out of range or out of order"
+                    )));
                 }
+                c.gc_in_progress.push(b);
             }
-            dimension(d, c.victims.pos.len(), "victim position count")?;
-            for p in &mut c.victims.pos {
-                *p = d.opt(|d| Ok((d.u32()?, d.u32()?)))?;
-            }
-            c.victims.min_live = d.u32()?;
             c.live_total = d.u64()?;
             c.invalid_total = d.u64()?;
             c.retired = d.u32()?;

@@ -14,9 +14,8 @@
 //!   always reflects the truth, so an injection is guaranteed to be caught
 //!   at the next pre-op or at [`Ftl::guard_finalize`].
 //!
-//! Repair is classified per table. Derived structures (live/invalid
-//! counters, the GC victim index) are re-derived from the page status table
-//! in RAM; authoritative structures (L2P map, coalescing queue, bad-block
+//! Repair is classified per table. Derived structures (the live/invalid
+//! counters) are re-derived from the page status table in RAM; authoritative structures (L2P map, coalescing queue, bad-block
 //! table) fall back to the full power-up recovery scan, rebuilding from
 //! on-flash OOB; a sealed trim-tombstone filter then prunes any mapping
 //! the scan resurrected from insecurely trimmed (still readable) flash,
@@ -61,8 +60,9 @@ impl Seal {
     }
 }
 
-/// Seal slots, indexed to match [`CorruptTarget::ALL`].
-const N_SEALS: usize = 5;
+/// Seal slots, indexed to match [`CorruptTarget::ALL`]; the last target,
+/// GC candidacy, is a block counter and shares the counters' seal.
+const N_SEALS: usize = 4;
 
 /// The guard state riding alongside the FTL (RAM-only, never checkpointed).
 #[derive(Debug, Clone)]
@@ -234,7 +234,7 @@ impl Ftl {
         } else {
             // Derived structures: re-derive from the RAM status table.
             self.guard.as_mut().expect("guard armed").pending = false;
-            self.rederive_counters_and_victims();
+            self.rederive_counters();
             self.stats.meta_repairs_rederived += 1;
         }
         if self.first_violation().is_some() {
@@ -283,9 +283,9 @@ impl Ftl {
         self.events.drain_into(obs);
     }
 
-    /// Rebuilds the per-block live/invalid counters, the per-chip running
-    /// totals, and the GC victim index from the page status table.
-    fn rederive_counters_and_victims(&mut self) {
+    /// Rebuilds the per-block live/invalid counters and the per-chip
+    /// running totals from the page status table.
+    fn rederive_counters(&mut self) {
         let ppb = self.cfg.geometry.pages_per_block();
         let n_blocks = self.cfg.geometry.blocks;
         for c in &mut self.chips {
@@ -300,14 +300,6 @@ impl Ftl {
             }
             c.live_total = live_total;
             c.invalid_total = invalid_total;
-            // Rebuild the victim index in block-id order. Bucket order only
-            // breaks cost-benefit ties; greedy selection is order-blind.
-            c.victims = VictimIndex::new(n_blocks, ppb);
-            for b in 0..n_blocks {
-                if c.blocks[b as usize].state == BlockState::Full {
-                    c.victims.insert(b, c.blocks[b as usize].live);
-                }
-            }
         }
     }
 
@@ -389,13 +381,7 @@ impl Ftl {
     // -----------------------------------------------------------------
 
     fn compute_seals(&self) -> [u64; N_SEALS] {
-        [
-            self.seal_l2p(),
-            self.seal_counters(),
-            self.seal_coalesce(),
-            self.seal_bad_blocks(),
-            self.seal_victims(),
-        ]
+        [self.seal_l2p(), self.seal_counters(), self.seal_coalesce(), self.seal_bad_blocks()]
     }
 
     fn seal_l2p(&self) -> u64 {
@@ -448,29 +434,6 @@ impl Ftl {
         s.done()
     }
 
-    fn seal_victims(&self) -> u64 {
-        let mut s = Seal::new();
-        for c in &self.chips {
-            s.u64(u64::from(c.victims.min_live));
-            for bucket in &c.victims.buckets {
-                s.u64(bucket.len() as u64);
-                for &b in bucket {
-                    s.u64(u64::from(b));
-                }
-            }
-            for p in &c.victims.pos {
-                match p {
-                    Some((live, slot)) => {
-                        s.u64(u64::from(*live));
-                        s.u64(u64::from(*slot));
-                    }
-                    None => s.u64(u64::MAX),
-                }
-            }
-        }
-        s.done()
-    }
-
     // -----------------------------------------------------------------
     // Injection
     // -----------------------------------------------------------------
@@ -486,9 +449,7 @@ impl Ftl {
             CorruptTarget::BadBlockTable if !self.chips.iter().any(|c| c.retired > 0) => {
                 CorruptTarget::L2pMap
             }
-            CorruptTarget::VictimIndex
-                if !self.chips.iter().any(|c| c.victims.pos.iter().any(|p| p.is_some())) =>
-            {
+            CorruptTarget::GcCandidacy if !self.chips.iter().any(|c| c.first_full().is_some()) => {
                 CorruptTarget::L2pMap
             }
             t => t,
@@ -544,22 +505,17 @@ impl Ftl {
                 c.blocks[b].state = BlockState::Reclaimable;
                 c.retired -= 1;
             }
-            CorruptTarget::VictimIndex => {
+            CorruptTarget::GcCandidacy => {
                 let n = self.chips.len();
                 let start = (salt % n as u64) as usize;
-                let chip = (0..n)
+                let (c, b) = (0..n)
                     .map(|i| (start + i) % n)
-                    .find(|&i| self.chips[i].victims.pos.iter().any(|p| p.is_some()))
-                    .expect("fall-through checked an indexed block exists");
-                let c = &mut self.chips[chip];
-                let b = c
-                    .victims
-                    .pos
-                    .iter()
-                    .position(|p| p.is_some())
-                    .expect("an indexed block exists") as u32;
-                // Drop a Full block from the index: GC can no longer see it.
-                c.victims.remove(b);
+                    .find_map(|i| Some((i, self.chips[i].first_full()?)))
+                    .expect("fall-through checked a Full block exists");
+                // Skew a collectable block's live count: GC ranks it wrongly.
+                let delta = ((salt >> 32) % 7 + 1) as u32;
+                let live = &mut self.chips[c].blocks[b].live;
+                *live = live.wrapping_add(delta);
             }
         }
         target

@@ -94,11 +94,9 @@ pub(super) struct ChipState {
     pub(super) free: VecDeque<u32>,
     pub(super) reclaimable: VecDeque<u32>,
     pub(super) active: Option<ActiveBlock>,
-    /// Blocks whose live pages are being relocated right now; nested
-    /// (emergency) GC passes must not pick them again.
-    pub(super) gc_in_progress: std::collections::HashSet<u32>,
-    /// GC victim index over the Full blocks.
-    pub(super) victims: VictimIndex,
+    /// Blocks whose live pages are being relocated right now, innermost
+    /// last; nested (emergency) GC passes must not pick them again.
+    pub(super) gc_in_progress: Vec<u32>,
     /// Running live (valid + secured) page count across the chip.
     pub(super) live_total: u64,
     /// Running invalid (dead, not yet erased) page count across the chip.
@@ -118,8 +116,7 @@ impl ChipState {
             free: (0..blocks).collect(),
             reclaimable: VecDeque::new(),
             active: None,
-            gc_in_progress: std::collections::HashSet::new(),
-            victims: VictimIndex::new(blocks, pages_per_block),
+            gc_in_progress: Vec::new(),
             live_total: 0,
             invalid_total: 0,
             retired: 0,
@@ -135,18 +132,9 @@ impl ChipState {
         self.free.len() + self.reclaimable.len()
     }
 
-    /// Transitions a block's state, keeping the victim index in sync
-    /// (indexed iff `Full`).
-    pub(super) fn set_block_state(&mut self, block: u32, new: BlockState) {
-        let meta = &mut self.blocks[block as usize];
-        let was_full = meta.state == BlockState::Full;
-        meta.state = new;
-        let live = meta.live;
-        match (was_full, new == BlockState::Full) {
-            (false, true) => self.victims.insert(block, live),
-            (true, false) => self.victims.remove(block),
-            _ => {}
-        }
+    /// The lowest-numbered `Full` block, if any.
+    pub(super) fn first_full(&self) -> Option<usize> {
+        self.blocks.iter().position(|b| b.state == BlockState::Full)
     }
 
     /// Stops appending to `block` if it is the write frontier (it is about
@@ -155,7 +143,7 @@ impl ChipState {
     pub(super) fn close_if_active(&mut self, block: u32) {
         if self.active.is_some_and(|ab| ab.id == block) {
             self.active = None;
-            self.set_block_state(block, BlockState::Full);
+            self.blocks[block as usize].state = BlockState::Full;
         }
     }
 
@@ -173,7 +161,6 @@ impl ChipState {
         self.p2l[idx] = lpa as u32 + 1;
         self.blocks[block as usize].live += 1;
         self.live_total += 1;
-        self.victims.update(block, self.blocks[block as usize].live);
     }
 
     /// Marks a page invalid (dead), maintaining every counter. Accepts a
@@ -190,7 +177,6 @@ impl ChipState {
         self.status[idx] = PageStatus::Invalid;
         self.blocks[block as usize].invalid += 1;
         self.invalid_total += 1;
-        self.victims.update(block, self.blocks[block as usize].live);
         old
     }
 
@@ -199,7 +185,6 @@ impl ChipState {
         let meta = self.blocks[block as usize];
         self.live_total -= u64::from(meta.live);
         self.invalid_total -= u64::from(meta.invalid);
-        self.victims.remove(block);
         let base = (block * pages_per_block) as usize;
         for i in 0..pages_per_block as usize {
             self.p2l[base + i] = 0;
@@ -325,9 +310,9 @@ impl Ftl {
         self.chips.iter().map(|c| c.invalid_total).sum()
     }
 
-    /// Verifies internal consistency: mapping tables, the per-block and
-    /// per-chip live/invalid counters, and the GC victim index all agree
-    /// with a ground-truth scan of the page status table.
+    /// Verifies internal consistency: mapping tables and the per-block and
+    /// per-chip live/invalid counters all agree with a ground-truth scan of
+    /// the page status table.
     ///
     /// # Panics
     ///
@@ -373,16 +358,6 @@ impl Ftl {
                 }
                 live_sum += u64::from(live);
                 invalid_sum += u64::from(invalid);
-                let indexed = c.victims.bucket_of(bi as u32);
-                if indexed.is_some() != (b.state == BlockState::Full) {
-                    return Some(format!(
-                        "victim index membership drift at chip {ci} block {bi} ({:?})",
-                        b.state
-                    ));
-                }
-                if indexed.is_some_and(|bucket| bucket != b.live) {
-                    return Some(format!("victim index bucket drift at chip {ci} block {bi}"));
-                }
                 if b.state == BlockState::Retired {
                     retired += 1;
                     let bi = bi as u32;

@@ -57,7 +57,7 @@ impl Ftl {
                 // persistent bad-block table.
                 if bp.bad {
                     let cs = &mut self.chips[chip];
-                    cs.set_block_state(b, BlockState::Retired);
+                    cs.blocks[b as usize].state = BlockState::Retired;
                     cs.retired += 1;
                     continue;
                 }
@@ -89,7 +89,7 @@ impl Ftl {
                     if bp.next_program == 0 {
                         cs.free.push_back(b);
                     } else {
-                        cs.set_block_state(b, BlockState::Full);
+                        cs.blocks[b as usize].state = BlockState::Full;
                     }
                     if bp.lock.is_torn() {
                         let pages = (0..bp.next_program)
@@ -149,7 +149,7 @@ impl Ftl {
                 }
                 // Partially-written blocks are sealed, not resumed: the
                 // interrupted tail page makes in-order append unsafe.
-                self.chips[chip].set_block_state(b, BlockState::Full);
+                self.chips[chip].blocks[b as usize].state = BlockState::Full;
             }
         }
         self.seq = max_seq + 1;
@@ -169,7 +169,7 @@ impl Ftl {
                 if cs.blocks[b as usize].state == BlockState::Full
                     && cs.blocks[b as usize].live == 0
                 {
-                    cs.set_block_state(b, BlockState::Reclaimable);
+                    cs.blocks[b as usize].state = BlockState::Reclaimable;
                     cs.reclaimable.push_back(b);
                 }
             }

@@ -195,7 +195,7 @@ impl Ftl {
         if self.block_lock_with_retry(ex, chip, block) {
             let cs = &mut self.chips[chip];
             if cs.blocks[block as usize].state == BlockState::Full {
-                cs.set_block_state(block, BlockState::Reclaimable);
+                cs.blocks[block as usize].state = BlockState::Reclaimable;
                 cs.reclaimable.push_back(block);
             }
             return;
@@ -240,7 +240,7 @@ impl Ftl {
         });
         self.detach_block(chip, id);
         let cs = &mut self.chips[chip];
-        cs.set_block_state(id, BlockState::Retired);
+        cs.blocks[id as usize].state = BlockState::Retired;
         cs.retired += 1;
         self.stats.retired_blocks += 1;
         self.note_decision(ex, Decision::BlockRetired { chip, block: id });

@@ -299,7 +299,7 @@ impl Ftl {
                 ab.next_page = last_destroyed + 1;
                 if ab.next_page >= ppb {
                     cs.active = None;
-                    cs.set_block_state(block.0, BlockState::Full);
+                    cs.blocks[block.0 as usize].state = BlockState::Full;
                 }
             }
         }

@@ -72,7 +72,7 @@ evanesco_nand::counters! {
     /// structure from on-flash OOB ground truth (full recovery scan).
     meta_repairs_from_oob: "Metadata repairs rebuilt from on-flash OOB.",
     /// Metadata guard — detected corruptions repaired by re-deriving the
-    /// structure (counters, victim index) from the in-RAM map.
+    /// per-block and per-chip counters from the in-RAM page status table.
     meta_repairs_rederived: "Metadata repairs re-derived from RAM state.",
     /// Metadata guard — repairs that failed post-verification; the drive
     /// degraded to read-only instead of serving from the bad table.

@@ -43,10 +43,13 @@ pub const MAGIC: &[u8; 8] = b"EVSCCKP1";
 /// * **5** — the configuration section drops the four retry knobs (the
 ///   budgets and back-off base are constants) and the recovery totals
 ///   their two lock counters (recovery's locks count in the FTL's rungs).
+/// * **6** — the FTL section drops the GC victim index (buckets, positions
+///   and the lowest-bucket hint): GC picks its victim by scanning the
+///   block table.
 ///
 /// Only the current version decodes; older blobs are rejected as
 /// unsupported: nothing outside this repository ever wrote one.
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding
 /// each framed checkpoint section. Detects every single-byte corruption

@@ -46,9 +46,7 @@ pub fn apply<O: FtlObserver>(ssd: &mut Emulator, obs: &mut O, op: &TraceOp) {
         TraceOp::Write { lpa, npages, secure, .. } => {
             ssd.write_with(obs, lpa, npages, secure);
         }
-        TraceOp::Read { lpa, npages } => {
-            ssd.read(lpa, npages);
-        }
+        TraceOp::Read { lpa, npages } => ssd.read_each(lpa, npages, |_| {}),
         TraceOp::Trim { lpa, npages, .. } => {
             ssd.trim_with(obs, lpa, npages);
         }

@@ -14,8 +14,8 @@ use evanesco::ssd::{DeadlineConfig, Emulator, HostOp, SsdConfig};
 
 /// `(run, scrape digest, checkpoint digest)`, in [`runs`] order.
 const GOLDEN: [(&str, u64, u64); 2] = [
-    ("evanesco", 0xb12e_30a8_22be_7e35, 0xd9fa_398d_8dfb_1afe),
-    ("none", 0xac29_161b_4ca8_85c8, 0x81bb_3b22_5867_84b0),
+    ("evanesco", 0xb12e_30a8_22be_7e35, 0x2054_6072_d87a_3a26),
+    ("none", 0xac29_161b_4ca8_85c8, 0x50cc_393b_2421_00b0),
 ];
 
 /// Counters neither run moves: `meta_unrecoverable` counts a guard repair
