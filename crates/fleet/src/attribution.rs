@@ -1,6 +1,6 @@
 //! Per-tenant attribution of sanitization-exposure events.
 //!
-//! One device hosts many tenants, but the FTL's observer callbacks speak
+//! One device hosts many tenants, but the FTL's observer events speak
 //! physical addresses — an invalidation or erase does not say whose data
 //! it touched. [`TenantAttribution`] closes that gap: it learns ownership
 //! at program time (the logical address *is* available there, and the
@@ -15,8 +15,8 @@
 //! noisy neighbor's pile of unsanitized stale versions lands on *its*
 //! gauges, not its victims'.
 
-use evanesco_ftl::observer::{FtlObserver, InvalidateCause};
-use evanesco_ftl::{FtlConfig, GlobalPpa, Lpa};
+use evanesco_ftl::observer::{FtlObserver, ObserverEvent};
+use evanesco_ftl::FtlConfig;
 use evanesco_ssd::{ExposureTable, GaugeSnapshot};
 
 /// Routes [`FtlObserver`] events to per-tenant exposure counters using
@@ -48,39 +48,37 @@ impl TenantAttribution {
 }
 
 impl FtlObserver for TenantAttribution {
-    fn on_program(&mut self, lpa: Lpa, at: GlobalPpa, _relocation: bool, secure: bool) {
-        let tenant = ((lpa / self.window) as usize).min(self.table.owners() - 1);
-        self.table.program(tenant, at, secure);
-    }
-
-    fn on_invalidate(
-        &mut self,
-        at: GlobalPpa,
-        secure: bool,
-        sanitized: bool,
-        _cause: InvalidateCause,
-    ) {
-        self.table.invalidate(at, secure, sanitized);
-    }
-
-    fn on_erase(&mut self, chip: usize, block: evanesco_nand::geometry::BlockId) {
-        self.table.erase(chip, block.0);
-    }
-
-    fn on_host_tick(&mut self) {
-        // Logical time (accepted host page writes) is device-wide; every
-        // tenant's T_insecure is measured on the shared clock.
-        self.table.host_tick();
+    /// A program is charged to `lpa / window` (the remainder past the last
+    /// window to the last tenant); logical time is one device-wide tick,
+    /// so every tenant's T_insecure is measured on the shared clock.
+    fn on_event(&mut self, ev: ObserverEvent) {
+        let (window, last) = (self.window, self.table.owners() - 1);
+        self.table.apply(ev, |lpa| ((lpa / window) as usize).min(last));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evanesco_ftl::{GlobalPpa, InvalidateCause, Lpa, SanitizePolicy};
     use evanesco_nand::geometry::{BlockId, Ppa};
+    use evanesco_ssd::{Emulator, LiveGauges, SsdConfig};
 
     fn at(chip: usize, block: u32, page: u32) -> GlobalPpa {
         GlobalPpa::new(chip, Ppa::new(block, page))
+    }
+
+    fn program(lpa: Lpa, at: GlobalPpa) -> ObserverEvent {
+        ObserverEvent::Program { lpa, at, relocation: false, secure: true }
+    }
+
+    fn invalidate(at: GlobalPpa, sanitized: bool) -> ObserverEvent {
+        ObserverEvent::Invalidate {
+            at,
+            secure: true,
+            sanitized,
+            cause: InvalidateCause::HostUpdate,
+        }
     }
 
     fn attribution(tenants: usize, window: u64) -> TenantAttribution {
@@ -91,9 +89,9 @@ mod tests {
     fn programs_and_invalidates_land_on_the_owning_tenant() {
         // Two tenants, 100-page windows: lpa 5 → tenant 0, lpa 105 → 1.
         let mut a = attribution(2, 100);
-        a.on_program(5, at(0, 0, 0), false, true);
-        a.on_program(105, at(0, 0, 1), false, true);
-        a.on_invalidate(at(0, 0, 1), true, false, InvalidateCause::HostUpdate);
+        a.on_event(program(5, at(0, 0, 0)));
+        a.on_event(program(105, at(0, 0, 1)));
+        a.on_event(invalidate(at(0, 0, 1), false));
         let s = a.snapshots();
         assert_eq!(s[0].valid_secured, 1);
         assert_eq!(s[0].invalid_secured, 0);
@@ -104,25 +102,25 @@ mod tests {
     #[test]
     fn remainder_pages_past_the_last_window_belong_to_the_last_tenant() {
         let mut a = attribution(2, 100);
-        a.on_program(250, at(0, 0, 0), false, true);
+        a.on_event(program(250, at(0, 0, 0)));
         assert_eq!(a.snapshots()[1].valid_secured, 1);
     }
 
     #[test]
     fn an_erase_settles_every_tenant_with_pages_in_the_block() {
         let mut a = attribution(2, 100);
-        a.on_program(0, at(0, 3, 0), false, true);
-        a.on_program(150, at(0, 3, 1), false, true);
-        a.on_invalidate(at(0, 3, 0), true, false, InvalidateCause::Trim);
-        a.on_erase(0, BlockId(3));
+        a.on_event(program(0, at(0, 3, 0)));
+        a.on_event(program(150, at(0, 3, 1)));
+        a.on_event(invalidate(at(0, 3, 0), false));
+        a.on_event(ObserverEvent::Erase { chip: 0, block: BlockId(3) });
         let s = a.snapshots();
         assert_eq!(s[0].exposed_then_erased, 1);
         assert_eq!(s[0].invalid_secured, 0);
         assert_eq!(s[1].valid_secured, 0, "tenant 1's live page was destroyed by the erase");
         assert_eq!(s[1].exposed_then_erased, 0);
         // The cells are free again: a new owner starts clean.
-        a.on_program(120, at(0, 3, 0), false, true);
-        a.on_invalidate(at(0, 3, 0), true, true, InvalidateCause::HostUpdate);
+        a.on_event(program(120, at(0, 3, 0)));
+        a.on_event(invalidate(at(0, 3, 0), true));
         let s = a.snapshots();
         assert_eq!((s[0].sanitized_immediately, s[1].sanitized_immediately), (0, 1));
     }
@@ -130,9 +128,9 @@ mod tests {
     #[test]
     fn sanitized_invalidations_release_their_page() {
         let mut a = attribution(2, 100);
-        a.on_program(7, at(1, 0, 0), false, true);
-        a.on_invalidate(at(1, 0, 0), true, true, InvalidateCause::HostUpdate);
-        a.on_invalidate(at(1, 0, 0), true, false, InvalidateCause::HostUpdate);
+        a.on_event(program(7, at(1, 0, 0)));
+        a.on_event(invalidate(at(1, 0, 0), true));
+        a.on_event(invalidate(at(1, 0, 0), false));
         let s = a.snapshots();
         assert_eq!(s[0].sanitized_immediately, 1);
         assert_eq!(s[0].invalid_secured, 0, "a sanitized page cannot be exposed afterwards");
@@ -142,10 +140,45 @@ mod tests {
     fn ticks_advance_every_tenant_clock() {
         let mut a = attribution(3, 10);
         for _ in 0..5 {
-            a.on_host_tick();
+            a.on_event(ObserverEvent::HostTick);
         }
         for s in a.snapshots() {
             assert_eq!(s.tick, 5);
+        }
+    }
+
+    /// The device gauges and the fleet's attribution share one exposure
+    /// handler: with a single tenant owning every page, the same event
+    /// stream leaves them with the same snapshot after every event.
+    #[test]
+    fn one_tenant_attribution_matches_the_device_gauges_on_a_recorded_churn() {
+        let cfg = SsdConfig::tiny_for_tests();
+        for policy in [SanitizePolicy::none(), SanitizePolicy::evanesco()] {
+            let mut ssd = Emulator::new(cfg, policy);
+            let logical = ssd.logical_pages();
+            let mut events: Vec<ObserverEvent> = Vec::new();
+            for i in 0..4 * logical {
+                let lpa = i * 7 % logical;
+                ssd.write_with(&mut events, lpa, 1, i % 3 != 0);
+                if i % 5 == 0 {
+                    ssd.trim_with(&mut events, (lpa + 3) % logical, 1);
+                }
+            }
+            let stats = ssd.ftl().stats();
+            assert!(stats.gc_invocations > 0 && stats.nand_erases > 0, "the churn reaches GC");
+
+            let mut gauges = LiveGauges::new(&cfg.ftl);
+            let mut tenant = TenantAttribution::new(&cfg.ftl, 1, logical);
+            for &ev in &events {
+                gauges.on_event(ev);
+                tenant.on_event(ev);
+                assert_eq!(tenant.snapshots(), [gauges.snapshot()], "{policy:?} after {ev:?}");
+            }
+            let s = gauges.snapshot();
+            assert!(s.max_valid > 0 && s.tick == 4 * logical, "{s:?}");
+            // The baseline leaves stale versions for GC's erases to settle.
+            let exposed = s.max_invalid > 0 && s.exposed_then_erased > 0;
+            assert_eq!(exposed, policy == SanitizePolicy::none(), "{s:?}");
         }
     }
 }

@@ -32,7 +32,7 @@ use crate::addr::{GlobalPpa, Lpa};
 use crate::config::FtlConfig;
 use crate::decision::{Decision, DecisionLog};
 use crate::executor::{NandExecutor, OpCause};
-use crate::observer::{EventBatch, FtlObserver, InvalidateCause};
+use crate::observer::{EventBatch, FtlObserver, InvalidateCause, ObserverEvent};
 use crate::policy::SanitizePolicy;
 use crate::recovery::RecoveryReport;
 use crate::stats::FtlStats;
@@ -243,7 +243,7 @@ impl Ftl {
         }
         self.stats.host_write_pages += 1;
         self.events.arm(obs.listening());
-        self.events.host_tick();
+        self.events.push(ObserverEvent::HostTick);
         if self.cfg.lock_coalescing {
             self.flush_aged_locks(ex);
         }
@@ -263,7 +263,7 @@ impl Ftl {
         let payload = data.with_oob(PageOob { lpa, secure, seq });
         let at = self.program_remapping(ex, &payload, secure, Self::allocate);
         self.commit_mapping(lpa, at, secure);
-        self.events.program(lpa, at, false, secure);
+        self.events.push(ObserverEvent::Program { lpa, at, relocation: false, secure });
         self.events.drain_into(obs);
         true
     }
@@ -324,7 +324,7 @@ mod testutil {
 mod tests {
     use super::testutil::*;
     use super::*;
-    use crate::observer::{Recorder, Tee};
+    use crate::observer::Tee;
 
     #[test]
     fn write_read_roundtrip() {
@@ -413,17 +413,17 @@ mod tests {
 
     #[test]
     fn events_are_buffered_only_for_an_observer_that_listens() {
-        let mut direct = Recorder::default();
+        let mut direct: Vec<ObserverEvent> = Vec::new();
         let (stats, _) = churn(&mut direct);
-        assert!(direct.0.len() > 1000, "the churn produces every kind of event");
+        assert!(direct.len() > 1000, "the churn produces every kind of event");
 
         // Behind `Option` and `Tee` a listener sees the identical sequence.
-        let mut wrapped = Recorder::default();
-        assert_eq!(churn(&mut Tee(None::<Recorder>, Some(&mut wrapped))).0, stats);
+        let mut wrapped = Vec::new();
+        assert_eq!(churn(&mut Tee(None::<Vec<_>>, Some(&mut wrapped))).0, stats);
         assert!(wrapped == direct, "a wrapped observer lost or reordered events");
 
         // Nobody listening: the same run, and the batch never held an event.
-        for cap in [churn(&mut NullObserver), churn(&mut Tee(None::<Recorder>, NullObserver))] {
+        for cap in [churn(&mut NullObserver), churn(&mut Tee(None::<Vec<_>>, NullObserver))] {
             assert_eq!(cap, (stats, 0));
         }
     }

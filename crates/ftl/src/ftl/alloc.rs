@@ -143,7 +143,7 @@ impl Ftl {
         if self.erase_with_retry(ex, chip, id) {
             let ppb = self.cfg.geometry.pages_per_block();
             self.chips[chip].reset_block(id, ppb);
-            self.events.erase(chip, BlockId(id));
+            self.events.push(ObserverEvent::Erase { chip, block: BlockId(id) });
             return true;
         }
         self.retire_block(ex, chip, id);

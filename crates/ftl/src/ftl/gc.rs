@@ -135,10 +135,11 @@ impl Ftl {
             self.program_remapping(ex, &payload, secure, |f, ex| f.allocate_on_chip(ex, chip));
         self.stats.copied_pages += 1;
         self.commit_mapping(lpa, new_at, secure);
-        self.events.program(lpa, new_at, true, secure);
+        self.events.push(ObserverEvent::Program { lpa, at: new_at, relocation: true, secure });
         self.chips[chip].mark_invalid(idx, old.ppa.block.0);
         let sanitized = destroyed || (self.policy.is_immediate() && secure);
-        self.events.invalidate(old, secure, sanitized, InvalidateCause::GcCopy);
+        let cause = InvalidateCause::GcCopy;
+        self.events.push(ObserverEvent::Invalidate { at: old, secure, sanitized, cause });
         Some(secure)
     }
 }

@@ -290,7 +290,8 @@ impl Ftl {
             if sec {
                 secured.push(old);
             }
-            self.events.invalidate(old, sec, self.policy.is_immediate() && sec, cause);
+            let sanitized = self.policy.is_immediate() && sec;
+            self.events.push(ObserverEvent::Invalidate { at: old, secure: sec, sanitized, cause });
         }
         self.sanitize_invalidated(ex, chip, block, &mut secured, cause);
         self.secured_scratch = secured;

@@ -202,7 +202,6 @@ impl Ftl {
         self.guard_after_recover();
 
         self.events.drain_into(obs);
-        obs.on_recovery(&report);
         report
     }
 }

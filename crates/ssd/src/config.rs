@@ -46,8 +46,8 @@ impl SsdConfig {
     /// # Errors
     ///
     /// Names the first violated rule: any [`FtlConfig::check`] violation,
-    /// a zero-channel or zero-chip topology, or an FTL chip count that
-    /// disagrees with the channel topology.
+    /// a zero-channel or zero-chip topology, or an FTL chip count or
+    /// chips-per-channel that disagrees with the channel topology.
     pub fn check(&self) -> Result<(), String> {
         let rule =
             |ok: bool, msg: String| if ok { Ok(()) } else { Err(format!("SsdConfig: {msg}")) };
@@ -57,7 +57,12 @@ impl SsdConfig {
         let (topology, ftl) = (self.n_chips(), self.ftl.n_chips);
         let disagree =
             format!("channel topology and FTL chip count disagree ({topology} vs {ftl})");
-        rule(topology == ftl, disagree)
+        rule(topology == ftl, disagree)?;
+        // The FTL's frontier order interleaves channels from its own copy.
+        let (cpc, ftl_cpc) = (self.chips_per_channel, self.ftl.chips_per_channel);
+        let ways =
+            format!("ftl.chips_per_channel must equal chips_per_channel ({ftl_cpc} vs {cpc})");
+        rule(usize::from(cpc) == ftl_cpc, ways)
     }
 
     /// Validates internal consistency.

@@ -110,7 +110,7 @@ impl Emulator {
     /// pass (no new injection) so every injected corruption is detected
     /// and accounted before results are read.
     pub fn chaos_finalize(&mut self) {
-        self.ftl.guard_finalize(&mut self.ex, &mut Tee(self.gauges.as_mut(), NullObserver));
+        self.ftl.guard_finalize(&mut self.ex, &mut self.gauges.as_mut());
     }
 
     /// Pre-op half of the chaos bracket: verify seals, repair divergence,
@@ -329,15 +329,10 @@ impl Emulator {
     /// (including the measured scan time) accumulate into
     /// [`Emulator::result`].
     pub fn recover(&mut self) -> RecoveryReport {
-        self.recover_with(&mut NullObserver)
-    }
-
-    /// [`Emulator::recover`] with an observer attached.
-    pub fn recover_with<O: FtlObserver>(&mut self, obs: &mut O) -> RecoveryReport {
         self.trace_discard_leftovers();
         self.ex.power_on();
         let before = self.ex.simulated_time();
-        let report = self.ftl.recover(&mut self.ex, &mut Tee(self.gauges.as_mut(), &mut *obs));
+        let report = self.ftl.recover(&mut self.ex, &mut self.gauges.as_mut());
         let end = self.ex.simulated_time();
         let scan_time = end.saturating_sub(before);
         self.recovery.absorb(&report, scan_time);
@@ -378,7 +373,7 @@ impl Emulator {
     pub fn flush_coalesced_locks(&mut self) {
         self.trace_discard_leftovers();
         let before = self.ex.simulated_time();
-        self.ftl.flush_coalesced(&mut self.ex, &mut Tee(self.gauges.as_mut(), NullObserver));
+        self.ftl.flush_coalesced(&mut self.ex, &mut self.gauges.as_mut());
         // The flush mutates guarded tables outside any op bracket: reseal
         // so the next pre-op check does not misread it as corruption.
         self.ftl.guard_reseal();
@@ -528,19 +523,10 @@ impl Emulator {
     /// host nothing for it, and recovery sanitizes any decodable secured
     /// remnant as an orphan.
     pub fn write_tracked(&mut self, lpa: Lpa, npages: u64, secure: bool) -> Vec<(u64, bool)> {
-        self.write_tracked_with(&mut NullObserver, lpa, npages, secure)
-    }
-
-    /// [`Emulator::write_tracked`] with an observer attached.
-    pub fn write_tracked_with<O: FtlObserver>(
-        &mut self,
-        obs: &mut O,
-        lpa: Lpa,
-        npages: u64,
-        secure: bool,
-    ) -> Vec<(u64, bool)> {
         let mut out = Vec::with_capacity(npages as usize);
-        self.write_tags(obs, lpa, npages, secure, |tag, acked| out.push((tag, acked)));
+        self.write_tags(&mut NullObserver, lpa, npages, secure, |tag, acked| {
+            out.push((tag, acked))
+        });
         out
     }
 
@@ -661,26 +647,17 @@ impl Emulator {
     /// ends beyond the device's logical capacity — a wrapped range would
     /// silently break the per-LPA ordering invariant.
     pub fn run_scheduled(&mut self, ops: &[HostOp], qd: usize) -> SchedRun {
-        self.run_scheduled_with(&mut NullObserver, ops, qd)
+        self.run_scheduled_core(&mut NullObserver, ops, None, qd)
     }
 
-    /// [`Emulator::run_scheduled`] with an observer attached.
-    pub fn run_scheduled_with<O: FtlObserver>(
-        &mut self,
-        obs: &mut O,
-        ops: &[HostOp],
-        qd: usize,
-    ) -> SchedRun {
-        self.run_scheduled_core(obs, ops, None, qd)
-    }
-
-    /// Open-loop variant of [`Emulator::run_scheduled_with`]: request `i`
-    /// cannot be submitted to the device before `arrivals[i]` (the instant
-    /// the front end handed it over). Arrival floors only delay
-    /// submission times; host-visible results stay byte-identical to the
-    /// closed-loop run at every queue depth. The fleet layer uses this to
-    /// model shaped multi-tenant traffic, attributing end-to-end sojourn
-    /// latency from [`SchedRun::completions`].
+    /// Open-loop variant of [`Emulator::run_scheduled`] with an observer
+    /// attached: request `i` cannot be submitted to the device before
+    /// `arrivals[i]` (the instant the front end handed it over). Arrival
+    /// floors only delay submission times; host-visible results stay
+    /// byte-identical to the closed-loop run at every queue depth, and
+    /// all-zero arrivals run exactly the closed loop. The fleet layer uses
+    /// this to model shaped multi-tenant traffic, attributing end-to-end
+    /// sojourn latency from [`SchedRun::completions`].
     ///
     /// # Panics
     ///
@@ -1088,7 +1065,7 @@ impl Emulator {
             // restored flash's OOB metadata, exactly as crash recovery
             // does.
             em.ftl = Ftl::new(em.cfg.ftl, policy);
-            em.recover_with(&mut NullObserver);
+            em.recover();
             report.salvaged.push("ftl");
         }
         if optional_section(&mut d, salvage, section::HOST, "host", |s| em.decode_host_state(s))?

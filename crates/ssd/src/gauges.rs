@@ -19,7 +19,7 @@
 //! the spot, so the invalid count stays at zero and T_insecure stays ≈0 —
 //! the paper's headline claim, now observable while a run executes.
 
-use evanesco_ftl::observer::{FtlObserver, InvalidateCause};
+use evanesco_ftl::observer::{FtlObserver, ObserverEvent};
 use evanesco_ftl::{FtlConfig, GlobalPpa, Lpa};
 
 /// A point-in-time view of the gauges (what the exposition renders).
@@ -248,7 +248,7 @@ struct BlockRec {
 /// Dense exposure table: one byte per physical page (untracked / live /
 /// exposed plus the owning tenant) and one [`BlockRec`] per block, sized
 /// from the device's [`FtlConfig`], with one set of counters per owner on
-/// a shared logical clock. Every [`FtlObserver`] event is a few indexed
+/// a shared logical clock. Every [`ObserverEvent`] is a few indexed
 /// loads and stores — nothing is hashed, nothing allocated after
 /// construction. Only secured pages are tracked and sanitized pages leave
 /// immediately, so the tracked cells are exactly the valid + exposed
@@ -325,8 +325,24 @@ impl ExposureTable {
         (b, b * self.pages_per_block as usize + at.ppa.page.0 as usize)
     }
 
+    /// Applies one FTL event. A `Program` is charged to `owner_of(lpa)`;
+    /// every later event on that page is charged to the owner its cell
+    /// names, and a tick advances the one clock every owner shares.
+    pub fn apply(&mut self, ev: ObserverEvent, owner_of: impl FnOnce(Lpa) -> usize) {
+        match ev {
+            ObserverEvent::Program { lpa, at, secure, .. } => {
+                self.program(owner_of(lpa), at, secure)
+            }
+            ObserverEvent::Invalidate { at, secure, sanitized, .. } => {
+                self.invalidate(at, secure, sanitized);
+            }
+            ObserverEvent::Erase { chip, block } => self.erase(chip, block.0),
+            ObserverEvent::HostTick => self.tick += 1,
+        }
+    }
+
     /// `owner` programmed a page at `at`.
-    pub fn program(&mut self, owner: usize, at: GlobalPpa, secure: bool) {
+    fn program(&mut self, owner: usize, at: GlobalPpa, secure: bool) {
         if !secure {
             return;
         }
@@ -356,7 +372,7 @@ impl ExposureTable {
     }
 
     /// The page at `at` was invalidated; charged to whoever programmed it.
-    pub fn invalidate(&mut self, at: GlobalPpa, secure: bool, sanitized: bool) {
+    fn invalidate(&mut self, at: GlobalPpa, secure: bool, sanitized: bool) {
         if !secure {
             return;
         }
@@ -381,7 +397,7 @@ impl ExposureTable {
     }
 
     /// A block was erased: one pass over its cells settles every owner.
-    pub fn erase(&mut self, chip: usize, block: u32) {
+    fn erase(&mut self, chip: usize, block: u32) {
         let b = self.block_index(chip, block);
         let rec = std::mem::take(&mut self.blocks[b]);
         if !rec.present {
@@ -405,11 +421,6 @@ impl ExposureTable {
         for o in &mut self.owners {
             o.versions.note_change(self.tick);
         }
-    }
-
-    /// One host logical-time tick, shared by every owner.
-    pub fn host_tick(&mut self) {
-        self.tick += 1;
     }
 }
 
@@ -541,32 +552,15 @@ impl LiveGauges {
 }
 
 impl FtlObserver for LiveGauges {
-    fn on_program(&mut self, _lpa: Lpa, at: GlobalPpa, _relocation: bool, secure: bool) {
-        self.table.program(0, at, secure);
-    }
-
-    fn on_invalidate(
-        &mut self,
-        at: GlobalPpa,
-        secure: bool,
-        sanitized: bool,
-        _cause: InvalidateCause,
-    ) {
-        self.table.invalidate(at, secure, sanitized);
-    }
-
-    fn on_erase(&mut self, chip: usize, block: evanesco_nand::geometry::BlockId) {
-        self.table.erase(chip, block.0);
-    }
-
-    fn on_host_tick(&mut self) {
-        self.table.host_tick();
+    fn on_event(&mut self, ev: ObserverEvent) {
+        self.table.apply(ev, |_| 0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evanesco_ftl::observer::InvalidateCause;
     use evanesco_nand::geometry::{BlockId, Ppa};
     use evanesco_nand::snapshot::{Dec, Enc, SnapshotError};
     use proptest::prelude::*;
@@ -580,16 +574,30 @@ mod tests {
         LiveGauges::new(&FtlConfig::tiny_for_tests())
     }
 
+    const TICK: ObserverEvent = ObserverEvent::HostTick;
+
+    fn program(lpa: Lpa, at: GlobalPpa, secure: bool) -> ObserverEvent {
+        ObserverEvent::Program { lpa, at, relocation: false, secure }
+    }
+
+    fn invalidate(at: GlobalPpa, secure: bool, sanitized: bool) -> ObserverEvent {
+        ObserverEvent::Invalidate { at, secure, sanitized, cause: InvalidateCause::HostUpdate }
+    }
+
+    fn erase(chip: usize, block: u32) -> ObserverEvent {
+        ObserverEvent::Erase { chip, block: BlockId(block) }
+    }
+
     #[test]
     fn sanitized_invalidations_keep_tinsec_zero() {
         let mut g = gauges();
-        g.on_host_tick();
-        g.on_program(0, at(0, 0, 0), false, true);
-        g.on_host_tick();
-        g.on_program(0, at(0, 0, 1), false, true);
-        g.on_invalidate(at(0, 0, 0), true, true, InvalidateCause::HostUpdate); // immediate sanitize
+        g.on_event(TICK);
+        g.on_event(program(0, at(0, 0, 0), true));
+        g.on_event(TICK);
+        g.on_event(program(0, at(0, 0, 1), true));
+        g.on_event(invalidate(at(0, 0, 0), true, true)); // immediate sanitize
         for _ in 0..50 {
-            g.on_host_tick();
+            g.on_event(TICK);
         }
         let s = g.snapshot();
         assert_eq!(s.valid_secured, 1);
@@ -603,18 +611,18 @@ mod tests {
     #[test]
     fn unsanitized_invalidations_accrue_insecure_time() {
         let mut g = gauges();
-        g.on_program(0, at(0, 0, 0), false, true);
+        g.on_event(program(0, at(0, 0, 0), true));
         for _ in 0..10 {
-            g.on_host_tick();
+            g.on_event(TICK);
         }
-        g.on_invalidate(at(0, 0, 0), true, false, InvalidateCause::HostUpdate); // exposed from tick 10
+        g.on_event(invalidate(at(0, 0, 0), true, false)); // exposed from tick 10
         for _ in 0..5 {
-            g.on_host_tick();
+            g.on_event(TICK);
         }
         assert_eq!(g.snapshot().insecure_ticks, 5, "open interval counts");
-        g.on_erase(0, BlockId(0)); // destroyed at tick 15
+        g.on_event(erase(0, 0)); // destroyed at tick 15
         for _ in 0..100 {
-            g.on_host_tick();
+            g.on_event(TICK);
         }
         let s = g.snapshot();
         assert_eq!(s.insecure_ticks, 5);
@@ -625,9 +633,9 @@ mod tests {
     #[test]
     fn insecure_writes_are_invisible() {
         let mut g = gauges();
-        g.on_program(0, at(0, 0, 0), false, false);
-        g.on_invalidate(at(0, 0, 0), false, false, InvalidateCause::HostUpdate);
-        g.on_host_tick();
+        g.on_event(program(0, at(0, 0, 0), false));
+        g.on_event(invalidate(at(0, 0, 0), false, false));
+        g.on_event(TICK);
         let s = g.snapshot();
         assert_eq!((s.valid_secured, s.invalid_secured), (0, 0));
         assert_eq!(s.insecure_ticks, 0);
@@ -638,11 +646,11 @@ mod tests {
         let mut g = gauges();
         // Two generations of two secured pages, never sanitized.
         for p in 0..2 {
-            g.on_program(p as u64, at(0, 0, p), false, true);
+            g.on_event(program(p as u64, at(0, 0, p), true));
         }
         for p in 0..2 {
-            g.on_invalidate(at(0, 0, p), true, false, InvalidateCause::HostUpdate);
-            g.on_program(p as u64, at(0, 1, p), false, true);
+            g.on_event(invalidate(at(0, 0, p), true, false));
+            g.on_event(program(p as u64, at(0, 1, p), true));
         }
         let s = g.snapshot();
         assert_eq!(s.max_valid, 2);
@@ -653,12 +661,16 @@ mod tests {
     #[test]
     fn each_owner_is_charged_its_own_pages_on_one_clock() {
         let mut t = ExposureTable::new(&FtlConfig::tiny_for_tests(), 2);
-        t.program(0, at(0, 3, 0), true);
-        t.program(1, at(0, 3, 1), true);
-        t.host_tick();
-        t.invalidate(at(0, 3, 0), true, false);
-        t.host_tick();
-        t.erase(0, 3);
+        for ev in [
+            program(0, at(0, 3, 0), true),
+            program(1, at(0, 3, 1), true),
+            TICK,
+            invalidate(at(0, 3, 0), true, false),
+            TICK,
+            erase(0, 3),
+        ] {
+            t.apply(ev, |lpa| lpa as usize);
+        }
         let (a, b) = (t.snapshot(0), t.snapshot(1));
         assert_eq!((a.tick, b.tick), (2, 2));
         assert_eq!((a.exposed_then_erased, a.insecure_ticks, a.invalid_secured), (1, 1, 0));
@@ -669,7 +681,7 @@ mod tests {
     #[should_panic(expected = "outside the gauged device")]
     fn an_address_outside_the_device_is_a_bug_not_a_neighbors_cell() {
         let cfg = FtlConfig::tiny_for_tests();
-        gauges().on_program(0, at(0, 0, cfg.geometry.pages_per_block()), false, true);
+        gauges().on_event(program(0, at(0, 0, cfg.geometry.pages_per_block()), true));
     }
 
     // ---- The hash-map gauges this table replaced, kept as the ----
@@ -716,67 +728,53 @@ mod tests {
     }
 
     impl FtlObserver for RefGauges {
-        fn on_program(&mut self, _lpa: Lpa, at: GlobalPpa, _relocation: bool, secure: bool) {
-            if !secure {
-                return;
-            }
-            let prev =
-                self.phys.entry((at.chip, at.ppa.block.0)).or_default().insert(at.ppa.page.0, true);
+        fn on_event(&mut self, ev: ObserverEvent) {
             let v = &mut self.exp.versions;
-            match prev {
-                None => v.valid += 1,
-                Some(false) => {
-                    v.valid += 1;
-                    v.invalid = v.invalid.saturating_sub(1);
+            match ev {
+                ObserverEvent::Program { at, secure: true, .. } => {
+                    let block = self.phys.entry((at.chip, at.ppa.block.0)).or_default();
+                    match block.insert(at.ppa.page.0, true) {
+                        None => v.valid += 1,
+                        Some(false) => {
+                            v.valid += 1;
+                            v.invalid = v.invalid.saturating_sub(1);
+                        }
+                        Some(true) => {}
+                    }
                 }
-                Some(true) => {}
-            }
-            v.note_change(self.tick);
-        }
-
-        fn on_invalidate(
-            &mut self,
-            at: GlobalPpa,
-            secure: bool,
-            sanitized: bool,
-            _cause: InvalidateCause,
-        ) {
-            if !secure {
-                return;
-            }
-            let key = (at.chip, at.ppa.block.0);
-            let Some(block) = self.phys.get_mut(&key) else { return };
-            let Some(live) = block.get_mut(&at.ppa.page.0) else { return };
-            let v = &mut self.exp.versions;
-            if *live {
-                *live = false;
-                v.valid -= 1;
-            }
-            if sanitized {
-                block.remove(&at.ppa.page.0);
-                self.exp.sanitized_immediately += 1;
-            } else {
-                v.invalid += 1;
-            }
-            v.note_change(self.tick);
-        }
-
-        fn on_erase(&mut self, chip: usize, block: BlockId) {
-            let Some(entries) = self.phys.remove(&(chip, block.0)) else { return };
-            let v = &mut self.exp.versions;
-            for live in entries.into_values() {
-                if live {
-                    v.valid = v.valid.saturating_sub(1);
-                } else {
-                    v.invalid = v.invalid.saturating_sub(1);
-                    self.exp.exposed_then_erased += 1;
+                ObserverEvent::Invalidate { at, secure: true, sanitized, .. } => {
+                    let key = (at.chip, at.ppa.block.0);
+                    let Some(block) = self.phys.get_mut(&key) else { return };
+                    let Some(live) = block.get_mut(&at.ppa.page.0) else { return };
+                    if *live {
+                        *live = false;
+                        v.valid -= 1;
+                    }
+                    if sanitized {
+                        block.remove(&at.ppa.page.0);
+                        self.exp.sanitized_immediately += 1;
+                    } else {
+                        v.invalid += 1;
+                    }
                 }
+                ObserverEvent::Erase { chip, block } => {
+                    let Some(entries) = self.phys.remove(&(chip, block.0)) else { return };
+                    for live in entries.into_values() {
+                        if live {
+                            v.valid = v.valid.saturating_sub(1);
+                        } else {
+                            v.invalid = v.invalid.saturating_sub(1);
+                            self.exp.exposed_then_erased += 1;
+                        }
+                    }
+                }
+                ObserverEvent::HostTick => {
+                    self.tick += 1;
+                    return;
+                }
+                _ => return,
             }
             v.note_change(self.tick);
-        }
-
-        fn on_host_tick(&mut self) {
-            self.tick += 1;
         }
     }
 
@@ -790,46 +788,37 @@ mod tests {
     }
 
     impl FtlObserver for RefAttribution {
-        fn on_program(&mut self, lpa: Lpa, at: GlobalPpa, relocation: bool, secure: bool) {
-            let tenant = ((lpa / self.window) as usize).min(self.gauges.len() - 1);
-            if secure {
-                self.owner
-                    .entry((at.chip, at.ppa.block.0))
-                    .or_default()
-                    .insert(at.ppa.page.0, tenant);
-            }
-            self.gauges[tenant].on_program(lpa, at, relocation, secure);
-        }
-
-        fn on_invalidate(
-            &mut self,
-            at: GlobalPpa,
-            secure: bool,
-            sanitized: bool,
-            cause: InvalidateCause,
-        ) {
-            let key = (at.chip, at.ppa.block.0);
-            let Some(block) = self.owner.get_mut(&key) else { return };
-            let Some(&tenant) = block.get(&at.ppa.page.0) else { return };
-            if sanitized {
-                block.remove(&at.ppa.page.0);
-                if block.is_empty() {
-                    self.owner.remove(&key);
+        fn on_event(&mut self, ev: ObserverEvent) {
+            let tenant = match ev {
+                ObserverEvent::Program { lpa, at, secure, .. } => {
+                    let tenant = ((lpa / self.window) as usize).min(self.gauges.len() - 1);
+                    if secure {
+                        let block = self.owner.entry((at.chip, at.ppa.block.0)).or_default();
+                        block.insert(at.ppa.page.0, tenant);
+                    }
+                    Some(tenant)
                 }
-            }
-            self.gauges[tenant].on_invalidate(at, secure, sanitized, cause);
-        }
-
-        fn on_erase(&mut self, chip: usize, block: BlockId) {
-            self.owner.remove(&(chip, block.0));
-            for g in &mut self.gauges {
-                g.on_erase(chip, block);
-            }
-        }
-
-        fn on_host_tick(&mut self) {
-            for g in &mut self.gauges {
-                g.on_host_tick();
+                ObserverEvent::Invalidate { at, sanitized, .. } => {
+                    let key = (at.chip, at.ppa.block.0);
+                    let Some(block) = self.owner.get_mut(&key) else { return };
+                    let Some(&tenant) = block.get(&at.ppa.page.0) else { return };
+                    if sanitized {
+                        block.remove(&at.ppa.page.0);
+                        if block.is_empty() {
+                            self.owner.remove(&key);
+                        }
+                    }
+                    Some(tenant)
+                }
+                ObserverEvent::Erase { chip, block } => {
+                    self.owner.remove(&(chip, block.0));
+                    None
+                }
+                ObserverEvent::HostTick => None,
+            };
+            match tenant {
+                Some(tenant) => self.gauges[tenant].on_event(ev),
+                None => self.gauges.iter_mut().for_each(|g| g.on_event(ev)),
             }
         }
     }
@@ -876,33 +865,11 @@ mod tests {
             }
         }
 
-        fn program(&mut self, lpa: Lpa, at: GlobalPpa, relocation: bool, secure: bool) {
-            self.table.program((lpa / WINDOW) as usize, at, secure);
-            self.attr.on_program(lpa, at, relocation, secure);
-            self.gauges.on_program(lpa, at, relocation, secure);
-            self.reference.on_program(lpa, at, relocation, secure);
-        }
-
-        fn invalidate(&mut self, at: GlobalPpa, secure: bool, sanitized: bool) {
-            let cause = InvalidateCause::HostUpdate;
-            self.table.invalidate(at, secure, sanitized);
-            self.attr.on_invalidate(at, secure, sanitized, cause);
-            self.gauges.on_invalidate(at, secure, sanitized, cause);
-            self.reference.on_invalidate(at, secure, sanitized, cause);
-        }
-
-        fn erase(&mut self, chip: usize, block: u32) {
-            self.table.erase(chip, block);
-            self.attr.on_erase(chip, BlockId(block));
-            self.gauges.on_erase(chip, BlockId(block));
-            self.reference.on_erase(chip, BlockId(block));
-        }
-
-        fn tick(&mut self) {
-            self.table.host_tick();
-            self.attr.on_host_tick();
-            self.gauges.on_host_tick();
-            self.reference.on_host_tick();
+        fn feed(&mut self, ev: ObserverEvent) {
+            self.table.apply(ev, |lpa| (lpa / WINDOW) as usize);
+            self.attr.on_event(ev);
+            self.gauges.on_event(ev);
+            self.reference.on_event(ev);
         }
 
         fn bytes(&self) -> (Vec<u8>, Vec<u8>) {
@@ -954,8 +921,8 @@ mod tests {
                     0..=3 => {
                         let Some(i) = pick(&pages, start, |p| p == Page::Erased) else { continue };
                         let (lpa, secure) = ((sel % owners) as u64 * WINDOW + off, flags != 0);
-                        pair.tick();
-                        pair.program(lpa, addr(i), false, secure);
+                        pair.feed(TICK);
+                        pair.feed(program(lpa, addr(i), secure));
                         pages[i] = Page::Live { lpa, secure };
                     }
                     // Invalidate a live page, or a dead one again.
@@ -970,7 +937,7 @@ mod tests {
                         let (Page::Live { secure, .. } | Page::Dead { secure }) = pages[i] else {
                             unreachable!()
                         };
-                        pair.invalidate(addr(i), secure, flags & 1 == 1);
+                        pair.feed(invalidate(addr(i), secure, flags & 1 == 1));
                         pages[i] = Page::Dead { secure };
                     }
                     // GC copy: re-program on an erased page, retire the old.
@@ -979,17 +946,17 @@ mod tests {
                         let Some(old) = pick(&pages, start, live) else { continue };
                         let Some(new) = pick(&pages, old, |p| p == Page::Erased) else { continue };
                         let Page::Live { lpa, secure } = pages[old] else { unreachable!() };
-                        pair.program(lpa, addr(new), true, secure);
+                        pair.feed(ObserverEvent::Program { lpa, at: addr(new), relocation: true, secure });
                         pages[new] = pages[old];
-                        pair.invalidate(addr(old), secure, flags & 1 == 1);
+                        pair.feed(invalidate(addr(old), secure, flags & 1 == 1));
                         pages[old] = Page::Dead { secure };
                     }
                     9 => {
                         let b = start / ppb;
-                        pair.erase(b / cfg.geometry.blocks as usize, (b % cfg.geometry.blocks as usize) as u32);
+                        pair.feed(erase(b / cfg.geometry.blocks as usize, (b % cfg.geometry.blocks as usize) as u32));
                         pages[b * ppb..(b + 1) * ppb].fill(Page::Erased);
                     }
-                    _ => pair.tick(),
+                    _ => pair.feed(TICK),
                 }
                 pair.check(step)?;
             }
@@ -1008,10 +975,10 @@ mod tests {
     fn an_all_sanitized_block_stays_in_the_stream_until_erased() {
         let cfg = small_cfg();
         let mut pair = Pair::new(&cfg, 1);
-        pair.program(1, at(1, 2, 0), false, true);
-        pair.program(2, at(1, 2, 4), false, true);
-        pair.invalidate(at(1, 2, 0), true, true);
-        pair.invalidate(at(1, 2, 4), true, true);
+        pair.feed(program(1, at(1, 2, 0), true));
+        pair.feed(program(2, at(1, 2, 4), true));
+        pair.feed(invalidate(at(1, 2, 0), true, true));
+        pair.feed(invalidate(at(1, 2, 4), true, true));
         let (dense, hashed) = pair.bytes();
         assert_eq!(dense, hashed);
         let mut empty = Enc::new();
@@ -1021,7 +988,7 @@ mod tests {
         let mut again = Enc::new();
         back.encode_state(&mut again);
         assert_eq!(again.into_bytes(), dense, "and survives a round trip");
-        pair.erase(1, 2);
+        pair.feed(erase(1, 2));
         let (dense, hashed) = pair.bytes();
         assert_eq!(dense, hashed);
     }

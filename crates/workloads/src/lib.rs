@@ -36,7 +36,6 @@
 pub mod fs;
 pub mod generate;
 pub mod replay;
-pub mod serialize;
 pub mod spec;
 pub mod tenants;
 pub mod trace;

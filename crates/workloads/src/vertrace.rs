@@ -32,7 +32,7 @@
 //! * optionally, each file's `(tick, valid, invalid)` timeline (Figure 4).
 
 use crate::trace::{FileId, TraceOp};
-use evanesco_ftl::observer::{FtlObserver, InvalidateCause};
+use evanesco_ftl::observer::{FtlObserver, InvalidateCause, ObserverEvent};
 use evanesco_ftl::{FtlConfig, GlobalPpa, Lpa};
 use evanesco_nand::snapshot::{Dec, Enc, SnapshotError};
 use evanesco_ssd::VersionCounts;
@@ -268,7 +268,7 @@ pub struct VerTrace {
     lpa_file: Vec<FileId>,
     /// `(chip, block)` → dense page table.
     phys: HashMap<(usize, u32), BlockPages>,
-    /// Cleared page tables recycled by [`VerTrace::on_erase`].
+    /// Cleared page tables recycled by an erase.
     spare: Vec<BlockPages>,
     /// Scratch list of files touched by an erase (reused across calls).
     touched: Vec<FileId>,
@@ -537,7 +537,20 @@ impl VerTrace {
 }
 
 impl FtlObserver for VerTrace {
-    fn on_program(&mut self, lpa: Lpa, at: GlobalPpa, _relocation: bool, _secure: bool) {
+    fn on_event(&mut self, ev: ObserverEvent) {
+        match ev {
+            ObserverEvent::Program { lpa, at, .. } => self.program(lpa, at),
+            ObserverEvent::Invalidate { at, secure, sanitized, cause } => {
+                self.invalidate(at, secure, sanitized, cause);
+            }
+            ObserverEvent::Erase { chip, block } => self.erase(chip, block.0),
+            ObserverEvent::HostTick => self.tick += 1,
+        }
+    }
+}
+
+impl VerTrace {
+    fn program(&mut self, lpa: Lpa, at: GlobalPpa) {
         let file = match self.lpa_file.get(lpa as usize) {
             Some(&f) if f != NO_FILE => f,
             _ => return,
@@ -557,13 +570,7 @@ impl FtlObserver for VerTrace {
         f.note_change(self.tick, self.record_timelines);
     }
 
-    fn on_invalidate(
-        &mut self,
-        at: GlobalPpa,
-        secure: bool,
-        sanitized: bool,
-        cause: InvalidateCause,
-    ) {
+    fn invalidate(&mut self, at: GlobalPpa, secure: bool, sanitized: bool, cause: InvalidateCause) {
         self.device_causes.note(cause, secure, sanitized);
         let Some(block) = self.phys.get_mut(&(at.chip, at.ppa.block.0)) else { return };
         let idx = at.ppa.page.0 as usize;
@@ -592,8 +599,8 @@ impl FtlObserver for VerTrace {
         f.note_change(self.tick, self.record_timelines);
     }
 
-    fn on_erase(&mut self, chip: usize, block: evanesco_nand::geometry::BlockId) {
-        let Some(mut entries) = self.phys.remove(&(chip, block.0)) else { return };
+    fn erase(&mut self, chip: usize, block: u32) {
+        let Some(mut entries) = self.phys.remove(&(chip, block)) else { return };
         let tick = self.tick;
         let mut touched = std::mem::take(&mut self.touched);
         touched.clear();
@@ -623,10 +630,6 @@ impl FtlObserver for VerTrace {
             self.spare.push(entries);
         }
     }
-
-    fn on_host_tick(&mut self) {
-        self.tick += 1;
-    }
 }
 
 #[cfg(test)]
@@ -636,6 +639,21 @@ mod tests {
 
     fn at(chip: usize, block: u32, page: u32) -> GlobalPpa {
         GlobalPpa::new(chip, Ppa::new(block, page))
+    }
+
+    const TICK: ObserverEvent = ObserverEvent::HostTick;
+
+    fn program(lpa: Lpa, at: GlobalPpa) -> ObserverEvent {
+        ObserverEvent::Program { lpa, at, relocation: false, secure: true }
+    }
+
+    fn invalidate(
+        at: GlobalPpa,
+        secure: bool,
+        sanitized: bool,
+        cause: InvalidateCause,
+    ) -> ObserverEvent {
+        ObserverEvent::Invalidate { at, secure, sanitized, cause }
     }
 
     fn write(vt: &mut VerTrace, file: FileId, lpa: Lpa, npages: u64, overwrite: bool) {
@@ -652,8 +670,8 @@ mod tests {
         let mut vt = VerTrace::new();
         write(&mut vt, 1, 0, 2, false);
         vt.note_op(&TraceOp::Trim { file: 1, lpa: 1, npages: 5 });
-        vt.on_program(0, at(0, 0, 0), false, true);
-        vt.on_program(1, at(0, 0, 1), false, true);
+        vt.on_event(program(0, at(0, 0, 0)));
+        vt.on_event(program(1, at(0, 0, 1)));
         assert_eq!(counts(&vt, 1), (1, 0), "the trimmed LPA belongs to no file");
         assert!(vt.files()[&1].multi_version);
     }
@@ -663,11 +681,11 @@ mod tests {
         let mut vt = VerTrace::new();
         write(&mut vt, 1, 0, 3, false);
         for p in 0..3 {
-            vt.on_program(u64::from(p), at(0, 0, p), false, true);
+            vt.on_event(program(u64::from(p), at(0, 0, p)));
         }
-        vt.on_invalidate(at(0, 0, 0), true, true, InvalidateCause::HostUpdate);
-        vt.on_invalidate(at(0, 0, 1), true, false, InvalidateCause::Trim);
-        vt.on_invalidate(at(0, 0, 2), false, false, InvalidateCause::GcCopy);
+        vt.on_event(invalidate(at(0, 0, 0), true, true, InvalidateCause::HostUpdate));
+        vt.on_event(invalidate(at(0, 0, 1), true, false, InvalidateCause::Trim));
+        vt.on_event(invalidate(at(0, 0, 2), false, false, InvalidateCause::GcCopy));
         let f = &vt.files()[&1];
         assert_eq!(f.causes.total, [1, 1, 1]);
         assert_eq!(f.causes.secured, [1, 1, 0]);
@@ -682,18 +700,18 @@ mod tests {
     fn an_erase_clears_versions_and_closes_insecure_time_and_windows() {
         let mut vt = VerTrace::new();
         write(&mut vt, 1, 0, 1, false);
-        vt.on_program(0, at(0, 3, 0), false, true);
+        vt.on_event(program(0, at(0, 3, 0)));
         for _ in 0..10 {
-            vt.on_host_tick();
+            vt.on_event(TICK);
         }
-        vt.on_invalidate(at(0, 3, 0), true, false, InvalidateCause::HostUpdate); // exposed from tick 10
+        vt.on_event(invalidate(at(0, 3, 0), true, false, InvalidateCause::HostUpdate)); // exposed from tick 10
         assert_eq!(counts(&vt, 1), (0, 1));
         for _ in 0..5 {
-            vt.on_host_tick();
+            vt.on_event(TICK);
         }
-        vt.on_erase(0, BlockId(3)); // destroyed at tick 15
+        vt.on_event(ObserverEvent::Erase { chip: 0, block: BlockId(3) }); // destroyed at tick 15
         for _ in 0..100 {
-            vt.on_host_tick();
+            vt.on_event(TICK);
         }
         vt.finalize();
         let f = &vt.files()[&1];
@@ -709,15 +727,15 @@ mod tests {
     fn uv_and_mv() -> VerTrace {
         let mut vt = VerTrace::new();
         write(&mut vt, 1, 0, 2, false);
-        vt.on_host_tick();
-        vt.on_program(0, at(0, 0, 0), false, true);
-        vt.on_program(1, at(0, 0, 1), false, true);
+        vt.on_event(TICK);
+        vt.on_event(program(0, at(0, 0, 0)));
+        vt.on_event(program(1, at(0, 0, 1)));
         write(&mut vt, 2, 10, 1, false);
-        vt.on_program(10, at(0, 1, 0), false, true);
+        vt.on_event(program(10, at(0, 1, 0)));
         write(&mut vt, 2, 10, 1, true);
-        vt.on_host_tick();
-        vt.on_program(10, at(0, 1, 1), false, true);
-        vt.on_invalidate(at(0, 1, 0), true, false, InvalidateCause::HostUpdate);
+        vt.on_event(TICK);
+        vt.on_event(program(10, at(0, 1, 1)));
+        vt.on_event(invalidate(at(0, 1, 0), true, false, InvalidateCause::HostUpdate));
         vt
     }
 
@@ -740,7 +758,7 @@ mod tests {
         // File 2's stale page has been exposed since tick 2.
         let mut vt = uv_and_mv();
         for _ in 0..7 {
-            vt.on_host_tick();
+            vt.on_event(TICK);
         }
         vt.finalize();
         let f = &vt.files()[&2];
@@ -755,9 +773,9 @@ mod tests {
     fn timelines_record_when_enabled() {
         let mut vt = VerTrace::with_timelines();
         write(&mut vt, 1, 0, 1, false);
-        vt.on_program(0, at(0, 0, 0), false, true);
-        vt.on_host_tick();
-        vt.on_invalidate(at(0, 0, 0), true, false, InvalidateCause::HostUpdate);
+        vt.on_event(program(0, at(0, 0, 0)));
+        vt.on_event(TICK);
+        vt.on_event(invalidate(at(0, 0, 0), true, false, InvalidateCause::HostUpdate));
         assert_eq!(vt.files()[&1].timeline, [(0, 1, 0), (1, 0, 1)]);
         assert!(uv_and_mv().files()[&1].timeline.is_empty(), "off by default");
     }
@@ -768,11 +786,11 @@ mod tests {
         for (file, n) in [(1u32, 2u32), (2, 5)] {
             let lpa = u64::from(file) * 100;
             write(&mut vt, file, lpa, 1, false);
-            vt.on_program(lpa, at(0, file, 0), false, true);
+            vt.on_event(program(lpa, at(0, file, 0)));
             for i in 0..n {
                 write(&mut vt, file, lpa, 1, true);
-                vt.on_program(lpa, at(0, file, i + 1), false, true);
-                vt.on_invalidate(at(0, file, i), true, false, InvalidateCause::HostUpdate);
+                vt.on_event(program(lpa, at(0, file, i + 1)));
+                vt.on_event(invalidate(at(0, file, i), true, false, InvalidateCause::HostUpdate));
             }
         }
         let (id, stats) = vt.worst_file(true).unwrap();
@@ -792,12 +810,17 @@ mod tests {
                 let (lpa, valid) = (u64::from(file) * 100, file + 1);
                 write(&mut vt, file, lpa, u64::from(valid), false);
                 for p in 0..valid {
-                    vt.on_program(lpa + u64::from(p), at(0, file, p), false, true);
+                    vt.on_event(program(lpa + u64::from(p), at(0, file, p)));
                 }
                 for p in 0..3 {
                     write(&mut vt, file, lpa + u64::from(p), 1, true);
-                    vt.on_program(lpa + u64::from(p), at(0, file, valid + p), false, true);
-                    vt.on_invalidate(at(0, file, p), true, false, InvalidateCause::HostUpdate);
+                    vt.on_event(program(lpa + u64::from(p), at(0, file, valid + p)));
+                    vt.on_event(invalidate(
+                        at(0, file, p),
+                        true,
+                        false,
+                        InvalidateCause::HostUpdate,
+                    ));
                 }
             }
             vt
@@ -837,9 +860,9 @@ mod tests {
         // an erase must land identically.
         for v in [&mut vt, &mut back] {
             for _ in 0..4 {
-                v.on_host_tick();
+                v.on_event(TICK);
             }
-            v.on_erase(0, BlockId(1));
+            v.on_event(ObserverEvent::Erase { chip: 0, block: BlockId(1) });
         }
         assert_eq!(vt.report(1000), back.report(1000));
         // A restored VerTrace re-encodes byte-identically.

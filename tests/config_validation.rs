@@ -229,6 +229,14 @@ fn ssd_rejects_topology_chip_count_mismatch() {
 }
 
 #[test]
+#[should_panic(expected = "ftl.chips_per_channel must equal chips_per_channel")]
+fn ssd_rejects_an_ftl_channel_shape_the_device_does_not_have() {
+    let mut cfg = SsdConfig::tiny_for_tests();
+    (cfg.channels, cfg.chips_per_channel) = (1, 2); // 2 chips either way, one channel of two
+    cfg.validate();
+}
+
+#[test]
 #[should_panic(expected = "gc_free_threshold must be >= 1")]
 fn ssd_validate_reaches_the_embedded_ftl_config() {
     // Topology is consistent; the only violation sits inside the nested
@@ -241,7 +249,7 @@ fn ssd_validate_reaches_the_embedded_ftl_config() {
 type Violate = fn(&mut SsdConfig);
 
 /// Every violation above, as `(the text its test expects, the mutation)`.
-const VIOLATIONS: [(&str, Violate); 22] = [
+const VIOLATIONS: [(&str, Violate); 23] = [
     ("n_chips must be positive", |c| c.ftl.n_chips = 0),
     ("at least one block", |c| c.ftl.geometry.blocks = 0),
     ("at least one wordline", |c| c.ftl.geometry.wordlines_per_block = 0),
@@ -268,6 +276,9 @@ const VIOLATIONS: [(&str, Violate); 22] = [
     ("channels must be positive", |c| c.channels = 0),
     ("chips_per_channel must be positive", |c| c.chips_per_channel = 0),
     ("channel topology and FTL chip count disagree", |c| c.chips_per_channel = 2),
+    ("ftl.chips_per_channel must equal chips_per_channel", |c| {
+        (c.channels, c.chips_per_channel) = (1, 2);
+    }),
 ];
 
 #[test]

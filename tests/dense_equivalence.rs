@@ -22,6 +22,7 @@ use evanesco::core::fault::FaultConfig;
 use evanesco::ftl::observer::{FtlObserver, ObserverEvent, Tee};
 use evanesco::ftl::SanitizePolicy;
 use evanesco::nand::snapshot::Enc;
+use evanesco::nand::timing::Nanos;
 use evanesco::ssd::{Emulator, HostOp, SsdConfig};
 use evanesco::workloads::generate::generate;
 use evanesco::workloads::replay::apply;
@@ -43,52 +44,6 @@ fn sched_op(logical: u64) -> impl Strategy<Value = HostOp> {
 
 fn observables(ssd: &Emulator) -> (String, String, Vec<u8>) {
     (format!("{:?}", ssd.result()), ssd.prometheus_scrape(), ssd.save_checkpoint())
-}
-
-/// Captures the full event stream the FTL dispatches, verbatim.
-#[derive(Default)]
-struct Recorder(Vec<ObserverEvent>);
-
-impl FtlObserver for Recorder {
-    fn on_program(
-        &mut self,
-        lpa: u64,
-        at: evanesco::ftl::GlobalPpa,
-        relocation: bool,
-        secure: bool,
-    ) {
-        self.0.push(ObserverEvent::Program { lpa, at, relocation, secure });
-    }
-    fn on_invalidate(
-        &mut self,
-        at: evanesco::ftl::GlobalPpa,
-        secure: bool,
-        sanitized: bool,
-        cause: evanesco::ftl::InvalidateCause,
-    ) {
-        self.0.push(ObserverEvent::Invalidate { at, secure, sanitized, cause });
-    }
-    fn on_erase(&mut self, chip: usize, block: evanesco::nand::geometry::BlockId) {
-        self.0.push(ObserverEvent::Erase { chip, block });
-    }
-    fn on_host_tick(&mut self) {
-        self.0.push(ObserverEvent::HostTick);
-    }
-}
-
-fn replay_into(lg: &mut VerTrace, events: &[ObserverEvent]) {
-    for &ev in events {
-        match ev {
-            ObserverEvent::Program { lpa, at, relocation, secure } => {
-                lg.on_program(lpa, at, relocation, secure);
-            }
-            ObserverEvent::Invalidate { at, secure, sanitized, cause } => {
-                lg.on_invalidate(at, secure, sanitized, cause);
-            }
-            ObserverEvent::Erase { chip, block } => lg.on_erase(chip, block),
-            ObserverEvent::HostTick => lg.on_host_tick(),
-        }
-    }
 }
 
 fn ledger_bytes(lg: &VerTrace) -> Vec<u8> {
@@ -122,11 +77,10 @@ proptest! {
 
         let mut observed = Emulator::new(cfg, policy);
         let mut lg = VerTrace::new();
-        let mut rec = Recorder::default();
-        let obs_run = {
-            let mut tee = Tee(&mut lg, &mut rec);
-            observed.run_scheduled_with(&mut tee, &ops, qd)
-        };
+        let mut rec: Vec<ObserverEvent> = Vec::new();
+        // All-zero arrivals: the open-loop entry point runs the closed loop.
+        let closed = vec![Nanos::ZERO; ops.len()];
+        let obs_run = observed.run_scheduled_open_loop(&mut Tee(&mut lg, &mut rec), &ops, &closed, qd);
         observed.flush_coalesced_locks();
 
         prop_assert_eq!(bare_run.results, obs_run.results, "per-op results diverged");
@@ -134,7 +88,7 @@ proptest! {
         prop_assert_eq!(observables(&bare), observables(&observed));
         // The stream is non-trivial whenever any write landed.
         if obs_run.host_pages > 0 {
-            prop_assert!(!rec.0.is_empty(), "writes completed but no events dispatched");
+            prop_assert!(!rec.is_empty(), "writes completed but no events dispatched");
         }
     }
 
@@ -170,10 +124,10 @@ proptest! {
         let mut direct = VerTrace::new();
         let mut per_op: Vec<Vec<ObserverEvent>> = Vec::new();
         for op in &stream {
-            let mut rec = Recorder::default();
+            let mut rec = Vec::new();
             direct.note_op(op);
             apply(&mut ssd, &mut Tee(&mut direct, &mut rec), op);
-            per_op.push(rec.0);
+            per_op.push(rec);
         }
 
         // Replay arm: a fresh VerTrace fed only the host markers and the
@@ -181,7 +135,7 @@ proptest! {
         let mut replayed = VerTrace::new();
         for (op, events) in stream.iter().zip(&per_op) {
             replayed.note_op(op);
-            replay_into(&mut replayed, events);
+            events.iter().for_each(|&ev| replayed.on_event(ev));
         }
 
         prop_assert_eq!(
