@@ -110,7 +110,7 @@ pub fn ablation_lazy(scale: &Scale) -> String {
             scale.main_write_pages(logical),
             scale.seed,
         );
-        let mut vt = VerTrace::new();
+        let mut vt = VerTrace::new(&cfg.ftl);
         let r = replay_with(&mut ssd, &trace, &mut vt);
         let report = vt.report(logical);
         let open = ssd

@@ -18,7 +18,8 @@ pub(crate) fn run_vertrace(scale: &Scale, spec: &WorkloadSpec, timelines: bool) 
     let mut ssd = Emulator::new(scale.ssd_config(), SanitizePolicy::none());
     let logical = ssd.logical_pages();
     let trace = generate(spec, logical, scale.main_write_pages(logical), scale.seed);
-    let mut vt = if timelines { VerTrace::with_timelines() } else { VerTrace::new() };
+    let ftl = &ssd.config().ftl;
+    let mut vt = if timelines { VerTrace::with_timelines(ftl) } else { VerTrace::new(ftl) };
     replay_with(&mut ssd, &trace, &mut vt);
     (vt, logical)
 }

@@ -17,7 +17,7 @@
 
 use evanesco_ftl::observer::{FtlObserver, ObserverEvent};
 use evanesco_ftl::FtlConfig;
-use evanesco_ssd::{ExposureTable, GaugeSnapshot};
+use evanesco_ssd::{ExposureCounts, ExposureTable, GaugeSnapshot};
 
 /// Routes [`FtlObserver`] events to per-tenant exposure counters using
 /// the fleet's namespace map (`tenant = lpa / window`).
@@ -25,6 +25,7 @@ use evanesco_ssd::{ExposureTable, GaugeSnapshot};
 pub struct TenantAttribution {
     window: u64,
     table: ExposureTable,
+    tenants: Vec<ExposureCounts>,
 }
 
 impl TenantAttribution {
@@ -33,27 +34,27 @@ impl TenantAttribution {
     ///
     /// # Panics
     ///
-    /// Panics on zero tenants, more than [`ExposureTable::MAX_OWNERS`], or
-    /// a zero window.
+    /// Panics on zero tenants or a zero window.
     pub fn new(cfg: &FtlConfig, tenants: usize, window: u64) -> Self {
         assert!(tenants >= 1, "attribution needs at least one tenant");
         assert!(window >= 1, "namespace windows cannot be empty");
-        TenantAttribution { window, table: ExposureTable::new(cfg, tenants) }
+        let tenants = vec![ExposureCounts::default(); tenants];
+        TenantAttribution { window, table: ExposureTable::new(cfg), tenants }
     }
 
     /// Point-in-time snapshot of every tenant's gauges, tenant order.
     pub fn snapshots(&self) -> Vec<GaugeSnapshot> {
-        (0..self.table.owners()).map(|t| self.table.snapshot(t)).collect()
+        self.tenants.iter().map(|t| t.snapshot(self.table.tick())).collect()
     }
 }
 
 impl FtlObserver for TenantAttribution {
-    /// A program is charged to `lpa / window` (the remainder past the last
-    /// window to the last tenant); logical time is one device-wide tick,
-    /// so every tenant's T_insecure is measured on the shared clock.
+    /// A secured program is charged to `lpa / window` (the remainder past
+    /// the last window to the last tenant); one device-wide tick times
+    /// every tenant's T_insecure.
     fn on_event(&mut self, ev: ObserverEvent) {
-        let (window, last) = (self.window, self.table.owners() - 1);
-        self.table.apply(ev, |lpa| ((lpa / window) as usize).min(last));
+        let (window, last) = (self.window, self.tenants.len() - 1);
+        self.table.apply_secured(ev, &mut self.tenants, |lpa| ((lpa / window) as usize).min(last));
     }
 }
 
@@ -63,13 +64,14 @@ mod tests {
     use evanesco_ftl::{GlobalPpa, InvalidateCause, Lpa, SanitizePolicy};
     use evanesco_nand::geometry::{BlockId, Ppa};
     use evanesco_ssd::{Emulator, LiveGauges, SsdConfig};
+    use evanesco_workloads::{TraceOp, VerTrace};
 
     fn at(chip: usize, block: u32, page: u32) -> GlobalPpa {
         GlobalPpa::new(chip, Ppa::new(block, page))
     }
 
     fn program(lpa: Lpa, at: GlobalPpa) -> ObserverEvent {
-        ObserverEvent::Program { lpa, at, relocation: false, secure: true }
+        ObserverEvent::Program { lpa, at, secure: true }
     }
 
     fn invalidate(at: GlobalPpa, sanitized: bool) -> ObserverEvent {
@@ -147,19 +149,23 @@ mod tests {
         }
     }
 
-    /// The device gauges and the fleet's attribution share one exposure
-    /// handler: with a single tenant owning every page, the same event
-    /// stream leaves them with the same snapshot after every event.
+    /// The device gauges, the fleet's attribution and VerTrace share one
+    /// exposure table: with a single tenant owning every page, the same
+    /// event stream leaves the first two with the same snapshot after every
+    /// event; on an all-secure churn, VerTrace's one file owning every LPA
+    /// keeps the same counts too.
     #[test]
     fn one_tenant_attribution_matches_the_device_gauges_on_a_recorded_churn() {
         let cfg = SsdConfig::tiny_for_tests();
-        for policy in [SanitizePolicy::none(), SanitizePolicy::evanesco()] {
+        let policies = [SanitizePolicy::none(), SanitizePolicy::evanesco()];
+        for (policy, all_secure) in [false, true].into_iter().flat_map(|a| policies.map(|p| (p, a)))
+        {
             let mut ssd = Emulator::new(cfg, policy);
             let logical = ssd.logical_pages();
             let mut events: Vec<ObserverEvent> = Vec::new();
             for i in 0..4 * logical {
                 let lpa = i * 7 % logical;
-                ssd.write_with(&mut events, lpa, 1, i % 3 != 0);
+                ssd.write_with(&mut events, lpa, 1, all_secure || i % 3 != 0);
                 if i % 5 == 0 {
                     ssd.trim_with(&mut events, (lpa + 3) % logical, 1);
                 }
@@ -169,10 +175,22 @@ mod tests {
 
             let mut gauges = LiveGauges::new(&cfg.ftl);
             let mut tenant = TenantAttribution::new(&cfg.ftl, 1, logical);
+            let mut vt = VerTrace::new(&cfg.ftl);
+            let (file, secure, overwrite) = (0, true, false);
+            vt.note_op(&TraceOp::Write { file, lpa: 0, npages: logical, secure, overwrite });
             for &ev in &events {
                 gauges.on_event(ev);
                 tenant.on_event(ev);
-                assert_eq!(tenant.snapshots(), [gauges.snapshot()], "{policy:?} after {ev:?}");
+                let s = gauges.snapshot();
+                assert_eq!(tenant.snapshots(), [s], "{policy:?} after {ev:?}");
+                if all_secure {
+                    vt.on_event(ev);
+                    let v = vt.files().next().expect("file 0").1.versions;
+                    let counts = (v.valid, v.invalid, v.max_valid, v.max_invalid);
+                    let gauged = (s.valid_secured, s.invalid_secured, s.max_valid, s.max_invalid);
+                    assert_eq!(counts, gauged, "{policy:?} after {ev:?}");
+                    assert_eq!(v.insecure_ticks_at(s.tick), s.insecure_ticks);
+                }
             }
             let s = gauges.snapshot();
             assert!(s.max_valid > 0 && s.tick == 4 * logical, "{s:?}");

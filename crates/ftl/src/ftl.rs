@@ -263,7 +263,7 @@ impl Ftl {
         let payload = data.with_oob(PageOob { lpa, secure, seq });
         let at = self.program_remapping(ex, &payload, secure, Self::allocate);
         self.commit_mapping(lpa, at, secure);
-        self.events.push(ObserverEvent::Program { lpa, at, relocation: false, secure });
+        self.events.push(ObserverEvent::Program { lpa, at, secure });
         self.events.drain_into(obs);
         true
     }

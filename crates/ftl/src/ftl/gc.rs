@@ -135,7 +135,7 @@ impl Ftl {
             self.program_remapping(ex, &payload, secure, |f, ex| f.allocate_on_chip(ex, chip));
         self.stats.copied_pages += 1;
         self.commit_mapping(lpa, new_at, secure);
-        self.events.push(ObserverEvent::Program { lpa, at: new_at, relocation: true, secure });
+        self.events.push(ObserverEvent::Program { lpa, at: new_at, secure });
         self.chips[chip].mark_invalid(idx, old.ppa.block.0);
         let sanitized = destroyed || (self.policy.is_immediate() && secure);
         let cause = InvalidateCause::GcCopy;

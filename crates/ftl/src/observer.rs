@@ -70,8 +70,6 @@ pub enum ObserverEvent {
         lpa: Lpa,
         /// Physical destination.
         at: GlobalPpa,
-        /// True for GC copies.
-        relocation: bool,
         /// True for pages written under a security requirement (the
         /// non-`O_INSEC` path).
         secure: bool,
@@ -215,7 +213,7 @@ mod tests {
     #[test]
     fn tee_broadcasts_and_option_gates() {
         let at = GlobalPpa::new(0, Ppa::new(0, 0));
-        let program = ObserverEvent::Program { lpa: 0, at, relocation: false, secure: true };
+        let program = ObserverEvent::Program { lpa: 0, at, secure: true };
         let mut a = Vec::new();
         let mut b: Option<&mut Vec<ObserverEvent>> = None;
         {
@@ -250,7 +248,7 @@ mod tests {
                 sanitized: false,
                 cause: InvalidateCause::HostUpdate,
             },
-            ObserverEvent::Program { lpa: 7, at, relocation: false, secure: true },
+            ObserverEvent::Program { lpa: 7, at, secure: true },
             ObserverEvent::Erase { chip: 1, block: BlockId(5) },
         ];
         let mut batch = EventBatch::new();

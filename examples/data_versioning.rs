@@ -17,7 +17,7 @@ fn run(policy: SanitizePolicy) -> (String, evanesco::workloads::VerTraceReport) 
     let mut ssd = Emulator::new(SsdConfig::tiny_for_tests(), policy);
     let logical = ssd.logical_pages();
     let trace = generate(&WorkloadSpec::db_server(), logical, 2 * logical, 42);
-    let mut vt = VerTrace::new();
+    let mut vt = VerTrace::new(&ssd.config().ftl);
     replay_with(&mut ssd, &trace, &mut vt);
     (policy.to_string(), vt.report(logical))
 }

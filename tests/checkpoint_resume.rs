@@ -161,7 +161,7 @@ proptest! {
 
         // Control arm.
         let mut a = device(cfg, policy);
-        let mut a_lg = VerTrace::new();
+        let mut a_lg = VerTrace::new(&cfg.ftl);
         for op in &stream {
             a_lg.note_op(op);
             apply(&mut a, &mut a_lg, op);
@@ -169,7 +169,7 @@ proptest! {
 
         // Resumed arm: both the device and VerTrace travel as bytes.
         let mut em = device(cfg, policy);
-        let mut lg = VerTrace::new();
+        let mut lg = VerTrace::new(&cfg.ftl);
         for op in &stream[..cut] {
             lg.note_op(op);
             apply(&mut em, &mut lg, op);

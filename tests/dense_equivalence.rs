@@ -76,7 +76,7 @@ proptest! {
         bare.flush_coalesced_locks();
 
         let mut observed = Emulator::new(cfg, policy);
-        let mut lg = VerTrace::new();
+        let mut lg = VerTrace::new(&cfg.ftl);
         let mut rec: Vec<ObserverEvent> = Vec::new();
         // All-zero arrivals: the open-loop entry point runs the closed loop.
         let closed = vec![Nanos::ZERO; ops.len()];
@@ -121,7 +121,7 @@ proptest! {
         // Direct arm: VerTrace attached to the device, recorder tee'd in;
         // events are segmented per host op as they happen.
         let mut ssd = Emulator::new(cfg, policy);
-        let mut direct = VerTrace::new();
+        let mut direct = VerTrace::new(&cfg.ftl);
         let mut per_op: Vec<Vec<ObserverEvent>> = Vec::new();
         for op in &stream {
             let mut rec = Vec::new();
@@ -132,7 +132,7 @@ proptest! {
 
         // Replay arm: a fresh VerTrace fed only the host markers and the
         // recorded stream, never the device.
-        let mut replayed = VerTrace::new();
+        let mut replayed = VerTrace::new(&cfg.ftl);
         for (op, events) in stream.iter().zip(&per_op) {
             replayed.note_op(op);
             events.iter().for_each(|&ev| replayed.on_event(ev));

@@ -85,7 +85,7 @@ fn digest(spec: &WorkloadSpec, policy: SanitizePolicy, seed: u64) -> u64 {
     let mut ssd = Emulator::new(SsdConfig::tiny_for_tests(), policy);
     let logical = ssd.logical_pages();
     let trace = generate(spec, logical, 2 * logical, seed);
-    let mut vt = VerTrace::with_timelines();
+    let mut vt = VerTrace::with_timelines(&ssd.config().ftl);
     replay_with(&mut ssd, &trace, &mut vt);
 
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);

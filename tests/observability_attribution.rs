@@ -17,7 +17,7 @@ fn run(spec: &WorkloadSpec, seed: u64, policy: SanitizePolicy) -> VerTraceReport
     let mut ssd = Emulator::new(Scale::smoke().ssd_config(), policy);
     let logical = ssd.logical_pages();
     let trace = generate(spec, logical, logical, seed);
-    let mut vt = VerTrace::new();
+    let mut vt = VerTrace::new(&ssd.config().ftl);
     replay_with(&mut ssd, &trace, &mut vt);
     vt.report(logical)
 }
@@ -99,7 +99,8 @@ fn telemetry_run(trace: &Trace, enable: bool) -> evanesco::ssd::RunResult {
         ssd.enable_tracing(256);
         ssd.enable_timeseries(Nanos::from_micros(100), 256);
         ssd.enable_decision_log(2048, DecisionLevel::Info);
-        replay_with(&mut ssd, trace, &mut VerTrace::new());
+        let mut vt = VerTrace::new(&ssd.config().ftl);
+        replay_with(&mut ssd, trace, &mut vt);
         ssd.sample_timeseries_now();
         // The layers actually observed the run.
         assert!(ssd.timeseries().unwrap().total() > 0);
