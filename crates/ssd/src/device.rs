@@ -100,9 +100,11 @@ pub struct TimedExecutor {
     /// branch per reservation when disabled — the cost the CI overhead
     /// gate bounds).
     trace_on: bool,
-    /// Resource intervals reserved since the last
-    /// [`TimedExecutor::discard_trace_events`].
+    /// Resource intervals, in issue order: those of finished request
+    /// brackets up to `trace_open`, the open bracket's from there on.
     trace_events: Vec<TraceEvent>,
+    /// Where the open bracket's events start in `trace_events`.
+    trace_open: usize,
     /// FTL cause scopes currently open ([`NandExecutor::push_cause`]);
     /// the innermost one stamps every traced reservation. Purely
     /// observational — never consulted for timing — and empty at every
@@ -139,6 +141,7 @@ impl TimedExecutor {
             dispatch_end: Nanos::ZERO,
             trace_on: false,
             trace_events: Vec::new(),
+            trace_open: 0,
             cause_stack: Vec::new(),
         }
     }
@@ -150,26 +153,62 @@ impl TimedExecutor {
         self.trace_on = on;
         if !on {
             self.trace_events = Vec::new();
+            self.trace_open = 0;
         }
     }
 
-    /// The events reserved since the last discard, in issue order (the
-    /// emulator reads them at each host-request boundary).
-    pub fn trace_events(&self) -> &[TraceEvent] {
-        &self.trace_events
+    /// Whether reservations are being traced.
+    pub(crate) fn tracing(&self) -> bool {
+        self.trace_on
     }
 
-    /// Discards the accumulated events in place, keeping the buffer's
-    /// capacity: after a request was recorded, and for the leftovers that
+    /// The events reserved since the open request bracket began, in issue
+    /// order.
+    pub fn trace_events(&self) -> &[TraceEvent] {
+        &self.trace_events[self.trace_open..]
+    }
+
+    /// Discards the open bracket's events in place: the leftovers that
     /// accrue between requests.
     pub fn discard_trace_events(&mut self) {
+        self.trace_events.truncate(self.trace_open);
+    }
+
+    /// Closes the open bracket: its events stay where they are, and the
+    /// returned range locates them in [`TimedExecutor::sealed_trace_events`].
+    pub(crate) fn seal_trace_events(&mut self) -> (usize, usize) {
+        let sealed = (self.trace_open, self.trace_events.len());
+        self.trace_open = sealed.1;
+        sealed
+    }
+
+    /// The events of every bracket sealed since the buffer was last
+    /// emptied or handed over.
+    pub(crate) fn sealed_trace_events(&self) -> &[TraceEvent] {
+        &self.trace_events[..self.trace_open]
+    }
+
+    /// Empties the buffer once its sealed brackets were recorded in place.
+    pub(crate) fn clear_trace_events(&mut self) {
+        debug_assert_eq!(self.trace_open, self.trace_events.len(), "a bracket is open");
         self.trace_events.clear();
+        self.trace_open = 0;
+    }
+
+    /// Hands over the whole event buffer, sealed brackets only, and takes
+    /// `recycled` (emptied, its capacity kept) in its place.
+    pub(crate) fn swap_trace_events(&mut self, recycled: Vec<TraceEvent>) -> Vec<TraceEvent> {
+        debug_assert_eq!(self.trace_open, self.trace_events.len(), "a bracket is open");
+        debug_assert!(recycled.is_empty(), "a recycled buffer comes back emptied");
+        self.trace_open = 0;
+        std::mem::replace(&mut self.trace_events, recycled)
     }
 
     fn trace_push(&mut self, kind: SpanKind, resource: ResourceId, start: Nanos, end: Nanos) {
         if self.trace_on && end > start {
             // Fact 1 of the trace sweep: each resource's events are disjoint.
-            let last = |r| self.trace_events.iter().rev().find(|p: &&TraceEvent| p.resource == r);
+            let open = &self.trace_events[self.trace_open..];
+            let last = |r| open.iter().rev().find(|p: &&TraceEvent| p.resource == r);
             debug_assert!(last(resource).is_none_or(|p| p.end <= start), "{resource:?} overlaps");
             let cause = self.cause_stack.last().copied().unwrap_or(OpCause::Host);
             self.trace_events.push(TraceEvent { kind, cause, resource, start, end });

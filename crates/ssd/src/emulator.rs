@@ -13,7 +13,7 @@ use crate::gauges::LiveGauges;
 use crate::metrics::{LatencyBreakdown, RecoveryTotals, RunResult};
 use crate::sched::{Dispatch, HostOp, OpResult, SchedRun, Scheduler};
 use crate::timeseries::TimeSeries;
-use crate::trace::{ReqKind, TraceRecorder};
+use crate::trace::{ReqKind, TraceBatch, TracePacket, TraceRecorder};
 use crate::watchdog::{DeadlineConfig, Verdict, Watchdog, WatchdogStats};
 use evanesco_core::fault::{CorruptionConfig, CorruptionStats};
 use evanesco_core::threat::Attacker;
@@ -25,6 +25,39 @@ use evanesco_nand::snapshot::{Dec, Enc, SnapshotError};
 use evanesco_nand::timing::Nanos;
 use std::collections::HashSet;
 use std::ops::Range;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::ScopedJoinHandle;
+
+/// Finished requests per batch a scheduled call ships to its recorder
+/// thread.
+const TRACE_BATCH: usize = 256;
+
+/// Batches a scheduled call circulates: one filling on the request path,
+/// the rest queued or being recorded. With all of them out, the request
+/// path waits for one to come back, which bounds both the channel and
+/// the event buffers' memory.
+const TRACE_BATCHES: usize = 3;
+
+/// How long either end of the recorder channel polls before it parks. A
+/// parked thread on an idle virtual CPU can take milliseconds to wake,
+/// which on `observed_churn` cost the request path up to a quarter of its
+/// wall in waits; the recorder is idle for well under this between
+/// batches, so it stays awake through a call.
+const SPIN: std::time::Duration = std::time::Duration::from_millis(2);
+
+/// Receives from `rx`, polling for up to [`SPIN`] before parking; `None`
+/// once every sender has hung up.
+fn recv_spinning<T>(rx: &Receiver<T>) -> Option<T> {
+    let start = std::time::Instant::now();
+    while start.elapsed() < SPIN {
+        match rx.try_recv() {
+            Ok(item) => return Some(item),
+            Err(mpsc::TryRecvError::Disconnected) => return None,
+            Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+    rx.recv().ok()
+}
 
 /// An emulated flash storage device.
 #[derive(Debug, Clone)]
@@ -47,6 +80,9 @@ pub struct Emulator {
     /// Per-request latency-anatomy recorder
     /// ([`Emulator::enable_anatomy`]); fed from each finished trace.
     anatomy: Option<AnatomyRecorder>,
+    /// Finished requests not yet recorded, in dispatch order; their events
+    /// are the executor's sealed ones. Empty between calls.
+    packets: Vec<TracePacket>,
     /// Windowed telemetry ring ([`Emulator::enable_timeseries`]).
     timeseries: Option<TimeSeries>,
     /// Deadline watchdog on the scheduled path
@@ -67,6 +103,36 @@ enum Payload<'a> {
     None,
 }
 
+/// The trace ring and the anatomy, as a scheduled call lends them out.
+type Recorders = (TraceRecorder, Option<AnatomyRecorder>);
+
+/// A scheduled call's end of its recorder thread. Dropping it, on unwind
+/// too, drops the sender, which ends the thread's loop.
+struct RecorderLink<'scope> {
+    tx: SyncSender<TraceBatch>,
+    /// Emptied batches on their way back.
+    back: Receiver<TraceBatch>,
+    worker: Option<ScopedJoinHandle<'scope, Recorders>>,
+}
+
+impl RecorderLink<'_> {
+    /// Hangs up and waits for the thread: returns the recorders, or
+    /// re-raises the thread's panic with its own payload.
+    fn close(mut self) -> Recorders {
+        let worker = self.worker.take().expect("a live link has its thread");
+        drop(self.tx);
+        worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// The thread hung up, which it does only by panicking: re-raises that
+    /// panic.
+    fn rethrow(&mut self) -> ! {
+        let worker = self.worker.take().expect("a live link has its thread");
+        let panic = worker.join().expect_err("the recorder thread hung up without panicking");
+        std::panic::resume_unwind(panic)
+    }
+}
+
 impl Emulator {
     /// Creates an emulated SSD with the given sanitization policy.
     pub fn new(cfg: SsdConfig, policy: SanitizePolicy) -> Self {
@@ -82,6 +148,7 @@ impl Emulator {
             trace: None,
             trim_scratch: Vec::new(),
             anatomy: None,
+            packets: Vec::new(),
             timeseries: None,
             watchdog: None,
             cfg,
@@ -269,9 +336,11 @@ impl Emulator {
         self.ftl.decision_log()
     }
 
-    /// Finishes the open trace bracket for one host request, if tracing.
-    /// `retry` is the watchdog penalty window (absolute) and `req_idx` the
-    /// request's submission-order index, both for the anatomy row.
+    /// Finishes the open trace bracket for one host request, if tracing:
+    /// its events stay in the executor's buffer and a packet naming them
+    /// joins the pending ones. `retry` is the watchdog penalty window
+    /// (absolute) and `req_idx` the request's submission-order index, both
+    /// for the anatomy row.
     #[allow(clippy::too_many_arguments)]
     fn trace_finish(
         &mut self,
@@ -285,26 +354,53 @@ impl Emulator {
         retry: Option<(Nanos, Nanos)>,
         req_idx: Option<usize>,
     ) {
+        if !self.ex.tracing() {
+            return;
+        }
+        let events = self.ex.seal_trace_events();
+        // Zero-work brackets (e.g. a maintenance flush with nothing
+        // queued) are not worth a ring slot.
+        if events.0 < events.1 || end > submit {
+            self.packets.push(TracePacket {
+                kind,
+                lpa,
+                npages,
+                acked,
+                submit,
+                earliest,
+                end,
+                events,
+                retry,
+                req_idx,
+            });
+        }
+        // Outside a scheduled call the recorders are at home and record the
+        // packet on the spot; inside one they are lent to its recorder
+        // thread, and the call ships the packets in batches.
         if let Some(tr) = self.trace.as_mut() {
-            let events = self.ex.trace_events();
-            // Zero-work brackets (e.g. a maintenance flush with nothing
-            // queued) are not worth a ring slot.
-            if !events.is_empty() || end > submit {
-                // The ring packs its own copy straight out of the
-                // executor's buffer, which is then emptied in place.
-                let t = tr.record(kind, lpa, npages, acked, submit, earliest, end, events);
-                if let Some(a) = self.anatomy.as_mut() {
-                    a.record(t, retry, req_idx);
-                }
-            }
-            self.ex.discard_trace_events();
+            tr.record_packets(self.anatomy.as_mut(), &self.packets, self.ex.sealed_trace_events());
+            self.packets.clear();
+            self.ex.clear_trace_events();
+        }
+    }
+
+    /// Ships the pending packets and the executor's event buffer they
+    /// index to the recorder thread, taking a recycled batch in their
+    /// place (waiting for one if all are out). Re-raises the thread's
+    /// panic if it has hung up.
+    fn ship(&mut self, link: &mut RecorderLink<'_>) {
+        let Some(mut batch) = recv_spinning(&link.back) else { link.rethrow() };
+        std::mem::swap(&mut batch.packets, &mut self.packets);
+        batch.events = self.ex.swap_trace_events(std::mem::take(&mut batch.events));
+        if link.tx.send(batch).is_err() {
+            link.rethrow();
         }
     }
 
     /// Discards device events that accrued outside any request bracket
     /// (maintenance work between traced requests).
     fn trace_discard_leftovers(&mut self) {
-        if self.trace.is_some() {
+        if self.ex.tracing() {
             self.ex.discard_trace_events();
         }
     }
@@ -674,6 +770,15 @@ impl Emulator {
         self.run_scheduled_core(obs, ops, Some(arrivals), qd)
     }
 
+    /// Validates `ops`, then dispatches them. A traced call lends the trace
+    /// ring and the anatomy to one scoped recorder thread: finished
+    /// requests cross a bounded channel in batches, in dispatch order, and
+    /// the thread runs the same recording function the serialized paths run
+    /// inline. The recorders are back when the call returns. A panic on
+    /// either side surfaces with its own payload: the request path's ends
+    /// the thread by dropping the channel's sender on unwind, and the
+    /// thread's is re-raised on the request path; the recorders are lost
+    /// with it.
     fn run_scheduled_core<O: FtlObserver>(
         &mut self,
         obs: &mut O,
@@ -681,11 +786,59 @@ impl Emulator {
         arrivals: Option<&[Nanos]>,
         qd: usize,
     ) -> SchedRun {
-        let start = self.ex.simulated_time();
         for (i, op) in ops.iter().enumerate() {
             let (lpa, n) = op.lpa_range();
             self.check_range(format_args!("run_scheduled: request {i}"), lpa, n);
         }
+        let Some(mut trace) = self.trace.take() else {
+            return self.dispatch_all(obs, ops, arrivals, qd, |_| {});
+        };
+        let mut anatomy = self.anatomy.take();
+        let (tx, rx) = mpsc::sync_channel::<TraceBatch>(TRACE_BATCHES);
+        let (back_tx, back) = mpsc::channel();
+        let (run, recorders) = std::thread::scope(|s| {
+            let worker = s.spawn(move || {
+                // The spares: the request path fills one batch while these
+                // are queued or being recorded.
+                for _ in 1..TRACE_BATCHES {
+                    let packets = Vec::with_capacity(TRACE_BATCH);
+                    let _ = back_tx.send(TraceBatch { packets, events: Vec::new() });
+                }
+                while let Some(mut batch) = recv_spinning(&rx) {
+                    trace.record_packets(anatomy.as_mut(), &batch.packets, &batch.events);
+                    batch.packets.clear();
+                    batch.events.clear();
+                    // Fails only once the request path has unwound.
+                    let _ = back_tx.send(batch);
+                }
+                (trace, anatomy)
+            });
+            let mut link = RecorderLink { tx, back, worker: Some(worker) };
+            let run = self.dispatch_all(obs, ops, arrivals, qd, |em| {
+                if em.packets.len() == TRACE_BATCH {
+                    em.ship(&mut link);
+                }
+            });
+            if !self.packets.is_empty() {
+                self.ship(&mut link);
+            }
+            (run, link.close())
+        });
+        (self.trace, self.anatomy) = (Some(recorders.0), recorders.1);
+        run
+    }
+
+    /// The dispatch loop of [`Emulator::run_scheduled_core`]; `after` runs
+    /// after every request.
+    fn dispatch_all<O: FtlObserver>(
+        &mut self,
+        obs: &mut O,
+        ops: &[HostOp],
+        arrivals: Option<&[Nanos]>,
+        qd: usize,
+        mut after: impl FnMut(&mut Self),
+    ) -> SchedRun {
+        let start = self.ex.simulated_time();
         let mut sched = Scheduler::new(qd, self.ftl.logical_pages());
         // Write tags are assigned in submission order, before any dispatch
         // decision, so the tags a request returns cannot depend on the
@@ -771,6 +924,7 @@ impl Emulator {
             });
             completions[d.idx] = done;
             submits[d.idx] = d.submit;
+            after(self);
         }
         SchedRun {
             results: results.into_iter().map(|r| r.expect("every request dispatched")).collect(),

@@ -13,6 +13,7 @@
 //! durations sum to exactly the recorded end-to-end latency — the
 //! invariant the trace test suite checks on every traced request.
 
+use crate::anatomy::AnatomyRecorder;
 use crate::arena::{Arena, PackedNanos, Span};
 use crate::jsonlite::{escape, Json};
 use evanesco_ftl::{Lpa, OpCause};
@@ -346,6 +347,36 @@ impl<'a> RequestTrace<'a> {
     }
 }
 
+/// One finished host request as the emulator hands it to the recorders:
+/// the [`TraceHead`] fields, where its events lie in the event buffer it
+/// travels with, and the anatomy's two inputs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TracePacket {
+    pub(crate) kind: ReqKind,
+    pub(crate) lpa: Lpa,
+    pub(crate) npages: u64,
+    pub(crate) acked: bool,
+    pub(crate) submit: Nanos,
+    pub(crate) earliest: Nanos,
+    pub(crate) end: Nanos,
+    /// Start and end of the request's events in the buffer.
+    pub(crate) events: (usize, usize),
+    /// The watchdog's backoff window (absolute), if the request was
+    /// retried.
+    pub(crate) retry: Option<(Nanos, Nanos)>,
+    /// The request's index in its scheduled run.
+    pub(crate) req_idx: Option<usize>,
+}
+
+/// A run of finished requests in dispatch order and the executor's event
+/// buffer they index: what crosses to the recorder thread. Both vectors
+/// come back emptied and are refilled, so a batch grows once per call.
+#[derive(Debug)]
+pub(crate) struct TraceBatch {
+    pub(crate) packets: Vec<TracePacket>,
+    pub(crate) events: Vec<TraceEvent>,
+}
+
 /// Chunk sizes of the ring's three arenas, in elements (80, 160 and
 /// 96 KiB): large enough that a chunk outlives hundreds of requests.
 const HEAD_CHUNK: usize = 1024;
@@ -489,6 +520,34 @@ impl TraceRecorder {
         };
         let at = self.heads.push(head);
         self.view(&self.heads.slice(at)[0])
+    }
+
+    /// Records finished requests in dispatch order, each one's events read
+    /// in place from `events`, and feeds every resulting trace to the
+    /// anatomy if one is attached: the one recording function, run inline
+    /// or on the recorder thread of a scheduled call.
+    pub(crate) fn record_packets(
+        &mut self,
+        mut anatomy: Option<&mut AnatomyRecorder>,
+        packets: &[TracePacket],
+        events: &[TraceEvent],
+    ) {
+        for p in packets {
+            let (first, end) = p.events;
+            let t = self.record(
+                p.kind,
+                p.lpa,
+                p.npages,
+                p.acked,
+                p.submit,
+                p.earliest,
+                p.end,
+                &events[first..end],
+            );
+            if let Some(a) = anatomy.as_deref_mut() {
+                a.record(t, p.retry, p.req_idx);
+            }
+        }
     }
 
     /// Exports the retained traces as chrome://tracing trace-event JSON

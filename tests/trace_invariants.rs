@@ -17,10 +17,16 @@
 //!   arbitrary event sets;
 //! * **arena ring** — the chunked-arena `TraceRecorder` reads back, counts
 //!   and exports exactly what the `Vec`-per-trace ring it replaced did,
-//!   through ring wrap, oversized requests and multi-chunk eviction.
+//!   through ring wrap, oversized requests and multi-chunk eviction;
+//! * **recorder thread** — a scheduled run records on a thread of its own:
+//!   small rings evicting across many of its batches keep exactly the
+//!   newest traces and rows, each equal to the same request's in a ring
+//!   that keeps everything, and an observer's panic surfaces with its own
+//!   message instead of hanging the run.
 
 mod reference;
 
+use evanesco::ftl::observer::{FtlObserver, ObserverEvent};
 use evanesco::ftl::{OpCause, SanitizePolicy};
 use evanesco::nand::timing::Nanos;
 use evanesco::ssd::anatomy::REQ_KINDS as KINDS;
@@ -203,6 +209,91 @@ fn gauges_separate_sanitizing_from_baseline_policies() {
     assert!(exposed.insecure_ticks > 0, "baseline accrues insecure time");
     assert!(exposed.vaf > 0.0);
     assert!(exposed.t_insecure(1024) > secured.t_insecure(1024));
+}
+
+/// Rings of 100 on a qd-8 run of 3 000 requests: the recorder thread takes
+/// them in batches of 256 finished requests, so eviction runs across more
+/// than ten batches. What is retained is the newest 100 traces and rows,
+/// each exactly what a ring holding the whole run keeps for that request.
+#[test]
+fn small_rings_evict_across_recorder_batches_like_whole_rings() {
+    let ops = mixed_ops(SsdConfig::tiny_for_tests().ftl.logical_pages(), 3_000);
+    let run = |capacity: usize| {
+        let mut ssd = Emulator::new(SsdConfig::tiny_for_tests(), SanitizePolicy::evanesco());
+        ssd.enable_anatomy(capacity, 8);
+        ssd.run_scheduled(&ops, 8);
+        ssd
+    };
+    let (small, whole) = (run(100), run(1 << 14));
+    let (ring, all) = (small.trace().expect("tracing"), whole.trace().expect("tracing"));
+    let (rows, all_rows) = (small.anatomy().expect("anatomy"), whole.anatomy().expect("anatomy"));
+    assert!(ring.recorded() > 10 * 256, "{} traces fill too few batches", ring.recorded());
+    assert_eq!(ring.recorded(), ring.traces().count() as u64 + ring.dropped());
+    assert_eq!(rows.recorded(), rows.rows().count() as u64 + rows.dropped());
+    assert_eq!((all.dropped(), all_rows.dropped()), (0, 0), "the whole rings keep everything");
+    assert_eq!(ring.recorded(), all.recorded());
+
+    let ids: Vec<u64> = ring.traces().map(|t| t.id).collect();
+    assert_eq!(ids, (ring.recorded() - 100..ring.recorded()).collect::<Vec<_>>());
+    let whole_traces: Vec<_> = all.traces().collect();
+    for t in ring.traces() {
+        let w = whole_traces[t.id as usize];
+        assert_eq!(
+            (t.kind, t.lpa, t.npages, t.acked, t.submit, t.earliest, t.end),
+            (w.kind, w.lpa, w.npages, w.acked, w.submit, w.earliest, w.end),
+            "trace {}",
+            t.id
+        );
+        assert!(t.events().eq(w.events()), "trace {}: events differ", t.id);
+        assert!(t.segments().eq(w.segments()), "trace {}: segments differ", t.id);
+    }
+
+    assert_eq!(rows.rows().count(), 100);
+    let whole_rows: Vec<_> = all_rows.rows().collect();
+    for r in rows.rows() {
+        let w = whole_rows[r.trace_id as usize];
+        assert_eq!(
+            (r.trace_id, r.req_idx, r.kind, r.lpa, r.npages, r.acked, r.submit, r.end, r.stages),
+            (w.trace_id, w.req_idx, w.kind, w.lpa, w.npages, w.acked, w.submit, w.end, w.stages),
+        );
+        assert!(r.chain().eq(w.chain()), "row {}: chains differ", r.trace_id);
+    }
+}
+
+/// An observer that panics on its `at`-th event.
+struct GivesUp {
+    seen: usize,
+    at: usize,
+}
+
+impl FtlObserver for GivesUp {
+    fn on_event(&mut self, _: ObserverEvent) {
+        self.seen += 1;
+        if self.seen == self.at {
+            panic!("observer gave up at event {}", self.at);
+        }
+    }
+}
+
+/// A panic on the request path of a traced scheduled run — here the
+/// observer's, thousands of events in, with batches already on the
+/// recorder thread — reaches the caller with its own message: the thread
+/// is let go, not waited on forever, and its scope does not replace the
+/// payload with its own.
+#[test]
+fn an_observer_panic_in_a_traced_run_surfaces_with_its_own_message() {
+    let mut ssd = Emulator::new(SsdConfig::tiny_for_tests(), SanitizePolicy::evanesco());
+    ssd.enable_anatomy(64, 8);
+    let ops = mixed_ops(ssd.logical_pages(), 3_000);
+    let arrivals = vec![Nanos::ZERO; ops.len()];
+    let mut observer = GivesUp { seen: 0, at: 4_000 };
+    let attempt = std::panic::AssertUnwindSafe(|| {
+        ssd.run_scheduled_open_loop(&mut observer, &ops, &arrivals, 8);
+    });
+    let panic = std::panic::catch_unwind(attempt).expect_err("the observer must panic");
+    let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
+    assert_eq!(msg, "observer gave up at event 4000");
+    assert_eq!(observer.seen, 4_000);
 }
 
 /// The segmentation rule as first written, kept as the reference: for
