@@ -517,10 +517,12 @@ impl EvanescoChip {
         Ok(SecureReadOutput { result, latency: self.timing().t_read })
     }
 
-    /// Gated data read, as a controller serves it: the page's data when it
-    /// is cleanly programmed and exposed, `None` for a locked, erased,
-    /// destroyed or torn page. Same operation as [`EvanescoChip::read`]
-    /// (same counters, same retry ladder) without the interface wrapping.
+    /// Gated data read, as a controller serves it: the page's data area
+    /// (tag and payload, no spare area: [`EvanescoChip::read_oob`] reads
+    /// that) when it is cleanly programmed and exposed, `None` for a locked,
+    /// erased, destroyed or torn page. Same operation as
+    /// [`EvanescoChip::read`] (same counters, same retry ladder) without the
+    /// interface wrapping.
     ///
     /// # Errors
     ///

@@ -246,18 +246,19 @@ impl SlotState {
     }
 }
 
-/// Dense per-page record: four aligned words, `Copy`, no heap pointers,
-/// meaningful only while the slot's state byte
-/// [holds a record](SlotState::holds_record). A byte payload (only tests
-/// and examples store one; system-level runs use content tags) lives in
-/// the chip-level [`PayloadPool`] and is referenced by index, so a block
-/// erase recycles buffers instead of freeing them. Aligned to its size so
-/// a record never straddles a cache line; see [`PackedOob`] for why every
+/// The cold half of a page: the spare area and the payload reference, three
+/// words, `Copy`, no heap pointers, meaningful only while the slot's state
+/// byte [holds a record](SlotState::holds_record). The content tag, which
+/// every host read needs, sits in a column of its own before the records
+/// (see [`Chip`]), so a read that serves the data area loads one word and
+/// leaves this record in memory. A byte payload (only tests and
+/// examples store one; system-level runs use content tags) lives in the
+/// chip-level [`PayloadPool`] and is referenced by index, so a block erase
+/// recycles buffers instead of freeing them. See [`PackedOob`] for why every
 /// field is a whole word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C, align(32))]
+#[repr(C)]
 struct PageSlot {
-    tag: u64,
     lpa: u64,
     seq: u64,
     /// [`META_OOB`] | [`META_SECURE`] | [`META_PAYLOAD`] | pool index.
@@ -265,8 +266,6 @@ struct PageSlot {
 }
 
 impl PageSlot {
-    const BLANK: PageSlot = PageSlot { tag: 0, lpa: 0, seq: 0, meta: 0 };
-
     #[inline]
     fn payload(&self) -> Option<u32> {
         (self.meta & META_PAYLOAD != 0).then_some((self.meta >> META_POOL_SHIFT) as u32)
@@ -277,6 +276,16 @@ impl PageSlot {
         PackedOob { lpa: self.lpa, seq: self.seq, meta: self.meta & (META_OOB | META_SECURE) }
     }
 }
+
+/// Four words of the page store. The store is one of these per page, so it
+/// is the allocation the store of whole 32-byte records was: its size and
+/// its alignment (a 32-byte-aligned request takes the allocator's aligned
+/// path; a plain one made the Figure-14 replay, which builds sixteen devices
+/// a repetition, keep less heap between repetitions and pay its page faults
+/// in the next trace generation instead).
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
+struct Quad([u64; 4]);
 
 /// One recyclable payload buffer. (The pool is a slab of these, off the
 /// per-op path: the page store itself holds no nested table, which CI
@@ -324,15 +333,16 @@ impl PayloadPool {
     }
 }
 
-/// Moves a [`PageData`]'s payload into the pool and returns the dense record.
+/// Moves a [`PageData`]'s payload into the pool and returns its tag and its
+/// cold record.
 #[inline]
-fn intern_slot(pool: &mut PayloadPool, data: PageData) -> PageSlot {
+fn intern_slot(pool: &mut PayloadPool, data: PageData) -> (u64, PageSlot) {
     let PageData { tag, oob, payload } = data;
     let payload = match payload {
         None => 0,
         Some(bytes) => META_PAYLOAD | u64::from(pool.store(&bytes)) << META_POOL_SHIFT,
     };
-    PageSlot { tag, lpa: oob.lpa, seq: oob.seq, meta: oob.meta | payload }
+    (tag, PageSlot { lpa: oob.lpa, seq: oob.seq, meta: oob.meta | payload })
 }
 
 /// Per-block bookkeeping (the pages themselves are in the chip's flat
@@ -374,11 +384,13 @@ crate::counters! {
 
 /// A behavioral NAND flash chip.
 ///
-/// The page store is flat: one state byte and one [`PageSlot`] record per
-/// page, both indexed through the chip's [`PageLayout`]
-/// (`block * pages_per_block + page`, range-checked). Program, lock and
-/// read-gate decisions test the byte column; only an operation that moves
-/// data touches the record.
+/// The page store is flat: one state byte, one content tag and one
+/// [`PageSlot`] record per page, all indexed through the chip's
+/// [`PageLayout`] (`block * pages_per_block + page`, range-checked).
+/// Program, lock and read-gate decisions test the byte column; a host read
+/// loads the tag; only the spare-area views and a program touch the record.
+/// Tags and records share one allocation of [`Quad`]s, indexed as a flat
+/// run of words.
 #[derive(Debug, Clone)]
 pub struct Chip {
     geom: Geometry,
@@ -386,8 +398,9 @@ pub struct Chip {
     timing: TimingSpec,
     /// State of every page slot.
     states: Vec<SlotState>,
-    /// Record of every page slot, live where `states` says so.
-    slots: Vec<PageSlot>,
+    /// Every page slot's content tag (words `..pages`), then its cold record
+    /// (words `pages..`, three a slot); live where `states` says so.
+    store: Vec<Quad>,
     blocks: Vec<BlockMeta>,
     pool: PayloadPool,
     stats: ChipStats,
@@ -407,28 +420,74 @@ impl Chip {
             layout,
             timing,
             states: vec![SlotState::Erased; layout.pages()],
-            slots: vec![PageSlot::BLANK; layout.pages()],
+            store: vec![Quad([0; 4]); layout.pages()],
             blocks: vec![BlockMeta::FRESH; layout.blocks()],
             pool: PayloadPool::default(),
             stats: ChipStats::default(),
         }
     }
 
-    /// Rebuilds a [`PageData`] view of a record (copies the pooled payload).
+    /// Word `w` of the store.
     #[inline]
-    fn slot_data(&self, slot: &PageSlot) -> PageData {
+    fn word(&self, w: usize) -> u64 {
+        self.store[w / 4].0[w % 4]
+    }
+
+    #[inline]
+    fn word_mut(&mut self, w: usize) -> &mut u64 {
+        &mut self.store[w / 4].0[w % 4]
+    }
+
+    /// Slot `i`'s content tag.
+    #[inline]
+    fn tag(&self, i: usize) -> u64 {
+        self.word(i)
+    }
+
+    /// Slot `i`'s cold record.
+    #[inline]
+    fn slot(&self, i: usize) -> PageSlot {
+        let at = self.states.len() + 3 * i;
+        PageSlot { lpa: self.word(at), seq: self.word(at + 1), meta: self.word(at + 2) }
+    }
+
+    /// Stores slot `i`'s tag and cold record.
+    #[inline]
+    fn set_slot(&mut self, i: usize, (tag, slot): (u64, PageSlot)) {
+        let at = self.states.len() + 3 * i;
+        *self.word_mut(i) = tag;
+        for (k, w) in [slot.lpa, slot.seq, slot.meta].into_iter().enumerate() {
+            *self.word_mut(at + k) = w;
+        }
+    }
+
+    /// Rebuilds the whole [`PageData`] of slot `i`, spare area included
+    /// (copies the pooled payload).
+    #[inline]
+    fn slot_data(&self, i: usize) -> PageData {
+        PageData { oob: self.slot(i).oob(), ..self.slot_data_area(i) }
+    }
+
+    /// The data area of slot `i` alone: its tag, and a copy of its pooled
+    /// payload if it has one. A tag-only chip never stored a payload, so its
+    /// reads leave the cold record unread.
+    #[inline]
+    fn slot_data_area(&self, i: usize) -> PageData {
+        let payload = if self.pool.is_unused() { None } else { self.slot(i).payload() };
         PageData {
-            tag: slot.tag,
-            oob: slot.oob(),
-            payload: slot.payload().map(|idx| Box::from(self.pool.get(idx))),
+            tag: self.tag(i),
+            oob: PackedOob::NONE,
+            payload: payload.map(|idx| Box::from(self.pool.get(idx))),
         }
     }
 
     /// Serializes a slot's data section exactly as the pre-pool encoding
     /// wrote an inline [`PageData`]: tag, optional payload bytes, optional
-    /// OOB. The pool is an in-memory detail; it never reaches the stream.
-    fn encode_slot_data(&self, e: &mut Enc, slot: &PageSlot) {
-        e.u64(slot.tag);
+    /// OOB. The pool and the split columns are in-memory details; they never
+    /// reach the stream.
+    fn encode_slot_data(&self, e: &mut Enc, i: usize) {
+        let slot = self.slot(i);
+        e.u64(self.tag(i));
         e.opt(&slot.payload(), |e, &idx| e.bytes(self.pool.get(idx)));
         e.opt(&slot.oob().unpack(), |e, oob| {
             e.u64(oob.lpa);
@@ -442,7 +501,7 @@ impl Chip {
     #[inline]
     fn retire(&mut self, i: usize, state: SlotState) {
         if self.states[i].holds_record() {
-            if let Some(idx) = self.slots[i].payload() {
+            if let Some(idx) = self.slot(i).payload() {
                 self.pool.release(idx);
             }
         }
@@ -491,11 +550,13 @@ impl Chip {
         self.states[i] == SlotState::Programmed
     }
 
-    /// The data of sensed page `i` if it is cleanly programmed (what a
-    /// controller hands the FTL; a torn page is not served).
+    /// The data area of sensed page `i` if it is cleanly programmed: what a
+    /// controller hands the FTL for a page read (a torn page is not served).
+    /// The tag and the payload, if any; never the spare area, which
+    /// [`Chip::oob_at`] and [`Chip::content_at`] read.
     #[inline]
     pub fn data_at(&self, i: usize) -> Option<PageData> {
-        self.holds_data_at(i).then(|| self.slot_data(&self.slots[i]))
+        self.holds_data_at(i).then(|| self.slot_data_area(i))
     }
 
     /// The OOB metadata of sensed page `i` if its data decodes, torn or
@@ -503,7 +564,7 @@ impl Chip {
     #[inline]
     pub fn oob_at(&self, i: usize) -> Option<PageOob> {
         match self.states[i] {
-            SlotState::Programmed | SlotState::TornReadable => self.slots[i].oob().unpack(),
+            SlotState::Programmed | SlotState::TornReadable => self.slot(i).oob().unpack(),
             _ => None,
         }
     }
@@ -512,11 +573,9 @@ impl Chip {
     pub fn content_at(&self, i: usize) -> PageContent {
         match self.states[i] {
             SlotState::Erased => PageContent::Erased,
-            SlotState::Programmed => PageContent::Data(self.slot_data(&self.slots[i])),
+            SlotState::Programmed => PageContent::Data(self.slot_data(i)),
             SlotState::Destroyed => PageContent::Destroyed,
-            SlotState::TornReadable => {
-                PageContent::Torn { data: Some(self.slot_data(&self.slots[i])) }
-            }
+            SlotState::TornReadable => PageContent::Torn { data: Some(self.slot_data(i)) },
             SlotState::TornGarbage => PageContent::Torn { data: None },
         }
     }
@@ -544,7 +603,8 @@ impl Chip {
             return Err(NandError::OutOfOrderProgram { ppa, expected: block.next_program });
         }
         block.next_program += 1;
-        self.slots[i] = intern_slot(&mut self.pool, data);
+        let slot = intern_slot(&mut self.pool, data);
+        self.set_slot(i, slot);
         self.states[i] = state;
         Ok(())
     }
@@ -769,12 +829,12 @@ impl Chip {
                     SlotState::Erased => e.u8(0),
                     SlotState::Programmed => {
                         e.u8(1);
-                        self.encode_slot_data(e, &self.slots[i]);
+                        self.encode_slot_data(e, i);
                     }
                     SlotState::Destroyed => e.u8(2),
                     state @ (SlotState::TornReadable | SlotState::TornGarbage) => {
                         e.u8(3);
-                        self.encode_slot_data(e, &self.slots[i]);
+                        self.encode_slot_data(e, i);
                         e.bool(state == SlotState::TornReadable);
                     }
                 }
@@ -826,12 +886,14 @@ impl Chip {
                 chip.states[i] = match d.u8()? {
                     0 => SlotState::Erased,
                     1 => {
-                        chip.slots[i] = intern_slot(&mut chip.pool, decode_page_data(d)?);
+                        let slot = intern_slot(&mut chip.pool, decode_page_data(d)?);
+                        chip.set_slot(i, slot);
                         SlotState::Programmed
                     }
                     2 => SlotState::Destroyed,
                     3 => {
-                        chip.slots[i] = intern_slot(&mut chip.pool, decode_page_data(d)?);
+                        let slot = intern_slot(&mut chip.pool, decode_page_data(d)?);
+                        chip.set_slot(i, slot);
                         if d.bool()? {
                             SlotState::TornReadable
                         } else {
@@ -870,25 +932,45 @@ mod tests {
         Chip::new(Geometry::small_tlc())
     }
 
-    /// The hot records are whole words end to end: no padding for the
-    /// compiler to copy around with narrow overlapping moves, which is what
-    /// defeats store-to-load forwarding on the next full-width load (see
-    /// [`PackedOob`]). A `bool`, a `u32` or an `Option` discriminant slipped
-    /// into one of them shows up here as size != sum of fields.
+    /// The page store's columns and the data path's records are whole words
+    /// end to end: no padding for the compiler to copy around with narrow
+    /// overlapping moves, which is what defeats store-to-load forwarding on
+    /// the next full-width load (see [`PackedOob`]). A `bool`, a `u32` or an
+    /// `Option` discriminant slipped into one of them shows up here as size
+    /// != sum of fields. A page costs 32 bytes of store: a one-word hot tag
+    /// column, which a host read loads alone, before a three-word cold
+    /// record.
     #[test]
     fn padding_free() {
         use std::mem::{align_of, size_of};
         let word = size_of::<u64>();
         assert_eq!(size_of::<PackedOob>(), 3 * word);
-        assert_eq!(size_of::<PageSlot>(), 32);
-        assert_eq!(size_of::<PageSlot>(), 4 * word);
-        assert_eq!(align_of::<PageSlot>(), 32, "a record never straddles a cache line");
+        assert_eq!(size_of::<PageSlot>(), 3 * word, "the cold record is lpa, seq and meta");
+        assert_eq!(align_of::<PageSlot>(), word);
+        let chip = small_chip();
+        let pages = chip.states.len();
+        assert_eq!(size_of_val(&chip.store[..]), 32 * pages, "a tag and a record per page");
+        assert_eq!(align_of::<Quad>(), 32, "the store's allocation is 32-byte aligned");
         assert_eq!(
             size_of::<PageData>(),
             word + size_of::<PackedOob>() + size_of::<Option<Box<[u8]>>>()
         );
         assert_eq!(size_of::<Option<Box<[u8]>>>(), 2 * word, "the payload is a bare fat pointer");
         assert_eq!(size_of::<SlotState>(), 1, "the state column is a byte per page");
+    }
+
+    #[test]
+    fn a_data_read_serves_the_tag_and_payload_without_the_spare_area() {
+        let mut chip = small_chip();
+        let oob = PageOob { lpa: 9, secure: true, seq: 4 };
+        chip.program(Ppa::new(0, 0), PageData::tagged(3).with_oob(oob)).unwrap();
+        chip.program(Ppa::new(0, 1), PageData::with_payload(b"bytes").with_oob(oob)).unwrap();
+        for (p, want) in [(0, PageData::tagged(3)), (1, PageData::with_payload(b"bytes"))] {
+            let i = chip.sense(Ppa::new(0, p)).unwrap();
+            assert_eq!(chip.data_at(i), Some(want.clone()));
+            assert_eq!(chip.oob_at(i), Some(oob));
+            assert_eq!(chip.content_at(i), PageContent::Data(want.with_oob(oob)));
+        }
     }
 
     #[test]

@@ -110,6 +110,12 @@ pub struct TimedExecutor {
     /// observational — never consulted for timing — and empty at every
     /// host-request boundary, so checkpoints exclude it.
     cause_stack: Vec<OpCause>,
+    /// Chips whose busy-until may have changed since the last
+    /// [`TimedExecutor::take_moved_chips`], bit `c % 64` for chip `c`: every
+    /// chip reservation sets its chip's bit, and a fresh executor,
+    /// [`TimedExecutor::power_on`] and a decoded checkpoint set them all.
+    /// Scheduling state, not device state: checkpoints exclude it.
+    moved: u64,
 }
 
 impl TimedExecutor {
@@ -143,6 +149,7 @@ impl TimedExecutor {
             trace_events: Vec::new(),
             trace_open: 0,
             cause_stack: Vec::new(),
+            moved: u64::MAX,
         }
     }
 
@@ -254,6 +261,7 @@ impl TimedExecutor {
                 r.reserve(cut, Nanos::ZERO);
             }
             self.horizon = self.horizon.max(cut);
+            self.moved = u64::MAX;
         }
         self.powered_off = false;
     }
@@ -295,9 +303,7 @@ impl TimedExecutor {
             return (OpFate::Lost, Nanos::ZERO);
         }
         let Some(cut) = self.power_cut else {
-            let (start, end) = self.chip_res[chip].reserve(earliest, dur);
-            self.note_end(end);
-            self.trace_push(kind, ResourceId::Chip(chip), start, end);
+            let (start, end) = self.reserve_chip_from(chip, earliest, dur, kind);
             return (OpFate::Completes { start, end }, dur);
         };
         let start = self.chip_res[chip].busy_until().max(earliest);
@@ -307,16 +313,12 @@ impl TimedExecutor {
             (OpFate::Lost, Nanos::ZERO)
         } else if start + dur > cut {
             let partial = cut - start;
-            let (start, end) = self.chip_res[chip].reserve(earliest, partial);
-            self.note_end(end);
-            self.trace_push(kind, ResourceId::Chip(chip), start, end);
+            self.reserve_chip_from(chip, earliest, partial, kind);
             self.powered_off = true;
             self.window_clean = false;
             (OpFate::Torn(partial.0 as f64 / dur.0 as f64), partial)
         } else {
-            let (start, end) = self.chip_res[chip].reserve(earliest, dur);
-            self.note_end(end);
-            self.trace_push(kind, ResourceId::Chip(chip), start, end);
+            let (start, end) = self.reserve_chip_from(chip, earliest, dur, kind);
             (OpFate::Completes { start, end }, dur)
         }
     }
@@ -335,6 +337,15 @@ impl TimedExecutor {
     /// next independent request to the chip that idles first).
     pub fn chip_free_at(&self, chip: usize) -> Nanos {
         self.chip_res[chip].busy_until()
+    }
+
+    /// The chips whose busy-until may have changed since the last call, bit
+    /// `c` for chip `c` (a superset: a bit is set by every reservation, and
+    /// all of them by a power-on or a restored checkpoint), and clears the
+    /// mask. Exact only for a device of at most 64 chips; a wider one
+    /// aliases chip `c` onto bit `c % 64`.
+    pub(crate) fn take_moved_chips(&mut self) -> u64 {
+        std::mem::take(&mut self.moved)
     }
 
     /// Per-chip occupied time (idle gaps excluded).
@@ -512,15 +523,29 @@ impl TimedExecutor {
         self.horizon = Nanos(d.u64()?);
         self.dispatch_floor = d.opt(|d| Ok(Nanos(d.u64()?)))?;
         self.dispatch_end = Nanos(d.u64()?);
+        self.moved = u64::MAX;
         Ok(())
+    }
+
+    /// The one way a chip's busy-until moves during a run: reserve it for
+    /// `dur` from `earliest`, mark it moved, and account the window.
+    fn reserve_chip_from(
+        &mut self,
+        chip: usize,
+        earliest: Nanos,
+        dur: Nanos,
+        kind: SpanKind,
+    ) -> (Nanos, Nanos) {
+        let (start, end) = self.chip_res[chip].reserve(earliest, dur);
+        self.moved |= 1 << (chip % 64);
+        self.note_end(end);
+        self.trace_push(kind, ResourceId::Chip(chip), start, end);
+        (start, end)
     }
 
     fn reserve_chip(&mut self, chip: usize, dur: Nanos, kind: SpanKind) -> (Nanos, Nanos) {
         let earliest = self.floored(Nanos::ZERO);
-        let (start, end) = self.chip_res[chip].reserve(earliest, dur);
-        self.note_end(end);
-        self.trace_push(kind, ResourceId::Chip(chip), start, end);
-        (start, end)
+        self.reserve_chip_from(chip, earliest, dur, kind)
     }
 
     fn reserve_channel(&mut self, ch: usize, earliest: Nanos, dur: Nanos) -> (Nanos, Nanos) {

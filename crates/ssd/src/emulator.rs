@@ -840,23 +840,17 @@ impl Emulator {
     ) -> SchedRun {
         let start = self.ex.simulated_time();
         let mut sched = Scheduler::new(qd, self.ftl.logical_pages());
-        // Write tags are assigned in submission order, before any dispatch
+        // Write tags are numbered in submission order, before any dispatch
         // decision, so the tags a request returns cannot depend on the
-        // queue depth.
-        let mut tag_base = vec![0u64; ops.len()];
-        for (i, op) in ops.iter().enumerate() {
-            if let HostOp::Write { npages, .. } = *op {
-                tag_base[i] = self.next_tag;
-                self.next_tag += npages;
-            }
-        }
-        let mut results: Vec<Option<OpResult>> = vec![None; ops.len()];
+        // queue depth; a dispatch carries its write's offset from this base.
+        let first_tag = self.next_tag;
+        // Every slot is overwritten: each request is dispatched exactly once.
+        let mut results = vec![OpResult::TimedOut; ops.len()];
         let mut completions = vec![Nanos::ZERO; ops.len()];
         let mut submits = vec![Nanos::ZERO; ops.len()];
         let mut host_pages = 0u64;
         let mut next = 0usize;
         let n_chips = self.cfg.n_chips();
-        let mut free_at: Vec<Nanos> = Vec::with_capacity(n_chips);
         // A read's hint token is the set of chips holding its mapped pages,
         // one bit per chip. A device too wide for the mask keeps no token
         // and hints every request afresh each pass.
@@ -872,19 +866,26 @@ impl Emulator {
                 }
                 next += 1;
             }
-            // One pass reads each chip's busy-until once and no L2P entry: a
-            // read's chip set is resolved when it first becomes eligible and
-            // its score maintained from then on (`sched`'s cost model says
-            // why that is sound); queued writes all wait on the frontier's.
+            // One pass reads the busy-until of the chips that moved since the
+            // last one and no L2P entry: a read's chip set is resolved when it
+            // first becomes eligible and its score maintained from then on
+            // (`sched`'s cost model says why that is sound); queued writes
+            // all wait on the frontier's.
             let picked = if wide {
                 sched.take_dispatch(|op| self.chip_hint(op))
             } else {
-                free_at.clear();
-                free_at.extend((0..n_chips).map(|c| self.ex.chip_free_at(c)));
-                sched.take_dispatch_chips(&free_at, self.ftl.peek_alloc_chip(), |op| {
-                    let (lpa, npages) = op.lpa_range();
-                    self.mapped_chips(lpa, npages).fold(0, |set, chip| set | 1 << chip)
-                })
+                let moved = self.ex.take_moved_chips();
+                let free_at = |c| self.ex.chip_free_at(c);
+                sched.take_dispatch_chips(
+                    n_chips,
+                    free_at,
+                    moved,
+                    self.ftl.peek_alloc_chip(),
+                    |op| {
+                        let (lpa, npages) = op.lpa_range();
+                        self.mapped_chips(lpa, npages).fold(0, |set, chip| set | 1 << chip)
+                    },
+                )
             };
             let Some(d) = picked else { break };
             if cfg!(debug_assertions) && !wide {
@@ -897,7 +898,7 @@ impl Emulator {
                 }
             }
             host_pages += d.op.npages();
-            let base = tag_base[d.idx];
+            let base = first_tag + d.tag;
             let reads = if let HostOp::Read { npages, .. } = d.op { npages as usize } else { 0 };
             let mut got = Vec::with_capacity(reads);
             let mut sink = |p: Option<PageData>| got.push(p.map(|d| d.tag()));
@@ -914,20 +915,21 @@ impl Emulator {
                 // bracket: L2P entries changed under queued reads.
                 sched.drop_hint_cache();
             }
-            results[d.idx] = Some(match (acked, d.op) {
+            results[d.idx] = match (acked, d.op) {
                 (None, _) => OpResult::TimedOut,
                 (Some(acked), HostOp::Write { npages, .. }) => {
                     OpResult::Write((base..base + npages).collect(), acked)
                 }
                 (Some(_), HostOp::Read { .. }) => OpResult::Read(got),
                 (Some(acked), HostOp::Trim { .. }) => OpResult::Trim(acked),
-            });
+            };
             completions[d.idx] = done;
             submits[d.idx] = d.submit;
             after(self);
         }
+        self.next_tag = first_tag + sched.write_pages();
         SchedRun {
-            results: results.into_iter().map(|r| r.expect("every request dispatched")).collect(),
+            results,
             completions,
             submits,
             sim_time: self.ex.simulated_time().saturating_sub(start),

@@ -27,39 +27,56 @@
 //! # Cost model
 //!
 //! The window is `qd` fixed **slots in struct-of-arrays** — `lo`/`hi` (a
-//! free slot holds the empty range `[0, 0)`), `blockers`, `earliest`, `seq`,
+//! free slot holds the empty range `[0, 0)`), `blockers`, `earliest`,
 //! `score` (free, blocked or unscored: `u64::MAX`), `token`, the cold
-//! `(idx, op, submit)` triple, a free-slot list — beside bitsets of slots.
-//! Nothing is shifted or allocated per request.
+//! `(idx, op, submit, tag)` record, and `next`, which threads the queued
+//! slots into a list in submission order — beside a free-slot list and
+//! bitsets of slots. Nothing is shifted or allocated per request. The work of a request scales with what it
+//! changed — the chips its commands moved and the requests it blocked —
+//! not with the queue depth times the chip count.
 //!
-//! * **Submit and complete are one pass over `lo`/`hi`.** Submit counts the
-//!   new request's *blockers* (earlier, still-queued requests sharing a
-//!   page; an empty range shares none, so free slots need no test) and
-//!   seeds `earliest = max(submit, dependencies)` from the at most `qd`
-//!   in-flight `(completion, range)` entries; complete raises `earliest`
-//!   and releases one blocker in every overlapping slot — and skips the
-//!   pass while nothing is blocked. A request is eligible iff its count is
-//!   zero. No per-LPA table is needed: a request leaves the in-flight list
-//!   only at a submission that first raises the clock to its completion,
-//!   and the clock never falls, so every forgotten completion is already
-//!   in `earliest` through `submit`.
-//! * **Dispatch is a min over the dense `score` array**, ties to `seq`. On
+//! * **Submit is one pass over `lo`/`hi` and one over the in-flight
+//!   list.** The first counts the new request's *blockers* (earlier,
+//!   still-queued requests sharing a page; an empty range shares none, so
+//!   free slots need no test); the second finds both the oldest completion,
+//!   which retires when the window is full, and the latest overlapping one,
+//!   which seeds `earliest = max(submit, dependencies)`. A write's tag
+//!   offset is numbered here, in submission order. No per-LPA table is
+//!   needed: a request leaves the in-flight list only at a submission that
+//!   first raises the clock to its completion, and the clock never falls,
+//!   so every forgotten completion is already in `earliest` through
+//!   `submit`.
+//! * **Complete visits only the blocked slots** (a bitset beside `fresh`
+//!   and `frontier`): the completed request was eligible, so every slot it
+//!   overlaps was submitted after it and counted it. It raises their
+//!   `earliest` and releases one blocker each; a request is eligible iff
+//!   its count is zero.
+//! * **Dispatch is a min over `score` in submission order**: the first
+//!   slot holding the lowest score wins, which is `(score, seq)` order
+//!   without a sequence number, and the list unlinks the winner. On
 //!   the chip-aware path ([`Scheduler::take_dispatch_chips`]) scores are
 //!   *maintained*: a read is scored from scratch once, when it first
-//!   becomes eligible — which is also when the driver resolves its *token*,
-//!   the set of chips holding its mapped pages — and joins its chips'
-//!   waiter sets; from then on only a chip whose busy-until **moved since
-//!   the last pass** touches its waiters (`score = max(score, free_at[c])`).
-//!   Queued writes all wait on the allocation frontier's chip and are
-//!   rescored as a class. No L2P entry is read during a pass. The
-//!   closure-hinted [`Scheduler::take_dispatch`] scores every eligible slot
-//!   afresh (devices wider than the 64-bit token, direct timing).
+//!   becomes eligible — which is also when the driver resolves its
+//!   *token*, the set of chips holding its mapped pages — and joins its
+//!   chips' waiter sets; from then on only a chip the driver names in its
+//!   **moved** mask touches its waiters (`score = max(score, free_at(c))`),
+//!   and no other chip's busy-until is read. Queued writes all wait on the
+//!   allocation frontier's chip and are rescored as a class. No L2P entry
+//!   is read during a pass. The closure-hinted [`Scheduler::take_dispatch`]
+//!   scores every eligible slot afresh (devices wider than the 64-bit
+//!   token, direct timing).
 //!
 //! A maintained score rests on three invariants:
 //!
 //! 1. **Busy-until is monotone**, so raising a waiter by the chips that
-//!    moved equals rescoring it. Not trusted silently: a chip that reads
-//!    *lower* than last pass rescans its waiters from all their chips.
+//!    moved equals rescoring it, and a chip that did not move leaves its
+//!    waiters' scores standing — the one the mask rests on. The driver owes
+//!    a mask naming every chip whose busy-until changed since the last pass
+//!    (a superset is fine; the emulator's executor sets a chip's bit on
+//!    every reservation and all of them on a power-on or a restored
+//!    checkpoint), and the first pass reads every chip. Monotonicity is not
+//!    trusted silently: a moved chip that reads *lower* than last pass
+//!    rescans its waiters from all their chips.
 //! 2. **`earliest` is fixed once eligible**: everything `complete` overlaps
 //!    counted the completed request, so it is still blocked.
 //! 3. **The token stays valid while its request waits**; the driver owns
@@ -228,13 +245,19 @@ pub struct Dispatch {
     /// availability) joined with the completion of every earlier request
     /// touching an overlapping logical page.
     pub earliest: Nanos,
+    /// A write's first page among the write pages submitted to this
+    /// scheduler, counted from zero in submission order: the driver adds
+    /// its own first content tag. Numbering at submission keeps the tags a
+    /// request returns independent of the queue depth. Zero for a read or a
+    /// trim.
+    pub tag: u64,
 }
 
 /// Score of a slot no dispatch pass may pick: free, blocked or unscored.
 const UNSCORED: Nanos = Nanos(u64::MAX);
 
-/// Blocker count of a free slot: never zero, so never eligible (an empty
-/// range overlaps nothing, so [`Scheduler::complete`] never decrements it).
+/// Blocker count of a free slot: never zero, so never eligible (a free slot
+/// is in no slot set, so [`Scheduler::complete`] never decrements it).
 const FREE: u32 = u32::MAX;
 
 /// The members of one word of a bitset whose bit 0 stands for `base`: the
@@ -247,17 +270,15 @@ fn members(base: usize, mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Dispatch order as one integer: lowest score first, ties to submission
-/// order. Scores tie often (every read waiting on one busy chip), so the
-/// tie-break rides in the key instead of in a branch that mispredicts.
-fn dispatch_key(score: Nanos, seq: u64) -> u128 {
-    u128::from(score.0) << 64 | u128::from(seq)
+/// The chips below `n` (at most 64), as a token.
+fn first_chips(n: usize) -> u64 {
+    u64::MAX.checked_shr(64 - n as u32).unwrap_or(0)
 }
 
 /// The latest busy-until among the chips in `token`; zero for the empty
 /// set, like a read of unmapped pages.
-fn latest_free(token: u64, free_at: &[Nanos]) -> Nanos {
-    members(0, token).map(|c| free_at[c]).max().unwrap_or(Nanos::ZERO)
+fn latest_free(token: u64, free_at: &impl Fn(usize) -> Nanos) -> Nanos {
+    members(0, token).map(free_at).max().unwrap_or(Nanos::ZERO)
 }
 
 /// Closed-loop out-of-order request scoreboard.
@@ -278,27 +299,32 @@ pub struct Scheduler {
     /// … the earlier-submitted requests with an overlapping range that are
     /// still queued (or mid-dispatch), counted at submission and released
     /// one by one as they [`Scheduler::complete`] (zero means eligible; a
-    /// free slot holds [`FREE`]), and how many slots have any; …
+    /// free slot holds [`FREE`]); …
     blockers: Vec<u32>,
-    blocked: usize,
     /// … the submission time joined with the completion of every dispatched
     /// request overlapping this one: seeded from `inflight` at submission
     /// and advanced by [`Scheduler::complete`]; …
     earliest: Vec<Nanos>,
-    /// … submission order (the tie-break), the maintained score, the hint
-    /// token (zero unless the slot is in its chips' `waiters`) and what
-    /// [`Dispatch`] hands back: `(idx, op, submit)`.
-    seq: Vec<u64>,
+    /// … the maintained score, the hint token (zero unless the slot is in
+    /// its chips' `waiters`) and what [`Dispatch`] hands back: `(idx, op,
+    /// submit, tag)`.
     score: Vec<Nanos>,
     token: Vec<u64>,
-    req: Vec<(usize, HostOp, Nanos)>,
+    req: Vec<(usize, HostOp, Nanos, u64)>,
+    /// The queued slots in submission order (the tie-break), as a list
+    /// threaded through the slots: `next[i]` follows slot `i`, entry `qd`
+    /// is the list's head, and the last queued slot (`tail`, or `qd` when
+    /// none is queued) points back at it. Beside it, the free slots.
+    next: Vec<usize>,
+    tail: usize,
     free: Vec<usize>,
     /// Slot sets of `qd.div_ceil(64)` words each: the eligible requests no
-    /// chip-aware pass has scored yet, the scored writes, and — per chip,
-    /// sized by the first such pass — the scored reads waiting on it,
-    /// beside its busy-until as the last pass read it.
+    /// chip-aware pass has scored yet, the scored writes, the blocked
+    /// requests, and — per chip, sized by the first such pass — the scored
+    /// reads waiting on it, beside its busy-until as the last pass read it.
     fresh: Vec<u64>,
     frontier: Vec<u64>,
+    blocked: Vec<u64>,
     waiters: Vec<u64>,
     last_free: Vec<Nanos>,
     /// Completion time and LPA range `[lo, hi)` of every
@@ -310,8 +336,9 @@ pub struct Scheduler {
     /// Monotone submission clock (a slot freed in the past cannot admit a
     /// request before one admitted earlier).
     submit_clock: Nanos,
-    /// Total requests ever submitted.
-    submitted: u64,
+    /// Pages of every write submitted so far: the next write's
+    /// [`Dispatch::tag`].
+    write_pages: u64,
     /// High-water mark of outstanding requests (diagnostics).
     max_outstanding: usize,
 }
@@ -331,21 +358,22 @@ impl Scheduler {
             lo: vec![0; qd],
             hi: vec![0; qd],
             blockers: vec![FREE; qd],
-            blocked: 0,
             earliest: vec![Nanos::ZERO; qd],
-            seq: vec![0; qd],
             score: vec![UNSCORED; qd],
             token: vec![0; qd],
-            req: vec![(0, HostOp::Trim { lpa: 0, npages: 0 }, Nanos::ZERO); qd],
+            req: vec![(0, HostOp::Trim { lpa: 0, npages: 0 }, Nanos::ZERO, 0); qd],
+            next: vec![qd; qd + 1],
+            tail: qd,
             free: (0..qd).rev().collect(),
             fresh: vec![0; qd.div_ceil(64)],
             frontier: vec![0; qd.div_ceil(64)],
+            blocked: vec![0; qd.div_ceil(64)],
             waiters: Vec::new(),
             last_free: Vec::new(),
-            inflight: Vec::new(),
+            inflight: Vec::with_capacity(qd),
             dispatched: None,
             submit_clock: Nanos::ZERO,
-            submitted: 0,
+            write_pages: 0,
             max_outstanding: 0,
         }
     }
@@ -358,6 +386,12 @@ impl Scheduler {
     /// Largest number of requests that were ever outstanding at once.
     pub fn max_outstanding(&self) -> usize {
         self.max_outstanding
+    }
+
+    /// Pages of every write submitted so far (the tags the driver handed
+    /// out, counted from its first).
+    pub(crate) fn write_pages(&self) -> u64 {
+        self.write_pages
     }
 
     /// Tries to admit trace entry `idx` into the device queue. Returns
@@ -392,22 +426,30 @@ impl Scheduler {
     ) -> Result<bool, SubmitError> {
         let (lpa, n) = op.lpa_range();
         let hi = check_lpa_range(lpa, n, self.logical_pages)?;
-        let mut retired = Nanos::ZERO;
+        // One pass over the in-flight list: the earliest completion (the
+        // first of equals), which retires when the window is full, and the
+        // latest overlapping one. Counting the retiring entry is harmless:
+        // it completes at or before the clock it raises.
+        let (mut oldest, mut deps) = (None, Nanos::ZERO);
+        for (k, &(done, l, h)) in self.inflight.iter().enumerate() {
+            if oldest.is_none_or(|(_, t)| done < t) {
+                oldest = Some((k, done));
+            }
+            if ranges_overlap((l, h), (lpa, hi)) {
+                deps = deps.max(done);
+            }
+        }
         if self.outstanding() >= self.qd {
             // Retire the earliest-completing in-flight request to free a
             // slot; with none in flight the queue is all undispatched
             // work and submission must wait.
-            let Some(min_at) =
-                self.inflight.iter().enumerate().min_by_key(|&(_, t)| t.0).map(|(i, _)| i)
-            else {
+            let Some((k, retired)) = oldest else {
                 return Ok(false);
             };
-            retired = self.inflight.swap_remove(min_at).0;
+            self.inflight.swap_remove(k);
             self.submit_clock = self.submit_clock.max(retired);
         }
         self.submit_clock = self.submit_clock.max(arrival);
-        // What lets `deps_of` forget retired requests (see the cost model).
-        debug_assert!(retired <= self.submit_clock, "retired {retired:?} above the clock");
         // Everything still in a slot was submitted earlier. A request
         // mid-dispatch counts too: its `complete` releases every
         // overlapping slot it finds, this one included.
@@ -418,11 +460,19 @@ impl Scheduler {
         }
         let i = self.free.pop().expect("fewer than qd outstanding leaves a free slot");
         (self.lo[i], self.hi[i], self.blockers[i]) = (lpa, hi, blockers);
-        self.earliest[i] = self.submit_clock.max(self.deps_of(lpa, hi));
-        (self.seq[i], self.req[i]) = (self.submitted, (idx, op, self.submit_clock));
-        self.fresh[i / 64] |= u64::from(blockers == 0) << (i % 64);
-        self.blocked += usize::from(blockers != 0);
-        self.submitted += 1;
+        // What lets the in-flight list forget retired requests: every one
+        // completed at or before the clock (see the cost model).
+        self.earliest[i] = self.submit_clock.max(deps);
+        let tag = if let HostOp::Write { npages, .. } = op {
+            self.write_pages += npages;
+            self.write_pages - npages
+        } else {
+            0
+        };
+        self.req[i] = (idx, op, self.submit_clock, tag);
+        (self.next[i], self.next[self.tail], self.tail) = (self.qd, i, i);
+        let set = if blockers == 0 { &mut self.fresh } else { &mut self.blocked };
+        set[i / 64] |= 1 << (i % 64);
         self.max_outstanding = self.max_outstanding.max(self.outstanding());
         Ok(true)
     }
@@ -444,20 +494,25 @@ impl Scheduler {
     /// Panics if the previous dispatch was not [`Scheduler::complete`]d.
     pub fn take_dispatch<F: Fn(&HostOp) -> Nanos>(&mut self, chip_hint: F) -> Option<Dispatch> {
         assert!(self.dispatched.is_none(), "previous dispatch not completed");
-        let (mut best, mut low) = (None, u128::MAX);
-        for i in (0..self.qd).filter(|&i| self.blockers[i] == 0) {
-            let score = self.earliest[i].max(chip_hint(&self.req[i].1));
-            let key = dispatch_key(score, self.seq[i]);
-            (best, low) = if key < low || best.is_none() { (Some(i), key) } else { (best, low) };
+        let mut best: Option<((usize, usize), Nanos)> = None;
+        for (prev, i) in self.queued() {
+            if self.blockers[i] == 0 {
+                let score = self.earliest[i].max(chip_hint(&self.req[i].1));
+                if best.is_none_or(|(_, low)| score < low) {
+                    best = Some(((prev, i), score));
+                }
+            }
         }
-        best.map(|i| self.take(i))
+        best.map(|((prev, i), _)| self.take(prev, i))
     }
 
     /// [`Scheduler::take_dispatch`] for a driver whose hint is the
     /// busy-until of chips: a read waits on the chips in its *token*
     /// (bit `c` is chip `c`), a write on `write_chip` (the allocation
-    /// frontier), a trim on none, and `free_at[c]` is chip `c`'s busy-until
-    /// now. `resolve` computes a read's token once, the first time the read
+    /// frontier), a trim on none. `free_at(c)` is chip `c`'s busy-until now,
+    /// for `c` below `n_chips`, and `moved` holds (at least) every chip whose
+    /// busy-until changed since the last pass; the first pass reads them
+    /// all. `resolve` computes a read's token once, the first time the read
     /// is seen eligible; from then on its score is maintained, not
     /// recomputed — see the module's cost model for the invariants that
     /// buys it, and [`Scheduler::drop_hint_cache`] for when they break.
@@ -466,31 +521,39 @@ impl Scheduler {
     ///
     /// Panics if the previous dispatch was not [`Scheduler::complete`]d,
     /// and — naming the request's index — on a token bit or a `write_chip`
-    /// at or beyond `free_at.len()`.
+    /// at or beyond `n_chips`.
     pub fn take_dispatch_chips(
         &mut self,
-        free_at: &[Nanos],
+        n_chips: usize,
+        free_at: impl Fn(usize) -> Nanos,
+        moved: u64,
         write_chip: usize,
         mut resolve: impl FnMut(&HostOp) -> u64,
     ) -> Option<Dispatch> {
         assert!(self.dispatched.is_none(), "previous dispatch not completed");
-        let (words, n_chips) = (self.fresh.len(), free_at.len());
-        if self.last_free.len() != n_chips {
-            self.last_free = vec![Nanos::ZERO; n_chips];
-            self.waiters = vec![0; n_chips * words];
+        // Only the first 64 chips can appear in a token, so only they can
+        // have waiters; the first pass reads every one of them.
+        let (words, tracked) = (self.fresh.len(), n_chips.min(64));
+        let chips = first_chips(tracked);
+        let mut moved = moved & chips;
+        if self.last_free.len() != tracked {
+            self.last_free = vec![Nanos::ZERO; tracked];
+            self.waiters = vec![0; tracked * words];
             self.drop_hint_cache();
+            moved = chips;
         }
-        for (c, (&now, last)) in free_at.iter().zip(&mut self.last_free).enumerate() {
-            if now == *last {
+        for c in members(0, moved) {
+            let now = free_at(c);
+            let last = std::mem::replace(&mut self.last_free[c], now);
+            if now == last {
                 continue;
             }
             // Monotone busy-until makes the raise exact; a chip that went
             // backwards rescans its waiters from all their chips instead.
-            let regressed = now < std::mem::replace(last, now);
             for (w, &word) in self.waiters[c * words..][..words].iter().enumerate() {
                 for i in members(w * 64, word) {
-                    self.score[i] = if regressed {
-                        self.earliest[i].max(latest_free(self.token[i], free_at))
+                    self.score[i] = if now < last {
+                        self.earliest[i].max(latest_free(self.token[i], &free_at))
                     } else {
                         self.score[i].max(now)
                     };
@@ -499,7 +562,7 @@ impl Scheduler {
         }
         for w in 0..words {
             for i in members(w * 64, std::mem::take(&mut self.fresh[w])) {
-                let (idx, op, _) = self.req[i];
+                let (idx, op, ..) = self.req[i];
                 self.score[i] = self.earliest[i];
                 match op {
                     HostOp::Trim { .. } => {}
@@ -507,34 +570,54 @@ impl Scheduler {
                     HostOp::Read { .. } => {
                         let token = resolve(&op);
                         assert!(
-                            n_chips >= 64 || token >> n_chips == 0,
+                            token & !chips == 0,
                             "request {idx}: hint token {token:#x} names a chip beyond the {n_chips} given"
                         );
                         self.token[i] = token;
-                        self.score[i] = self.earliest[i].max(latest_free(token, free_at));
+                        self.score[i] = self.earliest[i].max(latest_free(token, &free_at));
                         self.flip_waiter(i);
                     }
                 }
             }
             for i in members(w * 64, self.frontier[w]) {
                 let idx = self.req[i].0;
-                let frontier = free_at.get(write_chip).unwrap_or_else(|| {
-                    panic!("request {idx}: write chip {write_chip} is beyond the {n_chips} given")
-                });
-                self.score[i] = self.earliest[i].max(*frontier);
+                assert!(
+                    write_chip < n_chips,
+                    "request {idx}: write chip {write_chip} is beyond the {n_chips} given"
+                );
+                self.score[i] = self.earliest[i].max(free_at(write_chip));
             }
         }
-        let (mut best, mut low) = (0, u128::MAX);
-        for (i, (&score, &seq)) in self.score.iter().zip(&self.seq).enumerate() {
-            let key = dispatch_key(score, seq);
-            (best, low) = if key < low { (i, key) } else { (best, low) };
+        // The lowest score, ties to the oldest: the first minimum in
+        // submission order. A blocked slot reads `UNSCORED` and never wins.
+        // (The walk is spelled out: it is the pass's one chain of dependent
+        // loads, and an iterator adapter over it measured slower.)
+        let (mut best, mut low) = ((self.qd, self.qd), UNSCORED);
+        let (mut prev, mut i) = (self.qd, self.next[self.qd]);
+        while i != self.qd {
+            if self.score[i] < low {
+                (best, low) = ((prev, i), self.score[i]);
+            }
+            (prev, i) = (i, self.next[i]);
         }
-        if self.score[best] == UNSCORED {
-            // Nothing is eligible — or every eligible request has the one
-            // score that ties with the free and blocked slots.
-            best = (0..self.qd).filter(|&i| self.blockers[i] == 0).min_by_key(|&i| self.seq[i])?;
-        }
-        Some(self.take(best))
+        // Nothing is eligible — or every eligible request has the one score
+        // that ties with the blocked slots.
+        let (prev, i) = if low < UNSCORED {
+            best
+        } else {
+            self.queued().find(|&(_, i)| self.blockers[i] == 0)?
+        };
+        Some(self.take(prev, i))
+    }
+
+    /// The queued slots in submission order, each with the one before it
+    /// (`qd` for the first).
+    fn queued(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut prev = self.qd;
+        std::iter::from_fn(move || {
+            let i = self.next[prev];
+            (i != self.qd).then(|| (std::mem::replace(&mut prev, i), i))
+        })
     }
 
     /// Flips slot `i`'s membership in the waiter set of every chip in its
@@ -545,17 +628,22 @@ impl Scheduler {
         }
     }
 
-    /// Empties slot `i` into the pending dispatch.
-    fn take(&mut self, i: usize) -> Dispatch {
+    /// Empties queued slot `i`, which follows `prev` in submission order,
+    /// into the pending dispatch.
+    fn take(&mut self, prev: usize, i: usize) -> Dispatch {
+        self.next[prev] = self.next[i];
+        if self.tail == i {
+            self.tail = prev;
+        }
         self.flip_waiter(i);
         self.fresh[i / 64] &= !(1 << (i % 64));
         self.frontier[i / 64] &= !(1 << (i % 64));
-        let (idx, op, submit) = self.req[i];
+        let (idx, op, submit, tag) = self.req[i];
         self.dispatched = Some((self.lo[i], self.hi[i]));
         (self.lo[i], self.hi[i], self.blockers[i]) = (0, 0, FREE);
         (self.score[i], self.token[i]) = (UNSCORED, 0);
         self.free.push(i);
-        Dispatch { idx, op, submit, earliest: self.earliest[i] }
+        Dispatch { idx, op, submit, earliest: self.earliest[i], tag }
     }
 
     /// Forgets every queued request's hint token and score, so the next
@@ -592,29 +680,21 @@ impl Scheduler {
         // Advance the dependency time of every queued request the completed
         // one overlaps, and release it as their blocker. The completed
         // request was eligible, so everything it overlaps was submitted
-        // after it and counted it — and is therefore still unscored.
-        for i in 0..if self.blocked == 0 { 0 } else { self.qd } {
-            if ranges_overlap((self.lo[i], self.hi[i]), (lo, hi)) {
-                self.earliest[i] = self.earliest[i].max(done);
-                debug_assert!(self.blockers[i] > 0, "request {} uncounted", self.req[i].0);
-                self.blockers[i] -= 1;
-                if self.blockers[i] == 0 {
-                    self.fresh[i / 64] |= 1 << (i % 64);
-                    self.blocked -= 1;
+        // after it and counted it: only blocked slots can overlap it, and
+        // they are unscored.
+        for w in 0..self.blocked.len() {
+            for i in members(w * 64, self.blocked[w]) {
+                if ranges_overlap((self.lo[i], self.hi[i]), (lo, hi)) {
+                    self.earliest[i] = self.earliest[i].max(done);
+                    self.blockers[i] -= 1;
+                    if self.blockers[i] == 0 {
+                        self.blocked[w] &= !(1 << (i % 64));
+                        self.fresh[w] |= 1 << (i % 64);
+                    }
                 }
             }
         }
         self.inflight.push((done, lo, hi));
-    }
-
-    /// Completion time of the latest in-flight request overlapping `[lo,
-    /// hi)`. Every retired one completed at or before the submission clock,
-    /// which `earliest` already includes, so this equals the latest of
-    /// *every* dispatched request overlapping it.
-    fn deps_of(&self, lo: Lpa, hi: Lpa) -> Nanos {
-        let overlapping =
-            self.inflight.iter().filter(|&&(_, l, h)| ranges_overlap((l, h), (lo, hi)));
-        overlapping.map(|&(done, ..)| done).max().unwrap_or(Nanos::ZERO)
     }
 
     /// Simulated completion time of the whole run: the latest in-flight
@@ -874,6 +954,18 @@ mod tests {
         HostOp::Read { lpa, npages: 1 }
     }
 
+    /// A chip-aware pass over the busy-until table `free_at`, naming the
+    /// chips in `moved` as the ones that moved.
+    fn chips_pass(
+        s: &mut Scheduler,
+        free_at: &[Nanos],
+        moved: u64,
+        write_chip: usize,
+        resolve: impl FnMut(&HostOp) -> u64,
+    ) -> Option<Dispatch> {
+        s.take_dispatch_chips(free_at.len(), |c| free_at[c], moved, write_chip, resolve)
+    }
+
     #[test]
     fn hint_tokens_resolve_once_until_dropped() {
         let mut s = Scheduler::new(4, 100);
@@ -884,7 +976,7 @@ mod tests {
         let mut pass = |s: &mut Scheduler| {
             // Each read waits on the chip its LPA names: 0, 1 and 2, ever busier.
             let free_at = [1, 2, 3, 4].map(Nanos::from_micros);
-            let d = s.take_dispatch_chips(&free_at, 3, |op| {
+            let d = chips_pass(s, &free_at, u64::MAX, 3, |op| {
                 resolved += 1;
                 1 << (op.lpa_range().0 / 10)
             });
@@ -905,7 +997,7 @@ mod tests {
         assert!(s.try_submit(2, HostOp::Trim { lpa: 20, npages: 1 }).unwrap());
         let mut free_at = [9, 5, 7].map(Nanos::from_micros);
         let pass = |s: &mut Scheduler, free_at: &[Nanos], write_chip| {
-            let d = s.take_dispatch_chips(free_at, write_chip, |_| 0b110).unwrap();
+            let d = chips_pass(s, free_at, u64::MAX, write_chip, |_| 0b110).unwrap();
             s.complete(Nanos::from_micros(1));
             d.idx
         };
@@ -927,14 +1019,62 @@ mod tests {
         assert!(s.try_submit(2, r(20)).unwrap()); // chip 2
         let tokens = |op: &HostOp| [0b011, 0b100, 0b100][(op.lpa_range().0 / 10) as usize];
         let us = |t: [u64; 3]| t.map(Nanos::from_micros);
-        assert_eq!(s.take_dispatch_chips(&us([8, 3, 5]), 0, tokens).unwrap().idx, 1);
+        assert_eq!(chips_pass(&mut s, &us([8, 3, 5]), u64::MAX, 0, tokens).unwrap().idx, 1);
         s.complete(Nanos::from_micros(1));
         let scores = |s: &Scheduler| s.scored().map(|(_, _, score)| score.0).collect::<Vec<_>>();
         assert_eq!(scores(&s), [8_000, 5_000]);
-        // Chip 0 goes backwards: request 0 falls to its other chip's time,
-        // which a `max` alone could never reach, and now wins.
-        assert_eq!(s.take_dispatch_chips(&us([2, 3, 5]), 0, tokens).unwrap().idx, 0);
+        // Chip 0 goes backwards, its bit set: request 0 falls to its other
+        // chip's time, which a `max` alone could never reach, and now wins.
+        assert_eq!(chips_pass(&mut s, &us([2, 3, 5]), 0b001, 0, tokens).unwrap().idx, 0);
         assert_eq!(scores(&s), [5_000]);
+    }
+
+    #[test]
+    fn a_chip_whose_bit_is_clear_is_not_rescored() {
+        let mut s = Scheduler::new(4, 100);
+        for i in 0..3 {
+            assert!(s.try_submit(i, r(10 * i as u64)).unwrap());
+        }
+        // Request `i` reads chip `i`; the first pass reads every chip.
+        let tokens = |op: &HostOp| 1 << (op.lpa_range().0 / 10);
+        let us = |t: [u64; 3]| t.map(Nanos::from_micros);
+        assert_eq!(chips_pass(&mut s, &us([1, 6, 7]), 0, 0, tokens).unwrap().idx, 0);
+        s.complete(Nanos::from_micros(1));
+        let scores = |s: &Scheduler| s.scored().map(|(_, _, score)| score.0).collect::<Vec<_>>();
+        assert_eq!(scores(&s), [6_000, 7_000]);
+        // Both chips move; only chip 2's bit says so. Chip 1's waiter keeps
+        // the score the last pass gave it, and wins on it.
+        let read = std::cell::Cell::new(0u64);
+        let free_at = |c: usize| {
+            read.set(read.get() | 1 << c);
+            us([1, 9, 8])[c]
+        };
+        let d = s.take_dispatch_chips(3, free_at, 0b100, 0, tokens);
+        assert_eq!((d.unwrap().idx, read.get()), (1, 0b100), "chip 1 was never read");
+        assert_eq!(scores(&s), [8_000]);
+        s.complete(Nanos::from_micros(2));
+        assert_eq!(chips_pass(&mut s, &us([1, 9, 8]), 0, 0, tokens).unwrap().idx, 2);
+    }
+
+    #[test]
+    fn complete_visits_only_the_blocked_slots() {
+        let mut s = Scheduler::new(4, 100);
+        assert!(s.try_submit(0, w(3, 2)).unwrap());
+        assert!(s.try_submit(1, w(4, 1)).unwrap(), "blocked by request 0");
+        assert!(s.try_submit(2, w(50, 1)).unwrap(), "eligible");
+        let d = s.take_dispatch(|_| Nanos::ZERO).unwrap();
+        assert_eq!(d.idx, 0);
+        // Give the eligible request 0's range behind the scoreboard's back:
+        // a completion that scanned every slot would release (and underflow)
+        // its zero blocker count and move its start.
+        let slot = |s: &Scheduler, idx| s.queued().map(|(_, i)| i).find(|&i| s.req[i].0 == idx);
+        let eligible = slot(&s, 2).unwrap();
+        (s.lo[eligible], s.hi[eligible]) = (3, 5);
+        s.complete(Nanos::from_micros(700));
+        assert_eq!((s.blockers[eligible], s.earliest[eligible]), (0, Nanos::ZERO));
+        let blocked = slot(&s, 1).unwrap();
+        assert_eq!((s.blockers[blocked], s.earliest[blocked]), (0, Nanos::from_micros(700)));
+        assert!(s.blocked.iter().all(|&word| word == 0), "released: no longer blocked");
     }
 
     #[test]
@@ -942,7 +1082,7 @@ mod tests {
     fn a_token_naming_a_chip_out_of_range_panics_with_the_request_index() {
         let mut s = Scheduler::new(2, 100);
         assert!(s.try_submit(7, r(0)).unwrap());
-        s.take_dispatch_chips(&[Nanos::ZERO; 4], 0, |_| 1 << 4);
+        chips_pass(&mut s, &[Nanos::ZERO; 4], u64::MAX, 0, |_| 1 << 4);
     }
 
     #[test]
@@ -950,7 +1090,7 @@ mod tests {
     fn a_write_chip_out_of_range_panics_with_the_request_index() {
         let mut s = Scheduler::new(2, 100);
         assert!(s.try_submit(9, w(0, 1)).unwrap());
-        s.take_dispatch_chips(&[Nanos::ZERO; 4], 4, |_| 0);
+        chips_pass(&mut s, &[Nanos::ZERO; 4], u64::MAX, 4, |_| 0);
     }
 
     #[test]
@@ -960,7 +1100,7 @@ mod tests {
         assert!(s.try_submit(0, w(0, 1)).unwrap());
         assert!(s.try_submit(1, w(1, 1)).unwrap());
         s.take_dispatch(|_| Nanos::ZERO).unwrap();
-        s.take_dispatch_chips(&[Nanos::ZERO], 0, |_| 0);
+        chips_pass(&mut s, &[Nanos::ZERO], u64::MAX, 0, |_| 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Differential test of the flat page store.
 //!
-//! `nand::Chip` keeps a chip's pages as one state byte and one packed
-//! four-word record per page, `core::EvanescoChip` its pAP flags as one
+//! `nand::Chip` keeps a chip's pages as one state byte, one content tag
+//! and one packed three-word spare-area record per page, `core::EvanescoChip` its pAP flags as one
 //! byte column, both indexed `block * pages_per_block + page`; every read
 //! is one sense-and-gate followed by a view. None of that may be visible.
 //! The model below is the obvious thing instead — a `Vec<Vec<PageContent>>`
@@ -210,6 +210,13 @@ fn apply_raw(raw: &mut Chip, op: &Op) -> Result<(), NandError> {
     }
 }
 
+/// What a data read serves of `d`: its tag and payload, without the spare
+/// area (the harness makes every payload with `with_payload`, whose tag is
+/// the payload's hash).
+fn data_area(d: &PageData) -> PageData {
+    d.payload().map_or(PageData::tagged(d.tag()), PageData::with_payload)
+}
+
 fn reencodes_identically(raw: &Chip, ev: &EvanescoChip) {
     let mut e = Enc::new();
     raw.encode_state(&mut e);
@@ -257,8 +264,10 @@ fn run(ops: &[Op]) {
                 let ppa = Ppa::new(b, p);
                 let content = &model.pages[b as usize][p as usize];
                 let locked = model.bap[b as usize] || model.pap[b as usize][p as usize];
+                // A data read serves the data area: the spare area is
+                // `oob_at`'s and `content_at`'s.
                 let served = match content {
-                    PageContent::Data(d) => Some(d.clone()),
+                    PageContent::Data(d) => Some(data_area(d)),
                     _ => None,
                 };
 
@@ -414,5 +423,37 @@ fn every_slot_state_under_every_lock_state() {
         ops.push(Op::TornErase(BlockId(1), 0.2));
         ops.push(Op::Erase(BlockId(1)));
         run(&ops);
+    }
+}
+
+/// Both executors' page read is the controller's data read: the tag (and
+/// payload), never the spare area, while the recovery scan's `read_oob` and
+/// the attacker's interface read still return the OOB of the same page.
+#[test]
+fn an_executor_read_carries_no_oob_while_the_spare_area_views_do() {
+    use evanesco::ftl::executor::{MemExecutor, NandExecutor};
+    use evanesco::ftl::GlobalPpa;
+    use evanesco::ssd::device::TimedExecutor;
+    use evanesco::ssd::SsdConfig;
+
+    let oob = PageOob { lpa: 11, secure: true, seq: 5 };
+    let at = GlobalPpa::new(0, Ppa::new(0, 0));
+    let cfg = SsdConfig::tiny_for_tests();
+    let mut mem = MemExecutor::new(cfg.ftl.geometry, cfg.n_chips());
+    let mut timed = TimedExecutor::new(&cfg);
+    for data in [PageData::tagged(42), PageData::with_payload(b"record")] {
+        let stamped = data.clone().with_oob(oob);
+        let executors: [&mut dyn NandExecutor; 2] = [&mut mem, &mut timed];
+        for ex in executors {
+            ex.erase(0, BlockId(0));
+            ex.program(at, stamped.clone());
+            let got = ex.read(at).expect("a programmed, exposed page");
+            assert_eq!((got.oob(), &got), (None, &data), "the read serves the data area only");
+        }
+        for chip in [&mut mem.chips_mut()[0], &mut timed.chips_mut()[0]] {
+            assert_eq!(chip.read_oob(at.ppa).expect("in range"), Some(oob));
+            let content = chip.read(at.ppa).expect("in range").result;
+            assert_eq!(content, ReadResult::Content(PageContent::Data(stamped.clone())));
+        }
     }
 }

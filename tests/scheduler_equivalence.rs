@@ -290,14 +290,25 @@ fn waits_on(salt: u64, op: &HostOp, n_chips: usize, write_chip: usize) -> u64 {
     }
 }
 
+/// Sets chip `c`'s busy-until to `f` of it, and its bit in `moved` if that
+/// changed it.
+fn move_chip(free_at: &mut [Nanos], moved: &mut u64, c: usize, f: impl FnOnce(Nanos) -> Nanos) {
+    let t = f(free_at[c]);
+    *moved |= u64::from(t != free_at[c]) << c;
+    free_at[c] = t;
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// The scoreboard's only licence to be incremental: it picks what the
     /// reference rule picks, at every step, whatever the hints say — on the
     /// closure-hinted path, which scores every candidate afresh, and on the
-    /// chip-aware one, which maintains scores across passes while the
-    /// reference scores every request from scratch at every step.
+    /// chip-aware one, which maintains scores across passes from the chips
+    /// it is told moved (some of them lower than before) while the
+    /// reference scores every request from scratch at every step. Queue
+    /// depth 130 spans three words, so the submission order and the slot
+    /// sets cross word boundaries.
     #[test]
     fn incremental_scoreboard_matches_the_reference_rule(
         ops in proptest::collection::vec(crowded_op(), 1..160),
@@ -318,6 +329,9 @@ proptest! {
             max_outstanding: 0,
         };
         let mut free_at = vec![Nanos::ZERO; n_chips];
+        // The chips whose busy-until the test changed since the last pass:
+        // exactly what the scoreboard is told, no more.
+        let mut moved = 0u64;
         let (mut next, mut pass) = (0usize, 0u64);
         loop {
             // Bursts of random size leave the window part-full at random.
@@ -344,15 +358,23 @@ proptest! {
             };
             let (got, want) = if chip_aware {
                 // A few chips get busier each pass, in coarse steps so scores
-                // tie often; the frontier wanders; nothing ever goes back.
-                for (c, t) in free_at.iter_mut().enumerate() {
+                // tie often; the frontier wanders.
+                for c in 0..n_chips {
                     if mix(salt ^ 5, pass * 64 + c as u64).is_multiple_of(3) {
-                        *t += Nanos(mix(salt ^ 6, pass * 64 + c as u64) % 4 * 30_000);
+                        let step = Nanos(mix(salt ^ 6, pass * 64 + c as u64) % 4 * 30_000);
+                        move_chip(&mut free_at, &mut moved, c, |t| t + step);
                     }
                 }
+                // Now and then a chip reads lower than last pass (as after a
+                // restored checkpoint): its waiters must fall back with it.
+                if mix(salt ^ 8, pass).is_multiple_of(5) {
+                    let c = mix(salt ^ 9, pass) as usize % n_chips;
+                    move_chip(&mut free_at, &mut moved, c, |t| Nanos(t.0 / 2));
+                }
                 let resolve = |op: &HostOp| chip_set(salt, op, n_chips);
+                let moved = std::mem::take(&mut moved);
                 (
-                    sched.take_dispatch_chips(&free_at, write_chip, resolve),
+                    sched.take_dispatch_chips(n_chips, |c| free_at[c], moved, write_chip, resolve),
                     reference.take_dispatch(|op| chip_hint(op, &free_at)),
                 )
             } else {
@@ -371,9 +393,9 @@ proptest! {
             let held = waits_on(salt, &ops[idx], n_chips, write_chip);
             let done =
                 earliest.max(chip_hint(&ops[idx], &free_at)) + Nanos(mix(salt ^ 2, pass) % 900_000);
-            for (c, t) in free_at.iter_mut().enumerate() {
+            for c in 0..n_chips {
                 if held >> c & 1 == 1 {
-                    *t = (*t).max(done);
+                    move_chip(&mut free_at, &mut moved, c, |t| t.max(done));
                 }
             }
             sched.complete(done);
