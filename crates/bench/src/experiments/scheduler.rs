@@ -84,7 +84,6 @@ pub struct SchedulerReport {
 pub fn sched_config(scale: &Scale) -> SsdConfig {
     let mut cfg = scale.ssd_config();
     if scale.tiny_blocks {
-        cfg.chips_per_channel = 4;
         cfg.ftl.chips_per_channel = 4;
         cfg.ftl.n_chips = 8;
     }

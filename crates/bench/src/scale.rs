@@ -8,10 +8,8 @@
 //! scaling (the block-shape-dependent effects — relocation cost per
 //! sanitization, bLock batching — are preserved exactly).
 
-use evanesco_ftl::FtlConfig;
-use evanesco_nand::cell::CellTech;
+use evanesco_ftl::{FtlConfig, ReliabilityConfig};
 use evanesco_nand::geometry::Geometry;
-use evanesco_nand::timing::TimingSpec;
 use evanesco_ssd::SsdConfig;
 
 /// Size knobs for the experiment suite.
@@ -79,30 +77,14 @@ impl Scale {
     /// The SSD configuration for system-level runs at this scale.
     pub fn ssd_config(&self) -> SsdConfig {
         if self.tiny_blocks {
-            let geometry = Geometry {
-                tech: CellTech::Tlc,
-                blocks: self.blocks_per_chip,
-                wordlines_per_block: 8,
-                page_bytes: 16 * 1024,
-                spare_bytes: 1024,
-            };
+            let tiny = FtlConfig::tiny_for_tests();
             let ftl = FtlConfig {
-                geometry,
-                n_chips: 2,
-                chips_per_channel: 1,
-                write_alloc: Default::default(),
-                lock_coalescing: false,
-                coalesce_window: 64,
+                geometry: Geometry { blocks: self.blocks_per_chip, ..tiny.geometry },
                 op_ratio: 0.125,
-                gc_free_threshold: 2,
-                block_min_plocks: 4,
-                eager_gc_erase: false,
-                gc_victim: Default::default(),
-                timing: TimingSpec::paper(),
-                faults: evanesco_ftl::config::FaultConfig::none(),
-                reliability: evanesco_ftl::config::ReliabilityConfig::paper(),
+                reliability: ReliabilityConfig::paper(),
+                ..tiny
             };
-            SsdConfig { channels: 2, chips_per_channel: 1, ftl }
+            SsdConfig { ftl }
         } else {
             SsdConfig::scaled(self.blocks_per_chip)
         }

@@ -68,10 +68,11 @@ pub struct FaultConfig {
     /// retry (retries re-sense with moved read references, so each attempt
     /// is easier than the last).
     pub read_retry_decay: f64,
-    /// Reference-shift retries the chip firmware attempts before declaring
-    /// the read uncorrectable and falling back to soft-decision recovery.
-    pub read_retry_budget: u32,
 }
+
+/// Reference-shift retries the chip firmware attempts before declaring a
+/// read uncorrectable and falling back to soft-decision recovery.
+pub const READ_RETRY_BUDGET: u32 = 4;
 
 impl FaultConfig {
     /// No faults: every command succeeds (the pre-reliability behavior).
@@ -84,7 +85,6 @@ impl FaultConfig {
             block_lock_fail: 0.0,
             read_unc: 0.0,
             read_retry_decay: 0.25,
-            read_retry_budget: 4,
         }
     }
 
@@ -100,7 +100,6 @@ impl FaultConfig {
             block_lock_fail: severity * 0.5,
             read_unc: severity * 0.1,
             read_retry_decay: 0.25,
-            read_retry_budget: 4,
         }
     }
 
@@ -121,7 +120,6 @@ impl FaultConfig {
             block_lock_fail: (plock * plock).clamp(0.0, 1.0),
             read_unc: unc_probability(rber, &EccModel::new()),
             read_retry_decay: 0.25,
-            read_retry_budget: 4,
         }
     }
 
@@ -395,7 +393,7 @@ impl FaultModel {
 
     /// Runs the read-retry ladder for one data read of `(block, page)`:
     /// draws the initial-sense hazard, then up to
-    /// [`FaultConfig::read_retry_budget`] reference-shift retries with the
+    /// [`READ_RETRY_BUDGET`] reference-shift retries with the
     /// failure probability decayed per attempt.
     pub fn read_outcome(&mut self, block: u32, page: u32) -> ReadReliability {
         if self.cfg.read_unc <= 0.0 {
@@ -403,16 +401,16 @@ impl FaultModel {
         }
         let n = self.ordinal(K_READ, block, page);
         let mut p = self.cfg.read_unc;
-        for attempt in 0..=self.cfg.read_retry_budget {
+        for attempt in 0..=READ_RETRY_BUDGET {
             if self.draw(K_READ, block, page, n, attempt) >= p {
                 self.stats.read_retries += u64::from(attempt);
                 return ReadReliability { retries: attempt, uncorrectable: false };
             }
             p *= self.cfg.read_retry_decay;
         }
-        self.stats.read_retries += u64::from(self.cfg.read_retry_budget);
+        self.stats.read_retries += u64::from(READ_RETRY_BUDGET);
         self.stats.unc_reads += 1;
-        ReadReliability { retries: self.cfg.read_retry_budget, uncorrectable: true }
+        ReadReliability { retries: READ_RETRY_BUDGET, uncorrectable: true }
     }
 }
 
@@ -688,12 +686,7 @@ mod tests {
 
     #[test]
     fn read_ladder_decays_and_counts() {
-        let cfg = FaultConfig {
-            read_unc: 1.0,
-            read_retry_decay: 0.0,
-            read_retry_budget: 4,
-            ..FaultConfig::none()
-        };
+        let cfg = FaultConfig { read_unc: 1.0, read_retry_decay: 0.0, ..FaultConfig::none() };
         let mut m = FaultModel::new(cfg, 0);
         // First sense always fails (p = 1.0); first retry always succeeds
         // (p decayed to 0).
@@ -706,7 +699,7 @@ mod tests {
         let mut m = FaultModel::new(cfg, 0);
         let out = m.read_outcome(0, 0);
         assert!(out.uncorrectable);
-        assert_eq!(out.retries, 4);
+        assert_eq!(out.retries, READ_RETRY_BUDGET);
         assert_eq!(m.stats().unc_reads, 1);
     }
 

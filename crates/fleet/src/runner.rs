@@ -19,6 +19,7 @@
 use crate::attribution::TenantAttribution;
 use crate::config::FleetConfig;
 use crate::qos::admission_order;
+use evanesco_nand::math::{fnv1a, FNV1A_OFFSET};
 use evanesco_nand::timing::Nanos;
 use evanesco_ssd::metrics::LatencyHistogram;
 use evanesco_ssd::{Emulator, GaugeSnapshot, HostOp, OpResult, Stage, VersionCounts};
@@ -109,15 +110,9 @@ pub struct FleetReport {
     pub fleet_digest: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Incremental FNV-1a over little-endian `u64`s.
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
+fn fnv_u64(h: u64, v: u64) -> u64 {
+    fnv1a(h, &v.to_le_bytes())
 }
 
 /// Folds one host-visible result into a digest with an unambiguous
@@ -249,7 +244,7 @@ pub fn run_device(cfg: &FleetConfig, device: usize, trace: &[TenantOp]) -> Devic
         }
     }
 
-    let results_digest = run.results.iter().fold(FNV_OFFSET, fnv_result);
+    let results_digest = run.results.iter().fold(FNV1A_OFFSET, fnv_result);
     let mut digest = results_digest;
     for c in &run.completions {
         digest = fnv_u64(digest, c.0);
@@ -299,7 +294,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         .iter()
         .map(|t| TenantFleetStats { name: t.name.clone(), ..TenantFleetStats::default() })
         .collect();
-    let mut fleet_digest = FNV_OFFSET;
+    let mut fleet_digest = FNV1A_OFFSET;
     for d in &devices {
         fleet_digest = fnv_u64(fleet_digest, d.digest);
         for (agg, dev) in tenants.iter_mut().zip(&d.tenants) {

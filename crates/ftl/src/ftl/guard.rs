@@ -32,6 +32,7 @@ use super::*;
 use evanesco_core::fault::{
     CorruptTarget, CorruptionConfig, CorruptionHit, CorruptionModel, CorruptionStats,
 };
+use evanesco_nand::math::{fnv1a, FNV1A_OFFSET};
 
 /// FNV-1a 64-bit accumulator for the table seals. Not cryptographic — the
 /// threat model is accidental bit corruption, not an adversary forging a
@@ -40,13 +41,11 @@ struct Seal(u64);
 
 impl Seal {
     fn new() -> Self {
-        Seal(0xcbf2_9ce4_8422_2325)
+        Seal(FNV1A_OFFSET)
     }
 
     fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, &v.to_le_bytes());
     }
 
     fn gppa(&mut self, at: GlobalPpa) {

@@ -136,11 +136,7 @@ impl PageData {
 
     /// A page with a real byte payload (tag is a cheap FNV-1a of the bytes).
     pub fn with_payload(bytes: &[u8]) -> Self {
-        let mut tag: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            tag ^= b as u64;
-            tag = tag.wrapping_mul(0x100_0000_01b3);
-        }
+        let tag = crate::math::fnv1a(crate::math::FNV1A_OFFSET, bytes);
         PageData { tag, oob: PackedOob::NONE, payload: Some(bytes.into()) }
     }
 

@@ -1,5 +1,5 @@
-//! Small numerical helpers: error function, Gaussian tail probabilities and
-//! Box–Muller normal sampling.
+//! Small numerical helpers: error function, Gaussian tail probabilities,
+//! Box–Muller normal sampling and the FNV-1a hash.
 //!
 //! Implemented in-crate (rather than pulling `libm`/`rand_distr`) to keep the
 //! dependency set to the approved list; accuracy of the Abramowitz–Stegun
@@ -96,6 +96,26 @@ pub fn mean(values: &[f64]) -> f64 {
 /// Maximum over a slice of floats. Returns 0.0 for an empty slice.
 pub fn max(values: &[f64]) -> f64 {
     values.iter().copied().fold(f64::MIN, f64::max).max(0.0)
+}
+
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit prime.
+pub const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continues the FNV-1a 64-bit hash `h` over `bytes`; start from
+/// [`FNV1A_OFFSET`]. The one hash behind page content tags, the FTL's
+/// table seals and the fleet and golden-test digests. Not cryptographic.
+///
+/// ```rust
+/// use evanesco_nand::math::{fnv1a, FNV1A_OFFSET};
+/// assert_eq!(fnv1a(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+/// assert_eq!(fnv1a(fnv1a(FNV1A_OFFSET, b"a"), b"b"), fnv1a(FNV1A_OFFSET, b"ab"));
+/// ```
+#[inline]
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV1A_PRIME))
 }
 
 #[cfg(test)]

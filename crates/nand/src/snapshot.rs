@@ -46,10 +46,13 @@ pub const MAGIC: &[u8; 8] = b"EVSCCKP1";
 /// * **6** — the FTL section drops the GC victim index (buckets, positions
 ///   and the lowest-bucket hint): GC picks its victim by scanning the
 ///   block table.
+/// * **7** — the configuration section drops the SSD's copy of the channel
+///   topology (the FTL's chip count and chips per channel state it) and
+///   the read-retry budget (a constant).
 ///
 /// Only the current version decodes; older blobs are rejected as
 /// unsupported: nothing outside this repository ever wrote one.
-pub const VERSION: u32 = 6;
+pub const VERSION: u32 = 7;
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding
 /// each framed checkpoint section. Detects every single-byte corruption
@@ -539,9 +542,9 @@ mod tests {
         let bytes = Enc::with_header().into_bytes();
         Dec::with_header(&bytes).unwrap();
         assert_eq!(Dec::with_header(b"NOTACKPT0000").unwrap_err(), SnapshotError::BadMagic);
-        // A future version, the retired formats 1 to 4, and zero are all
+        // A future version, the retired formats 1 to 6, and zero are all
         // refused.
-        for version in [0xFFu32, 4, 3, 2, 1, 0] {
+        for version in [0xFFu32, 6, 5, 4, 3, 2, 1, 0] {
             let mut bad = bytes.clone();
             bad[8..12].copy_from_slice(&version.to_le_bytes());
             let want = SnapshotError::UnsupportedVersion { found: version, supported: VERSION };

@@ -154,8 +154,6 @@ pub fn read_checkpoint_salvaging(
 /// Serializes the full device configuration.
 pub fn encode_config(cfg: &SsdConfig, e: &mut Enc) {
     e.tag(0x51);
-    e.u16(cfg.channels);
-    e.u16(cfg.chips_per_channel);
     let f = &cfg.ftl;
     f.geometry.encode_snapshot(e);
     e.usize(f.n_chips);
@@ -182,7 +180,6 @@ pub fn encode_config(cfg: &SsdConfig, e: &mut Enc) {
     e.f64(f.faults.block_lock_fail);
     e.f64(f.faults.read_unc);
     e.f64(f.faults.read_retry_decay);
-    e.u32(f.faults.read_retry_budget);
     e.usize(f.reliability.spare_blocks);
     e.usize(f.reliability.spare_low_watermark);
 }
@@ -198,8 +195,6 @@ pub fn encode_config(cfg: &SsdConfig, e: &mut Enc) {
 /// configuration.
 pub fn decode_config(d: &mut Dec<'_>) -> Result<SsdConfig, SnapshotError> {
     d.expect_tag(0x51, "ssd-config")?;
-    let channels = d.u16()?;
-    let chips_per_channel = d.u16()?;
     let geometry = Geometry::decode_snapshot(d)?;
     let n_chips = d.usize()?;
     let ftl_cpc = d.usize()?;
@@ -228,13 +223,10 @@ pub fn decode_config(d: &mut Dec<'_>) -> Result<SsdConfig, SnapshotError> {
         block_lock_fail: d.f64()?,
         read_unc: d.f64()?,
         read_retry_decay: d.f64()?,
-        read_retry_budget: d.u32()?,
     };
     let reliability =
         ReliabilityConfig { spare_blocks: d.usize()?, spare_low_watermark: d.usize()? };
     let cfg = SsdConfig {
-        channels,
-        chips_per_channel,
         ftl: FtlConfig {
             geometry,
             n_chips,

@@ -2,67 +2,51 @@
 
 use evanesco_ftl::FtlConfig;
 
-/// Configuration of an emulated SSD.
+/// Configuration of an emulated SSD. The channel topology is the FTL's
+/// (`ftl.n_chips` chips, `ftl.chips_per_channel` to a channel), stated
+/// once there and derived here.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SsdConfig {
-    /// Number of channels.
-    pub channels: u16,
-    /// Chips per channel.
-    pub chips_per_channel: u16,
-    /// FTL configuration (its `n_chips` must equal
-    /// `channels × chips_per_channel`).
+    /// FTL configuration, topology included.
     pub ftl: FtlConfig,
 }
 
 impl SsdConfig {
     /// The paper's SecureSSD (§7): 2 channels × 4 chips of 3D TLC.
     pub fn paper() -> Self {
-        SsdConfig { channels: 2, chips_per_channel: 4, ftl: FtlConfig::paper() }
+        SsdConfig { ftl: FtlConfig::paper() }
     }
 
     /// Paper structure with a scaled-down block count per chip.
     pub fn scaled(blocks_per_chip: u32) -> Self {
-        SsdConfig {
-            channels: 2,
-            chips_per_channel: 4,
-            ftl: FtlConfig::paper_scaled(blocks_per_chip),
-        }
+        SsdConfig { ftl: FtlConfig::paper_scaled(blocks_per_chip) }
     }
 
-    /// A tiny SSD for unit tests.
+    /// A tiny SSD for unit tests: 2 channels × 1 chip.
     pub fn tiny_for_tests() -> Self {
-        SsdConfig { channels: 2, chips_per_channel: 1, ftl: FtlConfig::tiny_for_tests() }
+        SsdConfig { ftl: FtlConfig::tiny_for_tests() }
     }
 
     /// Total chips.
     pub fn n_chips(&self) -> usize {
-        self.channels as usize * self.chips_per_channel as usize
+        self.ftl.n_chips
     }
 
-    /// Checks internal consistency, the embedded [`FtlConfig::check`]
-    /// first: the one list of rules [`SsdConfig::validate`] enforces and a
+    /// Channels: the chips over the chips per channel, which
+    /// [`FtlConfig::check`] requires to divide evenly.
+    pub fn channels(&self) -> usize {
+        self.ftl.n_chips / self.ftl.chips_per_channel
+    }
+
+    /// Checks internal consistency: the embedded [`FtlConfig::check`],
+    /// the one list of rules [`SsdConfig::validate`] enforces and a
     /// checkpoint decode reports.
     ///
     /// # Errors
     ///
-    /// Names the first violated rule: any [`FtlConfig::check`] violation,
-    /// a zero-channel or zero-chip topology, or an FTL chip count or
-    /// chips-per-channel that disagrees with the channel topology.
+    /// Names the first violated [`FtlConfig::check`] rule.
     pub fn check(&self) -> Result<(), String> {
-        let rule =
-            |ok: bool, msg: String| if ok { Ok(()) } else { Err(format!("SsdConfig: {msg}")) };
-        self.ftl.check()?;
-        rule(self.channels > 0, "channels must be positive".into())?;
-        rule(self.chips_per_channel > 0, "chips_per_channel must be positive".into())?;
-        let (topology, ftl) = (self.n_chips(), self.ftl.n_chips);
-        let disagree =
-            format!("channel topology and FTL chip count disagree ({topology} vs {ftl})");
-        rule(topology == ftl, disagree)?;
-        // The FTL's frontier order interleaves channels from its own copy.
-        let (cpc, ftl_cpc) = (self.chips_per_channel, self.ftl.chips_per_channel);
-        let ways =
-            format!("ftl.chips_per_channel must equal chips_per_channel ({ftl_cpc} vs {cpc})");
-        rule(usize::from(cpc) == ftl_cpc, ways)
+        self.ftl.check()
     }
 
     /// Validates internal consistency.
@@ -96,9 +80,11 @@ mod tests {
 
     #[test]
     fn preset_topologies() {
-        for (cfg, chips) in [(SsdConfig::paper(), 8), (SsdConfig::tiny_for_tests(), 2)] {
+        for (cfg, chips, channels) in
+            [(SsdConfig::paper(), 8, 2), (SsdConfig::tiny_for_tests(), 2, 2)]
+        {
             cfg.validate();
-            assert_eq!(cfg.n_chips(), chips);
+            assert_eq!((cfg.n_chips(), cfg.channels()), (chips, channels));
         }
     }
 

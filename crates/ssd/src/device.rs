@@ -132,8 +132,8 @@ impl TimedExecutor {
                 })
                 .collect(),
             chip_res: vec![Resource::new(); n],
-            channel_res: vec![Resource::new(); cfg.channels as usize],
-            chips_per_channel: cfg.chips_per_channel as usize,
+            channel_res: vec![Resource::new(); cfg.channels()],
+            chips_per_channel: cfg.ftl.chips_per_channel,
             timing: cfg.ftl.timing,
             open_interval_sum: Nanos::ZERO,
             open_interval_count: 0,

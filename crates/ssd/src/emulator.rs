@@ -1492,7 +1492,6 @@ mod tests {
         // 66 chips do not fit the 64-bit read chip set: reads fall back to
         // a fresh hint per pass (and `1 << chip` must never be evaluated).
         let mut cfg = SsdConfig::tiny_for_tests();
-        cfg.channels = 66;
         cfg.ftl.n_chips = 66;
         let ops = mixed_trace(300, 200, 0x51DE);
         let run = |qd: usize| {

@@ -35,19 +35,21 @@
 use crate::sched::HostOp;
 use evanesco_nand::timing::Nanos;
 
-/// Deadline and retry policy for the scheduled-path watchdog.
+/// Deadline for read requests.
+pub const READ_DEADLINE: Nanos = Nanos::from_micros(500);
+/// Deadline for write requests.
+pub const WRITE_DEADLINE: Nanos = Nanos::from_micros(2_000);
+/// Deadline for trim requests.
+pub const TRIM_DEADLINE: Nanos = Nanos::from_micros(5_000);
+/// Aborted attempts retried before a request fails by deadline.
+pub const RETRY_BUDGET: u32 = 3;
+/// Backoff before retry `k` is `BACKOFF_BASE << k` (saturating).
+pub const BACKOFF_BASE: Nanos = Nanos::from_micros(100);
+
+/// Stall injection for the scheduled-path watchdog. The deadlines, the
+/// retry budget and the backoff are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadlineConfig {
-    /// Deadline for read requests.
-    pub read_deadline: Nanos,
-    /// Deadline for write requests.
-    pub write_deadline: Nanos,
-    /// Deadline for trim requests.
-    pub trim_deadline: Nanos,
-    /// Aborted attempts retried before the request fails by deadline.
-    pub retry_budget: u32,
-    /// Backoff before retry `k` is `backoff_base << k` (saturating).
-    pub backoff_base: Nanos,
     /// Per-attempt probability that the attempt wedges and must be
     /// aborted at its deadline. Zero disables injection (and the
     /// watchdog becomes timing-neutral).
@@ -57,18 +59,9 @@ pub struct DeadlineConfig {
 }
 
 impl DeadlineConfig {
-    /// A tight policy sized for the test geometry: short class deadlines,
-    /// a budget of 3 retries, 100 µs base backoff.
+    /// Stalls drawn from `seed` at `stall_rate` per attempt.
     pub fn for_tests(seed: u64, stall_rate: f64) -> Self {
-        DeadlineConfig {
-            read_deadline: Nanos::from_micros(500),
-            write_deadline: Nanos::from_micros(2_000),
-            trim_deadline: Nanos::from_micros(5_000),
-            retry_budget: 3,
-            backoff_base: Nanos::from_micros(100),
-            stall_rate,
-            seed,
-        }
+        DeadlineConfig { stall_rate, seed }
     }
 }
 
@@ -137,11 +130,11 @@ impl Watchdog {
         self.stats
     }
 
-    fn deadline_of(&self, op: &HostOp) -> Nanos {
+    fn deadline_of(op: &HostOp) -> Nanos {
         match op {
-            HostOp::Read { .. } => self.cfg.read_deadline,
-            HostOp::Write { .. } => self.cfg.write_deadline,
-            HostOp::Trim { .. } => self.cfg.trim_deadline,
+            HostOp::Read { .. } => READ_DEADLINE,
+            HostOp::Write { .. } => WRITE_DEADLINE,
+            HostOp::Trim { .. } => TRIM_DEADLINE,
         }
     }
 
@@ -150,7 +143,7 @@ impl Watchdog {
     /// gets the same verdicts at every queue depth.
     pub(crate) fn judge(&mut self, idx: usize, op: &HostOp) -> Verdict {
         let mut stalls: u32 = 0;
-        while stalls <= self.cfg.retry_budget
+        while stalls <= RETRY_BUDGET
             && stall_draw(self.cfg.seed, idx as u64, u64::from(stalls)) < self.cfg.stall_rate
         {
             stalls += 1;
@@ -158,19 +151,19 @@ impl Watchdog {
         if stalls == 0 {
             return Verdict::Clean;
         }
-        let deadline = self.deadline_of(op);
+        let deadline = Self::deadline_of(op);
         let mut penalty = Nanos::ZERO;
         for attempt in 0..stalls {
-            let backoff = self.cfg.backoff_base.0.saturating_mul(1u64 << attempt.min(20));
+            let backoff = BACKOFF_BASE.0.saturating_mul(1u64 << attempt.min(20));
             penalty = Nanos(penalty.0.saturating_add(deadline.0).saturating_add(backoff));
         }
         self.stats.stalls_injected += u64::from(stalls);
         self.stats.aborts += u64::from(stalls);
-        if stalls <= self.cfg.retry_budget {
+        if stalls <= RETRY_BUDGET {
             self.stats.retries += u64::from(stalls);
             Verdict::Retried { penalty }
         } else {
-            self.stats.retries += u64::from(self.cfg.retry_budget);
+            self.stats.retries += u64::from(RETRY_BUDGET);
             self.stats.deadline_failures += 1;
             Verdict::Failed { penalty }
         }
@@ -235,27 +228,25 @@ mod tests {
             assert_eq!(s.deadline_failures, failed);
         }
         // A certain stall rate fails every request after the full budget.
-        let cfg = DeadlineConfig::for_tests(1, 1.0);
-        let mut wd = Watchdog::new(cfg);
+        let mut wd = Watchdog::new(DeadlineConfig::for_tests(1, 1.0));
         assert!(matches!(wd.judge(0, &w()), Verdict::Failed { .. }));
         let s = wd.stats();
-        assert_eq!(s.aborts, u64::from(cfg.retry_budget) + 1);
-        assert_eq!(s.retries, u64::from(cfg.retry_budget));
+        assert_eq!(s.aborts, u64::from(RETRY_BUDGET) + 1);
+        assert_eq!(s.retries, u64::from(RETRY_BUDGET));
         assert_eq!(s.deadline_failures, 1);
         assert!(s.reconciles());
     }
 
     #[test]
     fn penalty_grows_with_the_stall_count() {
-        let cfg = DeadlineConfig::for_tests(0, 0.0);
-        let mut wd = Watchdog::new(DeadlineConfig { stall_rate: 1.0, ..cfg });
+        let mut wd = Watchdog::new(DeadlineConfig::for_tests(0, 1.0));
         let Verdict::Failed { penalty } = wd.judge(3, &w()) else {
             panic!("certain stalls must fail");
         };
         // budget + 1 deadlines plus the geometric backoff series.
-        let attempts = u64::from(cfg.retry_budget) + 1;
-        let deadlines = cfg.write_deadline.0 * attempts;
-        let backoffs = cfg.backoff_base.0 * ((1u64 << attempts) - 1);
+        let attempts = u64::from(RETRY_BUDGET) + 1;
+        let deadlines = WRITE_DEADLINE.0 * attempts;
+        let backoffs = BACKOFF_BASE.0 * ((1u64 << attempts) - 1);
         assert_eq!(penalty, Nanos(deadlines + backoffs));
     }
 }

@@ -8,7 +8,7 @@
 //! the target with watermark-driven deletions.
 
 use crate::fs::{FileInfo, FileModel};
-use crate::spec::WorkloadSpec;
+use crate::spec::{WorkloadSpec, TARGET_UTILIZATION};
 use crate::trace::{Trace, TraceOp};
 use evanesco_ftl::Lpa;
 use rand::rngs::StdRng;
@@ -38,7 +38,7 @@ pub fn generate(
     let mut trace = Trace { name: spec.name.to_string(), ..Default::default() };
 
     // ---- Prefill to target utilization with file creations.
-    while fs.utilization() < spec.target_utilization {
+    while fs.utilization() < TARGET_UTILIZATION {
         let size = sample_range(&mut rng, spec.file_pages).min(fs.free_pages()).max(1);
         if fs.free_pages() == 0 {
             break;
@@ -60,7 +60,7 @@ pub fn generate(
             spec.name
         );
         // Watermark deletions keep utilization near target.
-        while fs.utilization() > spec.target_utilization + HIGH_WATERMARK_SLACK {
+        while fs.utilization() > TARGET_UTILIZATION + HIGH_WATERMARK_SLACK {
             let Some(pos) = fs.random_file(&mut rng) else { break };
             emit_delete(&mut trace.ops, &mut fs, pos);
         }

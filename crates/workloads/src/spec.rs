@@ -46,9 +46,11 @@ pub struct WorkloadSpec {
     /// Fraction of files created with a security requirement (the rest are
     /// opened `O_INSEC`).
     pub secure_fraction: f64,
-    /// Target steady-state utilization (the paper prefills to 75 %).
-    pub target_utilization: f64,
 }
+
+/// Target steady-state utilization of every workload (the paper prefills
+/// to 75 %).
+pub const TARGET_UTILIZATION: f64 = 0.75;
 
 impl WorkloadSpec {
     /// Table 2 MailServer: 1:1 reads, create/append/delete, 16–32 KiB.
@@ -60,7 +62,6 @@ impl WorkloadSpec {
             write_pages: (1, 2),
             file_pages: (1, 4),
             secure_fraction: 1.0,
-            target_utilization: 0.75,
         }
     }
 
@@ -74,7 +75,6 @@ impl WorkloadSpec {
             write_pages: (1, 16),
             file_pages: (64, 256),
             secure_fraction: 1.0,
-            target_utilization: 0.75,
         }
     }
 
@@ -87,7 +87,6 @@ impl WorkloadSpec {
             write_pages: (2, 8),
             file_pages: (2, 16),
             secure_fraction: 1.0,
-            target_utilization: 0.75,
         }
     }
 
@@ -100,7 +99,6 @@ impl WorkloadSpec {
             write_pages: (32, 512),
             file_pages: (32, 512),
             secure_fraction: 1.0,
-            target_utilization: 0.75,
         }
     }
 

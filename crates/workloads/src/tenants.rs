@@ -29,7 +29,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One tenant's traffic profile (what it sends, not how it is policed —
-/// QoS lives in `evanesco-fleet`).
+/// QoS lives in `evanesco-fleet`). Every write carries the paper's
+/// security requirement: no tenant opens `O_INSEC`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantProfile {
     /// Human-readable tenant name (becomes a Prometheus label; the fleet
@@ -41,8 +42,6 @@ pub struct TenantProfile {
     pub write_frac: f64,
     /// Fraction of requests that are trims (rest after writes are reads).
     pub trim_frac: f64,
-    /// Whether writes carry the paper's security requirement (non-`O_INSEC`).
-    pub secure: bool,
     /// Relative share of the fleet-wide arrival rate this tenant offers
     /// (scaled by its Zipf rank weight).
     pub offered_share: f64,
@@ -56,7 +55,6 @@ impl TenantProfile {
             req_pages: (1, 4),
             write_frac: 0.5,
             trim_frac: 0.05,
-            secure: true,
             offered_share: 1.0,
         }
     }
@@ -70,7 +68,6 @@ impl TenantProfile {
             req_pages: (8, 16),
             write_frac: 0.6,
             trim_frac: 0.35,
-            secure: true,
             offered_share: 8.0,
         }
     }
@@ -86,11 +83,13 @@ impl TenantProfile {
             req_pages: (8, 16),
             write_frac: 0.15,
             trim_frac: 0.8,
-            secure: true,
             offered_share: 8.0,
         }
     }
 }
+
+/// The diurnal period in simulated time.
+pub const DIURNAL_PERIOD: Nanos = Nanos::from_micros(200_000);
 
 /// Fleet-wide arrival-process parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,10 +102,8 @@ pub struct TrafficConfig {
     /// diurnal period.
     pub base_rate_per_sec: f64,
     /// Diurnal swing in `[0, 1)`: instantaneous rate is
-    /// `base × (1 + amplitude × sin(2πt / period))`.
+    /// `base × (1 + amplitude × sin(2πt / DIURNAL_PERIOD))`.
     pub diurnal_amplitude: f64,
-    /// Diurnal period in simulated time.
-    pub diurnal_period: Nanos,
     /// Requests generated per device.
     pub requests_per_device: usize,
     /// Base seed; device `d` uses `seed ⊕ d`.
@@ -124,7 +121,6 @@ impl TrafficConfig {
             zipf_s: 0.9,
             base_rate_per_sec: 30_000.0,
             diurnal_amplitude: 0.5,
-            diurnal_period: Nanos::from_micros(200_000),
             requests_per_device: seed_independent_len(requests_per_device),
             seed,
         }
@@ -142,7 +138,6 @@ impl TrafficConfig {
             zipf_s: 0.9,
             base_rate_per_sec: 30_000.0,
             diurnal_amplitude: 0.5,
-            diurnal_period: Nanos::from_micros(200_000),
             requests_per_device: seed_independent_len(requests_per_device),
             seed,
         }
@@ -155,7 +150,6 @@ impl TrafficConfig {
             zipf_s: 0.0,
             base_rate_per_sec: 20_000.0,
             diurnal_amplitude: 0.3,
-            diurnal_period: Nanos::from_micros(200_000),
             requests_per_device: seed_independent_len(requests_per_device),
             seed,
         }
@@ -259,7 +253,7 @@ fn device_stream(
     let mut rng =
         StdRng::seed_from_u64(cfg.seed ^ (device as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut t_ns = 0u64;
-    let period = cfg.diurnal_period.0.max(1) as f64;
+    let period = DIURNAL_PERIOD.0 as f64;
     let mut out = Vec::with_capacity(cfg.requests_per_device);
     for _ in 0..cfg.requests_per_device {
         // Exponential gap at the instantaneous (diurnal) rate. The
@@ -279,7 +273,7 @@ fn device_stream(
         let lpa = rng.gen_range(0..=(window_pages - npages));
         let kind: f64 = rng.gen_range(0.0..1.0);
         let op = if kind < profile.write_frac {
-            HostOp::Write { lpa, npages, secure: profile.secure }
+            HostOp::Write { lpa, npages, secure: true }
         } else if kind < profile.write_frac + profile.trim_frac {
             HostOp::Trim { lpa, npages }
         } else {

@@ -25,7 +25,6 @@ fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
             write_pages: (lo, lo + extra),
             file_pages: (lo, (lo + extra).max(2)),
             secure_fraction: sf,
-            target_utilization: 0.7,
         })
 }
 

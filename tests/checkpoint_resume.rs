@@ -202,11 +202,11 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Golden format: the checked-in fixture pins the on-disk byte layout
-// (`checkpoint_v6.ckpt`, the current format) and must round-trip
+// (`checkpoint_v7.ckpt`, the current format) and must round-trip
 // byte-identically.
 // ---------------------------------------------------------------------------
 
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/checkpoint_v6.ckpt");
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/checkpoint_v7.ckpt");
 
 /// The fixed script behind the golden fixture. Deterministic: the same
 /// library version always produces the same bytes. Physical flags are on,
@@ -298,12 +298,12 @@ fn restored_golden_device_serves_reads_and_keeps_working() {
 }
 
 /// A checkpoint from a future (unknown) format version — or from the
-/// retired formats 1 to 5 — is rejected with a typed, descriptive error: not a
+/// retired formats 1 to 6 — is rejected with a typed, descriptive error: not a
 /// panic, not garbage state.
 #[test]
 fn unknown_version_fails_with_a_clear_error() {
     let mut bytes = std::fs::read(GOLDEN).expect("checked-in fixture exists");
-    for version in [u32::MAX, 5, 4, 3, 2, 1, 0] {
+    for version in [u32::MAX, 6, 5, 4, 3, 2, 1, 0] {
         // Layout: 8-byte magic, then the little-endian u32 format version.
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         for restored in [
@@ -312,7 +312,7 @@ fn unknown_version_fails_with_a_clear_error() {
         ] {
             match restored {
                 Err(e @ SnapshotError::UnsupportedVersion { found, supported }) => {
-                    assert_eq!((found, supported), (version, 6));
+                    assert_eq!((found, supported), (version, 7));
                     assert!(e.to_string().contains("version"), "error must name the problem: {e}");
                 }
                 other => panic!("want UnsupportedVersion for {version}, got {other:?}"),

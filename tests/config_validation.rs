@@ -204,43 +204,31 @@ fn storm_and_calibrated_fault_configs_validate() {
 
 // ---- SsdConfig -------------------------------------------------------------
 
+// The channel topology is the FTL's: a device with no chips has no
+// channels, and one with no chips per channel is refused before a channel
+// count is derived from it.
+
 #[test]
-#[should_panic(expected = "channels must be positive")]
+#[should_panic(expected = "n_chips must be positive")]
 fn ssd_rejects_zero_channels() {
     let mut cfg = SsdConfig::tiny_for_tests();
-    cfg.channels = 0;
+    cfg.ftl.n_chips = 0;
     cfg.validate();
 }
 
 #[test]
-#[should_panic(expected = "chips_per_channel must be positive")]
+#[should_panic(expected = "chips_per_channel must be >= 1")]
 fn ssd_rejects_zero_chips_per_channel() {
     let mut cfg = SsdConfig::tiny_for_tests();
-    cfg.chips_per_channel = 0;
-    cfg.validate();
-}
-
-#[test]
-#[should_panic(expected = "channel topology and FTL chip count disagree")]
-fn ssd_rejects_topology_chip_count_mismatch() {
-    let mut cfg = SsdConfig::tiny_for_tests();
-    cfg.chips_per_channel = 2; // 4 chips vs the FTL's 2
-    cfg.validate();
-}
-
-#[test]
-#[should_panic(expected = "ftl.chips_per_channel must equal chips_per_channel")]
-fn ssd_rejects_an_ftl_channel_shape_the_device_does_not_have() {
-    let mut cfg = SsdConfig::tiny_for_tests();
-    (cfg.channels, cfg.chips_per_channel) = (1, 2); // 2 chips either way, one channel of two
+    cfg.ftl.chips_per_channel = 0;
     cfg.validate();
 }
 
 #[test]
 #[should_panic(expected = "gc_free_threshold must be >= 1")]
 fn ssd_validate_reaches_the_embedded_ftl_config() {
-    // Topology is consistent; the only violation sits inside the nested
-    // FtlConfig, so the panic must come from its validate().
+    // The only violation sits inside the nested FtlConfig, so the panic
+    // must come from its rules.
     let mut cfg = SsdConfig::tiny_for_tests();
     cfg.ftl.gc_free_threshold = 0;
     cfg.validate();
@@ -248,8 +236,9 @@ fn ssd_validate_reaches_the_embedded_ftl_config() {
 
 type Violate = fn(&mut SsdConfig);
 
-/// Every violation above, as `(the text its test expects, the mutation)`.
-const VIOLATIONS: [(&str, Violate); 23] = [
+/// Every violation the tests in this file provoke, as `(the text the
+/// rule reports, the mutation)`.
+const VIOLATIONS: [(&str, Violate); 21] = [
     ("n_chips must be positive", |c| c.ftl.n_chips = 0),
     ("at least one block", |c| c.ftl.geometry.blocks = 0),
     ("at least one wordline", |c| c.ftl.geometry.wordlines_per_block = 0),
@@ -273,12 +262,8 @@ const VIOLATIONS: [(&str, Violate); 23] = [
         c.ftl.reliability.spare_low_watermark = c.ftl.reliability.spare_blocks
     }),
     ("must be below the", |c| c.ftl.reliability.spare_blocks = c.ftl.geometry.blocks as usize),
-    ("channels must be positive", |c| c.channels = 0),
-    ("chips_per_channel must be positive", |c| c.chips_per_channel = 0),
-    ("channel topology and FTL chip count disagree", |c| c.chips_per_channel = 2),
-    ("ftl.chips_per_channel must equal chips_per_channel", |c| {
-        (c.channels, c.chips_per_channel) = (1, 2);
-    }),
+    ("chips_per_channel must be >= 1", |c| c.ftl.chips_per_channel = 0),
+    ("must divide n_chips", |c| c.ftl.chips_per_channel = 3),
 ];
 
 #[test]
@@ -303,7 +288,7 @@ fn emulator_construction_validates_config() {
     // Emulator::new calls validate(): a bad config cannot slip through.
     let result = std::panic::catch_unwind(|| {
         let mut cfg = SsdConfig::tiny_for_tests();
-        cfg.channels = 5;
+        cfg.ftl.chips_per_channel = 3; // does not divide the 2 chips
         evanesco::ssd::Emulator::new(cfg, SanitizePolicy::evanesco())
     });
     assert!(result.is_err(), "Emulator must reject an inconsistent topology");

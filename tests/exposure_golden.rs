@@ -17,6 +17,7 @@
 //! `SsdConfig::tiny_for_tests()`, 2 × logical pages written.
 
 use evanesco::ftl::SanitizePolicy;
+use evanesco::nand::math::{fnv1a, FNV1A_OFFSET};
 use evanesco::nand::snapshot::Enc;
 use evanesco::ssd::{Emulator, SsdConfig};
 use evanesco::workloads::generate::generate;
@@ -48,9 +49,7 @@ struct Fnv(u64);
 
 impl Fnv {
     fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 = (self.0 ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, b);
     }
 
     fn u64(&mut self, v: u64) {
@@ -88,7 +87,7 @@ fn digest(spec: &WorkloadSpec, policy: SanitizePolicy, seed: u64) -> u64 {
     let mut vt = VerTrace::with_timelines(&ssd.config().ftl);
     replay_with(&mut ssd, &trace, &mut vt);
 
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv(FNV1A_OFFSET);
     h.bytes(&checkpoint_bytes(&vt));
     let r = vt.report(logical);
     for s in [&r.uv, &r.mv] {

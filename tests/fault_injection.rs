@@ -253,7 +253,6 @@ fn erase_failures_degrade_to_read_only_but_reads_survive() {
     let mut cfg = SsdConfig::tiny_for_tests();
     cfg.ftl.faults = FaultConfig { erase_fail: 1.0, seed: 5, ..FaultConfig::none() };
     // Single chip so the retirement sequence is deterministic.
-    cfg.channels = 1;
     cfg.ftl.n_chips = 1;
     let mut ssd = Emulator::new(cfg, SanitizePolicy::erase_based());
     let tags = ssd.write(0, 3, true);
@@ -306,12 +305,7 @@ fn bad_block_table_survives_power_cut() {
 #[test]
 fn read_retries_recover_data_and_cost_time() {
     let mut cfg = SsdConfig::tiny_for_tests();
-    cfg.ftl.faults = FaultConfig {
-        read_unc: 0.8,
-        read_retry_decay: 0.5,
-        read_retry_budget: 4,
-        ..FaultConfig::none()
-    };
+    cfg.ftl.faults = FaultConfig { read_unc: 0.8, read_retry_decay: 0.5, ..FaultConfig::none() };
     let mut faulty = Emulator::new(cfg, SanitizePolicy::evanesco());
     let mut clean = Emulator::new(SsdConfig::tiny_for_tests(), SanitizePolicy::evanesco());
     for ssd in [&mut faulty, &mut clean] {

@@ -21,6 +21,7 @@
 use evanesco::core::fault::FaultConfig;
 use evanesco::ftl::observer::NullObserver;
 use evanesco::ftl::{DecisionLevel, FtlStats, SanitizePolicy};
+use evanesco::nand::math::{fnv1a, FNV1A_OFFSET, FNV1A_PRIME};
 use evanesco::nand::snapshot::Enc;
 use evanesco::nand::timing::Nanos;
 use evanesco::ssd::{Emulator, SsdConfig};
@@ -48,11 +49,9 @@ struct Fnv(u64);
 
 impl Fnv {
     fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 = (self.0 ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, b);
         // Length-delimit so adjacent fields cannot trade bytes.
-        self.0 = (self.0 ^ b.len() as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        self.0 = (self.0 ^ b.len() as u64).wrapping_mul(FNV1A_PRIME);
     }
 }
 
@@ -202,7 +201,7 @@ fn run_cell(
     // checkpoint bytes: a change to how the FTL stores its tables moves
     // only the first.
     let digest = |state: &[u8]| {
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv(FNV1A_OFFSET);
         h.bytes(format!("{:?}", result.ftl).as_bytes());
         h.bytes(format!("{:?}", result.recovery).as_bytes());
         h.bytes(&result.sim_time.0.to_le_bytes());

@@ -13,6 +13,7 @@
 //! benchmark's held-out seed)}, 2 × logical written, plus one
 //! `with_secure_fraction(0.6)` case (Figure 14(c)'s input).
 
+use evanesco::nand::math::{fnv1a, FNV1A_OFFSET};
 use evanesco::ssd::SsdConfig;
 use evanesco::workloads::generate::generate;
 use evanesco::workloads::{Trace, TraceOp, WorkloadSpec};
@@ -42,9 +43,7 @@ struct Fnv(u64);
 
 impl Fnv {
     fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 = (self.0 ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, b);
     }
 
     fn op(&mut self, op: &TraceOp) {
@@ -72,7 +71,7 @@ impl Fnv {
 }
 
 fn digest(t: &Trace) -> u64 {
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv(FNV1A_OFFSET);
     h.bytes(t.name.as_bytes());
     for phase in [&t.prefill, &t.ops] {
         h.bytes(&(phase.len() as u64).to_le_bytes());
