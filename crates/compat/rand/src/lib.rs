@@ -94,23 +94,30 @@ pub trait SampleRange<T> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+// An integer range is drawn as `lo + next_u64() % span`. Every type here
+// is at most 64 bits wide, so the span, the offset and the sum are all
+// exact modulo 2^64 (signed bounds sign-extend): plain `u64` arithmetic
+// yields the value 128-bit arithmetic would, without a software 128-bit
+// division. The one span that does not fit, 2^64 (a whole 64-bit domain,
+// inclusive), takes the draw as it is — what `% 2^64` leaves of it.
 macro_rules! impl_sample_range_int {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
-                let span = (self.end as i128 - self.start as i128) as u128;
-                let v = (rng.next_u64() as u128) % span;
-                (self.start as i128 + v as i128) as $t
+                let span = (self.end as u64).wrapping_sub(self.start as u64);
+                (self.start as u64).wrapping_add(rng.next_u64() % span) as $t
             }
         }
         impl SampleRange<$t> for RangeInclusive<$t> {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "cannot sample empty range");
-                let span = (hi as i128 - lo as i128) as u128 + 1;
-                let v = (rng.next_u64() as u128) % span;
-                (lo as i128 + v as i128) as $t
+                let v = match (hi as u64).wrapping_sub(lo as u64).checked_add(1) {
+                    Some(span) => rng.next_u64() % span,
+                    None => rng.next_u64(),
+                };
+                (lo as u64).wrapping_add(v) as $t
             }
         }
     )*};
@@ -219,7 +226,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -266,6 +273,63 @@ mod tests {
             assert!((1.5..2.5).contains(&f));
         }
         assert!(seen_lo && seen_hi);
+    }
+
+    /// A generator that always yields one value.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// The 128-bit formula integer draws used before they moved to `u64`
+    /// arithmetic: every drawn value must stay what it gave.
+    fn reference<T: TryFrom<i128>>(x: u64, lo: i128, hi_inclusive: i128) -> T {
+        let span = (hi_inclusive - lo) as u128 + 1;
+        T::try_from(lo + ((x as u128) % span) as i128).ok().expect("in range")
+    }
+
+    /// Differential property test against [`reference`]: random draws and
+    /// bounds of every width and sign, both range forms, edges included
+    /// (whole domains, `lo == hi`, draws of 0 and `u64::MAX`).
+    #[test]
+    fn integer_draws_equal_the_128_bit_formula() {
+        macro_rules! check {
+            ($x:expr, $t:ty, $lo:expr, $hi:expr) => {{
+                let (x, lo, hi): (u64, $t, $t) = ($x, $lo, $hi);
+                let want: $t = reference(x, lo as i128, hi as i128);
+                assert_eq!(Fixed(x).gen_range(lo..=hi), want, "{x}: {lo}..={hi}");
+                if lo < hi {
+                    let want: $t = reference(x, lo as i128, hi as i128 - 1);
+                    assert_eq!(Fixed(x).gen_range(lo..hi), want, "{x}: {lo}..{hi}");
+                }
+            }};
+        }
+        macro_rules! each_type {
+            ($rng:expr, $x:expr, $($t:ty),*) => {$({
+                let rng: &mut StdRng = $rng;
+                let (a, b) = (rng.gen::<$t>(), rng.gen::<$t>());
+                // Narrow spans too: one case in four keeps `b` near `a`.
+                let b = if $x % 4 == 0 { a.saturating_add((b as u8 % 9) as $t) } else { b };
+                check!($x, $t, a.min(b), a.max(b));
+                check!($x, $t, <$t>::MIN, <$t>::MAX);
+                check!($x, $t, a, a);
+                check!($x, $t, <$t>::MIN, a);
+                check!($x, $t, a, <$t>::MAX);
+            })*};
+        }
+        let mut rng = StdRng::seed_from_u64(0xD1FF);
+        let edges = [0, 1, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+        for i in 0..20_000 {
+            let x = if i < edges.len() { edges[i] } else { rng.next_u64() };
+            each_type!(&mut rng, x, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+        }
+        for x in edges {
+            assert_eq!(Fixed(x).gen_range(0..=u64::MAX), x, "the full domain takes the draw");
+            assert_eq!(Fixed(x).gen_range(i64::MIN..=i64::MAX), x as i64 ^ i64::MIN);
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //!
 //! [Evanesco (ASPLOS 2020)]: https://doi.org/10.1145/3373376.3378490
 
+pub mod arena;
 pub mod cell;
 pub mod chip;
 pub mod ecc;

@@ -47,10 +47,10 @@
 //! touches the simulated device, so enabling it cannot change results —
 //! the `anatomy` experiment gate proves byte-identity.
 
-use crate::arena::{Arena, PackedNanos, Span};
 use crate::metrics::LatencyHistogram;
-use crate::trace::{ReqKind, RequestTrace, ResourceId, SpanKind};
+use crate::trace::{ReqKind, RequestTrace, ResourceId, SpanKind, Sweep, TraceHead};
 use evanesco_ftl::{Lpa, OpCause};
+use evanesco_nand::arena::{Arena, PackedNanos, Span};
 use evanesco_nand::timing::Nanos;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
@@ -276,7 +276,76 @@ pub struct AnatomyRow {
     pub end: Nanos,
     /// Per-stage durations. Sums to exactly [`AnatomyRow::e2e`].
     pub stages: [Nanos; Stage::COUNT],
+}
+
+/// The stages a device-level row can charge: every one but
+/// [`Stage::QosWait`], which only the fleet layer adds, and which comes
+/// first.
+const DEVICE_STAGES: usize = Stage::COUNT - 1;
+const _: () = assert!(Stage::QosWait as usize == 0);
+
+/// An [`AnatomyRow`] as the ring stores it: 108 bytes (128 unpacked).
+/// The first page, the page count and the request index take 32 bits,
+/// and `QosWait`, always zero here, is not stored.
+#[derive(Debug, Clone, Copy)]
+struct PackedRow {
+    /// The trace id, split in halves like an instant.
+    trace_id: PackedNanos,
+    submit: PackedNanos,
+    end: PackedNanos,
+    /// `stages[1..]`.
+    stages: [PackedNanos; DEVICE_STAGES],
     chain: Span,
+    lpa: u32,
+    npages: u32,
+    /// The request index plus one; zero for none.
+    req_idx: u32,
+    kind: ReqKind,
+    acked: bool,
+}
+
+impl PackedRow {
+    /// # Panics
+    ///
+    /// Panics if the request index needs more than 32 bits.
+    fn pack(row: &AnatomyRow, chain: Span) -> Self {
+        debug_assert_eq!(row.stage(Stage::QosWait), Nanos::ZERO, "a device row has no QoS wait");
+        let narrow = |v: u64| u32::try_from(v).expect("a row's pages and index fit 32 bits");
+        let mut stages = [PackedNanos::from(Nanos::ZERO); DEVICE_STAGES];
+        for (packed, &stage) in stages.iter_mut().zip(&row.stages[1..]) {
+            *packed = stage.into();
+        }
+        PackedRow {
+            trace_id: Nanos(row.trace_id).into(),
+            submit: row.submit.into(),
+            end: row.end.into(),
+            stages,
+            chain,
+            lpa: narrow(row.lpa),
+            npages: narrow(row.npages),
+            req_idx: row.req_idx.map_or(0, |i| narrow(i as u64 + 1)),
+            kind: row.kind,
+            acked: row.acked,
+        }
+    }
+
+    fn unpack(&self) -> AnatomyRow {
+        let mut stages = [Nanos::ZERO; Stage::COUNT];
+        for (stage, &packed) in stages[1..].iter_mut().zip(&self.stages) {
+            *stage = packed.into();
+        }
+        AnatomyRow {
+            trace_id: Nanos::from(self.trace_id).0,
+            req_idx: self.req_idx.checked_sub(1).map(|i| i as usize),
+            kind: self.kind,
+            lpa: Lpa::from(self.lpa),
+            npages: u64::from(self.npages),
+            acked: self.acked,
+            submit: self.submit.into(),
+            end: self.end.into(),
+            stages,
+        }
+    }
 }
 
 impl AnatomyRow {
@@ -306,10 +375,11 @@ impl AnatomyRow {
 }
 
 /// The resolved anatomy of one traced request, borrowed from the
-/// recorder: the [`AnatomyRow`] fields (by deref) plus its causal chain.
+/// recorder: the [`AnatomyRow`] fields (by deref, unpacked) plus its
+/// causal chain.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestAnatomy<'a> {
-    row: &'a AnatomyRow,
+    row: AnatomyRow,
     chain: &'a [PackedLink],
 }
 
@@ -317,7 +387,7 @@ impl std::ops::Deref for RequestAnatomy<'_> {
     type Target = AnatomyRow;
 
     fn deref(&self) -> &AnatomyRow {
-        self.row
+        &self.row
     }
 }
 
@@ -342,9 +412,25 @@ impl<'a> RequestAnatomy<'a> {
 /// dispatch order. Blame resolution scans back from the newest slot.
 const OCC_CAP: usize = 4096;
 
-/// Chunk sizes of the recorder's arenas, in elements.
+/// Chunk sizes of the recorder's arenas, in elements (108 and 96 KiB).
 const ROW_CHUNK: usize = 1024;
 const CHAIN_CHUNK: usize = 4096;
+
+/// One standard chunk for each of the recorder's arenas, allocated by a
+/// scheduled call's request thread ([`crate::trace::TraceBatch`]).
+#[derive(Debug, Default)]
+pub(crate) struct Spares {
+    rows: Option<Vec<PackedRow>>,
+    chains: Option<Vec<PackedLink>>,
+}
+
+impl Spares {
+    /// Allocates the chunks missing.
+    pub(crate) fn top_up(&mut self) {
+        self.rows.get_or_insert_with(|| Vec::with_capacity(ROW_CHUNK));
+        self.chains.get_or_insert_with(|| Vec::with_capacity(CHAIN_CHUNK));
+    }
+}
 
 /// A top-K digest entry: it outlives the row ring, so it owns its chain.
 #[derive(Debug, Clone)]
@@ -362,7 +448,7 @@ struct TopRow {
 pub struct AnatomyRecorder {
     capacity: usize,
     top_k: usize,
-    rows: Arena<AnatomyRow>,
+    rows: Arena<PackedRow>,
     chains: Arena<PackedLink>,
     /// Occupancy timelines, indexed by [`ResourceId::dense`], and the
     /// slots their rings evicted.
@@ -442,13 +528,21 @@ impl AnatomyRecorder {
 
     /// The retained rows, oldest first.
     pub fn rows(&self) -> impl Iterator<Item = RequestAnatomy<'_>> + Clone {
-        self.rows.iter().map(|row| RequestAnatomy { row, chain: self.chains.slice(row.chain) })
+        self.rows
+            .iter()
+            .map(|row| RequestAnatomy { row: row.unpack(), chain: self.chains.slice(row.chain) })
     }
 
     /// The top-K slowest rows, slowest first (ties broken by trace id
     /// ascending — fully deterministic).
     pub fn top(&self) -> impl ExactSizeIterator<Item = RequestAnatomy<'_>> + Clone {
-        self.top.iter().map(|t| RequestAnatomy { row: &t.row, chain: &t.chain })
+        self.top.iter().map(|t| RequestAnatomy { row: t.row, chain: &t.chain })
+    }
+
+    /// Keeps each of `spares`' chunks as its arena's spare if that has none.
+    pub(crate) fn adopt(&mut self, spares: &mut Spares) {
+        spares.rows = self.rows.adopt(spares.rows.take());
+        spares.chains = self.chains.adopt(spares.chains.take());
     }
 
     /// Ingests one finished trace and resolves its row on the spot, in
@@ -464,6 +558,18 @@ impl AnatomyRecorder {
     pub fn record(
         &mut self,
         t: RequestTrace<'_>,
+        retry: Option<(Nanos, Nanos)>,
+        req_idx: Option<usize>,
+    ) {
+        t.with_sweep(|sweep| self.resolve(&t, sweep, retry, req_idx));
+    }
+
+    /// [`AnatomyRecorder::record`] on the trace's segments and events as
+    /// its `sweep` holds them.
+    fn resolve(
+        &mut self,
+        t: &TraceHead,
+        sweep: &Sweep,
         retry: Option<(Nanos, Nanos)>,
         req_idx: Option<usize>,
     ) {
@@ -487,7 +593,7 @@ impl AnatomyRecorder {
         // A wait is blamed against its blocking resource, where the
         // request's next own command ran: the sweep names it (fact 3 of
         // `trace::Sweep`). Trailing waits have none: dispatch stall.
-        for (seg, blocker) in t.blocked_segments() {
+        for (seg, blocker) in sweep.blocked_segments(t.submit, t.end) {
             let base = match seg.kind {
                 SpanKind::QueueWait => Stage::QueueWait,
                 SpanKind::Wait => Stage::DispatchStall,
@@ -545,20 +651,20 @@ impl AnatomyRecorder {
         // Every interference-class command this request issued joins the
         // occupancy timeline, so later requests' waits can be blamed on
         // it (none of them overlaps a wait of its own request).
-        for e in t.packed_events() {
+        for e in sweep.events() {
             if let Some(stage) = interference_of(e.kind, e.cause) {
                 let dense = usize::from(e.resource);
                 if dense >= self.occupancy.len() {
                     self.occupancy.resize_with(dense + 1, VecDeque::new);
                 }
                 let timeline = &mut self.occupancy[dense];
-                let before = |last: &PackedLink| Nanos::from(last.end) <= e.start.into();
+                let before = |last: &PackedLink| Nanos::from(last.end) <= e.start;
                 debug_assert!(timeline.back().is_none_or(before), "occupancy {dense} out of order");
                 if timeline.len() == OCC_CAP {
                     timeline.pop_front();
                     self.occupancy_dropped += 1;
                 }
-                let span = [e.start.into(), e.end.into()];
+                let span = [e.start, e.end];
                 timeline.push_back(PackedLink::new(stage, e.kind, e.cause, dense as u32 + 1, span));
             }
         }
@@ -571,7 +677,7 @@ impl AnatomyRecorder {
             self.hists[k][s.idx()].record(stages[s.idx()]);
         }
         if self.rows.len() == self.capacity {
-            let oldest = *self.rows.iter().next().expect("a full ring has an oldest row");
+            let oldest = *self.rows.front().expect("a full ring has an oldest row");
             self.chains.release_front(oldest.chain.len());
             self.rows.release_front(1);
         }
@@ -585,9 +691,9 @@ impl AnatomyRecorder {
             submit: t.submit,
             end: t.end,
             stages,
-            chain: self.chains.push_iter(self.chain.len(), self.chain.iter().copied()),
         };
-        self.rows.push(row);
+        let span = self.chains.push_iter(self.chain.len(), self.chain.iter().copied());
+        self.rows.push(PackedRow::pack(&row, span));
         // Top-K insert, (e2e desc, trace id asc): only a row that beats
         // the current K-th is copied in from the arena, at its sorted
         // position, into the chain buffer of the entry it displaces.
@@ -597,7 +703,7 @@ impl AnatomyRecorder {
             let displaced = if full { self.top.pop() } else { None };
             let mut chain = displaced.map(|kth| kth.chain).unwrap_or_default();
             chain.clear();
-            chain.extend_from_slice(self.chains.slice(row.chain));
+            chain.extend_from_slice(self.chains.slice(span));
             let at = self.top.partition_point(|r| key(&r.row) <= key(&row));
             self.top.insert(at, TopRow { row, chain });
         }
@@ -621,7 +727,8 @@ mod tests {
     fn the_recorder_stores_packed_forms() {
         assert_eq!(std::mem::size_of::<ChainLink>(), 40);
         assert_eq!(std::mem::size_of::<PackedLink>(), 24);
-        assert_eq!(std::mem::size_of::<AnatomyRow>(), 136);
+        assert_eq!(std::mem::size_of::<AnatomyRow>(), 128);
+        assert_eq!(std::mem::size_of::<PackedRow>(), 108);
         let link = ChainLink {
             stage: Stage::GcInterference,
             kind: SpanKind::Erase,

@@ -109,6 +109,8 @@ type Recorders = (TraceRecorder, Option<AnatomyRecorder>);
 /// A scheduled call's end of its recorder thread. Dropping it, on unwind
 /// too, drops the sender, which ends the thread's loop.
 struct RecorderLink<'scope> {
+    /// Whether the anatomy was lent too (its arenas want chunks).
+    anatomy: bool,
     tx: SyncSender<TraceBatch>,
     /// Emptied batches on their way back.
     back: Receiver<TraceBatch>,
@@ -385,11 +387,13 @@ impl Emulator {
     }
 
     /// Ships the pending packets and the executor's event buffer they
-    /// index to the recorder thread, taking a recycled batch in their
-    /// place (waiting for one if all are out). Re-raises the thread's
-    /// panic if it has hung up.
+    /// index to the recorder thread, with the arena chunks the rings took
+    /// from this batch last time replaced, taking a recycled batch in
+    /// their place (waiting for one if all are out). Re-raises the
+    /// thread's panic if it has hung up.
     fn ship(&mut self, link: &mut RecorderLink<'_>) {
         let Some(mut batch) = recv_spinning(&link.back) else { link.rethrow() };
+        batch.top_up(link.anatomy);
         std::mem::swap(&mut batch.packets, &mut self.packets);
         batch.events = self.ex.swap_trace_events(std::mem::take(&mut batch.events));
         if link.tx.send(batch).is_err() {
@@ -796,24 +800,22 @@ impl Emulator {
         let mut anatomy = self.anatomy.take();
         let (tx, rx) = mpsc::sync_channel::<TraceBatch>(TRACE_BATCHES);
         let (back_tx, back) = mpsc::channel();
+        // The spare batches: the request path fills one batch while these
+        // are queued or being recorded.
+        for _ in 1..TRACE_BATCHES {
+            back_tx.send(TraceBatch::new(TRACE_BATCH)).expect("the receiver is right here");
+        }
+        let lent_anatomy = anatomy.is_some();
         let (run, recorders) = std::thread::scope(|s| {
             let worker = s.spawn(move || {
-                // The spares: the request path fills one batch while these
-                // are queued or being recorded.
-                for _ in 1..TRACE_BATCHES {
-                    let packets = Vec::with_capacity(TRACE_BATCH);
-                    let _ = back_tx.send(TraceBatch { packets, events: Vec::new() });
-                }
                 while let Some(mut batch) = recv_spinning(&rx) {
-                    trace.record_packets(anatomy.as_mut(), &batch.packets, &batch.events);
-                    batch.packets.clear();
-                    batch.events.clear();
+                    trace.record_batch(anatomy.as_mut(), &mut batch);
                     // Fails only once the request path has unwound.
                     let _ = back_tx.send(batch);
                 }
                 (trace, anatomy)
             });
-            let mut link = RecorderLink { tx, back, worker: Some(worker) };
+            let mut link = RecorderLink { anatomy: lent_anatomy, tx, back, worker: Some(worker) };
             let run = self.dispatch_all(obs, ops, arrivals, qd, |em| {
                 if em.packets.len() == TRACE_BATCH {
                     em.ship(&mut link);

@@ -32,7 +32,6 @@
 //! ```
 
 pub mod anatomy;
-mod arena;
 pub mod checkpoint;
 pub mod config;
 pub mod device;

@@ -13,7 +13,9 @@
 //! closes at the first boundary at or after its due time; its recorded
 //! `end` is that boundary. Quiet periods produce no empty windows — the
 //! next window simply spans the gap. The ring keeps the most recent
-//! `capacity` samples and counts evictions in [`TimeSeries::dropped`].
+//! `capacity` samples and counts evictions in [`TimeSeries::dropped`]; it
+//! is an [`Arena`] ring, so it never holds more than its capacity plus one
+//! chunk.
 //!
 //! Sampling is observational: it reads the clock and copies counters but
 //! never issues device work, so runs with the series enabled are
@@ -22,8 +24,11 @@
 use crate::emulator::Emulator;
 use crate::gauges::GaugeSnapshot;
 use crate::metrics::RunResult;
+use evanesco_nand::arena::Arena;
 use evanesco_nand::timing::Nanos;
-use std::collections::VecDeque;
+
+/// Most windows one chunk of the ring holds (57 KiB).
+const CHUNK: usize = 32;
 
 /// Mean and peak busy fraction over one window for one resource class.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -35,7 +40,7 @@ pub struct UtilWindow {
 }
 
 /// One closed telemetry window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct WindowSample {
     /// Zero-based window number (monotone across ring eviction).
     pub index: u64,
@@ -64,7 +69,7 @@ pub struct WindowSample {
 pub struct TimeSeries {
     interval: Nanos,
     capacity: usize,
-    ring: VecDeque<WindowSample>,
+    ring: Arena<WindowSample>,
     /// Samples evicted because the ring was full.
     pub dropped: u64,
     next_index: u64,
@@ -84,6 +89,7 @@ impl TimeSeries {
     ///
     /// Panics on a zero interval or zero capacity (both would be
     /// degenerate: an unbounded ring or an infinite loop of windows).
+    /// Allocates no window before the first closes.
     pub fn new(interval: Nanos, capacity: usize, em: &Emulator) -> Self {
         assert!(interval > Nanos::ZERO, "timeseries interval must be positive");
         assert!(capacity > 0, "timeseries capacity must be positive");
@@ -91,7 +97,7 @@ impl TimeSeries {
         TimeSeries {
             interval,
             capacity,
-            ring: VecDeque::new(),
+            ring: Arena::for_ring(capacity, CHUNK),
             dropped: 0,
             next_index: 0,
             next_due: Nanos(now.0 + interval.0),
@@ -160,11 +166,7 @@ impl TimeSeries {
         self.baseline = cur;
         self.chip_busy = chip_now;
         self.channel_busy = channel_now;
-        self.ring.push_back(sample);
-        if self.ring.len() > self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
+        self.dropped += u64::from(self.ring.push_evicting(self.capacity, sample));
     }
 
     /// Serializes the full series — interval, ring of closed windows, and
@@ -175,7 +177,7 @@ impl TimeSeries {
         e.u64(self.interval.0);
         e.usize(self.capacity);
         e.usize(self.ring.len());
-        for s in &self.ring {
+        for s in self.ring.iter() {
             encode_window_sample(s, e);
         }
         e.u64(self.dropped);
@@ -213,9 +215,9 @@ impl TimeSeries {
             ));
         }
         let n_ring = d.usize()?;
-        let mut ring = VecDeque::with_capacity(n_ring);
+        let mut ring = Arena::for_ring(capacity, CHUNK);
         for _ in 0..n_ring {
-            ring.push_back(decode_window_sample(d)?);
+            ring.push(decode_window_sample(d)?);
         }
         let dropped = d.u64()?;
         let next_index = d.u64()?;
@@ -276,7 +278,7 @@ impl TimeSeries {
         if self.dropped > 0 {
             out.push_str(&format!("... {} older windows dropped ...\n", self.dropped));
         }
-        for s in &self.ring {
+        for s in self.ring.iter() {
             let (v, i) = s.gauges.map_or((0, 0), |g| (g.valid_secured, g.invalid_secured));
             out.push_str(&format!(
                 "{:>6} {:>13} {:>13} {:>8.0} {:>8.3} {:>10} {:>12} {:>8.4} {:>10.3}\n",
@@ -411,6 +413,25 @@ mod tests {
         assert_eq!(ts.len(), 2);
         assert!(ts.dropped > 0);
         assert_eq!(ts.total(), ts.len() as u64 + ts.dropped);
+    }
+
+    #[test]
+    fn a_series_fed_three_times_its_capacity_holds_one_chunk_more() {
+        for capacity in [2 * CHUNK, 40, 3] {
+            let mut em = ssd();
+            em.enable_timeseries(Nanos::from_micros(1), capacity);
+            let mut i = 0;
+            while em.timeseries().unwrap().total() < 3 * capacity as u64 {
+                em.write(i % 64, 1, true);
+                i += 1;
+            }
+            let ts = em.timeseries().unwrap();
+            assert_eq!(ts.len() as u64 + ts.dropped, ts.total());
+            assert_eq!(ts.len(), capacity);
+            let chunk = ts.ring.chunk_len();
+            let bound = capacity.next_multiple_of(chunk) + chunk;
+            assert!(ts.ring.slots() <= bound, "{} slots for {capacity}", ts.ring.slots());
+        }
     }
 
     #[test]

@@ -12,13 +12,18 @@
 //! transfers, and dependency stalls. By construction the segment
 //! durations sum to exactly the recorded end-to-end latency — the
 //! invariant the trace test suite checks on every traced request.
+//!
+//! The ring stores each request's packed events and bounds, not its
+//! segments: the span totals and the anatomy take the sweep's output as
+//! the request is recorded, and [`RequestTrace::segments`] re-runs the
+//! same sweep on the stored events whenever a reader asks.
 
 use crate::anatomy::AnatomyRecorder;
-use crate::arena::{Arena, PackedNanos, Span};
 use crate::jsonlite::{escape, Json};
 use evanesco_ftl::{Lpa, OpCause};
+use evanesco_nand::arena::{Arena, PackedNanos, Span};
 use evanesco_nand::timing::Nanos;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// What a traced interval was spent on. Doubles as the segment class of
 /// the derived per-request timeline.
@@ -208,40 +213,83 @@ impl Segment {
     }
 }
 
-/// A [`TraceEvent`] as the ring stores it: 20 bytes (40 unpacked), the
-/// resource in its dense form.
+/// A live [`TraceEvent`] as the sweep and the anatomy read it: 24 bytes
+/// (40 unpacked), the resource in its dense form.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PackedEvent {
-    pub(crate) start: PackedNanos,
-    pub(crate) end: PackedNanos,
+pub(crate) struct LiveEvent {
+    pub(crate) start: Nanos,
+    pub(crate) end: Nanos,
     pub(crate) kind: SpanKind,
     pub(crate) cause: OpCause,
     pub(crate) resource: u16,
 }
 
-impl PackedEvent {
-    fn pack(e: &TraceEvent) -> Self {
-        PackedEvent {
-            start: e.start.into(),
-            end: e.end.into(),
+impl From<&TraceEvent> for LiveEvent {
+    fn from(e: &TraceEvent) -> Self {
+        LiveEvent {
+            start: e.start,
+            end: e.end,
             kind: e.kind,
             cause: e.cause,
             resource: e.resource.dense(),
         }
     }
+}
 
-    fn unpack(&self) -> TraceEvent {
+impl From<LiveEvent> for TraceEvent {
+    fn from(e: LiveEvent) -> Self {
         TraceEvent {
-            kind: self.kind,
-            cause: self.cause,
-            resource: ResourceId::from_dense(self.resource),
-            start: self.start.into(),
-            end: self.end.into(),
+            kind: e.kind,
+            cause: e.cause,
+            resource: ResourceId::from_dense(e.resource),
+            start: e.start,
+            end: e.end,
         }
     }
 }
 
-/// A [`Segment`] as the ring stores it: 12 bytes (24 unpacked).
+/// The duration a [`PackedEvent`] holds when its own does not fit 32 bits
+/// (4.29 s): the event's end is kept aside, in [`TraceRecorder::long`].
+const LONG: u32 = u32::MAX;
+
+/// A [`TraceEvent`] as the ring stores it: 16 bytes, the end as a 32-bit
+/// duration ([`LONG`] for one that does not fit).
+#[derive(Debug, Clone, Copy)]
+struct PackedEvent {
+    start: PackedNanos,
+    dur: u32,
+    kind: SpanKind,
+    cause: OpCause,
+    resource: u16,
+}
+
+impl PackedEvent {
+    /// Packs `e`, calling `long` if its duration does not fit.
+    fn pack(e: &LiveEvent, long: impl FnOnce()) -> Self {
+        let dur =
+            u32::try_from((e.end - e.start).0).ok().filter(|&d| d < LONG).unwrap_or_else(|| {
+                long();
+                LONG
+            });
+        PackedEvent {
+            start: e.start.into(),
+            dur,
+            kind: e.kind,
+            cause: e.cause,
+            resource: e.resource,
+        }
+    }
+
+    /// Unpacks the event, asking `long` for the end of one whose duration
+    /// did not fit.
+    fn unpack(&self, long: impl FnOnce() -> Nanos) -> LiveEvent {
+        let start = Nanos::from(self.start);
+        let end = if self.dur == LONG { long() } else { start + Nanos(u64::from(self.dur)) };
+        LiveEvent { start, end, kind: self.kind, cause: self.cause, resource: self.resource }
+    }
+}
+
+/// A [`Segment`] as the sweep writes it: 12 bytes (24 unpacked).
 /// Segments tile the request's window, so a segment starts where the
 /// previous one ended (the first at the window's start).
 #[derive(Debug, Clone, Copy)]
@@ -285,8 +333,36 @@ pub struct TraceHead {
     pub earliest: Nanos,
     /// Completion of its last device command.
     pub end: Nanos,
+}
+
+/// A [`TraceHead`] as the ring stores it: 48 bytes (56 unpacked). The id
+/// is the head's ring position; the first page and the page count take
+/// 32 bits, as every device's logical space does (`FtlConfig::check`).
+#[derive(Debug, Clone, Copy)]
+struct PackedHead {
+    submit: PackedNanos,
+    earliest: PackedNanos,
+    end: PackedNanos,
     events: Span,
-    segments: Span,
+    lpa: u32,
+    npages: u32,
+    kind: ReqKind,
+    acked: bool,
+}
+
+impl PackedHead {
+    fn unpack(&self, id: u64) -> TraceHead {
+        TraceHead {
+            id,
+            kind: self.kind,
+            lpa: Lpa::from(self.lpa),
+            npages: u64::from(self.npages),
+            acked: self.acked,
+            submit: self.submit.into(),
+            earliest: self.earliest.into(),
+            end: self.end.into(),
+        }
+    }
 }
 
 impl TraceHead {
@@ -302,48 +378,70 @@ impl TraceHead {
     }
 }
 
+/// Ends of the retained events whose duration did not fit 32 bits, as
+/// `(trace id, index among its events, end)` in recording order.
+type LongEnds = VecDeque<(u64, u32, Nanos)>;
+
 /// One retained trace, borrowed from the ring: the [`TraceHead`] fields
-/// (by deref) plus its events and derived segments, unpacked on the fly.
+/// (by deref, unpacked) plus its events and derived segments, unpacked on
+/// the fly.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestTrace<'a> {
-    head: &'a TraceHead,
+    head: TraceHead,
     events: &'a [PackedEvent],
-    segments: &'a [PackedSegment],
+    long: &'a LongEnds,
+    /// The sweep that just segmented the request, when the view comes
+    /// straight from [`TraceRecorder::record`].
+    swept: Option<&'a Sweep>,
 }
 
 impl std::ops::Deref for RequestTrace<'_> {
     type Target = TraceHead;
 
     fn deref(&self) -> &TraceHead {
-        self.head
+        &self.head
     }
 }
 
 impl<'a> RequestTrace<'a> {
     /// Raw resource intervals, in issue order (empty ones dropped).
     pub fn events(&self) -> impl ExactSizeIterator<Item = TraceEvent> + Clone + 'a {
-        self.events.iter().map(PackedEvent::unpack)
+        self.live_events().map(TraceEvent::from)
     }
 
-    /// The events as the ring packs them.
-    pub(crate) fn packed_events(&self) -> &'a [PackedEvent] {
-        self.events
+    fn live_events(&self) -> impl ExactSizeIterator<Item = LiveEvent> + Clone + 'a {
+        let (id, long) = (self.head.id, self.long);
+        self.events.iter().enumerate().map(move |(i, e)| {
+            let i = i as u32;
+            e.unpack(|| {
+                let at = long.binary_search_by_key(&(id, i), |&(id, i, _)| (id, i));
+                long[at.expect("a long event's end is kept while its trace is")].2
+            })
+        })
     }
 
     /// Derived timeline: tiles `[submit, end)` exactly, so segment
-    /// durations sum to the end-to-end latency.
+    /// durations sum to the end-to-end latency. The ring keeps no
+    /// segments: each call re-runs the recording sweep on the stored
+    /// events and bounds.
     pub fn segments(&self) -> impl ExactSizeIterator<Item = Segment> + Clone + 'a {
-        unpack_segments(self.head.submit, self.segments)
+        let submit = self.head.submit;
+        self.with_sweep(|sweep| unpack_segments(submit, &sweep.out).collect::<Vec<_>>()).into_iter()
     }
 
-    /// The segments, each wait with the dense resource its request's next
-    /// own command ran on — none for a wait that ends the window, as no
-    /// event starts at or after the window's end.
-    pub(crate) fn blocked_segments(&self) -> impl Iterator<Item = (Segment, Option<u16>)> + 'a {
-        let end = self.head.end;
-        self.segments().zip(self.segments).map(move |(seg, packed)| {
-            (seg, (seg.kind == SpanKind::Wait && seg.end < end).then_some(packed.next))
-        })
+    /// Runs `f` on the sweep of this trace: the recording one when the
+    /// view comes straight from [`TraceRecorder::record`], else a fresh
+    /// one run on the stored events and bounds (already widened over the
+    /// events, so it yields the recorded segments).
+    pub(crate) fn with_sweep<R>(&self, f: impl FnOnce(&Sweep) -> R) -> R {
+        if let Some(sweep) = self.swept {
+            return f(sweep);
+        }
+        let mut sweep = Sweep::default();
+        sweep.load(self.live_events());
+        sweep.link();
+        sweep.run(self.head.submit, self.head.earliest, self.head.end);
+        f(&sweep)
     }
 }
 
@@ -368,35 +466,66 @@ pub(crate) struct TracePacket {
     pub(crate) req_idx: Option<usize>,
 }
 
-/// A run of finished requests in dispatch order and the executor's event
-/// buffer they index: what crosses to the recorder thread. Both vectors
-/// come back emptied and are refilled, so a batch grows once per call.
+/// A run of finished requests in dispatch order, the executor's event
+/// buffer they index, and one standard chunk per ring arena for the rings
+/// to grow into: what crosses to the recorder thread. The chunks are
+/// allocated on the request thread, so the rings live in its heap rather
+/// than in an allocator arena of the recorder thread's own. Everything
+/// comes back emptied, chunks the rings did not take included, and is
+/// refilled, so a batch grows once per call.
 #[derive(Debug)]
 pub(crate) struct TraceBatch {
     pub(crate) packets: Vec<TracePacket>,
     pub(crate) events: Vec<TraceEvent>,
+    heads: Option<Vec<PackedHead>>,
+    chunk: Option<Vec<PackedEvent>>,
+    anatomy: crate::anatomy::Spares,
 }
 
-/// Chunk sizes of the ring's three arenas, in elements (80, 160 and
-/// 96 KiB): large enough that a chunk outlives hundreds of requests.
+impl TraceBatch {
+    /// An empty batch with room for `packets` requests and no chunks.
+    pub(crate) fn new(packets: usize) -> Self {
+        TraceBatch {
+            packets: Vec::with_capacity(packets),
+            events: Vec::new(),
+            heads: None,
+            chunk: None,
+            anatomy: Default::default(),
+        }
+    }
+
+    /// Allocates, on the calling thread, the chunk of each ring arena the
+    /// recorder took from this batch last time (the anatomy's too when
+    /// `anatomy`).
+    pub(crate) fn top_up(&mut self, anatomy: bool) {
+        self.heads.get_or_insert_with(|| Vec::with_capacity(HEAD_CHUNK));
+        self.chunk.get_or_insert_with(|| Vec::with_capacity(EVENT_CHUNK));
+        if anatomy {
+            self.anatomy.top_up();
+        }
+    }
+}
+
+/// Chunk sizes of the ring's two arenas, in elements (48 and 128 KiB):
+/// large enough that a chunk outlives hundreds of requests.
 const HEAD_CHUNK: usize = 1024;
 const EVENT_CHUNK: usize = 8192;
-const SEGMENT_CHUNK: usize = 8192;
 
 /// Bounded ring of finished request traces plus running aggregates.
 ///
 /// The ring holds the most recent `capacity` traces; older ones are
 /// evicted (counted in [`TraceRecorder::dropped`]) while the per-kind
 /// span-time aggregates keep accumulating for every trace ever recorded.
-/// Storage is three [`Arena`]s — headers, packed events, packed segments
-/// — so recording allocates once per chunk, not per request, and evicting
-/// the oldest trace releases its share of each.
+/// Storage is two [`Arena`]s — packed headers and packed events — so
+/// recording allocates once per chunk, not per request, and evicting the
+/// oldest trace releases its share of each. Segments are derived on read.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     capacity: usize,
-    heads: Arena<TraceHead>,
+    heads: Arena<PackedHead>,
     events: Arena<PackedEvent>,
-    segments: Arena<PackedSegment>,
+    /// Ends of the retained events too long for a packed duration.
+    long: LongEnds,
     /// Total segment time per kind across all recorded traces (indexed by
     /// [`SpanKind::priority`] order).
     span_totals: [Nanos; SpanKind::ALL.len()],
@@ -418,7 +547,7 @@ impl TraceRecorder {
             capacity,
             heads: Arena::new(HEAD_CHUNK),
             events: Arena::new(EVENT_CHUNK),
-            segments: Arena::new(SEGMENT_CHUNK),
+            long: LongEnds::new(),
             span_totals: [Nanos::ZERO; SpanKind::ALL.len()],
             sweep: Sweep::default(),
             first_id: 0,
@@ -446,17 +575,20 @@ impl TraceRecorder {
         self.heads.released()
     }
 
-    fn view<'a>(&'a self, head: &'a TraceHead) -> RequestTrace<'a> {
-        RequestTrace {
-            head,
-            events: self.events.slice(head.events),
-            segments: self.segments.slice(head.segments),
-        }
+    fn view<'a>(
+        &'a self,
+        head: &PackedHead,
+        id: u64,
+        swept: Option<&'a Sweep>,
+    ) -> RequestTrace<'a> {
+        let events = self.events.slice(head.events);
+        RequestTrace { head: head.unpack(id), events, long: &self.long, swept }
     }
 
     /// The retained traces, oldest first.
     pub fn traces(&self) -> impl Iterator<Item = RequestTrace<'_>> + Clone {
-        self.heads.iter().map(|head| self.view(head))
+        let first = self.first_id + self.heads.released();
+        self.heads.iter().zip(first..).map(|(head, id)| self.view(head, id, None))
     }
 
     /// Total derived-segment time spent in `kind` across every recorded
@@ -475,7 +607,7 @@ impl TraceRecorder {
     /// # Panics
     ///
     /// Panics if an event's resource index is beyond the ring's packed
-    /// 15-bit field.
+    /// 15-bit field, or `lpa` or `npages` beyond its 32-bit ones.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -488,38 +620,61 @@ impl TraceRecorder {
         end: Nanos,
         events: &[TraceEvent],
     ) -> RequestTrace<'_> {
+        let id = self.first_id + self.heads.pushed();
         if self.heads.len() == self.capacity {
-            let oldest = *self.heads.iter().next().expect("a full ring has an oldest trace");
+            let oldest = *self.heads.front().expect("a full ring has an oldest trace");
             self.events.release_front(oldest.events.len());
-            self.segments.release_front(oldest.segments.len());
             self.heads.release_front(1);
+            let gone = id - self.capacity as u64;
+            while self.long.front().is_some_and(|l| l.0 <= gone) {
+                self.long.pop_front();
+            }
         }
-        // The sweep reads the ring's own packed copy of the live events.
-        let live = events.iter().filter(|e| e.end > e.start);
-        let packed = self.events.push_iter(events.len(), live.map(PackedEvent::pack));
+        self.sweep.load(events.iter().filter(|e| e.end > e.start).map(LiveEvent::from));
         let (mut submit, mut earliest) = (submit, earliest.max(submit));
         let mut end = end.max(earliest);
-        if let Some((first, last)) = self.sweep.link(self.events.slice(packed)) {
+        if let Some((first, last)) = self.sweep.link() {
             (submit, earliest, end) = (submit.min(first), earliest.min(first), end.max(last));
         }
-        let segments = self.sweep.run(submit, earliest, end, self.events.slice(packed));
-        for s in unpack_segments(submit, segments) {
+        for s in unpack_segments(submit, self.sweep.run(submit, earliest, end)) {
             self.span_totals[s.kind.priority()] += s.dur();
         }
-        let head = TraceHead {
-            id: self.first_id + self.heads.pushed(),
+        let (live, long) = (&self.sweep.live, &mut self.long);
+        let packed = live
+            .iter()
+            .zip(0..)
+            .map(|(e, i)| PackedEvent::pack(e, || long.push_back((id, i, e.end))));
+        let narrow = |v: u64| u32::try_from(v).expect("a traced request's pages fit 32 bits");
+        let head = PackedHead {
+            submit: submit.into(),
+            earliest: earliest.into(),
+            end: end.into(),
+            events: self.events.push_iter(live.len(), packed),
+            lpa: narrow(lpa),
+            npages: narrow(npages),
             kind,
-            lpa,
-            npages,
             acked,
-            submit,
-            earliest,
-            end,
-            events: packed,
-            segments: self.segments.push_iter(segments.len(), segments.iter().copied()),
         };
-        let at = self.heads.push(head);
-        self.view(&self.heads.slice(at)[0])
+        self.heads.push(head);
+        self.view(&head, id, Some(&self.sweep))
+    }
+
+    /// Records a shipped batch with [`TraceRecorder::record_packets`],
+    /// each arena first keeping the batch's chunk as its spare if it has
+    /// none, and empties the batch.
+    pub(crate) fn record_batch(
+        &mut self,
+        mut anatomy: Option<&mut AnatomyRecorder>,
+        batch: &mut TraceBatch,
+    ) {
+        batch.heads = self.heads.adopt(batch.heads.take());
+        batch.chunk = self.events.adopt(batch.chunk.take());
+        if let Some(a) = anatomy.as_deref_mut() {
+            a.adopt(&mut batch.anatomy);
+        }
+        self.record_packets(anatomy, &batch.packets, &batch.events);
+        batch.packets.clear();
+        batch.events.clear();
     }
 
     /// Records finished requests in dispatch order, each one's events read
@@ -667,11 +822,10 @@ fn meta_str(pid: u64, tid: Option<u64>, name: &str, value: &str) -> String {
 ///
 /// Panics if `end < earliest` or a resource index needs more than 15 bits.
 pub fn segment(submit: Nanos, earliest: Nanos, end: Nanos, events: &[TraceEvent]) -> Vec<Segment> {
-    let live: Vec<PackedEvent> =
-        events.iter().filter(|e| e.end > e.start).map(PackedEvent::pack).collect();
     let mut sweep = Sweep::default();
-    sweep.link(&live);
-    unpack_segments(submit.min(earliest), sweep.run(submit, earliest, end, &live)).collect()
+    sweep.load(events.iter().filter(|e| e.end > e.start).map(LiveEvent::from));
+    sweep.link();
+    unpack_segments(submit.min(earliest), sweep.run(submit, earliest, end)).collect()
 }
 
 /// The segmenter (buffers recycled across requests), built on what the
@@ -684,7 +838,9 @@ pub fn segment(submit: Nanos, earliest: Nanos, end: Nanos, events: &[TraceEvent]
 /// the request's next own command, which the anatomy blames it against
 /// (fact 2 is the anatomy's, [`crate::anatomy`]).
 #[derive(Debug, Clone, Default)]
-struct Sweep {
+pub(crate) struct Sweep {
+    /// The request's live events, in issue order.
+    live: Vec<LiveEvent>,
     /// Per dense resource, one plus its run's last event while merging.
     tail_of: Vec<u32>,
     /// Per run, its first event.
@@ -728,20 +884,46 @@ fn extend(out: &mut Vec<PackedSegment>, (kind, cause): (SpanKind, OpCause), stop
 const SHIFTS_PER_EVENT: usize = 8;
 
 impl Sweep {
-    /// Puts the live `events` into `order` by start, issue order on ties,
+    /// Takes one request's live events, in issue order.
+    fn load(&mut self, events: impl Iterator<Item = LiveEvent>) {
+        self.live.clear();
+        self.live.extend(events);
+    }
+
+    /// The loaded events.
+    pub(crate) fn events(&self) -> &[LiveEvent] {
+        &self.live
+    }
+
+    /// The last run's segments, tiling from `start`, each wait with the
+    /// dense resource its request's next own command ran on — none for a
+    /// wait that ends the window at `end`, as no event starts at or after
+    /// it.
+    pub(crate) fn blocked_segments(
+        &self,
+        start: Nanos,
+        end: Nanos,
+    ) -> impl Iterator<Item = (Segment, Option<u16>)> + '_ {
+        unpack_segments(start, &self.out).zip(&self.out).map(move |(seg, packed)| {
+            (seg, (seg.kind == SpanKind::Wait && seg.end < end).then_some(packed.next))
+        })
+    }
+
+    /// Puts the loaded events into `order` by start, issue order on ties,
     /// and returns the earliest start and the latest end. Most requests are
     /// a handful of events, one or two per resource and nearly in order:
     /// each is inserted outright. Past [`SHIFTS_PER_EVENT`] shifts per
     /// event — a GC burst, hundreds of events shuffled from a few long runs
     /// — the runs are merged instead.
-    fn link(&mut self, events: &[PackedEvent]) -> Option<(Nanos, Nanos)> {
+    fn link(&mut self) -> Option<(Nanos, Nanos)> {
+        let events = &self.live;
         assert!(u32::try_from(events.len()).is_ok(), "the sweep carries 32-bit event indices");
         let order = &mut self.order;
         order.clear();
         let (mut budget, mut last) = (SHIFTS_PER_EVENT * events.len(), Nanos::ZERO);
         for (i, e) in (0..).zip(events) {
-            last = last.max(e.end.into());
-            let key = (Nanos::from(e.start), i);
+            last = last.max(e.end);
+            let key = (e.start, i);
             let mut at = order.len();
             order.push(key);
             while at > 0 && budget > 0 && order[at - 1] > key {
@@ -752,7 +934,7 @@ impl Sweep {
             order[at] = key;
         }
         if budget == 0 && !events.is_empty() {
-            self.merge(events);
+            self.merge();
         }
         self.order.first().map(|&(first, _)| (first, last))
     }
@@ -761,9 +943,10 @@ impl Sweep {
     /// merges the runs into `order` through a front of one event per run —
     /// O(E × R) for R resources. Hand-built input with a run out of start
     /// order is sorted instead.
-    fn merge(&mut self, events: &[PackedEvent]) {
-        let Sweep { tail_of, heads, next, order, .. } = self;
-        let key = |i: u32| (Nanos::from(events[i as usize].start), i);
+    fn merge(&mut self) {
+        let Sweep { live, tail_of, heads, next, order, .. } = self;
+        let events = &live[..];
+        let key = |i: u32| (events[i as usize].start, i);
         heads.clear();
         next.clear();
         next.resize(events.len(), NONE);
@@ -808,15 +991,10 @@ impl Sweep {
     /// written up to `at`; the winner holds it from there until it ends (the
     /// highest key still covering takes over) or a higher key of another
     /// label starts.
-    fn run(
-        &mut self,
-        submit: Nanos,
-        earliest: Nanos,
-        end: Nanos,
-        events: &[PackedEvent],
-    ) -> &[PackedSegment] {
+    fn run(&mut self, submit: Nanos, earliest: Nanos, end: Nanos) -> &[PackedSegment] {
         assert!(end >= earliest, "the service window ends before it starts");
-        let Sweep { order, active, out, .. } = self;
+        let Sweep { live, order, active, out, .. } = self;
+        let events = &live[..];
         out.clear();
         active.clear();
         if earliest > submit {
@@ -856,13 +1034,13 @@ impl Sweep {
             let e = &events[i as usize];
             let host = u64::from(e.cause == OpCause::Host);
             let key = (e.kind.priority() as u64 + 1) << 33 | host << 32 | u64::from(i);
-            active.push((e.end.into(), key));
+            active.push((e.end, key));
             if key > top.1 {
                 if top.1 != 0 && first > at && label(top.1) != (e.kind, e.cause) {
                     extend(out, label(top.1), first);
                     at = first;
                 }
-                top = (e.end.into(), key);
+                top = (e.end, key);
             }
         }
         if top.1 != 0 && at < end {
@@ -1139,7 +1317,7 @@ mod tests {
         for case in 0..400u32 {
             let (len, resources) = (step(300) as usize, 1 + step(12));
             let mut cursor = vec![0u64; resources as usize];
-            let events: Vec<PackedEvent> = (0..len)
+            let events: Vec<LiveEvent> = (0..len)
                 .map(|_| {
                     let r = step(resources) as usize;
                     let start =
@@ -1150,13 +1328,14 @@ mod tests {
                     } else {
                         ResourceId::Chip(r)
                     };
-                    PackedEvent::pack(&ev(SpanKind::Read, res, start, cursor[r]))
+                    LiveEvent::from(&ev(SpanKind::Read, res, start, cursor[r]))
                 })
                 .collect();
             let mut sweep = Sweep::default();
-            sweep.link(&events);
+            sweep.load(events.into_iter());
+            sweep.link();
             let linked = sweep.order.clone();
-            sweep.merge(&events);
+            sweep.merge();
             assert_eq!(sweep.order, linked, "case {case}");
             assert!(linked.windows(2).all(|w| w[0] < w[1]), "case {case}: not in start order");
         }
@@ -1172,10 +1351,35 @@ mod tests {
     #[test]
     fn the_ring_stores_packed_forms() {
         assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
-        assert_eq!(std::mem::size_of::<PackedEvent>(), 20);
+        assert_eq!(std::mem::size_of::<LiveEvent>(), 24);
+        assert_eq!(std::mem::size_of::<PackedEvent>(), 16);
         assert_eq!(std::mem::size_of::<Segment>(), 24);
         assert_eq!(std::mem::size_of::<PackedSegment>(), 12);
-        assert_eq!(std::mem::size_of::<TraceHead>(), 80);
+        assert_eq!(std::mem::size_of::<TraceHead>(), 56);
+        assert_eq!(std::mem::size_of::<PackedHead>(), 48);
+    }
+
+    #[test]
+    fn an_event_too_long_for_its_packed_duration_keeps_its_end() {
+        let long = u64::from(u32::MAX);
+        let events = [
+            ev(SpanKind::Stall, ResourceId::Chip(0), 10, 10 + long),
+            ev(SpanKind::Read, ResourceId::Chip(1), 20, 20 + long - 1),
+            ev(SpanKind::Erase, ResourceId::Chip(0), 10 + long, 20 + 3 * long),
+        ];
+        let mut rec = TraceRecorder::new(2);
+        let end = Nanos(30 + 3 * long);
+        let recorded: Vec<Segment> = rec
+            .record(ReqKind::Write, 1, 1, true, Nanos(0), Nanos(5), end, &events)
+            .segments()
+            .collect();
+        assert_eq!(rec.long.len(), 2, "the stall and the erase keep their ends aside");
+        let t = rec.traces().next().expect("one trace");
+        assert!(t.events().eq(events), "every end reads back exactly");
+        assert_eq!(t.segments().collect::<Vec<_>>(), recorded, "derived on read as recorded");
+        rec.record(ReqKind::Read, 2, 1, true, end, end, end + Nanos(9), &events[1..2]);
+        rec.record(ReqKind::Read, 3, 1, true, end, end, end + Nanos(9), &events[1..2]);
+        assert!(rec.long.is_empty(), "evicting the trace drops its long ends");
     }
 
     #[test]

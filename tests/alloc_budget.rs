@@ -19,10 +19,14 @@
 //! its own, whose arena chunks a per-thread count would miss. The file's
 //! tests therefore run one at a time behind one lock, each starting once
 //! the process has fallen quiet, and the runs are deterministic, so this
-//! gates. The observed run now spends 120 allocations beyond the bare one:
-//! the recorders' 78 and 42 for the recorder thread, its two channels and
-//! its two spare batches, a fixed cost per call that fits the budget. One
-//! allocation per request on that thread reads 4 626 here, where a
+//! gates. The observed run spends 125 allocations beyond the bare one and
+//! frees 68 more blocks on drop, for 84 chunks (budget 168): the rings'
+//! chunks, allocated on the request thread and shipped with each batch
+//! (up to one per ring arena per batch in flight), the recorders' working
+//! buffers, and the recorder thread, its two channels and its two spare
+//! batches, a fixed cost per call. With segments still stored in a third
+//! arena the same run spent 120 and freed 70 for 91 chunks. One
+//! allocation per request on the recorder thread reads 4 626 here, where a
 //! per-thread count read 40 and passed.
 
 use evanesco::ftl::SanitizePolicy;
@@ -127,10 +131,10 @@ struct Cost {
     /// Blocks freed by dropping the emulator.
     drop_frees: u64,
     /// Arena chunks the recorded volume fills, restating the recorders'
-    /// chunk sizes (1 024 headers and rows; 8 192 events and segments;
-    /// 4 096 chain links) plus one open chunk per arena, and the blocks of
-    /// each resource's occupancy ring (grown by doubling from 4 slots to
-    /// its bound of 4 096: at most 12).
+    /// chunk sizes (1 024 headers and rows; 8 192 events; 4 096 chain
+    /// links) plus one open chunk per arena, and the blocks of each
+    /// resource's occupancy ring (grown by doubling from 4 slots to its
+    /// bound of 4 096: at most 12).
     chunks: u64,
 }
 
@@ -153,18 +157,16 @@ fn run(observed: bool, qd: usize) -> Cost {
     if let (Some(tr), Some(an)) = (ssd.trace(), ssd.anatomy()) {
         assert_eq!(tr.dropped() + an.dropped(), 0, "rings sized to the run");
         assert!(tr.recorded() as usize > REQUESTS * 3 / 4, "most requests leave a trace");
-        let (mut events, mut segments) = (0u64, 0u64);
+        let mut events = 0u64;
         let mut interfering = std::collections::BTreeSet::new();
         for t in tr.traces() {
             events += t.events().len() as u64;
-            segments += t.segments().len() as u64;
             let blamable = |e: &TraceEvent| interference_of(e.kind, e.cause).is_some();
             interfering.extend(t.events().filter(blamable).map(|e| e.resource));
         }
         let links: u64 = an.rows().map(|r| r.chain().len() as u64).sum();
-        let (arenas, rings) = (5, 12 * interfering.len() as u64);
-        chunks =
-            2 * tr.recorded() / 1024 + (events + segments) / 8192 + links / 4096 + arenas + rings;
+        let (arenas, rings) = (4, 12 * interfering.len() as u64);
+        chunks = 2 * tr.recorded() / 1024 + events / 8192 + links / 4096 + arenas + rings;
     }
     let before = frees();
     drop(ssd);
