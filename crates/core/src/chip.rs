@@ -288,18 +288,7 @@ impl EvanescoChip {
     pub fn encode_state(&self, e: &mut evanesco_nand::snapshot::Enc) {
         e.tag(0x22);
         self.inner.encode_state(e);
-        // The stream keeps the per-block shape the table had when it was
-        // nested.
-        let ppb = self.layout.pages_per_block() as usize;
-        e.usize(self.layout.blocks());
-        for block in self.pap_locked.chunks_exact(ppb) {
-            e.usize(ppb);
-            for &f in block {
-                e.u8(encode_flag_state(f));
-            }
-        }
-        e.usize(self.bap_locked.len());
-        for &f in &self.bap_locked {
+        for &f in self.pap_locked.iter().chain(&self.bap_locked) {
             e.u8(encode_flag_state(f));
         }
         e.usize(self.pap_config.k);
@@ -315,7 +304,6 @@ impl EvanescoChip {
             OpStatus::Failed => 1,
         });
         e.u32(self.last_read_retries);
-        e.usize(self.bad_mark.len());
         for &b in &self.bad_mark {
             e.bool(b);
         }
@@ -325,11 +313,12 @@ impl EvanescoChip {
     /// Restores state written by [`EvanescoChip::encode_state`] into this
     /// chip. The chip must have been constructed against the same geometry
     /// and (for fault-stream continuity) the same fault configuration; the
-    /// fault model's dynamic state is overlaid on the armed model.
+    /// tables the geometry sizes are filled in place, and the fault model's
+    /// dynamic state is overlaid on the armed model.
     ///
     /// # Errors
     ///
-    /// Fails on truncation, structural corruption, or a geometry mismatch.
+    /// Fails on truncation or structural corruption.
     pub fn decode_state(
         &mut self,
         d: &mut evanesco_nand::snapshot::Dec<'_>,
@@ -337,34 +326,8 @@ impl EvanescoChip {
         use crate::calibration::DesignPoint;
         use evanesco_nand::snapshot::SnapshotError;
         d.expect_tag(0x22, "evanesco-chip")?;
-        let inner = Chip::decode_state(d)?;
-        if inner.geometry() != self.inner.geometry() {
-            return Err(SnapshotError::Mismatch(format!(
-                "chip geometry {:?} does not match the configured device {:?}",
-                inner.geometry(),
-                self.inner.geometry()
-            )));
-        }
-        self.inner = inner;
-        // Counts are checked against the configured device before anything
-        // is read under them, so the tables are filled in place.
-        let dims = |ok: bool| {
-            ok.then_some(()).ok_or_else(|| {
-                SnapshotError::Mismatch(
-                    "flag table dimensions do not match the configured device".into(),
-                )
-            })
-        };
-        let ppb = self.layout.pages_per_block() as usize;
-        dims(d.usize()? == self.layout.blocks())?;
-        for block in self.pap_locked.chunks_exact_mut(ppb) {
-            dims(d.usize()? == ppb)?;
-            for f in block {
-                *f = decode_flag_state(d)?;
-            }
-        }
-        dims(d.usize()? == self.bap_locked.len())?;
-        for f in &mut self.bap_locked {
+        self.inner.decode_state(d)?;
+        for f in self.pap_locked.iter_mut().chain(&mut self.bap_locked) {
             *f = decode_flag_state(d)?;
         }
         let k = d.usize()?;
@@ -378,18 +341,13 @@ impl EvanescoChip {
             b => return Err(SnapshotError::Corrupt(format!("unknown op status {b:#04x}"))),
         };
         self.last_read_retries = d.u32()?;
-        let n_marks = d.usize()?;
-        if n_marks != self.bad_mark.len() {
-            return Err(SnapshotError::Mismatch(
-                "bad-block mark count does not match the configured device".into(),
-            ));
-        }
         for m in &mut self.bad_mark {
             *m = d.bool()?;
         }
-        let (blocks, ppb) = (self.inner.geometry().blocks, self.inner.geometry().pages_per_block());
+        let (pap, bap, geom) = (self.pap_config, self.bap_config, self.inner.geometry());
+        let (blocks, ppb) = (geom.blocks, geom.pages_per_block());
         self.device_flags =
-            d.opt(|d| crate::device_flags::FlagDeviceSim::decode_state(d, blocks, ppb))?;
+            d.opt(|d| crate::device_flags::FlagDeviceSim::decode_state(d, pap, bap, blocks, ppb))?;
         Ok(())
     }
 

@@ -240,17 +240,13 @@ impl FlagDeviceSim {
         self.block_flag_count
     }
 
-    /// Serializes the simulation state — configurations, stream key, next
-    /// nonce, accumulated age, and `(address, nonce, born_day)` of every
+    /// Serializes the simulation state — stream key, next nonce,
+    /// accumulated age, and `(address, nonce, born_day)` of every
     /// programmed flag in address order — into a checkpoint stream. Cell
-    /// voltages are derived, so none travel.
+    /// voltages are derived, so none travel; the flag configurations are
+    /// the owning chip's, which its own section states.
     pub fn encode_state(&self, e: &mut evanesco_nand::snapshot::Enc) {
         e.tag(0x21);
-        e.usize(self.pap_config.k);
-        e.u8(self.pap_config.point.v_index);
-        e.u32(self.pap_config.point.t_us);
-        e.u8(self.bap_config.point.v_index);
-        e.u32(self.bap_config.point.t_us);
         e.u64(self.seed);
         e.u64(self.next_nonce);
         e.f64(self.aged_days);
@@ -270,8 +266,8 @@ impl FlagDeviceSim {
     }
 
     /// Reconstructs a simulation from a stream written by
-    /// [`FlagDeviceSim::encode_state`], for a chip of `blocks` blocks of
-    /// `pages_per_block` pages each.
+    /// [`FlagDeviceSim::encode_state`], with the flag configurations of a
+    /// chip of `blocks` blocks of `pages_per_block` pages each.
     ///
     /// # Errors
     ///
@@ -280,15 +276,13 @@ impl FlagDeviceSim {
     /// birth day that is not a finite day in `[0, aged_days]`.
     pub fn decode_state(
         d: &mut evanesco_nand::snapshot::Dec<'_>,
+        pap_config: PapConfig,
+        bap_config: BapConfig,
         blocks: u32,
         pages_per_block: u32,
     ) -> Result<Self, evanesco_nand::snapshot::SnapshotError> {
-        use crate::calibration::DesignPoint;
         use evanesco_nand::snapshot::SnapshotError::Mismatch;
         d.expect_tag(0x21, "flag-device")?;
-        let k = d.usize()?;
-        let pap_config = PapConfig { k, point: DesignPoint::new(d.u8()?, d.u32()?) };
-        let bap_config = BapConfig { point: DesignPoint::new(d.u8()?, d.u32()?) };
         let mut sim = FlagDeviceSim::new(pap_config, bap_config, d.u64()?, blocks, pages_per_block);
         sim.next_nonce = d.u64()?;
         let today = d.f64()?;
@@ -497,7 +491,9 @@ mod tests {
         let mut sim = weak_device_with_staggered_flags();
         sim.program_page_flag(Ppa::new(3, 7));
         let bytes = encoded(&sim);
-        let restored = FlagDeviceSim::decode_state(&mut Dec::new(&bytes), BLOCKS, PPB).unwrap();
+        let (pap, bap) = (sim.pap_config, sim.bap_config);
+        let restored =
+            FlagDeviceSim::decode_state(&mut Dec::new(&bytes), pap, bap, BLOCKS, PPB).unwrap();
         assert_eq!(restored.page_flag_count(), sim.page_flag_count());
         assert_eq!(restored.block_flag_count(), sim.block_flag_count());
         assert_eq!(decoded(&restored), decoded(&sim));
@@ -511,15 +507,17 @@ mod tests {
         sim.program_page_flag(Ppa::new(5, 100));
         sim.program_block_flag(BlockId(6));
         let bytes = encoded(&sim);
-        let decode =
-            |b: &[u8], blocks, ppb| FlagDeviceSim::decode_state(&mut Dec::new(b), blocks, ppb);
+        let decode = |b: &[u8], blocks, ppb| {
+            let (pap, bap) = (PapConfig::paper(), BapConfig::paper());
+            FlagDeviceSim::decode_state(&mut Dec::new(b), pap, bap, blocks, ppb)
+        };
         decode(&bytes, BLOCKS, PPB).unwrap();
         // Decoding against a smaller chip must fail loudly, not truncate.
         assert!(decode(&bytes, 4, PPB).is_err());
         assert!(decode(&bytes, BLOCKS, 64).is_err());
-        // Layout: tag, 8 + 5 + 5 config bytes, seed, next_nonce, aged_days,
-        // count, (b, p, nonce, born), count, (b, born).
-        let next_nonce = 1 + 8 + 5 + 5 + 8;
+        // Layout: tag, seed, next_nonce, aged_days, count, (b, p, nonce,
+        // born), count, (b, born).
+        let next_nonce = 1 + 8;
         let aged_days = next_nonce + 8;
         let nonce = aged_days + 8 + 8 + 4 + 4;
         let born = nonce + 8;

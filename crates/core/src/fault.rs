@@ -592,21 +592,6 @@ impl CorruptionModel {
     }
 }
 
-/// Flips one keyed-drawn bit of a serialized checkpoint: the
-/// checkpoint-bytes leg of the corruption injector. Returns the damaged
-/// `(offset, bit)` so the caller can report it; `None` for an empty blob.
-pub fn corrupt_checkpoint_bytes(seed: u64, ordinal: u64, bytes: &mut [u8]) -> Option<(usize, u8)> {
-    if bytes.is_empty() {
-        return None;
-    }
-    let h =
-        mix64(seed ^ (u64::from(K_CORRUPT) << 56) ^ ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let offset = (h % bytes.len() as u64) as usize;
-    let bit = ((h >> 56) % 8) as u8;
-    bytes[offset] ^= 1 << bit;
-    Some((offset, bit))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -780,25 +765,6 @@ mod tests {
         assert_eq!(s.per_target[CorruptTarget::L2pMap.index()], 2);
         assert_eq!(s.per_target[CorruptTarget::GcCandidacy.index()], 1);
         assert_eq!(s.per_target.iter().sum::<u64>(), s.injected);
-    }
-
-    #[test]
-    fn checkpoint_byte_corruption_is_keyed_and_flips_one_bit() {
-        let original = vec![0u8; 64];
-        let mut a = original.clone();
-        let mut b = original.clone();
-        let hit_a = corrupt_checkpoint_bytes(7, 3, &mut a).unwrap();
-        let hit_b = corrupt_checkpoint_bytes(7, 3, &mut b).unwrap();
-        assert_eq!(hit_a, hit_b);
-        assert_eq!(a, b);
-        let flipped: Vec<_> = a.iter().zip(&original).filter(|(x, y)| x != y).collect();
-        assert_eq!(flipped.len(), 1, "exactly one byte damaged");
-        assert_eq!(a[hit_a.0] ^ original[hit_a.0], 1 << hit_a.1);
-        // A different ordinal lands elsewhere (with overwhelming odds).
-        let mut c = original.clone();
-        let hit_c = corrupt_checkpoint_bytes(7, 4, &mut c).unwrap();
-        assert_ne!(hit_a, hit_c);
-        assert_eq!(corrupt_checkpoint_bytes(7, 0, &mut []), None);
     }
 
     #[test]

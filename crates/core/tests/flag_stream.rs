@@ -156,7 +156,8 @@ proptest! {
             std::hint::black_box(decoded(&busy));
             if i % ckpt_every == 0 {
                 let bytes = encoded(&busy);
-                busy = FlagDeviceSim::decode_state(&mut Dec::new(&bytes), BLOCKS, PPB)
+                let d = &mut Dec::new(&bytes);
+                busy = FlagDeviceSim::decode_state(d, WEAK_PAP, weak_bap, BLOCKS, PPB)
                     .expect("a stream this test just wrote must decode");
             }
         }

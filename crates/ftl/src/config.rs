@@ -255,9 +255,11 @@ impl FtlConfig {
         }
     }
 
-    /// Total physical pages across all chips.
+    /// Total physical pages across all chips (saturating, like
+    /// [`Geometry::pages_per_block`]: [`FtlConfig::check`] refuses a count
+    /// that large).
     pub fn physical_pages(&self) -> u64 {
-        self.geometry.pages_per_chip() * self.n_chips as u64
+        self.geometry.pages_per_chip().saturating_mul(self.n_chips as u64)
     }
 
     /// Number of logical pages exposed to the host.

@@ -223,11 +223,6 @@ impl MemExecutor {
         Nanos(self.ops)
     }
 
-    /// Total NAND commands executed (the op-counter clock's current value).
-    pub fn ops_executed(&self) -> u64 {
-        self.ops
-    }
-
     /// The underlying chips.
     pub fn chips(&self) -> &[EvanescoChip] {
         &self.chips
@@ -334,7 +329,6 @@ mod tests {
         ex.erase(0, BlockId(1));
         let t2 = ex.chips()[0].last_erase_at(BlockId(1)).unwrap();
         assert!(t0 < t1 && t1 < t2, "erase clock must be strictly monotonic: {t0} {t1} {t2}");
-        assert_eq!(ex.ops_executed(), 5);
     }
 
     #[test]

@@ -46,20 +46,16 @@ impl Ftl {
     /// The decision log is observational only and not checkpointed.
     pub fn encode_state(&self, e: &mut Enc) {
         e.tag(0x30);
-        e.usize(self.l2p.len());
         for lpa in 0..self.l2p.len() {
             e.opt(&self.l2p.get(lpa), encode_gppa);
         }
-        e.usize(self.chips.len());
         for c in &self.chips {
-            e.usize(c.p2l.len());
             for idx in 0..c.p2l.len() {
                 e.opt(&c.lpa_at(idx), |e, lpa| e.u64(*lpa));
             }
             for &s in &c.status {
                 encode_code(e, &PAGE_STATUS, s);
             }
-            e.usize(c.blocks.len());
             for b in &c.blocks {
                 encode_code(e, &BLOCK_STATE, b.state);
                 e.u32(b.live);
@@ -80,7 +76,6 @@ impl Ftl {
             e.u64(c.invalid_total);
             e.u32(c.retired);
         }
-        e.usize(self.chip_order.len());
         for &c in &self.chip_order {
             e.usize(c);
         }
@@ -93,7 +88,7 @@ impl Ftl {
             e.u32(entry.block);
             e.usize(entry.pages.len());
             for p in entry.addresses() {
-                encode_gppa(e, &p);
+                e.u32(p.ppa.page.0);
             }
             e.u64(entry.since);
         }
@@ -101,16 +96,16 @@ impl Ftl {
     }
 
     /// Restores state written by [`Ftl::encode_state`] into an FTL built
-    /// with the same configuration and policy.
+    /// with the same configuration and policy, whose tables fix every
+    /// length the stream does not state.
     ///
     /// # Errors
     ///
-    /// Fails on truncation, corruption (an address or LPA off the device),
-    /// or table dimensions that do not match this FTL's geometry.
+    /// Fails on truncation or corruption (an address or LPA off the
+    /// device).
     pub fn decode_state(&mut self, d: &mut Dec<'_>) -> Result<(), SnapshotError> {
         d.expect_tag(0x30, "ftl")?;
         let geom = self.cfg.geometry;
-        dimension(d, self.l2p.len(), "L2P size")?;
         for lpa in 0..self.l2p.len() {
             let at = d.opt(decode_gppa)?;
             if at.is_some_and(|at| at.chip >= self.chips.len() || !geom.contains(at.ppa)) {
@@ -119,9 +114,7 @@ impl Ftl {
             self.l2p.set(lpa, at);
         }
         let logical = self.l2p.len() as u64;
-        dimension(d, self.chips.len(), "chip count")?;
         for c in &mut self.chips {
-            dimension(d, c.p2l.len(), "chip page count")?;
             for slot in &mut c.p2l {
                 *slot = match d.opt(|d| d.u64())? {
                     None => 0,
@@ -132,7 +125,6 @@ impl Ftl {
             for s in &mut c.status {
                 *s = decode_code(d, &PAGE_STATUS, "page status")?;
             }
-            dimension(d, c.blocks.len(), "block count")?;
             for b in &mut c.blocks {
                 b.state = decode_code(d, &BLOCK_STATE, "block state")?;
                 b.live = d.u32()?;
@@ -163,7 +155,6 @@ impl Ftl {
             c.invalid_total = d.u64()?;
             c.retired = d.u32()?;
         }
-        dimension(d, self.chip_order.len(), "chip-order length")?;
         for c in &mut self.chip_order {
             *c = d.usize()?;
         }
@@ -174,39 +165,28 @@ impl Ftl {
         for _ in 0..d.usize()? {
             let chip = d.usize()?;
             let block = d.u32()?;
-            let n = d.usize()?;
-            // Cap the pre-allocation: a corrupted length prefix must surface
-            // as a decode error downstream, not an OOM abort here.
-            let mut pages = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let at = decode_gppa(d)?;
-                if (at.chip, at.ppa.block.0) != (chip, block) || !geom.contains(at.ppa) {
-                    return Err(Corrupt(format!("queued page {at} outside its entry's block")));
-                }
-                pages.push(at);
-            }
-            let since = d.u64()?;
             if chip >= self.chips.len() || block >= geom.blocks {
                 return Err(Corrupt(format!(
                     "coalesce entry out of range: chip {chip}, block {block}"
                 )));
             }
+            let n = d.usize()?;
+            // Cap the pre-allocation: a corrupted length prefix must surface
+            // as a decode error downstream, not an OOM abort here.
+            let mut pages = Vec::with_capacity(n.min(1 << 16));
+            for _ in 0..n {
+                let at = GlobalPpa { chip, ppa: Ppa::new(block, d.u32()?) };
+                if !geom.contains(at.ppa) {
+                    return Err(Corrupt(format!("queued page {at} outside its block")));
+                }
+                pages.push(at);
+            }
+            let since = d.u64()?;
             self.pending_locks.enqueue(chip, block, &pages, since);
         }
         self.mode = decode_code(d, &DEGRADED_MODE, "degraded mode")?;
         Ok(())
     }
-}
-
-/// Reads a table dimension and checks it against this FTL's.
-fn dimension(d: &mut Dec<'_>, want: usize, what: &str) -> Result<(), SnapshotError> {
-    let got = d.usize()?;
-    if got == want {
-        return Ok(());
-    }
-    Err(SnapshotError::Mismatch(format!(
-        "{what} {got} does not match the configured device ({want})"
-    )))
 }
 
 fn encode_gppa(e: &mut Enc, at: &GlobalPpa) {
@@ -274,19 +254,5 @@ mod tests {
         ftl.encode_state(&mut ea);
         restored.encode_state(&mut eb);
         assert_eq!(ea.into_bytes(), eb.into_bytes(), "post-resume state diverged");
-    }
-
-    #[test]
-    fn snapshot_decode_rejects_geometry_mismatch() {
-        use evanesco_nand::snapshot::{Dec, Enc, SnapshotError};
-        let cfg = FtlConfig::tiny_for_tests();
-        let ftl = Ftl::new(cfg, SanitizePolicy::evanesco());
-        let mut e = Enc::new();
-        ftl.encode_state(&mut e);
-        let bytes = e.into_bytes();
-        let other = FtlConfig { n_chips: 1, ..cfg };
-        let mut wrong = Ftl::new(other, SanitizePolicy::evanesco());
-        let err = wrong.decode_state(&mut Dec::new(&bytes)).unwrap_err();
-        assert!(matches!(err, SnapshotError::Mismatch(_)), "{err}");
     }
 }

@@ -804,22 +804,18 @@ impl Chip {
         pages.map(|i| self.content_at(i)).collect()
     }
 
-    /// Serializes the full chip state — geometry, timing, every block's
-    /// slots and wear counters, and the operation stats — into a
-    /// checkpoint stream. The stream keeps its per-block shape; the flat
-    /// store is an in-memory detail.
+    /// Serializes the dynamic chip state — every block's slots and wear
+    /// counters, and the operation stats — into a checkpoint stream. The
+    /// geometry and timing are configuration: the stream does not restate
+    /// them, and [`Chip::decode_state`] reads it against the chip's own.
     pub fn encode_state(&self, e: &mut Enc) {
         e.tag(TAG_CHIP);
-        self.geom.encode_snapshot(e);
-        self.timing.encode_snapshot(e);
-        e.usize(self.blocks.len());
         let ppb = self.layout.pages_per_block() as usize;
         for (b, block) in self.blocks.iter().enumerate() {
             e.u32(block.next_program);
             e.u64(block.erase_count);
             e.opt(&block.last_erase_at, |e, t| e.u64(t.0));
             e.bool(block.torn_erase);
-            e.usize(ppb);
             for i in b * ppb..(b + 1) * ppb {
                 match self.states[i] {
                     SlotState::Erased => e.u8(0),
@@ -839,57 +835,36 @@ impl Chip {
         self.stats.encode_snapshot(e);
     }
 
-    /// Reconstructs a chip from a stream written by [`Chip::encode_state`].
+    /// Overlays a stream written by [`Chip::encode_state`] onto this chip,
+    /// whose geometry and timing the stream was written against. Every
+    /// block record and page slot is overwritten; the payload pool starts
+    /// over.
     ///
     /// # Errors
     ///
     /// Fails on truncation or structurally invalid content.
-    pub fn decode_state(d: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+    pub fn decode_state(&mut self, d: &mut Dec<'_>) -> Result<(), SnapshotError> {
         d.expect_tag(TAG_CHIP, "nand-chip")?;
-        let geom = Geometry::decode_snapshot(d)?;
-        let timing = TimingSpec::decode_snapshot(d)?;
-        let n_blocks = d.usize()?;
-        if n_blocks != geom.blocks as usize {
-            return Err(SnapshotError::Corrupt(format!(
-                "chip block count {n_blocks} does not match geometry ({})",
-                geom.blocks
-            )));
-        }
-        // Every page costs the stream at least its tag byte: a geometry the
-        // remaining bytes cannot cover is rejected before the store is sized
-        // from it.
-        if geom.pages_per_chip() > d.remaining() as u64 {
-            return Err(SnapshotError::Truncated {
-                offset: d.offset(),
-                needed: usize::try_from(geom.pages_per_chip()).unwrap_or(usize::MAX),
-            });
-        }
-        let mut chip = Chip::with_timing(geom, timing);
-        let ppb = chip.layout.pages_per_block() as usize;
-        for b in 0..n_blocks {
+        self.pool = PayloadPool::default();
+        let ppb = self.layout.pages_per_block() as usize;
+        for b in 0..self.blocks.len() {
             let next_program = d.u32()?;
             let erase_count = d.u64()?;
             let last_erase_at = d.opt(|d| Ok(Nanos(d.u64()?)))?;
             let torn_erase = d.bool()?;
-            chip.blocks[b] = BlockMeta { next_program, erase_count, last_erase_at, torn_erase };
-            let n_slots = d.usize()?;
-            if n_slots != ppb {
-                return Err(SnapshotError::Corrupt(format!(
-                    "block slot count {n_slots} does not match geometry ({ppb})"
-                )));
-            }
+            self.blocks[b] = BlockMeta { next_program, erase_count, last_erase_at, torn_erase };
             for i in b * ppb..(b + 1) * ppb {
-                chip.states[i] = match d.u8()? {
+                self.states[i] = match d.u8()? {
                     0 => SlotState::Erased,
                     1 => {
-                        let slot = intern_slot(&mut chip.pool, decode_page_data(d)?);
-                        chip.set_slot(i, slot);
+                        let slot = intern_slot(&mut self.pool, decode_page_data(d)?);
+                        self.set_slot(i, slot);
                         SlotState::Programmed
                     }
                     2 => SlotState::Destroyed,
                     3 => {
-                        let slot = intern_slot(&mut chip.pool, decode_page_data(d)?);
-                        chip.set_slot(i, slot);
+                        let slot = intern_slot(&mut self.pool, decode_page_data(d)?);
+                        self.set_slot(i, slot);
                         if d.bool()? {
                             SlotState::TornReadable
                         } else {
@@ -904,8 +879,8 @@ impl Chip {
                 };
             }
         }
-        chip.stats = ChipStats::decode_snapshot(d)?;
-        Ok(chip)
+        self.stats = ChipStats::decode_snapshot(d)?;
+        Ok(())
     }
 }
 
@@ -1189,11 +1164,10 @@ mod tests {
         chip.encode_state(&mut e);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        let back = Chip::decode_state(&mut d).unwrap();
+        let mut back = small_chip();
+        back.decode_state(&mut d).unwrap();
         d.finish().unwrap();
 
-        assert_eq!(back.geometry(), chip.geometry());
-        assert_eq!(back.timing(), chip.timing());
         assert_eq!(back.stats(), chip.stats());
         for b in 0..chip.geometry().blocks {
             assert_eq!(back.raw_block_dump(BlockId(b)), chip.raw_block_dump(BlockId(b)));
@@ -1218,21 +1192,17 @@ mod tests {
         // Walk the stream to the first slot tag, then corrupt it.
         let mut d = Dec::new(&good);
         d.expect_tag(0x10, "nand-chip").unwrap();
-        let _ = Geometry::decode_snapshot(&mut d).unwrap();
-        let _ = TimingSpec::decode_snapshot(&mut d).unwrap();
-        let _ = d.usize().unwrap(); // block count
         let _ = d.u32().unwrap(); // next_program
         let _ = d.u64().unwrap(); // erase_count
         let _ = d.opt(|d| d.u64()).unwrap(); // last_erase_at
         let _ = d.bool().unwrap(); // torn_erase
-        let _ = d.usize().unwrap(); // slot count
         let slot0_off = d.offset();
         let mut bad = good.clone();
         bad[slot0_off] = 9;
-        let err = Chip::decode_state(&mut Dec::new(&bad)).unwrap_err();
+        let err = small_chip().decode_state(&mut Dec::new(&bad)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
         // Truncation is also an error, not a panic.
-        let err = Chip::decode_state(&mut Dec::new(&good[..good.len() - 4])).unwrap_err();
+        let err = small_chip().decode_state(&mut Dec::new(&good[..good.len() - 4])).unwrap_err();
         assert!(matches!(err, SnapshotError::Truncated { .. }), "{err}");
     }
 

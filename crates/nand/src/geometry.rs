@@ -68,33 +68,6 @@ impl fmt::Display for Ppa {
     }
 }
 
-/// Location of a chip inside the SSD: `(channel, chip-on-channel)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ChipLoc {
-    /// Channel index.
-    pub channel: u16,
-    /// Chip index on that channel.
-    pub chip: u16,
-}
-
-impl ChipLoc {
-    /// Creates a chip location.
-    pub fn new(channel: u16, chip: u16) -> Self {
-        ChipLoc { channel, chip }
-    }
-
-    /// Flat index given the number of chips per channel.
-    pub fn flat_index(&self, chips_per_channel: u16) -> usize {
-        self.channel as usize * chips_per_channel as usize + self.chip as usize
-    }
-}
-
-impl fmt::Display for ChipLoc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ch{}/die{}", self.channel, self.chip)
-    }
-}
-
 /// Static geometry of one NAND chip.
 ///
 /// The paper's SecureSSD configuration (§7) uses 3D TLC chips with 428
@@ -146,19 +119,16 @@ impl Geometry {
         Geometry { blocks, ..Self::paper_tlc() }
     }
 
-    /// Pages per block (`wordlines × bits-per-cell`).
+    /// Pages per block (`wordlines × bits-per-cell`), saturating: a
+    /// wordline count no `u32` page index can address is refused by the
+    /// configuration check, not by an overflow.
     pub fn pages_per_block(&self) -> u32 {
-        self.wordlines_per_block * self.tech.bits_per_cell() as u32
+        self.wordlines_per_block.saturating_mul(self.tech.bits_per_cell() as u32)
     }
 
     /// Total pages in the chip.
     pub fn pages_per_chip(&self) -> u64 {
         self.blocks as u64 * self.pages_per_block() as u64
-    }
-
-    /// Chip capacity in bytes (main data area only).
-    pub fn capacity_bytes(&self) -> u64 {
-        self.pages_per_chip() * self.page_bytes as u64
     }
 
     /// Wordline and page type for a page index inside a block.
@@ -364,7 +334,7 @@ mod tests {
         assert_eq!(g.blocks, 428);
         // 428 blocks * 576 pages * 16 KiB ≈ 3.76 GiB per chip; 8 chips ≈ 30 GiB,
         // matching the paper's "32 GiB" emulated capacity order.
-        let total_8_chips = 8 * g.capacity_bytes();
+        let total_8_chips = 8 * g.pages_per_chip() * u64::from(g.page_bytes);
         assert!(total_8_chips > 28 * (1 << 30) && total_8_chips < 34 * (1 << 30));
     }
 
@@ -406,16 +376,8 @@ mod tests {
     }
 
     #[test]
-    fn chip_loc_flat_index() {
-        assert_eq!(ChipLoc::new(0, 0).flat_index(4), 0);
-        assert_eq!(ChipLoc::new(1, 0).flat_index(4), 4);
-        assert_eq!(ChipLoc::new(1, 3).flat_index(4), 7);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(Ppa::new(8, 34).to_string(), "PB#0x0008:pg34");
-        assert_eq!(ChipLoc::new(1, 2).to_string(), "ch1/die2");
         assert_eq!(WordlineId(3).to_string(), "WL3");
     }
 }

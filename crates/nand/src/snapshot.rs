@@ -49,10 +49,15 @@ pub const MAGIC: &[u8; 8] = b"EVSCCKP1";
 /// * **7** — the configuration section drops the SSD's copy of the channel
 ///   topology (the FTL's chip count and chips per channel state it) and
 ///   the read-retry budget (a constant).
+/// * **8** — the configuration section is the only statement of the
+///   geometry, timing, chip count, chips per channel and logical capacity:
+///   the chip, flag, executor, FTL and time-series sections no longer
+///   restate them or any table length they fix, and each is decoded onto
+///   tables already built from the configuration.
 ///
 /// Only the current version decodes; older blobs are rejected as
 /// unsupported: nothing outside this repository ever wrote one.
-pub const VERSION: u32 = 7;
+pub const VERSION: u32 = 8;
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding
 /// each framed checkpoint section. Detects every single-byte corruption
@@ -102,8 +107,9 @@ pub enum SnapshotError {
     /// Structurally invalid content (bad tag byte, bad enum discriminant,
     /// out-of-sync section marker, …).
     Corrupt(String),
-    /// The snapshot is well-formed but describes a device incompatible with
-    /// the state being restored into (geometry/config mismatch).
+    /// The snapshot is well-formed but describes state the configured
+    /// device cannot hold (a flag outside the geometry, a nonce the chip
+    /// has not issued, a birth day after the chip's age).
     Mismatch(String),
 }
 
@@ -292,7 +298,9 @@ impl<'a> Dec<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.buf.len() {
+        // `n` may be any length the stream claims: compare it with what is
+        // left rather than add it to the offset, which could overflow.
+        if n > self.remaining() {
             return Err(SnapshotError::Truncated { offset: self.pos, needed: n });
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -542,9 +550,9 @@ mod tests {
         let bytes = Enc::with_header().into_bytes();
         Dec::with_header(&bytes).unwrap();
         assert_eq!(Dec::with_header(b"NOTACKPT0000").unwrap_err(), SnapshotError::BadMagic);
-        // A future version, the retired formats 1 to 6, and zero are all
+        // A future version, the retired formats 1 to 7, and zero are all
         // refused.
-        for version in [0xFFu32, 6, 5, 4, 3, 2, 1, 0] {
+        for version in [0xFFu32, 7, 6, 5, 4, 3, 2, 1, 0] {
             let mut bad = bytes.clone();
             bad[8..12].copy_from_slice(&version.to_le_bytes());
             let want = SnapshotError::UnsupportedVersion { found: version, supported: VERSION };
@@ -568,6 +576,22 @@ mod tests {
                 assert_eq!(needed, 8);
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_length_past_the_end_is_truncation_not_an_overflow() {
+        for len in [u64::MAX, u64::MAX - 7, 1 << 40] {
+            let mut e = Enc::new();
+            e.u64(len);
+            let bytes = e.into_bytes();
+            let got = Dec::new(&bytes).bytes();
+            assert!(matches!(got, Err(SnapshotError::Truncated { offset: 8, .. })), "{got:?}");
+            let mut framed = vec![1];
+            framed.extend(&bytes);
+            framed.extend([0; 4]);
+            let got = Dec::new(&framed).section_frame(1, "s").map(|(_, ok)| ok);
+            assert!(matches!(got, Err(SnapshotError::Truncated { offset: 13, .. })), "{got:?}");
         }
     }
 

@@ -30,11 +30,6 @@ impl Nanos {
         Nanos(ms * 1_000_000)
     }
 
-    /// Value in (truncated) microseconds.
-    pub fn as_micros(&self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Value in seconds as a float.
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e9
@@ -204,7 +199,6 @@ mod tests {
 
     #[test]
     fn as_conversions() {
-        assert_eq!(Nanos::from_micros(7).as_micros(), 7);
         assert!((Nanos::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-12);
     }
 }

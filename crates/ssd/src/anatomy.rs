@@ -47,7 +47,6 @@
 //! touches the simulated device, so enabling it cannot change results —
 //! the `anatomy` experiment gate proves byte-identity.
 
-use crate::metrics::LatencyHistogram;
 use crate::trace::{ReqKind, RequestTrace, ResourceId, SpanKind, Sweep, TraceHead};
 use evanesco_ftl::{Lpa, OpCause};
 use evanesco_nand::arena::{Arena, PackedNanos, Span};
@@ -456,8 +455,6 @@ pub struct AnatomyRecorder {
     occupancy_dropped: u64,
     /// Total stage time per request kind, across every recorded row.
     totals: [[Nanos; Stage::COUNT]; REQ_KINDS.len()],
-    /// Per-kind/per-stage duration histograms (one sample per request).
-    hists: [[LatencyHistogram; Stage::COUNT]; REQ_KINDS.len()],
     /// Deterministic top-K slowest rows: ordered by (e2e desc, trace id
     /// asc), ring eviction notwithstanding.
     top: Vec<TopRow>,
@@ -484,7 +481,6 @@ impl AnatomyRecorder {
             occupancy: Vec::new(),
             occupancy_dropped: 0,
             totals: [[Nanos::ZERO; Stage::COUNT]; REQ_KINDS.len()],
-            hists: [[LatencyHistogram::new(); Stage::COUNT]; REQ_KINDS.len()],
             top: Vec::new(),
             chain: Vec::new(),
             durs: Vec::new(),
@@ -519,11 +515,6 @@ impl AnatomyRecorder {
     /// recorded row.
     pub fn stage_total(&self, kind: ReqKind, stage: Stage) -> Nanos {
         self.totals[kind_idx(kind)][stage.idx()]
-    }
-
-    /// Per-request duration histogram for `kind` × `stage`.
-    pub fn stage_hist(&self, kind: ReqKind, stage: Stage) -> &LatencyHistogram {
-        &self.hists[kind_idx(kind)][stage.idx()]
     }
 
     /// The retained rows, oldest first.
@@ -674,7 +665,6 @@ impl AnatomyRecorder {
         let k = kind_idx(t.kind);
         for s in Stage::ALL {
             self.totals[k][s.idx()] += stages[s.idx()];
-            self.hists[k][s.idx()].record(stages[s.idx()]);
         }
         if self.rows.len() == self.capacity {
             let oldest = *self.rows.front().expect("a full ring has an oldest row");
@@ -886,7 +876,6 @@ mod tests {
         // Totals cover every row, evicted ones included.
         let sum: u64 = (1..=10).map(|i| 100 * i).sum();
         assert_eq!(a.stage_total(ReqKind::Write, Stage::ChipService), Nanos(sum));
-        assert_eq!(a.stage_hist(ReqKind::Write, Stage::ChipService).count(), 10);
         // Top-K: the three slowest, slowest first, despite eviction.
         let tops: Vec<u64> = a.top().map(|r| r.e2e().0).collect();
         assert_eq!(tops, vec![1000, 900, 800]);

@@ -410,22 +410,13 @@ impl TimedExecutor {
     /// desired.
     pub fn encode_state(&self, e: &mut evanesco_nand::snapshot::Enc) {
         e.tag(0x42);
-        e.usize(self.chips.len());
         for c in &self.chips {
             c.encode_state(e);
         }
-        e.usize(self.chip_res.len());
-        for r in &self.chip_res {
+        for r in self.chip_res.iter().chain(&self.channel_res) {
             e.u64(r.busy_until().0);
             e.u64(r.utilized().0);
         }
-        e.usize(self.channel_res.len());
-        for r in &self.channel_res {
-            e.u64(r.busy_until().0);
-            e.u64(r.utilized().0);
-        }
-        e.usize(self.chips_per_channel);
-        self.timing.encode_snapshot(e);
         e.u64(self.open_interval_sum.0);
         e.u64(self.open_interval_count);
         for n in [
@@ -450,60 +441,22 @@ impl TimedExecutor {
 
     /// Overlays checkpointed state written by
     /// [`TimedExecutor::encode_state`] onto this freshly-constructed
-    /// executor (same configuration).
+    /// executor, whose configuration fixes the chip and timeline counts
+    /// the stream was written against.
     ///
     /// # Errors
     ///
-    /// Fails on truncation, structural corruption, or a chip/channel count
-    /// that does not match this executor's configuration.
+    /// Fails on truncation or structural corruption.
     pub fn decode_state(
         &mut self,
         d: &mut evanesco_nand::snapshot::Dec<'_>,
     ) -> Result<(), evanesco_nand::snapshot::SnapshotError> {
-        use evanesco_nand::snapshot::SnapshotError;
         d.expect_tag(0x42, "timed-executor")?;
-        let n_chips = d.usize()?;
-        if n_chips != self.chips.len() {
-            return Err(SnapshotError::Mismatch(format!(
-                "checkpoint has {n_chips} chips, configuration has {}",
-                self.chips.len()
-            )));
-        }
         for c in self.chips.iter_mut() {
             c.decode_state(d)?;
         }
-        let n_res = d.usize()?;
-        if n_res != self.chip_res.len() {
-            return Err(SnapshotError::Mismatch(format!(
-                "checkpoint has {n_res} chip timelines, configuration has {}",
-                self.chip_res.len()
-            )));
-        }
-        for r in self.chip_res.iter_mut() {
+        for r in self.chip_res.iter_mut().chain(&mut self.channel_res) {
             *r = Resource::from_parts(Nanos(d.u64()?), Nanos(d.u64()?));
-        }
-        let n_ch = d.usize()?;
-        if n_ch != self.channel_res.len() {
-            return Err(SnapshotError::Mismatch(format!(
-                "checkpoint has {n_ch} channel timelines, configuration has {}",
-                self.channel_res.len()
-            )));
-        }
-        for r in self.channel_res.iter_mut() {
-            *r = Resource::from_parts(Nanos(d.u64()?), Nanos(d.u64()?));
-        }
-        let cpc = d.usize()?;
-        if cpc != self.chips_per_channel {
-            return Err(SnapshotError::Mismatch(format!(
-                "checkpoint has {cpc} chips per channel, configuration has {}",
-                self.chips_per_channel
-            )));
-        }
-        let timing = TimingSpec::decode_snapshot(d)?;
-        if timing != self.timing {
-            return Err(SnapshotError::Mismatch(
-                "checkpoint timing spec differs from configuration".into(),
-            ));
         }
         self.open_interval_sum = Nanos(d.u64()?);
         self.open_interval_count = d.u64()?;

@@ -1210,8 +1210,16 @@ impl Emulator {
         let mut s = d.section(section::POLICY, "policy")?;
         let policy = crate::checkpoint::decode_policy(&mut s)?;
         s.finish()?;
-        let mut em = Emulator::new(cfg, policy);
         let mut s = d.section(section::DEVICE, "device")?;
+        // Every page costs the device section at least its slot byte: a
+        // configuration whose pages the section cannot cover is refused
+        // before `Emulator::new` sizes a single table from it.
+        let pages = cfg.ftl.physical_pages();
+        if pages > s.remaining() as u64 {
+            let needed = usize::try_from(pages).unwrap_or(usize::MAX);
+            return Err(SnapshotError::Truncated { offset: s.offset(), needed });
+        }
+        let mut em = Emulator::new(cfg, policy);
         em.ex.decode_state(&mut s)?;
         s.finish()?;
 
@@ -1245,31 +1253,13 @@ impl Emulator {
             Some(g) => em.gauges = g,
             None => report.salvaged.push("gauges"),
         }
-        let timeseries = |s: &mut Dec<'_>| s.opt(TimeSeries::decode_state);
+        let timeseries = |s: &mut Dec<'_>| s.opt(|d| TimeSeries::decode_state(&cfg, d));
         match optional_section(&mut d, salvage, section::TIMESERIES, "timeseries", timeseries)? {
             Some(ts) => em.timeseries = ts,
             None => report.salvaged.push("timeseries"),
         }
         d.finish()?;
         Ok((em, report))
-    }
-
-    /// Restores this emulator from checkpoint bytes **all-or-nothing**:
-    /// the bytes decode into a fresh staging emulator first and replace
-    /// this one only on full success, so a truncated or corrupt blob
-    /// leaves the device byte-identical to before the call.
-    ///
-    /// Observational attachments (tracing, decision log, chaos guard,
-    /// watchdog) follow the checkpoint's contents: they are *not* carried
-    /// over from the pre-restore device.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Emulator::restore_checkpoint`]; on error
-    /// `self` is untouched.
-    pub fn restore_in_place(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        *self = Emulator::restore_checkpoint(bytes)?;
-        Ok(())
     }
 }
 
@@ -1596,29 +1586,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_in_place_restore_leaves_device_untouched() {
-        let mut s = ssd(SanitizePolicy::evanesco());
-        s.write(0, 6, true);
-        s.trim(0, 2);
-        let before = s.save_checkpoint();
-        let mut other = ssd(SanitizePolicy::evanesco());
-        other.write(3, 3, true);
-        let good = other.save_checkpoint();
-        // A truncated blob and a bit-flipped blob must both fail without
-        // mutating the target device.
-        let mut flipped = good.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        for bad in [&good[..good.len() - 7], &flipped[..]] {
-            assert!(s.restore_in_place(bad).is_err());
-            assert_eq!(s.save_checkpoint(), before, "failed restore must leave state untouched");
-        }
-        // A valid blob swaps wholesale.
-        s.restore_in_place(&good).unwrap();
-        assert_eq!(s.save_checkpoint(), good);
-    }
-
-    #[test]
     fn strict_restore_names_the_damaged_section() {
         let mut s = ssd(SanitizePolicy::evanesco());
         s.write(0, 4, true);
@@ -1717,19 +1684,19 @@ mod tests {
         assert_eq!(s.ftl().pending_coalesced_locks(), 1);
         let bytes = s.save_checkpoint();
         let r = section_payload_range(&bytes, crate::checkpoint::section::FTL);
-        // Offsets into the payload: lpa 0's L2P entry (tag byte, len, then
+        // Offsets into the payload: lpa 0's L2P entry (tag byte, then
         // `[1][chip:u64][block:u32][page:u32]`), the first occupied P2L
         // slot's `[1][lpa:u64]`, chip 0's (empty) GC-in-progress list, and
-        // the queued page, which the 8-byte `since` and the 1-byte degraded
-        // mode close.
+        // the queue's one entry `[chip:u64][block:u32][n:u64]`, whose page
+        // id, 8-byte `since` and the 1-byte degraded mode close the stream.
+        // The configuration fixes every table length.
         let payload = &bytes[r.clone()];
         let mut d = Dec::new(payload);
         d.u8().unwrap();
-        for _ in 0..d.usize().unwrap() {
+        for _ in 0..s.logical_pages() {
             d.opt(|d| Ok((d.usize()?, d.u32()?, d.u32()?))).unwrap();
         }
-        d.usize().unwrap();
-        let pages = d.usize().unwrap();
+        let pages = cfg.ftl.geometry.pages_per_chip() as usize;
         let mut p2l = None;
         for _ in 0..pages {
             let at = d.offset();
@@ -1739,8 +1706,8 @@ mod tests {
         }
         let skip = |d: &mut Dec<'_>, bytes: usize| (0..bytes).for_each(|_| _ = d.u8().unwrap());
         skip(&mut d, pages); // page status codes
-        let blocks = d.usize().unwrap();
-        skip(&mut d, 21 * blocks); // block records
+        let blocks = cfg.ftl.geometry.blocks;
+        skip(&mut d, 21 * blocks as usize); // block records
         for _ in 0..2 {
             let n = d.usize().unwrap();
             skip(&mut d, 4 * n); // the free and reclaimable lists
@@ -1748,10 +1715,10 @@ mod tests {
         d.opt(|d| Ok((d.u32()?, d.u32()?))).unwrap();
         let gc = d.offset();
         assert_eq!(d.usize().unwrap(), 0, "no GC pass is in progress between requests");
-        let queued = payload.len() - 25;
+        let entry = payload.len() - 33;
         // One flipped bit each (little-endian fields): chip 0 or 1 becomes
-        // 8 or 9 of 2; the LPA gains 2^32; the queued page's chip or block
-        // moves off its entry's, or its page id gains 32 (of 24).
+        // 8 or 9 of 2; the LPA gains 2^32; the queue entry's chip or block
+        // leaves the device, or its page id gains 32 (of 24).
         let flip = |at: usize, bit: u8| {
             let mut bad = payload.to_vec();
             bad[at] ^= bit;
@@ -1766,13 +1733,12 @@ mod tests {
             bad.extend(&payload[gc + 8..]);
             bad
         };
-        let blocks = blocks as u32;
         let cases = [
-            ("L2P entry of lpa 0 outside the device", flip(10, 0x08)),
+            ("L2P entry of lpa 0 outside the device", flip(2, 0x08)),
             ("P2L entry names lpa", flip(p2l.unwrap() + 4, 0x01)),
-            ("queued page", flip(queued, 0x01)),
-            ("queued page", flip(queued + 8, 0x01)),
-            ("queued page", flip(queued + 12, 0x20)),
+            ("coalesce entry out of range", flip(entry, 0x08)),
+            ("coalesce entry out of range", flip(entry + 11, 0x01)),
+            ("queued page", flip(entry + 20, 0x20)),
             ("GC-in-progress block 3 out of range or out of order", in_progress([5, 3])),
             (&format!("GC-in-progress block {blocks} out"), in_progress([1, blocks])),
         ];

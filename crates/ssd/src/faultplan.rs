@@ -62,43 +62,6 @@ impl FaultPlan {
     pub fn remaining(&self) -> usize {
         self.cuts.len() - self.next
     }
-
-    /// Serializes the schedule and its consumption cursor into a
-    /// checkpoint stream.
-    pub fn encode_state(&self, e: &mut evanesco_nand::snapshot::Enc) {
-        e.tag(0x43);
-        e.usize(self.cuts.len());
-        for c in &self.cuts {
-            e.u64(c.0);
-        }
-        e.usize(self.next);
-    }
-
-    /// Reconstructs a plan from a stream written by
-    /// [`FaultPlan::encode_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation or a cursor past the end of the schedule.
-    pub fn decode_state(
-        d: &mut evanesco_nand::snapshot::Dec<'_>,
-    ) -> Result<Self, evanesco_nand::snapshot::SnapshotError> {
-        use evanesco_nand::snapshot::SnapshotError;
-        d.expect_tag(0x43, "fault-plan")?;
-        let n = d.usize()?;
-        let mut cuts = Vec::with_capacity(n);
-        for _ in 0..n {
-            cuts.push(Nanos(d.u64()?));
-        }
-        let next = d.usize()?;
-        if next > cuts.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "fault-plan cursor {next} past schedule of {}",
-                cuts.len()
-            )));
-        }
-        Ok(FaultPlan { cuts, next })
-    }
 }
 
 #[cfg(test)]

@@ -67,15 +67,14 @@ struct FileEntry {
     mode: OpenMode,
 }
 
-/// String interner for file names. Every name is stored once and mapped
-/// to a stable dense `u32` id; the per-file table and all internal
-/// bookkeeping key on the id, not the string. Ids survive deletion, so a
-/// recreated file keeps its id — which makes them directly usable as
-/// workload-layer `FileId`s for exposure attribution.
+/// String interner for file names. Every name is mapped to a stable dense
+/// `u32` id; the per-file table and all internal bookkeeping key on the
+/// id, not the string. Ids survive deletion, so a recreated file keeps its
+/// id — which makes them directly usable as workload-layer `FileId`s for
+/// exposure attribution.
 #[derive(Debug, Clone, Default)]
 struct NameInterner {
     ids: HashMap<String, u32>,
-    names: Vec<String>,
 }
 
 impl NameInterner {
@@ -87,14 +86,9 @@ impl NameInterner {
         if let Some(&id) = self.ids.get(name) {
             return id;
         }
-        let id = u32::try_from(self.names.len()).expect("file-name interner overflow");
-        self.names.push(name.to_string());
+        let id = u32::try_from(self.ids.len()).expect("file-name interner overflow");
         self.ids.insert(name.to_string(), id);
         id
-    }
-
-    fn resolve(&self, id: u32) -> &str {
-        &self.names[id as usize]
     }
 }
 
@@ -153,13 +147,6 @@ impl HostFs {
     /// delete/recreate cycles of the same name.
     pub fn file_id(&self, name: &str) -> Option<u32> {
         self.names.get(name).filter(|id| self.files.contains_key(id))
-    }
-
-    /// Names of all live files, in interned-id (creation) order.
-    pub fn file_names(&self) -> Vec<&str> {
-        let mut ids: Vec<u32> = self.files.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter().map(|id| self.names.resolve(id)).collect()
     }
 
     /// Creates a file with the given contents.
@@ -386,7 +373,6 @@ mod tests {
         assert_eq!(f.file_id("a"), Some(0));
         assert_eq!(f.file_id("b"), Some(1));
         assert_eq!(f.file_id("zzz"), None);
-        assert_eq!(f.file_names(), vec!["a", "b"]);
         // Delete + recreate keeps the id; new names keep extending.
         f.delete("a").unwrap();
         assert_eq!(f.file_id("a"), None);
@@ -394,7 +380,6 @@ mod tests {
         assert_eq!(f.file_id("a"), Some(0));
         f.create("c", b"4", OpenMode::Secure).unwrap();
         assert_eq!(f.file_id("c"), Some(2));
-        assert_eq!(f.file_names(), vec!["a", "b", "c"]);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! never issues device work, so runs with the series enabled are
 //! byte-identical (simulated-time-wise) to runs without.
 
+use crate::config::SsdConfig;
 use crate::emulator::Emulator;
 use crate::gauges::GaugeSnapshot;
 use crate::metrics::RunResult;
@@ -171,7 +172,8 @@ impl TimeSeries {
 
     /// Serializes the full series — interval, ring of closed windows, and
     /// the cumulative baselines arming the next window — into a
-    /// checkpoint stream.
+    /// checkpoint stream. The resource counts and the logical capacity are
+    /// the device's configuration, so the stream does not restate them.
     pub fn encode_state(&self, e: &mut evanesco_nand::snapshot::Enc) {
         e.tag(0x41);
         e.u64(self.interval.0);
@@ -185,24 +187,20 @@ impl TimeSeries {
         e.u64(self.next_due.0);
         e.u64(self.window_start.0);
         self.baseline.encode_snapshot(e);
-        e.usize(self.chip_busy.len());
-        for &n in &self.chip_busy {
+        for &n in self.chip_busy.iter().chain(&self.channel_busy) {
             e.u64(n.0);
         }
-        e.usize(self.channel_busy.len());
-        for &n in &self.channel_busy {
-            e.u64(n.0);
-        }
-        e.u64(self.capacity_pages);
     }
 
-    /// Reconstructs a series from a stream written by
-    /// [`TimeSeries::encode_state`].
+    /// Reconstructs a series for the device `cfg` describes from a stream
+    /// written by [`TimeSeries::encode_state`].
     ///
     /// # Errors
     ///
-    /// Fails on truncation or structural corruption.
+    /// Fails on truncation or structural corruption, and on a ring longer
+    /// than its capacity.
     pub fn decode_state(
+        cfg: &SsdConfig,
         d: &mut evanesco_nand::snapshot::Dec<'_>,
     ) -> Result<Self, evanesco_nand::snapshot::SnapshotError> {
         use evanesco_nand::snapshot::SnapshotError;
@@ -215,6 +213,11 @@ impl TimeSeries {
             ));
         }
         let n_ring = d.usize()?;
+        if n_ring > capacity {
+            return Err(SnapshotError::Corrupt(format!(
+                "timeseries ring of {n_ring} windows exceeds its capacity {capacity}"
+            )));
+        }
         let mut ring = Arena::for_ring(capacity, CHUNK);
         for _ in 0..n_ring {
             ring.push(decode_window_sample(d)?);
@@ -224,16 +227,11 @@ impl TimeSeries {
         let next_due = Nanos(d.u64()?);
         let window_start = Nanos(d.u64()?);
         let baseline = RunResult::decode_snapshot(d)?;
-        let n_chips = d.usize()?;
-        let mut chip_busy = Vec::with_capacity(n_chips);
-        for _ in 0..n_chips {
-            chip_busy.push(Nanos(d.u64()?));
-        }
-        let n_channels = d.usize()?;
-        let mut channel_busy = Vec::with_capacity(n_channels);
-        for _ in 0..n_channels {
-            channel_busy.push(Nanos(d.u64()?));
-        }
+        let mut busy = |n: usize| -> Result<Vec<Nanos>, SnapshotError> {
+            (0..n).map(|_| Ok(Nanos(d.u64()?))).collect()
+        };
+        let chip_busy = busy(cfg.n_chips())?;
+        let channel_busy = busy(cfg.channels())?;
         Ok(TimeSeries {
             interval,
             capacity,
@@ -245,7 +243,7 @@ impl TimeSeries {
             baseline,
             chip_busy,
             channel_busy,
-            capacity_pages: d.u64()?,
+            capacity_pages: cfg.ftl.logical_pages(),
         })
     }
 

@@ -202,11 +202,11 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Golden format: the checked-in fixture pins the on-disk byte layout
-// (`checkpoint_v7.ckpt`, the current format) and must round-trip
+// (`checkpoint_v8.ckpt`, the current format) and must round-trip
 // byte-identically.
 // ---------------------------------------------------------------------------
 
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/checkpoint_v7.ckpt");
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/checkpoint_v8.ckpt");
 
 /// The fixed script behind the golden fixture. Deterministic: the same
 /// library version always produces the same bytes. Physical flags are on,
@@ -298,12 +298,12 @@ fn restored_golden_device_serves_reads_and_keeps_working() {
 }
 
 /// A checkpoint from a future (unknown) format version — or from the
-/// retired formats 1 to 6 — is rejected with a typed, descriptive error: not a
+/// retired formats 1 to 7 — is rejected with a typed, descriptive error: not a
 /// panic, not garbage state.
 #[test]
 fn unknown_version_fails_with_a_clear_error() {
     let mut bytes = std::fs::read(GOLDEN).expect("checked-in fixture exists");
-    for version in [u32::MAX, 6, 5, 4, 3, 2, 1, 0] {
+    for version in [u32::MAX, 7, 6, 5, 4, 3, 2, 1, 0] {
         // Layout: 8-byte magic, then the little-endian u32 format version.
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         for restored in [
@@ -312,7 +312,7 @@ fn unknown_version_fails_with_a_clear_error() {
         ] {
             match restored {
                 Err(e @ SnapshotError::UnsupportedVersion { found, supported }) => {
-                    assert_eq!((found, supported), (version, 7));
+                    assert_eq!((found, supported), (version, 8));
                     assert!(e.to_string().contains("version"), "error must name the problem: {e}");
                 }
                 other => panic!("want UnsupportedVersion for {version}, got {other:?}"),
@@ -335,4 +335,136 @@ fn truncated_or_mislabeled_checkpoints_fail_without_panicking() {
     let mut wrong = bytes;
     wrong[0] ^= 0xFF;
     assert!(matches!(Emulator::restore_checkpoint(&wrong), Err(SnapshotError::BadMagic)));
+}
+
+// ---------------------------------------------------------------------------
+// Never-panic sweep: hostile values behind valid CRCs reach every decoder.
+// ---------------------------------------------------------------------------
+
+/// Each section frame of a checkpoint, `[id][len:u64][crc32:u32][payload]`
+/// after the 12-byte header: its id and payload range.
+fn section_frames(bytes: &[u8]) -> Vec<(u8, std::ops::Range<usize>)> {
+    let mut frames = Vec::new();
+    let mut pos = 12;
+    while pos < bytes.len() {
+        let len = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().unwrap()) as usize;
+        frames.push((bytes[pos], pos + 13..pos + 13 + len));
+        pos += 13 + len;
+    }
+    frames
+}
+
+/// `bytes` with `payload` in place of the section at `range`, its CRC (and
+/// length) recomputed, so the damage reaches the section's decoder.
+fn reframed(bytes: &[u8], range: &std::ops::Range<usize>, payload: &[u8]) -> Vec<u8> {
+    let mut out = bytes[..range.start - 12].to_vec();
+    out.extend((payload.len() as u64).to_le_bytes());
+    out.extend(evanesco::nand::snapshot::crc32(payload).to_le_bytes());
+    out.extend(payload);
+    out.extend(&bytes[range.end..]);
+    out
+}
+
+/// Both restores of `bad` end in `Ok` or a typed error; `Err` names the
+/// one that panicked.
+fn restores_without_panicking(bad: &[u8]) -> Result<(), &'static str> {
+    let survives = |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_ok();
+    if !survives(&|| drop(Emulator::restore_checkpoint(bad))) {
+        return Err("strict");
+    }
+    if !survives(&|| drop(Emulator::restore_checkpoint_salvaging(bad))) {
+        return Err("salvaging");
+    }
+    Ok(())
+}
+
+/// The sweep's checkpoint: the golden device (gauges, time series and
+/// physical flags on) with its telemetry ring re-armed at two windows, so
+/// the whole stream stays small enough to sweep at every offset.
+fn sweep_checkpoint() -> Vec<u8> {
+    let mut ssd = golden_device();
+    ssd.enable_timeseries(Nanos::from_micros(200), 2);
+    for lpa in 0..24 {
+        let _ = ssd.write(lpa, 1, lpa % 3 != 0);
+    }
+    ssd.sample_timeseries_now();
+    assert!(ssd.timeseries().is_some_and(|ts| ts.len() == 2 && ts.dropped > 0));
+    ssd.save_checkpoint()
+}
+
+/// Overwrites 8 bytes at each chosen payload offset of each section with
+/// `1 << 40` or `u64::MAX`, recomputes the CRC, and restores both ways.
+/// Those two values make any count the stream sizes an allocation from
+/// fail at once, so a decoder that trusts one aborts the process (as the
+/// time-series section's chip count did) instead of committing memory.
+/// `chosen(section length)` picks the offsets; every failure is listed.
+fn never_panic_sweep(chosen: impl Fn(usize) -> Vec<usize>) {
+    let bytes = sweep_checkpoint();
+    let mut failures = Vec::new();
+    let mut cases = 0;
+    for (id, range) in section_frames(&bytes) {
+        let payload = &bytes[range.clone()];
+        for at in chosen(payload.len()) {
+            for v in [1u64 << 40, u64::MAX] {
+                let mut bad = payload.to_vec();
+                bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                cases += 1;
+                if let Err(which) = restores_without_panicking(&reframed(&bytes, &range, &bad)) {
+                    failures.push(format!("section {id} offset {at} value {v:#x}: {which}"));
+                }
+            }
+        }
+    }
+    let listed = failures.join("\n");
+    assert!(failures.is_empty(), "{} of {cases} cases panicked:\n{listed}", failures.len());
+}
+
+/// The tier-1 sample: both ends of every section, where its leading fields
+/// and its trailing counts sit, plus a fixed-seed draw from its interior.
+#[test]
+fn hostile_values_behind_valid_crcs_fail_typed_on_a_sample() {
+    never_panic_sweep(|len| {
+        let Some(last) = len.checked_sub(8) else { return Vec::new() };
+        let mut at: Vec<usize> = (0..=last.min(63)).chain(last.saturating_sub(63)..=last).collect();
+        let mut x = 0x5EED_u64 ^ len as u64;
+        for _ in 0..64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            at.push((x >> 33) as usize % (last + 1));
+        }
+        at.sort_unstable();
+        at.dedup();
+        at
+    });
+}
+
+/// The full sweep: every payload offset of every section.
+#[test]
+#[ignore = "every offset, about 20 000 cases; CI runs it in release"]
+fn hostile_values_behind_valid_crcs_fail_typed_at_every_offset() {
+    never_panic_sweep(|len| (0..len.saturating_sub(7)).collect());
+}
+
+/// A configuration section whose geometry the device section cannot hold
+/// (one slot byte per page at least) fails typed at the device section's
+/// first byte, before `Emulator::new` sizes a table from it.
+#[test]
+fn a_config_larger_than_its_device_section_fails_before_construction() {
+    let bytes = std::fs::read(GOLDEN).expect("checked-in fixture exists");
+    let frames = section_frames(&bytes);
+    let (_, config) = &frames[0];
+    let mut payload = bytes[config.clone()].to_vec();
+    // Layout: tag 0x51, cell technology, then the u32 block count: 2^16
+    // blocks instead of 16 is 3.1 M pages against a 6 KB device section.
+    payload[2..6].copy_from_slice(&(1u32 << 16).to_le_bytes());
+    let bad = reframed(&bytes, config, &payload);
+    let pages = 2 * (1 << 16) * 24;
+    for restored in [
+        Emulator::restore_checkpoint(&bad),
+        Emulator::restore_checkpoint_salvaging(&bad).map(|(em, _)| em),
+    ] {
+        match restored {
+            Err(SnapshotError::Truncated { offset: 0, needed }) => assert_eq!(needed, pages),
+            other => panic!("want Truncated at the device section's start, got {:?}", other.err()),
+        }
+    }
 }

@@ -222,7 +222,8 @@ fn reencodes_identically(raw: &Chip, ev: &EvanescoChip) {
     raw.encode_state(&mut e);
     let bytes = e.into_bytes();
     let mut d = Dec::new(&bytes);
-    let back = Chip::decode_state(&mut d).expect("own stream decodes");
+    let mut back = Chip::new(geom());
+    back.decode_state(&mut d).expect("own stream decodes");
     d.finish().expect("fully consumed");
     let mut e = Enc::new();
     back.encode_state(&mut e);
